@@ -19,10 +19,9 @@ from .gadgets import (gadget_biquiver, gadget_cycle, gadget_g1, gadget_g2,
                       gadget_g3, gadget_g4)
 from .linalg import CMatrix, block_diag, from_blocks, hstack, vstack
 from .model import (Arrow, ArrowKind, Biquiver, DimensionVector,
-                    GraphStructure, biquiver_to_obj, connected_components,
+                    biquiver_to_obj, connected_components,
                     induced_subbiquiver, is_connected, parse_biquiver,
-                    parse_biquiver_obj, serialize_biquiver,
-                    underlying_structure)
+                    parse_biquiver_obj, serialize_biquiver)
 from .morphisms import (Decomposition, EndAlgebra, IndecomposabilityStatus,
                         IsoResult, MorphismBasis, Verdict, are_isomorphic,
                         decompose, end_algebra, hom_basis,

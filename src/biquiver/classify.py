@@ -10,12 +10,12 @@ with a leading tilde, e.g. "~A2" for the 3-vertex cycle.
 """
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
 from .errors import PreconditionError
-from .model import Biquiver
+from .model import Biquiver, is_connected
 
 
 class RepKind(Enum):
@@ -58,18 +58,7 @@ def diagram_shape(g: Biquiver) -> str | None:
         adj[u].append(v)
         adj[v].append(u)
 
-    seen = [False] * (t + 1)
-    seen[1] = True
-    queue = deque([1])
-    reached = 1
-    while queue:
-        v = queue.popleft()
-        for w in adj[v]:
-            if not seen[w]:
-                seen[w] = True
-                reached += 1
-                queue.append(w)
-    if reached != t:
+    if not is_connected(g):
         raise PreconditionError("biquiver is not connected")
 
     m = len(g.arrows)

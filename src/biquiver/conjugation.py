@@ -15,12 +15,11 @@ and cycles carrying an odd number of dashed arrows.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .errors import PreconditionError
 from .linalg import CMatrix
-from .model import Arrow, ArrowKind, Biquiver
+from .model import Arrow, ArrowKind, Biquiver, _spanning_forest
 from .representation import MatrixRepresentation
 
 
@@ -76,28 +75,8 @@ def dash_elimination_plan(g: Biquiver) -> DashEliminationPlan | DashEliminationO
         if a.is_loop and a.is_dashed:
             return DashEliminationObstruction(f"dashed loop at vertex {a.source}")
 
-    adj: list[list[tuple[int, Arrow]]] = [[] for _ in range(g.t + 1)]
-    for a in g.arrows:
-        if not a.is_loop:
-            adj[a.source].append((a.target, a))
-            adj[a.target].append((a.source, a))
-
-    color = [None] * (g.t + 1)
-    parent = [0] * (g.t + 1)
-    color[1] = 0
-    queue = deque([1])
-    tree_arrows = set()
-    order = [1]
-    while queue:
-        v = queue.popleft()
-        for w, a in adj[v]:
-            if color[w] is None:
-                color[w] = color[v] ^ (1 if a.is_dashed else 0)
-                parent[w] = v
-                tree_arrows.add(a.id)
-                order.append(w)
-                queue.append(w)
-    if any(color[v] is None for v in g.vertices()):
+    root, parent, color, tree_arrows = _spanning_forest(g)
+    if any(root[v] != 1 for v in g.vertices()):
         raise PreconditionError("biquiver is not connected")
 
     for a in g.arrows:

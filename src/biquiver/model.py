@@ -3,13 +3,13 @@
 Vertices are numbered 1..t in all external documents and throughout the
 API. Full arrows carry linear maps, dashed arrows semilinear ones; at the
 graph level the kind is just a label, and the structural queries here
-(connectivity, tree test, cycle parities) ignore direction and treat the
-kind only where dashed-arrow parity matters.
+(connectivity, the spanning forest and its dashed parities) ignore
+direction and treat the kind only where dashed-arrow parity matters.
 """
 from __future__ import annotations
 
 import json
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
@@ -67,104 +67,54 @@ class Biquiver:
         return range(1, self.t + 1)
 
 
-@dataclass(frozen=True)
-class GraphStructure:
-    """Direction- and kind-insensitive shape data of a biquiver.
+def _spanning_forest(g: Biquiver):
+    """BFS spanning forest of the underlying graph, loops skipped.
 
-    loops[v-1] counts loops at vertex v. multiedges maps unordered pairs
-    (u, v), u < v, to the number of parallel non-loop arrows when that
-    number is at least 2. cycle_basis_parities holds, for each arrow
-    outside a fixed spanning forest (loops included), the parity of dashed
-    arrows on the fundamental cycle it closes.
+    Trees grow from roots taken in vertex order, and each vertex's
+    neighbours are visited in arrow order, so the forest, and every tree
+    path read off it, depends only on the arrow list. Returns lists indexed
+    by vertex (index 0 unused) of the root of its tree, its parent (0 at a
+    root) and the parity of dashed arrows on its tree path from the root,
+    then the set of tree-arrow ids.
     """
-    connected: bool
-    is_tree: bool
-    loops: tuple[int, ...]
-    multiedges: dict[tuple[int, int], int]
-    pendant_vertices: tuple[int, ...]
-    cycle_basis_parities: tuple[int, ...]
-
-
-def underlying_structure(g: Biquiver) -> GraphStructure:
-    loops = [0] * g.t
-    degree = [0] * g.t
-    pair_count: Counter = Counter()
     adj: list[list[tuple[int, Arrow]]] = [[] for _ in range(g.t + 1)]
     for a in g.arrows:
-        if a.is_loop:
-            loops[a.source - 1] += 1
-            degree[a.source - 1] += 2
-            continue
-        degree[a.source - 1] += 1
-        degree[a.target - 1] += 1
-        pair = (min(a.source, a.target), max(a.source, a.target))
-        pair_count[pair] += 1
-        adj[a.source].append((a.target, a))
-        adj[a.target].append((a.source, a))
-
-    # BFS spanning forest; record dashed parity of the root->v tree path.
-    visited = [False] * (g.t + 1)
+        if not a.is_loop:
+            adj[a.source].append((a.target, a))
+            adj[a.target].append((a.source, a))
+    root = [0] * (g.t + 1)
+    parent = [0] * (g.t + 1)
     parity = [0] * (g.t + 1)
     tree_arrows: set[str] = set()
-    components = 0
-    for root in g.vertices():
-        if visited[root]:
+    for r in g.vertices():
+        if root[r]:
             continue
-        components += 1
-        visited[root] = True
-        queue = deque([root])
+        root[r] = r
+        queue = deque([r])
         while queue:
             v = queue.popleft()
             for w, a in adj[v]:
-                if not visited[w]:
-                    visited[w] = True
+                if not root[w]:
+                    root[w] = r
+                    parent[w] = v
                     parity[w] = parity[v] ^ (1 if a.is_dashed else 0)
                     tree_arrows.add(a.id)
                     queue.append(w)
-
-    parities = []
-    for a in g.arrows:
-        if a.is_loop:
-            parities.append(1 if a.is_dashed else 0)
-        elif a.id not in tree_arrows:
-            p = (1 if a.is_dashed else 0) ^ parity[a.source] ^ parity[a.target]
-            parities.append(p)
-
-    connected = components == 1
-    is_tree = connected and sum(loops) == 0 and len(g.arrows) == g.t - 1
-    pendants = tuple(v for v in g.vertices() if degree[v - 1] == 1)
-    multi = {p: c for p, c in sorted(pair_count.items()) if c >= 2}
-    return GraphStructure(connected, is_tree, tuple(loops), multi,
-                          pendants, tuple(parities))
+    return root, parent, parity, tree_arrows
 
 
 def is_connected(g: Biquiver) -> bool:
-    return underlying_structure(g).connected
+    root = _spanning_forest(g)[0]
+    return all(root[v] == 1 for v in g.vertices())
 
 
 def connected_components(g: Biquiver) -> list[list[int]]:
     """Vertex sets of the connected components, each sorted ascending."""
-    adj: list[set[int]] = [set() for _ in range(g.t + 1)]
-    for a in g.arrows:
-        adj[a.source].add(a.target)
-        adj[a.target].add(a.source)
-    seen = [False] * (g.t + 1)
-    comps = []
-    for root in g.vertices():
-        if seen[root]:
-            continue
-        seen[root] = True
-        comp = [root]
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            for w in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-                    queue.append(w)
-        comps.append(sorted(comp))
-    return comps
+    root = _spanning_forest(g)[0]
+    comps: dict[int, list[int]] = {}
+    for v in g.vertices():
+        comps.setdefault(root[v], []).append(v)
+    return list(comps.values())
 
 
 def induced_subbiquiver(g: Biquiver, vertices: list[int]) -> Biquiver:

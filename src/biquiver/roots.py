@@ -17,7 +17,8 @@ from math import isqrt
 from .errors import PreconditionError
 from .classify import RepKind, representation_type
 from .model import Biquiver, DimensionVector, is_connected
-from .tits import Definiteness, TitsGram, definiteness, evaluate, gram_matrix
+from .tits import (Definiteness, TitsGram, _pivoted_ldl, definiteness, evaluate,
+                   gram_matrix)
 
 
 def roots_with_value(g: Biquiver, value: int, bound: int | None = None) -> list[DimensionVector]:
@@ -25,10 +26,12 @@ def roots_with_value(g: Biquiver, value: int, bound: int | None = None) -> list[
 
     With a positive definite form the result is complete and `bound` is
     ignored; otherwise the set is infinite and `bound` caps every
-    coordinate (and is required).
+    coordinate (and is required). A negative `bound` is rejected.
     """
     if value not in (0, 1):
         raise PreconditionError(f"value must be 0 or 1, got {value}")
+    if bound is not None and bound < 0:
+        raise PreconditionError(f"bound must be nonnegative, got {bound}")
     if not is_connected(g):
         raise PreconditionError("biquiver is not connected")
     gram = gram_matrix(g)
@@ -47,7 +50,8 @@ def roots_with_value(g: Biquiver, value: int, bound: int | None = None) -> list[
         sols = _enumerate_box(g, value, bound)
     out = sorted(z for z in sols if any(z))
     for z in out:
-        assert evaluate(g, z) == value
+        if evaluate(g, z) != value:
+            raise AssertionError(f"enumerated vector {z} does not have q = {value}")
     return out
 
 
@@ -61,36 +65,6 @@ def positive_root_count(g: Biquiver) -> int:
 
 
 # -- weighted sum-of-squares enumeration -------------------------------------
-
-def _pivoted_ldl(gram: TitsGram):
-    """Decompose x^T Q x = sum_k d_k (x_{p_k} + l_k . x)^2 with d_k > 0.
-
-    Diagonal pivoting always succeeds for a positive semidefinite Q: when no
-    positive diagonal entry remains, the whole remaining block is zero.
-    Returns the elimination steps and the never-pivoted (kernel) indices.
-    """
-    n = gram.t
-    w = [list(row) for row in gram.q]
-    active = list(range(n))
-    steps = []
-    while True:
-        p = next((i for i in active if w[i][i] > 0), None)
-        if p is None:
-            break
-        d = w[p][p]
-        lin = {j: w[p][j] / d for j in active if j != p and w[p][j]}
-        steps.append((p, d, lin))
-        active.remove(p)
-        for i in active:
-            if w[i][p]:
-                f = w[i][p] / d
-                for j in active:
-                    w[i][j] -= f * w[p][j]
-    for i in active:
-        for j in active:
-            assert w[i][j] == 0, "matrix is not positive semidefinite"
-    return steps, active
-
 
 def _square_interval(c: Fraction, budget: Fraction) -> tuple[int, int]:
     """Integer z range with (z + c)^2 <= budget (budget >= 0), exact."""

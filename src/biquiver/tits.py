@@ -1,9 +1,9 @@
 """The Tits quadratic form of a biquiver and its exact definiteness.
 
 q_G(x) = sum x_i^2 - sum_{arrows u->v} x_u x_v, summed over all arrows of
-either kind. Definiteness is decided without floating point: the
-characteristic polynomial of the rational Gram matrix is computed by the
-Faddeev-LeVerrier recurrence and classified by coefficient signs.
+either kind. Definiteness is decided without floating point, by an exact
+diagonally pivoted LDL^T decomposition of the rational Gram matrix; root
+enumeration reuses the same decomposition.
 """
 from __future__ import annotations
 
@@ -56,44 +56,58 @@ def evaluate(g: Biquiver, z: DimensionVector) -> int:
     return total
 
 
-def _char_poly_signs(gram: TitsGram) -> list[Fraction]:
-    """Elementary symmetric functions e_1..e_t of the eigenvalues of Q.
+def _pivoted_ldl(gram: TitsGram):
+    """Decompose x^T Q x = sum_k d_k (x_{p_k} + l_k . x)^2 with d_k > 0.
 
-    Faddeev-LeVerrier: with p(x) = x^t + c_1 x^{t-1} + ... + c_t,
-    e_k = (-1)^k c_k.
+    Pivots on the first positive diagonal entry of the active block.
+    Returns the elimination steps and the never-pivoted (kernel) indices,
+    whose remaining block is zero. Returns None when Q is not positive
+    semidefinite: a diagonal entry of the active block (a Schur complement)
+    is negative, or no positive diagonal entry is left but the block is not
+    zero.
     """
     n = gram.t
-    a = [list(row) for row in gram.q]
-    mk = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-    es = []
-    sign = -1
-    for k in range(1, n + 1):
-        am = [[sum(a[i][l] * mk[l][j] for l in range(n)) for j in range(n)] for i in range(n)]
-        ck = -sum(am[i][i] for i in range(n)) / k
-        es.append(sign * ck)
-        sign = -sign
-        mk = [[am[i][j] + (ck if i == j else 0) for j in range(n)] for i in range(n)]
-    return es
+    w = [list(row) for row in gram.q]
+    active = list(range(n))
+    steps = []
+    while True:
+        if any(w[i][i] < 0 for i in active):
+            return None
+        p = next((i for i in active if w[i][i] > 0), None)
+        if p is None:
+            break
+        d = w[p][p]
+        lin = {j: w[p][j] / d for j in active if j != p and w[p][j]}
+        steps.append((p, d, lin))
+        active.remove(p)
+        for i in active:
+            if w[i][p]:
+                f = w[i][p] / d
+                for j in active:
+                    w[i][j] -= f * w[p][j]
+    if any(w[i][j] for i in active for j in active):
+        return None
+    return steps, active
 
 
 def definiteness(gram: TitsGram) -> Definiteness:
     """Exact three-way verdict on the symmetric rational matrix Q.
 
-    All eigenvalues of a real symmetric Q are real, so Q is positive
-    semidefinite iff every elementary symmetric function of the eigenvalues
-    is nonnegative, and positive definite iff additionally det Q > 0.
-    PositiveSemidefinite here means semidefinite and singular.
+    Read off the pivoted LDL^T decomposition: Q is positive definite when
+    every index is pivoted, and positive semidefinite when the unpivoted
+    (kernel) block is zero. PositiveSemidefinite here means semidefinite and
+    singular.
     """
     for i in range(gram.t):
         for j in range(i):
             if gram.q[i][j] != gram.q[j][i]:
                 raise FormatError("Gram matrix must be symmetric")
-    es = _char_poly_signs(gram)
-    if any(e < 0 for e in es):
+    ldl = _pivoted_ldl(gram)
+    if ldl is None:
         return Definiteness.INDEFINITE
-    if es[-1] > 0:
-        return Definiteness.POSITIVE_DEFINITE
-    return Definiteness.POSITIVE_SEMIDEFINITE
+    if ldl[1]:
+        return Definiteness.POSITIVE_SEMIDEFINITE
+    return Definiteness.POSITIVE_DEFINITE
 
 
 def radical_vector(gram: TitsGram) -> DimensionVector | None:

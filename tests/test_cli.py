@@ -69,6 +69,15 @@ def test_roots_needs_bound_exit_3(run, tmp_path):
     assert "bound" in err
 
 
+def test_roots_negative_bound_exit_3(run, tmp_path):
+    p = tmp_path / "c.json"
+    p.write_text(serialize_biquiver(cycle_biquiver(3)))
+    code, out, err = run("roots", str(p), "--value", "1", "--bound", "-1")
+    assert code == 3
+    assert out == ""
+    assert "bound" in err
+
+
 def test_tits_output(run, a2_file):
     code, out, _ = run("tits", a2_file, "--evaluate", "1,1")
     assert code == 0

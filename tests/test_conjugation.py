@@ -148,6 +148,16 @@ def test_dash_elimination_cycle_parity():
                 assert "parity" in plan.reason
 
 
+def test_dash_elimination_obstruction_follows_bfs_order():
+    # The reported cycle is read off the spanning tree, which grows
+    # breadth first with neighbours in arrow order: the chord 1~3 reaches 3
+    # before the path through 2 does.
+    chorded = biq(4, "e1:1>2", "e2:2>3", "e3:3>4", "e4:4>1", "c:1~3")
+    assert dash_elimination_plan(chorded).reason == "odd dashed parity on cycle <2 1 3 2>"
+    g = biq(5, "a:1>2", "b:1>3", "c:2>4", "d:3>5", "e:4~5", "f:2>3")
+    assert dash_elimination_plan(g).reason == "odd dashed parity on cycle <4 2 1 3 5 4>"
+
+
 def test_dash_elimination_dashed_loop_impossible():
     plan = dash_elimination_plan(biq(1, "a:1~1"))
     assert isinstance(plan, DashEliminationObstruction)

@@ -2,9 +2,10 @@ import json
 
 import pytest
 
-from biquiver import (ArrowKind, Biquiver, FormatError, connected_components,
-                      induced_subbiquiver, parse_biquiver, serialize_biquiver,
-                      underlying_structure)
+from biquiver import (ArrowKind, Biquiver, DashEliminationObstruction,
+                      DashEliminationPlan, FormatError, connected_components,
+                      dash_elimination_plan, induced_subbiquiver, is_connected,
+                      parse_biquiver, serialize_biquiver)
 from conftest import biq, cycle_biquiver, path_biquiver
 
 
@@ -45,49 +46,47 @@ def test_parse_errors(doc, fragment):
 
 
 def test_structure_of_path():
-    s = underlying_structure(path_biquiver(3, dashed=(1, 2)))
-    assert s.connected and s.is_tree
-    assert s.pendant_vertices == (1, 3)
-    assert s.loops == (0, 0, 0)
-    assert s.cycle_basis_parities == ()
+    g = path_biquiver(3, dashed=(1, 2))
+    assert is_connected(g)
+    assert connected_components(g) == [[1, 2, 3]]
+    assert dash_elimination_plan(g) == DashEliminationPlan(frozenset({2}))
 
 
 def test_structure_of_two_cycle():
     g = biq(2, "a:1~2", "b:2>1")
-    s = underlying_structure(g)
-    assert s.connected and not s.is_tree
-    assert s.cycle_basis_parities == (1,)
-    assert s.multiedges == {(1, 2): 2}
+    assert is_connected(g)
+    assert dash_elimination_plan(g) == \
+        DashEliminationObstruction("odd dashed parity on cycle <2 1 2>")
 
 
 def test_structure_of_single_loop():
     g = biq(1, "a:1>1")
-    s = underlying_structure(g)
-    assert not s.is_tree
-    assert s.loops == (1,)
-    assert s.cycle_basis_parities == (0,)
+    assert is_connected(g)
+    assert connected_components(g) == [[1]]
+    assert dash_elimination_plan(g) == DashEliminationPlan(frozenset())
 
 
 def test_loop_is_a_cycle_for_tree_test():
     g = biq(2, "a:1>2", "l:2~2")
-    s = underlying_structure(g)
-    assert s.connected and not s.is_tree
-    assert s.cycle_basis_parities == (1,)
+    assert is_connected(g)
+    assert dash_elimination_plan(g) == DashEliminationObstruction("dashed loop at vertex 2")
 
 
 def test_cycle_parities_count_dashed_arrows():
+    plans = {(): frozenset(), (1, 2): frozenset({2})}
     for dashed in [(), (1,), (1, 2), (1, 2, 3)]:
-        s = underlying_structure(cycle_biquiver(3, dashed=dashed))
-        assert s.cycle_basis_parities == (len(dashed) % 2,)
+        plan = dash_elimination_plan(cycle_biquiver(3, dashed=dashed))
+        if len(dashed) % 2:
+            assert plan == DashEliminationObstruction("odd dashed parity on cycle <2 1 3 2>")
+        else:
+            assert plan == DashEliminationPlan(plans[dashed])
 
 
 def test_tree_iff_connected_and_edge_count():
-    # connected with t-1 non-loop arrows and no loops
-    assert underlying_structure(path_biquiver(5)).is_tree
-    # disconnected
+    assert is_connected(path_biquiver(5))
     g = Biquiver(3, path_biquiver(2).arrows)
-    s = underlying_structure(g)
-    assert not s.connected and not s.is_tree
+    assert not is_connected(g)
+    assert connected_components(g) == [[1, 2], [3]]
 
 
 def test_components_and_induced():

@@ -1,8 +1,14 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import biquiver
 from biquiver import (Arrow, ArrowKind, Biquiver, PreconditionError, evaluate,
                       gram_matrix, positive_root_count, radical_vector,
                       roots_with_value)
@@ -97,6 +103,34 @@ def test_nondefinite_requires_bound():
         roots_with_value(cycle_biquiver(3), 0)
     with pytest.raises(PreconditionError):
         roots_with_value(biq(1, "a:1>1", "b:1~1"), 1)
+
+
+def test_negative_bound_rejected():
+    with pytest.raises(PreconditionError, match="bound"):
+        roots_with_value(cycle_biquiver(3), 1, bound=-1)
+    # also where a definite form would ignore the bound
+    with pytest.raises(PreconditionError, match="bound"):
+        roots_with_value(path_biquiver(2), 1, bound=-1)
+
+
+def test_root_check_survives_optimize_flag():
+    # python -O strips assert statements; the final q check must still raise.
+    code = textwrap.dedent("""
+        import biquiver.roots as roots
+        from biquiver import Arrow, ArrowKind, Biquiver
+        roots.evaluate = lambda g, z: 7
+        try:
+            roots.roots_with_value(Biquiver(2, (Arrow("a", 1, 2, ArrowKind.FULL),)), 1)
+        except AssertionError as e:
+            print("raised:", e)
+        else:
+            print("returned")
+    """)
+    src = str(Path(biquiver.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                          text=True, env=env, check=True)
+    assert proc.stdout.startswith("raised:"), proc.stdout
 
 
 def test_disconnected_rejected():

@@ -2,15 +2,137 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from biquiver import (Definiteness, FormatError, TitsGram, definiteness,
                       evaluate, gram_matrix, radical_vector)
 from biquiver.model import Arrow, ArrowKind, Biquiver
-from conftest import biq, cycle_biquiver, path_biquiver
+from conftest import biq, cycle_biquiver, path_biquiver, star_biquiver
 
 
 def F(x):
     return Fraction(x)
+
+
+def faddeev_leverrier_verdict(gram: TitsGram) -> Definiteness:
+    """Reference verdict from the signs of the characteristic polynomial.
+
+    Faddeev-LeVerrier gives p(x) = x^t + c_1 x^{t-1} + ... + c_t; the
+    elementary symmetric functions of the (real) eigenvalues are
+    e_k = (-1)^k c_k. Q is positive semidefinite iff every e_k >= 0, and
+    positive definite iff additionally e_t = det Q > 0.
+    """
+    n = gram.t
+    a = [list(row) for row in gram.q]
+    mk = [[F(1) if i == j else F(0) for j in range(n)] for i in range(n)]
+    es = []
+    sign = -1
+    for k in range(1, n + 1):
+        am = [[sum(a[i][l] * mk[l][j] for l in range(n)) for j in range(n)] for i in range(n)]
+        ck = -sum(am[i][i] for i in range(n)) / k
+        es.append(sign * ck)
+        sign = -sign
+        mk = [[am[i][j] + (ck if i == j else 0) for j in range(n)] for i in range(n)]
+    if any(e < 0 for e in es):
+        return Definiteness.INDEFINITE
+    if es[-1] > 0:
+        return Definiteness.POSITIVE_DEFINITE
+    return Definiteness.POSITIVE_SEMIDEFINITE
+
+
+def dynkin_and_extended(max_t: int = 9):
+    """(label, biquiver) for every Dynkin and extended Dynkin diagram with
+    at most max_t vertices."""
+    for t in range(1, max_t + 1):
+        yield f"A{t}", path_biquiver(t)
+    for t in range(4, max_t + 1):
+        yield f"D{t}", star_biquiver([1, 1, t - 3])
+    for label, branches in [("E6", [1, 2, 2]), ("E7", [1, 2, 3]), ("E8", [1, 2, 4]),
+                            ("~E6", [2, 2, 2]), ("~E7", [1, 3, 3]), ("~E8", [1, 2, 5])]:
+        yield label, star_biquiver(branches)
+    yield "~A0", biq(1, "a:1>1")
+    yield "~A1", biq(2, "a:1>2", "b:2~1")
+    for r in range(3, max_t + 1):
+        yield f"~A{r - 1}", cycle_biquiver(r)
+    yield "~D4", star_biquiver([1, 1, 1, 1])
+    # ~D(k+3): two-leaf forks at both ends of the path 1 .. k
+    for k in range(2, max_t - 3):
+        specs = [f"p{i}:{i}>{i + 1}" for i in range(1, k)]
+        specs += [f"l1:1>{k + 1}", f"l2:1~{k + 2}", f"l3:{k}>{k + 3}", f"l4:{k + 4}>{k}"]
+        yield f"~D{k + 3}", biq(k + 4, *specs)
+
+
+def test_definiteness_matches_reference_on_dynkin_and_extended():
+    labels = []
+    for label, g in dynkin_and_extended():
+        labels.append(label)
+        gram = gram_matrix(g)
+        want = (Definiteness.POSITIVE_SEMIDEFINITE if label.startswith("~")
+                else Definiteness.POSITIVE_DEFINITE)
+        assert faddeev_leverrier_verdict(gram) is want, label
+        assert definiteness(gram) is want, label
+    assert len(labels) == len(set(labels)) == 9 + 6 + 3 + 3 + 9 + 5
+
+
+def test_definiteness_matches_reference_on_random_trees():
+    # the random trees of test_classify's agreement test
+    rng = random.Random(9)
+    for _ in range(300):
+        t = rng.randint(1, 10)
+        arrows = tuple(Arrow(f"e{v}", rng.randint(1, v), v + 1,
+                             rng.choice((ArrowKind.FULL, ArrowKind.DASHED)))
+                       for v in range(1, t))
+        gram = gram_matrix(Biquiver(t, arrows))
+        assert definiteness(gram) is faddeev_leverrier_verdict(gram)
+
+
+def _symmetric(n, entries):
+    """Symmetric matrix whose upper triangle is read row by row from entries."""
+    q = [[F(0)] * n for _ in range(n)]
+    it = iter(entries)
+    for i in range(n):
+        for j in range(i, n):
+            q[i][j] = q[j][i] = next(it)
+    return TitsGram(n, tuple(tuple(row) for row in q))
+
+
+_small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.tuples(st.fractions(min_value=0, max_value=3, max_denominator=4),
+                       st.lists(_small_fractions, min_size=n, max_size=n)),
+             min_size=0, max_size=n + 1),
+    st.booleans())))
+def test_definiteness_matches_reference_on_sums_of_squares(case):
+    # sum c_i v_i v_i^T with c_i >= 0 is positive semidefinite, and singular
+    # with fewer than n terms; negating one term usually breaks that.
+    n, terms, negate_first = case
+    q = [[F(0)] * n for _ in range(n)]
+    for k, (c, v) in enumerate(terms):
+        if negate_first and k == 0:
+            c = -c
+        for i in range(n):
+            for j in range(n):
+                q[i][j] += c * v[i] * v[j]
+    gram = TitsGram(n, tuple(tuple(row) for row in q))
+    assert definiteness(gram) is faddeev_leverrier_verdict(gram)
+
+
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(_small_fractions, min_size=n * (n + 1) // 2,
+                         max_size=n * (n + 1) // 2))))
+def test_definiteness_matches_reference_on_symmetric_matrices(case):
+    gram = _symmetric(*case)
+    assert definiteness(gram) is faddeev_leverrier_verdict(gram)
+
+
+def test_zero_diagonal_with_coupling_is_indefinite():
+    # no positive pivot exists, yet the block is not zero: q = 2xy
+    gram = TitsGram(2, ((F(0), F(1)), (F(1), F(0))))
+    assert faddeev_leverrier_verdict(gram) is Definiteness.INDEFINITE
+    assert definiteness(gram) is Definiteness.INDEFINITE
 
 
 def test_gram_of_a2():
