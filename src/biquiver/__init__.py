@@ -22,10 +22,9 @@ from .model import (Arrow, ArrowKind, Biquiver, DimensionVector,
                     biquiver_to_obj, connected_components,
                     induced_subbiquiver, is_connected, parse_biquiver,
                     parse_biquiver_obj, serialize_biquiver)
-from .morphisms import (Decomposition, EndAlgebra, IndecomposabilityStatus,
-                        IsoResult, MorphismBasis, Verdict, are_isomorphic,
-                        decompose, end_algebra, hom_basis,
-                        krull_schmidt_compare)
+from .morphisms import (Decomposition, IndecomposabilityStatus, IsoResult,
+                        MorphismBasis, Verdict, are_isomorphic, decompose,
+                        hom_basis, krull_schmidt_compare)
 from .representation import (MatrixRepresentation, apply_base_change,
                              direct_sum, direct_sum_list, matrix_to_obj,
                              parse_matrix_obj, parse_representation,

@@ -1,9 +1,11 @@
-"""Exact matrices over the Gaussian rationals, plus rational linear algebra.
+"""Exact matrices over the Gaussian rationals, plus rational linear systems.
 
-Two layers live here: CMatrix (complex-rational matrices, the carrier of
-all representation data) and plain Fraction row-lists used for the real
-linear systems behind morphism spaces and Tits-form kernels. Zero-row and
-zero-column matrices are first-class values; the 0x0 matrix is invertible.
+CMatrix (complex-rational matrices) carries all representation data; plain
+Fraction row-lists carry the real linear systems behind morphism spaces and
+Tits-form kernels. Both kinds are row-reduced by the one field-generic
+kernel `_rref`, so inverses, ranks, images, kernels and rational solves
+share a single Gauss-Jordan loop. Zero-row and zero-column matrices are
+first-class values; the 0x0 matrix is invertible.
 """
 from __future__ import annotations
 
@@ -117,25 +119,15 @@ class CMatrix:
     # -- elimination-based operations ----------------------------------------
 
     def inverse(self) -> "CMatrix":
-        """Exact inverse via Gauss-Jordan; raises SingularMatrixError."""
+        """Exact inverse by row-reducing [A | I]; raises SingularMatrixError."""
         if not self.is_square:
             raise SingularMatrixError(f"only square matrices invert, got {self.rows}x{self.cols}")
         n = self.rows
-        aug = [list(self.entries[i * n:(i + 1) * n]) +
-               [ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-        for col in range(n):
-            piv = next((r for r in range(col, n) if aug[r][col]), None)
-            if piv is None:
-                raise SingularMatrixError(f"singular {n}x{n} matrix")
-            if piv != col:
-                aug[col], aug[piv] = aug[piv], aug[col]
-            inv_p = ONE / aug[col][col]
-            aug[col] = [inv_p * x for x in aug[col]]
-            for r in range(n):
-                if r != col and aug[r][col]:
-                    f = aug[r][col]
-                    aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-        return CMatrix(n, n, tuple(aug[i][n + j] for i in range(n) for j in range(n)))
+        aug = [row + [ONE if i == j else ZERO for j in range(n)]
+               for i, row in enumerate(self.row_list())]
+        if len(_rref(aug, n)) < n:
+            raise SingularMatrixError(f"singular {n}x{n} matrix")
+        return CMatrix(n, n, tuple(x for row in aug for x in row[n:]))
 
     def is_invertible(self) -> bool:
         if not self.is_square:
@@ -147,32 +139,18 @@ class CMatrix:
             return False
 
     def rank(self) -> int:
-        return len(_echelon(self.row_list())[1])
+        return len(_rref(self.row_list()))
 
     def column_space_basis(self) -> "CMatrix":
         """Columns forming a basis of the column space (original columns)."""
-        _, pivots = _echelon(self.row_list())
-        cols = []
-        for j in pivots:
-            cols.append([self.at(i, j) for i in range(self.rows)])
+        cols = [[self.at(i, j) for i in range(self.rows)] for j in _rref(self.row_list())]
         return _from_columns(self.rows, cols)
 
     def nullspace_basis(self) -> "CMatrix":
         """Columns forming a basis of the right null space."""
-        reduced, pivots = _echelon(self.row_list())
-        free = [j for j in range(self.cols) if j not in pivots]
-        cols = []
-        for f in free:
-            v = [ZERO] * self.cols
-            v[f] = ONE
-            for r, p in reversed(list(enumerate(pivots))):
-                acc = ZERO
-                for j in range(p + 1, self.cols):
-                    if reduced[r][j]:
-                        acc = acc + reduced[r][j] * v[j]
-                v[p] = -acc
-            cols.append(v)
-        return _from_columns(self.cols, cols)
+        reduced = self.row_list()
+        pivots = _rref(reduced)
+        return _from_columns(self.cols, _nullspace(reduced, pivots, self.cols, ZERO, ONE))
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(repr(self.at(i, j)) for j in range(self.cols))
@@ -183,31 +161,6 @@ class CMatrix:
 def _from_columns(height: int, cols: list[list[GaussianRational]]) -> CMatrix:
     return CMatrix(height, len(cols),
                    tuple(cols[j][i] for i in range(height) for j in range(len(cols))))
-
-
-def _echelon(rows: list[list[GaussianRational]]) -> tuple[list[list[GaussianRational]], list[int]]:
-    """Reduced row echelon form over the Gaussian rationals; returns pivot columns."""
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv_p = ONE / rows[r][c]
-        rows[r] = [inv_p * x for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
 
 
 def hstack(a: CMatrix, b: CMatrix) -> CMatrix:
@@ -248,16 +201,25 @@ def submatrix(m: CMatrix, row_range: range, col_range: range) -> CMatrix:
     return CMatrix(len(row_range), len(col_range), ent)
 
 
-# -- real (Fraction) linear systems -----------------------------------------
+# -- the elimination kernel --------------------------------------------------
 
-def fraction_rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """In-place reduced row echelon form of a rational matrix."""
+def _rref(rows: list[list], width: int | None = None) -> list[int]:
+    """Reduce `rows` in place to reduced row echelon form; return the pivot columns.
+
+    Pivots are sought only in the first `width` columns (default: all);
+    later columns are carried along, as for an augmented system. Entries
+    may be Fractions or GaussianRationals: the loop uses only field
+    arithmetic and truth testing.
+    """
     if not rows:
-        return rows, []
-    ncols = len(rows[0])
-    pivots = []
+        return []
+    if width is None:
+        width = len(rows[0])
+    pivots: list[int] = []
     r = 0
-    for c in range(ncols):
+    for c in range(width):
+        if r == len(rows):
+            break
         piv = None
         for i in range(r, len(rows)):
             if rows[i][c]:
@@ -267,19 +229,40 @@ def fraction_rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], lis
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
         p = rows[r][c]
+        # a GaussianRational never equals the int 1, so complex rows always scale
         if p != 1:
-            rows[r] = [x / p for x in rows[r]]
+            inv = 1 / p
+            rows[r] = [x * inv for x in rows[r]]
+        rr = rows[r]
         for i in range(len(rows)):
             if i != r and rows[i][c]:
                 f = rows[i][c]
-                ri, rr = rows[i], rows[r]
-                rows[i] = [x - f * y for x, y in zip(ri, rr)]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rr)]
         pivots.append(c)
         r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
+    return pivots
 
+
+def _nullspace(reduced: list[list], pivots: list[int], ncols: int, zero, one) -> list[list]:
+    """Canonical kernel basis of a matrix in reduced row echelon form.
+
+    One vector per free column f, in column order: x_f = 1, the other free
+    coordinates 0, and x_p = -reduced[r][f] for the pivot p of row r.
+    """
+    pivot_set = set(pivots)
+    basis = []
+    for f in range(ncols):
+        if f in pivot_set:
+            continue
+        v = [zero] * ncols
+        v[f] = one
+        for row, p in zip(reduced, pivots):
+            v[p] = -row[f]
+        basis.append(v)
+    return basis
+
+
+# -- real (Fraction) linear systems -----------------------------------------
 
 def fraction_nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
     """Basis of the solution space of the homogeneous system rows . x = 0.
@@ -287,39 +270,19 @@ def fraction_nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Frac
     Basis vectors are produced in free-column order with the free coordinate
     set to 1, so the output is canonical for a given equation order.
     """
-    reduced, pivots = fraction_rref([row[:] for row in rows])
-    pivot_set = set(pivots)
-    basis = []
-    for f in range(ncols):
-        if f in pivot_set:
-            continue
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            # rref row r reads x_p + sum_{j>p} a_j x_j = 0
-            v[p] = -reduced[r][f]
-        basis.append(v)
-    return basis
-
-
-def fraction_rank(rows: list[list[Fraction]]) -> int:
-    return len(fraction_rref([row[:] for row in rows])[1])
+    reduced = [row[:] for row in rows]
+    pivots = _rref(reduced)
+    return _nullspace(reduced, pivots, ncols, Fraction(0), Fraction(1))
 
 
 def fraction_solve(columns: list[list[Fraction]], target: list[Fraction]) -> list[Fraction] | None:
     """Solve sum_j x_j * columns[j] = target exactly; None when inconsistent."""
-    m = len(target)
     k = len(columns)
-    aug = [[columns[j][i] for j in range(k)] + [target[i]] for i in range(m)]
-    reduced, pivots = fraction_rref(aug)
-    for r, row in enumerate(reduced):
-        if r < len(pivots):
-            continue
-        if row[k]:
-            return None
-    if any(p == k for p in pivots):
+    aug = [[col[i] for col in columns] + [t] for i, t in enumerate(target)]
+    pivots = _rref(aug, k)
+    if any(row[k] for row in aug[len(pivots):]):
         return None
     x = [Fraction(0)] * k
-    for r, p in enumerate(pivots):
-        x[p] = reduced[r][k]
+    for row, p in zip(aug, pivots):
+        x[p] = row[k]
     return x

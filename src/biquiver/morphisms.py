@@ -85,6 +85,13 @@ def _check_same_biquiver(a: MatrixRepresentation, b: MatrixRepresentation) -> No
         raise PreconditionError("representations live over different biquivers")
 
 
+def _check_sampling(trials: int, coeff_bound: int) -> None:
+    if trials < 0:
+        raise PreconditionError(f"trials must be nonnegative, got {trials}")
+    if coeff_bound < 1:
+        raise PreconditionError(f"coefficient bound must be at least 1, got {coeff_bound}")
+
+
 def hom_basis(a: MatrixRepresentation, b: MatrixRepresentation) -> MorphismBasis:
     """Exact basis of the real vector space Hom(a, b).
 
@@ -220,6 +227,7 @@ def are_isomorphic(a: MatrixRepresentation, b: MatrixRepresentation,
     and ProbablyNo after `trials` failures is Monte Carlo evidence only.
     """
     _check_same_biquiver(a, b)
+    _check_sampling(trials, coeff_bound)
     if a.dims != b.dims:
         return IsoResult(Verdict.NO, reason="dimension vectors differ")
     if a == b:
@@ -240,37 +248,6 @@ def are_isomorphic(a: MatrixRepresentation, b: MatrixRepresentation,
     return IsoResult(Verdict.PROBABLY_NO,
                      reason=f"no invertible morphism found in {trials} samples",
                      trials=trials, seed=seed)
-
-
-# -- endomorphism algebras ----------------------------------------------------
-
-@dataclass(frozen=True)
-class EndAlgebra:
-    """End(A) with exact rational structure constants b_i b_j = sum_k c[i][j][k] b_k."""
-    basis: MorphismBasis
-    structure_constants: tuple[tuple[tuple[Fraction, ...], ...], ...]
-    identity_coords: tuple[Fraction, ...]
-
-
-def end_algebra(a: MatrixRepresentation) -> EndAlgebra:
-    basis = hom_basis(a, a)
-    flat = [_flatten_tuple(basis, t) for t in basis.tuples]
-    columns = [list(v) for v in flat]
-
-    def coords(t: MorphismTuple) -> tuple[Fraction, ...]:
-        target = _flatten_tuple(basis, t)
-        sol = fraction_solve(columns, target)
-        if sol is None:
-            raise AssertionError("endomorphism algebra is not closed under composition")
-        return tuple(sol)
-
-    n = basis.dimension
-    table = tuple(
-        tuple(coords(_tuple_compose(basis.tuples[i], basis.tuples[j])) for j in range(n))
-        for i in range(n)
-    )
-    ident = coords(_identity_tuple(a.dims)) if a.total_dim() else tuple()
-    return EndAlgebra(basis, table, ident)
 
 
 # -- Krull-Schmidt decomposition ----------------------------------------------
@@ -325,7 +302,8 @@ def _coprime_split(minpoly: list[Fraction]) -> tuple[list[Fraction], list[Fracti
     for _ in range(mult):
         m1 = poly_mul(m1, base)
     m2, rem = poly_divmod(minpoly, m1)
-    assert not any(rem)
+    if any(rem):
+        raise AssertionError("factor power does not divide the minimal polynomial")
     return m1, m2
 
 
@@ -337,7 +315,8 @@ def _splitting_idempotent(minpoly, phi, dims) -> MorphismTuple | None:
     _, u, w = poly_xgcd(m1, m2)
     # e = (w m2)(phi) acts as identity on ker m1(phi) and zero on ker m2(phi)
     e = _eval_poly_tuple(poly_mul(w, m2), phi, dims)
-    assert _tuple_compose(e, e) == e
+    if _tuple_compose(e, e) != e:
+        raise AssertionError("Bezout element is not idempotent")
     return e
 
 
@@ -411,14 +390,17 @@ def _certify_local(basis: MorphismBasis) -> bool:
         if fraction_solve(span_cols, _flatten_tuple(basis, tup)) is None:
             psi = tup
             break
-    assert psi is not None
+    if psi is None:
+        raise AssertionError("no basis element lies outside span(identity, radical)")
     # psi^2 = alpha psi + beta id (mod radical)
     flat_sq = _flatten_tuple(basis, _tuple_compose(psi, psi))
     sol = fraction_solve([_flatten_tuple(basis, psi)] + span_cols, flat_sq)
-    assert sol is not None
+    if sol is None:
+        raise AssertionError("square of the generator leaves the quotient")
     alpha, beta = sol[0], sol[1]
     disc = alpha * alpha + 4 * beta
-    assert disc != 0, "semisimple quotient cannot have a nilpotent generator"
+    if disc == 0:
+        raise AssertionError("semisimple quotient cannot have a nilpotent generator")
     return disc < 0
 
 
@@ -451,10 +433,12 @@ def _assert_block_diagonal(a: MatrixRepresentation, split: DimensionVector) -> N
         m = a.matrices[arrow.id]
         for i in range(split[v]):
             for j in range(split[u], a.dims[u]):
-                assert m.at(i, j) == ZERO, "idempotent did not block-diagonalize"
+                if m.at(i, j) != ZERO:
+                    raise AssertionError("idempotent did not block-diagonalize")
         for i in range(split[v], a.dims[v]):
             for j in range(split[u]):
-                assert m.at(i, j) == ZERO, "idempotent did not block-diagonalize"
+                if m.at(i, j) != ZERO:
+                    raise AssertionError("idempotent did not block-diagonalize")
 
 
 def decompose(a: MatrixRepresentation, trials: int = DEFAULT_TRIALS, seed: int = 0,
@@ -470,6 +454,7 @@ def decompose(a: MatrixRepresentation, trials: int = DEFAULT_TRIALS, seed: int =
     ProbablyIndecomposable otherwise. The certificate satisfies: base
     change applied to `a` equals the direct sum of the summands, exactly.
     """
+    _check_sampling(trials, coeff_bound)
     rng = random.Random(seed)
 
     def rec(rep: MatrixRepresentation):
@@ -539,7 +524,8 @@ def decompose(a: MatrixRepresentation, trials: int = DEFAULT_TRIALS, seed: int =
     result = Decomposition(tuple(summands), tuple(change), tuple(statuses),
                            trials, seed)
     recombined = direct_sum_list(a.biquiver, list(result.summands))
-    assert apply_base_change(a, list(result.base_change)) == recombined
+    if apply_base_change(a, list(result.base_change)) != recombined:
+        raise AssertionError("decomposition certificate does not verify")
     return result
 
 

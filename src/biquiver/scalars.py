@@ -121,10 +121,14 @@ def gaussian(re=0, im=0) -> GaussianRational:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse a canonical rational string "p" or "p/q" (q > 0)."""
+    """Parse a canonical rational string "p" or "p/q" (q > 1, reduced, no
+    leading zeros, no "-0"): exactly the strings `format_rational` prints."""
     if not isinstance(text, str) or not _RATIONAL_RE.match(text):
         raise FormatError(f"not a canonical rational string: {text!r}")
-    return Fraction(text)
+    x = Fraction(text)
+    if format_rational(x) != text:
+        raise FormatError(f"not a canonical rational string: {text!r}")
+    return x
 
 
 def format_rational(x: Fraction) -> str:

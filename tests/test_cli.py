@@ -78,6 +78,24 @@ def test_roots_negative_bound_exit_3(run, tmp_path):
     assert "bound" in err
 
 
+@pytest.mark.parametrize("option, value, word", [("--bound", "-1", "bound"),
+                                                  ("--bound", "0", "bound"),
+                                                  ("--trials", "-3", "trials")])
+@pytest.mark.parametrize("command", ["decompose", "iso"])
+def test_rep_sampling_parameters_exit_3(run, tmp_path, command, option, value, word):
+    # the dashed loop diag(1, 2) is decomposable, so a Monte Carlo answer
+    # from a bad parameter would be wrong, not merely unlucky
+    rep = tmp_path / "r.json"
+    rep.write_text(
+        '{"biquiver":{"vertices":1,"arrows":[{"id":"a","from":1,"to":1,"kind":"dashed"}]},'
+        '"dims":[2],"matrices":{"a":[[["1","0"],["0","0"]],[["0","0"],["2","0"]]]}}')
+    files = [str(rep)] if command == "decompose" else [str(rep), str(rep)]
+    code, out, err = run("rep", command, *files, option, value)
+    assert code == 3
+    assert out == ""
+    assert word in err
+
+
 def test_tits_output(run, a2_file):
     code, out, _ = run("tits", a2_file, "--evaluate", "1,1")
     assert code == 0

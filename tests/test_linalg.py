@@ -2,10 +2,193 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
-from biquiver import CMatrix, SingularMatrixError, block_diag, from_blocks, hstack, vstack
-from biquiver.linalg import fraction_nullspace, fraction_rank, fraction_solve, submatrix
+from biquiver import (CMatrix, GaussianRational, SingularMatrixError, block_diag,
+                      from_blocks, hstack, vstack)
+from biquiver.linalg import fraction_nullspace, fraction_solve, submatrix
+from biquiver.scalars import ONE, ZERO
 from conftest import gmat, mat, random_invertible
+
+
+# -- reference implementations ------------------------------------------------
+# The hand-written eliminations that the shared `_rref` kernel replaced, kept
+# verbatim as differential oracles.
+
+def oracle_fraction_rref(rows):
+    """In-place reduced row echelon form of a rational matrix."""
+    if not rows:
+        return rows, []
+    ncols = len(rows[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = None
+        for i in range(r, len(rows)):
+            if rows[i][c]:
+                piv = i
+                break
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        p = rows[r][c]
+        if p != 1:
+            rows[r] = [x / p for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                ri, rr = rows[i], rows[r]
+                rows[i] = [x - f * y for x, y in zip(ri, rr)]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
+
+
+def oracle_fraction_rank(rows):
+    return len(oracle_fraction_rref([row[:] for row in rows])[1])
+
+
+def oracle_fraction_nullspace(rows, ncols):
+    reduced, pivots = oracle_fraction_rref([row[:] for row in rows])
+    pivot_set = set(pivots)
+    basis = []
+    for f in range(ncols):
+        if f in pivot_set:
+            continue
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for r, p in enumerate(pivots):
+            v[p] = -reduced[r][f]
+        basis.append(v)
+    return basis
+
+
+def oracle_fraction_solve(columns, target):
+    m = len(target)
+    k = len(columns)
+    aug = [[columns[j][i] for j in range(k)] + [target[i]] for i in range(m)]
+    reduced, pivots = oracle_fraction_rref(aug)
+    for r, row in enumerate(reduced):
+        if r < len(pivots):
+            continue
+        if row[k]:
+            return None
+    if any(p == k for p in pivots):
+        return None
+    x = [Fraction(0)] * k
+    for r, p in enumerate(pivots):
+        x[p] = reduced[r][k]
+    return x
+
+
+def oracle_echelon(rows):
+    """Reduced row echelon form over the Gaussian rationals; returns pivot columns."""
+    if not rows:
+        return rows, []
+    ncols = len(rows[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv_p = ONE / rows[r][c]
+        rows[r] = [inv_p * x for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
+
+
+def _columns_to_matrix(height, cols):
+    return CMatrix(height, len(cols),
+                   tuple(cols[j][i] for i in range(height) for j in range(len(cols))))
+
+
+def oracle_column_space_basis(m):
+    _, pivots = oracle_echelon(m.row_list())
+    return _columns_to_matrix(m.rows, [[m.at(i, j) for i in range(m.rows)] for j in pivots])
+
+
+def oracle_nullspace_basis(m):
+    reduced, pivots = oracle_echelon(m.row_list())
+    cols = []
+    for f in [j for j in range(m.cols) if j not in pivots]:
+        v = [ZERO] * m.cols
+        v[f] = ONE
+        for r, p in reversed(list(enumerate(pivots))):
+            acc = ZERO
+            for j in range(p + 1, m.cols):
+                if reduced[r][j]:
+                    acc = acc + reduced[r][j] * v[j]
+            v[p] = -acc
+        cols.append(v)
+    return _columns_to_matrix(m.cols, cols)
+
+
+def oracle_inverse(m):
+    """Gauss-Jordan inverse that stops at the first missing pivot."""
+    n = m.rows
+    aug = [list(m.entries[i * n:(i + 1) * n]) +
+           [ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if aug[r][col]), None)
+        if piv is None:
+            raise SingularMatrixError(f"singular {n}x{n} matrix")
+        if piv != col:
+            aug[col], aug[piv] = aug[piv], aug[col]
+        inv_p = ONE / aug[col][col]
+        aug[col] = [inv_p * x for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    return CMatrix(n, n, tuple(aug[i][n + j] for i in range(n) for j in range(n)))
+
+
+# -- random matrices with degenerate structure ---------------------------------
+
+small_fractions = st.one_of(st.integers(-3, 3).map(Fraction),
+                            st.fractions(-4, 4, max_denominator=3))
+small_gaussians = st.builds(GaussianRational, small_fractions, small_fractions)
+
+
+@st.composite
+def row_lists(draw, entry, zero, square=False):
+    """(rows, ncols) for up to 6x7 row lists, edited to hold zero rows and columns, duplicated
+    rows and rows that combine two others, so rank deficiency is common."""
+    m = draw(st.integers(0, 6))
+    n = m if square else draw(st.integers(0, 7))
+    rows = [[draw(entry) for _ in range(n)] for _ in range(m)]
+    if m and n:
+        for _ in range(draw(st.integers(0, 3))):
+            edit = draw(st.sampled_from(["zero_row", "zero_col", "dup_row", "combo_row"]))
+            i, j, k = (draw(st.integers(0, m - 1)) for _ in range(3))
+            if edit == "zero_row":
+                rows[i] = [zero] * n
+            elif edit == "zero_col":
+                c = draw(st.integers(0, n - 1))
+                for row in rows:
+                    row[c] = zero
+            elif edit == "dup_row":
+                rows[i] = rows[j][:]
+            else:
+                s = draw(entry)
+                rows[i] = [x + s * y for x, y in zip(rows[j], rows[k])]
+    return rows, n
+
+
+def _cmatrix(rows, ncols):
+    return CMatrix(len(rows), ncols, tuple(x for row in rows for x in row))
+
 
 
 def test_matmul_identity_and_zero():
@@ -87,7 +270,7 @@ def test_fraction_nullspace_and_rank():
     rows = [[Fraction(1), Fraction(-1)], [Fraction(-1), Fraction(1)]]
     basis = fraction_nullspace(rows, 2)
     assert basis == [[Fraction(1), Fraction(1)]]
-    assert fraction_rank(rows) == 1
+    assert oracle_fraction_rank(rows) == 1
 
 
 def test_fraction_nullspace_respects_system():
@@ -98,10 +281,61 @@ def test_fraction_nullspace_respects_system():
         for v in fraction_nullspace(rows, n):
             for row in rows:
                 assert sum(a * b for a, b in zip(row, v)) == 0
-        assert fraction_rank(rows) + len(fraction_nullspace(rows, n)) == n
+        assert oracle_fraction_rank(rows) + len(fraction_nullspace(rows, n)) == n
 
 
 def test_fraction_solve():
     cols = [[Fraction(1), Fraction(0)], [Fraction(1), Fraction(1)]]
     assert fraction_solve(cols, [Fraction(3), Fraction(2)]) == [Fraction(1), Fraction(2)]
     assert fraction_solve([[Fraction(1), Fraction(1)]], [Fraction(1), Fraction(2)]) is None
+    # rank 1: below the rank the second equation reads 0 = 1
+    cols = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
+    assert fraction_solve(cols, [Fraction(1), Fraction(3)]) is None
+    assert fraction_solve([], [Fraction(0)]) == []
+    assert fraction_solve([], [Fraction(1)]) is None
+
+
+# -- differential tests against the reference implementations -----------------
+
+@given(row_lists(small_fractions, Fraction(0)))
+def test_fraction_nullspace_matches_oracle(system):
+    rows, n = system
+    before = [row[:] for row in rows]
+    assert fraction_nullspace(rows, n) == oracle_fraction_nullspace(rows, n)
+    assert rows == before
+
+
+@given(row_lists(small_fractions, Fraction(0)), st.data())
+def test_fraction_solve_matches_oracle(system, data):
+    rows, k = system
+    columns = [[row[j] for row in rows] for j in range(k)]
+    x = [data.draw(small_fractions) for _ in range(k)]
+    consistent = [sum((a * b for a, b in zip(row, x)), Fraction(0)) for row in rows]
+    sol = fraction_solve(columns, consistent)
+    assert sol is not None
+    assert sol == oracle_fraction_solve(columns, consistent)
+    arbitrary = [data.draw(small_fractions) for _ in rows]
+    assert fraction_solve(columns, arbitrary) == oracle_fraction_solve(columns, arbitrary)
+
+
+@given(row_lists(small_gaussians, ZERO))
+def test_cmatrix_reductions_match_oracle(system):
+    m = _cmatrix(*system)
+    assert m.rank() == len(oracle_echelon(m.row_list())[1])
+    assert m.column_space_basis() == oracle_column_space_basis(m)
+    assert m.nullspace_basis() == oracle_nullspace_basis(m)
+
+
+@given(st.one_of(row_lists(small_gaussians, ZERO, square=True),
+                 row_lists(small_fractions.map(GaussianRational), ZERO, square=True)))
+def test_inverse_matches_oracle(system):
+    m = _cmatrix(*system)
+    try:
+        expected = oracle_inverse(m)
+    except SingularMatrixError:
+        with pytest.raises(SingularMatrixError):
+            m.inverse()
+        assert not m.is_invertible()
+    else:
+        assert m.inverse() == expected
+        assert m.is_invertible()

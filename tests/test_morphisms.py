@@ -1,14 +1,23 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import biquiver
 from biquiver import (CMatrix, IndecomposabilityStatus, MatrixRepresentation,
                       PreconditionError, Verdict, apply_base_change,
                       are_isomorphic, decompose, direct_sum, direct_sum_list,
-                      end_algebra, hom_basis, krull_schmidt_compare,
+                      hom_basis, krull_schmidt_compare,
                       random_representation, zero_representation)
-from biquiver.morphisms import _minimal_polynomial, _satisfies_morphism
+from biquiver.linalg import fraction_solve
+from biquiver.morphisms import (_flatten_tuple, _identity_tuple, _minimal_polynomial,
+                                _satisfies_morphism, _tuple_compose)
+from biquiver.semilinear import are_consimilar
 from conftest import biq, gmat, mat, path_biquiver, random_base_change
 
 
@@ -125,65 +134,31 @@ def test_iso_probably_no_metadata():
 # -- endomorphism algebras ------------------------------------------------------
 
 def test_end_full_loop_zero_is_complex_field():
-    end = end_algebra(full_loop(CMatrix.zero(1, 1)))
-    assert end.basis.dimension == 2
-    # find i in the basis and check its square is -1 in coordinates
-    table = end.structure_constants
-    ident = end.identity_coords
-    # one basis member must square to minus the identity (the imaginary unit)
-    found = False
-    for i in range(2):
-        sq = table[i][i]
-        if all(x == -y for x, y in zip(sq, ident)):
-            found = True
-    assert found
+    a = full_loop(CMatrix.zero(1, 1))
+    assert hom_basis(a, a).dimension == 2
 
 
 def test_end_dashed_loop_identity_is_real_field():
-    end = end_algebra(dashed_loop(mat([1])))
-    assert end.basis.dimension == 1
-    (c,) = end.structure_constants[0][0]
-    (e,) = end.identity_coords
-    # the single generator b satisfies b*b = c b with identity e b
-    assert c != 0 and e != 0
+    a = dashed_loop(mat([1]))
+    assert hom_basis(a, a).dimension == 1
 
 
 def test_end_diag_loop_is_two_complex_lines():
-    end = end_algebra(full_loop(mat([1, 0], [0, 2])))
-    assert end.basis.dimension == 4
+    a = full_loop(mat([1, 0], [0, 2]))
+    assert hom_basis(a, a).dimension == 4
 
 
-def test_end_structure_constants_associative():
-    rng = random.Random(8)
+def test_end_closed_under_composition():
+    # End(a) is a unital algebra: products of basis members and the
+    # identity are endomorphisms and lie in the real span of the basis
     g = biq(2, "a:1>2", "b:1~1")
     a = random_representation(g, (2, 1), 2, 77)
-    end = end_algebra(a)
-    n = end.basis.dimension
-    c = end.structure_constants
-
-    def mult(x, y):
-        out = [Fraction(0)] * n
-        for i in range(n):
-            if not x[i]:
-                continue
-            for j in range(n):
-                if not y[j]:
-                    continue
-                for k in range(n):
-                    out[k] += x[i] * y[j] * c[i][j][k]
-        return out
-
-    for _ in range(5):
-        x = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
-        y = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
-        z = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
-        assert mult(mult(x, y), z) == mult(x, mult(y, z))
-
-    ident = list(end.identity_coords)
-    for i in range(n):
-        unit = [Fraction(int(j == i)) for j in range(n)]
-        assert mult(ident, unit) == unit
-        assert mult(unit, ident) == unit
+    basis = hom_basis(a, a)
+    columns = [_flatten_tuple(basis, t) for t in basis.tuples]
+    products = [_tuple_compose(x, y) for x in basis.tuples for y in basis.tuples]
+    for f in products + [_identity_tuple(a.dims)]:
+        assert _satisfies_morphism(a, a, f)
+        assert fraction_solve(columns, _flatten_tuple(basis, f)) is not None
 
 
 # -- decomposition --------------------------------------------------------------
@@ -296,3 +271,56 @@ def test_compare_permutation():
 def test_compare_absent_on_nonisomorphic():
     assert krull_schmidt_compare([full_loop(mat([1]))], [full_loop(mat([2]))], seed=0) is None
     assert krull_schmidt_compare([full_loop(mat([1]))], [], seed=0) is None
+
+
+# -- sampling parameters and certificate checks ----------------------------------
+
+@pytest.mark.parametrize("trials, coeff_bound", [(-1, 10), (-3, 10 ** 4), (8, 0), (8, -1)])
+def test_sampling_parameters_rejected(trials, coeff_bound):
+    a = full_loop(mat([1, 0], [0, 2]))
+    b = full_loop(mat([2, 0], [0, 1]))
+    with pytest.raises(PreconditionError):
+        are_isomorphic(a, b, trials=trials, coeff_bound=coeff_bound)
+    with pytest.raises(PreconditionError):
+        decompose(dashed_loop(mat([1, 0], [0, 2])), trials=trials, coeff_bound=coeff_bound)
+    with pytest.raises(PreconditionError):
+        are_consimilar(mat([1]), mat([2]), trials=trials, coeff_bound=coeff_bound)
+    with pytest.raises(PreconditionError):
+        krull_schmidt_compare([a], [b], trials=trials, coeff_bound=coeff_bound)
+
+
+def test_sampling_parameter_edges_accepted():
+    res = are_isomorphic(full_loop(mat([1])), full_loop(mat([2])), trials=0, coeff_bound=1)
+    assert res.verdict is Verdict.NO
+    dec = decompose(dashed_loop(mat([1, 0], [0, 2])), trials=0, coeff_bound=1)
+    assert dec.statuses == (IndecomposabilityStatus.PROBABLE,)
+
+
+def test_decompose_certificate_check_survives_optimize_flag():
+    # python -O strips assert statements; a wrong recombination must still raise.
+    code = textwrap.dedent("""
+        import biquiver.morphisms as morphisms
+        from biquiver import (Arrow, ArrowKind, Biquiver, CMatrix,
+                              MatrixRepresentation)
+        real_sum = morphisms.direct_sum_list
+
+        def wrong_sum(g, summands):
+            s = real_sum(g, summands)
+            m = s.matrices["a"]
+            return MatrixRepresentation(g, s.dims, {"a": m + CMatrix.identity(m.rows)})
+
+        morphisms.direct_sum_list = wrong_sum
+        g = Biquiver(1, (Arrow("a", 1, 1, ArrowKind.DASHED),))
+        rep = MatrixRepresentation(g, (2,), {"a": CMatrix.from_rows([[1, 0], [0, 2]])})
+        try:
+            morphisms.decompose(rep)
+        except AssertionError as e:
+            print("raised:", e)
+        else:
+            print("returned")
+    """)
+    src = str(Path(biquiver.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                          text=True, env=env, check=True)
+    assert proc.stdout.startswith("raised:"), proc.stdout

@@ -58,7 +58,8 @@ def test_rational_string_round_trip():
         assert format_rational(parse_rational(text)) == text
 
 
-@pytest.mark.parametrize("bad", ["1.5", "4/-2", "2/4x", "", "1/0", "+3"])
+@pytest.mark.parametrize("bad", ["1.5", "4/-2", "2/4x", "", "1/0", "+3",
+                                 "2/4", "007", "-0", "0/5"])
 def test_rational_string_rejects_noncanonical(bad):
     with pytest.raises(FormatError):
         parse_rational(bad)
