@@ -18,8 +18,8 @@ from enum import Enum
 from fractions import Fraction
 
 from .errors import PreconditionError, SingularMatrixError
-from .linalg import (CMatrix, block_diag, fraction_nullspace, fraction_solve,
-                     hstack, submatrix)
+from .linalg import (CMatrix, _first_dependence, block_diag, fraction_nullspace,
+                     fraction_solve, hstack, submatrix)
 from .model import Biquiver, DimensionVector
 from .polynomials import (poly_divmod, poly_factor, poly_mul, poly_normalize,
                           poly_xgcd)
@@ -225,6 +225,8 @@ def are_isomorphic(a: MatrixRepresentation, b: MatrixRepresentation,
     complement of a determinant hypersurface, so when an isomorphism
     exists a random point misses the hypersurface with high probability
     and ProbablyNo after `trials` failures is Monte Carlo evidence only.
+    A sampled Yes reports in `trials` the samples drawn, up to and
+    including the one that succeeded.
     """
     _check_same_biquiver(a, b)
     _check_sampling(trials, coeff_bound)
@@ -236,7 +238,7 @@ def are_isomorphic(a: MatrixRepresentation, b: MatrixRepresentation,
     if basis.dimension == 0:
         return IsoResult(Verdict.NO, reason="Hom(a, b) = 0 with nonzero dimensions")
     rng = random.Random(seed)
-    for _ in range(trials):
+    for used in range(1, trials + 1):
         coeffs = [Fraction(rng.randint(-coeff_bound, coeff_bound)) for _ in basis.tuples]
         f = _combine(basis, coeffs)
         try:
@@ -244,7 +246,7 @@ def are_isomorphic(a: MatrixRepresentation, b: MatrixRepresentation,
         except SingularMatrixError:
             continue
         if apply_base_change(a, list(s)) == b:
-            return IsoResult(Verdict.YES, certificate=s, trials=trials, seed=seed)
+            return IsoResult(Verdict.YES, certificate=s, trials=used, seed=seed)
     return IsoResult(Verdict.PROBABLY_NO,
                      reason=f"no invertible morphism found in {trials} samples",
                      trials=trials, seed=seed)
@@ -255,29 +257,17 @@ def are_isomorphic(a: MatrixRepresentation, b: MatrixRepresentation,
 def _minimal_polynomial(basis: MorphismBasis, phi: MorphismTuple) -> list[Fraction]:
     """Monic minimal polynomial of phi as a real-linear operator tuple.
 
-    Found as the first linear dependence among the flattened powers of phi,
-    tracked through incremental Gaussian elimination.
+    Found as the first linear dependence among the flattened powers of phi.
+    phi acts on a real space of dimension 2 * sum(dims), so by
+    Cayley-Hamilton one of the first 2 * sum(dims) + 1 powers is dependent.
     """
-    echelon: list[tuple[int, list[Fraction], list[Fraction]]] = []
-    power = _identity_tuple(basis.source_dims)
-    poly = [Fraction(1)]
-    while True:
-        vec = _flatten_tuple(basis, power)
-        combo = list(poly)
-        for pivot, row, row_poly in echelon:
-            if vec[pivot]:
-                f = vec[pivot]
-                vec = [x - f * y for x, y in zip(vec, row)]
-                pad = len(combo) - len(row_poly)
-                padded = row_poly + [Fraction(0)] * pad
-                combo = [x - f * y for x, y in zip(combo, padded)]
-        lead = next((i for i, x in enumerate(vec) if x), None)
-        if lead is None:
-            return poly_normalize(combo)
-        inv = 1 / vec[lead]
-        echelon.append((lead, [x * inv for x in vec], [x * inv for x in combo]))
-        power = _tuple_compose(phi, power)
-        poly = [Fraction(0)] + poly
+    def powers():
+        power = _identity_tuple(basis.source_dims)
+        while True:
+            yield _flatten_tuple(basis, power)
+            power = _tuple_compose(phi, power)
+
+    return poly_normalize(_first_dependence(powers(), 2 * sum(basis.source_dims) + 1))
 
 
 def _eval_poly_tuple(poly: list[Fraction], phi: MorphismTuple,

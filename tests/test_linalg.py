@@ -4,10 +4,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from biquiver import (CMatrix, GaussianRational, SingularMatrixError, block_diag,
-                      from_blocks, hstack, vstack)
+from biquiver import (CMatrix, FormatError, GaussianRational, SingularMatrixError,
+                      block_diag, from_blocks, hstack, vstack)
 from biquiver.linalg import fraction_nullspace, fraction_solve, submatrix
-from biquiver.scalars import ONE, ZERO
+from biquiver.scalars import I, ONE, ZERO
 from conftest import gmat, mat, random_invertible
 
 
@@ -159,6 +159,13 @@ def oracle_inverse(m):
 small_fractions = st.one_of(st.integers(-3, 3).map(Fraction),
                             st.fractions(-4, 4, max_denominator=3))
 small_gaussians = st.builds(GaussianRational, small_fractions, small_fractions)
+# Numerators up to 1e9 over pairwise coprime denominators up to 1e6: clearing
+# a row's denominators multiplies several of them together, and the integer
+# rows then carry large contents and negative pivots.
+COPRIME_DENOMINATORS = (1, 2 ** 19, 3 ** 12, 5 ** 8, 7 ** 7, 11 ** 5, 13 ** 5, 999983)
+wide_fractions = st.builds(Fraction, st.integers(-10 ** 9, 10 ** 9),
+                           st.sampled_from(COPRIME_DENOMINATORS))
+wide_gaussians = st.builds(GaussianRational, wide_fractions, wide_fractions)
 
 
 @st.composite
@@ -184,6 +191,18 @@ def row_lists(draw, entry, zero, square=False):
                 s = draw(entry)
                 rows[i] = [x + s * y for x, y in zip(rows[j], rows[k])]
     return rows, n
+
+
+@st.composite
+def real_or_imaginary_columns(draw, square=False):
+    """Gaussian row lists whose columns are each purely real or purely imaginary.
+
+    Rows are drawn over the wide rationals and each column is then scaled by
+    1 or i; scaling a column keeps the row dependencies `row_lists` planted.
+    """
+    rows, n = draw(row_lists(wide_fractions.map(GaussianRational), ZERO, square))
+    units = [draw(st.sampled_from((ONE, I))) for _ in range(n)]
+    return [[x * u for x, u in zip(row, units)] for row in rows], n
 
 
 def _cmatrix(rows, ncols):
@@ -295,9 +314,28 @@ def test_fraction_solve():
     assert fraction_solve([], [Fraction(1)]) is None
 
 
+def test_fraction_nullspace_rejects_malformed_rows():
+    rows = [[Fraction(1), Fraction(2)], [Fraction(3)]]
+    with pytest.raises(FormatError):
+        fraction_nullspace(rows, 2)
+    with pytest.raises(FormatError):
+        fraction_nullspace([[Fraction(1), Fraction(2)]], 3)
+    with pytest.raises(FormatError):
+        fraction_nullspace([[Fraction(1), Fraction(2)]], 1)
+
+
+def test_fraction_solve_rejects_malformed_columns():
+    with pytest.raises(FormatError):
+        fraction_solve([[Fraction(1), Fraction(0)], [Fraction(1)]], [Fraction(1), Fraction(2)])
+    with pytest.raises(FormatError):
+        fraction_solve([[Fraction(1), Fraction(0), Fraction(4)]], [Fraction(1), Fraction(2)])
+    with pytest.raises(FormatError):
+        fraction_solve([[Fraction(1)]], [Fraction(1), Fraction(2)])
+
+
 # -- differential tests against the reference implementations -----------------
 
-@given(row_lists(small_fractions, Fraction(0)))
+@given(st.one_of(row_lists(small_fractions, Fraction(0)), row_lists(wide_fractions, Fraction(0))))
 def test_fraction_nullspace_matches_oracle(system):
     rows, n = system
     before = [row[:] for row in rows]
@@ -305,20 +343,21 @@ def test_fraction_nullspace_matches_oracle(system):
     assert rows == before
 
 
-@given(row_lists(small_fractions, Fraction(0)), st.data())
-def test_fraction_solve_matches_oracle(system, data):
-    rows, k = system
+@given(st.sampled_from([small_fractions, wide_fractions]), st.data())
+def test_fraction_solve_matches_oracle(entry, data):
+    rows, k = data.draw(row_lists(entry, Fraction(0)))
     columns = [[row[j] for row in rows] for j in range(k)]
-    x = [data.draw(small_fractions) for _ in range(k)]
+    x = [data.draw(entry) for _ in range(k)]
     consistent = [sum((a * b for a, b in zip(row, x)), Fraction(0)) for row in rows]
     sol = fraction_solve(columns, consistent)
     assert sol is not None
     assert sol == oracle_fraction_solve(columns, consistent)
-    arbitrary = [data.draw(small_fractions) for _ in rows]
+    arbitrary = [data.draw(entry) for _ in rows]
     assert fraction_solve(columns, arbitrary) == oracle_fraction_solve(columns, arbitrary)
 
 
-@given(row_lists(small_gaussians, ZERO))
+@given(st.one_of(row_lists(small_gaussians, ZERO), row_lists(wide_gaussians, ZERO),
+                 real_or_imaginary_columns()))
 def test_cmatrix_reductions_match_oracle(system):
     m = _cmatrix(*system)
     assert m.rank() == len(oracle_echelon(m.row_list())[1])
@@ -327,7 +366,9 @@ def test_cmatrix_reductions_match_oracle(system):
 
 
 @given(st.one_of(row_lists(small_gaussians, ZERO, square=True),
-                 row_lists(small_fractions.map(GaussianRational), ZERO, square=True)))
+                 row_lists(small_fractions.map(GaussianRational), ZERO, square=True),
+                 row_lists(wide_gaussians, ZERO, square=True),
+                 real_or_imaginary_columns(square=True)))
 def test_inverse_matches_oracle(system):
     m = _cmatrix(*system)
     try:

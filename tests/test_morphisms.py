@@ -15,10 +15,13 @@ from biquiver import (CMatrix, IndecomposabilityStatus, MatrixRepresentation,
                       hom_basis, krull_schmidt_compare,
                       random_representation, zero_representation)
 from biquiver.linalg import fraction_solve
-from biquiver.morphisms import (_flatten_tuple, _identity_tuple, _minimal_polynomial,
-                                _satisfies_morphism, _tuple_compose)
+from biquiver import morphisms
+from biquiver.morphisms import (_combine, _flatten_tuple, _identity_tuple,
+                                _minimal_polynomial, _satisfies_morphism, _tuple_compose)
+from biquiver.polynomials import poly_normalize
 from biquiver.semilinear import are_consimilar
-from conftest import biq, gmat, mat, path_biquiver, random_base_change
+from conftest import biq, gmat, mat, path_biquiver, random_base_change, star_biquiver
+from test_linalg import oracle_fraction_nullspace
 
 
 def full_loop(m):
@@ -71,6 +74,39 @@ def test_hom_counts_nullity():
 def test_hom_mismatched_biquiver():
     with pytest.raises(PreconditionError):
         hom_basis(full_loop(mat([1])), dashed_loop(mat([1])))
+
+
+def _hom_differential_pairs():
+    """Pairs of random representations of D4 and E6 at small root dimensions,
+    some arrows dashed, plus a pair with non-integral rational entries."""
+    d4 = star_biquiver([1, 1, 1], dashed=("b1e0",))
+    e6 = star_biquiver([1, 2, 2], dashed=("b0e0", "b2e1"))
+    pairs = []
+    for g, dims, other in [(d4, (2, 1, 1, 1), (1, 1, 1, 0)),
+                           (d4, (1, 1, 1, 1), (1, 1, 0, 1)),
+                           (e6, (2, 1, 1, 1, 1, 1), (1, 1, 1, 0, 1, 0)),
+                           (e6, (1, 1, 1, 1, 1, 0), (1, 0, 1, 1, 1, 1))]:
+        a = random_representation(g, dims, 2, 11)
+        b = random_representation(g, dims, 2, 12)
+        c = random_representation(g, other, 2, 13)
+        pairs += [(a, a), (a, b), (a, c), (c, a), (direct_sum(a, c), direct_sum(c, b))]
+    g = biq(2, "a:1>2", "b:2~2")
+    q = MatrixRepresentation(g, (2, 2), {
+        "a": gmat([(Fraction(1, 3), Fraction(-2, 7)), (Fraction(5, 4), 0)],
+                  [(0, Fraction(3, 11)), (Fraction(-7, 6), Fraction(1, 2))]),
+        "b": gmat([(Fraction(2, 9), 0), (0, 1)], [(1, 0), (Fraction(-1, 5), 0)])})
+    pairs += [(q, q), (q, random_base_change(random.Random(4), q))]
+    return pairs
+
+
+def test_hom_basis_matches_oracle_kernel(monkeypatch):
+    # the canonical Hom basis that `rep hom` prints must not depend on the
+    # elimination kernel behind fraction_nullspace
+    for a, b in _hom_differential_pairs():
+        basis = hom_basis(a, b)
+        with monkeypatch.context() as patch:
+            patch.setattr(morphisms, "fraction_nullspace", oracle_fraction_nullspace)
+            assert hom_basis(a, b) == basis
 
 
 # -- isomorphism --------------------------------------------------------------
@@ -129,6 +165,30 @@ def test_iso_probably_no_metadata():
     res = are_isomorphic(a, b, trials=4, seed=9)
     assert res.verdict is Verdict.PROBABLY_NO
     assert res.trials == 4 and res.seed == 9
+
+
+def test_iso_yes_reports_samples_used():
+    # End of a generic (2, 2) representation of 1 -> 2 is the 8-dimensional
+    # real algebra M_2(C); with coefficients in {-1, 0, 1} many samples are
+    # singular, so the first invertible one is often not the first drawn
+    g = biq(2, "a:1>2")
+    a = random_representation(g, (2, 2), 2, 5)
+    b = random_base_change(random.Random(3), a)
+    basis = hom_basis(a, b)
+    late = 0
+    for seed in range(20):
+        res = are_isomorphic(a, b, trials=50, seed=seed, coeff_bound=1)
+        sampler = random.Random(seed)
+        first = None
+        for index in range(1, 51):
+            coeffs = [Fraction(sampler.randint(-1, 1)) for _ in basis.tuples]
+            if all(m.is_invertible() for m in _combine(basis, coeffs)):
+                first = index
+                break
+        assert res.verdict is Verdict.YES and res.seed == seed
+        assert res.trials == first <= 50
+        late += first > 1
+    assert late > 0
 
 
 # -- endomorphism algebras ------------------------------------------------------
@@ -208,6 +268,45 @@ def test_decompose_splits_scrambled_sums_of_bricks():
         dec = decompose(scrambled, seed=seed)
         assert sorted(s.dims for s in dec.summands) == [(0, 1, 1), (1, 1, 0), (1, 1, 1)]
         assert all(st is IndecomposabilityStatus.CERTIFIED for st in dec.statuses)
+
+
+def oracle_minimal_polynomial(basis, phi):
+    """The incremental Fraction elimination that `_minimal_polynomial` replaced."""
+    echelon = []
+    power = _identity_tuple(basis.source_dims)
+    poly = [Fraction(1)]
+    while True:
+        vec = _flatten_tuple(basis, power)
+        combo = list(poly)
+        for pivot, row, row_poly in echelon:
+            if vec[pivot]:
+                f = vec[pivot]
+                vec = [x - f * y for x, y in zip(vec, row)]
+                pad = len(combo) - len(row_poly)
+                padded = row_poly + [Fraction(0)] * pad
+                combo = [x - f * y for x, y in zip(combo, padded)]
+        lead = next((i for i, x in enumerate(vec) if x), None)
+        if lead is None:
+            return poly_normalize(combo)
+        inv = 1 / vec[lead]
+        echelon.append((lead, [x * inv for x in vec], [x * inv for x in combo]))
+        power = _tuple_compose(phi, power)
+        poly = [Fraction(0)] + poly
+
+
+def test_minimal_polynomial_matches_oracle():
+    rng = random.Random(21)
+    reps = [a for a, b in _hom_differential_pairs() if a is b]
+    reps.append(full_loop(mat([1, 0, 0], [0, 1, 0], [0, 0, 2])))
+    reps.append(full_loop(CMatrix.zero(0, 0)))
+    for a in reps:
+        basis = hom_basis(a, a)
+        samples = [[Fraction(rng.randint(-5, 5)) for _ in basis.tuples] for _ in range(3)]
+        samples += [[Fraction(int(i == j)) for i in range(basis.dimension)]
+                    for j in range(basis.dimension)]
+        for coeffs in samples:
+            phi = _combine(basis, coeffs)
+            assert _minimal_polynomial(basis, phi) == oracle_minimal_polynomial(basis, phi)
 
 
 def test_minimal_polynomial_of_identity():
