@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .errors import PreconditionError, SingularMatrixError
 from .linalg import (CMatrix, _first_dependence, block_diag, fraction_nullspace,
-                     fraction_solve, hstack, submatrix)
+                     hstack, submatrix)
 from .model import Biquiver, DimensionVector
 from .polynomials import (poly_divmod, poly_factor, poly_mul, poly_normalize,
                           poly_xgcd)
@@ -168,7 +168,7 @@ def hom_basis(a: MatrixRepresentation, b: MatrixRepresentation) -> MorphismBasis
     return MorphismBasis(g, da, db, tuple(unflatten(v) for v in basis_vectors))
 
 
-def _flatten_tuple(basis: MorphismBasis, mats: MorphismTuple) -> list[Fraction]:
+def _flatten_tuple(mats: MorphismTuple) -> list[Fraction]:
     vec: list[Fraction] = []
     for m in mats:
         for e in m.entries:
@@ -264,7 +264,7 @@ def _minimal_polynomial(basis: MorphismBasis, phi: MorphismTuple) -> list[Fracti
     def powers():
         power = _identity_tuple(basis.source_dims)
         while True:
-            yield _flatten_tuple(basis, power)
+            yield _flatten_tuple(power)
             power = _tuple_compose(phi, power)
 
     return poly_normalize(_first_dependence(powers(), 2 * sum(basis.source_dims) + 1))
@@ -319,19 +319,18 @@ def _vertex_killers(basis: MorphismBasis, vertex: int,
     isotypic sums X + X whose generic endomorphisms have irreducible
     rational minimal polynomials.
     """
-    columns = []
-    for tup in basis.tuples:
-        image = tup[vertex] @ vec
-        flat = [e.re for e in image.entries]
-        flat.extend(e.im for e in image.entries)
-        columns.append(flat)
+    columns = [_flatten_tuple((tup[vertex] @ vec,)) for tup in basis.tuples]
     height = len(columns[0]) if columns else 0
     rows = [[col[i] for col in columns] for i in range(height)]
     return fraction_nullspace(rows, len(columns))
 
 
 def _trace_form(basis: MorphismBasis) -> list[list[Fraction]]:
-    """Gram matrix of (f, g) -> real trace of fg acting on the realified spaces."""
+    """Gram matrix of (f, g) -> real trace of fg acting on the realified spaces.
+
+    On a complex space realified, the trace of fg is 2 Re tr(fg), and
+    Re(f_kl g_lk) = Re f_kl Re g_lk - Im f_kl Im g_lk.
+    """
     n = basis.dimension
     t = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
@@ -340,58 +339,37 @@ def _trace_form(basis: MorphismBasis) -> list[list[Fraction]]:
             for fm, gm in zip(basis.tuples[i], basis.tuples[j]):
                 for k in range(fm.rows):
                     for l in range(fm.cols):
-                        acc += 2 * (fm.at(k, l) * gm.at(l, k)).re
-            t[i][j] = t[j][i] = acc
+                        f, g = fm.at(k, l), gm.at(l, k)
+                        acc += f.re * g.re - f.im * g.im
+            t[i][j] = t[j][i] = 2 * acc
     return t
-
-
-def _radical_coords(basis: MorphismBasis) -> list[list[Fraction]]:
-    """Coordinates (in the Hom basis) of a basis of the radical of End.
-
-    In characteristic zero the radical of a unital algebra of operators is
-    the kernel of the trace form of any faithful module: nilpotent ideals
-    are trace-free, and conversely an element orthogonal to everything has
-    all powers trace-free, hence is nilpotent.
-    """
-    return fraction_nullspace(_trace_form(basis), basis.dimension)
 
 
 def _certify_local(basis: MorphismBasis) -> bool:
     """True when End is certifiably local, i.e. the representation is
     certifiably indecomposable.
 
-    End is local iff End modulo its radical is a division algebra. The
-    quotient is semisimple; we recognize the real and complex fields (a
-    two-dimensional unital algebra is automatically commutative, and it is
-    a field exactly when the non-identity generator has negative
-    discriminant). Quotients of dimension >= 3 are never certified here.
+    End is local iff End modulo its radical is a division algebra. In
+    characteristic zero the radical of an algebra of operators is the
+    kernel of the trace form T of a faithful module (Dickson's criterion):
+    nilpotent ideals are trace-free, and conversely an element orthogonal
+    to everything has all powers trace-free, hence is nilpotent. So the
+    semisimple quotient has dimension r = rank T, and T is the pullback of
+    a nondegenerate form on it. For r = 1 the quotient is the real field.
+    A two-dimensional semisimple real algebra is R x R or C. On R x R the
+    form is positive definite, since an idempotent's trace is the dimension
+    of its image; on C it has signature (1, 1), since tr(i * i) = -tr(1).
+    A positive semidefinite T has no negative 2x2 principal minor, while a
+    rank-2 T = a a^T - b b^T has the minors -(a_i b_j - a_j b_i)^2, not
+    all zero; so the quotient is C exactly when some minor is negative.
+    Quotients of dimension >= 3 are never certified here.
     """
-    rad = _radical_coords(basis)
-    quotient_dim = basis.dimension - len(rad)
-    if quotient_dim == 1:
-        return True
-    if quotient_dim != 2:
-        return False
-    flat_id = _flatten_tuple(basis, _identity_tuple(basis.source_dims))
-    rad_flat = [_flatten_tuple(basis, _combine(basis, coords)) for coords in rad]
-    span_cols = [flat_id] + rad_flat
-    psi = None
-    for tup in basis.tuples:
-        if fraction_solve(span_cols, _flatten_tuple(basis, tup)) is None:
-            psi = tup
-            break
-    if psi is None:
-        raise AssertionError("no basis element lies outside span(identity, radical)")
-    # psi^2 = alpha psi + beta id (mod radical)
-    flat_sq = _flatten_tuple(basis, _tuple_compose(psi, psi))
-    sol = fraction_solve([_flatten_tuple(basis, psi)] + span_cols, flat_sq)
-    if sol is None:
-        raise AssertionError("square of the generator leaves the quotient")
-    alpha, beta = sol[0], sol[1]
-    disc = alpha * alpha + 4 * beta
-    if disc == 0:
-        raise AssertionError("semisimple quotient cannot have a nilpotent generator")
-    return disc < 0
+    n = basis.dimension
+    t = _trace_form(basis)
+    rank = n - len(fraction_nullspace(t, n))
+    if rank == 2:
+        return any(t[i][i] * t[j][j] < t[i][j] ** 2 for i in range(n) for j in range(i))
+    return rank == 1
 
 
 def _image_kernel_change(e: MorphismTuple) -> tuple[list[CMatrix], DimensionVector]:
@@ -528,6 +506,7 @@ def krull_schmidt_compare(x: list[MatrixRepresentation], y: list[MatrixRepresent
     Greedy matching by dimension vector followed by pairwise isomorphism
     tests, returning (index_in_x, index_in_y, certificate) triples.
     """
+    _check_sampling(trials, coeff_bound)
     if len(x) != len(y):
         return None
     unmatched = list(range(len(y)))

@@ -22,10 +22,6 @@ def poly_normalize(p: list[Fraction]) -> list[Fraction]:
     return q
 
 
-def poly_degree(p: list[Fraction]) -> int:
-    return len(p) - 1
-
-
 def poly_mul(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
     if not p or not q:
         return []
@@ -87,13 +83,6 @@ def _poly_sub(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
     while out and not out[-1]:
         out.pop()
     return out
-
-
-def poly_eval_scalar(p: list[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
 
 
 def poly_factor(p: list[Fraction]) -> list[tuple[list[Fraction], int]]:

@@ -47,7 +47,7 @@ def roots_with_value(g: Biquiver, value: int, bound: int | None = None) -> list[
         if bound is None:
             raise PreconditionError(
                 "the form is indefinite; root search requires an explicit bound")
-        sols = _enumerate_box(g, value, bound)
+        sols = _enumerate_box(gram, value, bound)
     out = sorted(z for z in sols if any(z))
     for z in out:
         if evaluate(g, z) != value:
@@ -118,17 +118,11 @@ def _enumerate_sos(gram: TitsGram, value: int, bound: int | None):
 
 # -- bounded box search for indefinite forms ---------------------------------
 
-def _enumerate_box(g: Biquiver, value: int, bound: int):
-    n = g.t
-    diag = [1] * n
-    cross = [[0] * n for _ in range(n)]
-    for a in g.arrows:
-        u, v = a.source - 1, a.target - 1
-        if u == v:
-            diag[u] -= 1
-        else:
-            lo, hi = min(u, v), max(u, v)
-            cross[hi][lo] += 1
+def _enumerate_box(gram: TitsGram, value: int, bound: int):
+    # q(z) = sum_i q_ii z_i^2 + sum_{j < i} 2 q_ij z_i z_j, all coefficients integers
+    n = gram.t
+    diag = [int(gram.q[i][i]) for i in range(n)]
+    cross = [[int(-2 * gram.q[i][j]) for j in range(i)] for i in range(n)]
     z = [0] * n
     results: list[DimensionVector] = []
 

@@ -10,10 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import gcd
 
 from .errors import FormatError, PreconditionError
-from .linalg import fraction_nullspace
+from .linalg import _integral, fraction_nullspace
 from .model import Biquiver, DimensionVector
 
 
@@ -123,15 +122,7 @@ def radical_vector(gram: TitsGram) -> DimensionVector | None:
     basis = fraction_nullspace(rows, gram.t)
     if len(basis) != 1:
         return None
-    vec = basis[0]
-    denom_lcm = 1
-    for x in vec:
-        denom_lcm = denom_lcm * x.denominator // gcd(denom_lcm, x.denominator)
-    ints = [int(x * denom_lcm) for x in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    ints = [x // g for x in ints]
+    ints = _integral(basis[0])
     if all(x < 0 for x in ints):
         ints = [-x for x in ints]
     if any(x <= 0 for x in ints):

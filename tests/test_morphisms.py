@@ -12,15 +12,17 @@ import biquiver
 from biquiver import (CMatrix, IndecomposabilityStatus, MatrixRepresentation,
                       PreconditionError, Verdict, apply_base_change,
                       are_isomorphic, decompose, direct_sum, direct_sum_list,
-                      hom_basis, krull_schmidt_compare,
+                      gaussian, hom_basis, krull_schmidt_compare,
                       random_representation, zero_representation)
-from biquiver.linalg import fraction_solve
 from biquiver import morphisms
-from biquiver.morphisms import (_combine, _flatten_tuple, _identity_tuple,
-                                _minimal_polynomial, _satisfies_morphism, _tuple_compose)
+from biquiver.linalg import fraction_nullspace, fraction_solve
+from biquiver.morphisms import (_certify_local, _combine, _flatten_tuple, _identity_tuple,
+                                _minimal_polynomial, _satisfies_morphism, _trace_form,
+                                _tuple_compose)
 from biquiver.polynomials import poly_normalize
 from biquiver.semilinear import are_consimilar
-from conftest import biq, gmat, mat, path_biquiver, random_base_change, star_biquiver
+from conftest import (biq, gmat, mat, path_biquiver, random_base_change, random_biquiver,
+                      star_biquiver)
 from test_linalg import oracle_fraction_nullspace
 
 
@@ -214,11 +216,134 @@ def test_end_closed_under_composition():
     g = biq(2, "a:1>2", "b:1~1")
     a = random_representation(g, (2, 1), 2, 77)
     basis = hom_basis(a, a)
-    columns = [_flatten_tuple(basis, t) for t in basis.tuples]
+    columns = [_flatten_tuple(t) for t in basis.tuples]
     products = [_tuple_compose(x, y) for x in basis.tuples for y in basis.tuples]
     for f in products + [_identity_tuple(a.dims)]:
         assert _satisfies_morphism(a, a, f)
-        assert fraction_solve(columns, _flatten_tuple(basis, f)) is not None
+        assert fraction_solve(columns, _flatten_tuple(f)) is not None
+
+
+# -- local endomorphism algebras --------------------------------------------------
+
+def oracle_flatten_tuple(basis, mats):
+    """The two-argument `_flatten_tuple` that the oracle below was written against."""
+    vec = []
+    for m in mats:
+        for e in m.entries:
+            vec.append(e.re)
+        for e in m.entries:
+            vec.append(e.im)
+    return vec
+
+
+def oracle_trace_form(basis):
+    """The GaussianRational trace form that `_trace_form` replaced."""
+    n = basis.dimension
+    t = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            acc = Fraction(0)
+            for fm, gm in zip(basis.tuples[i], basis.tuples[j]):
+                for k in range(fm.rows):
+                    for l in range(fm.cols):
+                        acc += 2 * (fm.at(k, l) * gm.at(l, k)).re
+            t[i][j] = t[j][i] = acc
+    return t
+
+
+def oracle_radical_coords(basis):
+    """Coordinates (in the Hom basis) of a basis of the radical of End."""
+    return fraction_nullspace(oracle_trace_form(basis), basis.dimension)
+
+
+def oracle_certify_local(basis):
+    """The quotient-algebra construction that `_certify_local` replaced: find a
+    generator of End/rad outside span(identity, radical) and read the sign of
+    the discriminant of its quadratic relation."""
+    rad = oracle_radical_coords(basis)
+    quotient_dim = basis.dimension - len(rad)
+    if quotient_dim == 1:
+        return True
+    if quotient_dim != 2:
+        return False
+    flat_id = oracle_flatten_tuple(basis, _identity_tuple(basis.source_dims))
+    rad_flat = [oracle_flatten_tuple(basis, _combine(basis, coords)) for coords in rad]
+    span_cols = [flat_id] + rad_flat
+    psi = None
+    for tup in basis.tuples:
+        if fraction_solve(span_cols, oracle_flatten_tuple(basis, tup)) is None:
+            psi = tup
+            break
+    if psi is None:
+        raise AssertionError("no basis element lies outside span(identity, radical)")
+    # psi^2 = alpha psi + beta id (mod radical)
+    flat_sq = oracle_flatten_tuple(basis, _tuple_compose(psi, psi))
+    sol = fraction_solve([oracle_flatten_tuple(basis, psi)] + span_cols, flat_sq)
+    if sol is None:
+        raise AssertionError("square of the generator leaves the quotient")
+    alpha, beta = sol[0], sol[1]
+    disc = alpha * alpha + 4 * beta
+    if disc == 0:
+        raise AssertionError("semisimple quotient cannot have a nilpotent generator")
+    return disc < 0
+
+
+# a third of the entries zero, so that End often has a radical or several blocks
+_SPARSE_ENTRIES = [(0, 0)] * 4 + [(1, 0), (-1, 0), (0, 1), (2, 0), (1, 1), (Fraction(1, 2), -1),
+                                  (0, -3), (-2, 1)]
+
+
+def _sparse_representation(rng, g, top):
+    dims = tuple(rng.randint(0, top) for _ in range(g.t))
+    mats = {}
+    for a in g.arrows:
+        r, c = dims[a.target - 1], dims[a.source - 1]
+        mats[a.id] = CMatrix(r, c, tuple(gaussian(*rng.choice(_SPARSE_ENTRIES))
+                                         for _ in range(r * c)))
+    return MatrixRepresentation(g, dims, mats)
+
+
+def test_certify_local_matches_oracle():
+    # random biquivers on 1-3 vertices with full and dashed arrows; each
+    # draw gives one representation with dims <= 2 and one direct sum of two
+    # with dims <= 1
+    rng = random.Random(2)
+    outcomes = set()
+    for _ in range(150):
+        g = random_biquiver(rng)
+        a = _sparse_representation(rng, g, 2)
+        s = direct_sum(_sparse_representation(rng, g, 1), _sparse_representation(rng, g, 1))
+        for rep in (a, s):
+            basis = hom_basis(rep, rep)
+            assert _trace_form(basis) == oracle_trace_form(basis)
+            verdict = _certify_local(basis)
+            assert verdict == oracle_certify_local(basis)
+            outcomes.add((basis.dimension - len(oracle_radical_coords(basis)), verdict))
+    # End/rad = C (certified) and R x R (not) both occurred, as did R and larger quotients
+    assert {(1, True), (2, True), (2, False), (3, False)} <= outcomes
+
+
+def _real_sum_with_radical():
+    # End = R x R plus the radical Hom(y, x) = R, so some 2x2 minors of T are 0
+    g = biq(2, "a:1>2", "b:1~1")
+    x = MatrixRepresentation(g, (1, 0), {"a": CMatrix.zero(0, 1), "b": mat([1])})
+    y = MatrixRepresentation(g, (1, 1), {"a": mat([1]), "b": mat([1])})
+    return direct_sum(x, y)
+
+
+@pytest.mark.parametrize("rep, quotient_dim, local", [
+    (dashed_loop(mat([1])), 1, True),                      # End = R
+    (full_loop(mat([0])), 2, True),                        # End = C
+    (dashed_loop(mat([1, 0], [0, 2])), 2, False),          # End = R x R
+    (full_loop(mat([0, 1], [0, 0])), 2, True),             # End = C[x]/x^2, End/rad = C
+    (_real_sum_with_radical(), 2, False),                  # End/rad = R x R
+], ids=["dashed-loop-1", "full-loop-0", "dashed-loop-diag-1-2", "jordan-block",
+        "real-sum-with-radical"])
+def test_certify_local_named_cases(rep, quotient_dim, local):
+    basis = hom_basis(rep, rep)
+    assert basis.dimension - len(oracle_radical_coords(basis)) == quotient_dim
+    assert _certify_local(basis) is local
+    assert oracle_certify_local(basis) is local
 
 
 # -- decomposition --------------------------------------------------------------
@@ -276,7 +401,7 @@ def oracle_minimal_polynomial(basis, phi):
     power = _identity_tuple(basis.source_dims)
     poly = [Fraction(1)]
     while True:
-        vec = _flatten_tuple(basis, power)
+        vec = _flatten_tuple(power)
         combo = list(poly)
         for pivot, row, row_poly in echelon:
             if vec[pivot]:
@@ -386,6 +511,11 @@ def test_sampling_parameters_rejected(trials, coeff_bound):
         are_consimilar(mat([1]), mat([2]), trials=trials, coeff_bound=coeff_bound)
     with pytest.raises(PreconditionError):
         krull_schmidt_compare([a], [b], trials=trials, coeff_bound=coeff_bound)
+    # no pair with equal dimension vectors, so no isomorphism test runs
+    with pytest.raises(PreconditionError):
+        krull_schmidt_compare([], [], trials=trials, coeff_bound=coeff_bound)
+    with pytest.raises(PreconditionError):
+        krull_schmidt_compare([a], [], trials=trials, coeff_bound=coeff_bound)
 
 
 def test_sampling_parameter_edges_accepted():
