@@ -2,49 +2,103 @@
 
 CMatrix (complex-rational matrices) carries all representation data; plain
 Fraction row-lists carry the real linear systems behind morphism spaces and
-Tits-form kernels. All elimination is integral: each rational row is scaled
-to a primitive integer row (which leaves its solution set alone), and a
-complex matrix is reduced through its real form, in which entry z is the
-2x2 block [[re z, -im z], [im z, re z]]. One fraction-free Gauss-Jordan
-kernel, `_rref`, then serves inverses, ranks, images, kernels and rational
-solves; Fractions and GaussianRationals are built only from its reduced
-rows. Zero-row and zero-column matrices are first-class values; the 0x0
-matrix is invertible.
+Tits-form kernels. A CMatrix is stored as integers: one positive common
+denominator and the integer real and imaginary parts of its entries, so
+products, sums and scalings are integer arithmetic with a single
+denominator per matrix. GaussianRational entries are built only at the
+boundary (parsing, printing, `at`, and the lazily built `entries`).
+
+All elimination is integral: each rational row is scaled to a primitive
+integer row (which leaves its solution set alone), and a complex matrix is
+reduced through its real form, in which entry z is the 2x2 block
+[[re z, -im z], [im z, re z]], read straight from the integer parts. One
+fraction-free Gauss-Jordan kernel, `_rref`, then serves inverses, ranks,
+images, kernels and rational solves. Zero-row and zero-column matrices are
+first-class values; the 0x0 matrix is invertible.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul, neg
 
 from .errors import FormatError, SingularMatrixError
-from .scalars import ZERO, ONE, GaussianRational, as_gaussian
+from .scalars import GaussianRational, as_gaussian
 
 
-@dataclass(frozen=True)
+def _check_dims(rows: int, cols: int) -> None:
+    if rows < 0 or cols < 0:
+        raise FormatError("matrix dimensions must be nonnegative")
+
+
 class CMatrix:
-    rows: int
-    cols: int
-    entries: tuple[GaussianRational, ...]
+    """An immutable rows x cols matrix over the Gaussian rationals.
 
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
-            raise FormatError("matrix dimensions must be nonnegative")
-        if len(self.entries) != self.rows * self.cols:
+    Entry k (row-major) is (re[k] + i * im[k]) / den, where `re` and `im`
+    are tuples of Python ints and `den` is a positive int. The form is
+    canonical, gcd(den, *re, *im) == 1, so equal matrices have equal
+    fields and `==` and `hash` compare them structurally.
+
+    CMatrix(rows, cols, entries) builds a matrix from row-major
+    GaussianRationals (ints and Fractions are accepted too);
+    `from_integers` builds one from integer parts. `entries` gives the
+    entries back as GaussianRationals; it is built on first use and kept.
+    """
+    __slots__ = ("rows", "cols", "den", "re", "im", "_entries")
+
+    def __init__(self, rows: int, cols: int, entries) -> None:
+        _check_dims(rows, cols)
+        entries = tuple(map(as_gaussian, entries))
+        if len(entries) != rows * cols:
             raise FormatError(
-                f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} "
-                f"entries, got {len(self.entries)}"
-            )
+                f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}")
+        # canonical as it stands: see _integer_parts
+        den, nums = _integer_parts([z.re for z in entries] + [z.im for z in entries])
+        n = len(entries)
+        _init(self, rows, cols, den, tuple(nums[:n]), tuple(nums[n:]))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"CMatrix is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"CMatrix is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        return _reduced, (self.rows, self.cols, self.den, self.re, self.im)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CMatrix):
+            return NotImplemented
+        return (self.rows == other.rows and self.cols == other.cols and self.den == other.den
+                and self.re == other.re and self.im == other.im)
+
+    def __hash__(self) -> int:
+        return hash((self.rows, self.cols, self.den, self.re, self.im))
 
     # -- constructors -------------------------------------------------------
 
     @staticmethod
     def zero(rows: int, cols: int) -> "CMatrix":
-        return CMatrix(rows, cols, (ZERO,) * (rows * cols))
+        _check_dims(rows, cols)
+        z = (0,) * (rows * cols)
+        return _canonical(rows, cols, 1, z, z)
 
     @staticmethod
     def identity(n: int) -> "CMatrix":
-        return CMatrix(n, n, tuple(ONE if i == j else ZERO for i in range(n) for j in range(n)))
+        _check_dims(n, n)
+        return _canonical(n, n, 1, tuple(int(i == j) for i in range(n) for j in range(n)),
+                          (0,) * (n * n))
+
+    @staticmethod
+    def from_integers(rows: int, cols: int, den: int, re, im) -> "CMatrix":
+        """The matrix with entries (re[k] + i * im[k]) / den, in canonical form."""
+        _check_dims(rows, cols)
+        if den <= 0:
+            raise FormatError(f"the denominator must be positive, got {den}")
+        if len(re) != rows * cols or len(im) != rows * cols:
+            raise FormatError(f"{rows}x{cols} matrix needs {rows * cols} real and "
+                              f"imaginary parts, got {len(re)} and {len(im)}")
+        return _reduced(rows, cols, den, re, im)
 
     @staticmethod
     def from_rows(rows) -> "CMatrix":
@@ -53,26 +107,37 @@ class CMatrix:
         c = len(rows[0]) if r else 0
         if any(len(row) != c for row in rows):
             raise FormatError("ragged rows in matrix literal")
-        return CMatrix(r, c, tuple(as_gaussian(x) for row in rows for x in row))
+        return CMatrix(r, c, [x for row in rows for x in row])
 
     @staticmethod
     def column(values) -> "CMatrix":
-        return CMatrix(len(values), 1, tuple(as_gaussian(x) for x in values))
+        return CMatrix(len(values), 1, values)
 
     # -- access -------------------------------------------------------------
 
+    @property
+    def entries(self) -> tuple[GaussianRational, ...]:
+        """The entries as GaussianRationals, row-major."""
+        if self._entries is None:
+            object.__setattr__(self, "_entries", tuple(
+                GaussianRational(Fraction(x, self.den), Fraction(y, self.den))
+                for x, y in zip(self.re, self.im)))
+        return self._entries
+
     def at(self, i: int, j: int) -> GaussianRational:
-        return self.entries[i * self.cols + j]
+        k = i * self.cols + j
+        return GaussianRational(Fraction(self.re[k], self.den), Fraction(self.im[k], self.den))
 
     def row_list(self) -> list[list[GaussianRational]]:
-        return [list(self.entries[i * self.cols:(i + 1) * self.cols]) for i in range(self.rows)]
+        e = self.entries
+        return [list(e[i * self.cols:(i + 1) * self.cols]) for i in range(self.rows)]
 
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
 
     def is_zero(self) -> bool:
-        return not any(self.entries)
+        return not any(self.re) and not any(self.im)
 
     def is_identity(self) -> bool:
         return self.is_square and self == CMatrix.identity(self.rows)
@@ -81,40 +146,44 @@ class CMatrix:
 
     def __add__(self, other: "CMatrix") -> "CMatrix":
         self._same_shape(other)
-        return CMatrix(self.rows, self.cols,
-                       tuple(a + b for a, b in zip(self.entries, other.entries)))
+        return _add(self, other, 1)
 
     def __sub__(self, other: "CMatrix") -> "CMatrix":
         self._same_shape(other)
-        return CMatrix(self.rows, self.cols,
-                       tuple(a - b for a, b in zip(self.entries, other.entries)))
+        return _add(self, other, -1)
 
     def __neg__(self) -> "CMatrix":
-        return CMatrix(self.rows, self.cols, tuple(-a for a in self.entries))
+        return _canonical(self.rows, self.cols, self.den,
+                          tuple(map(neg, self.re)), tuple(map(neg, self.im)))
 
     def scale(self, s) -> "CMatrix":
         s = as_gaussian(s)
-        return CMatrix(self.rows, self.cols, tuple(s * a for a in self.entries))
+        den, (sr, si) = _integer_parts([s.re, s.im])
+        if si:
+            re = tuple(sr * x - si * y for x, y in zip(self.re, self.im))
+            im = tuple(sr * y + si * x for x, y in zip(self.re, self.im))
+        else:
+            re = tuple(sr * x for x in self.re)
+            im = tuple(sr * y for y in self.im)
+        return _reduced(self.rows, self.cols, den * self.den, re, im)
 
     def __matmul__(self, other: "CMatrix") -> "CMatrix":
         if self.cols != other.rows:
             raise FormatError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        n, m, k = self.rows, other.cols, self.cols
-        out = []
-        for i in range(n):
-            base = i * k
-            for j in range(m):
-                acc = ZERO
-                for l in range(k):
-                    a = self.entries[base + l]
-                    if a:
-                        acc = acc + a * other.entries[l * m + j]
-                out.append(acc)
-        return CMatrix(n, m, tuple(out))
+        k, m = self.cols, other.cols
+        are, aim = self.re, self.im
+        bcols = [(other.re[j::m], other.im[j::m]) for j in range(m)]
+        re, im = [], []
+        for i in range(self.rows):
+            ar, ai = are[i * k:(i + 1) * k], aim[i * k:(i + 1) * k]
+            for br, bi in bcols:
+                re.append(sum(map(mul, ar, br)) - sum(map(mul, ai, bi)))
+                im.append(sum(map(mul, ar, bi)) + sum(map(mul, ai, br)))
+        return _reduced(self.rows, m, self.den * other.den, re, im)
 
     def conj(self) -> "CMatrix":
-        return CMatrix(self.rows, self.cols, tuple(a.conjugate() for a in self.entries))
+        return _canonical(self.rows, self.cols, self.den, self.re, tuple(map(neg, self.im)))
 
     def _same_shape(self, other: "CMatrix") -> None:
         if self.rows != other.rows or self.cols != other.cols:
@@ -129,7 +198,7 @@ class CMatrix:
         """Exact inverse by row-reducing [A | I] in real form; raises SingularMatrixError.
 
         The reduced rows 2i and 2i + 1 carry the real and imaginary parts of
-        row i of the inverse.
+        row i of the inverse, over their pivots.
         """
         if not self.is_square:
             raise SingularMatrixError(f"only square matrices invert, got {self.rows}x{self.cols}")
@@ -137,10 +206,11 @@ class CMatrix:
         aug = _real_rows(self, CMatrix.identity(n))
         if len(_rref(aug, 2 * n)) < 2 * n:
             raise SingularMatrixError(f"singular {n}x{n} matrix")
-        return CMatrix(n, n, tuple(
-            GaussianRational(Fraction(aug[2 * i][2 * n + j], aug[2 * i][2 * i]),
-                             Fraction(aug[2 * i + 1][2 * n + j], aug[2 * i + 1][2 * i + 1]))
-            for i in range(n) for j in range(n)))
+        # over the lcm of the pivots (lcm is never negative)
+        den = lcm(*(row[r] for r, row in enumerate(aug)))
+        parts = [[x * (den // row[r]) for x in row[2 * n:]] for r, row in enumerate(aug)]
+        return _reduced(n, n, den, [x for row in parts[0::2] for x in row],
+                        [x for row in parts[1::2] for x in row])
 
     def is_invertible(self) -> bool:
         if not self.is_square:
@@ -156,9 +226,8 @@ class CMatrix:
 
     def column_space_basis(self) -> "CMatrix":
         """Columns forming a basis of the column space (original columns)."""
-        cols = [[self.at(i, p // 2) for i in range(self.rows)]
-                for p in _rref(_real_rows(self)) if p % 2 == 0]
-        return _from_columns(self.rows, cols)
+        pivots = _rref(_real_rows(self))
+        return submatrix(self, range(self.rows), [p // 2 for p in pivots if p % 2 == 0])
 
     def nullspace_basis(self) -> "CMatrix":
         """Columns forming a basis of the right null space.
@@ -169,9 +238,12 @@ class CMatrix:
         reduced = _real_rows(self)
         pivots = _rref(reduced)
         free = [f for f in range(0, 2 * self.cols, 2) if f not in pivots]
-        cols = [[GaussianRational(v[2 * k], v[2 * k + 1]) for k in range(self.cols)]
-                for v in _nullspace(reduced, pivots, 2 * self.cols, free)]
-        return _from_columns(self.cols, cols)
+        vecs = _nullspace(reduced, pivots, 2 * self.cols, free)
+        # entry (k, j) is vecs[j][2k] + i vecs[j][2k + 1]
+        parts = [v[k] for parity in (0, 1) for k in range(parity, 2 * self.cols, 2) for v in vecs]
+        den, nums = _integer_parts(parts)
+        n = len(parts) // 2
+        return _canonical(self.cols, len(vecs), den, tuple(nums[:n]), tuple(nums[n:]))
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(repr(self.at(i, j)) for j in range(self.cols))
@@ -179,25 +251,89 @@ class CMatrix:
         return f"CMatrix({self.rows}x{self.cols}: {body})"
 
 
-def _from_columns(height: int, cols: list[list[GaussianRational]]) -> CMatrix:
-    return CMatrix(height, len(cols),
-                   tuple(cols[j][i] for i in range(height) for j in range(len(cols))))
+_set = object.__setattr__
+
+
+def _init(m: CMatrix, rows: int, cols: int, den: int, re: tuple, im: tuple) -> None:
+    _set(m, "rows", rows)
+    _set(m, "cols", cols)
+    _set(m, "den", den)
+    _set(m, "re", re)
+    _set(m, "im", im)
+    _set(m, "_entries", None)
+
+
+def _canonical(rows: int, cols: int, den: int, re: tuple, im: tuple) -> CMatrix:
+    """A CMatrix from integer parts that are already in canonical form."""
+    m = object.__new__(CMatrix)
+    _init(m, rows, cols, den, re, im)
+    return m
+
+
+def _reduced(rows: int, cols: int, den: int, re, im) -> CMatrix:
+    """A CMatrix from integer parts over a positive denominator, made canonical."""
+    if den != 1:
+        g = gcd(den, *re, *im)
+        if g != 1:
+            den //= g
+            re = [x // g for x in re]
+            im = [y // g for y in im]
+    return _canonical(rows, cols, den, tuple(re), tuple(im))
+
+
+def _integer_parts(values: list) -> tuple[int, list[int]]:
+    """(den, nums) with values[k] == nums[k] / den, den the lcm of the denominators.
+
+    For reduced fractions (and ints) gcd(den, *nums) == 1: a prime power
+    dividing den exactly divides some denominator, whose numerator is prime
+    to it and is multiplied by a cofactor prime to it.
+    """
+    den = lcm(*(x.denominator for x in values))
+    return den, [x.numerator * (den // x.denominator) for x in values]
+
+
+def _add(a: CMatrix, b: CMatrix, sign: int) -> CMatrix:
+    """a + sign * b over the lcm of the denominators."""
+    den = lcm(a.den, b.den)
+    fa, fb = den // a.den, sign * (den // b.den)
+    return _reduced(a.rows, a.cols, den, [fa * x + fb * y for x, y in zip(a.re, b.re)],
+                    [fa * x + fb * y for x, y in zip(a.im, b.im)])
+
+
+def _over_lcm(a: CMatrix, b: CMatrix) -> tuple[int, tuple, tuple, tuple, tuple]:
+    """(den, a.re, a.im, b.re, b.im) with both matrices rescaled to den = lcm(a.den, b.den).
+
+    Placing the two side by side keeps the canonical form: a prime power
+    dividing den exactly divides a.den or b.den, and that matrix has a part
+    prime to it, multiplied by a cofactor prime to it.
+    """
+    den = lcm(a.den, b.den)
+    fa, fb = den // a.den, den // b.den
+    if fa == 1 and fb == 1:
+        return den, a.re, a.im, b.re, b.im
+    return (den, tuple(fa * x for x in a.re), tuple(fa * x for x in a.im),
+            tuple(fb * x for x in b.re), tuple(fb * x for x in b.im))
 
 
 def hstack(a: CMatrix, b: CMatrix) -> CMatrix:
     if a.rows != b.rows:
         raise FormatError("hstack needs equal row counts")
-    ent = []
+    den, are, aim, bre, bim = _over_lcm(a, b)
+    re: list[int] = []
+    im: list[int] = []
     for i in range(a.rows):
-        ent.extend(a.entries[i * a.cols:(i + 1) * a.cols])
-        ent.extend(b.entries[i * b.cols:(i + 1) * b.cols])
-    return CMatrix(a.rows, a.cols + b.cols, tuple(ent))
+        re += are[i * a.cols:(i + 1) * a.cols]
+        re += bre[i * b.cols:(i + 1) * b.cols]
+        im += aim[i * a.cols:(i + 1) * a.cols]
+        im += bim[i * b.cols:(i + 1) * b.cols]
+    return _canonical(a.rows, a.cols + b.cols, den, tuple(re), tuple(im))
 
 
 def vstack(a: CMatrix, b: CMatrix) -> CMatrix:
     if a.cols != b.cols:
         raise FormatError("vstack needs equal column counts")
-    return CMatrix(a.rows + b.rows, a.cols, a.entries + b.entries)
+    den, are, aim, bre, bim = _over_lcm(a, b)
+    return _canonical(a.rows + b.rows, a.cols, den, are + bre, aim + bim)
 
 
 def block_diag(a: CMatrix, b: CMatrix) -> CMatrix:
@@ -217,9 +353,11 @@ def from_blocks(grid: list[list[CMatrix]]) -> CMatrix:
     return rows if rows is not None else CMatrix.zero(0, 0)
 
 
-def submatrix(m: CMatrix, row_range: range, col_range: range) -> CMatrix:
-    ent = tuple(m.at(i, j) for i in row_range for j in col_range)
-    return CMatrix(len(row_range), len(col_range), ent)
+def submatrix(m: CMatrix, row_range, col_range) -> CMatrix:
+    """The entries in the given rows and columns (ranges or lists of indices)."""
+    idx = [i * m.cols + j for i in row_range for j in col_range]
+    return _reduced(len(row_range), len(col_range), m.den,
+                    [m.re[k] for k in idx], [m.im[k] for k in idx])
 
 
 # -- the elimination kernel --------------------------------------------------
@@ -260,9 +398,7 @@ def _rref(rows: list[list[int]], width: int | None = None) -> list[int]:
             if f and i != r:
                 g = gcd(p, f)
                 a, b = p // g, f // g
-                new = [a * x - b * y for x, y in zip(row, rr)]
-                g = gcd(*new)
-                rows[i] = [x // g for x in new] if g > 1 else new
+                rows[i] = _primitive([a * x - b * y for x, y in zip(row, rr)])
         pivots.append(c)
         r += 1
     return pivots
@@ -273,32 +409,39 @@ def _integral(row: list) -> list[int]:
 
     Scaling a row by a nonzero rational leaves its solution set unchanged.
     """
-    den = lcm(*(x.denominator for x in row))
-    ints = [x.numerator * (den // x.denominator) for x in row]
-    g = gcd(*ints)
-    return [x // g for x in ints] if g > 1 else ints
+    return _primitive(_integer_parts(row)[1])
+
+
+def _primitive(row: list[int]) -> list[int]:
+    """The row divided by the gcd of its entries."""
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
 
 
 def _real_rows(m: CMatrix, rhs: CMatrix | None = None) -> list[list[int]]:
-    """Integer rows of the real 2m x 2n form of m, optionally augmented by rhs.
+    """Primitive integer rows of the real 2m x 2n form of m, optionally augmented by rhs.
 
     Entry z becomes the block [[re z, -im z], [im z, re z]], so real column
     2j holds the real and imaginary parts of column j, and column 2j + 1
     those of i times it. Each column of `rhs` is appended as one real
     column: its real parts in the even rows, its imaginary parts in the odd.
+    Row i of [m | rhs] is taken times m.den * rhs.den, which leaves the
+    solution sets alone, so the integer parts are read directly.
     """
-    extra = rhs.row_list() if rhs is not None else [[]] * m.rows
+    c = m.cols
+    fm, fr = (rhs.den, m.den) if rhs is not None else (1, 1)
     out = []
-    for row, more in zip(m.row_list(), extra):
-        top: list = []
-        bottom: list = []
-        for z in row:
-            top += (z.re, -z.im)
-            bottom += (z.im, z.re)
-        top += (z.re for z in more)
-        bottom += (z.im for z in more)
-        out.append(_integral(top))
-        out.append(_integral(bottom))
+    for i in range(m.rows):
+        top: list[int] = []
+        bottom: list[int] = []
+        for x, y in zip(m.re[i * c:(i + 1) * c], m.im[i * c:(i + 1) * c]):
+            top += (fm * x, -fm * y)
+            bottom += (fm * y, fm * x)
+        if rhs is not None:
+            top += (fr * x for x in rhs.re[i * rhs.cols:(i + 1) * rhs.cols])
+            bottom += (fr * y for y in rhs.im[i * rhs.cols:(i + 1) * rhs.cols])
+        out.append(_primitive(top))
+        out.append(_primitive(bottom))
     return out
 
 

@@ -16,16 +16,18 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from .errors import PreconditionError, SingularMatrixError
-from .linalg import (CMatrix, _first_dependence, block_diag, fraction_nullspace,
-                     hstack, submatrix)
+from .linalg import (CMatrix, _first_dependence, _integer_parts, block_diag,
+                     fraction_nullspace, hstack, submatrix)
 from .model import Biquiver, DimensionVector
 from .polynomials import (poly_divmod, poly_factor, poly_mul, poly_normalize,
                           poly_xgcd)
 from .representation import (MatrixRepresentation, apply_base_change,
                              direct_sum_list)
-from .scalars import ZERO, GaussianRational
+from .scalars import GaussianRational
 
 DEFAULT_TRIALS = 8
 DEFAULT_COEFF_BOUND = 10 ** 4
@@ -115,39 +117,43 @@ def hom_basis(a: MatrixRepresentation, b: MatrixRepresentation) -> MorphismBasis
     def y_index(v: int, i: int, j: int) -> int:
         return offsets[v] + db[v] * da[v] + i * da[v] + j
 
-    rows: list[list[Fraction]] = []
-    zero = Fraction(0)
+    # B F_u - F_v A = 0 (conj(F_v) on dashed arrows), times den(A) den(B):
+    # the B terms are scaled by den(A) and the A terms by den(B)
+    rows: list[list[int]] = []
     for arrow in g.arrows:
         u, v = arrow.source - 1, arrow.target - 1
         am, bm = a.matrices[arrow.id], b.matrices[arrow.id]
+        sb, sa = am.den, bm.den
         dashed = arrow.is_dashed
         for i in range(db[v]):
             for j in range(da[u]):
-                real = [zero] * total
-                imag = [zero] * total
+                real = [0] * total
+                imag = [0] * total
                 for k in range(db[u]):
-                    c = bm.at(i, k)
-                    if c:
-                        real[x_index(u, k, j)] += c.re
-                        real[y_index(u, k, j)] -= c.im
-                        imag[y_index(u, k, j)] += c.re
-                        imag[x_index(u, k, j)] += c.im
+                    cr, ci = bm.re[i * db[u] + k], bm.im[i * db[u] + k]
+                    if cr or ci:
+                        cr, ci = sb * cr, sb * ci
+                        real[x_index(u, k, j)] += cr
+                        real[y_index(u, k, j)] -= ci
+                        imag[y_index(u, k, j)] += cr
+                        imag[x_index(u, k, j)] += ci
                 for l in range(da[v]):
-                    c = am.at(l, j)
-                    if not c:
+                    cr, ci = am.re[l * da[u] + j], am.im[l * da[u] + j]
+                    if not (cr or ci):
                         continue
+                    cr, ci = sa * cr, sa * ci
                     if dashed:
                         # conj(F_v) A: real -= Xv.Are + Yv.Aim, imag -= Xv.Aim - Yv.Are
-                        real[x_index(v, i, l)] -= c.re
-                        real[y_index(v, i, l)] -= c.im
-                        imag[x_index(v, i, l)] -= c.im
-                        imag[y_index(v, i, l)] += c.re
+                        real[x_index(v, i, l)] -= cr
+                        real[y_index(v, i, l)] -= ci
+                        imag[x_index(v, i, l)] -= ci
+                        imag[y_index(v, i, l)] += cr
                     else:
                         # F_v A: real -= Xv.Are - Yv.Aim, imag -= Xv.Aim + Yv.Are
-                        real[x_index(v, i, l)] -= c.re
-                        real[y_index(v, i, l)] += c.im
-                        imag[x_index(v, i, l)] -= c.im
-                        imag[y_index(v, i, l)] -= c.re
+                        real[x_index(v, i, l)] -= cr
+                        real[y_index(v, i, l)] += ci
+                        imag[x_index(v, i, l)] -= ci
+                        imag[y_index(v, i, l)] -= cr
                 if any(real):
                     rows.append(real)
                 if any(imag):
@@ -156,38 +162,42 @@ def hom_basis(a: MatrixRepresentation, b: MatrixRepresentation) -> MorphismBasis
     basis_vectors = fraction_nullspace(rows, total)
 
     def unflatten(vec: list[Fraction]) -> MorphismTuple:
+        den, nums = _integer_parts(vec)
         mats = []
         for v in range(g.t):
-            ent = []
-            for i in range(db[v]):
-                for j in range(da[v]):
-                    ent.append(GaussianRational(vec[x_index(v, i, j)], vec[y_index(v, i, j)]))
-            mats.append(CMatrix(db[v], da[v], tuple(ent)))
+            n, start = db[v] * da[v], offsets[v]
+            mats.append(CMatrix.from_integers(db[v], da[v], den, nums[start:start + n],
+                                              nums[start + n:start + 2 * n]))
         return tuple(mats)
 
     return MorphismBasis(g, da, db, tuple(unflatten(v) for v in basis_vectors))
 
 
 def _flatten_tuple(mats: MorphismTuple) -> list[Fraction]:
+    """Real parts, then imaginary parts, of each matrix in turn."""
     vec: list[Fraction] = []
     for m in mats:
-        for e in m.entries:
-            vec.append(e.re)
-        for e in m.entries:
-            vec.append(e.im)
+        vec += (Fraction(x, m.den) for x in m.re)
+        vec += (Fraction(y, m.den) for y in m.im)
     return vec
 
 
 def _combine(basis: MorphismBasis, coeffs: list[Fraction]) -> MorphismTuple:
-    g = basis.biquiver
+    """The rational combination sum_j coeffs[j] * basis.tuples[j]."""
+    terms = [(c, tup) for c, tup in zip(coeffs, basis.tuples) if c]
     mats = []
-    for v in range(g.t):
+    for v in range(basis.biquiver.t):
         r, c = basis.target_dims[v], basis.source_dims[v]
-        acc = CMatrix.zero(r, c)
-        for coef, tup in zip(coeffs, basis.tuples):
-            if coef:
-                acc = acc + tup[v].scale(GaussianRational(coef))
-        mats.append(acc)
+        # term j is (p_j / q_j) (R_j / d_j); sum over the lcm of the q_j d_j
+        den = lcm(*(coef.denominator * tup[v].den for coef, tup in terms))
+        re = [0] * (r * c)
+        im = [0] * (r * c)
+        for coef, tup in terms:
+            m = tup[v]
+            f = coef.numerator * (den // (coef.denominator * m.den))
+            re = [x + f * y for x, y in zip(re, m.re)]
+            im = [x + f * y for x, y in zip(im, m.im)]
+        mats.append(CMatrix.from_integers(r, c, den, re, im))
     return tuple(mats)
 
 
@@ -198,17 +208,6 @@ def _tuple_compose(f: MorphismTuple, g_: MorphismTuple) -> MorphismTuple:
 
 def _identity_tuple(dims: DimensionVector) -> MorphismTuple:
     return tuple(CMatrix.identity(d) for d in dims)
-
-
-def _satisfies_morphism(a: MatrixRepresentation, b: MatrixRepresentation,
-                        f: MorphismTuple) -> bool:
-    for arrow in a.biquiver.arrows:
-        u, v = arrow.source - 1, arrow.target - 1
-        left = b.matrices[arrow.id] @ f[u]
-        fv = f[v].conj() if arrow.is_dashed else f[v]
-        if left != fv @ a.matrices[arrow.id]:
-            return False
-    return True
 
 
 # -- isomorphism testing ------------------------------------------------------
@@ -278,7 +277,7 @@ def _eval_poly_tuple(poly: list[Fraction], phi: MorphismTuple,
     for c in reversed(poly):
         acc = _tuple_compose(acc, phi)
         if c:
-            acc = tuple(am + im.scale(GaussianRational(c)) for am, im in zip(acc, ident))
+            acc = tuple(am + im.scale(c) for am, im in zip(acc, ident))
     return acc
 
 
@@ -329,19 +328,32 @@ def _trace_form(basis: MorphismBasis) -> list[list[Fraction]]:
     """Gram matrix of (f, g) -> real trace of fg acting on the realified spaces.
 
     On a complex space realified, the trace of fg is 2 Re tr(fg), and
-    Re(f_kl g_lk) = Re f_kl Re g_lk - Im f_kl Im g_lk.
+    Re(f_kl g_lk) = Re f_kl Re g_lk - Im f_kl Im g_lk. Each basis tuple is
+    brought to one denominator, its integer parts laid out flat, and those
+    of g also transposed, so an entry is one integer sum over one
+    denominator.
     """
     n = basis.dimension
+    flat = []
+    for tup in basis.tuples:
+        den = lcm(*(m.den for m in tup))
+        re: list[int] = []
+        im: list[int] = []
+        re_t: list[int] = []
+        im_t: list[int] = []
+        for m in tup:
+            s = den // m.den
+            re += (s * x for x in m.re)
+            im += (s * y for y in m.im)
+            for l in range(m.cols):
+                re_t += (s * x for x in m.re[l::m.cols])
+                im_t += (s * y for y in m.im[l::m.cols])
+        flat.append((den, re, im, re_t, im_t))
     t = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1):
-            acc = Fraction(0)
-            for fm, gm in zip(basis.tuples[i], basis.tuples[j]):
-                for k in range(fm.rows):
-                    for l in range(fm.cols):
-                        f, g = fm.at(k, l), gm.at(l, k)
-                        acc += f.re * g.re - f.im * g.im
-            t[i][j] = t[j][i] = 2 * acc
+    for i, (den_f, re_f, im_f, _, _) in enumerate(flat):
+        for j, (den_g, _, _, re_gt, im_gt) in enumerate(flat[:i + 1]):
+            acc = sum(map(mul, re_f, re_gt)) - sum(map(mul, im_f, im_gt))
+            t[i][j] = t[j][i] = Fraction(2 * acc, den_f * den_g)
     return t
 
 
@@ -399,14 +411,10 @@ def _assert_block_diagonal(a: MatrixRepresentation, split: DimensionVector) -> N
     for arrow in a.biquiver.arrows:
         u, v = arrow.source - 1, arrow.target - 1
         m = a.matrices[arrow.id]
-        for i in range(split[v]):
-            for j in range(split[u], a.dims[u]):
-                if m.at(i, j) != ZERO:
-                    raise AssertionError("idempotent did not block-diagonalize")
-        for i in range(split[v], a.dims[v]):
-            for j in range(split[u]):
-                if m.at(i, j) != ZERO:
-                    raise AssertionError("idempotent did not block-diagonalize")
+        upper_right = submatrix(m, range(split[v]), range(split[u], a.dims[u]))
+        lower_left = submatrix(m, range(split[v], a.dims[v]), range(split[u]))
+        if not (upper_right.is_zero() and lower_left.is_zero()):
+            raise AssertionError("idempotent did not block-diagonalize")
 
 
 def decompose(a: MatrixRepresentation, trials: int = DEFAULT_TRIALS, seed: int = 0,

@@ -1,9 +1,12 @@
 """Exact complex-rational scalars.
 
-All certified computations in the package run on GaussianRational numbers:
-complex numbers whose real and imaginary parts are arbitrary-precision
-rationals. Fraction keeps every part canonical (denominator positive,
-reduced), so equality is exact and hashing is well defined.
+A GaussianRational is a complex number whose real and imaginary parts are
+arbitrary-precision rationals. Fraction keeps every part canonical
+(denominator positive, reduced), so equality is exact and hashing is well
+defined. Matrices keep their entries as integers over one denominator
+(see `linalg.CMatrix`); GaussianRationals are the scalars of the public
+interface: matrix entries as parsed, printed and read back, and scalars
+passed in.
 """
 from __future__ import annotations
 
@@ -82,9 +85,6 @@ class GaussianRational:
 
     def __bool__(self) -> bool:
         return bool(self.re) or bool(self.im)
-
-    def is_real(self) -> bool:
-        return self.im == 0
 
     # -- presentation -------------------------------------------------------
 

@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import biquiver
 
 from biquiver import serialize_biquiver, serialize_representation, random_representation
 from biquiver.cli import main
@@ -254,3 +260,24 @@ def test_rep_iso_with_external_biquiver(run, tmp_path, a2_file):
     assert code == 2  # no biquiver anywhere
     code, out, _ = run("rep", "validate", str(bare), "--biquiver", a2_file)
     assert code == 0
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    # the README's a3 example, run as a module rather than as the installed script
+    g = tmp_path / "a3.json"
+    g.write_text('{"vertices":3,"arrows":[{"id":"e1","from":1,"to":2,"kind":"full"},\n'
+                 '                        {"id":"e2","from":2,"to":3,"kind":"dashed"}]}\n')
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"vertices": 3, "arrows": [')
+    env = {**os.environ, "PYTHONPATH": str(Path(biquiver.__file__).resolve().parent.parent)}
+
+    def module_run(path):
+        return subprocess.run([sys.executable, "-m", "biquiver", "classify", str(path)],
+                              capture_output=True, text=True, env=env)
+
+    ok = module_run(g)
+    assert ok.returncode == 0, ok.stderr
+    assert ok.stdout == '{"definiteness":"PositiveDefinite","diagram":"A3","kind":"Finite"}\n'
+    malformed = module_run(bad)
+    assert malformed.returncode == 2
+    assert malformed.stderr.startswith("error:")

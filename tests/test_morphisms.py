@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import biquiver
-from biquiver import (CMatrix, IndecomposabilityStatus, MatrixRepresentation,
+from biquiver import (CMatrix, GaussianRational, IndecomposabilityStatus, MatrixRepresentation,
                       PreconditionError, Verdict, apply_base_change,
                       are_isomorphic, decompose, direct_sum, direct_sum_list,
                       gaussian, hom_basis, krull_schmidt_compare,
@@ -17,13 +17,24 @@ from biquiver import (CMatrix, IndecomposabilityStatus, MatrixRepresentation,
 from biquiver import morphisms
 from biquiver.linalg import fraction_nullspace, fraction_solve
 from biquiver.morphisms import (_certify_local, _combine, _flatten_tuple, _identity_tuple,
-                                _minimal_polynomial, _satisfies_morphism, _trace_form,
+                                _minimal_polynomial, _trace_form,
                                 _tuple_compose)
 from biquiver.polynomials import poly_normalize
 from biquiver.semilinear import are_consimilar
 from conftest import (biq, gmat, mat, path_biquiver, random_base_change, random_biquiver,
                       star_biquiver)
 from test_linalg import oracle_fraction_nullspace
+
+
+def _satisfies_morphism(a, b, f):
+    """Whether the tuple f meets the intertwining equation of every arrow of a -> b."""
+    for arrow in a.biquiver.arrows:
+        u, v = arrow.source - 1, arrow.target - 1
+        left = b.matrices[arrow.id] @ f[u]
+        fv = f[v].conj() if arrow.is_dashed else f[v]
+        if left != fv @ a.matrices[arrow.id]:
+            return False
+    return True
 
 
 def full_loop(m):
@@ -103,12 +114,43 @@ def _hom_differential_pairs():
 
 def test_hom_basis_matches_oracle_kernel(monkeypatch):
     # the canonical Hom basis that `rep hom` prints must not depend on the
-    # elimination kernel behind fraction_nullspace
+    # elimination kernel behind fraction_nullspace; hom_basis hands it integer
+    # rows, which the oracle divides exactly only as Fractions
+    def oracle(rows, ncols):
+        return oracle_fraction_nullspace([[Fraction(x) for x in row] for row in rows], ncols)
+
     for a, b in _hom_differential_pairs():
         basis = hom_basis(a, b)
         with monkeypatch.context() as patch:
-            patch.setattr(morphisms, "fraction_nullspace", oracle_fraction_nullspace)
+            patch.setattr(morphisms, "fraction_nullspace", oracle)
             assert hom_basis(a, b) == basis
+
+
+def oracle_combine(basis, coeffs):
+    """The GaussianRational `_combine` that the integer one replaced."""
+    g = basis.biquiver
+    mats = []
+    for v in range(g.t):
+        r, c = basis.target_dims[v], basis.source_dims[v]
+        acc = CMatrix.zero(r, c)
+        for coef, tup in zip(coeffs, basis.tuples):
+            if coef:
+                acc = acc + tup[v].scale(GaussianRational(coef))
+        mats.append(acc)
+    return tuple(mats)
+
+
+def test_combine_and_flatten_match_oracle():
+    # coefficients with denominators, as the vertex-killer coordinates have
+    rng = random.Random(31)
+    for a, b in _hom_differential_pairs():
+        basis = hom_basis(a, b)
+        for _ in range(3):
+            coeffs = [Fraction(rng.choice((0, rng.randint(-9, 9))), rng.randint(1, 12))
+                      for _ in basis.tuples]
+            f = _combine(basis, coeffs)
+            assert f == oracle_combine(basis, coeffs)
+            assert _flatten_tuple(f) == oracle_flatten_tuple(basis, f)
 
 
 # -- isomorphism --------------------------------------------------------------
