@@ -13,8 +13,9 @@ integer row (which leaves its solution set alone), and a complex matrix is
 reduced through its real form, in which entry z is the 2x2 block
 [[re z, -im z], [im z, re z]], read straight from the integer parts. One
 fraction-free Gauss-Jordan kernel, `_rref`, then serves inverses, ranks,
-images, kernels and rational solves. Zero-row and zero-column matrices are
-first-class values; the 0x0 matrix is invertible.
+images, kernels and rational solves; `_symmetric_ldl` counts the inertia of
+symmetric forms. Zero-row and zero-column matrices are first-class values;
+the 0x0 matrix is invertible.
 """
 from __future__ import annotations
 
@@ -404,6 +405,51 @@ def _rref(rows: list[list[int]], width: int | None = None) -> list[int]:
     return pivots
 
 
+def _symmetric_ldl(rows) -> tuple:
+    """(inertia, scale, steps, free) of a symmetric matrix Q of ints and Fractions.
+
+    W = scale * Q, scale the lcm of the denominators, is reduced by Bareiss
+    (1968) steps on the first nonzero diagonal entry d of the active block:
+    w_ij becomes (d w_ij - w_ip w_pj) / prev, prev the pivot before (1 at
+    first), exactly, as active entries are minors of W bordered by the
+    pivots. If the active diagonal is zero but some w_ij is not, the
+    congruence e_i <- e_i + e_j puts 2 w_ij on it. Neither changes the
+    inertia (n+, n-, n0) of Q, counted from the signs of d / prev. Step
+    (p, prev, d, lin), lin mapping each other active j to w_pj != 0, is the
+    LDL^T term (d x_p + lin . x)^2 / (prev d); when n- == 0 (no congruence)
+    these terms sum to x^T W x, and W vanishes on the unpivoted `free`.
+    """
+    n = len(rows)
+    scale, flat = _integer_parts([x for row in rows for x in row])
+    w = [flat[i * n:(i + 1) * n] for i in range(n)]
+    active = list(range(n))
+    steps = []
+    positive = 0
+    prev = 1
+    while active:
+        p = next((i for i in active if w[i][i]), None)
+        if p is None:
+            pair = next(((i, j) for i in active for j in active if w[i][j]), None)
+            if pair is None:
+                break
+            p, j = pair
+            for k in active:
+                w[p][k] += w[j][k]
+            for k in active:
+                w[k][p] += w[k][j]
+        d, row = w[p][p], w[p]
+        positive += (d > 0) == (prev > 0)
+        steps.append((p, prev, d, {j: row[j] for j in active if j != p and row[j]}))
+        active.remove(p)
+        for i in active:
+            wi = w[i]
+            f = wi[p]
+            for j in active:
+                wi[j] = (d * wi[j] - f * row[j]) // prev
+        prev = d
+    return (positive, len(steps) - positive, len(active)), scale, steps, active
+
+
 def _integral(row: list) -> list[int]:
     """The primitive integer multiple of a row of ints and Fractions.
 
@@ -468,15 +514,16 @@ def _nullspace(reduced: list[list[int]], pivots: list[int], ncols: int,
 def _first_dependence(vectors, count: int) -> list[Fraction]:
     """Coefficients c_0..c_k of the first linear dependence among the vectors.
 
-    Only the first `count` vectors are drawn, lazily. Vector k joins the
-    row-reduced earlier ones carrying the unit vector e_k in extra columns,
-    so the first one that reduces to zero carries there the dependence
-    c_0 v_0 + ... + c_k v_k = 0, unique up to scale, with c_k != 0.
-    Raises ValueError when the first `count` vectors are independent.
+    Vector k comes as (den_k, nums_k), v_k = nums_k / den_k; only the first
+    `count` are drawn, lazily. The row nums_k joins the row-reduced earlier
+    ones carrying den_k e_k in extra columns, so the first row that reduces
+    to zero carries there c with c_0 v_0 + ... + c_k v_k = 0, the first
+    dependence, unique up to scale, with c_k != 0. Raises ValueError when
+    the first `count` vectors are independent.
     """
     rows: list[list[int]] = []
-    for k, vec in zip(range(count), vectors):
-        rows.append(_integral(vec + [int(j == k) for j in range(count)]))
+    for k, (den, vec) in zip(range(count), vectors):
+        rows.append(vec + [den if j == k else 0 for j in range(count)])
         if len(_rref(rows, len(vec))) == k:
             return [Fraction(c) for c in rows[k][len(vec):len(vec) + k + 1]]
     raise ValueError(f"the first {count} vectors are independent")

@@ -20,8 +20,8 @@ from math import lcm
 from operator import mul
 
 from .errors import PreconditionError, SingularMatrixError
-from .linalg import (CMatrix, _first_dependence, _integer_parts, block_diag,
-                     fraction_nullspace, hstack, submatrix)
+from .linalg import (CMatrix, _first_dependence, _integer_parts, _symmetric_ldl,
+                     block_diag, fraction_nullspace, hstack, submatrix)
 from .model import Biquiver, DimensionVector
 from .polynomials import (poly_divmod, poly_factor, poly_mul, poly_normalize,
                           poly_xgcd)
@@ -173,13 +173,15 @@ def hom_basis(a: MatrixRepresentation, b: MatrixRepresentation) -> MorphismBasis
     return MorphismBasis(g, da, db, tuple(unflatten(v) for v in basis_vectors))
 
 
-def _flatten_tuple(mats: MorphismTuple) -> list[Fraction]:
-    """Real parts, then imaginary parts, of each matrix in turn."""
-    vec: list[Fraction] = []
+def _flatten_tuple(mats: MorphismTuple) -> tuple[int, list[int]]:
+    """(den, nums): real, then imaginary parts of each matrix in turn, as nums / den."""
+    den = lcm(*(m.den for m in mats))
+    nums: list[int] = []
     for m in mats:
-        vec += (Fraction(x, m.den) for x in m.re)
-        vec += (Fraction(y, m.den) for y in m.im)
-    return vec
+        s = den // m.den
+        nums += (s * x for x in m.re)
+        nums += (s * y for y in m.im)
+    return den, nums
 
 
 def _combine(basis: MorphismBasis, coeffs: list[Fraction]) -> MorphismTuple:
@@ -319,8 +321,9 @@ def _vertex_killers(basis: MorphismBasis, vertex: int,
     rational minimal polynomials.
     """
     columns = [_flatten_tuple((tup[vertex] @ vec,)) for tup in basis.tuples]
-    height = len(columns[0]) if columns else 0
-    rows = [[col[i] for col in columns] for i in range(height)]
+    # all columns over one denominator: a uniform scale keeps the nullspace
+    den = lcm(*(d for d, _ in columns))
+    rows = [list(row) for row in zip(*([x * (den // d) for x in col] for d, col in columns))]
     return fraction_nullspace(rows, len(columns))
 
 
@@ -358,30 +361,18 @@ def _trace_form(basis: MorphismBasis) -> list[list[Fraction]]:
 
 
 def _certify_local(basis: MorphismBasis) -> bool:
-    """True when End is certifiably local, i.e. the representation is
-    certifiably indecomposable.
+    """True when End is local, i.e. the representation is indecomposable.
 
-    End is local iff End modulo its radical is a division algebra. In
-    characteristic zero the radical of an algebra of operators is the
-    kernel of the trace form T of a faithful module (Dickson's criterion):
-    nilpotent ideals are trace-free, and conversely an element orthogonal
-    to everything has all powers trace-free, hence is nilpotent. So the
-    semisimple quotient has dimension r = rank T, and T is the pullback of
-    a nondegenerate form on it. For r = 1 the quotient is the real field.
-    A two-dimensional semisimple real algebra is R x R or C. On R x R the
-    form is positive definite, since an idempotent's trace is the dimension
-    of its image; on C it has signature (1, 1), since tr(i * i) = -tr(1).
-    A positive semidefinite T has no negative 2x2 principal minor, while a
-    rank-2 T = a a^T - b b^T has the minors -(a_i b_j - a_j b_i)^2, not
-    all zero; so the quotient is C exactly when some minor is negative.
-    Quotients of dimension >= 3 are never certified here.
+    The radical of End is the kernel of the trace form T (Dickson: nilpotent
+    ideals are trace-free, and an element orthogonal to all has trace-free
+    powers, so is nilpotent). So T is nondegenerate on End/rad, a product of
+    matrix algebras M_n(D), D = R, C or the quaternions H, and on each a
+    positive multiple of the real trace form of D^n, whose positive index
+    n(n + 1)/2, n^2 or n(2n - 1) is 1 exactly when n = 1. So End is local,
+    End/rad a division algebra, exactly when T has positive index 1.
     """
-    n = basis.dimension
-    t = _trace_form(basis)
-    rank = n - len(fraction_nullspace(t, n))
-    if rank == 2:
-        return any(t[i][i] * t[j][j] < t[i][j] ** 2 for i in range(n) for j in range(i))
-    return rank == 1
+    (positive, _, _), *_ = _symmetric_ldl(_trace_form(basis))
+    return positive == 1
 
 
 def _image_kernel_change(e: MorphismTuple) -> tuple[list[CMatrix], DimensionVector]:
@@ -424,11 +415,11 @@ def decompose(a: MatrixRepresentation, trials: int = DEFAULT_TRIALS, seed: int =
     Random rational endomorphisms are sampled; whenever the minimal
     polynomial of one factors into coprime rational pieces, the Bezout
     idempotent splits the representation exactly and the process recurses.
-    Splittings that would need irrational idempotents are not found, so a
-    leaf is CertifiedIndecomposable only when End modulo its radical is
-    certifiably the real or complex field (End is then local), and
-    ProbablyIndecomposable otherwise. The certificate satisfies: base
-    change applied to `a` equals the direct sum of the summands, exactly.
+    Splittings that would need irrational idempotents are not found. A leaf
+    is CertifiedIndecomposable when End is local (End/rad is R, C or the
+    quaternions H), read exactly from the trace form, and otherwise
+    ProbablyIndecomposable. The certificate satisfies: base change
+    applied to `a` equals the direct sum of the summands, exactly.
     """
     _check_sampling(trials, coeff_bound)
     rng = random.Random(seed)

@@ -1,13 +1,13 @@
 """Exact enumeration of root dimension vectors of the Tits form.
 
 For a positive definite form the nonzero z >= 0 with q_G(z) = 1 form a
-finite set that is enumerated completely without any external bound: a
-(pivoted) LDL^T decomposition writes q as a weighted sum of squares of
-rational linear forms, and choosing coordinates from the innermost form
-outwards confines each coordinate to a finite integer interval. In the
-semidefinite case the same pruning applies but kernel directions are only
-limited by the caller's bound; indefinite forms fall back to bounded box
-search. No floating point is used anywhere.
+finite set that is enumerated completely without any external bound: the
+LDL^T steps of `linalg._symmetric_ldl` write q, scaled to integers, as a
+sum of squares of linear forms, and choosing coordinates from the
+innermost form outwards confines each coordinate to a finite interval.
+In the semidefinite case the same pruning applies but kernel directions
+are only limited by the caller's bound; indefinite forms fall back to
+bounded box search. No floating point is used anywhere.
 """
 from __future__ import annotations
 
@@ -17,8 +17,8 @@ from math import isqrt
 from .errors import PreconditionError
 from .classify import RepKind, representation_type
 from .model import Biquiver, DimensionVector, is_connected
-from .tits import (Definiteness, TitsGram, _pivoted_ldl, definiteness, evaluate,
-                   gram_matrix)
+from .linalg import _symmetric_ldl
+from .tits import Definiteness, TitsGram, definiteness, evaluate, gram_matrix
 
 
 def roots_with_value(g: Biquiver, value: int, bound: int | None = None) -> list[DimensionVector]:
@@ -66,39 +66,31 @@ def positive_root_count(g: Biquiver) -> int:
 
 # -- weighted sum-of-squares enumeration -------------------------------------
 
-def _square_interval(c: Fraction, budget: Fraction) -> tuple[int, int]:
-    """Integer z range with (z + c)^2 <= budget (budget >= 0), exact."""
-    cp, cq = c.numerator, c.denominator
-    bp, bq = budget.numerator, budget.denominator
-    w_max = isqrt((bp * cq * cq) // bq)
-    lo = -((w_max + cp) // cq)
-    hi = (w_max - cp) // cq
-    return lo, hi
-
-
 def _enumerate_sos(gram: TitsGram, value: int, bound: int | None):
-    steps, free = _pivoted_ldl(gram)
+    _, scale, steps, free = _symmetric_ldl(gram.q)
+    target = value * scale  # the steps' squares sum to scale * q
     n = gram.t
     z = [0] * n
     results: list[DimensionVector] = []
 
     def assign_pivots(k: int, spent: Fraction) -> None:
         if k < 0:
-            if spent == value:
+            if spent == target:
                 results.append(tuple(z))
             return
-        p, d, lin = steps[k]
-        c = sum((coef * z[j] for j, coef in lin.items()), Fraction(0))
-        budget = value - spent
+        p, prev, d, lin = steps[k]
+        c = sum(x * z[j] for j, x in lin.items())
+        budget = (target - spent) * prev * d
         if budget < 0:
             return
-        lo, hi = _square_interval(c, budget / d)
-        lo = max(lo, 0)
+        # the z >= 0 with (d z + c)^2 <= budget
+        w_max = isqrt(budget.numerator // budget.denominator)
+        lo, hi = max(-((w_max + c) // d), 0), (w_max - c) // d
         if bound is not None:
             hi = min(hi, bound)
         for val in range(lo, hi + 1):
             z[p] = val
-            assign_pivots(k - 1, spent + d * (val + c) ** 2)
+            assign_pivots(k - 1, spent + Fraction((d * val + c) ** 2, prev * d))
         z[p] = 0
 
     def assign_free(i: int) -> None:

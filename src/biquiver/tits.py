@@ -1,9 +1,9 @@
 """The Tits quadratic form of a biquiver and its exact definiteness.
 
 q_G(x) = sum x_i^2 - sum_{arrows u->v} x_u x_v, summed over all arrows of
-either kind. Definiteness is decided without floating point, by an exact
-diagonally pivoted LDL^T decomposition of the rational Gram matrix; root
-enumeration reuses the same decomposition.
+either kind. Definiteness is decided without floating point from the
+inertia of the Gram matrix, counted by the integer elimination
+`linalg._symmetric_ldl`, whose LDL^T steps root enumeration reuses.
 """
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .errors import FormatError, PreconditionError
-from .linalg import _integral, fraction_nullspace
+from .linalg import _integral, _symmetric_ldl, fraction_nullspace
 from .model import Biquiver, DimensionVector
 
 
@@ -55,58 +55,27 @@ def evaluate(g: Biquiver, z: DimensionVector) -> int:
     return total
 
 
-def _pivoted_ldl(gram: TitsGram):
-    """Decompose x^T Q x = sum_k d_k (x_{p_k} + l_k . x)^2 with d_k > 0.
-
-    Pivots on the first positive diagonal entry of the active block.
-    Returns the elimination steps and the never-pivoted (kernel) indices,
-    whose remaining block is zero. Returns None when Q is not positive
-    semidefinite: a diagonal entry of the active block (a Schur complement)
-    is negative, or no positive diagonal entry is left but the block is not
-    zero.
-    """
-    n = gram.t
-    w = [list(row) for row in gram.q]
-    active = list(range(n))
-    steps = []
-    while True:
-        if any(w[i][i] < 0 for i in active):
-            return None
-        p = next((i for i in active if w[i][i] > 0), None)
-        if p is None:
-            break
-        d = w[p][p]
-        lin = {j: w[p][j] / d for j in active if j != p and w[p][j]}
-        steps.append((p, d, lin))
-        active.remove(p)
-        for i in active:
-            if w[i][p]:
-                f = w[i][p] / d
-                for j in active:
-                    w[i][j] -= f * w[p][j]
-    if any(w[i][j] for i in active for j in active):
-        return None
-    return steps, active
-
-
 def definiteness(gram: TitsGram) -> Definiteness:
     """Exact three-way verdict on the symmetric rational matrix Q.
 
-    Read off the pivoted LDL^T decomposition: Q is positive definite when
-    every index is pivoted, and positive semidefinite when the unpivoted
-    (kernel) block is zero. PositiveSemidefinite here means semidefinite and
-    singular.
+    Read off the inertia (n+, n-, n0) of Q: positive definite when n+ = t,
+    positive semidefinite (and singular) when n- = 0. Raises FormatError
+    unless Q is a symmetric t x t matrix of ints and Fractions.
     """
-    for i in range(gram.t):
-        for j in range(i):
-            if gram.q[i][j] != gram.q[j][i]:
-                raise FormatError("Gram matrix must be symmetric")
-    ldl = _pivoted_ldl(gram)
-    if ldl is None:
-        return Definiteness.INDEFINITE
-    if ldl[1]:
+    t, q = gram.t, gram.q
+    if not (isinstance(t, int) and t >= 0 and isinstance(q, (tuple, list)) and len(q) == t
+            and all(isinstance(row, (tuple, list)) and len(row) == t for row in q)):
+        raise FormatError(f"Gram matrix must be {t} x {t}")
+    if not all(isinstance(x, (int, Fraction)) for row in q for x in row):
+        raise FormatError("Gram matrix entries must be ints or Fractions")
+    if any(q[i][j] != q[j][i] for i in range(t) for j in range(i)):
+        raise FormatError("Gram matrix must be symmetric")
+    (positive, negative, _), *_ = _symmetric_ldl(q)
+    if positive == t:
+        return Definiteness.POSITIVE_DEFINITE
+    if negative == 0:
         return Definiteness.POSITIVE_SEMIDEFINITE
-    return Definiteness.POSITIVE_DEFINITE
+    return Definiteness.INDEFINITE
 
 
 def radical_vector(gram: TitsGram) -> DimensionVector | None:

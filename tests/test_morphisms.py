@@ -18,7 +18,7 @@ from biquiver import morphisms
 from biquiver.linalg import fraction_nullspace, fraction_solve
 from biquiver.morphisms import (_certify_local, _combine, _flatten_tuple, _identity_tuple,
                                 _minimal_polynomial, _trace_form,
-                                _tuple_compose)
+                                _tuple_compose, _vertex_killers)
 from biquiver.polynomials import poly_normalize
 from biquiver.semilinear import are_consimilar
 from conftest import (biq, gmat, mat, path_biquiver, random_base_change, random_biquiver,
@@ -150,7 +150,8 @@ def test_combine_and_flatten_match_oracle():
                       for _ in basis.tuples]
             f = _combine(basis, coeffs)
             assert f == oracle_combine(basis, coeffs)
-            assert _flatten_tuple(f) == oracle_flatten_tuple(basis, f)
+            den, nums = _flatten_tuple(f)
+            assert [Fraction(x, den) for x in nums] == oracle_flatten_tuple(basis, f)
 
 
 # -- isomorphism --------------------------------------------------------------
@@ -258,17 +259,18 @@ def test_end_closed_under_composition():
     g = biq(2, "a:1>2", "b:1~1")
     a = random_representation(g, (2, 1), 2, 77)
     basis = hom_basis(a, a)
-    columns = [_flatten_tuple(t) for t in basis.tuples]
+    columns = [oracle_flatten_tuple(basis, t) for t in basis.tuples]
     products = [_tuple_compose(x, y) for x in basis.tuples for y in basis.tuples]
     for f in products + [_identity_tuple(a.dims)]:
         assert _satisfies_morphism(a, a, f)
-        assert fraction_solve(columns, _flatten_tuple(f)) is not None
+        assert fraction_solve(columns, oracle_flatten_tuple(basis, f)) is not None
 
 
 # -- local endomorphism algebras --------------------------------------------------
 
 def oracle_flatten_tuple(basis, mats):
-    """The two-argument `_flatten_tuple` that the oracle below was written against."""
+    """The Fraction flattening, real parts then imaginary parts of each matrix,
+    that the integer `_flatten_tuple` replaced."""
     vec = []
     for m in mats:
         for e in m.entries:
@@ -366,26 +368,32 @@ def test_certify_local_matches_oracle():
 
 
 def _real_sum_with_radical():
-    # End = R x R plus the radical Hom(y, x) = R, so some 2x2 minors of T are 0
+    # End = R x R plus the radical Hom(y, x) = R: T is singular, of positive index 2
     g = biq(2, "a:1>2", "b:1~1")
     x = MatrixRepresentation(g, (1, 0), {"a": CMatrix.zero(0, 1), "b": mat([1])})
     y = MatrixRepresentation(g, (1, 1), {"a": mat([1]), "b": mat([1])})
     return direct_sum(x, y)
 
 
-@pytest.mark.parametrize("rep, quotient_dim, local", [
-    (dashed_loop(mat([1])), 1, True),                      # End = R
-    (full_loop(mat([0])), 2, True),                        # End = C
-    (dashed_loop(mat([1, 0], [0, 2])), 2, False),          # End = R x R
-    (full_loop(mat([0, 1], [0, 0])), 2, True),             # End = C[x]/x^2, End/rad = C
-    (_real_sum_with_radical(), 2, False),                  # End/rad = R x R
+# J conj(J) = -I: End(J) is the quaternions H
+QUATERNION_LOOP = dashed_loop(mat([0, -1], [1, 0]))
+
+
+# the oracle certifies quotients of dimension 1 and 2 only, so it misses H
+@pytest.mark.parametrize("rep, quotient_dim, local, oracle", [
+    (dashed_loop(mat([1])), 1, True, True),                # End = R
+    (full_loop(mat([0])), 2, True, True),                  # End = C
+    (dashed_loop(mat([1, 0], [0, 2])), 2, False, False),   # End = R x R
+    (full_loop(mat([0, 1], [0, 0])), 2, True, True),       # End = C[x]/x^2, End/rad = C
+    (_real_sum_with_radical(), 2, False, False),           # End/rad = R x R
+    (QUATERNION_LOOP, 4, True, False),                     # End = H
 ], ids=["dashed-loop-1", "full-loop-0", "dashed-loop-diag-1-2", "jordan-block",
-        "real-sum-with-radical"])
-def test_certify_local_named_cases(rep, quotient_dim, local):
+        "real-sum-with-radical", "quaternion-loop"])
+def test_certify_local_named_cases(rep, quotient_dim, local, oracle):
     basis = hom_basis(rep, rep)
     assert basis.dimension - len(oracle_radical_coords(basis)) == quotient_dim
     assert _certify_local(basis) is local
-    assert oracle_certify_local(basis) is local
+    assert oracle_certify_local(basis) is oracle
 
 
 # -- decomposition --------------------------------------------------------------
@@ -399,6 +407,12 @@ def test_decompose_diag_loop():
 def test_decompose_jordan_block_certified_indecomposable():
     dec = decompose(full_loop(mat([0, 1], [0, 0])), seed=3)
     assert len(dec.summands) == 1
+    assert dec.statuses == (IndecomposabilityStatus.CERTIFIED,)
+
+
+def test_decompose_certifies_the_quaternion_loop():
+    dec = decompose(QUATERNION_LOOP, seed=3)
+    assert dec.summands == (QUATERNION_LOOP,)
     assert dec.statuses == (IndecomposabilityStatus.CERTIFIED,)
 
 
@@ -443,7 +457,7 @@ def oracle_minimal_polynomial(basis, phi):
     power = _identity_tuple(basis.source_dims)
     poly = [Fraction(1)]
     while True:
-        vec = _flatten_tuple(power)
+        vec = oracle_flatten_tuple(basis, power)
         combo = list(poly)
         for pivot, row, row_poly in echelon:
             if vec[pivot]:
@@ -474,6 +488,32 @@ def test_minimal_polynomial_matches_oracle():
         for coeffs in samples:
             phi = _combine(basis, coeffs)
             assert _minimal_polynomial(basis, phi) == oracle_minimal_polynomial(basis, phi)
+
+
+def oracle_vertex_killers(basis, vertex, vec):
+    """The `_vertex_killers` that solved over the Fraction flattening."""
+    columns = [oracle_flatten_tuple(basis, (tup[vertex] @ vec,)) for tup in basis.tuples]
+    height = len(columns[0]) if columns else 0
+    rows = [[col[i] for col in columns] for i in range(height)]
+    return fraction_nullspace(rows, len(columns))
+
+
+def test_vertex_killers_match_oracle():
+    # vectors with denominators, so the columns come over different ones
+    rng = random.Random(23)
+    reps = [a for a, b in _hom_differential_pairs() if a is b]
+    reps += [direct_sum(a, a) for a in reps[:2]]
+    found = 0
+    for a in reps:
+        basis = hom_basis(a, a)
+        for w in range(a.biquiver.t):
+            for _ in range(2 if a.dims[w] else 0):
+                vec = CMatrix.column([gaussian(Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
+                                               rng.randint(-9, 9)) for _ in range(a.dims[w])])
+                killers = _vertex_killers(basis, w, vec)
+                assert killers == oracle_vertex_killers(basis, w, vec)
+                found += bool(killers)
+    assert found
 
 
 def test_minimal_polynomial_of_identity():

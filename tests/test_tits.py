@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from biquiver import (Definiteness, FormatError, TitsGram, definiteness,
                       evaluate, gram_matrix, radical_vector)
+from biquiver.linalg import _symmetric_ldl
 from biquiver.model import Arrow, ArrowKind, Biquiver
 from conftest import biq, cycle_biquiver, path_biquiver, star_biquiver
 
@@ -14,30 +15,104 @@ def F(x):
     return Fraction(x)
 
 
-def faddeev_leverrier_verdict(gram: TitsGram) -> Definiteness:
-    """Reference verdict from the signs of the characteristic polynomial.
-
-    Faddeev-LeVerrier gives p(x) = x^t + c_1 x^{t-1} + ... + c_t; the
-    elementary symmetric functions of the (real) eigenvalues are
-    e_k = (-1)^k c_k. Q is positive semidefinite iff every e_k >= 0, and
-    positive definite iff additionally e_t = det Q > 0.
-    """
-    n = gram.t
-    a = [list(row) for row in gram.q]
+def characteristic_coefficients(q):
+    """[1, c_1, ..., c_t] with p(x) = x^t + c_1 x^{t-1} + ... + c_t, by Faddeev-LeVerrier."""
+    n = len(q)
+    a = [[F(x) for x in row] for row in q]
     mk = [[F(1) if i == j else F(0) for j in range(n)] for i in range(n)]
-    es = []
-    sign = -1
+    cs = [F(1)]
     for k in range(1, n + 1):
         am = [[sum(a[i][l] * mk[l][j] for l in range(n)) for j in range(n)] for i in range(n)]
         ck = -sum(am[i][i] for i in range(n)) / k
-        es.append(sign * ck)
-        sign = -sign
+        cs.append(ck)
         mk = [[am[i][j] + (ck if i == j else 0) for j in range(n)] for i in range(n)]
+    return cs
+
+
+def faddeev_leverrier_verdict(gram: TitsGram) -> Definiteness:
+    """Reference verdict from the signs of the characteristic polynomial.
+
+    The elementary symmetric functions of the (real) eigenvalues are
+    e_k = (-1)^k c_k. Q is positive semidefinite iff every e_k >= 0, and
+    positive definite iff additionally e_t = det Q > 0.
+    """
+    es = [(-1) ** k * c for k, c in enumerate(characteristic_coefficients(gram.q))][1:]
     if any(e < 0 for e in es):
         return Definiteness.INDEFINITE
-    if es[-1] > 0:
+    if not es or es[-1] > 0:
         return Definiteness.POSITIVE_DEFINITE
     return Definiteness.POSITIVE_SEMIDEFINITE
+
+
+def _sign_changes(coefficients):
+    signs = [c > 0 for c in coefficients if c]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def descartes_inertia(q):
+    """(n+, n-, n0) of a symmetric rational matrix by Descartes' rule of signs.
+
+    The characteristic polynomial of a symmetric matrix has only real
+    roots, and for such a polynomial the rule is exact: the sign changes of
+    p(x) count its positive roots and those of p(-x) its negative ones,
+    with multiplicity. The zero roots are the trailing zero coefficients.
+    """
+    cs = characteristic_coefficients(q)
+    n = len(cs) - 1
+    zero = next((k for k, c in enumerate(reversed(cs)) if c), n)
+    return (_sign_changes(cs), _sign_changes([(-1) ** (n - k) * c for k, c in enumerate(cs)]),
+            zero)
+
+
+def oracle_pivoted_ldl(gram: TitsGram):
+    """The Fraction LDL^T that `_symmetric_ldl` replaced, verbatim.
+
+    Decompose x^T Q x = sum_k d_k (x_{p_k} + l_k . x)^2 with d_k > 0.
+
+    Pivots on the first positive diagonal entry of the active block.
+    Returns the elimination steps and the never-pivoted (kernel) indices,
+    whose remaining block is zero. Returns None when Q is not positive
+    semidefinite: a diagonal entry of the active block (a Schur complement)
+    is negative, or no positive diagonal entry is left but the block is not
+    zero.
+    """
+    n = gram.t
+    w = [list(row) for row in gram.q]
+    active = list(range(n))
+    steps = []
+    while True:
+        if any(w[i][i] < 0 for i in active):
+            return None
+        p = next((i for i in active if w[i][i] > 0), None)
+        if p is None:
+            break
+        d = w[p][p]
+        lin = {j: w[p][j] / d for j in active if j != p and w[p][j]}
+        steps.append((p, d, lin))
+        active.remove(p)
+        for i in active:
+            if w[i][p]:
+                f = w[i][p] / d
+                for j in active:
+                    w[i][j] -= f * w[p][j]
+    if any(w[i][j] for i in active for j in active):
+        return None
+    return steps, active
+
+
+def assert_ldl_matches_oracle(gram: TitsGram) -> None:
+    """The kernel's steps are the oracle's, with d times the kernel's scale:
+    its step (p, prev, d, lin) is the oracle's (p, d / prev, lin / d)."""
+    inertia, scale, steps, free = _symmetric_ldl(gram.q)
+    oracle = oracle_pivoted_ldl(gram)
+    assert (oracle is None) == (inertia[1] > 0)
+    if oracle is not None:
+        oracle_steps, oracle_free = oracle
+        assert [(p, Fraction(d, prev), {j: Fraction(x, d) for j, x in lin.items()})
+                for p, prev, d, lin in steps] == \
+            [(p, scale * d, lin) for p, d, lin in oracle_steps]
+        assert free == oracle_free
+        assert inertia == (len(steps), 0, len(free))
 
 
 def dynkin_and_extended(max_t: int = 9):
@@ -71,6 +146,7 @@ def test_definiteness_matches_reference_on_dynkin_and_extended():
                 else Definiteness.POSITIVE_DEFINITE)
         assert faddeev_leverrier_verdict(gram) is want, label
         assert definiteness(gram) is want, label
+        assert_ldl_matches_oracle(gram)
     assert len(labels) == len(set(labels)) == 9 + 6 + 3 + 3 + 9 + 5
 
 
@@ -84,6 +160,7 @@ def test_definiteness_matches_reference_on_random_trees():
                        for v in range(1, t))
         gram = gram_matrix(Biquiver(t, arrows))
         assert definiteness(gram) is faddeev_leverrier_verdict(gram)
+        assert_ldl_matches_oracle(gram)
 
 
 def _symmetric(n, entries):
@@ -126,6 +203,33 @@ def test_definiteness_matches_reference_on_sums_of_squares(case):
 def test_definiteness_matches_reference_on_symmetric_matrices(case):
     gram = _symmetric(*case)
     assert definiteness(gram) is faddeev_leverrier_verdict(gram)
+
+
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(_small_fractions, min_size=n * (n + 1) // 2,
+                         max_size=n * (n + 1) // 2),
+    st.lists(st.booleans(), min_size=n, max_size=n))))
+def test_inertia_matches_descartes_oracle(case):
+    # zeroed diagonal entries, all of them in some draws, send the kernel
+    # through its congruence step
+    n, entries, zeroed = case
+    q = [list(row) for row in _symmetric(n, entries).q]
+    for i in range(n):
+        if zeroed[i]:
+            q[i][i] = F(0)
+    assert _symmetric_ldl(q)[0] == descartes_inertia(q)
+
+
+@pytest.mark.parametrize("q, inertia", [
+    ([], (0, 0, 0)),
+    ([[0, 1], [1, 0]], (1, 1, 0)),
+    ([[0, 0], [0, 0]], (0, 0, 2)),
+    ([[0, 1, 1], [1, 0, 1], [1, 1, 0]], (1, 2, 0)),
+    ([[Fraction(1, 2), 0], [0, Fraction(-1, 3)]], (1, 1, 0)),
+], ids=["empty", "hyperbolic-plane", "zero", "triangle", "rational-diagonal"])
+def test_inertia_examples(q, inertia):
+    assert descartes_inertia(q) == inertia
+    assert _symmetric_ldl(q)[0] == inertia
 
 
 def test_zero_diagonal_with_coupling_is_indefinite():
@@ -184,6 +288,20 @@ def test_definiteness_examples():
 def test_definiteness_requires_symmetry():
     with pytest.raises(FormatError):
         definiteness(TitsGram(2, ((F(1), F(0)), (F(1), F(1)))))
+
+
+@pytest.mark.parametrize("gram", [
+    TitsGram(3, ((F(1), F(0)), (F(0), F(1)))),                  # too few rows
+    TitsGram(2, ((F(1), F(0)), (F(0), F(1)), (F(0), F(0)))),    # too many rows
+    TitsGram(2, ((F(1), F(0)), (F(0),))),                       # ragged
+    TitsGram(2, ((1.0, F(0)), (F(0), F(1)))),                   # a float entry
+    TitsGram(-1, ()),
+], ids=["short", "long", "ragged", "float", "negative-t"])
+def test_malformed_gram_is_rejected(gram):
+    with pytest.raises(FormatError):
+        definiteness(gram)
+    with pytest.raises(FormatError):
+        radical_vector(gram)
 
 
 def test_definiteness_invariant_under_kind_and_direction():
