@@ -45,6 +45,8 @@ def _read(path: str) -> str:
             return fh.read()
     except OSError as e:
         raise FormatError(f"cannot read {path}: {e.strerror}") from None
+    except UnicodeDecodeError as e:
+        raise FormatError(f"cannot read {path}: not UTF-8 at byte {e.start}") from None
 
 
 def _load_biquiver(path: str) -> Biquiver:

@@ -23,8 +23,7 @@ from .errors import PreconditionError, SingularMatrixError
 from .linalg import (CMatrix, _first_dependence, _integer_parts, _symmetric_ldl,
                      block_diag, fraction_nullspace, hstack, submatrix)
 from .model import Biquiver, DimensionVector
-from .polynomials import (poly_divmod, poly_factor, poly_mul, poly_normalize,
-                          poly_xgcd)
+from .polynomials import poly_factor, poly_normalize, split_idempotent
 from .representation import (MatrixRepresentation, apply_base_change,
                              direct_sum_list)
 from .scalars import GaussianRational
@@ -124,7 +123,7 @@ def hom_basis(a: MatrixRepresentation, b: MatrixRepresentation) -> MorphismBasis
         u, v = arrow.source - 1, arrow.target - 1
         am, bm = a.matrices[arrow.id], b.matrices[arrow.id]
         sb, sa = am.den, bm.den
-        dashed = arrow.is_dashed
+        sign = -1 if arrow.is_dashed else 1
         for i in range(db[v]):
             for j in range(da[u]):
                 real = [0] * total
@@ -142,18 +141,12 @@ def hom_basis(a: MatrixRepresentation, b: MatrixRepresentation) -> MorphismBasis
                     if not (cr or ci):
                         continue
                     cr, ci = sa * cr, sa * ci
-                    if dashed:
-                        # conj(F_v) A: real -= Xv.Are + Yv.Aim, imag -= Xv.Aim - Yv.Are
-                        real[x_index(v, i, l)] -= cr
-                        real[y_index(v, i, l)] -= ci
-                        imag[x_index(v, i, l)] -= ci
-                        imag[y_index(v, i, l)] += cr
-                    else:
-                        # F_v A: real -= Xv.Are - Yv.Aim, imag -= Xv.Aim + Yv.Are
-                        real[x_index(v, i, l)] -= cr
-                        real[y_index(v, i, l)] += ci
-                        imag[x_index(v, i, l)] -= ci
-                        imag[y_index(v, i, l)] -= cr
+                    # F_v A: real -= Xv.Are - Yv.Aim, imag -= Xv.Aim + Yv.Are;
+                    # conj(F_v) = Xv - i Yv flips the sign of the Yv terms
+                    real[x_index(v, i, l)] -= cr
+                    real[y_index(v, i, l)] += sign * ci
+                    imag[x_index(v, i, l)] -= ci
+                    imag[y_index(v, i, l)] -= sign * cr
                 if any(real):
                     rows.append(real)
                 if any(imag):
@@ -283,29 +276,17 @@ def _eval_poly_tuple(poly: list[Fraction], phi: MorphismTuple,
     return acc
 
 
-def _coprime_split(minpoly: list[Fraction]) -> tuple[list[Fraction], list[Fraction]] | None:
-    """Split the minimal polynomial into two nonconstant coprime factors."""
+def _splitting_idempotent(minpoly, phi, dims) -> MorphismTuple | None:
+    """A nontrivial idempotent E(phi), or None when minpoly has one irreducible factor.
+
+    With m1 the power of the first irreducible factor in minpoly and m2 the
+    cofactor, E = 1 mod m1 and E = 0 mod m2, so E(phi) is the projection
+    onto ker m1(phi) along ker m2(phi).
+    """
     factors = poly_factor(minpoly)
     if len(factors) < 2:
         return None
-    base, mult = factors[0]
-    m1 = [Fraction(1)]
-    for _ in range(mult):
-        m1 = poly_mul(m1, base)
-    m2, rem = poly_divmod(minpoly, m1)
-    if any(rem):
-        raise AssertionError("factor power does not divide the minimal polynomial")
-    return m1, m2
-
-
-def _splitting_idempotent(minpoly, phi, dims) -> MorphismTuple | None:
-    split = _coprime_split(minpoly)
-    if split is None:
-        return None
-    m1, m2 = split
-    _, u, w = poly_xgcd(m1, m2)
-    # e = (w m2)(phi) acts as identity on ker m1(phi) and zero on ker m2(phi)
-    e = _eval_poly_tuple(poly_mul(w, m2), phi, dims)
+    e = _eval_poly_tuple(split_idempotent(minpoly, *factors[0]), phi, dims)
     if _tuple_compose(e, e) != e:
         raise AssertionError("Bezout element is not idempotent")
     return e
@@ -327,14 +308,15 @@ def _vertex_killers(basis: MorphismBasis, vertex: int,
     return fraction_nullspace(rows, len(columns))
 
 
-def _trace_form(basis: MorphismBasis) -> list[list[Fraction]]:
-    """Gram matrix of (f, g) -> real trace of fg acting on the realified spaces.
+def _trace_form(basis: MorphismBasis) -> list[list[int]]:
+    """Integer Gram matrix D T D of the trace form T, D = diag(den_i).
 
-    On a complex space realified, the trace of fg is 2 Re tr(fg), and
-    Re(f_kl g_lk) = Re f_kl Re g_lk - Im f_kl Im g_lk. Each basis tuple is
-    brought to one denominator, its integer parts laid out flat, and those
-    of g also transposed, so an entry is one integer sum over one
-    denominator.
+    T(f, g) is the real trace of fg acting on the realified spaces: on a
+    complex space realified that is 2 Re tr(fg), and Re(f_kl g_lk) =
+    Re f_kl Re g_lk - Im f_kl Im g_lk. Basis tuple i is brought to its
+    denominator den_i, its integer parts laid out flat, and those of g also
+    transposed, so an entry is one integer sum. D T D is congruent to T,
+    so it has the same inertia.
     """
     n = basis.dimension
     flat = []
@@ -351,12 +333,12 @@ def _trace_form(basis: MorphismBasis) -> list[list[Fraction]]:
             for l in range(m.cols):
                 re_t += (s * x for x in m.re[l::m.cols])
                 im_t += (s * y for y in m.im[l::m.cols])
-        flat.append((den, re, im, re_t, im_t))
-    t = [[Fraction(0)] * n for _ in range(n)]
-    for i, (den_f, re_f, im_f, _, _) in enumerate(flat):
-        for j, (den_g, _, _, re_gt, im_gt) in enumerate(flat[:i + 1]):
+        flat.append((re, im, re_t, im_t))
+    t = [[0] * n for _ in range(n)]
+    for i, (re_f, im_f, _, _) in enumerate(flat):
+        for j, (_, _, re_gt, im_gt) in enumerate(flat[:i + 1]):
             acc = sum(map(mul, re_f, re_gt)) - sum(map(mul, im_f, im_gt))
-            t[i][j] = t[j][i] = Fraction(2 * acc, den_f * den_g)
+            t[i][j] = t[j][i] = 2 * acc
     return t
 
 

@@ -1,8 +1,8 @@
 """Rational polynomial helpers for the decomposition machinery.
 
-Polynomials are lists of Fractions, lowest degree first. Factorization
-over the rationals delegates to sympy (imported lazily); everything else
-is straightforward exact arithmetic.
+Polynomials are lists of Fractions, lowest degree first. Factorization and
+the Chinese-remainder idempotent of a coprime split are done in sympy,
+imported lazily so that `import biquiver` does not load it.
 """
 from __future__ import annotations
 
@@ -22,67 +22,15 @@ def poly_normalize(p: list[Fraction]) -> list[Fraction]:
     return q
 
 
-def poly_mul(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
-    if not p or not q:
-        return []
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                if b:
-                    out[i + j] += a * b
-    return out
+def _to_sympy(p: list[Fraction]):
+    import sympy
+
+    return sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(p)],
+                      sympy.Symbol("x"), domain="QQ")
 
 
-def poly_divmod(p: list[Fraction], d: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    d = [Fraction(c) for c in d]
-    while d and not d[-1]:
-        d.pop()
-    if not d:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = [Fraction(c) for c in p]
-    quot = [Fraction(0)] * max(len(rem) - len(d) + 1, 0)
-    inv_lead = 1 / d[-1]
-    for k in range(len(rem) - len(d), -1, -1):
-        coef = rem[k + len(d) - 1] * inv_lead
-        if coef:
-            quot[k] = coef
-            for j, dj in enumerate(d):
-                rem[k + j] -= coef * dj
-    while rem and not rem[-1]:
-        rem.pop()
-    return quot, rem
-
-
-def poly_xgcd(a: list[Fraction], b: list[Fraction]
-              ) -> tuple[list[Fraction], list[Fraction], list[Fraction]]:
-    """Extended Euclid: returns (g, u, w) with u*a + w*b = g, g monic."""
-    r0, r1 = list(a), list(b)
-    u0, u1 = [Fraction(1)], []
-    w0, w1 = [], [Fraction(1)]
-    while any(r1):
-        q, r = poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, _poly_sub(u0, poly_mul(q, u1))
-        w0, w1 = w1, _poly_sub(w0, poly_mul(q, w1))
-    lead = r0[-1]
-    if lead != 1:
-        r0 = [c / lead for c in r0]
-        u0 = [c / lead for c in u0]
-        w0 = [c / lead for c in w0]
-    return r0, u0, w0
-
-
-def _poly_sub(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
-    n = max(len(p), len(q))
-    out = [Fraction(0)] * n
-    for i, c in enumerate(p):
-        out[i] += c
-    for i, c in enumerate(q):
-        out[i] -= c
-    while out and not out[-1]:
-        out.pop()
-    return out
+def _from_sympy(f) -> list[Fraction]:
+    return [Fraction(int(c.numerator), int(c.denominator)) for c in reversed(f.all_coeffs())]
 
 
 def poly_factor(p: list[Fraction]) -> list[tuple[list[Fraction], int]]:
@@ -91,16 +39,21 @@ def poly_factor(p: list[Fraction]) -> list[tuple[list[Fraction], int]]:
     Returns monic (factor, multiplicity) pairs sorted by (degree,
     coefficients) so the result is deterministic.
     """
-    import sympy
-
-    x = sympy.Symbol("x")
-    expr = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(p)],
-                      x, domain="QQ")
-    _, factors = expr.factor_list()
-    out = []
-    for fac, mult in factors:
-        coeffs = [Fraction(int(c.numerator), int(c.denominator))
-                  for c in reversed(fac.all_coeffs())]
-        out.append((poly_normalize(coeffs), int(mult)))
+    _, factors = _to_sympy(p).factor_list()
+    out = [(poly_normalize(_from_sympy(fac)), int(mult)) for fac, mult in factors]
     out.sort(key=lambda fm: (len(fm[0]), fm[0]))
     return out
+
+
+def split_idempotent(p: list[Fraction], factor: list[Fraction],
+                     mult: int) -> list[Fraction]:
+    """E with E = 1 mod m1 and E = 0 mod m2, where p = m1 m2 and m1 = factor**mult.
+
+    m1 and m2 must be coprime. E = (m2^-1 mod m1) m2 has degree below
+    deg p, the least such, and is unique modulo p.
+    """
+    m1 = _to_sympy(factor) ** mult
+    m2, rem = _to_sympy(p).div(m1)
+    if not rem.is_zero:
+        raise AssertionError("factor power does not divide the minimal polynomial")
+    return _from_sympy(m2.invert(m1) * m2)

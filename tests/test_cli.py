@@ -281,3 +281,11 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     malformed = module_run(bad)
     assert malformed.returncode == 2
     assert malformed.stderr.startswith("error:")
+
+
+def test_non_utf8_file_exit_2(run, tmp_path):
+    p = tmp_path / "b.json"
+    p.write_bytes(b"\xff\xfe")
+    code, _, err = run("classify", str(p))
+    assert code == 2
+    assert "UTF-8" in err

@@ -359,7 +359,10 @@ def test_certify_local_matches_oracle():
         s = direct_sum(_sparse_representation(rng, g, 1), _sparse_representation(rng, g, 1))
         for rep in (a, s):
             basis = hom_basis(rep, rep)
-            assert _trace_form(basis) == oracle_trace_form(basis)
+            # _trace_form is D T D, D the diagonal of the basis tuples' denominators
+            dens = [_flatten_tuple(tup)[0] for tup in basis.tuples]
+            assert _trace_form(basis) == [[di * x * dj for dj, x in zip(dens, row)]
+                                          for di, row in zip(dens, oracle_trace_form(basis))]
             verdict = _certify_local(basis)
             assert verdict == oracle_certify_local(basis)
             outcomes.add((basis.dimension - len(oracle_radical_coords(basis)), verdict))
