@@ -1,14 +1,18 @@
 """Command-line front end with deterministic JSON output.
 
-Every subcommand prints a single JSON document on stdout. Output is
-byte-identical for identical inputs and flags: all randomness derives from
---seed, keys are sorted, and rationals are printed as exact "p/q" strings.
-Exit codes: 0 success, 1 usage error, 2 parse/validation error,
-3 precondition violation.
+Every subcommand's handler returns a single JSON document, which `main`
+prints on stdout. Output is byte-identical for identical inputs and flags:
+all randomness derives from --seed, keys are sorted, and rationals are
+printed as exact "p/q" strings.
+Exit codes: 0 success, 1 usage error, 2 parse/validation error (including
+documents nested too deeply or holding numbers with too many digits),
+3 precondition violation, 4 failed certificate check or any other
+unexpected error (reported on one line, without a traceback).
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -19,7 +23,7 @@ from .conjugation import (DashEliminationPlan, apply_conjugations,
 from .errors import FormatError, PreconditionError
 from .gadgets import gadget_cycle, gadget_g1, gadget_g2, gadget_g3, gadget_g4
 from .model import (Biquiver, biquiver_to_obj, connected_components,
-                    induced_subbiquiver, parse_biquiver)
+                    induced_subbiquiver, parse_biquiver, parse_json)
 from .morphisms import (DEFAULT_COEFF_BOUND, DEFAULT_TRIALS, Verdict,
                         are_isomorphic, decompose, hom_basis)
 from .representation import (MatrixRepresentation, direct_sum, matrix_to_obj,
@@ -29,7 +33,7 @@ from .roots import roots_with_value
 from .scalars import format_rational
 from .tits import definiteness, evaluate, gram_matrix, radical_vector
 
-USAGE_ERROR, FORMAT_ERROR, PRECONDITION_ERROR = 1, 2, 3
+USAGE_ERROR, FORMAT_ERROR, PRECONDITION_ERROR, INTERNAL_ERROR = 1, 2, 3, 4
 
 
 class _Parser(argparse.ArgumentParser):
@@ -59,11 +63,7 @@ def _load_representation(path: str, biquiver_path: str | None) -> MatrixRepresen
 
 
 def _load_matrix(path: str):
-    try:
-        obj = json.loads(_read(path))
-    except json.JSONDecodeError as e:
-        raise FormatError(f"invalid JSON at line {e.lineno} column {e.colno}: {e.msg}") from None
-    return parse_matrix_obj(obj)
+    return parse_matrix_obj(parse_json(_read(path)))
 
 
 def _emit(obj, pretty: bool) -> None:
@@ -101,7 +101,7 @@ def _iso_result_obj(res) -> dict:
     return obj
 
 
-def _cmd_classify(args) -> None:
+def _cmd_classify(args) -> dict:
     g = _load_biquiver(args.biquiver)
     if args.components:
         comps = []
@@ -110,12 +110,11 @@ def _cmd_classify(args) -> None:
             entry = _classify_obj(sub)
             entry["vertices"] = vertices
             comps.append(entry)
-        _emit({"components": comps}, args.pretty)
-    else:
-        _emit(_classify_obj(g), args.pretty)
+        return {"components": comps}
+    return _classify_obj(g)
 
 
-def _cmd_tits(args) -> None:
+def _cmd_tits(args) -> dict:
     g = _load_biquiver(args.biquiver)
     gram = gram_matrix(g)
     radical = radical_vector(gram)
@@ -129,109 +128,102 @@ def _cmd_tits(args) -> None:
         z = _parse_int_list(args.evaluate, "--evaluate")
         obj["vector"] = z
         obj["value"] = evaluate(g, tuple(z))
-    _emit(obj, args.pretty)
+    return obj
 
 
-def _cmd_roots(args) -> None:
+def _cmd_roots(args) -> list:
     g = _load_biquiver(args.biquiver)
     roots = roots_with_value(g, args.value, args.bound)
-    _emit([list(z) for z in roots], args.pretty)
+    return [list(z) for z in roots]
 
 
-def _cmd_conjugate(args) -> None:
+def _cmd_conjugate(args) -> dict:
     g = _load_biquiver(args.biquiver)
     vertices = _parse_int_list(args.vertex, "--vertex")
     if args.representation:
         rep = _load_representation(args.representation, args.biquiver)
         for u in vertices:
             rep = conjugate_representation(rep, u)
-        _emit(representation_to_obj(rep), args.pretty)
-    else:
-        for u in vertices:
-            g = conjugate_biquiver(g, u)
-        _emit(biquiver_to_obj(g), args.pretty)
+        return representation_to_obj(rep)
+    for u in vertices:
+        g = conjugate_biquiver(g, u)
+    return biquiver_to_obj(g)
 
 
-def _cmd_eliminate(args) -> None:
+def _cmd_eliminate(args) -> dict:
     g = _load_biquiver(args.biquiver)
     plan = dash_elimination_plan(g)
     if isinstance(plan, DashEliminationPlan):
         vertices = sorted(plan.vertices)
-        obj = {
+        return {
             "status": "plan",
             "vertices": vertices,
             "biquiver": biquiver_to_obj(apply_conjugations(g, vertices)),
         }
-    else:
-        obj = {"status": "impossible", "reason": plan.reason}
-    _emit(obj, args.pretty)
+    return {"status": "impossible", "reason": plan.reason}
 
 
-def _cmd_rep_validate(args) -> None:
+def _cmd_rep_validate(args) -> dict:
     rep = _load_representation(args.representation, args.biquiver)
-    _emit({"valid": True, "dims": list(rep.dims)}, args.pretty)
+    return {"valid": True, "dims": list(rep.dims)}
 
 
-def _cmd_rep_sum(args) -> None:
+def _cmd_rep_sum(args) -> dict:
     a = _load_representation(args.a, args.biquiver)
     b = _load_representation(args.b, args.biquiver)
-    _emit(representation_to_obj(direct_sum(a, b)), args.pretty)
+    return representation_to_obj(direct_sum(a, b))
 
 
-def _cmd_rep_random(args) -> None:
+def _cmd_rep_random(args) -> dict:
     g = _load_biquiver(args.biquiver)
     dims = _parse_int_list(args.dims, "--dims")
-    rep = random_representation(g, tuple(dims), args.entry_bound, args.seed)
-    _emit(representation_to_obj(rep), args.pretty)
+    return representation_to_obj(
+        random_representation(g, tuple(dims), args.entry_bound, args.seed))
 
 
-def _cmd_rep_hom(args) -> None:
+def _cmd_rep_hom(args) -> dict:
     a = _load_representation(args.a, args.biquiver)
     b = _load_representation(args.b, args.biquiver)
     basis = hom_basis(a, b)
-    _emit({
+    return {
         "dimension": basis.dimension,
         "basis": [[matrix_to_obj(m) for m in tup] for tup in basis.tuples],
-    }, args.pretty)
+    }
 
 
-def _cmd_rep_iso(args) -> None:
+def _cmd_rep_iso(args) -> dict:
     a = _load_representation(args.a, args.biquiver)
     b = _load_representation(args.b, args.biquiver)
     res = are_isomorphic(a, b, trials=args.trials, seed=args.seed,
                          coeff_bound=args.bound)
-    _emit(_iso_result_obj(res), args.pretty)
+    return _iso_result_obj(res)
 
 
-def _cmd_rep_decompose(args) -> None:
+def _cmd_rep_decompose(args) -> dict:
     a = _load_representation(args.representation, args.biquiver)
     dec = decompose(a, trials=args.trials, seed=args.seed, coeff_bound=args.bound)
-    _emit({
+    return {
         "summands": [representation_to_obj(s, embed_biquiver=False) for s in dec.summands],
         "certificate": {"S": [matrix_to_obj(m) for m in dec.base_change]},
         "statuses": [st.value for st in dec.statuses],
         "trials": dec.trials,
         "seed": dec.seed,
-    }, args.pretty)
+    }
 
 
-def _cmd_gadget_cycle(args) -> None:
+def _cmd_gadget_cycle(args) -> dict:
     g = _load_biquiver(args.biquiver)
     m = _load_matrix(args.matrix)
     arrows = [part for part in args.arrows.split(",") if part]
-    rep = gadget_cycle(g, arrows, m)
-    _emit(representation_to_obj(rep), args.pretty)
+    return representation_to_obj(gadget_cycle(g, arrows, m))
 
 
-def _cmd_gadget_pair(name: str, args) -> None:
+def _cmd_gadget_pair(args) -> dict:
     p = _load_matrix(args.p)
     q = _load_matrix(args.q)
-    builder = {"g1": gadget_g1, "g2": gadget_g2, "g3": gadget_g3, "g4": gadget_g4}[name]
-    _emit(representation_to_obj(builder(p, q)), args.pretty)
-
-
-def _add_pretty(p) -> None:
-    p.add_argument("--pretty", action="store_true", help="indented, human-readable JSON")
+    builder = {"g1": gadget_g1, "g2": gadget_g2, "g3": gadget_g3,
+               "g4": gadget_g4}[args.gadget_command]
+    return representation_to_obj(builder(p, q))
 
 
 def _add_sampling(p) -> None:
@@ -241,124 +233,111 @@ def _add_sampling(p) -> None:
                    help="bound on random rational coefficients")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = _Parser(prog="biquiver",
                      description="Exact computations on biquiver representations.")
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--pretty", action="store_true", help="indented, human-readable JSON")
+
+    def leaf(group, name: str, handler, summary: str):
+        p = group.add_parser(name, help=summary, parents=[common])
+        p.set_defaults(func=handler)
+        return p
+
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("classify", help="representation type of a biquiver")
+    p = leaf(sub, "classify", _cmd_classify, "representation type of a biquiver")
     p.add_argument("biquiver")
     p.add_argument("--components", action="store_true",
                    help="classify each connected component separately")
-    _add_pretty(p)
-    p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser("tits", help="Tits form: Gram matrix, definiteness, radical")
+    p = leaf(sub, "tits", _cmd_tits, "Tits form: Gram matrix, definiteness, radical")
     p.add_argument("biquiver")
     p.add_argument("--evaluate", metavar="Z", help="comma-separated dimension vector")
-    _add_pretty(p)
-    p.set_defaults(func=_cmd_tits)
 
-    p = sub.add_parser("roots", help="dimension vectors with q(z) = 0 or 1")
+    p = leaf(sub, "roots", _cmd_roots, "dimension vectors with q(z) = 0 or 1")
     p.add_argument("biquiver")
     p.add_argument("--value", type=int, choices=(0, 1), required=True)
     p.add_argument("--bound", type=int, default=None,
                    help="coordinate cap (required unless the form is positive definite)")
-    _add_pretty(p)
-    p.set_defaults(func=_cmd_roots)
 
-    p = sub.add_parser("conjugate", help="conjugate a biquiver (and representation) at vertices")
+    p = leaf(sub, "conjugate", _cmd_conjugate,
+             "conjugate a biquiver (and representation) at vertices")
     p.add_argument("biquiver")
     p.add_argument("--vertex", required=True, help="vertex or comma-separated vertices")
     p.add_argument("--representation", help="representation file to conjugate instead")
-    _add_pretty(p)
-    p.set_defaults(func=_cmd_conjugate)
 
-    p = sub.add_parser("eliminate", help="plan conjugations removing all dashed arrows")
+    p = leaf(sub, "eliminate", _cmd_eliminate, "plan conjugations removing all dashed arrows")
     p.add_argument("biquiver")
-    _add_pretty(p)
-    p.set_defaults(func=_cmd_eliminate)
 
     rep = sub.add_parser("rep", help="operations on matrix representations")
     rep_sub = rep.add_subparsers(dest="rep_command", required=True)
 
-    p = rep_sub.add_parser("validate", help="check a representation document")
+    p = leaf(rep_sub, "validate", _cmd_rep_validate, "check a representation document")
     p.add_argument("representation")
     p.add_argument("--biquiver", help="biquiver file (else must be embedded)")
-    _add_pretty(p)
-    p.set_defaults(func=_cmd_rep_validate)
 
-    p = rep_sub.add_parser("sum", help="direct sum of two representations")
+    p = leaf(rep_sub, "sum", _cmd_rep_sum, "direct sum of two representations")
     p.add_argument("a")
     p.add_argument("b")
     p.add_argument("--biquiver")
-    _add_pretty(p)
-    p.set_defaults(func=_cmd_rep_sum)
 
-    p = rep_sub.add_parser("random", help="seeded random representation")
+    p = leaf(rep_sub, "random", _cmd_rep_random, "seeded random representation")
     p.add_argument("biquiver")
     p.add_argument("--dims", required=True, help="comma-separated dimension vector")
     p.add_argument("--entry-bound", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
-    _add_pretty(p)
-    p.set_defaults(func=_cmd_rep_random)
 
-    p = rep_sub.add_parser("hom", help="basis of the real morphism space Hom(A, B)")
+    p = leaf(rep_sub, "hom", _cmd_rep_hom, "basis of the real morphism space Hom(A, B)")
     p.add_argument("a")
     p.add_argument("b")
     p.add_argument("--biquiver")
-    _add_pretty(p)
-    p.set_defaults(func=_cmd_rep_hom)
 
-    p = rep_sub.add_parser("iso", help="isomorphism test with exact certificates")
+    p = leaf(rep_sub, "iso", _cmd_rep_iso, "isomorphism test with exact certificates")
     p.add_argument("a")
     p.add_argument("b")
     p.add_argument("--biquiver")
     _add_sampling(p)
-    _add_pretty(p)
-    p.set_defaults(func=_cmd_rep_iso)
 
-    p = rep_sub.add_parser("decompose", help="Krull-Schmidt decomposition")
+    p = leaf(rep_sub, "decompose", _cmd_rep_decompose, "Krull-Schmidt decomposition")
     p.add_argument("representation")
     p.add_argument("--biquiver")
     _add_sampling(p)
-    _add_pretty(p)
-    p.set_defaults(func=_cmd_rep_decompose)
 
     gadget = sub.add_parser("gadget", help="wildness gadget representations")
     gadget_sub = gadget.add_subparsers(dest="gadget_command", required=True)
 
-    p = gadget_sub.add_parser("cycle", help="identity-chain cycle gadget")
+    p = leaf(gadget_sub, "cycle", _cmd_gadget_cycle, "identity-chain cycle gadget")
     p.add_argument("biquiver")
     p.add_argument("--arrows", required=True, help="comma-separated arrow ids along the cycle")
     p.add_argument("--matrix", required=True, help="matrix JSON file for the closing arrow")
-    _add_pretty(p)
-    p.set_defaults(func=_cmd_gadget_cycle)
 
     for name in ("g1", "g2", "g3", "g4"):
-        p = gadget_sub.add_parser(name, help=f"pair gadget on the {name} biquiver")
+        p = leaf(gadget_sub, name, _cmd_gadget_pair, f"pair gadget on the {name} biquiver")
         p.add_argument("p", help="matrix JSON file")
         p.add_argument("q", help="matrix JSON file")
-        _add_pretty(p)
-        p.set_defaults(func=lambda args, _name=name: _cmd_gadget_pair(_name, args))
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else USAGE_ERROR
     try:
-        args.func(args)
+        _emit(args.func(args), args.pretty)
     except FormatError as e:
         print(f"error: {e}", file=sys.stderr)
         return FORMAT_ERROR
     except PreconditionError as e:
         print(f"error: {e}", file=sys.stderr)
         return PRECONDITION_ERROR
+    except Exception as e:  # a failed certificate check or a defect: one line, no traceback
+        print(f"error: unexpected {e!r}", file=sys.stderr)
+        return INTERNAL_ERROR
     return 0
 
 

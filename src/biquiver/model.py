@@ -9,6 +9,7 @@ direction and treat the kind only where dashed-arrow parity matters.
 from __future__ import annotations
 
 import json
+import sys
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -158,13 +159,26 @@ def parse_biquiver_obj(obj) -> Biquiver:
     return Biquiver(t, tuple(arrows))
 
 
-def parse_biquiver(text: str) -> Biquiver:
-    """Parse a biquiver JSON document; raises FormatError with position info."""
+def parse_json(text: str):
+    """Decode one JSON document: the package's one JSON decoder.
+
+    Every way decoding fails becomes a FormatError: a syntax error (with its
+    position), nesting deeper than the interpreter's recursion limit, and an
+    integer literal longer than the interpreter converts."""
     try:
-        obj = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as e:
         raise FormatError(f"invalid JSON at line {e.lineno} column {e.colno}: {e.msg}") from None
-    return parse_biquiver_obj(obj)
+    except RecursionError:
+        raise FormatError("invalid JSON: nested too deeply") from None
+    except ValueError:
+        raise FormatError("invalid JSON: an integer literal exceeds the limit of "
+                          f"{sys.get_int_max_str_digits()} digits") from None
+
+
+def parse_biquiver(text: str) -> Biquiver:
+    """Parse a biquiver JSON document; raises FormatError with position info."""
+    return parse_biquiver_obj(parse_json(text))
 
 
 def biquiver_to_obj(g: Biquiver) -> dict:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from .errors import FormatError, PreconditionError
 from .linalg import CMatrix, block_diag
 from .model import (Biquiver, DimensionVector, biquiver_to_obj,
-                    parse_biquiver_obj)
+                    parse_biquiver_obj, parse_json)
 from .scalars import GaussianRational, parse_gaussian_pair
 
 
@@ -189,11 +189,7 @@ def parse_representation_obj(obj, biquiver: Biquiver | None = None) -> MatrixRep
 
 
 def parse_representation(text: str, biquiver: Biquiver | None = None) -> MatrixRepresentation:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise FormatError(f"invalid JSON at line {e.lineno} column {e.colno}: {e.msg}") from None
-    return parse_representation_obj(obj, biquiver)
+    return parse_representation_obj(parse_json(text), biquiver)
 
 
 def serialize_representation(a: MatrixRepresentation, embed_biquiver: bool = True) -> str:

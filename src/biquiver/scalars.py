@@ -125,7 +125,10 @@ def parse_rational(text: str) -> Fraction:
     leading zeros, no "-0"): exactly the strings `format_rational` prints."""
     if not isinstance(text, str) or not _RATIONAL_RE.match(text):
         raise FormatError(f"not a canonical rational string: {text!r}")
-    x = Fraction(text)
+    try:
+        x = Fraction(text)
+    except ValueError:  # more digits than the interpreter converts
+        raise FormatError(f"rational string of {len(text)} characters is too long") from None
     if format_rational(x) != text:
         raise FormatError(f"not a canonical rational string: {text!r}")
     return x

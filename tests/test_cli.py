@@ -289,3 +289,133 @@ def test_non_utf8_file_exit_2(run, tmp_path):
     code, _, err = run("classify", str(p))
     assert code == 2
     assert "UTF-8" in err
+
+
+def _write(tmp_path, name, text):
+    p = tmp_path / name
+    p.write_text(text)
+    return str(p)
+
+
+DEEP = "[" * 100000 + "]" * 100000
+LONG_INT = '{"vertices": ' + "1" * 5000 + "}"
+LONG_RATIONAL = '[[["' + "1" * 5000 + '","0"]]]'
+LONG_RATIONAL_REP = ('{"dims":[1],"matrices":{"a":' + LONG_RATIONAL + '},"biquiver":'
+                     '{"vertices":1,"arrows":[{"id":"a","from":1,"to":1,"kind":"full"}]}}')
+
+# (document, argv with "F" standing for the document's path, word in the error)
+MALFORMED = [
+    pytest.param(DEEP, ["classify", "F"], "nested", id="deep-classify"),
+    pytest.param(DEEP, ["rep", "validate", "F"], "nested", id="deep-rep-validate"),
+    pytest.param(DEEP, ["gadget", "g1", "F", "F"], "nested", id="deep-gadget-g1"),
+    pytest.param(LONG_INT, ["classify", "F"], "digits", id="long-int-classify"),
+    pytest.param(LONG_RATIONAL_REP, ["rep", "validate", "F"], "5000", id="long-rational-rep"),
+    pytest.param(LONG_RATIONAL, ["gadget", "g1", "F", "F"], "5000", id="long-rational-gadget"),
+]
+
+
+@pytest.mark.parametrize("doc, argv, word", MALFORMED)
+def test_malformed_document_exit_2(run, tmp_path, doc, argv, word):
+    path = _write(tmp_path, "doc.json", doc)
+    code, out, err = run(*[path if a == "F" else a for a in argv])
+    assert code == 2
+    assert out == ""
+    assert err.count("error:") == 1 and word in err
+
+
+def test_malformed_documents_through_python_dash_m(tmp_path):
+    # recursion depth differs between pytest and a plain interpreter
+    env = {**os.environ, "PYTHONPATH": str(Path(biquiver.__file__).resolve().parent.parent)}
+    for param in MALFORMED:
+        doc, argv, word = param.values
+        path = _write(tmp_path, "doc.json", doc)
+        proc = subprocess.run([sys.executable, "-m", "biquiver",
+                               *[path if a == "F" else a for a in argv]],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 2, (param.id, proc.stderr[-300:])
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, param.id
+        assert "Traceback" not in proc.stderr and word in proc.stderr, param.id
+
+
+def test_unexpected_exception_exit_4(run, tmp_path, a2_file, monkeypatch):
+    def failing_decompose(*args, **kwargs):
+        raise AssertionError("certificate does not verify")
+
+    monkeypatch.setattr(biquiver.cli, "decompose", failing_decompose)
+    code, out, _ = run("rep", "random", a2_file, "--dims", "1,1")
+    rep_file = _write(tmp_path, "r.json", out)
+    code, out, err = run("rep", "decompose", rep_file)
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err and "certificate does not verify" in err
+
+
+def _leaf_invocations(tmp_path):
+    """One working argv per leaf subcommand, all 16 of them."""
+    a2 = _write(tmp_path, "a2.json", serialize_biquiver(path_biquiver(2)))
+    c3 = _write(tmp_path, "c3.json", serialize_biquiver(cycle_biquiver(3)))
+    rep = _write(tmp_path, "rep.json", serialize_representation(
+        random_representation(path_biquiver(2), (1, 1), 2, 3)))
+    m = _write(tmp_path, "m.json", '[[["2","-1/3"]]]')
+    return {
+        "classify": ["classify", a2],
+        "tits": ["tits", a2, "--evaluate", "1,2"],
+        "roots": ["roots", a2, "--value", "1"],
+        "conjugate": ["conjugate", a2, "--vertex", "2", "--representation", rep],
+        "eliminate": ["eliminate", a2],
+        "rep validate": ["rep", "validate", rep],
+        "rep sum": ["rep", "sum", rep, rep],
+        "rep random": ["rep", "random", a2, "--dims", "1,2", "--seed", "1"],
+        "rep hom": ["rep", "hom", rep, rep],
+        "rep iso": ["rep", "iso", rep, rep, "--seed", "1"],
+        "rep decompose": ["rep", "decompose", rep],
+        "gadget cycle": ["gadget", "cycle", c3, "--arrows", "e1,e2,e3", "--matrix", m],
+        "gadget g1": ["gadget", "g1", m, m],
+        "gadget g2": ["gadget", "g2", m, m],
+        "gadget g3": ["gadget", "g3", m, m],
+        "gadget g4": ["gadget", "g4", m, m],
+    }
+
+
+LEAVES = ["classify", "tits", "roots", "conjugate", "eliminate",
+          "rep validate", "rep sum", "rep random", "rep hom", "rep iso", "rep decompose",
+          "gadget cycle", "gadget g1", "gadget g2", "gadget g3", "gadget g4"]
+
+
+@pytest.mark.parametrize("leaf", LEAVES)
+def test_every_leaf_accepts_pretty(run, tmp_path, leaf):
+    argv = _leaf_invocations(tmp_path)[leaf]
+    code, compact, _ = run(*argv)
+    assert code == 0
+    assert "\n" not in compact.rstrip("\n")
+    code, pretty, _ = run(*argv, "--pretty")
+    assert code == 0
+    assert json.loads(pretty) == json.loads(compact)
+
+
+def test_leaves_cover_the_parser():
+    parser = biquiver.cli.build_parser()
+    assert parser is biquiver.cli.build_parser()
+    sub = parser._subparsers._group_actions[0].choices
+    names = set()
+    for name, p in sub.items():
+        nested = p._subparsers
+        if nested is None:
+            names.add(name)
+        else:
+            names |= {f"{name} {leaf}" for leaf in nested._group_actions[0].choices}
+    assert names == set(LEAVES)
+
+
+def test_repeated_calls_do_not_leak_state(run, a3_file):
+    # the parser is built once per process; defaults must not carry over
+    argv = ["rep", "random", a3_file, "--dims", "2,1,2"]
+    first = run(*argv, "--seed", "3")
+    unseeded = run(*argv)
+    assert run(*argv, "--seed", "3") == first
+    assert run(*argv) == unseeded
+    assert run(*argv, "--seed", "0") == unseeded
+    assert run(*argv, "--seed", "3", "--pretty")[1] != first[1]
+    assert run(*argv, "--seed", "3") == first

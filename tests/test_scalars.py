@@ -68,3 +68,13 @@ def test_rational_string_rejects_noncanonical(bad):
 def test_pair_round_trip():
     z = gaussian(Fraction(-3, 7), Fraction(5, 2))
     assert parse_gaussian_pair(z.to_pair()) == z
+
+
+@pytest.mark.parametrize("text", ["1" * 5000, "-1/" + "3" * 5000],
+                         ids=["long-integer", "long-denominator"])
+def test_rational_string_too_long_is_a_format_error(text):
+    # canonical in shape, but more digits than int() converts
+    with pytest.raises(FormatError) as info:
+        parse_rational(text)
+    assert str(len(text)) in str(info.value)
+    assert len(str(info.value)) < 100
