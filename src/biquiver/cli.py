@@ -20,7 +20,7 @@ from .classify import representation_type
 from .conjugation import (DashEliminationPlan, apply_conjugations,
                           conjugate_biquiver, conjugate_representation,
                           dash_elimination_plan)
-from .errors import FormatError, PreconditionError
+from .errors import FormatError, PreconditionError, echo
 from .gadgets import gadget_cycle, gadget_g1, gadget_g2, gadget_g3, gadget_g4
 from .model import (Biquiver, biquiver_to_obj, connected_components,
                     induced_subbiquiver, parse_biquiver, parse_json)
@@ -77,7 +77,8 @@ def _parse_int_list(text: str, what: str) -> list[int]:
     try:
         return [int(part) for part in text.split(",") if part.strip() != ""]
     except ValueError:
-        raise FormatError(f"{what} must be a comma-separated integer list, got {text!r}") from None
+        raise FormatError(
+            f"{what} must be a comma-separated integer list, got {echo(text)}") from None
 
 
 def _classify_obj(g: Biquiver) -> dict:

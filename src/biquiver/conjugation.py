@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import PreconditionError
+from .errors import PreconditionError, echo
 from .linalg import CMatrix
 from .model import Arrow, ArrowKind, Biquiver, _spanning_forest
 from .representation import MatrixRepresentation
@@ -25,7 +25,7 @@ from .representation import MatrixRepresentation
 
 def conjugate_biquiver(g: Biquiver, u: int) -> Biquiver:
     if not 1 <= u <= g.t:
-        raise PreconditionError(f"vertex {u} outside 1..{g.t}")
+        raise PreconditionError(f"vertex {echo(u)} outside 1..{g.t}")
     arrows = []
     for a in g.arrows:
         if not a.is_loop and u in (a.source, a.target):

@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import FormatError
+from .errors import FormatError, echo
 
 DimensionVector = tuple[int, ...]
 
@@ -47,22 +47,22 @@ class Biquiver:
 
     def __post_init__(self):
         if self.t < 1:
-            raise FormatError(f"vertex count must be positive, got {self.t}")
+            raise FormatError(f"vertex count must be positive, got {echo(self.t)}")
         seen = set()
         for a in self.arrows:
             if a.id in seen:
-                raise FormatError(f"duplicate arrow id {a.id!r}")
+                raise FormatError(f"duplicate arrow id {echo(a.id)}")
             seen.add(a.id)
             for v in (a.source, a.target):
                 if not 1 <= v <= self.t:
                     raise FormatError(
-                        f"arrow {a.id!r} endpoint {v} outside 1..{self.t}")
+                        f"arrow {echo(a.id)} endpoint {echo(v)} outside 1..{echo(self.t)}")
 
     def arrow(self, arrow_id: str) -> Arrow:
         for a in self.arrows:
             if a.id == arrow_id:
                 return a
-        raise FormatError(f"no arrow with id {arrow_id!r}")
+        raise FormatError(f"no arrow with id {echo(arrow_id)}")
 
     def vertices(self) -> range:
         return range(1, self.t + 1)
@@ -136,7 +136,7 @@ def parse_biquiver_obj(obj) -> Biquiver:
     except KeyError:
         raise FormatError("missing field 'vertices'") from None
     if not isinstance(t, int) or isinstance(t, bool):
-        raise FormatError(f"'vertices' must be an integer, got {t!r}")
+        raise FormatError(f"'vertices' must be an integer, got {echo(t)}")
     raw_arrows = obj.get("arrows", [])
     if not isinstance(raw_arrows, list):
         raise FormatError("'arrows' must be a list")
@@ -151,10 +151,11 @@ def parse_biquiver_obj(obj) -> Biquiver:
             raise FormatError(f"arrow #{pos}: 'id' must be a string")
         for field in ("from", "to"):
             if not isinstance(ra[field], int) or isinstance(ra[field], bool):
-                raise FormatError(f"arrow {ra['id']!r}: '{field}' must be an integer")
+                raise FormatError(f"arrow {echo(ra['id'])}: '{field}' must be an integer")
         if ra["kind"] not in ("full", "dashed"):
             raise FormatError(
-                f"arrow {ra['id']!r}: kind must be \"full\" or \"dashed\", got {ra['kind']!r}")
+                f"arrow {echo(ra['id'])}: kind must be \"full\" or \"dashed\", "
+                f"got {echo(ra['kind'])}")
         arrows.append(Arrow(ra["id"], ra["from"], ra["to"], ArrowKind(ra["kind"])))
     return Biquiver(t, tuple(arrows))
 

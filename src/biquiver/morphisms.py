@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import lcm
 from operator import mul
 
-from .errors import PreconditionError, SingularMatrixError
+from .errors import PreconditionError, SingularMatrixError, echo
 from .linalg import (CMatrix, _first_dependence, _integer_parts, _symmetric_ldl,
                      block_diag, fraction_nullspace, hstack, submatrix)
 from .model import Biquiver, DimensionVector
@@ -88,9 +88,9 @@ def _check_same_biquiver(a: MatrixRepresentation, b: MatrixRepresentation) -> No
 
 def _check_sampling(trials: int, coeff_bound: int) -> None:
     if trials < 0:
-        raise PreconditionError(f"trials must be nonnegative, got {trials}")
+        raise PreconditionError(f"trials must be nonnegative, got {echo(trials)}")
     if coeff_bound < 1:
-        raise PreconditionError(f"coefficient bound must be at least 1, got {coeff_bound}")
+        raise PreconditionError(f"coefficient bound must be at least 1, got {echo(coeff_bound)}")
 
 
 def hom_basis(a: MatrixRepresentation, b: MatrixRepresentation) -> MorphismBasis:

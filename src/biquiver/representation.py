@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import FormatError, PreconditionError
+from .errors import FormatError, PreconditionError, echo
 from .linalg import CMatrix, block_diag
 from .model import (Biquiver, DimensionVector, biquiver_to_obj,
                     parse_biquiver_obj, parse_json)
@@ -37,15 +37,15 @@ class MatrixRepresentation:
         ids = {a.id for a in g.arrows}
         extra = set(self.matrices) - ids
         if extra:
-            raise FormatError(f"matrices given for unknown arrows: {sorted(extra)}")
+            raise FormatError(f"matrices given for unknown arrows: {echo(sorted(extra))}")
         for a in g.arrows:
             m = self.matrices.get(a.id)
             if m is None:
-                raise FormatError(f"missing matrix for arrow {a.id!r}")
+                raise FormatError(f"missing matrix for arrow {echo(a.id)}")
             want = (self.dims[a.target - 1], self.dims[a.source - 1])
             if (m.rows, m.cols) != want:
                 raise FormatError(
-                    f"arrow {a.id!r} needs a {want[0]}x{want[1]} matrix, "
+                    f"arrow {echo(a.id)} needs a {want[0]}x{want[1]} matrix, "
                     f"got {m.rows}x{m.cols}")
 
     def dim(self, v: int) -> int:
@@ -179,12 +179,12 @@ def parse_representation_obj(obj, biquiver: Biquiver | None = None) -> MatrixRep
     mats = {}
     for arrow in biquiver.arrows:
         if arrow.id not in raw:
-            raise FormatError(f"missing matrix for arrow {arrow.id!r}")
+            raise FormatError(f"missing matrix for arrow {echo(arrow.id)}")
         mats[arrow.id] = parse_matrix_obj(
             raw[arrow.id], rows=dims[arrow.target - 1], cols=dims[arrow.source - 1])
     extra = set(raw) - {a.id for a in biquiver.arrows}
     if extra:
-        raise FormatError(f"matrices given for unknown arrows: {sorted(extra)}")
+        raise FormatError(f"matrices given for unknown arrows: {echo(sorted(extra))}")
     return MatrixRepresentation(biquiver, tuple(dims), mats)
 
 

@@ -5,20 +5,25 @@ finite set that is enumerated completely without any external bound: the
 LDL^T steps of `linalg._symmetric_ldl` write q, scaled to integers, as a
 sum of squares of linear forms, and choosing coordinates from the
 innermost form outwards confines each coordinate to a finite interval.
-In the semidefinite case the same pruning applies but kernel directions
-are only limited by the caller's bound; indefinite forms fall back to
-bounded box search. No floating point is used anywhere.
+The search runs on integers: every term is weighted by the lcm of the
+steps' denominators, so the remaining budget is an int. In the
+semidefinite case the same pruning applies but kernel directions are
+only limited by the caller's bound; indefinite forms fall back to a
+bounded box search of at most MAX_BOX_CANDIDATES vectors. No floating
+point is used anywhere.
 """
 from __future__ import annotations
 
-from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
-from .errors import PreconditionError
+from .errors import PreconditionError, echo
 from .classify import RepKind, representation_type
 from .model import Biquiver, DimensionVector, is_connected
 from .linalg import _symmetric_ldl
 from .tits import Definiteness, TitsGram, definiteness, evaluate, gram_matrix
+
+# The most vectors the box search of an indefinite form may try: (bound + 1)^t.
+MAX_BOX_CANDIDATES = 10 ** 7
 
 
 def roots_with_value(g: Biquiver, value: int, bound: int | None = None) -> list[DimensionVector]:
@@ -26,12 +31,14 @@ def roots_with_value(g: Biquiver, value: int, bound: int | None = None) -> list[
 
     With a positive definite form the result is complete and `bound` is
     ignored; otherwise the set is infinite and `bound` caps every
-    coordinate (and is required). A negative `bound` is rejected.
+    coordinate (and is required). A negative `bound` is rejected, and so is
+    an indefinite form whose box of (bound + 1)^t candidates exceeds
+    MAX_BOX_CANDIDATES.
     """
     if value not in (0, 1):
-        raise PreconditionError(f"value must be 0 or 1, got {value}")
+        raise PreconditionError(f"value must be 0 or 1, got {echo(value)}")
     if bound is not None and bound < 0:
-        raise PreconditionError(f"bound must be nonnegative, got {bound}")
+        raise PreconditionError(f"bound must be nonnegative, got {echo(bound)}")
     if not is_connected(g):
         raise PreconditionError("biquiver is not connected")
     gram = gram_matrix(g)
@@ -47,6 +54,13 @@ def roots_with_value(g: Biquiver, value: int, bound: int | None = None) -> list[
         if bound is None:
             raise PreconditionError(
                 "the form is indefinite; root search requires an explicit bound")
+        candidates = 1
+        for _ in range(g.t):
+            candidates *= bound + 1
+            if candidates > MAX_BOX_CANDIDATES:
+                raise PreconditionError(
+                    f"the form is indefinite; a box search over (bound + 1)^{g.t} vectors "
+                    f"exceeds the cap of {MAX_BOX_CANDIDATES} candidates")
         sols = _enumerate_box(gram, value, bound)
     out = sorted(z for z in sols if any(z))
     for z in out:
@@ -68,34 +82,38 @@ def positive_root_count(g: Biquiver) -> int:
 
 def _enumerate_sos(gram: TitsGram, value: int, bound: int | None):
     _, scale, steps, free = _symmetric_ldl(gram.q)
-    target = value * scale  # the steps' squares sum to scale * q
+    # Step k contributes (d z_p + c)^2 / (prev d), and every prev d > 0 as
+    # n- == 0 here; scaled by m = lcm(prev d) the squares sum to
+    # m * scale * q with the integer weights m / (prev d).
+    m = lcm(*(prev * d for _, prev, d, _ in steps))
+    weights = [m // (prev * d) for _, prev, d, _ in steps]
+    target = value * scale * m
     n = gram.t
     z = [0] * n
     results: list[DimensionVector] = []
 
-    def assign_pivots(k: int, spent: Fraction) -> None:
+    def assign_pivots(k: int, spent: int) -> None:
         if k < 0:
             if spent == target:
                 results.append(tuple(z))
             return
-        p, prev, d, lin = steps[k]
+        p, _, d, lin = steps[k]
+        weight = weights[k]
         c = sum(x * z[j] for j, x in lin.items())
-        budget = (target - spent) * prev * d
-        if budget < 0:
-            return
-        # the z >= 0 with (d z + c)^2 <= budget
-        w_max = isqrt(budget.numerator // budget.denominator)
+        # the z >= 0 with weight (d z + c)^2 <= target - spent; each choice
+        # keeps spent <= target
+        w_max = isqrt((target - spent) // weight)
         lo, hi = max(-((w_max + c) // d), 0), (w_max - c) // d
         if bound is not None:
             hi = min(hi, bound)
         for val in range(lo, hi + 1):
             z[p] = val
-            assign_pivots(k - 1, spent + Fraction((d * val + c) ** 2, prev * d))
+            assign_pivots(k - 1, spent + (d * val + c) ** 2 * weight)
         z[p] = 0
 
     def assign_free(i: int) -> None:
         if i == len(free):
-            assign_pivots(len(steps) - 1, Fraction(0))
+            assign_pivots(len(steps) - 1, 0)
             return
         for val in range(bound + 1):
             z[free[i]] = val

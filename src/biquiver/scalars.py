@@ -14,7 +14,7 @@ import re as _re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import FormatError
+from .errors import FormatError, echo
 
 _RATIONAL_RE = _re.compile(r"^-?\d+(/[1-9]\d*)?$")
 
@@ -124,13 +124,13 @@ def parse_rational(text: str) -> Fraction:
     """Parse a canonical rational string "p" or "p/q" (q > 1, reduced, no
     leading zeros, no "-0"): exactly the strings `format_rational` prints."""
     if not isinstance(text, str) or not _RATIONAL_RE.match(text):
-        raise FormatError(f"not a canonical rational string: {text!r}")
+        raise FormatError(f"not a canonical rational string: {echo(text)}")
     try:
         x = Fraction(text)
     except ValueError:  # more digits than the interpreter converts
         raise FormatError(f"rational string of {len(text)} characters is too long") from None
     if format_rational(x) != text:
-        raise FormatError(f"not a canonical rational string: {text!r}")
+        raise FormatError(f"not a canonical rational string: {echo(text)}")
     return x
 
 
@@ -142,5 +142,5 @@ def format_rational(x: Fraction) -> str:
 def parse_gaussian_pair(pair) -> GaussianRational:
     """Parse a [re, im] pair of canonical rational strings."""
     if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-        raise FormatError(f"matrix entry must be a [re, im] pair, got {pair!r}")
+        raise FormatError(f"matrix entry must be a [re, im] pair, got {echo(pair)}")
     return GaussianRational(parse_rational(pair[0]), parse_rational(pair[1]))

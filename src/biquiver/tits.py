@@ -1,8 +1,9 @@
 """The Tits quadratic form of a biquiver and its exact definiteness.
 
 q_G(x) = sum x_i^2 - sum_{arrows u->v} x_u x_v, summed over all arrows of
-either kind. Definiteness is decided without floating point from the
-inertia of the Gram matrix, counted by the integer elimination
+either kind. Its Gram matrix Q is built from integer arrow counts, so its
+entries are ints and halves of odd ints. Definiteness is decided without
+floating point from the inertia of Q, counted by the integer elimination
 `linalg._symmetric_ldl`, whose LDL^T steps root enumeration reuses.
 """
 from __future__ import annotations
@@ -24,24 +25,29 @@ class Definiteness(Enum):
 
 @dataclass(frozen=True)
 class TitsGram:
-    """Symmetric rational Gram matrix Q with x^T Q x = q_G(x)."""
+    """Symmetric rational Gram matrix Q with x^T Q x = q_G(x).
+
+    Each entry is an int or, where 2Q has an odd entry c, Fraction(c, 2).
+    An int and the equal Fraction compare and hash alike.
+    """
     t: int
-    q: tuple[tuple[Fraction, ...], ...]
+    q: tuple[tuple[int | Fraction, ...], ...]
 
 
 def gram_matrix(g: Biquiver) -> TitsGram:
-    half = Fraction(1, 2)
-    q = [[Fraction(0)] * g.t for _ in range(g.t)]
+    # C = 2Q: 2 - 2 loops on the diagonal, minus the arrows joining u and v off it
+    c = [[0] * g.t for _ in range(g.t)]
     for v in range(g.t):
-        q[v][v] = Fraction(1)
+        c[v][v] = 2
     for a in g.arrows:
         u, v = a.source - 1, a.target - 1
         if u == v:
-            q[u][u] -= 1
+            c[u][u] -= 2
         else:
-            q[u][v] -= half
-            q[v][u] -= half
-    return TitsGram(g.t, tuple(tuple(row) for row in q))
+            c[u][v] -= 1
+            c[v][u] -= 1
+    return TitsGram(g.t, tuple(tuple(x // 2 if x % 2 == 0 else Fraction(x, 2) for x in row)
+                               for row in c))
 
 
 def evaluate(g: Biquiver, z: DimensionVector) -> int:

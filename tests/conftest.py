@@ -59,6 +59,28 @@ def star_biquiver(branches: list[int], dashed: tuple[str, ...] = ()) -> Biquiver
     return Biquiver(t, tuple(arrows))
 
 
+def dynkin_and_extended(max_t: int = 9):
+    """(label, biquiver) for every Dynkin and extended Dynkin diagram with
+    at most max_t vertices."""
+    for t in range(1, max_t + 1):
+        yield f"A{t}", path_biquiver(t)
+    for t in range(4, max_t + 1):
+        yield f"D{t}", star_biquiver([1, 1, t - 3])
+    for label, branches in [("E6", [1, 2, 2]), ("E7", [1, 2, 3]), ("E8", [1, 2, 4]),
+                            ("~E6", [2, 2, 2]), ("~E7", [1, 3, 3]), ("~E8", [1, 2, 5])]:
+        yield label, star_biquiver(branches)
+    yield "~A0", biq(1, "a:1>1")
+    yield "~A1", biq(2, "a:1>2", "b:2~1")
+    for r in range(3, max_t + 1):
+        yield f"~A{r - 1}", cycle_biquiver(r)
+    yield "~D4", star_biquiver([1, 1, 1, 1])
+    # ~D(k+3): two-leaf forks at both ends of the path 1 .. k
+    for k in range(2, max_t - 3):
+        specs = [f"p{i}:{i}>{i + 1}" for i in range(1, k)]
+        specs += [f"l1:1>{k + 1}", f"l2:1~{k + 2}", f"l3:{k}>{k + 3}", f"l4:{k + 4}>{k}"]
+        yield f"~D{k + 3}", biq(k + 4, *specs)
+
+
 def mat(*rows) -> CMatrix:
     """Matrix literal over ints/Fractions; mat([1, 2], [3, 4])."""
     return CMatrix.from_rows(list(rows))

@@ -338,6 +338,58 @@ def test_malformed_documents_through_python_dash_m(tmp_path):
         assert "Traceback" not in proc.stderr and word in proc.stderr, param.id
 
 
+# (document, argv with "F" standing for the document's path, exit code):
+# each error message quotes a long input value
+A_LOOP = '{"vertices":1,"arrows":[{"id":"a","from":1,"to":1,"kind":"full"}]}'
+A_LOOP_REP = '{"dims":[1],"matrices":{"a":[[["1","0"]]]},"biquiver":' + A_LOOP + '}'
+LONG_NUMBER = "1" + "0" * 4000  # digits int() still converts
+LONG_ECHOES = [
+    pytest.param('{"vertices":' + json.dumps([0] * 100000) + ',"arrows":[]}',
+                 ["classify", "F"], 2, id="vertices-list"),
+    pytest.param(A_LOOP_REP.replace('"1"', '"' + "0" * 3000 + '1"'),
+                 ["rep", "validate", "F"], 2, id="noncanonical-rational"),
+    pytest.param('{"vertices":1,"arrows":[{"id":"' + "i" * 100000
+                 + '","from":1,"to":1,"kind":"loop"}]}', ["classify", "F"], 2, id="arrow-id"),
+    pytest.param(A_LOOP, ["conjugate", "F", "--vertex", "1," + "x" * 10000], 2,
+                 id="int-list"),
+    pytest.param(A_LOOP, ["conjugate", "F", "--vertex", LONG_NUMBER], 3, id="vertex"),
+    pytest.param(A_LOOP, ["roots", "F", "--value", "1", "--bound", "-" + LONG_NUMBER], 3,
+                 id="bound"),
+    pytest.param(A_LOOP_REP, ["rep", "decompose", "F", "--trials", "-" + LONG_NUMBER], 3,
+                 id="trials"),
+]
+
+
+@pytest.mark.parametrize("doc, argv, want", LONG_ECHOES)
+def test_long_input_values_are_cut_in_errors(run, tmp_path, doc, argv, want):
+    path = _write(tmp_path, "doc.json", doc)
+    code, out, err = run(*[path if a == "F" else a for a in argv])
+    assert code == want
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert len(err.encode()) < 300, err
+    assert "characters)" in err
+
+
+def test_short_input_values_keep_their_text(run, tmp_path):
+    path = _write(tmp_path, "doc.json", '{"vertices":[1,2],"arrows":[]}')
+    assert run("classify", path)[2] == "error: 'vertices' must be an integer, got [1, 2]\n"
+
+
+def test_roots_box_search_past_the_cap_exit_3(run, tmp_path):
+    # a loop at vertex 1 makes the form indefinite: the box has 1001^2 vectors
+    # within the cap and 10001^2 past it
+    path = _write(tmp_path, "g.json", '{"vertices":2,"arrows":['
+                  '{"id":"l","from":1,"to":1,"kind":"dashed"},'
+                  '{"id":"a","from":1,"to":2,"kind":"full"}]}')
+    code, out, _ = run("roots", path, "--value", "1", "--bound", "1000")
+    assert code == 0 and json.loads(out) == [[0, 1]]
+    code, out, err = run("roots", path, "--value", "1", "--bound", "10000")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and "cap" in err
+
+
 def test_unexpected_exception_exit_4(run, tmp_path, a2_file, monkeypatch):
     def failing_decompose(*args, **kwargs):
         raise AssertionError("certificate does not verify")

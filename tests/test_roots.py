@@ -3,16 +3,22 @@ import random
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
+from math import isqrt
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import biquiver
-from biquiver import (Arrow, ArrowKind, Biquiver, PreconditionError, evaluate,
-                      gram_matrix, positive_root_count, radical_vector,
-                      roots_with_value)
-from conftest import biq, cycle_biquiver, path_biquiver, star_biquiver
+from biquiver import (Arrow, ArrowKind, Biquiver, Definiteness, PreconditionError,
+                      definiteness, evaluate, gram_matrix, positive_root_count,
+                      radical_vector, roots_with_value)
+from biquiver.linalg import _symmetric_ldl
+from biquiver.roots import MAX_BOX_CANDIDATES, _enumerate_sos
+from conftest import (biq, cycle_biquiver, dynkin_and_extended, path_biquiver,
+                      star_biquiver)
 
 
 def brute_force_roots(g, value, bound):
@@ -165,3 +171,121 @@ def test_output_sorted_and_valid():
     roots = roots_with_value(g, 1)
     assert roots == sorted(roots)
     assert all(evaluate(g, z) == 1 for z in roots)
+
+
+# -- integer enumeration against the Fraction enumeration it replaced --------
+
+def oracle_enumerate_sos(gram, value, bound):
+    """The Fraction-budget `_enumerate_sos` that the integer one replaced, verbatim."""
+    _, scale, steps, free = _symmetric_ldl(gram.q)
+    target = value * scale  # the steps' squares sum to scale * q
+    n = gram.t
+    z = [0] * n
+    results = []
+
+    def assign_pivots(k: int, spent: Fraction) -> None:
+        if k < 0:
+            if spent == target:
+                results.append(tuple(z))
+            return
+        p, prev, d, lin = steps[k]
+        c = sum(x * z[j] for j, x in lin.items())
+        budget = (target - spent) * prev * d
+        if budget < 0:
+            return
+        # the z >= 0 with (d z + c)^2 <= budget
+        w_max = isqrt(budget.numerator // budget.denominator)
+        lo, hi = max(-((w_max + c) // d), 0), (w_max - c) // d
+        if bound is not None:
+            hi = min(hi, bound)
+        for val in range(lo, hi + 1):
+            z[p] = val
+            assign_pivots(k - 1, spent + Fraction((d * val + c) ** 2, prev * d))
+        z[p] = 0
+
+    def assign_free(i: int) -> None:
+        if i == len(free):
+            assign_pivots(len(steps) - 1, Fraction(0))
+            return
+        for val in range(bound + 1):
+            z[free[i]] = val
+            assign_free(i + 1)
+        z[free[i]] = 0
+
+    if free and bound is None:
+        raise PreconditionError("kernel directions require an explicit bound")
+    assign_free(0)
+    return results
+
+
+@pytest.mark.parametrize("label, g", list(dynkin_and_extended()),
+                         ids=[label for label, _ in dynkin_and_extended()])
+def test_integer_enumeration_matches_fraction_oracle(label, g):
+    gram = gram_matrix(g)
+    bounds = list(range(7))
+    if not label.startswith("~"):  # positive definite: the bound is optional
+        bounds.append(None)
+    for value in (0, 1):
+        for bound in bounds:
+            assert (_enumerate_sos(gram, value, bound)
+                    == oracle_enumerate_sos(gram, value, bound)), (value, bound)
+
+
+@st.composite
+def connected_biquivers(draw):
+    """A spanning tree on 1-6 vertices plus up to 2 arrows, loops and
+    parallel arrows included, each arrow of either kind and direction."""
+    t = draw(st.integers(1, 6))
+    ends = [(draw(st.integers(1, v - 1)), v) for v in range(2, t + 1)]
+    ends += draw(st.lists(st.tuples(st.integers(1, t), st.integers(1, t)), max_size=2))
+    arrows = []
+    for k, (u, v) in enumerate(ends):
+        if draw(st.booleans()):
+            u, v = v, u
+        kind = draw(st.sampled_from((ArrowKind.FULL, ArrowKind.DASHED)))
+        arrows.append(Arrow(f"a{k}", u, v, kind))
+    return Biquiver(t, tuple(arrows))
+
+
+@settings(deadline=None, max_examples=60)
+@given(connected_biquivers(), st.sampled_from((0, 1)), st.integers(0, 3))
+def test_integer_enumeration_matches_oracle_on_random_biquivers(g, value, bound):
+    gram = gram_matrix(g)
+    verdict = definiteness(gram)
+    if verdict is Definiteness.INDEFINITE:
+        return  # the box search serves these; no sum of squares exists
+    assert _enumerate_sos(gram, value, bound) == oracle_enumerate_sos(gram, value, bound)
+    if verdict is Definiteness.POSITIVE_DEFINITE:
+        assert _enumerate_sos(gram, value, None) == oracle_enumerate_sos(gram, value, None)
+
+
+def test_enumeration_builds_no_fractions(monkeypatch):
+    gram = gram_matrix(star_biquiver([1, 2, 4]))  # E8
+    built = []
+    original = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    roots = _enumerate_sos(gram, 1, None)
+    monkeypatch.undo()
+    assert len([z for z in roots if any(z)]) == 120
+    assert built == []
+
+
+# -- work budget of the box search -------------------------------------------
+
+def test_box_search_refuses_past_the_cap():
+    wild = biq(2, "l:1~1", "a:1>2")  # indefinite
+    side = isqrt(MAX_BOX_CANDIDATES)  # side^2 <= the cap < (side + 1)^2
+    with pytest.raises(PreconditionError, match="cap"):
+        roots_with_value(wild, 1, bound=side)
+    # 12 vertices: bound 1 gives 2^12 candidates, bound 3 gives 4^12 > 10^7
+    big = biq(12, "l:1>1", "m:1>1", *[f"e{i}:{i}>{i + 1}" for i in range(1, 12)])
+    assert definiteness(gram_matrix(big)) is Definiteness.INDEFINITE
+    for value in (0, 1):
+        assert roots_with_value(big, value, bound=1) == brute_force_roots(big, value, 1)
+    with pytest.raises(PreconditionError, match="cap"):
+        roots_with_value(big, 0, bound=3)

@@ -8,7 +8,7 @@ from biquiver import (Definiteness, FormatError, TitsGram, definiteness,
                       evaluate, gram_matrix, radical_vector)
 from biquiver.linalg import _symmetric_ldl
 from biquiver.model import Arrow, ArrowKind, Biquiver
-from conftest import biq, cycle_biquiver, path_biquiver, star_biquiver
+from conftest import biq, cycle_biquiver, dynkin_and_extended, path_biquiver
 
 
 def F(x):
@@ -113,28 +113,6 @@ def assert_ldl_matches_oracle(gram: TitsGram) -> None:
             [(p, scale * d, lin) for p, d, lin in oracle_steps]
         assert free == oracle_free
         assert inertia == (len(steps), 0, len(free))
-
-
-def dynkin_and_extended(max_t: int = 9):
-    """(label, biquiver) for every Dynkin and extended Dynkin diagram with
-    at most max_t vertices."""
-    for t in range(1, max_t + 1):
-        yield f"A{t}", path_biquiver(t)
-    for t in range(4, max_t + 1):
-        yield f"D{t}", star_biquiver([1, 1, t - 3])
-    for label, branches in [("E6", [1, 2, 2]), ("E7", [1, 2, 3]), ("E8", [1, 2, 4]),
-                            ("~E6", [2, 2, 2]), ("~E7", [1, 3, 3]), ("~E8", [1, 2, 5])]:
-        yield label, star_biquiver(branches)
-    yield "~A0", biq(1, "a:1>1")
-    yield "~A1", biq(2, "a:1>2", "b:2~1")
-    for r in range(3, max_t + 1):
-        yield f"~A{r - 1}", cycle_biquiver(r)
-    yield "~D4", star_biquiver([1, 1, 1, 1])
-    # ~D(k+3): two-leaf forks at both ends of the path 1 .. k
-    for k in range(2, max_t - 3):
-        specs = [f"p{i}:{i}>{i + 1}" for i in range(1, k)]
-        specs += [f"l1:1>{k + 1}", f"l2:1~{k + 2}", f"l3:{k}>{k + 3}", f"l4:{k + 4}>{k}"]
-        yield f"~D{k + 3}", biq(k + 4, *specs)
 
 
 def test_definiteness_matches_reference_on_dynkin_and_extended():
@@ -247,6 +225,14 @@ def test_gram_of_a2():
 def test_gram_of_loops():
     assert gram_matrix(biq(1, "a:1>1")).q == ((F(0),),)
     assert gram_matrix(biq(1, "a:1~1", "b:1~1")).q == ((F(-1),),)
+
+
+def test_gram_entries_are_ints_and_odd_halves():
+    # two arrows 1 - 2, one arrow 2 - 3, a loop at 3: 2Q has -2, -1 and 0
+    gram = gram_matrix(biq(3, "a:1>2", "b:2~1", "c:2>3", "l:3>3"))
+    assert gram.q == ((1, -1, 0), (-1, 1, Fraction(-1, 2)), (0, Fraction(-1, 2), 0))
+    kinds = [[type(x) for x in row] for row in gram.q]
+    assert kinds == [[int, int, int], [int, int, Fraction], [int, Fraction, int]]
 
 
 def test_evaluate_examples():
