@@ -1,12 +1,12 @@
 """Exact matrices over the Gaussian rationals, plus rational linear systems.
 
 CMatrix (complex-rational matrices) carries all representation data; plain
-Fraction row-lists carry the real linear systems behind morphism spaces and
-Tits-form kernels. A CMatrix is stored as integers: one positive common
-denominator and the integer real and imaginary parts of its entries, so
-products, sums and scalings are integer arithmetic with a single
-denominator per matrix. GaussianRational entries are built only at the
-boundary (parsing, printing, `at`, and the lazily built `entries`).
+Fraction row-lists carry the real linear systems behind morphism spaces,
+and int rows the Tits-form kernels. A CMatrix is stored as integers: one
+positive common denominator and the integer real and imaginary parts of
+its entries, so products, sums and scalings are integer arithmetic with a
+single denominator per matrix. GaussianRational entries are built only at
+the boundary (parsing, printing, `at`, and the lazily built `entries`).
 
 All elimination is integral: each rational row is scaled to a primitive
 integer row (which leaves its solution set alone), and a complex matrix is
@@ -14,8 +14,8 @@ reduced through its real form, in which entry z is the 2x2 block
 [[re z, -im z], [im z, re z]], read straight from the integer parts. One
 fraction-free Gauss-Jordan kernel, `_rref`, then serves inverses, ranks,
 images, kernels and rational solves; `_symmetric_ldl` counts the inertia of
-symmetric forms. Zero-row and zero-column matrices are first-class values;
-the 0x0 matrix is invertible.
+symmetric int forms. Zero-row and zero-column matrices are first-class
+values; the 0x0 matrix is invertible.
 """
 from __future__ import annotations
 
@@ -405,24 +405,22 @@ def _rref(rows: list[list[int]], width: int | None = None) -> list[int]:
     return pivots
 
 
-def _symmetric_ldl(rows) -> tuple:
-    """(inertia, scale, steps, free) of a symmetric matrix Q of ints and Fractions.
+def _symmetric_ldl(rows: list[list[int]]) -> tuple:
+    """(inertia, steps, free) of a symmetric int matrix W.
 
-    W = scale * Q, scale the lcm of the denominators, is reduced by Bareiss
-    (1968) steps on the first nonzero diagonal entry d of the active block:
-    w_ij becomes (d w_ij - w_ip w_pj) / prev, prev the pivot before (1 at
-    first), exactly, as active entries are minors of W bordered by the
-    pivots. If the active diagonal is zero but some w_ij is not, the
-    congruence e_i <- e_i + e_j puts 2 w_ij on it. Neither changes the
-    inertia (n+, n-, n0) of Q, counted from the signs of d / prev. Step
-    (p, prev, d, lin), lin mapping each other active j to w_pj != 0, is the
-    LDL^T term (d x_p + lin . x)^2 / (prev d); when n- == 0 (no congruence)
-    these terms sum to x^T W x, and W vanishes on the unpivoted `free`.
+    W is reduced by Bareiss (1968) steps on the first nonzero diagonal
+    entry d of the active block: w_ij becomes (d w_ij - w_ip w_pj) / prev,
+    prev the pivot before (1 at first), exactly, as active entries are
+    minors of W bordered by the pivots. If the active diagonal is zero but
+    some w_ij is not, the congruence e_i <- e_i + e_j puts 2 w_ij on it.
+    Neither changes the inertia (n+, n-, n0) of W, counted from the signs
+    of d / prev. Step (p, prev, d, lin), lin mapping each other active j to
+    w_pj != 0, is the LDL^T term (d x_p + lin . x)^2 / (prev d); when
+    n- == 0 (no congruence) these terms sum to x^T W x, and W vanishes on
+    the unpivoted `free`.
     """
-    n = len(rows)
-    scale, flat = _integer_parts([x for row in rows for x in row])
-    w = [flat[i * n:(i + 1) * n] for i in range(n)]
-    active = list(range(n))
+    w = [list(row) for row in rows]
+    active = list(range(len(w)))
     steps = []
     positive = 0
     prev = 1
@@ -447,7 +445,7 @@ def _symmetric_ldl(rows) -> tuple:
             for j in active:
                 wi[j] = (d * wi[j] - f * row[j]) // prev
         prev = d
-    return (positive, len(steps) - positive, len(active)), scale, steps, active
+    return (positive, len(steps) - positive, len(active)), steps, active
 
 
 def _integral(row: list) -> list[int]:

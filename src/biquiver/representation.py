@@ -98,6 +98,11 @@ def apply_base_change(a: MatrixRepresentation, s: list[CMatrix]) -> MatrixRepres
     return MatrixRepresentation(g, a.dims, mats)
 
 
+# The most matrix entries random_representation may draw: the sum over arrows
+# u -> v of d_v * d_u.
+MAX_RANDOM_ENTRIES = 10 ** 6
+
+
 def random_representation(g: Biquiver, dims: DimensionVector, entry_bound: int,
                           seed: int) -> MatrixRepresentation:
     """Deterministic seeded representation with bounded rational entries.
@@ -105,13 +110,20 @@ def random_representation(g: Biquiver, dims: DimensionVector, entry_bound: int,
     Each entry is re + im*i with numerators drawn from [-entry_bound,
     entry_bound] and denominators from [1, entry_bound]. Matrices are
     filled row-major in the biquiver's arrow order, so equal seeds give
-    equal output.
+    equal output. Refuses, before drawing, to fill more than
+    MAX_RANDOM_ENTRIES entries.
     """
     if entry_bound < 1:
         raise PreconditionError("entry_bound must be at least 1")
     if len(dims) != g.t:
         raise PreconditionError(
             f"dimension vector has length {len(dims)}, biquiver has {g.t} vertices")
+    # abs: a negative dimension, rejected by CMatrix, must not offset the others
+    entries = sum(abs(dims[a.target - 1] * dims[a.source - 1]) for a in g.arrows)
+    if entries > MAX_RANDOM_ENTRIES:
+        raise PreconditionError(
+            f"dimension vector {echo(list(dims))} needs more matrix entries "
+            f"than the cap of {MAX_RANDOM_ENTRIES}")
     rng = random.Random(seed)
 
     def entry() -> GaussianRational:

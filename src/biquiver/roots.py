@@ -2,15 +2,16 @@
 
 For a positive definite form the nonzero z >= 0 with q_G(z) = 1 form a
 finite set that is enumerated completely without any external bound: the
-LDL^T steps of `linalg._symmetric_ldl` write q, scaled to integers, as a
-sum of squares of linear forms, and choosing coordinates from the
+LDL^T steps of `linalg._symmetric_ldl` on the int matrix C = 2Q write 2q
+as a sum of squares of linear forms, and choosing coordinates from the
 innermost form outwards confines each coordinate to a finite interval.
 The search runs on integers: every term is weighted by the lcm of the
 steps' denominators, so the remaining budget is an int. In the
 semidefinite case the same pruning applies but kernel directions are
 only limited by the caller's bound; indefinite forms fall back to a
-bounded box search of at most MAX_BOX_CANDIDATES vectors. No floating
-point is used anywhere.
+bounded box search. Either search refuses to start when its box, of
+(bound + 1)^k vectors over its k unpruned coordinates, holds more than
+MAX_BOX_CANDIDATES. No floating point is used anywhere.
 """
 from __future__ import annotations
 
@@ -22,7 +23,8 @@ from .model import Biquiver, DimensionVector, is_connected
 from .linalg import _symmetric_ldl
 from .tits import Definiteness, TitsGram, definiteness, evaluate, gram_matrix
 
-# The most vectors the box search of an indefinite form may try: (bound + 1)^t.
+# The most vectors a root search may try: (bound + 1)^k over the t coordinates
+# of an indefinite form or the k kernel directions of a semidefinite one.
 MAX_BOX_CANDIDATES = 10 ** 7
 
 
@@ -32,8 +34,9 @@ def roots_with_value(g: Biquiver, value: int, bound: int | None = None) -> list[
     With a positive definite form the result is complete and `bound` is
     ignored; otherwise the set is infinite and `bound` caps every
     coordinate (and is required). A negative `bound` is rejected, and so is
-    an indefinite form whose box of (bound + 1)^t candidates exceeds
-    MAX_BOX_CANDIDATES.
+    a search past MAX_BOX_CANDIDATES: (bound + 1)^t candidates for an
+    indefinite form on t vertices, (bound + 1)^k for a semidefinite form
+    with k kernel directions.
     """
     if value not in (0, 1):
         raise PreconditionError(f"value must be 0 or 1, got {echo(value)}")
@@ -54,13 +57,7 @@ def roots_with_value(g: Biquiver, value: int, bound: int | None = None) -> list[
         if bound is None:
             raise PreconditionError(
                 "the form is indefinite; root search requires an explicit bound")
-        candidates = 1
-        for _ in range(g.t):
-            candidates *= bound + 1
-            if candidates > MAX_BOX_CANDIDATES:
-                raise PreconditionError(
-                    f"the form is indefinite; a box search over (bound + 1)^{g.t} vectors "
-                    f"exceeds the cap of {MAX_BOX_CANDIDATES} candidates")
+        _check_box(bound, g.t, "the form is indefinite; a box search")
         sols = _enumerate_box(gram, value, bound)
     out = sorted(z for z in sols if any(z))
     for z in out:
@@ -78,16 +75,30 @@ def positive_root_count(g: Biquiver) -> int:
     return len(roots_with_value(g, 1))
 
 
+def _check_box(bound: int, k: int, search: str) -> None:
+    """Refuse a search over (bound + 1)^k vectors past MAX_BOX_CANDIDATES.
+
+    The product is counted up to the cap only, so no huge power is formed.
+    """
+    candidates = 1
+    for _ in range(k):
+        candidates *= bound + 1
+        if candidates > MAX_BOX_CANDIDATES:
+            raise PreconditionError(
+                f"{search} over (bound + 1)^{k} vectors "
+                f"exceeds the cap of {MAX_BOX_CANDIDATES} candidates")
+
+
 # -- weighted sum-of-squares enumeration -------------------------------------
 
 def _enumerate_sos(gram: TitsGram, value: int, bound: int | None):
-    _, scale, steps, free = _symmetric_ldl(gram.q)
+    _, steps, free = _symmetric_ldl(gram.c)
     # Step k contributes (d z_p + c)^2 / (prev d), and every prev d > 0 as
     # n- == 0 here; scaled by m = lcm(prev d) the squares sum to
-    # m * scale * q with the integer weights m / (prev d).
+    # m * 2q with the integer weights m / (prev d).
     m = lcm(*(prev * d for _, prev, d, _ in steps))
     weights = [m // (prev * d) for _, prev, d, _ in steps]
-    target = value * scale * m
+    target = 2 * value * m
     n = gram.t
     z = [0] * n
     results: list[DimensionVector] = []
@@ -122,6 +133,7 @@ def _enumerate_sos(gram: TitsGram, value: int, bound: int | None):
 
     if free and bound is None:
         raise PreconditionError("kernel directions require an explicit bound")
+    _check_box(bound, len(free), "the form is semidefinite; a search of its kernel directions")
     assign_free(0)
     return results
 
@@ -129,10 +141,10 @@ def _enumerate_sos(gram: TitsGram, value: int, bound: int | None):
 # -- bounded box search for indefinite forms ---------------------------------
 
 def _enumerate_box(gram: TitsGram, value: int, bound: int):
-    # q(z) = sum_i q_ii z_i^2 + sum_{j < i} 2 q_ij z_i z_j, all coefficients integers
+    # q(z) = sum_i (c_ii / 2) z_i^2 + sum_{j < i} c_ij z_i z_j, c_ii = 2 q_ii even
     n = gram.t
-    diag = [int(gram.q[i][i]) for i in range(n)]
-    cross = [[int(-2 * gram.q[i][j]) for j in range(i)] for i in range(n)]
+    diag = [gram.c[i][i] // 2 for i in range(n)]
+    cross = [[-gram.c[i][j] for j in range(i)] for i in range(n)]
     z = [0] * n
     results: list[DimensionVector] = []
 

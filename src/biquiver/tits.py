@@ -1,10 +1,11 @@
 """The Tits quadratic form of a biquiver and its exact definiteness.
 
 q_G(x) = sum x_i^2 - sum_{arrows u->v} x_u x_v, summed over all arrows of
-either kind. Its Gram matrix Q is built from integer arrow counts, so its
-entries are ints and halves of odd ints. Definiteness is decided without
-floating point from the inertia of Q, counted by the integer elimination
-`linalg._symmetric_ldl`, whose LDL^T steps root enumeration reuses.
+either kind. Twice its Gram matrix Q is the integer generalized Cartan
+matrix C = 2Q of the underlying multigraph, stored with Q as its view.
+Definiteness is read exactly from the inertia of C, that of Q, counted by
+the integer elimination `linalg._symmetric_ldl`, whose LDL^T steps root
+enumeration reuses.
 """
 from __future__ import annotations
 
@@ -25,13 +26,15 @@ class Definiteness(Enum):
 
 @dataclass(frozen=True)
 class TitsGram:
-    """Symmetric rational Gram matrix Q with x^T Q x = q_G(x).
-
-    Each entry is an int or, where 2Q has an odd entry c, Fraction(c, 2).
-    An int and the equal Fraction compare and hash alike.
-    """
+    """The symmetric int matrix C = 2Q with x^T C x = 2 q_G(x)."""
     t: int
-    q: tuple[tuple[int | Fraction, ...], ...]
+    c: tuple[tuple[int, ...], ...]
+
+    @property
+    def q(self) -> tuple[tuple[int | Fraction, ...], ...]:
+        """The Gram matrix Q: each entry an int or, for odd x in C, Fraction(x, 2)."""
+        return tuple(tuple(x // 2 if x % 2 == 0 else Fraction(x, 2) for x in row)
+                     for row in self.c)
 
 
 def gram_matrix(g: Biquiver) -> TitsGram:
@@ -46,8 +49,7 @@ def gram_matrix(g: Biquiver) -> TitsGram:
         else:
             c[u][v] -= 1
             c[v][u] -= 1
-    return TitsGram(g.t, tuple(tuple(x // 2 if x % 2 == 0 else Fraction(x, 2) for x in row)
-                               for row in c))
+    return TitsGram(g.t, tuple(map(tuple, c)))
 
 
 def evaluate(g: Biquiver, z: DimensionVector) -> int:
@@ -62,21 +64,21 @@ def evaluate(g: Biquiver, z: DimensionVector) -> int:
 
 
 def definiteness(gram: TitsGram) -> Definiteness:
-    """Exact three-way verdict on the symmetric rational matrix Q.
+    """Exact three-way verdict on the symmetric int matrix C = 2Q.
 
-    Read off the inertia (n+, n-, n0) of Q: positive definite when n+ = t,
-    positive semidefinite (and singular) when n- = 0. Raises FormatError
-    unless Q is a symmetric t x t matrix of ints and Fractions.
+    Read off the inertia (n+, n-, n0) of C, which is that of Q: positive
+    definite when n+ = t, positive semidefinite (and singular) when n- = 0.
+    Raises FormatError unless C is a symmetric t x t matrix of ints.
     """
-    t, q = gram.t, gram.q
-    if not (isinstance(t, int) and t >= 0 and isinstance(q, (tuple, list)) and len(q) == t
-            and all(isinstance(row, (tuple, list)) and len(row) == t for row in q)):
+    t, c = gram.t, gram.c
+    if not (isinstance(t, int) and t >= 0 and isinstance(c, (tuple, list)) and len(c) == t
+            and all(isinstance(row, (tuple, list)) and len(row) == t for row in c)):
         raise FormatError(f"Gram matrix must be {t} x {t}")
-    if not all(isinstance(x, (int, Fraction)) for row in q for x in row):
-        raise FormatError("Gram matrix entries must be ints or Fractions")
-    if any(q[i][j] != q[j][i] for i in range(t) for j in range(i)):
+    if not all(isinstance(x, int) for row in c for x in row):
+        raise FormatError("Gram matrix entries must be ints")
+    if any(c[i][j] != c[j][i] for i in range(t) for j in range(i)):
         raise FormatError("Gram matrix must be symmetric")
-    (positive, negative, _), *_ = _symmetric_ldl(q)
+    (positive, negative, _), *_ = _symmetric_ldl(c)
     if positive == t:
         return Definiteness.POSITIVE_DEFINITE
     if negative == 0:
@@ -85,7 +87,7 @@ def definiteness(gram: TitsGram) -> Definiteness:
 
 
 def radical_vector(gram: TitsGram) -> DimensionVector | None:
-    """Primitive positive integer generator of ker Q, when it exists.
+    """Primitive positive integer generator of ker C = ker Q, when it exists.
 
     Present exactly when Q is positive semidefinite singular with a
     one-dimensional kernel spanned by a strictly positive vector (the case
@@ -93,8 +95,7 @@ def radical_vector(gram: TitsGram) -> DimensionVector | None:
     """
     if definiteness(gram) is not Definiteness.POSITIVE_SEMIDEFINITE:
         return None
-    rows = [list(row) for row in gram.q]
-    basis = fraction_nullspace(rows, gram.t)
+    basis = fraction_nullspace(gram.c, gram.t)
     if len(basis) != 1:
         return None
     ints = _integral(basis[0])

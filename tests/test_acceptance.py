@@ -103,10 +103,10 @@ def test_criterion_1_type_matches_definiteness_exhaustively():
             g = Biquiver(t, arrows)
             kind = representation_type(g).kind
             gram = gram_matrix(g)
-            verdict = definiteness_cache.get(gram.q)
+            verdict = definiteness_cache.get(gram.c)
             if verdict is None:
                 verdict = definiteness(gram)
-                definiteness_cache[gram.q] = verdict
+                definiteness_cache[gram.c] = verdict
             assert (kind is RepKind.FINITE) == \
                 (verdict is Definiteness.POSITIVE_DEFINITE), (g, kind, verdict)
             assert (kind in (RepKind.FINITE, RepKind.TAME_INFINITE)) == \

@@ -112,6 +112,33 @@ def test_tits_output(run, a2_file):
     assert obj["value"] == 1
 
 
+# a double edge 1 - 2 of both kinds, an edge 2 -> 3 and a dashed loop at 3:
+# Q holds 1, 0, -1 and -1/2, and the loop makes it indefinite
+GOLDEN_BIQUIVER = ('{"vertices":3,"arrows":[{"id":"a","from":1,"to":2,"kind":"full"},'
+                   '{"id":"b","from":2,"to":1,"kind":"dashed"},'
+                   '{"id":"c","from":2,"to":3,"kind":"full"},'
+                   '{"id":"l","from":3,"to":3,"kind":"dashed"}]}')
+
+
+@pytest.mark.parametrize("doc, argv, want", [
+    (GOLDEN_BIQUIVER, ["tits", "--evaluate", "1,2,3"],
+     '{"definiteness":"Indefinite","gram":[["1","-1","0"],["-1","1","-1/2"],'
+     '["0","-1/2","0"]],"radical":null,"t":3,"value":-5,"vector":[1,2,3]}\n'),
+    (GOLDEN_BIQUIVER, ["roots", "--value", "0", "--bound", "2"],
+     '[[0,0,1],[0,0,2],[0,1,1],[0,2,2],[1,1,0],[2,1,1],[2,2,0]]\n'),
+    (GOLDEN_BIQUIVER, ["roots", "--value", "1", "--bound", "2"],
+     '[[0,1,0],[1,0,0],[1,0,1],[1,0,2],[1,2,0],[2,1,0]]\n'),
+    ('{"vertices":2,"arrows":[{"id":"a","from":1,"to":2,"kind":"full"},'
+     '{"id":"b","from":2,"to":1,"kind":"dashed"}]}', ["tits"],
+     '{"definiteness":"PositiveSemidefinite","gram":[["1","-1"],["-1","1"]],'
+     '"radical":[1,1],"t":2}\n'),
+], ids=["tits-loop-double-edge", "roots-0", "roots-1", "tits-double-edge"])
+def test_tits_and_roots_golden(run, tmp_path, doc, argv, want):
+    path = _write(tmp_path, "g.json", doc)
+    code, out, err = run(argv[0], path, *argv[1:])
+    assert (code, out, err) == (0, want, "")
+
+
 def test_conjugate_and_eliminate(run, tmp_path, a3_file):
     code, out, _ = run("conjugate", a3_file, "--vertex", "3")
     assert code == 0
@@ -385,6 +412,24 @@ def test_roots_box_search_past_the_cap_exit_3(run, tmp_path):
     code, out, _ = run("roots", path, "--value", "1", "--bound", "1000")
     assert code == 0 and json.loads(out) == [[0, 1]]
     code, out, err = run("roots", path, "--value", "1", "--bound", "10000")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and "cap" in err
+
+
+def test_roots_kernel_search_past_the_cap_exit_3(run, tmp_path):
+    # one kernel direction: 10^7 + 1 values of it exceed the cap
+    path = _write(tmp_path, "g.json", '{"vertices":1,"arrows":['
+                  '{"id":"l","from":1,"to":1,"kind":"full"}]}')
+    code, out, err = run("roots", path, "--value", "0", "--bound", "10000000")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and "cap" in err
+
+
+def test_rep_random_past_the_cap_exit_3(run, a2_file):
+    # 10^10 entries, refused before any is drawn
+    code, out, err = run("rep", "random", a2_file, "--dims", "100000,100000")
     assert code == 3
     assert out == ""
     assert err.startswith("error:") and "cap" in err

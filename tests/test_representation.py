@@ -103,6 +103,21 @@ def test_random_representation_zero_dims_and_pool():
         assert e.im.numerator in allowed and e.im.denominator == 1
 
 
+def test_random_representation_refuses_past_the_cap(monkeypatch):
+    import biquiver.representation as representation
+    monkeypatch.setattr(representation, "MAX_RANDOM_ENTRIES", 12)
+    # 2 x 2 for the loop plus 2 x 4 for the arrow: 12 entries, at the cap
+    g = biq(2, "l:1>1", "a:1~2")
+    assert random_representation(g, (2, 4), entry_bound=2, seed=1).dims == (2, 4)
+    drawn = []
+    monkeypatch.setattr(representation.random.Random, "randint",
+                        lambda self, a, b: drawn.append((a, b)))
+    for dims in [(2, 5), (-4, 2)]:  # a negative dimension offsets nothing
+        with pytest.raises(PreconditionError, match="cap"):
+            random_representation(g, dims, entry_bound=2, seed=1)
+    assert drawn == []
+
+
 def test_representation_json_round_trip():
     g = biq(2, "a:1~2", "b:2>2")
     rep = random_representation(g, (1, 2), entry_bound=5, seed=7)

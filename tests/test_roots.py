@@ -1,3 +1,4 @@
+import ast
 import os
 import random
 import subprocess
@@ -13,12 +14,12 @@ from hypothesis import given, settings, strategies as st
 
 import biquiver
 from biquiver import (Arrow, ArrowKind, Biquiver, Definiteness, PreconditionError,
-                      definiteness, evaluate, gram_matrix, positive_root_count,
-                      radical_vector, roots_with_value)
-from biquiver.linalg import _symmetric_ldl
+                      TitsGram, definiteness, evaluate, gram_matrix,
+                      positive_root_count, radical_vector, roots_with_value)
 from biquiver.roots import MAX_BOX_CANDIDATES, _enumerate_sos
 from conftest import (biq, cycle_biquiver, dynkin_and_extended, path_biquiver,
                       star_biquiver)
+from test_tits import oracle_symmetric_ldl
 
 
 def brute_force_roots(g, value, bound):
@@ -139,6 +140,17 @@ def test_root_check_survives_optimize_flag():
     assert proc.stdout.startswith("raised:"), proc.stdout
 
 
+def test_package_has_no_assert_statements():
+    # python -O strips them, so every check in the package raises explicitly
+    package = Path(biquiver.__file__).resolve().parent
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(package.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert len(list(package.glob("*.py"))) > 10
+    assert found == []
+
+
 def test_disconnected_rejected():
     g = Biquiver(3, path_biquiver(2).arrows)
     with pytest.raises(PreconditionError):
@@ -176,8 +188,9 @@ def test_output_sorted_and_valid():
 # -- integer enumeration against the Fraction enumeration it replaced --------
 
 def oracle_enumerate_sos(gram, value, bound):
-    """The Fraction-budget `_enumerate_sos` that the integer one replaced, verbatim."""
-    _, scale, steps, free = _symmetric_ldl(gram.q)
+    """The Fraction-budget `_enumerate_sos` that the integer one replaced, verbatim,
+    on the old kernel's steps for Q."""
+    _, scale, steps, free = oracle_symmetric_ldl(gram.q)
     target = value * scale  # the steps' squares sum to scale * q
     n = gram.t
     z = [0] * n
@@ -260,7 +273,9 @@ def test_integer_enumeration_matches_oracle_on_random_biquivers(g, value, bound)
 
 
 def test_enumeration_builds_no_fractions(monkeypatch):
-    gram = gram_matrix(star_biquiver([1, 2, 4]))  # E8
+    e8 = star_biquiver([1, 2, 4])
+    e8_tilde = star_biquiver([1, 2, 5])
+    wild = biq(2, "l:1~1", "a:1>2")
     built = []
     original = Fraction.__new__
 
@@ -269,13 +284,31 @@ def test_enumeration_builds_no_fractions(monkeypatch):
         return original(cls, *args, **kwargs)
 
     monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    gram = gram_matrix(e8)
+    verdict = definiteness(gram)
     roots = _enumerate_sos(gram, 1, None)
+    found = [roots_with_value(e8, 1), roots_with_value(e8_tilde, 0, bound=6),
+             roots_with_value(wild, 1, bound=4)]
     monkeypatch.undo()
+    assert verdict is Definiteness.POSITIVE_DEFINITE
     assert len([z for z in roots if any(z)]) == 120
+    assert [len(f) for f in found] == [120, 1, len(brute_force_roots(wild, 1, 4))]
     assert built == []
 
 
 # -- work budget of the box search -------------------------------------------
+
+def test_kernel_search_refuses_past_the_cap():
+    side = isqrt(MAX_BOX_CANDIDATES)  # side^2 <= the cap < (side + 1)^2
+    a1_tilde = biq(2, "a:1>2", "b:2~1")  # one kernel direction
+    with pytest.raises(PreconditionError, match="cap"):
+        roots_with_value(a1_tilde, 0, bound=MAX_BOX_CANDIDATES)
+    assert roots_with_value(a1_tilde, 0, bound=side) == [(k, k) for k in range(1, side + 1)]
+    zero = TitsGram(2, ((0, 0), (0, 0)))  # two kernel directions
+    with pytest.raises(PreconditionError, match="cap"):
+        _enumerate_sos(zero, 0, side)
+    assert len(_enumerate_sos(zero, 0, 3)) == 16
+
 
 def test_box_search_refuses_past_the_cap():
     wild = biq(2, "l:1~1", "a:1>2")  # indefinite

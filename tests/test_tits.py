@@ -1,18 +1,25 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, strategies as st
 
 from biquiver import (Definiteness, FormatError, TitsGram, definiteness,
                       evaluate, gram_matrix, radical_vector)
-from biquiver.linalg import _symmetric_ldl
+from biquiver.linalg import _integer_parts, _symmetric_ldl
 from biquiver.model import Arrow, ArrowKind, Biquiver
 from conftest import biq, cycle_biquiver, dynkin_and_extended, path_biquiver
 
 
 def F(x):
     return Fraction(x)
+
+
+def integral(q):
+    """q times the lcm of its denominators: an int matrix of the same inertia."""
+    den = lcm(*(x.denominator for row in q for x in row))
+    return tuple(tuple(int(x * den) for x in row) for row in q)
 
 
 def characteristic_coefficients(q):
@@ -100,17 +107,83 @@ def oracle_pivoted_ldl(gram: TitsGram):
     return steps, active
 
 
+def oracle_symmetric_ldl(rows) -> tuple:
+    """(inertia, scale, steps, free) of a symmetric matrix Q of ints and Fractions.
+
+    The kernel `_symmetric_ldl` as it was before it took only int matrices,
+    verbatim.
+
+    W = scale * Q, scale the lcm of the denominators, is reduced by Bareiss
+    (1968) steps on the first nonzero diagonal entry d of the active block:
+    w_ij becomes (d w_ij - w_ip w_pj) / prev, prev the pivot before (1 at
+    first), exactly, as active entries are minors of W bordered by the
+    pivots. If the active diagonal is zero but some w_ij is not, the
+    congruence e_i <- e_i + e_j puts 2 w_ij on it. Neither changes the
+    inertia (n+, n-, n0) of Q, counted from the signs of d / prev. Step
+    (p, prev, d, lin), lin mapping each other active j to w_pj != 0, is the
+    LDL^T term (d x_p + lin . x)^2 / (prev d); when n- == 0 (no congruence)
+    these terms sum to x^T W x, and W vanishes on the unpivoted `free`.
+    """
+    n = len(rows)
+    scale, flat = _integer_parts([x for row in rows for x in row])
+    w = [flat[i * n:(i + 1) * n] for i in range(n)]
+    active = list(range(n))
+    steps = []
+    positive = 0
+    prev = 1
+    while active:
+        p = next((i for i in active if w[i][i]), None)
+        if p is None:
+            pair = next(((i, j) for i in active for j in active if w[i][j]), None)
+            if pair is None:
+                break
+            p, j = pair
+            for k in active:
+                w[p][k] += w[j][k]
+            for k in active:
+                w[k][p] += w[k][j]
+        d, row = w[p][p], w[p]
+        positive += (d > 0) == (prev > 0)
+        steps.append((p, prev, d, {j: row[j] for j in active if j != p and row[j]}))
+        active.remove(p)
+        for i in active:
+            wi = w[i]
+            f = wi[p]
+            for j in active:
+                wi[j] = (d * wi[j] - f * row[j]) // prev
+        prev = d
+    return (positive, len(steps) - positive, len(active)), scale, steps, active
+
+
+def oracle_gram_q(g: Biquiver):
+    """Q as `gram_matrix` built it before it stored C = 2Q, verbatim."""
+    c = [[0] * g.t for _ in range(g.t)]
+    for v in range(g.t):
+        c[v][v] = 2
+    for a in g.arrows:
+        u, v = a.source - 1, a.target - 1
+        if u == v:
+            c[u][u] -= 2
+        else:
+            c[u][v] -= 1
+            c[v][u] -= 1
+    return tuple(tuple(x // 2 if x % 2 == 0 else Fraction(x, 2) for x in row) for row in c)
+
+
 def assert_ldl_matches_oracle(gram: TitsGram) -> None:
-    """The kernel's steps are the oracle's, with d times the kernel's scale:
-    its step (p, prev, d, lin) is the oracle's (p, d / prev, lin / d)."""
-    inertia, scale, steps, free = _symmetric_ldl(gram.q)
+    """The kernel's steps on C = 2Q are the oracle's on Q, with d doubled:
+    its step (p, prev, d, lin) is the oracle's (p, d / prev, lin / d).
+    Inertia and free indices agree with the old kernel's on Q."""
+    inertia, steps, free = _symmetric_ldl(gram.c)
+    old_inertia, _, _, old_free = oracle_symmetric_ldl(gram.q)
+    assert (inertia, free) == (old_inertia, old_free)
     oracle = oracle_pivoted_ldl(gram)
     assert (oracle is None) == (inertia[1] > 0)
     if oracle is not None:
         oracle_steps, oracle_free = oracle
         assert [(p, Fraction(d, prev), {j: Fraction(x, d) for j, x in lin.items()})
                 for p, prev, d, lin in steps] == \
-            [(p, scale * d, lin) for p, d, lin in oracle_steps]
+            [(p, 2 * d, lin) for p, d, lin in oracle_steps]
         assert free == oracle_free
         assert inertia == (len(steps), 0, len(free))
 
@@ -141,14 +214,19 @@ def test_definiteness_matches_reference_on_random_trees():
         assert_ldl_matches_oracle(gram)
 
 
-def _symmetric(n, entries):
+def _symmetric_rows(n, entries):
     """Symmetric matrix whose upper triangle is read row by row from entries."""
     q = [[F(0)] * n for _ in range(n)]
     it = iter(entries)
     for i in range(n):
         for j in range(i, n):
             q[i][j] = q[j][i] = next(it)
-    return TitsGram(n, tuple(tuple(row) for row in q))
+    return q
+
+
+def _symmetric(n, entries):
+    """The TitsGram whose C is that matrix scaled to ints."""
+    return TitsGram(n, integral(_symmetric_rows(n, entries)))
 
 
 _small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
@@ -171,7 +249,7 @@ def test_definiteness_matches_reference_on_sums_of_squares(case):
         for i in range(n):
             for j in range(n):
                 q[i][j] += c * v[i] * v[j]
-    gram = TitsGram(n, tuple(tuple(row) for row in q))
+    gram = TitsGram(n, integral(q))
     assert definiteness(gram) is faddeev_leverrier_verdict(gram)
 
 
@@ -191,11 +269,27 @@ def test_inertia_matches_descartes_oracle(case):
     # zeroed diagonal entries, all of them in some draws, send the kernel
     # through its congruence step
     n, entries, zeroed = case
-    q = [list(row) for row in _symmetric(n, entries).q]
+    q = _symmetric_rows(n, entries)
     for i in range(n):
         if zeroed[i]:
             q[i][i] = F(0)
-    assert _symmetric_ldl(q)[0] == descartes_inertia(q)
+    assert _symmetric_ldl(integral(q))[0] == descartes_inertia(q)
+
+
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(_small_fractions, min_size=n * (n + 1) // 2,
+                         max_size=n * (n + 1) // 2),
+    st.lists(st.booleans(), min_size=n, max_size=n))))
+def test_integer_kernel_matches_old_kernel(case):
+    # the int kernel on the scaled matrix against the old one on Q itself
+    n, entries, zeroed = case
+    q = _symmetric_rows(n, entries)
+    for i in range(n):
+        if zeroed[i]:
+            q[i][i] = F(0)
+    inertia, _, free = _symmetric_ldl(integral(q))
+    old_inertia, _, _, old_free = oracle_symmetric_ldl(q)
+    assert (inertia, free) == (old_inertia, old_free)
 
 
 @pytest.mark.parametrize("q, inertia", [
@@ -207,18 +301,19 @@ def test_inertia_matches_descartes_oracle(case):
 ], ids=["empty", "hyperbolic-plane", "zero", "triangle", "rational-diagonal"])
 def test_inertia_examples(q, inertia):
     assert descartes_inertia(q) == inertia
-    assert _symmetric_ldl(q)[0] == inertia
+    assert _symmetric_ldl(integral(q))[0] == inertia
 
 
 def test_zero_diagonal_with_coupling_is_indefinite():
     # no positive pivot exists, yet the block is not zero: q = 2xy
-    gram = TitsGram(2, ((F(0), F(1)), (F(1), F(0))))
+    gram = TitsGram(2, ((0, 1), (1, 0)))
     assert faddeev_leverrier_verdict(gram) is Definiteness.INDEFINITE
     assert definiteness(gram) is Definiteness.INDEFINITE
 
 
 def test_gram_of_a2():
     gram = gram_matrix(path_biquiver(2))
+    assert gram.c == ((2, -1), (-1, 2))
     assert gram.q == ((F(1), F(-1) / 2), (F(-1) / 2, F(1)))
 
 
@@ -233,6 +328,27 @@ def test_gram_entries_are_ints_and_odd_halves():
     assert gram.q == ((1, -1, 0), (-1, 1, Fraction(-1, 2)), (0, Fraction(-1, 2), 0))
     kinds = [[type(x) for x in row] for row in gram.q]
     assert kinds == [[int, int, int], [int, int, Fraction], [int, Fraction, int]]
+    assert gram.c == ((2, -2, 0), (-2, 2, -1), (0, -1, 0))
+    assert all(type(x) is int for row in gram.c for x in row)
+
+
+def test_gram_matches_the_old_fraction_gram():
+    # loops, parallel arrows and both kinds; C = 2Q, and the q view is
+    # exactly what gram_matrix stored before
+    rng = random.Random(11)
+    for _ in range(200):
+        t = rng.randint(1, 6)
+        arrows = tuple(
+            Arrow(f"a{k}", rng.randint(1, t), rng.randint(1, t),
+                  rng.choice((ArrowKind.FULL, ArrowKind.DASHED)))
+            for k in range(rng.randint(0, 8)))
+        g = Biquiver(t, arrows)
+        gram = gram_matrix(g)
+        q = oracle_gram_q(g)
+        assert gram.q == q
+        assert [[type(x) for x in row] for row in gram.q] == [[type(x) for x in row] for row in q]
+        assert gram.c == tuple(tuple(int(2 * x) for x in row) for row in q)
+        assert_ldl_matches_oracle(gram)
 
 
 def test_evaluate_examples():
@@ -263,26 +379,27 @@ def test_evaluate_matches_gram_quadratic_form():
 
 
 def test_definiteness_examples():
-    pd = TitsGram(2, ((F(1), F(-1) / 2), (F(-1) / 2, F(1))))
+    pd = TitsGram(2, ((2, -1), (-1, 2)))
     assert definiteness(pd) is Definiteness.POSITIVE_DEFINITE
-    psd = TitsGram(2, ((F(1), F(-1)), (F(-1), F(1))))
+    psd = TitsGram(2, ((1, -1), (-1, 1)))
     assert definiteness(psd) is Definiteness.POSITIVE_SEMIDEFINITE
-    neg = TitsGram(1, ((F(-1),),))
+    neg = TitsGram(1, ((-1,),))
     assert definiteness(neg) is Definiteness.INDEFINITE
 
 
 def test_definiteness_requires_symmetry():
     with pytest.raises(FormatError):
-        definiteness(TitsGram(2, ((F(1), F(0)), (F(1), F(1)))))
+        definiteness(TitsGram(2, ((1, 0), (1, 1))))
 
 
 @pytest.mark.parametrize("gram", [
-    TitsGram(3, ((F(1), F(0)), (F(0), F(1)))),                  # too few rows
-    TitsGram(2, ((F(1), F(0)), (F(0), F(1)), (F(0), F(0)))),    # too many rows
-    TitsGram(2, ((F(1), F(0)), (F(0),))),                       # ragged
-    TitsGram(2, ((1.0, F(0)), (F(0), F(1)))),                   # a float entry
+    TitsGram(3, ((1, 0), (0, 1))),                  # too few rows
+    TitsGram(2, ((1, 0), (0, 1), (0, 0))),          # too many rows
+    TitsGram(2, ((1, 0), (0,))),                    # ragged
+    TitsGram(2, ((1.0, 0), (0, 1))),                # a float entry
+    TitsGram(2, ((Fraction(1, 2), 0), (0, 1))),     # a Fraction entry: C is integral
     TitsGram(-1, ()),
-], ids=["short", "long", "ragged", "float", "negative-t"])
+], ids=["short", "long", "ragged", "float", "fraction", "negative-t"])
 def test_malformed_gram_is_rejected(gram):
     with pytest.raises(FormatError):
         definiteness(gram)
