@@ -6,22 +6,27 @@ on dashed ones. Because of the conjugation, Hom(A, B) is only a *real*
 vector space; writing F_v = X_v + i Y_v turns the constraints into a
 homogeneous rational linear system whose exact nullspace we compute. All
 certified answers (isomorphism certificates, decompositions) are verified
-by exact rational arithmetic before being returned; negative answers are
-certified only when Hom itself rules them out, and are otherwise Monte
-Carlo with seeded sampling.
+by exact rational arithmetic before being returned. A negative isomorphism
+answer is certified when the dimension vectors differ, when the rank
+profiles differ (ranks of maps the graph defines, which no base change
+moves) or when Hom itself is zero; otherwise it is Monte Carlo with seeded
+sampling.
 """
 from __future__ import annotations
 
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import reduce
+from itertools import combinations, islice
 from math import lcm
 from operator import mul
 
 from .errors import PreconditionError, SingularMatrixError, echo
 from .linalg import (CMatrix, _first_dependence, _integer_parts, _symmetric_ldl,
-                     block_diag, fraction_nullspace, hstack, submatrix)
+                     block_diag, fraction_nullspace, hstack, submatrix, vstack)
 from .model import Biquiver, DimensionVector
 from .polynomials import poly_factor, poly_normalize, split_idempotent
 from .representation import (MatrixRepresentation, apply_base_change,
@@ -30,6 +35,12 @@ from .scalars import GaussianRational
 
 DEFAULT_TRIALS = 8
 DEFAULT_COEFF_BOUND = 10 ** 4
+# The rank profile composes along paths of 2 to PROFILE_PATH_LENGTH arrows
+# and stops after MAX_PROFILE_RANKS entries, so loops, cycles and parallel
+# arrows cannot blow it up. The cap is ample: oriented E6 and E7 trees give
+# 10 to 19 entries.
+PROFILE_PATH_LENGTH = 4
+MAX_PROFILE_RANKS = 256
 
 MorphismTuple = tuple[CMatrix, ...]
 
@@ -207,18 +218,99 @@ def _identity_tuple(dims: DimensionVector) -> MorphismTuple:
 
 # -- isomorphism testing ------------------------------------------------------
 
+def rank_profile(a: MatrixRepresentation) -> Iterator[tuple[str, CMatrix]]:
+    """Named matrices whose ranks are isomorphism invariants, cheapest first.
+
+    A base change S sends the matrix of a full arrow u -> v to
+    S_v^-1 A S_u and that of a dashed one, the map x -> conj(A x), to
+    conj(S_v)^-1 A S_u. Each matrix below is therefore multiplied on both
+    sides by invertible matrices, some conjugated, and keeps its rank:
+
+    1. each arrow matrix;
+    2. at each vertex, for each pair of its out-arrows and for all of them:
+       their matrices stacked, whose rank is the codimension of the meet of
+       their kernels (ker A for either kind); the same for its in-arrows
+       side by side, with conj(A) for a dashed arrow, whose rank is the
+       dimension of the sum of their images;
+    3. the composite along each directed path of 2 to PROFILE_PATH_LENGTH
+       arrows. Extending a composite M by arrow b gives
+       (conj(B) if M is semilinear else B) M, and M is semilinear when an
+       odd number of its arrows are dashed.
+
+    The names and their order depend only on the biquiver, so two
+    representations of it compare entry by entry. The list is lazy and
+    stops after MAX_PROFILE_RANKS entries.
+    """
+    return islice(_profile_entries(a), MAX_PROFILE_RANKS)
+
+
+def _arrow_sets(arrows: list) -> Iterator[tuple]:
+    """Every pair of the arrows, then all of them when there are more than two."""
+    yield from combinations(arrows, 2)
+    if len(arrows) > 2:
+        yield tuple(arrows)
+
+
+def _ids(arrows) -> str:
+    return ",".join(arrow.id for arrow in arrows)
+
+
+def _profile_entries(a: MatrixRepresentation) -> Iterator[tuple[str, CMatrix]]:
+    g, mats = a.biquiver, a.matrices
+
+    def image(arrow) -> CMatrix:
+        return mats[arrow.id].conj() if arrow.is_dashed else mats[arrow.id]
+
+    for arrow in g.arrows:
+        yield f"rank of arrow {arrow.id}", mats[arrow.id]
+    for v in g.vertices():
+        outs = [arrow for arrow in g.arrows if arrow.source == v]
+        for group in _arrow_sets(outs):
+            yield (f"kernel-meet rank of {_ids(group)} at vertex {v}",
+                   reduce(vstack, (mats[arrow.id] for arrow in group)))
+        ins = [arrow for arrow in g.arrows if arrow.target == v]
+        for group in _arrow_sets(ins):
+            yield (f"image-sum rank of {_ids(group)} at vertex {v}",
+                   reduce(hstack, map(image, group)))
+    # (path, composite, semilinear) one length at a time, shortest first
+    level = [((arrow,), mats[arrow.id], arrow.is_dashed) for arrow in g.arrows]
+    for _ in range(PROFILE_PATH_LENGTH - 1):
+        longer = []
+        for path, m, semilinear in level:
+            for arrow in g.arrows:
+                if arrow.source == path[-1].target:
+                    nxt = mats[arrow.id]
+                    extended = path + (arrow,)
+                    composite = (nxt.conj() if semilinear else nxt) @ m
+                    longer.append((extended, composite, semilinear != arrow.is_dashed))
+                    yield f"rank along path {_ids(extended)}", composite
+        level = longer
+
+
+def _profile_difference(a: MatrixRepresentation, b: MatrixRepresentation) -> str | None:
+    """The first rank-profile entry where a and b differ, as a reason; None if none does."""
+    for (name, ma), (_, mb) in zip(rank_profile(a), rank_profile(b)):
+        ra, rb = ma.rank(), mb.rank()
+        if ra != rb:
+            return f"{name} differs: {ra} vs {rb}"
+    return None
+
+
 def are_isomorphic(a: MatrixRepresentation, b: MatrixRepresentation,
                    trials: int = DEFAULT_TRIALS, seed: int = 0,
                    coeff_bound: int = DEFAULT_COEFF_BOUND) -> IsoResult:
     """Randomized isomorphism test with exact certificates.
 
     Yes certificates S_1..S_t are verified exactly before being returned.
-    No is certified only when the dimension vectors differ or Hom(a, b)
-    is zero while the dimensions are not. Otherwise random rational
-    combinations of the Hom basis are tried; invertible tuples form the
-    complement of a determinant hypersurface, so when an isomorphism
-    exists a random point misses the hypersurface with high probability
-    and ProbablyNo after `trials` failures is Monte Carlo evidence only.
+    No is certified, with trials = 0, by the first of three checks that
+    fails, in this order: the dimension vectors agree; the rank profiles
+    agree (the reason names the first invariant that differs and both
+    ranks); Hom(a, b) is not zero. Only the last builds a linear system.
+    When all three pass, random rational combinations of the Hom basis
+    are tried; invertible tuples form the complement of a determinant
+    hypersurface, so when an isomorphism exists a random point misses the
+    hypersurface with high probability and ProbablyNo after `trials`
+    failures is Monte Carlo evidence only.
     A sampled Yes reports in `trials` the samples drawn, up to and
     including the one that succeeded.
     """
@@ -228,6 +320,9 @@ def are_isomorphic(a: MatrixRepresentation, b: MatrixRepresentation,
         return IsoResult(Verdict.NO, reason="dimension vectors differ")
     if a == b:
         return IsoResult(Verdict.YES, certificate=_identity_tuple(a.dims))
+    differs = _profile_difference(a, b)
+    if differs is not None:
+        return IsoResult(Verdict.NO, reason=differs)
     basis = hom_basis(a, b)
     if basis.dimension == 0:
         return IsoResult(Verdict.NO, reason="Hom(a, b) = 0 with nonzero dimensions")

@@ -11,7 +11,8 @@ semidefinite case the same pruning applies but kernel directions are
 only limited by the caller's bound; indefinite forms fall back to a
 bounded box search. Either search refuses to start when its box, of
 (bound + 1)^k vectors over its k unpruned coordinates, holds more than
-MAX_BOX_CANDIDATES. No floating point is used anywhere.
+MAX_BOX_CANDIDATES, and stops as soon as it finds more than MAX_ROOTS
+roots. No floating point is used anywhere.
 """
 from __future__ import annotations
 
@@ -26,6 +27,10 @@ from .tits import Definiteness, TitsGram, definiteness, evaluate, gram_matrix
 # The most vectors a root search may try: (bound + 1)^k over the t coordinates
 # of an indefinite form or the k kernel directions of a semidefinite one.
 MAX_BOX_CANDIDATES = 10 ** 7
+# The most solutions a search may record, the zero vector included: the
+# output, unlike the box, grows with the bound even when only one coordinate
+# is unpruned.
+MAX_ROOTS = 10 ** 5
 
 
 def roots_with_value(g: Biquiver, value: int, bound: int | None = None) -> list[DimensionVector]:
@@ -36,7 +41,8 @@ def roots_with_value(g: Biquiver, value: int, bound: int | None = None) -> list[
     coordinate (and is required). A negative `bound` is rejected, and so is
     a search past MAX_BOX_CANDIDATES: (bound + 1)^t candidates for an
     indefinite form on t vertices, (bound + 1)^k for a semidefinite form
-    with k kernel directions.
+    with k kernel directions, and a search that finds more than MAX_ROOTS
+    roots.
     """
     if value not in (0, 1):
         raise PreconditionError(f"value must be 0 or 1, got {echo(value)}")
@@ -89,6 +95,14 @@ def _check_box(bound: int, k: int, search: str) -> None:
                 f"exceeds the cap of {MAX_BOX_CANDIDATES} candidates")
 
 
+def _keep(results: list[DimensionVector], z: list[int]) -> None:
+    """Record the solution z, refusing one past MAX_ROOTS."""
+    if len(results) == MAX_ROOTS:
+        raise PreconditionError(
+            f"the root search found more than the cap of {MAX_ROOTS} roots; lower the bound")
+    results.append(tuple(z))
+
+
 # -- weighted sum-of-squares enumeration -------------------------------------
 
 def _enumerate_sos(gram: TitsGram, value: int, bound: int | None):
@@ -106,7 +120,7 @@ def _enumerate_sos(gram: TitsGram, value: int, bound: int | None):
     def assign_pivots(k: int, spent: int) -> None:
         if k < 0:
             if spent == target:
-                results.append(tuple(z))
+                _keep(results, z)
             return
         p, _, d, lin = steps[k]
         weight = weights[k]
@@ -151,7 +165,7 @@ def _enumerate_box(gram: TitsGram, value: int, bound: int):
     def rec(i: int, partial: int) -> None:
         if i == n:
             if partial == value:
-                results.append(tuple(z))
+                _keep(results, z)
             return
         row = cross[i]
         mixed = sum(row[j] * z[j] for j in range(i))

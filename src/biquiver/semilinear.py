@@ -70,9 +70,12 @@ def are_consimilar(a: CMatrix, b: CMatrix, trials: int = DEFAULT_TRIALS,
     """Decide whether conj(S)^{-1} a S = b has an invertible solution S.
 
     Yes results carry an exactly verified S (the certificate's single
-    matrix); No is certified via the morphism space, ProbablyNo is Monte
-    Carlo. Delegates to the one-dashed-loop biquiver where isomorphism of
-    representations is precisely consimilarity.
+    matrix). No is certified by the rank profile of the loop, whose paths
+    give the consimilarity invariants rank a, rank a conj(a),
+    rank a conj(a) a and rank (a conj(a))^2 (Hong & Horn 1988), or by the
+    morphism space; ProbablyNo is Monte Carlo. Delegates to the
+    one-dashed-loop biquiver where isomorphism of representations is
+    precisely consimilarity.
     """
     if not a.is_square or not b.is_square or a.rows != b.rows:
         raise FormatError("consimilarity needs square matrices of equal size")

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,7 @@ import biquiver
 
 from biquiver import serialize_biquiver, serialize_representation, random_representation
 from biquiver.cli import main
-from conftest import cycle_biquiver, path_biquiver
+from conftest import biq, cycle_biquiver, gmat, mat, path_biquiver
 
 
 @pytest.fixture
@@ -258,6 +259,42 @@ def test_byte_identical_output(run, a3_file, tmp_path):
     assert d1 == d2
 
 
+# (biquiver, dims, matrices of a, matrices of b, extra arguments, stdout): one
+# certified No per kind of rank invariant, then a Yes and a ProbablyNo that
+# the rank profile leaves to the sampler, whose output it does not change
+ISO_GOLDEN = [
+    (biq(2, "a:1>2"), (1, 1), {"a": mat([1])}, {"a": mat([0])}, [],
+     '{"reason":"rank of arrow a differs: 1 vs 0","verdict":"No"}\n'),
+    (biq(3, "a:1>2", "b:1~3"), (2, 1, 1), {"a": mat([1, 0]), "b": mat([0, 1])},
+     {"a": mat([1, 0]), "b": mat([1, 0])}, [],
+     '{"reason":"kernel-meet rank of a,b at vertex 1 differs: 2 vs 1","verdict":"No"}\n'),
+    # the dashed b maps onto conj(im B): [1, i] and [1, -i] span a plane
+    # with a = [1, i], while [1, i] and conj([1, -i]) span a line
+    (biq(3, "a:2>1", "b:3~1"), (2, 1, 1),
+     {"a": gmat([(1, 0)], [(0, 1)]), "b": gmat([(1, 0)], [(0, 1)])},
+     {"a": gmat([(1, 0)], [(0, 1)]), "b": gmat([(1, 0)], [(0, -1)])}, [],
+     '{"reason":"image-sum rank of a,b at vertex 1 differs: 2 vs 1","verdict":"No"}\n'),
+    # consimilarity: rank A conj(A) is 0 for the nilpotent A, 1 for B
+    (biq(1, "a:1~1"), (2,), {"a": mat([0, 1], [0, 0])}, {"a": mat([1, 0], [0, 0])}, [],
+     '{"reason":"rank along path a,a differs: 0 vs 1","verdict":"No"}\n'),
+    (biq(1, "a:1~1"), (1,), {"a": gmat([(0, 1)])}, {"a": mat([1])}, ["--seed", "1"],
+     '{"certificate":{"S":[[[["-1/11196","1/11196"]]]]},"seed":1,"trials":1,"verdict":"Yes"}\n'),
+    (biq(1, "a:1>1"), (2,), {"a": mat([1, 0], [0, 2])}, {"a": mat([1, 0], [0, 3])},
+     ["--trials", "4", "--seed", "9"],
+     '{"reason":"no invertible morphism found in 4 samples","seed":9,"trials":4,'
+     '"verdict":"ProbablyNo"}\n'),
+]
+
+
+@pytest.mark.parametrize("g, dims, mats_a, mats_b, extra, want", ISO_GOLDEN,
+                         ids=["arrow", "kernel-meet", "image-sum", "path", "yes", "probably-no"])
+def test_rep_iso_golden(run, tmp_path, g, dims, mats_a, mats_b, extra, want):
+    paths = [_write(tmp_path, f"{name}.json", serialize_representation(
+        biquiver.MatrixRepresentation(g, dims, mats))) for name, mats in (("a", mats_a),
+                                                                          ("b", mats_b))]
+    assert run("rep", "iso", *paths, *extra) == (0, want, "")
+
+
 def test_emitted_certificate_reverifies(run, tmp_path, a3_file):
     # certificates printed by `rep iso` satisfy the base-change equations
     from biquiver import parse_representation, parse_matrix_obj, apply_base_change
@@ -422,6 +459,20 @@ def test_roots_kernel_search_past_the_cap_exit_3(run, tmp_path):
     path = _write(tmp_path, "g.json", '{"vertices":1,"arrows":['
                   '{"id":"l","from":1,"to":1,"kind":"full"}]}')
     code, out, err = run("roots", path, "--value", "0", "--bound", "10000000")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and "cap" in err
+
+
+def test_roots_output_past_the_cap_exit_3(run, tmp_path):
+    # ~A1: the box of 10^6 + 1 kernel values is within its cap, but the
+    # 10^6 roots (k, k) are past MAX_ROOTS, so the search stops early
+    path = _write(tmp_path, "g.json", '{"vertices":2,"arrows":['
+                  '{"id":"a","from":1,"to":2,"kind":"full"},'
+                  '{"id":"b","from":2,"to":1,"kind":"dashed"}]}')
+    start = time.perf_counter()
+    code, out, err = run("roots", path, "--value", "0", "--bound", "1000000")
+    assert time.perf_counter() - start < 2
     assert code == 3
     assert out == ""
     assert err.startswith("error:") and "cap" in err

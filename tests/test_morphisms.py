@@ -3,10 +3,12 @@ import random
 import subprocess
 import sys
 import textwrap
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import biquiver
 from biquiver import (CMatrix, GaussianRational, IndecomposabilityStatus, MatrixRepresentation,
@@ -16,13 +18,13 @@ from biquiver import (CMatrix, GaussianRational, IndecomposabilityStatus, Matrix
                       random_representation, zero_representation)
 from biquiver import morphisms
 from biquiver.linalg import fraction_nullspace, fraction_solve
-from biquiver.morphisms import (_certify_local, _combine, _flatten_tuple, _identity_tuple,
-                                _minimal_polynomial, _trace_form,
-                                _tuple_compose, _vertex_killers)
+from biquiver.morphisms import (MAX_PROFILE_RANKS, _certify_local, _combine, _flatten_tuple,
+                                _identity_tuple, _minimal_polynomial, _trace_form,
+                                _tuple_compose, _vertex_killers, rank_profile)
 from biquiver.polynomials import poly_normalize
 from biquiver.semilinear import are_consimilar
 from conftest import (biq, gmat, mat, path_biquiver, random_base_change, random_biquiver,
-                      star_biquiver)
+                      random_invertible, star_biquiver)
 from test_linalg import oracle_fraction_nullspace
 
 
@@ -234,6 +236,141 @@ def test_iso_yes_reports_samples_used():
         assert res.trials == first <= 50
         late += first > 1
     assert late > 0
+
+
+# -- rank profile ---------------------------------------------------------------
+
+def profile_ranks(rep):
+    return [(name, m.rank()) for name, m in rank_profile(rep)]
+
+
+# shapes where a wrong conjugation rule shows: a dashed loop, full and dashed
+# loops together, odd dashed 2- and 3-cycles, parallel arrows of both kinds
+PROFILE_SHAPES = [(1, ("a:1~1",)), (1, ("a:1>1", "b:1~1")), (2, ("a:1>2", "b:2~1")),
+                  (3, ("a:1~2", "b:2>3", "c:3>1")), (2, ("a:1>2", "b:1~2", "c:1~2"))]
+# mostly zeros and units, so that ranks drop and composites vanish
+PROFILE_ENTRIES = [(0, 0)] * 3 + [(1, 0), (-1, 0), (0, 1), (1, 1), (0, -1), (2, -1)]
+
+
+@st.composite
+def profile_representations(draw):
+    """A small representation with sparse Gaussian-integer entries, on a
+    named shape or on 1 to 4 random arrows among 1 to 3 vertices."""
+    named = draw(st.booleans())
+    if named:
+        t, specs = draw(st.sampled_from(PROFILE_SHAPES))
+    else:
+        t = draw(st.integers(1, 3))
+        ends = draw(st.lists(st.tuples(st.integers(1, t), st.integers(1, t), st.booleans()),
+                             min_size=1, max_size=4))
+        specs = [f"a{k}:{u}{'~' if dashed else '>'}{v}"
+                 for k, (u, v, dashed) in enumerate(ends)]
+    g = biq(t, *specs)
+    dims = tuple(draw(st.lists(st.integers(0, 3), min_size=t, max_size=t)))
+    mats = {}
+    for arrow in g.arrows:
+        r, c = dims[arrow.target - 1], dims[arrow.source - 1]
+        entries = draw(st.lists(st.sampled_from(PROFILE_ENTRIES), min_size=r * c,
+                                max_size=r * c))
+        mats[arrow.id] = CMatrix(r, c, tuple(gaussian(*e) for e in entries))
+    return MatrixRepresentation(g, dims, mats)
+
+
+@settings(deadline=None, max_examples=150)
+@given(profile_representations(), st.integers(0, 10 ** 6))
+def test_rank_profile_invariant_under_base_change(rep, seed):
+    rng = random.Random(seed)
+    s = [random_invertible(rng, d) for d in rep.dims]
+    assert profile_ranks(apply_base_change(rep, s)) == profile_ranks(rep)
+
+
+def test_rank_profile_order_and_names():
+    # arrows first, then kernel meets and image sums vertex by vertex, then
+    # paths by length; a dashed arrow into vertex 2 enters its image sum
+    # conjugated, so [i] and [1] span the same line and the sum has rank 1
+    g = biq(3, "a:1>2", "b:1~2", "c:2>3")
+    rep = MatrixRepresentation(g, (1, 1, 1), {"a": gmat([(0, 1)]), "b": mat([1]),
+                                               "c": mat([1])})
+    assert profile_ranks(rep) == [
+        ("rank of arrow a", 1), ("rank of arrow b", 1), ("rank of arrow c", 1),
+        ("kernel-meet rank of a,b at vertex 1", 1), ("image-sum rank of a,b at vertex 2", 1),
+        ("rank along path a,c", 1), ("rank along path b,c", 1)]
+
+
+def oracle_iso_by_sampling(a, b, trials, seed):
+    """The isomorphism test without the rank profile: a Hom system, then
+    `trials` samples; True on a verified isomorphism."""
+    basis = hom_basis(a, b)
+    rng = random.Random(seed)
+    for _ in range(trials if basis.dimension else 0):
+        f = _combine(basis, [Fraction(rng.randint(-10 ** 4, 10 ** 4)) for _ in basis.tuples])
+        if all(m.is_invertible() for m in f):
+            if apply_base_change(a, [m.inverse() for m in f]) == b:
+                return True
+    return False
+
+
+def test_profile_no_never_contradicts_the_sampler():
+    # pairs with equal dimension vectors: an unrelated sparse draw, and the
+    # other's base change with one arrow matrix replaced; whenever the
+    # profiles differ, the Hom system and 32 samples never find a Yes
+    rng = random.Random(5)
+    differing = nonzero_hom = 0
+    for k in range(120):
+        g = random_biquiver(rng)
+        a = _sparse_representation(rng, g, 2)
+        twin = _sparse_representation(rng, g, 2)
+        while twin.dims != a.dims:
+            twin = _sparse_representation(rng, g, 2)
+        moved = random_base_change(rng, a)
+        arrow = rng.choice(g.arrows).id
+        b = MatrixRepresentation(g, a.dims, {**moved.matrices, arrow: twin.matrices[arrow]})
+        for other in (twin, b):
+            res = are_isomorphic(a, other, seed=k)
+            if profile_ranks(a) == profile_ranks(other):
+                assert res.verdict is not Verdict.NO or res.reason.startswith("Hom")
+                continue
+            differing += 1
+            nonzero_hom += hom_basis(a, other).dimension > 0
+            assert res.verdict is Verdict.NO and res.trials == 0
+            assert not oracle_iso_by_sampling(a, other, trials=32, seed=k)
+    assert differing >= 50 and nonzero_hom >= 25
+
+
+def test_consimilarity_certified_no_from_path_rank():
+    # equal rank, but A conj(A) = 0 while B conj(B) = B (Hong & Horn's
+    # invariants rank (A conj A)^k A): certified for every seed
+    for seed in range(10):
+        res = are_consimilar(mat([0, 1], [0, 0]), mat([1, 0], [0, 0]), seed=seed)
+        assert res.verdict is Verdict.NO and res.trials == 0
+        assert res.reason == "rank along path a,a differs: 0 vs 1"
+
+
+# a 9-cycle with a loop at every vertex: 36 arrow and vertex entries, then
+# 36, 72 and 144 paths of 2, 3 and 4 arrows; a tenth vertex with 40 parallel
+# arrows into the cycle adds 861 image sums at vertex 1 before any path
+CYCLE_WITH_LOOPS = ([f"e{i}:{i}>{i % 9 + 1}" for i in range(1, 10)]
+                    + [f"l{i}:{i}{'~' if i % 2 else '>'}{i}" for i in range(1, 10)])
+PARALLEL = [f"p{k}:10{'~' if k % 3 else '>'}1" for k in range(40)]
+
+
+@pytest.mark.parametrize("t, specs, last", [
+    (9, CYCLE_WITH_LOOPS, "rank along path"), (10, CYCLE_WITH_LOOPS + PARALLEL, "image-sum")],
+    ids=["cycle-with-loops", "parallel-arrows"])
+def test_rank_profile_stays_within_its_cap(monkeypatch, t, specs, last):
+    a = random_representation(biq(t, *specs), (1,) * t, 2, 3)
+    calls = []
+    rank = CMatrix.rank
+    monkeypatch.setattr(CMatrix, "rank", lambda m: calls.append(1) or rank(m))
+    ranks = profile_ranks(a)
+    assert len(ranks) == len(calls) == MAX_PROFILE_RANKS
+    assert ranks[-1][0].startswith(last)
+    calls.clear()
+    b = random_base_change(random.Random(8), a)
+    start = time.perf_counter()
+    res = are_isomorphic(a, b, seed=1)
+    assert time.perf_counter() - start < 1
+    assert res.verdict is Verdict.YES and len(calls) == 2 * MAX_PROFILE_RANKS
 
 
 # -- endomorphism algebras ------------------------------------------------------

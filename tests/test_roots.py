@@ -16,7 +16,7 @@ import biquiver
 from biquiver import (Arrow, ArrowKind, Biquiver, Definiteness, PreconditionError,
                       TitsGram, definiteness, evaluate, gram_matrix,
                       positive_root_count, radical_vector, roots_with_value)
-from biquiver.roots import MAX_BOX_CANDIDATES, _enumerate_sos
+from biquiver.roots import MAX_BOX_CANDIDATES, MAX_ROOTS, _enumerate_box, _enumerate_sos
 from conftest import (biq, cycle_biquiver, dynkin_and_extended, path_biquiver,
                       star_biquiver)
 from test_tits import oracle_symmetric_ldl
@@ -308,6 +308,20 @@ def test_kernel_search_refuses_past_the_cap():
     with pytest.raises(PreconditionError, match="cap"):
         _enumerate_sos(zero, 0, side)
     assert len(_enumerate_sos(zero, 0, 3)) == 16
+
+
+def test_searches_refuse_past_the_root_cap():
+    # ~A1 at value 0: the bound b gives the b + 1 solutions (k, k), zero included
+    gram = gram_matrix(biq(2, "a:1>2", "b:2~1"))
+    assert len(_enumerate_sos(gram, 0, MAX_ROOTS - 1)) == MAX_ROOTS
+    with pytest.raises(PreconditionError, match="cap"):
+        _enumerate_sos(gram, 0, MAX_ROOTS)
+    # the zero form: every one of the (b + 1)^2 vectors of the box is a solution
+    zero = TitsGram(2, ((0, 0), (0, 0)))
+    side = isqrt(MAX_ROOTS)  # side^2 <= the cap < (side + 1)^2
+    assert len(_enumerate_box(zero, 0, side - 1)) == side ** 2
+    with pytest.raises(PreconditionError, match="cap"):
+        _enumerate_box(zero, 0, side)
 
 
 def test_box_search_refuses_past_the_cap():
