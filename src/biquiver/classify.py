@@ -7,15 +7,18 @@ of the extended diagrams: a single cycle through all vertices (including
 the one-loop and double-edge degenerations), the two-fork D-tilde trees,
 or E6/E7/E8-tilde. Everything else is wild. Extended labels are spelled
 with a leading tilde, e.g. "~A2" for the 3-vertex cycle.
+
+The shape is read off the graph layer's one traversal,
+`model._spanning_forest`: its roots decide connectivity, and its neighbour
+lists give the degrees and the branch lengths.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
 from .errors import PreconditionError
-from .model import Biquiver, is_connected
+from .model import Biquiver, _spanning_forest
 
 
 class RepKind(Enum):
@@ -43,34 +46,24 @@ _TRIPOD_LABELS = {
 def diagram_shape(g: Biquiver) -> str | None:
     """Dynkin / extended Dynkin label of the underlying multigraph, or None.
 
-    Raises PreconditionError on disconnected input.
+    Connectivity, degrees and neighbours all come from the one
+    spanning-forest traversal. Raises PreconditionError on disconnected
+    input, whatever loops, parallel arrows or arrow count it has.
     """
-    t = g.t
-    loops = 0
-    pair_count: Counter = Counter()
-    adj: list[list[int]] = [[] for _ in range(t + 1)]
-    for a in g.arrows:
-        if a.source == a.target:
-            loops += 1
-            continue
-        u, v = a.source, a.target
-        pair_count[(min(u, v), max(u, v))] += 1
-        adj[u].append(v)
-        adj[v].append(u)
-
-    if not is_connected(g):
+    root, _, _, _, adj = _spanning_forest(g)
+    if max(root) > 1:  # a second tree grows from a later root
         raise PreconditionError("biquiver is not connected")
 
-    m = len(g.arrows)
-    if loops:
+    t, m = g.t, len(g.arrows)
+    if any(a.is_loop for a in g.arrows):
         return "~A0" if t == 1 and m == 1 else None
     if t == 1:
         return "A1"
-    if any(c > 1 for c in pair_count.values()):
-        return "~A1" if t == 2 and m == 2 else None
 
-    # simple connected graph from here on
-    deg = [len(adj[v]) for v in range(t + 1)]
+    # Loopless and connected from here on. With m = t arrows the graph is
+    # one cycle exactly when every degree is 2 (at t = 2 the double edge,
+    # ~A1); with m = t - 1 it is a tree, so no two arrows are parallel.
+    deg = [len(pairs) for pairs in adj]
     if m == t:
         return f"~A{t - 1}" if all(deg[v] == 2 for v in g.vertices()) else None
     if m != t - 1:
@@ -87,11 +80,10 @@ def diagram_shape(g: Biquiver) -> str | None:
         if deg[c] > 4:
             return None
         lengths = []
-        for start in adj[c]:
+        for start, _ in adj[c]:
             prev, cur, length = c, start, 1
             while deg[cur] == 2:
-                nxt = adj[cur][0] if adj[cur][0] != prev else adj[cur][1]
-                prev, cur = cur, nxt
+                prev, cur = cur, next(w for w, _ in adj[cur] if w != prev)
                 length += 1
             lengths.append(length)
         lengths.sort()
@@ -101,7 +93,7 @@ def diagram_shape(g: Biquiver) -> str | None:
         return _TRIPOD_LABELS.get((a, b, cc))
     if len(centers) == 2 and all(deg[v] <= 3 for v in g.vertices()):
         for c in centers:
-            leaf_neighbors = sum(1 for w in adj[c] if deg[w] == 1)
+            leaf_neighbors = sum(1 for w, _ in adj[c] if deg[w] == 1)
             if leaf_neighbors != 2:
                 return None
         return f"~D{t - 1}"

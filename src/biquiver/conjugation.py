@@ -75,7 +75,7 @@ def dash_elimination_plan(g: Biquiver) -> DashEliminationPlan | DashEliminationO
         if a.is_loop and a.is_dashed:
             return DashEliminationObstruction(f"dashed loop at vertex {a.source}")
 
-    root, parent, color, tree_arrows = _spanning_forest(g)
+    root, parent, color, tree_arrows, _ = _spanning_forest(g)
     if any(root[v] != 1 for v in g.vertices()):
         raise PreconditionError("biquiver is not connected")
 

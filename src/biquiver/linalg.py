@@ -129,10 +129,6 @@ class CMatrix:
         k = i * self.cols + j
         return GaussianRational(Fraction(self.re[k], self.den), Fraction(self.im[k], self.den))
 
-    def row_list(self) -> list[list[GaussianRational]]:
-        e = self.entries
-        return [list(e[i * self.cols:(i + 1) * self.cols]) for i in range(self.rows)]
-
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import sys
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
@@ -71,12 +70,16 @@ class Biquiver:
 def _spanning_forest(g: Biquiver):
     """BFS spanning forest of the underlying graph, loops skipped.
 
-    Trees grow from roots taken in vertex order, and each vertex's
-    neighbours are visited in arrow order, so the forest, and every tree
-    path read off it, depends only on the arrow list. Returns lists indexed
-    by vertex (index 0 unused) of the root of its tree, its parent (0 at a
-    root) and the parity of dashed arrows on its tree path from the root,
-    then the set of tree-arrow ids.
+    The graph layer's one traversal: connectivity, components, shape
+    recognition and dash elimination all read it, and nothing else builds
+    neighbour lists. Trees grow from roots taken in vertex order, and each
+    vertex's neighbours are visited in arrow order, so the forest, and every
+    tree path read off it, depends only on the arrow list. Returns lists
+    indexed by vertex (index 0 unused) of the root of its tree, its parent
+    (0 at a root) and the parity of dashed arrows on its tree path from the
+    root, then the set of tree-arrow ids, then the adjacency: for each
+    vertex, its (neighbour, arrow) pairs in arrow order, one per non-loop
+    arrow, so len(adj[v]) is the degree of v.
     """
     adj: list[list[tuple[int, Arrow]]] = [[] for _ in range(g.t + 1)]
     for a in g.arrows:
@@ -91,9 +94,8 @@ def _spanning_forest(g: Biquiver):
         if root[r]:
             continue
         root[r] = r
-        queue = deque([r])
-        while queue:
-            v = queue.popleft()
+        queue = [r]
+        for v in queue:  # the queue grows while it is read: breadth first
             for w, a in adj[v]:
                 if not root[w]:
                     root[w] = r
@@ -101,7 +103,7 @@ def _spanning_forest(g: Biquiver):
                     parity[w] = parity[v] ^ (1 if a.is_dashed else 0)
                     tree_arrows.add(a.id)
                     queue.append(w)
-    return root, parent, parity, tree_arrows
+    return root, parent, parity, tree_arrows, adj
 
 
 def is_connected(g: Biquiver) -> bool:

@@ -6,7 +6,8 @@ arbitrary-precision rationals. Fraction keeps every part canonical
 defined. Matrices keep their entries as integers over one denominator
 (see `linalg.CMatrix`); GaussianRationals are the scalars of the public
 interface: matrix entries as parsed, printed and read back, and scalars
-passed in.
+passed in. They add, multiply and conjugate but do not divide: every
+division happens inside the integer matrix kernels.
 """
 from __future__ import annotations
 
@@ -63,25 +64,8 @@ class GaussianRational:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other) -> "GaussianRational":
-        other = as_gaussian(other)
-        n = other.norm2()
-        if n == 0:
-            raise ZeroDivisionError("division by zero GaussianRational")
-        return GaussianRational(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
-        )
-
-    def __rtruediv__(self, other) -> "GaussianRational":
-        return as_gaussian(other) / self
-
     def conjugate(self) -> "GaussianRational":
         return GaussianRational(self.re, -self.im)
-
-    def norm2(self) -> Fraction:
-        """Squared modulus re^2 + im^2, an exact rational."""
-        return self.re * self.re + self.im * self.im
 
     def __bool__(self) -> bool:
         return bool(self.re) or bool(self.im)

@@ -85,6 +85,29 @@ def oracle_fraction_solve(columns, target):
     return x
 
 
+def oracle_norm2(z: GaussianRational) -> Fraction:
+    """Squared modulus re^2 + im^2, an exact rational."""
+    return z.re * z.re + z.im * z.im
+
+
+def oracle_divide(a: GaussianRational, b: GaussianRational) -> GaussianRational:
+    """a / b over the Gaussian rationals, as `GaussianRational` once defined it."""
+    b = as_gaussian(b)
+    n = oracle_norm2(b)
+    if n == 0:
+        raise ZeroDivisionError("division by zero GaussianRational")
+    return GaussianRational(
+        (a.re * b.re + a.im * b.im) / n,
+        (a.im * b.re - a.re * b.im) / n,
+    )
+
+
+def oracle_row_list(m: CMatrix) -> list[list[GaussianRational]]:
+    """The rows of m as lists of GaussianRationals, as `CMatrix.row_list` gave them."""
+    e = m.entries
+    return [list(e[i * m.cols:(i + 1) * m.cols]) for i in range(m.rows)]
+
+
 def oracle_echelon(rows):
     """Reduced row echelon form over the Gaussian rationals; returns pivot columns."""
     if not rows:
@@ -97,7 +120,7 @@ def oracle_echelon(rows):
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        inv_p = ONE / rows[r][c]
+        inv_p = oracle_divide(ONE, rows[r][c])
         rows[r] = [inv_p * x for x in rows[r]]
         for i in range(len(rows)):
             if i != r and rows[i][c]:
@@ -116,12 +139,12 @@ def _columns_to_matrix(height, cols):
 
 
 def oracle_column_space_basis(m):
-    _, pivots = oracle_echelon(m.row_list())
+    _, pivots = oracle_echelon(oracle_row_list(m))
     return _columns_to_matrix(m.rows, [[m.at(i, j) for i in range(m.rows)] for j in pivots])
 
 
 def oracle_nullspace_basis(m):
-    reduced, pivots = oracle_echelon(m.row_list())
+    reduced, pivots = oracle_echelon(oracle_row_list(m))
     cols = []
     for f in [j for j in range(m.cols) if j not in pivots]:
         v = [ZERO] * m.cols
@@ -147,7 +170,7 @@ def oracle_inverse(m):
             raise SingularMatrixError(f"singular {n}x{n} matrix")
         if piv != col:
             aug[col], aug[piv] = aug[piv], aug[col]
-        inv_p = ONE / aug[col][col]
+        inv_p = oracle_divide(ONE, aug[col][col])
         aug[col] = [inv_p * x for x in aug[col]]
         for r in range(n):
             if r != col and aug[r][col]:
@@ -345,6 +368,17 @@ def _cmatrix(rows, ncols):
 
 
 
+@given(st.one_of(small_gaussians, wide_gaussians), st.one_of(small_gaussians, wide_gaussians))
+def test_oracle_divide_inverts_multiplication(a, b):
+    # the norm and division that the elimination oracles above rely on
+    assert (a * a.conjugate()).re == oracle_norm2(a)
+    assert (a * a.conjugate()).im == 0
+    if b:
+        assert oracle_divide(a * b, b) == a
+    with pytest.raises(ZeroDivisionError):
+        oracle_divide(a, ZERO)
+
+
 def test_matmul_identity_and_zero():
     m = gmat([(1, 2), (0, -1)], [(3, 0), (0, 5)])
     assert CMatrix.identity(2) @ m == m
@@ -495,7 +529,7 @@ def test_fraction_solve_matches_oracle(entry, data):
                  real_or_imaginary_columns()))
 def test_cmatrix_reductions_match_oracle(system):
     m = _cmatrix(*system)
-    assert m.rank() == len(oracle_echelon(m.row_list())[1])
+    assert m.rank() == len(oracle_echelon(oracle_row_list(m))[1])
     assert m.column_space_basis() == oracle_column_space_basis(m)
     assert m.nullspace_basis() == oracle_nullspace_basis(m)
 
