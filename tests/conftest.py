@@ -1,11 +1,12 @@
-"""Shared builders for the test suite."""
+"""Shared builders and reference arithmetic for the test suite."""
 from __future__ import annotations
 
 import random
 from fractions import Fraction
 
-from biquiver import (Arrow, ArrowKind, Biquiver, CMatrix,
+from biquiver import (Arrow, ArrowKind, Biquiver, CMatrix, GaussianRational,
                       MatrixRepresentation, apply_base_change, gaussian)
+from biquiver.scalars import as_gaussian
 
 
 def biq(t: int, *specs: str) -> Biquiver:
@@ -141,3 +142,20 @@ def similar_small_oracle(m: CMatrix, n: CMatrix) -> bool:
 def consimilar_necessary_invariant(m: CMatrix, n: CMatrix) -> bool:
     """Necessary condition: m conj(m) similar to n conj(n) (sizes <= 2)."""
     return similar_small_oracle(m @ m.conj(), n @ n.conj())
+
+
+def oracle_norm2(z: GaussianRational) -> Fraction:
+    """Squared modulus re^2 + im^2, an exact rational."""
+    return z.re * z.re + z.im * z.im
+
+
+def oracle_divide(a: GaussianRational, b: GaussianRational) -> GaussianRational:
+    """a / b over the Gaussian rationals, as `GaussianRational` once defined it."""
+    b = as_gaussian(b)
+    n = oracle_norm2(b)
+    if n == 0:
+        raise ZeroDivisionError("division by zero GaussianRational")
+    return GaussianRational(
+        (a.re * b.re + a.im * b.im) / n,
+        (a.im * b.re - a.re * b.im) / n,
+    )

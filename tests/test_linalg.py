@@ -10,7 +10,7 @@ from biquiver import (CMatrix, FormatError, GaussianRational, SingularMatrixErro
                       block_diag, from_blocks, hstack, vstack)
 from biquiver.linalg import fraction_nullspace, fraction_solve, submatrix
 from biquiver.scalars import I, ONE, ZERO, as_gaussian
-from conftest import gmat, mat, random_invertible
+from conftest import gmat, mat, oracle_divide, random_invertible
 
 
 # -- reference implementations ------------------------------------------------
@@ -83,23 +83,6 @@ def oracle_fraction_solve(columns, target):
     for r, p in enumerate(pivots):
         x[p] = reduced[r][k]
     return x
-
-
-def oracle_norm2(z: GaussianRational) -> Fraction:
-    """Squared modulus re^2 + im^2, an exact rational."""
-    return z.re * z.re + z.im * z.im
-
-
-def oracle_divide(a: GaussianRational, b: GaussianRational) -> GaussianRational:
-    """a / b over the Gaussian rationals, as `GaussianRational` once defined it."""
-    b = as_gaussian(b)
-    n = oracle_norm2(b)
-    if n == 0:
-        raise ZeroDivisionError("division by zero GaussianRational")
-    return GaussianRational(
-        (a.re * b.re + a.im * b.im) / n,
-        (a.im * b.re - a.re * b.im) / n,
-    )
 
 
 def oracle_row_list(m: CMatrix) -> list[list[GaussianRational]]:
@@ -366,17 +349,6 @@ def real_or_imaginary_columns(draw, square=False):
 def _cmatrix(rows, ncols):
     return CMatrix(len(rows), ncols, tuple(x for row in rows for x in row))
 
-
-
-@given(st.one_of(small_gaussians, wide_gaussians), st.one_of(small_gaussians, wide_gaussians))
-def test_oracle_divide_inverts_multiplication(a, b):
-    # the norm and division that the elimination oracles above rely on
-    assert (a * a.conjugate()).re == oracle_norm2(a)
-    assert (a * a.conjugate()).im == 0
-    if b:
-        assert oracle_divide(a * b, b) == a
-    with pytest.raises(ZeroDivisionError):
-        oracle_divide(a, ZERO)
 
 
 def test_matmul_identity_and_zero():

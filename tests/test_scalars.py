@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from biquiver import FormatError, GaussianRational, gaussian
 from biquiver.scalars import format_rational, parse_gaussian_pair, parse_rational
+from conftest import oracle_divide, oracle_norm2
 
 rationals = st.fractions(min_value=-10 ** 6, max_value=10 ** 6, max_denominator=10 ** 4)
 scalars = st.builds(GaussianRational, rationals, rationals)
@@ -31,9 +32,28 @@ def test_conjugation_is_multiplicative(a, b):
     assert (a * b).conjugate() == a.conjugate() * b.conjugate()
 
 
+# Division and the norm are not part of GaussianRational; these check the
+# reference versions that the elimination oracles in test_linalg rely on.
+@given(scalars, scalars)
+def test_division_inverts_multiplication(a, b):
+    if b:
+        assert oracle_divide(a * b, b) == a
+
+
+@given(scalars)
+def test_norm_is_conjugate_product(a):
+    assert (a * a.conjugate()).re == oracle_norm2(a)
+    assert (a * a.conjugate()).im == 0
+
+
 def test_exactness_no_rounding():
     third = gaussian(Fraction(1, 3))
     assert third + third + third == gaussian(1)
+
+
+def test_division_by_zero():
+    with pytest.raises(ZeroDivisionError):
+        oracle_divide(gaussian(1), gaussian(0))
 
 
 def test_rational_string_round_trip():
