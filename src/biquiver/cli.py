@@ -16,7 +16,7 @@ import functools
 import json
 import sys
 
-from .classify import representation_type
+from .classify import RepKind, representation_type
 from .conjugation import (DashEliminationPlan, apply_conjugations,
                           conjugate_biquiver, conjugate_representation,
                           dash_elimination_plan)
@@ -31,9 +31,15 @@ from .representation import (MatrixRepresentation, direct_sum, matrix_to_obj,
                              random_representation, representation_to_obj)
 from .roots import roots_with_value
 from .scalars import format_rational
-from .tits import definiteness, evaluate, gram_matrix, radical_vector
+from .tits import Definiteness, definiteness, evaluate, gram_matrix, radical_vector
 
 USAGE_ERROR, FORMAT_ERROR, PRECONDITION_ERROR, INTERNAL_ERROR = 1, 2, 3, 4
+
+# On a connected graph the Tits form is positive definite exactly on Dynkin diagrams
+# and singular semidefinite exactly on extended ones (checked by acceptance criterion 1).
+_TYPE_DEFINITENESS = {RepKind.FINITE: Definiteness.POSITIVE_DEFINITE,
+                      RepKind.TAME_INFINITE: Definiteness.POSITIVE_SEMIDEFINITE,
+                      RepKind.WILD: Definiteness.INDEFINITE}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -86,7 +92,7 @@ def _classify_obj(g: Biquiver) -> dict:
     return {
         "kind": rt.kind.value,
         "diagram": rt.diagram,
-        "definiteness": definiteness(gram_matrix(g)).value,
+        "definiteness": _TYPE_DEFINITENESS[rt.kind].value,
     }
 
 

@@ -207,6 +207,12 @@ def _combine(basis: MorphismBasis, coeffs: list[Fraction]) -> MorphismTuple:
     return tuple(mats)
 
 
+def _sample(basis: MorphismBasis, rng: random.Random, coeff_bound: int) -> MorphismTuple:
+    """A random integer combination of the basis, coefficients in [-coeff_bound, coeff_bound]."""
+    return _combine(basis, [Fraction(rng.randint(-coeff_bound, coeff_bound))
+                            for _ in basis.tuples])
+
+
 def _tuple_compose(f: MorphismTuple, g_: MorphismTuple) -> MorphismTuple:
     """Composition f after g, componentwise matrix product."""
     return tuple(fm @ gm for fm, gm in zip(f, g_))
@@ -328,10 +334,8 @@ def are_isomorphic(a: MatrixRepresentation, b: MatrixRepresentation,
         return IsoResult(Verdict.NO, reason="Hom(a, b) = 0 with nonzero dimensions")
     rng = random.Random(seed)
     for used in range(1, trials + 1):
-        coeffs = [Fraction(rng.randint(-coeff_bound, coeff_bound)) for _ in basis.tuples]
-        f = _combine(basis, coeffs)
         try:
-            s = tuple(m.inverse() for m in f)
+            s = tuple(m.inverse() for m in _sample(basis, rng, coeff_bound))
         except SingularMatrixError:
             continue
         if apply_base_change(a, list(s)) == b:
@@ -394,13 +398,42 @@ def _vertex_killers(basis: MorphismBasis, vertex: int,
     Such endomorphisms are singular, so their minimal polynomials pick up a
     factor of x; together with the coprime Fitting split this decomposes
     isotypic sums X + X whose generic endomorphisms have irreducible
-    rational minimal polynomials.
+    rational minimal polynomials. `_split_candidates` tries two random
+    combinations of these coordinates first, then each of them.
     """
     columns = [_flatten_tuple((tup[vertex] @ vec,)) for tup in basis.tuples]
     # all columns over one denominator: a uniform scale keeps the nullspace
     den = lcm(*(d for d, _ in columns))
     rows = [list(row) for row in zip(*([x * (den // d) for x in col] for d, col in columns))]
     return fraction_nullspace(rows, len(columns))
+
+
+def _split_candidates(basis: MorphismBasis, dims: DimensionVector, trials: int,
+                      rng: random.Random, coeff_bound: int) -> Iterator[MorphismTuple]:
+    """Endomorphisms to try for a Fitting split, drawn from rng only as they are asked for.
+
+    Each of `trials` rounds yields a random element of End, then, at each
+    nonzero vertex in random order, the nonzero ones among two random
+    combinations of the `_vertex_killers` of a random vector there and those killers.
+    """
+    n = basis.dimension
+    for _ in range(trials):
+        yield _sample(basis, rng, coeff_bound)
+        vertices = [w for w, d in enumerate(dims) if d > 0]
+        rng.shuffle(vertices)
+        for w in vertices:
+            vec = CMatrix.column([GaussianRational(
+                Fraction(rng.randint(-9, 9)), Fraction(rng.randint(-9, 9)))
+                for _ in range(dims[w])])
+            if vec.is_zero():
+                continue
+            killers = _vertex_killers(basis, w, vec)
+            # with no killers the two combinations are zero and draw nothing
+            mixes = [[sum((Fraction(rng.randint(-9, 9)) * k[i] for k in killers), Fraction(0))
+                      for i in range(n)] for _ in range(2)]
+            for coords in mixes + killers:
+                if any(coords):
+                    yield _combine(basis, coords)
 
 
 def _trace_form(basis: MorphismBasis) -> list[list[int]]:
@@ -464,34 +497,40 @@ def _image_kernel_change(e: MorphismTuple) -> tuple[list[CMatrix], DimensionVect
     return ts, tuple(ranks)
 
 
-def _slice_block(a: MatrixRepresentation, starts: DimensionVector,
-                 sizes: DimensionVector) -> MatrixRepresentation:
-    mats = {}
-    for arrow in a.biquiver.arrows:
-        u, v = arrow.source - 1, arrow.target - 1
-        m = a.matrices[arrow.id]
-        mats[arrow.id] = submatrix(m, range(starts[v], starts[v] + sizes[v]),
-                                   range(starts[u], starts[u] + sizes[u]))
-    return MatrixRepresentation(a.biquiver, sizes, mats)
+def _split_blocks(rep: MatrixRepresentation, ranks: DimensionVector
+                  ) -> tuple[MatrixRepresentation, MatrixRepresentation]:
+    """The two diagonal blocks of rep, split at `ranks` at every vertex.
 
-
-def _assert_block_diagonal(a: MatrixRepresentation, split: DimensionVector) -> None:
-    for arrow in a.biquiver.arrows:
+    Raises AssertionError when one block is zero (a trivial idempotent) or
+    when an off-diagonal block of some arrow is not.
+    """
+    rest = tuple(d - r for d, r in zip(rep.dims, ranks))
+    if not (any(ranks) and any(rest)):
+        raise AssertionError("splitting idempotent is 0 or 1")
+    first, second = {}, {}
+    for arrow in rep.biquiver.arrows:
         u, v = arrow.source - 1, arrow.target - 1
-        m = a.matrices[arrow.id]
-        upper_right = submatrix(m, range(split[v]), range(split[u], a.dims[u]))
-        lower_left = submatrix(m, range(split[v], a.dims[v]), range(split[u]))
-        if not (upper_right.is_zero() and lower_left.is_zero()):
+        m = rep.matrices[arrow.id]
+        top, bottom = range(ranks[v]), range(ranks[v], rep.dims[v])
+        left, right = range(ranks[u]), range(ranks[u], rep.dims[u])
+        if not (submatrix(m, top, right).is_zero() and submatrix(m, bottom, left).is_zero()):
             raise AssertionError("idempotent did not block-diagonalize")
+        first[arrow.id] = submatrix(m, top, left)
+        second[arrow.id] = submatrix(m, bottom, right)
+    return (MatrixRepresentation(rep.biquiver, ranks, first),
+            MatrixRepresentation(rep.biquiver, rest, second))
 
 
 def decompose(a: MatrixRepresentation, trials: int = DEFAULT_TRIALS, seed: int = 0,
               coeff_bound: int = DEFAULT_COEFF_BOUND) -> Decomposition:
     """Decompose into indecomposables by recursive Fitting-style splitting.
 
-    Random rational endomorphisms are sampled; whenever the minimal
-    polynomial of one factors into coprime rational pieces, the Bezout
-    idempotent splits the representation exactly and the process recurses.
+    A representation whose End is not local tries the endomorphisms phi
+    that `_split_candidates` yields: per round a random one, then vertex
+    killers. The first whose minimal polynomial factors into coprime
+    rational pieces m1 m2 gives the Bezout idempotent E = 1 mod m1, 0 mod
+    m2, which splits it exactly, and the summands are decomposed in turn.
+    E(phi) is never 0 or 1, as m1 m2 divides neither E nor E - 1.
     Splittings that would need irrational idempotents are not found. A leaf
     is CertifiedIndecomposable when End is local (End/rad is R, C or the
     quaternions H), read exactly from the trace form, and otherwise
@@ -502,69 +541,23 @@ def decompose(a: MatrixRepresentation, trials: int = DEFAULT_TRIALS, seed: int =
     rng = random.Random(seed)
 
     def rec(rep: MatrixRepresentation):
-        if rep.total_dim() == 0:
-            return [], [CMatrix.identity(d) for d in rep.dims], []
+        # rep is nonzero: a nontrivial split leaves both summands nonzero
         basis = hom_basis(rep, rep)
-        n = basis.dimension
-        if _certify_local(basis):
-            return [rep], [CMatrix.identity(d) for d in rep.dims], \
-                [IndecomposabilityStatus.CERTIFIED]
+        status = IndecomposabilityStatus.CERTIFIED
+        if not _certify_local(basis):
+            for phi in _split_candidates(basis, rep.dims, trials, rng, coeff_bound):
+                e = _splitting_idempotent(_minimal_polynomial(basis, phi), phi, rep.dims)
+                if e is None:
+                    continue
+                ts, ranks = _image_kernel_change(e)
+                first, second = _split_blocks(apply_base_change(rep, ts), ranks)
+                s1, c1, st1 = rec(first)
+                s2, c2, st2 = rec(second)
+                return s1 + s2, [t @ block_diag(x, y) for t, x, y in zip(ts, c1, c2)], st1 + st2
+            status = IndecomposabilityStatus.PROBABLE
+        return [rep], _identity_tuple(rep.dims), [status]
 
-        def attempt(phi: MorphismTuple):
-            return _splitting_idempotent(_minimal_polynomial(basis, phi), phi, rep.dims)
-
-        for _ in range(trials):
-            coeffs = [Fraction(rng.randint(-coeff_bound, coeff_bound))
-                      for _ in range(n)]
-            e = attempt(_combine(basis, coeffs))
-            if e is None:
-                # singular-element search: endomorphisms killing a random
-                # vector at some vertex have x | minimal polynomial, which
-                # splits isotypic sums whose generic endomorphisms have
-                # irreducible rational minimal polynomials
-                vertices = [w for w in range(rep.biquiver.t) if rep.dims[w] > 0]
-                rng.shuffle(vertices)
-                for w in vertices:
-                    vec = CMatrix.column([GaussianRational(
-                        Fraction(rng.randint(-9, 9)), Fraction(rng.randint(-9, 9)))
-                        for _ in range(rep.dims[w])])
-                    if vec.is_zero():
-                        continue
-                    killers = _vertex_killers(basis, w, vec)
-                    if not killers:
-                        continue
-                    candidates = []
-                    for _ in range(2):
-                        candidates.append([
-                            sum((Fraction(rng.randint(-9, 9)) * k[i] for k in killers),
-                                Fraction(0)) for i in range(n)])
-                    candidates.extend(killers)
-                    for coords in candidates:
-                        if not any(coords):
-                            continue
-                        e = attempt(_combine(basis, coords))
-                        if e is not None:
-                            break
-                    if e is not None:
-                        break
-            if e is None:
-                continue
-            ts, ranks = _image_kernel_change(e)
-            if all(r == d for r, d in zip(ranks, rep.dims)) or not any(ranks):
-                continue
-            changed = apply_base_change(rep, ts)
-            _assert_block_diagonal(changed, ranks)
-            first = _slice_block(changed, (0,) * rep.biquiver.t, ranks)
-            second = _slice_block(changed, ranks,
-                                  tuple(d - r for d, r in zip(rep.dims, ranks)))
-            s1, c1, st1 = rec(first)
-            s2, c2, st2 = rec(second)
-            total_change = [t @ block_diag(x, y) for t, x, y in zip(ts, c1, c2)]
-            return s1 + s2, total_change, st1 + st2
-        return [rep], [CMatrix.identity(d) for d in rep.dims], \
-            [IndecomposabilityStatus.PROBABLE]
-
-    summands, change, statuses = rec(a)
+    summands, change, statuses = rec(a) if a.total_dim() else ([], _identity_tuple(a.dims), [])
     result = Decomposition(tuple(summands), tuple(change), tuple(statuses),
                            trials, seed)
     recombined = direct_sum_list(a.biquiver, list(result.summands))

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -9,8 +10,10 @@ import pytest
 
 import biquiver
 
-from biquiver import serialize_biquiver, serialize_representation, random_representation
+from biquiver import (Arrow, ArrowKind, Biquiver, serialize_biquiver, serialize_representation,
+                      random_representation)
 from biquiver.cli import main
+from biquiver.tits import definiteness, gram_matrix
 from conftest import biq, cycle_biquiver, gmat, mat, path_biquiver
 
 
@@ -42,6 +45,48 @@ def test_classify(run, a3_file):
     assert code == 0
     assert json.loads(out) == {"kind": "Finite", "diagram": "A3",
                                "definiteness": "PositiveDefinite"}
+
+
+def test_classify_long_path_within_seconds(run, tmp_path):
+    # definiteness comes from the type, not from eliminating a 2000 x 2000 form
+    p = tmp_path / "path.json"
+    p.write_text(serialize_biquiver(path_biquiver(2000)))
+    start = time.perf_counter()
+    code, out, _ = run("classify", str(p))
+    assert time.perf_counter() - start < 5
+    assert code == 0
+    assert json.loads(out) == {"kind": "Finite", "diagram": "A2000",
+                               "definiteness": "PositiveDefinite"}
+
+
+def _connected_multigraph(rng):
+    """A random spanning tree on 1 to 9 vertices plus up to three loops,
+    parallel copies of its arrows or arbitrary arrows, kinds and directions random."""
+    t = rng.randint(1, 9)
+    ends = [(rng.randint(1, v - 1), v) for v in range(2, t + 1)]
+    for _ in range(rng.choice((0, 0, 1, 1, 2, 3))):
+        u = rng.randint(1, t)
+        ends.append(rng.choice([(u, u), rng.choice(ends or [(u, u)]), (u, rng.randint(1, t))]))
+    arrows = tuple(Arrow(f"a{k}", *(ends[k] if rng.random() < 0.5 else ends[k][::-1]),
+                         rng.choice((ArrowKind.FULL, ArrowKind.DASHED)))
+                   for k in range(len(ends)))
+    return Biquiver(t, arrows)
+
+
+def test_classify_definiteness_matches_the_tits_form(run, tmp_path):
+    rng = random.Random(2024)
+    p = tmp_path / "g.json"
+    seen = []
+    for _ in range(400):
+        g = _connected_multigraph(rng)
+        p.write_text(serialize_biquiver(g))
+        code, out, _ = run("classify", str(p))
+        assert code == 0
+        printed = json.loads(out)["definiteness"]
+        assert printed == definiteness(gram_matrix(g)).value, serialize_biquiver(g)
+        seen.append(printed)
+    assert min(seen.count(d) for d in ("PositiveDefinite", "PositiveSemidefinite",
+                                       "Indefinite")) >= 20
 
 
 def test_classify_disconnected_exit_3(run, tmp_path):

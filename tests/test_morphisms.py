@@ -17,14 +17,17 @@ from biquiver import (CMatrix, GaussianRational, IndecomposabilityStatus, Matrix
                       gaussian, hom_basis, krull_schmidt_compare,
                       random_representation, zero_representation)
 from biquiver import morphisms
-from biquiver.linalg import fraction_nullspace, fraction_solve
-from biquiver.morphisms import (MAX_PROFILE_RANKS, _certify_local, _combine, _flatten_tuple,
-                                _identity_tuple, _minimal_polynomial, _trace_form,
-                                _tuple_compose, _vertex_killers, rank_profile)
+from biquiver.linalg import block_diag, fraction_nullspace, fraction_solve, submatrix
+from biquiver.morphisms import (MAX_PROFILE_RANKS, Decomposition, _certify_local,
+                                _check_sampling, _combine, _flatten_tuple, _identity_tuple,
+                                _image_kernel_change, _minimal_polynomial,
+                                _splitting_idempotent, _trace_form, _tuple_compose,
+                                _vertex_killers, rank_profile)
 from biquiver.polynomials import poly_normalize
 from biquiver.semilinear import are_consimilar
 from conftest import (biq, gmat, mat, path_biquiver, random_base_change, random_biquiver,
                       random_invertible, star_biquiver)
+from test_acceptance import _a3_indecomposables, _d4_indecomposables, _random_dashing
 from test_linalg import oracle_fraction_nullspace
 
 
@@ -253,9 +256,10 @@ PROFILE_ENTRIES = [(0, 0)] * 3 + [(1, 0), (-1, 0), (0, 1), (1, 1), (0, -1), (2, 
 
 
 @st.composite
-def profile_representations(draw):
+def profile_representations(draw, max_dim=3):
     """A small representation with sparse Gaussian-integer entries, on a
-    named shape or on 1 to 4 random arrows among 1 to 3 vertices."""
+    named shape or on 1 to 4 random arrows among 1 to 3 vertices, with at
+    most max_dim dimensions at each vertex."""
     named = draw(st.booleans())
     if named:
         t, specs = draw(st.sampled_from(PROFILE_SHAPES))
@@ -266,7 +270,7 @@ def profile_representations(draw):
         specs = [f"a{k}:{u}{'~' if dashed else '>'}{v}"
                  for k, (u, v, dashed) in enumerate(ends)]
     g = biq(t, *specs)
-    dims = tuple(draw(st.lists(st.integers(0, 3), min_size=t, max_size=t)))
+    dims = tuple(draw(st.lists(st.integers(0, max_dim), min_size=t, max_size=t)))
     mats = {}
     for arrow in g.arrows:
         r, c = dims[arrow.target - 1], dims[arrow.source - 1]
@@ -704,6 +708,167 @@ def test_direct_sum_commutative_and_associative_up_to_iso():
     assert left == right  # strictly equal blocks, not just isomorphic
 
 
+# -- decompose against the sampling loop it replaced ------------------------------
+
+def oracle_slice_block(a, starts, sizes):
+    mats = {}
+    for arrow in a.biquiver.arrows:
+        u, v = arrow.source - 1, arrow.target - 1
+        m = a.matrices[arrow.id]
+        mats[arrow.id] = submatrix(m, range(starts[v], starts[v] + sizes[v]),
+                                   range(starts[u], starts[u] + sizes[u]))
+    return MatrixRepresentation(a.biquiver, sizes, mats)
+
+
+def oracle_assert_block_diagonal(a, split):
+    for arrow in a.biquiver.arrows:
+        u, v = arrow.source - 1, arrow.target - 1
+        m = a.matrices[arrow.id]
+        upper_right = submatrix(m, range(split[v]), range(split[u], a.dims[u]))
+        lower_left = submatrix(m, range(split[v], a.dims[v]), range(split[u]))
+        if not (upper_right.is_zero() and lower_left.is_zero()):
+            raise AssertionError("idempotent did not block-diagonalize")
+
+
+def oracle_decompose(a, trials=morphisms.DEFAULT_TRIALS, seed=0,
+                     coeff_bound=morphisms.DEFAULT_COEFF_BOUND):
+    """`decompose` with the vertex-killer search nested inside its trial loop,
+    before `_split_candidates` drew the same candidates lazily."""
+    _check_sampling(trials, coeff_bound)
+    rng = random.Random(seed)
+
+    def rec(rep: MatrixRepresentation):
+        if rep.total_dim() == 0:
+            return [], [CMatrix.identity(d) for d in rep.dims], []
+        basis = hom_basis(rep, rep)
+        n = basis.dimension
+        if _certify_local(basis):
+            return [rep], [CMatrix.identity(d) for d in rep.dims], \
+                [IndecomposabilityStatus.CERTIFIED]
+
+        def attempt(phi):
+            return _splitting_idempotent(_minimal_polynomial(basis, phi), phi, rep.dims)
+
+        for _ in range(trials):
+            coeffs = [Fraction(rng.randint(-coeff_bound, coeff_bound))
+                      for _ in range(n)]
+            e = attempt(_combine(basis, coeffs))
+            if e is None:
+                # singular-element search: endomorphisms killing a random
+                # vector at some vertex have x | minimal polynomial, which
+                # splits isotypic sums whose generic endomorphisms have
+                # irreducible rational minimal polynomials
+                vertices = [w for w in range(rep.biquiver.t) if rep.dims[w] > 0]
+                rng.shuffle(vertices)
+                for w in vertices:
+                    vec = CMatrix.column([GaussianRational(
+                        Fraction(rng.randint(-9, 9)), Fraction(rng.randint(-9, 9)))
+                        for _ in range(rep.dims[w])])
+                    if vec.is_zero():
+                        continue
+                    killers = _vertex_killers(basis, w, vec)
+                    if not killers:
+                        continue
+                    candidates = []
+                    for _ in range(2):
+                        candidates.append([
+                            sum((Fraction(rng.randint(-9, 9)) * k[i] for k in killers),
+                                Fraction(0)) for i in range(n)])
+                    candidates.extend(killers)
+                    for coords in candidates:
+                        if not any(coords):
+                            continue
+                        e = attempt(_combine(basis, coords))
+                        if e is not None:
+                            break
+                    if e is not None:
+                        break
+            if e is None:
+                continue
+            ts, ranks = _image_kernel_change(e)
+            if all(r == d for r, d in zip(ranks, rep.dims)) or not any(ranks):
+                continue
+            changed = apply_base_change(rep, ts)
+            oracle_assert_block_diagonal(changed, ranks)
+            first = oracle_slice_block(changed, (0,) * rep.biquiver.t, ranks)
+            second = oracle_slice_block(changed, ranks,
+                                        tuple(d - r for d, r in zip(rep.dims, ranks)))
+            s1, c1, st1 = rec(first)
+            s2, c2, st2 = rec(second)
+            total_change = [t @ block_diag(x, y) for t, x, y in zip(ts, c1, c2)]
+            return s1 + s2, total_change, st1 + st2
+        return [rep], [CMatrix.identity(d) for d in rep.dims], \
+            [IndecomposabilityStatus.PROBABLE]
+
+    summands, change, statuses = rec(a)
+    result = Decomposition(tuple(summands), tuple(change), tuple(statuses),
+                           trials, seed)
+    recombined = direct_sum_list(a.biquiver, list(result.summands))
+    if apply_base_change(a, list(result.base_change)) != recombined:
+        raise AssertionError("decomposition certificate does not verify")
+    return result
+
+
+DIAG_LOOP = dashed_loop(mat([1, 0], [0, -1]))  # End = M2(R), isotypic
+
+
+def _decompose_corpus():
+    """(rep, trials, seed): scrambled A3/D4 sums, isotypic sums, the dashed
+    loop diag(1, -1), no trials and a zero-dimensional representation."""
+    rng = random.Random(14)
+    cases = []
+    for k in range(16):
+        g = _random_dashing(rng, path_biquiver(3) if k % 2 else star_biquiver([1, 1, 1]))
+        pool = (_a3_indecomposables if k % 2 else _d4_indecomposables)(g)
+        total = direct_sum_list(g, [rng.choice(pool) for _ in range(3)])
+        cases.append((random_base_change(rng, total), 8, k))
+    # End(x) = R and y is not isomorphic to x: conj(s)^-1 2 s has modulus 2
+    g = biq(2, "a:1>2", "b:2~2")
+    x = MatrixRepresentation(g, (1, 1), {"a": mat([1]), "b": mat([1])})
+    y = MatrixRepresentation(g, (1, 1), {"a": mat([1]), "b": mat([2])})
+    for k, total in enumerate([direct_sum(full_loop(mat([1])), full_loop(mat([1]))),
+                               direct_sum(x, x), direct_sum(direct_sum(x, x), y),
+                               direct_sum(direct_sum(y, x), x)]):
+        cases += [(random_base_change(rng, total), 8, seed) for seed in (k, k + 10)]
+    cases += [(DIAG_LOOP, trials, seed) for trials in (8, 64) for seed in range(8)]
+    cases += [(random_base_change(rng, direct_sum(x, y)), 0, 3),
+              (zero_representation(g, (0, 0)), 8, 0)]
+    return cases
+
+
+def test_decompose_matches_oracle(monkeypatch):
+    # a split whose phi did not come from `_sample` came from the killer tail
+    sampled = []
+    killer_splits = 0
+    real_sample, real_split = morphisms._sample, morphisms._splitting_idempotent
+
+    def sample(*args):
+        sampled.append(real_sample(*args))
+        return sampled[-1]
+
+    def split(minpoly, phi, dims):
+        nonlocal killer_splits
+        e = real_split(minpoly, phi, dims)
+        killer_splits += e is not None and not any(phi is f for f in sampled)
+        return e
+
+    monkeypatch.setattr(morphisms, "_sample", sample)
+    monkeypatch.setattr(morphisms, "_splitting_idempotent", split)
+    for rep, trials, seed in _decompose_corpus():
+        assert decompose(rep, trials, seed) == oracle_decompose(rep, trials, seed)
+    assert killer_splits > 0
+
+
+def test_diag_loop_keeps_its_unsplit_seeds():
+    # End = M2(R) has no rational idempotent the sampler reliably finds: with
+    # 64 trials seeds 4 and 7 still end in one ProbablyIndecomposable leaf
+    unsplit = [seed for seed in range(8)
+               if decompose(DIAG_LOOP, trials=64, seed=seed).summands == (DIAG_LOOP,)]
+    assert unsplit == [4, 7]
+    assert decompose(DIAG_LOOP, trials=64, seed=4).statuses == \
+        (IndecomposabilityStatus.PROBABLE,)
+
+
 # -- Krull-Schmidt comparison ----------------------------------------------------
 
 def test_compare_permutation():
@@ -775,3 +940,67 @@ def test_decompose_certificate_check_survives_optimize_flag():
     proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
                           text=True, env=env, check=True)
     assert proc.stdout.startswith("raised:"), proc.stdout
+
+
+# _image_kernel_change with identity in place of [im-basis | ker-basis]: the
+# upper triangular loop stays unsplit, so the block check must refuse it
+WRONG_BASE_CHANGE = textwrap.dedent("""
+    import biquiver.morphisms as morphisms
+    from biquiver import (Arrow, ArrowKind, Biquiver, CMatrix,
+                          MatrixRepresentation)
+    real_change = morphisms._image_kernel_change
+
+    def wrong_change(e):
+        ts, ranks = real_change(e)
+        return [CMatrix.identity(t.rows) for t in ts], ranks
+
+    morphisms._image_kernel_change = wrong_change
+    g = Biquiver(1, (Arrow("a", 1, 1, ArrowKind.FULL),))
+    rep = MatrixRepresentation(g, (2,), {"a": CMatrix.from_rows([[1, 1], [0, 2]])})
+    try:
+        morphisms.decompose(rep)
+    except AssertionError as e:
+        print("raised:", e)
+    else:
+        print("returned")
+""")
+
+
+def test_block_check_refuses_a_wrong_base_change(monkeypatch):
+    real_change = morphisms._image_kernel_change
+
+    def wrong_change(e):
+        ts, ranks = real_change(e)
+        return [CMatrix.identity(t.rows) for t in ts], ranks
+
+    monkeypatch.setattr(morphisms, "_image_kernel_change", wrong_change)
+    with pytest.raises(AssertionError, match="^idempotent did not block-diagonalize$"):
+        decompose(full_loop(mat([1, 1], [0, 2])))
+
+
+def test_block_check_survives_optimize_flag():
+    src = str(Path(biquiver.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-O", "-c", WRONG_BASE_CHANGE],
+                          capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout == "raised: idempotent did not block-diagonalize\n", proc.stdout
+
+
+@settings(deadline=None, max_examples=60)
+@given(profile_representations(max_dim=2), st.integers(0, 10 ** 6))
+def test_base_change_round_trip(x, seed):
+    rng = random.Random(seed)
+    y = apply_base_change(x, [random_invertible(rng, d) for d in x.dims])
+    res = are_isomorphic(x, y, seed=seed)
+    assert res.verdict is Verdict.YES
+    assert apply_base_change(x, list(res.certificate)) == y
+    dx, dy = decompose(x, seed=seed), decompose(y, seed=seed)
+    recombined = direct_sum_list(y.biquiver, list(dy.summands))
+    assert apply_base_change(y, list(dy.base_change)) == recombined
+    # a ProbablyIndecomposable leaf may be an unsplit isotypic block, as the
+    # dashed loop diag(1, -1) can be, so only certified leaves must match
+    if all(s is IndecomposabilityStatus.CERTIFIED for s in dx.statuses + dy.statuses):
+        match = krull_schmidt_compare(list(dx.summands), list(dy.summands), seed=seed)
+        assert match is not None
+        for i, j, cert in match:
+            assert apply_base_change(dx.summands[i], list(cert)) == dy.summands[j]
