@@ -11,14 +11,19 @@ the boundary (parsing, printing, `at`, and the lazily built `entries`).
 All elimination is integral: each rational row is scaled to a primitive
 integer row (which leaves its solution set alone), and a complex matrix is
 reduced through its real form, in which entry z is the 2x2 block
-[[re z, -im z], [im z, re z]], read straight from the integer parts. One
-fraction-free Gauss-Jordan kernel, `_rref`, then serves inverses, ranks,
-images, kernels and rational solves; `_symmetric_ldl` counts the inertia of
-symmetric int forms. Zero-row and zero-column matrices are first-class
-values; the 0x0 matrix is invertible.
+[[re z, -im z], [im z, re z]], read straight from the integer parts.
+Every fraction-free elimination combines rows by one step, `_row_step`.
+`_echelon` eliminates forward only, which is all that ranks, images and
+kernels need (`_nullspace` reads kernel vectors by back-substitution);
+`_rref` adds the backward pass for inverses and rational solves, and
+`_first_dependence` reduces each new vector once against the rows it
+keeps. `_symmetric_ldl` counts the inertia of symmetric int forms.
+Zero-row and zero-column matrices are first-class values; the 0x0 matrix
+is invertible.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul, neg
@@ -219,11 +224,11 @@ class CMatrix:
             return False
 
     def rank(self) -> int:
-        return len(_rref(_real_rows(self))) // 2
+        return len(_echelon(_real_rows(self))) // 2
 
     def column_space_basis(self) -> "CMatrix":
         """Columns forming a basis of the column space (original columns)."""
-        pivots = _rref(_real_rows(self))
+        pivots = _echelon(_real_rows(self))
         return submatrix(self, range(self.rows), [p // 2 for p in pivots if p % 2 == 0])
 
     def nullspace_basis(self) -> "CMatrix":
@@ -233,7 +238,7 @@ class CMatrix:
         realified canonical complex kernel vector of the free column f.
         """
         reduced = _real_rows(self)
-        pivots = _rref(reduced)
+        pivots = _echelon(reduced)
         free = [f for f in range(0, 2 * self.cols, 2) if f not in pivots]
         vecs = _nullspace(reduced, pivots, 2 * self.cols, free)
         # entry (k, j) is vecs[j][2k] + i vecs[j][2k + 1]
@@ -359,45 +364,75 @@ def submatrix(m: CMatrix, row_range, col_range) -> CMatrix:
 
 # -- the elimination kernel --------------------------------------------------
 
-def _rref(rows: list[list[int]], width: int | None = None) -> list[int]:
-    """Fraction-free Gauss-Jordan reduction of integer rows in place; return the pivot columns.
+def _row_step(row: list[int], pivot_row: list[int], c: int, start: int) -> list[int]:
+    """`row` with column c cleared by `pivot_row`; both are zero before column `start`.
+
+    The new row is (p * row - f * pivot_row) / gcd(p, f), for p and f their
+    entries in column c, divided by its content (the gcd of its entries),
+    so the work stays in the integers, as in Bareiss (1968), and rows stay
+    primitive. Only the columns from `start` on are recombined.
+    """
+    p, f = pivot_row[c], row[c]
+    g = gcd(p, f)
+    a, b = p // g, f // g
+    return row[:start] + _primitive([a * x - b * y
+                                     for x, y in zip(row[start:], pivot_row[start:])])
+
+
+def _echelon(rows: list[list[int]], width: int | None = None) -> list[int]:
+    """Fraction-free row echelon form of integer rows in place; return the pivot columns.
 
     Pivots are sought only in the first `width` columns (default: all);
-    later columns are carried along, as for an augmented system. Clearing
-    column c of row i replaces it by (p * row_i - f * pivot_row) / gcd(p, f),
-    and each new row is divided by its content (the gcd of its entries), so
-    the work stays in the integers, as in Bareiss (1968), and rows stay
-    primitive. On return row r has its pivot at pivots[r] and is zero in
-    every other pivot column, so its reduced row echelon entry in column j
-    is row[j] / row[pivots[r]]; since that form is unique, it does not
-    depend on which row is chosen as pivot. The rows from len(pivots) on
-    are zero in the first `width` columns.
+    later columns are carried along, as for an augmented system. Column c
+    takes as pivot the row among r.. (r the number of pivots so far) with
+    the smallest nonzero |entry| there, which keeps the multipliers, hence
+    the entries, small, and `_row_step` clears it in the rows below, which
+    are zero before column c. The pivots, and each row until it becomes a
+    pivot row, are those of a full Gauss-Jordan pass, which differs only
+    in also clearing above. On return row r has its pivot at pivots[r] and
+    is zero before it, and the rows from len(pivots) on are zero in the
+    first `width` columns.
     """
     if not rows:
         return []
     if width is None:
         width = len(rows[0])
+    n = len(rows)
     pivots: list[int] = []
-    r = 0
     for c in range(width):
-        if r == len(rows):
+        r = len(pivots)
+        if r == n:
             break
-        # the smallest pivot keeps the multipliers, hence the entries, small
-        piv = min((i for i in range(r, len(rows)) if rows[i][c]),
+        piv = min((i for i in range(r, n) if rows[i][c]),
                   key=lambda i: abs(rows[i][c]), default=None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
         rr = rows[r]
-        p = rr[c]
-        for i, row in enumerate(rows):
-            f = row[c]
-            if f and i != r:
-                g = gcd(p, f)
-                a, b = p // g, f // g
-                rows[i] = _primitive([a * x - b * y for x, y in zip(row, rr)])
+        for i in range(r + 1, n):
+            if rows[i][c]:
+                rows[i] = _row_step(rows[i], rr, c, c)
         pivots.append(c)
-        r += 1
+    return pivots
+
+
+def _rref(rows: list[list[int]], width: int | None = None) -> list[int]:
+    """Fraction-free reduced row echelon form of integer rows in place; return the pivot columns.
+
+    `_echelon`, then one backward pass, last pivot first, that clears each
+    pivot column in the rows above it with `_row_step`. On return row r
+    has its pivot at pivots[r] and is zero in every other pivot column, so
+    its reduced row echelon entry in column j is row[j] / row[pivots[r]];
+    since that form is unique, it does not depend on which row is chosen
+    as pivot. The rows from len(pivots) on are zero in the first `width`
+    columns.
+    """
+    pivots = _echelon(rows, width)
+    for r in range(len(pivots) - 1, 0, -1):
+        c, rr = pivots[r], rows[r]
+        for i in range(r):
+            if rows[i][c]:
+                rows[i] = _row_step(rows[i], rr, c, pivots[i])
     return pivots
 
 
@@ -487,19 +522,37 @@ def _real_rows(m: CMatrix, rhs: CMatrix | None = None) -> list[list[int]]:
 
 def _nullspace(reduced: list[list[int]], pivots: list[int], ncols: int,
                free: list[int]) -> list[list[Fraction]]:
-    """Canonical kernel vectors of an `_rref`-reduced matrix, one per column in `free`.
+    """Canonical kernel vectors of `_echelon`-reduced rows, one per column in `free`.
 
-    For the free column f: x_f = 1, the other free coordinates 0, and
-    x_p = -row[f] / row[p] for the pivot p of each row.
+    For the free column f: x_f = 1, the other free coordinates 0, and the
+    pivot coordinates by back-substitution, last pivot first:
+    x_p = -(row . x) / row[p] for the row with pivot p. A pivot after f
+    gives 0, since x vanishes beyond f, so only the pivots before f are
+    visited, and the dot product runs over columns p + 1..f. The vector is
+    kept as integers over one common denominator. It is the one kernel
+    vector with these free coordinates, so it equals the reduced row
+    echelon readout x_p = -rref[p][f] entry for entry.
     """
+    zero = Fraction(0)
     basis = []
     for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for row, p in zip(reduced, pivots):
-            if row[f]:
-                v[p] = Fraction(-row[f], row[p])
-        basis.append(v)
+        x = [0] * ncols
+        x[f] = den = 1
+        for r in range(bisect_left(pivots, f) - 1, -1, -1):
+            row, p = reduced[r], pivots[r]
+            s = sum(map(mul, row[p + 1:f + 1], x[p + 1:f + 1]))
+            if not s:
+                continue
+            q = row[p]
+            g = gcd(s, q)
+            s, q = s // g, q // g
+            if q < 0:
+                s, q = -s, -q
+            if q != 1:
+                x = [v * q for v in x]
+                den *= q
+            x[p] = -s
+        basis.append([Fraction(v, den) if v else zero for v in x])
     return basis
 
 
@@ -509,17 +562,28 @@ def _first_dependence(vectors, count: int) -> list[Fraction]:
     """Coefficients c_0..c_k of the first linear dependence among the vectors.
 
     Vector k comes as (den_k, nums_k), v_k = nums_k / den_k; only the first
-    `count` are drawn, lazily. The row nums_k joins the row-reduced earlier
-    ones carrying den_k e_k in extra columns, so the first row that reduces
-    to zero carries there c with c_0 v_0 + ... + c_k v_k = 0, the first
-    dependence, unique up to scale, with c_k != 0. Raises ValueError when
-    the first `count` vectors are independent.
+    `count` are drawn, lazily. The row nums_k, carrying den_k e_k in extra
+    columns, is reduced once against the rows kept so far, in the order
+    kept: each kept row pivots on its smallest nonzero |entry| among the
+    first len(nums_k) columns, where the rows kept after it vanish. The
+    first row that reduces to zero there carries c in the extra columns,
+    with c_0 v_0 + ... + c_k v_k = 0: the first dependence, unique up to
+    scale, with c_k != 0. Raises ValueError when the first `count` vectors
+    are independent.
     """
     rows: list[list[int]] = []
+    pivots: list[int] = []
     for k, (den, vec) in zip(range(count), vectors):
-        rows.append(vec + [den if j == k else 0 for j in range(count)])
-        if len(_rref(rows, len(vec))) == k:
-            return [Fraction(c) for c in rows[k][len(vec):len(vec) + k + 1]]
+        n = len(vec)
+        row = vec + [den if j == k else 0 for j in range(count)]
+        for kept, p in zip(rows, pivots):
+            if row[p]:
+                row = _row_step(row, kept, p, 0)
+        p = min((j for j in range(n) if row[j]), key=lambda j: abs(row[j]), default=None)
+        if p is None:
+            return [Fraction(c) for c in row[n:n + k + 1]]
+        rows.append(row)
+        pivots.append(p)
     raise ValueError(f"the first {count} vectors are independent")
 
 
@@ -533,7 +597,7 @@ def fraction_nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Frac
     if ncols < 0 or any(len(row) != ncols for row in rows):
         raise FormatError(f"every equation needs {ncols} coefficients")
     reduced = [_integral(row) for row in rows]
-    pivots = _rref(reduced)
+    pivots = _echelon(reduced)
     return _nullspace(reduced, pivots, ncols, [f for f in range(ncols) if f not in pivots])
 
 

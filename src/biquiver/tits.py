@@ -5,7 +5,8 @@ either kind. Twice its Gram matrix Q is the integer generalized Cartan
 matrix C = 2Q of the underlying multigraph, stored with Q as its view.
 Definiteness is read exactly from the inertia of C, that of Q, counted by
 the integer elimination `linalg._symmetric_ldl`, whose LDL^T steps root
-enumeration reuses.
+enumeration reuses. That elimination is cubic in the number of vertices,
+so forms on more than MAX_GRAM_VERTICES vertices are refused.
 """
 from __future__ import annotations
 
@@ -16,6 +17,11 @@ from fractions import Fraction
 from .errors import FormatError, PreconditionError
 from .linalg import _integral, _symmetric_ldl, fraction_nullspace
 from .model import Biquiver, DimensionVector
+
+# The most vertices of a Tits form that `gram_matrix` builds and
+# `definiteness` eliminates: the dense t x t elimination takes about 0.3 s
+# at t = 200 and 2 s at t = 400, and the matrix alone grows as t^2.
+MAX_GRAM_VERTICES = 256
 
 
 class Definiteness(Enum):
@@ -37,8 +43,16 @@ class TitsGram:
                      for row in self.c)
 
 
+def _check_vertex_cap(t: int) -> None:
+    if t > MAX_GRAM_VERTICES:
+        raise PreconditionError(f"the Tits form has {t} vertices, past the cap of "
+                                f"{MAX_GRAM_VERTICES} that its elimination accepts")
+
+
 def gram_matrix(g: Biquiver) -> TitsGram:
-    # C = 2Q: 2 - 2 loops on the diagonal, minus the arrows joining u and v off it
+    """C = 2Q; raises PreconditionError when g has more than MAX_GRAM_VERTICES vertices."""
+    _check_vertex_cap(g.t)
+    # 2 - 2 loops on the diagonal, minus the arrows joining u and v off it
     c = [[0] * g.t for _ in range(g.t)]
     for v in range(g.t):
         c[v][v] = 2
@@ -68,12 +82,14 @@ def definiteness(gram: TitsGram) -> Definiteness:
 
     Read off the inertia (n+, n-, n0) of C, which is that of Q: positive
     definite when n+ = t, positive semidefinite (and singular) when n- = 0.
-    Raises FormatError unless C is a symmetric t x t matrix of ints.
+    Raises FormatError unless C is a symmetric t x t matrix of ints, and
+    PreconditionError, before eliminating, when t > MAX_GRAM_VERTICES.
     """
     t, c = gram.t, gram.c
     if not (isinstance(t, int) and t >= 0 and isinstance(c, (tuple, list)) and len(c) == t
             and all(isinstance(row, (tuple, list)) and len(row) == t for row in c)):
         raise FormatError(f"Gram matrix must be {t} x {t}")
+    _check_vertex_cap(t)
     if not all(isinstance(x, int) for row in c for x in row):
         raise FormatError("Gram matrix entries must be ints")
     if any(c[i][j] != c[j][i] for i in range(t) for j in range(i)):

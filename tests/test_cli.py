@@ -13,7 +13,7 @@ import biquiver
 from biquiver import (Arrow, ArrowKind, Biquiver, serialize_biquiver, serialize_representation,
                       random_representation)
 from biquiver.cli import main
-from biquiver.tits import definiteness, gram_matrix
+from biquiver.tits import MAX_GRAM_VERTICES, definiteness, gram_matrix
 from conftest import biq, cycle_biquiver, gmat, mat, path_biquiver
 
 
@@ -57,6 +57,25 @@ def test_classify_long_path_within_seconds(run, tmp_path):
     assert code == 0
     assert json.loads(out) == {"kind": "Finite", "diagram": "A2000",
                                "definiteness": "PositiveDefinite"}
+
+
+@pytest.mark.parametrize("command", [["tits"], ["roots", "--value", "1"]])
+def test_tits_and_roots_refuse_a_form_past_the_vertex_cap(run, tmp_path, command):
+    p = tmp_path / "path.json"
+    p.write_text(serialize_biquiver(path_biquiver(MAX_GRAM_VERTICES + 1)))
+    code, out, err = run(command[0], str(p), *command[1:])
+    assert (code, out) == (3, "")
+    assert err == ("error: the Tits form has 257 vertices, past the cap of 256 "
+                   "that its elimination accepts\n")
+
+
+def test_tits_answers_at_the_vertex_cap(run, tmp_path):
+    p = tmp_path / "path.json"
+    p.write_text(serialize_biquiver(path_biquiver(MAX_GRAM_VERTICES)))
+    code, out, _ = run("tits", str(p))
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["t"], doc["definiteness"], doc["radical"]) == (256, "PositiveDefinite", None)
 
 
 def _connected_multigraph(rng):

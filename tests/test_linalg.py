@@ -1,14 +1,17 @@
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, strategies as st
 
 from biquiver import (CMatrix, FormatError, GaussianRational, SingularMatrixError,
                       block_diag, from_blocks, hstack, vstack)
-from biquiver.linalg import fraction_nullspace, fraction_solve, submatrix
+from biquiver.linalg import (_echelon, _first_dependence, _integral, _nullspace, _primitive,
+                             _real_rows, _reduced, _rref, fraction_nullspace, fraction_solve,
+                             submatrix)
+from biquiver.polynomials import poly_normalize
 from biquiver.scalars import I, ONE, ZERO, as_gaussian
 from conftest import gmat, mat, oracle_divide, random_invertible
 
@@ -83,6 +86,105 @@ def oracle_fraction_solve(columns, target):
     for r, p in enumerate(pivots):
         x[p] = reduced[r][k]
     return x
+
+
+# The integer fraction-free Gauss-Jordan kernel that `_echelon` and
+# back-substitution replaced, kept verbatim apart from the names.
+
+def oracle_rref(rows: list[list[int]], width: int | None = None) -> list[int]:
+    """Fraction-free Gauss-Jordan reduction of integer rows in place; return the pivot columns."""
+    if not rows:
+        return []
+    if width is None:
+        width = len(rows[0])
+    pivots: list[int] = []
+    r = 0
+    for c in range(width):
+        if r == len(rows):
+            break
+        # the smallest pivot keeps the multipliers, hence the entries, small
+        piv = min((i for i in range(r, len(rows)) if rows[i][c]),
+                  key=lambda i: abs(rows[i][c]), default=None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        rr = rows[r]
+        p = rr[c]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                g = gcd(p, f)
+                a, b = p // g, f // g
+                rows[i] = _primitive([a * x - b * y for x, y in zip(row, rr)])
+        pivots.append(c)
+        r += 1
+    return pivots
+
+
+def oracle_nullspace(reduced: list[list[int]], pivots: list[int], ncols: int,
+                     free: list[int]) -> list[list[Fraction]]:
+    """Canonical kernel vectors of an `oracle_rref`-reduced matrix, one per column in `free`."""
+    basis = []
+    for f in free:
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for row, p in zip(reduced, pivots):
+            if row[f]:
+                v[p] = Fraction(-row[f], row[p])
+        basis.append(v)
+    return basis
+
+
+def oracle_first_dependence(vectors, count: int) -> list[Fraction]:
+    """Coefficients c_0..c_k of the first linear dependence among the vectors."""
+    rows: list[list[int]] = []
+    for k, (den, vec) in zip(range(count), vectors):
+        rows.append(vec + [den if j == k else 0 for j in range(count)])
+        if len(oracle_rref(rows, len(vec))) == k:
+            return [Fraction(c) for c in rows[k][len(vec):len(vec) + k + 1]]
+    raise ValueError(f"the first {count} vectors are independent")
+
+
+def oracle_int_fraction_nullspace(rows, ncols):
+    """`fraction_nullspace` over the Gauss-Jordan kernel."""
+    reduced = [_integral(row) for row in rows]
+    pivots = oracle_rref(reduced)
+    return oracle_nullspace(reduced, pivots, ncols, [f for f in range(ncols) if f not in pivots])
+
+
+def oracle_int_fraction_solve(columns, target):
+    """`fraction_solve` over the Gauss-Jordan kernel."""
+    k = len(columns)
+    aug = [_integral([col[i] for col in columns] + [t]) for i, t in enumerate(target)]
+    pivots = oracle_rref(aug, k)
+    if any(row[k] for row in aug[len(pivots):]):
+        return None
+    x = [Fraction(0)] * k
+    for row, p in zip(aug, pivots):
+        x[p] = Fraction(row[k], row[p])
+    return x
+
+
+def oracle_int_inverse(m: CMatrix) -> CMatrix:
+    """`CMatrix.inverse` over the Gauss-Jordan kernel."""
+    n = m.rows
+    aug = _real_rows(m, CMatrix.identity(n))
+    if len(oracle_rref(aug, 2 * n)) < 2 * n:
+        raise SingularMatrixError(f"singular {n}x{n} matrix")
+    den = lcm(*(row[r] for r, row in enumerate(aug)))
+    parts = [[x * (den // row[r]) for x in row[2 * n:]] for r, row in enumerate(aug)]
+    return _reduced(n, n, den, [x for row in parts[0::2] for x in row],
+                    [x for row in parts[1::2] for x in row])
+
+
+def oracle_int_nullspace_basis(m: CMatrix) -> CMatrix:
+    """`CMatrix.nullspace_basis` over the Gauss-Jordan kernel."""
+    reduced = _real_rows(m)
+    pivots = oracle_rref(reduced)
+    free = [f for f in range(0, 2 * m.cols, 2) if f not in pivots]
+    vecs = oracle_nullspace(reduced, pivots, 2 * m.cols, free)
+    cols = [[GaussianRational(v[2 * k], v[2 * k + 1]) for k in range(m.cols)] for v in vecs]
+    return _columns_to_matrix(m.cols, cols)
 
 
 def oracle_row_list(m: CMatrix) -> list[list[GaussianRational]]:
@@ -521,6 +623,118 @@ def test_inverse_matches_oracle(system):
     else:
         assert m.inverse() == expected
         assert m.is_invertible()
+
+
+# -- the echelon kernel against the Gauss-Jordan one ---------------------------
+
+int_entries = st.sampled_from([st.integers(-3, 3), st.integers(-10 ** 12, 10 ** 12)])
+
+
+@st.composite
+def int_systems(draw):
+    """(rows, ncols, width): `row_lists` of small or wide ints, pivots sought in the first width."""
+    rows, n = draw(row_lists(draw(int_entries), 0))
+    return rows, n, draw(st.integers(0, n))
+
+
+def normalized(rows, pivots):
+    """The reduced row echelon rows: each row over its pivot."""
+    return [[Fraction(x, row[p]) for x in row] for row, p in zip(rows, pivots)]
+
+
+@given(int_systems())
+def test_echelon_and_rref_match_oracle(system):
+    rows, _, width = system
+    expected = [row[:] for row in rows]
+    pivots = oracle_rref(expected, width)
+    echelon = [row[:] for row in rows]
+    assert _echelon(echelon, width) == pivots
+    for row, p in zip(echelon, pivots):
+        assert row[p] and not any(row[:p])
+    reduced = [row[:] for row in rows]
+    assert _rref(reduced, width) == pivots
+    assert normalized(reduced, pivots) == normalized(expected, pivots)
+    # the rows past the last pivot evolve exactly as under Gauss-Jordan
+    assert echelon[len(pivots):] == reduced[len(pivots):] == expected[len(pivots):]
+
+
+@given(st.one_of(int_systems(), row_lists(wide_fractions, Fraction(0)).map(lambda s: (*s, 0))))
+def test_fraction_nullspace_matches_gauss_jordan(system):
+    rows, n, _ = system
+    assert fraction_nullspace(rows, n) == oracle_int_fraction_nullspace(rows, n)
+    reduced = [_integral(row) for row in rows]
+    pivots = _echelon(reduced)
+    free = [f for f in range(n) if f not in pivots]
+    assert _nullspace(reduced, pivots, n, free) == oracle_int_fraction_nullspace(rows, n)
+
+
+@given(int_systems(), st.data())
+def test_fraction_solve_matches_gauss_jordan(system, data):
+    rows, n, _ = system
+    columns = [[row[j] for row in rows] for j in range(n)]
+    x = [data.draw(st.integers(-5, 5)) for _ in range(n)]
+    consistent = [sum(a * b for a, b in zip(row, x)) for row in rows]
+    arbitrary = [data.draw(st.integers(-5, 5)) for _ in rows]
+    for target in (consistent, arbitrary):
+        assert fraction_solve(columns, target) == oracle_int_fraction_solve(columns, target)
+
+
+@given(st.one_of(row_lists(small_gaussians, ZERO), row_lists(wide_gaussians, ZERO),
+                 real_or_imaginary_columns()))
+def test_cmatrix_reductions_match_gauss_jordan(system):
+    m = _cmatrix(*system)
+    pivots = oracle_rref(_real_rows(m))
+    assert m.rank() == len(pivots) // 2
+    assert m.column_space_basis() == submatrix(m, range(m.rows),
+                                               [p // 2 for p in pivots if p % 2 == 0])
+    assert m.nullspace_basis() == oracle_int_nullspace_basis(m)
+
+
+@given(st.one_of(row_lists(small_gaussians, ZERO, square=True),
+                 row_lists(wide_gaussians, ZERO, square=True),
+                 real_or_imaginary_columns(square=True)))
+def test_inverse_matches_gauss_jordan(system):
+    m = _cmatrix(*system)
+    try:
+        expected = oracle_int_inverse(m)
+    except SingularMatrixError:
+        with pytest.raises(SingularMatrixError):
+            m.inverse()
+    else:
+        assert m.inverse() == expected
+
+
+@st.composite
+def vector_sequences(draw):
+    """(vectors, count): up to six (den, nums) vectors, `row_lists` rows over coprime
+    denominators, so the first dependence comes early, late or not at all."""
+    rows, _ = draw(row_lists(draw(int_entries), 0))
+    vectors = [(draw(st.sampled_from(COPRIME_DENOMINATORS)), row) for row in rows]
+    return vectors, draw(st.integers(0, len(rows)))
+
+
+@given(vector_sequences())
+def test_first_dependence_matches_oracle(sequence):
+    vectors, count = sequence
+    try:
+        expected = poly_normalize(oracle_first_dependence(iter(vectors), count))
+    except ValueError:
+        with pytest.raises(ValueError):
+            _first_dependence(iter(vectors), count)
+    else:
+        assert poly_normalize(_first_dependence(iter(vectors), count)) == expected
+
+
+def test_first_dependence_draws_only_what_it_needs():
+    drawn = []
+
+    def vectors():
+        for k, nums in enumerate(([1, 0], [0, 1], [2, 3], [5, 7])):
+            drawn.append(k)
+            yield 1, nums
+
+    assert poly_normalize(_first_dependence(vectors(), 4)) == [-2, -3, 1]
+    assert drawn == [0, 1, 2]
 
 
 # -- the integer-backed CMatrix against the GaussianRational one ---------------

@@ -15,8 +15,8 @@ from biquiver import (CMatrix, GaussianRational, IndecomposabilityStatus, Matrix
                       PreconditionError, Verdict, apply_base_change,
                       are_isomorphic, decompose, direct_sum, direct_sum_list,
                       gaussian, hom_basis, krull_schmidt_compare,
-                      random_representation, zero_representation)
-from biquiver import morphisms
+                      random_representation, roots_with_value, zero_representation)
+from biquiver import linalg, morphisms
 from biquiver.linalg import block_diag, fraction_nullspace, fraction_solve, submatrix
 from biquiver.morphisms import (MAX_PROFILE_RANKS, Decomposition, _certify_local,
                                 _check_sampling, _combine, _flatten_tuple, _identity_tuple,
@@ -28,7 +28,8 @@ from biquiver.semilinear import are_consimilar
 from conftest import (biq, gmat, mat, path_biquiver, random_base_change, random_biquiver,
                       random_invertible, star_biquiver)
 from test_acceptance import _a3_indecomposables, _d4_indecomposables, _random_dashing
-from test_linalg import oracle_fraction_nullspace
+import test_linalg
+from test_linalg import oracle_fraction_nullspace, oracle_int_fraction_nullspace
 
 
 def _satisfies_morphism(a, b, f):
@@ -114,6 +115,23 @@ def _hom_differential_pairs():
                   [(0, Fraction(3, 11)), (Fraction(-7, 6), Fraction(1, 2))]),
         "b": gmat([(Fraction(2, 9), 0), (0, 1)], [(1, 0), (Fraction(-1, 5), 0)])})
     pairs += [(q, q), (q, random_base_change(random.Random(4), q))]
+    return pairs + _scrambled_sums()
+
+
+def _scrambled_sums():
+    """(X, S.X) for X a sum of three random E6 or E7 representations at root
+    dimension vectors of heights 4, 5 and 6 (total dimension 15), some arrows
+    dashed, and S a random base change: Hom systems of 74 and 94 columns."""
+    pairs = []
+    for branches, dashed, seed in (([1, 2, 2], ("b1e0", "b2e1"), 5),
+                                   ([1, 2, 3], ("b0e0", "b2e2"), 6)):
+        g = star_biquiver(branches, dashed=dashed)
+        rng = random.Random(seed)
+        roots = roots_with_value(g, 1)
+        parts = [random_representation(g, rng.choice([z for z in roots if sum(z) == h]), 2,
+                                       rng.randrange(10 ** 6)) for h in (4, 5, 6)]
+        x = direct_sum_list(g, parts)
+        pairs.append((x, random_base_change(rng, x)))
     return pairs
 
 
@@ -129,6 +147,40 @@ def test_hom_basis_matches_oracle_kernel(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(morphisms, "fraction_nullspace", oracle)
             assert hom_basis(a, b) == basis
+
+
+def test_nullspace_makes_fewer_row_combinations_than_gauss_jordan(monkeypatch):
+    # every row combination ends in `_primitive`, so counting its calls on one
+    # fixed Hom system pins the nullspace to forward elimination, without a
+    # timing: a backward pass, or the Gauss-Jordan oracle, makes more
+    systems = []
+
+    def recording(rows, ncols):
+        systems.append((rows, ncols))
+        return fraction_nullspace(rows, ncols)
+
+    x, sx = _scrambled_sums()[0]
+    monkeypatch.setattr(morphisms, "fraction_nullspace", recording)
+    hom_basis(x, sx)
+    (rows, ncols), = systems
+    calls = []
+    original = linalg._primitive
+
+    def counting(row):
+        calls.append(1)
+        return original(row)
+
+    def combinations(solve):
+        calls.clear()
+        solve()
+        return len(calls)
+
+    monkeypatch.setattr(linalg, "_primitive", counting)
+    monkeypatch.setattr(test_linalg, "_primitive", counting)
+    echelon = combinations(lambda: fraction_nullspace(rows, ncols))
+    jordan = combinations(lambda: linalg._rref([linalg._integral(row) for row in rows]))
+    oracle = combinations(lambda: oracle_int_fraction_nullspace(rows, ncols))
+    assert 0 < echelon < jordan and echelon < oracle
 
 
 def oracle_combine(basis, coeffs):

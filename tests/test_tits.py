@@ -5,8 +5,11 @@ from math import lcm
 import pytest
 from hypothesis import given, strategies as st
 
-from biquiver import (Definiteness, FormatError, TitsGram, definiteness,
-                      evaluate, gram_matrix, radical_vector)
+from biquiver import (Definiteness, FormatError, PreconditionError, RepKind, TitsGram,
+                      definiteness, evaluate, gram_matrix, radical_vector,
+                      representation_type, roots_with_value)
+from biquiver import tits
+from biquiver.tits import MAX_GRAM_VERTICES
 from biquiver.linalg import _integer_parts, _symmetric_ldl
 from biquiver.model import Arrow, ArrowKind, Biquiver
 from conftest import biq, cycle_biquiver, dynkin_and_extended, path_biquiver
@@ -405,6 +408,29 @@ def test_malformed_gram_is_rejected(gram):
         definiteness(gram)
     with pytest.raises(FormatError):
         radical_vector(gram)
+
+
+def test_form_past_the_vertex_cap_is_refused_before_eliminating(monkeypatch):
+    assert MAX_GRAM_VERTICES == 256
+    at_cap = gram_matrix(path_biquiver(MAX_GRAM_VERTICES))
+    assert definiteness(at_cap) is Definiteness.POSITIVE_DEFINITE
+    assert radical_vector(at_cap) is None
+    big = path_biquiver(MAX_GRAM_VERTICES + 1)
+
+    def eliminate(rows):
+        raise AssertionError(f"eliminated a {len(rows)} x {len(rows)} form")
+
+    # the path's form, bordered by one isolated vertex
+    c = tuple(row + (0,) for row in at_cap.c) + ((0,) * MAX_GRAM_VERTICES + (2,),)
+    monkeypatch.setattr(tits, "_symmetric_ldl", eliminate)
+    for refused in (lambda: gram_matrix(big),
+                    lambda: definiteness(TitsGram(MAX_GRAM_VERTICES + 1, c)),
+                    lambda: radical_vector(TitsGram(MAX_GRAM_VERTICES + 1, c)),
+                    lambda: roots_with_value(big, 1)):
+        with pytest.raises(PreconditionError, match="257 vertices, past the cap of 256"):
+            refused()
+    # the type, and with it classify, needs no elimination
+    assert representation_type(path_biquiver(2000)).kind is RepKind.FINITE
 
 
 def test_definiteness_invariant_under_kind_and_direction():
