@@ -1,12 +1,13 @@
 """Exact matrices over the Gaussian rationals, plus rational linear systems.
 
-CMatrix (complex-rational matrices) carries all representation data; plain
-Fraction row-lists carry the real linear systems behind morphism spaces,
-and int rows the Tits-form kernels. A CMatrix is stored as integers: one
-positive common denominator and the integer real and imaginary parts of
-its entries, so products, sums and scalings are integer arithmetic with a
-single denominator per matrix. GaussianRational entries are built only at
-the boundary (parsing, printing, `at`, and the lazily built `entries`).
+CMatrix (complex-rational matrices) carries all representation data; int
+row-lists carry the real linear systems behind morphism spaces and the
+Tits-form kernels, whose vectors come back as ints over one denominator.
+A CMatrix is stored as integers: one positive common denominator and the
+integer real and imaginary parts of its entries, so products and sums are
+integer arithmetic with a single denominator per matrix. GaussianRational
+entries are built only at the boundary (parsing, printing, `at`, and the
+lazily built `entries`).
 
 All elimination is integral: each rational row is scaled to a primitive
 integer row (which leaves its solution set alone), and a complex matrix is
@@ -141,9 +142,6 @@ class CMatrix:
     def is_zero(self) -> bool:
         return not any(self.re) and not any(self.im)
 
-    def is_identity(self) -> bool:
-        return self.is_square and self == CMatrix.identity(self.rows)
-
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: "CMatrix") -> "CMatrix":
@@ -157,17 +155,6 @@ class CMatrix:
     def __neg__(self) -> "CMatrix":
         return _canonical(self.rows, self.cols, self.den,
                           tuple(map(neg, self.re)), tuple(map(neg, self.im)))
-
-    def scale(self, s) -> "CMatrix":
-        s = as_gaussian(s)
-        den, (sr, si) = _integer_parts([s.re, s.im])
-        if si:
-            re = tuple(sr * x - si * y for x, y in zip(self.re, self.im))
-            im = tuple(sr * y + si * x for x, y in zip(self.re, self.im))
-        else:
-            re = tuple(sr * x for x in self.re)
-            im = tuple(sr * y for y in self.im)
-        return _reduced(self.rows, self.cols, den * self.den, re, im)
 
     def __matmul__(self, other: "CMatrix") -> "CMatrix":
         if self.cols != other.rows:
@@ -241,11 +228,12 @@ class CMatrix:
         pivots = _echelon(reduced)
         free = [f for f in range(0, 2 * self.cols, 2) if f not in pivots]
         vecs = _nullspace(reduced, pivots, 2 * self.cols, free)
-        # entry (k, j) is vecs[j][2k] + i vecs[j][2k + 1]
-        parts = [v[k] for parity in (0, 1) for k in range(parity, 2 * self.cols, 2) for v in vecs]
-        den, nums = _integer_parts(parts)
-        n = len(parts) // 2
-        return _canonical(self.cols, len(vecs), den, tuple(nums[:n]), tuple(nums[n:]))
+        # entry (k, j) is (nums_j[2k] + i nums_j[2k + 1]) / den_j; put over the lcm
+        den = lcm(*(d for d, _ in vecs))
+        scaled = [(den // d, nums) for d, nums in vecs]
+        re = tuple(s * nums[k] for k in range(0, 2 * self.cols, 2) for s, nums in scaled)
+        im = tuple(s * nums[k] for k in range(1, 2 * self.cols, 2) for s, nums in scaled)
+        return _canonical(self.cols, len(vecs), den, re, im)
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(repr(self.at(i, j)) for j in range(self.cols))
@@ -521,7 +509,7 @@ def _real_rows(m: CMatrix, rhs: CMatrix | None = None) -> list[list[int]]:
 
 
 def _nullspace(reduced: list[list[int]], pivots: list[int], ncols: int,
-               free: list[int]) -> list[list[Fraction]]:
+               free: list[int]) -> list[tuple[int, list[int]]]:
     """Canonical kernel vectors of `_echelon`-reduced rows, one per column in `free`.
 
     For the free column f: x_f = 1, the other free coordinates 0, and the
@@ -529,11 +517,12 @@ def _nullspace(reduced: list[list[int]], pivots: list[int], ncols: int,
     x_p = -(row . x) / row[p] for the row with pivot p. A pivot after f
     gives 0, since x vanishes beyond f, so only the pivots before f are
     visited, and the dot product runs over columns p + 1..f. The vector is
-    kept as integers over one common denominator. It is the one kernel
-    vector with these free coordinates, so it equals the reduced row
-    echelon readout x_p = -rref[p][f] entry for entry.
+    the one kernel vector with these free coordinates, so it equals the
+    reduced row echelon readout x_p = -rref[p][f] entry for entry. It comes
+    as (den, nums), x = nums / den, den > 0 and nums[f] == den, canonical
+    (gcd(den, *nums) == 1) as each step multiplies both by some q and sets
+    nums[p] to an s prime to q.
     """
-    zero = Fraction(0)
     basis = []
     for f in free:
         x = [0] * ncols
@@ -552,11 +541,11 @@ def _nullspace(reduced: list[list[int]], pivots: list[int], ncols: int,
                 x = [v * q for v in x]
                 den *= q
             x[p] = -s
-        basis.append([Fraction(v, den) if v else zero for v in x])
+        basis.append((den, x))
     return basis
 
 
-# -- real (Fraction) linear systems -----------------------------------------
+# -- real linear systems -----------------------------------------------------
 
 def _first_dependence(vectors, count: int) -> list[Fraction]:
     """Coefficients c_0..c_k of the first linear dependence among the vectors.
@@ -587,16 +576,17 @@ def _first_dependence(vectors, count: int) -> list[Fraction]:
     raise ValueError(f"the first {count} vectors are independent")
 
 
-def fraction_nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
-    """Basis of the solution space of the homogeneous system rows . x = 0.
+def fraction_nullspace(rows: list[list[int]], ncols: int) -> list[tuple[int, list[int]]]:
+    """Canonical basis of the solution space of the homogeneous int system rows . x = 0.
 
-    Basis vectors are produced in free-column order with the free coordinate
-    set to 1, so the output is canonical for a given equation order.
-    Raises FormatError unless every row has `ncols` entries.
+    One (den, nums) per free column f in turn, see `_nullspace`: x = nums / den
+    is 1 at f and 0 at the other free columns. The rows are made primitive,
+    not changed. Raises FormatError unless every row has `ncols` entries.
+    The name stays while the benchmark's tracer wraps the kernel by it.
     """
     if ncols < 0 or any(len(row) != ncols for row in rows):
         raise FormatError(f"every equation needs {ncols} coefficients")
-    reduced = [_integral(row) for row in rows]
+    reduced = [_primitive(row) for row in rows]
     pivots = _echelon(reduced)
     return _nullspace(reduced, pivots, ncols, [f for f in range(ncols) if f not in pivots])
 

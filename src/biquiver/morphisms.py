@@ -25,8 +25,8 @@ from math import lcm
 from operator import mul
 
 from .errors import PreconditionError, SingularMatrixError, echo
-from .linalg import (CMatrix, _first_dependence, _integer_parts, _symmetric_ldl,
-                     block_diag, fraction_nullspace, hstack, submatrix, vstack)
+from .linalg import (CMatrix, _first_dependence, _symmetric_ldl, block_diag,
+                     fraction_nullspace, hstack, submatrix, vstack)
 from .model import Biquiver, DimensionVector
 from .polynomials import poly_factor, poly_normalize, split_idempotent
 from .representation import (MatrixRepresentation, apply_base_change,
@@ -165,8 +165,7 @@ def hom_basis(a: MatrixRepresentation, b: MatrixRepresentation) -> MorphismBasis
 
     basis_vectors = fraction_nullspace(rows, total)
 
-    def unflatten(vec: list[Fraction]) -> MorphismTuple:
-        den, nums = _integer_parts(vec)
+    def unflatten(den: int, nums: list[int]) -> MorphismTuple:
         mats = []
         for v in range(g.t):
             n, start = db[v] * da[v], offsets[v]
@@ -174,7 +173,7 @@ def hom_basis(a: MatrixRepresentation, b: MatrixRepresentation) -> MorphismBasis
                                               nums[start + n:start + 2 * n]))
         return tuple(mats)
 
-    return MorphismBasis(g, da, db, tuple(unflatten(v) for v in basis_vectors))
+    return MorphismBasis(g, da, db, tuple(unflatten(*v) for v in basis_vectors))
 
 
 def _flatten_tuple(mats: MorphismTuple) -> tuple[int, list[int]]:
@@ -188,12 +187,11 @@ def _flatten_tuple(mats: MorphismTuple) -> tuple[int, list[int]]:
     return den, nums
 
 
-def _combine(basis: MorphismBasis, coeffs: list[Fraction]) -> MorphismTuple:
-    """The rational combination sum_j coeffs[j] * basis.tuples[j]."""
-    terms = [(c, tup) for c, tup in zip(coeffs, basis.tuples) if c]
+def _combination(coeffs: list[Fraction], tuples, shapes) -> MorphismTuple:
+    """sum_j coeffs[j] * tuples[j], tuples of the given (rows, cols); extra tuples are ignored."""
+    terms = [(c, tup) for c, tup in zip(coeffs, tuples) if c]
     mats = []
-    for v in range(basis.biquiver.t):
-        r, c = basis.target_dims[v], basis.source_dims[v]
+    for v, (r, c) in enumerate(shapes):
         # term j is (p_j / q_j) (R_j / d_j); sum over the lcm of the q_j d_j
         den = lcm(*(coef.denominator * tup[v].den for coef, tup in terms))
         re = [0] * (r * c)
@@ -205,6 +203,11 @@ def _combine(basis: MorphismBasis, coeffs: list[Fraction]) -> MorphismTuple:
             im = [x + f * y for x, y in zip(im, m.im)]
         mats.append(CMatrix.from_integers(r, c, den, re, im))
     return tuple(mats)
+
+
+def _combine(basis: MorphismBasis, coeffs: list[Fraction]) -> MorphismTuple:
+    """The rational combination sum_j coeffs[j] * basis.tuples[j]."""
+    return _combination(coeffs, basis.tuples, zip(basis.target_dims, basis.source_dims))
 
 
 def _sample(basis: MorphismBasis, rng: random.Random, coeff_bound: int) -> MorphismTuple:
@@ -365,14 +368,14 @@ def _minimal_polynomial(basis: MorphismBasis, phi: MorphismTuple) -> list[Fracti
 
 def _eval_poly_tuple(poly: list[Fraction], phi: MorphismTuple,
                      dims: DimensionVector) -> MorphismTuple:
-    """Horner evaluation of a rational polynomial at a morphism tuple."""
-    acc = tuple(CMatrix.zero(d, d) for d in dims)
-    ident = _identity_tuple(dims)
-    for c in reversed(poly):
-        acc = _tuple_compose(acc, phi)
-        if c:
-            acc = tuple(am + im.scale(c) for am, im in zip(acc, ident))
-    return acc
+    """sum_k poly[k] phi^k for a nonempty rational polynomial, lowest degree first.
+
+    phi^2, ..., phi^deg take one composition each, and the sum is one combination.
+    """
+    powers = [_identity_tuple(dims), phi]
+    while len(powers) < len(poly):
+        powers.append(_tuple_compose(phi, powers[-1]))
+    return _combination(poly, powers, [(d, d) for d in dims])
 
 
 def _splitting_idempotent(minpoly, phi, dims) -> MorphismTuple | None:
@@ -393,19 +396,19 @@ def _splitting_idempotent(minpoly, phi, dims) -> MorphismTuple | None:
 
 def _vertex_killers(basis: MorphismBasis, vertex: int,
                     vec: CMatrix) -> list[list[Fraction]]:
-    """Coordinates of the endomorphisms annihilating a vector at one vertex.
+    """Coordinates of a basis of the endomorphisms annihilating a vector at one vertex.
 
     Such endomorphisms are singular, so their minimal polynomials pick up a
     factor of x; together with the coprime Fitting split this decomposes
     isotypic sums X + X whose generic endomorphisms have irreducible
     rational minimal polynomials. `_split_candidates` tries two random
-    combinations of these coordinates first, then each of them.
+    mixes of these coordinates first (see there), then each of them.
     """
     columns = [_flatten_tuple((tup[vertex] @ vec,)) for tup in basis.tuples]
     # all columns over one denominator: a uniform scale keeps the nullspace
     den = lcm(*(d for d, _ in columns))
     rows = [list(row) for row in zip(*([x * (den // d) for x in col] for d, col in columns))]
-    return fraction_nullspace(rows, len(columns))
+    return [[Fraction(x, d) for x in nums] for d, nums in fraction_nullspace(rows, len(columns))]
 
 
 def _split_candidates(basis: MorphismBasis, dims: DimensionVector, trials: int,
@@ -413,8 +416,10 @@ def _split_candidates(basis: MorphismBasis, dims: DimensionVector, trials: int,
     """Endomorphisms to try for a Fitting split, drawn from rng only as they are asked for.
 
     Each of `trials` rounds yields a random element of End, then, at each
-    nonzero vertex in random order, the nonzero ones among two random
-    combinations of the `_vertex_killers` of a random vector there and those killers.
+    nonzero vertex in random order, the nonzero ones among two random mixes
+    of the `_vertex_killers` of a random vector there, then those killers.
+    Coordinate i of a mix is sum_k w_ik k[i] with a fresh weight per (i, k),
+    so a mix is not a combination of the killers and need not kill the vector.
     """
     n = basis.dimension
     for _ in range(trials):

@@ -21,7 +21,6 @@ from math import isqrt, lcm
 from .errors import PreconditionError, echo
 from .classify import RepKind, representation_type
 from .model import Biquiver, DimensionVector, is_connected
-from .linalg import _symmetric_ldl
 from .tits import Definiteness, TitsGram, definiteness, evaluate, gram_matrix
 
 # The most vectors a root search may try: (bound + 1)^k over the t coordinates
@@ -106,7 +105,7 @@ def _keep(results: list[DimensionVector], z: list[int]) -> None:
 # -- weighted sum-of-squares enumeration -------------------------------------
 
 def _enumerate_sos(gram: TitsGram, value: int, bound: int | None):
-    _, steps, free = _symmetric_ldl(gram.c)
+    _, steps, free = gram.ldl
     # Step k contributes (d z_p + c)^2 / (prev d), and every prev d > 0 as
     # n- == 0 here; scaled by m = lcm(prev d) the squares sum to
     # m * 2q with the integer weights m / (prev d).

@@ -4,18 +4,19 @@ q_G(x) = sum x_i^2 - sum_{arrows u->v} x_u x_v, summed over all arrows of
 either kind. Twice its Gram matrix Q is the integer generalized Cartan
 matrix C = 2Q of the underlying multigraph, stored with Q as its view.
 Definiteness is read exactly from the inertia of C, that of Q, counted by
-the integer elimination `linalg._symmetric_ldl`, whose LDL^T steps root
-enumeration reuses. That elimination is cubic in the number of vertices,
-so forms on more than MAX_GRAM_VERTICES vertices are refused.
+the integer elimination `linalg._symmetric_ldl`, run once per TitsGram,
+whose LDL^T steps root enumeration reuses. That elimination is cubic in
+the number of vertices, so forms past MAX_GRAM_VERTICES vertices are refused.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import FormatError, PreconditionError
-from .linalg import _integral, _symmetric_ldl, fraction_nullspace
+from .linalg import _symmetric_ldl, fraction_nullspace
 from .model import Biquiver, DimensionVector
 
 # The most vertices of a Tits form that `gram_matrix` builds and
@@ -41,6 +42,11 @@ class TitsGram:
         """The Gram matrix Q: each entry an int or, for odd x in C, Fraction(x, 2)."""
         return tuple(tuple(x // 2 if x % 2 == 0 else Fraction(x, 2) for x in row)
                      for row in self.c)
+
+    @cached_property
+    def ldl(self) -> tuple:
+        """`_symmetric_ldl(c)`, computed once and shared; read it once `definiteness` checked c."""
+        return _symmetric_ldl(self.c)
 
 
 def _check_vertex_cap(t: int) -> None:
@@ -94,7 +100,7 @@ def definiteness(gram: TitsGram) -> Definiteness:
         raise FormatError("Gram matrix entries must be ints")
     if any(c[i][j] != c[j][i] for i in range(t) for j in range(i)):
         raise FormatError("Gram matrix must be symmetric")
-    (positive, negative, _), *_ = _symmetric_ldl(c)
+    (positive, negative, _), *_ = gram.ldl
     if positive == t:
         return Definiteness.POSITIVE_DEFINITE
     if negative == 0:
@@ -111,12 +117,11 @@ def radical_vector(gram: TitsGram) -> DimensionVector | None:
     """
     if definiteness(gram) is not Definiteness.POSITIVE_SEMIDEFINITE:
         return None
-    basis = fraction_nullspace(gram.c, gram.t)
+    basis = fraction_nullspace([list(row) for row in gram.c], gram.t)
     if len(basis) != 1:
         return None
-    ints = _integral(basis[0])
-    if all(x < 0 for x in ints):
-        ints = [-x for x in ints]
-    if any(x <= 0 for x in ints):
+    # nums is primitive, as nums[free] == den, and positive at the free column
+    _, nums = basis[0]
+    if any(x <= 0 for x in nums):
         return None
-    return tuple(ints)
+    return tuple(nums)

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 from biquiver import (Arrow, ArrowKind, Biquiver, CMatrix, GaussianRational,
                       MatrixRepresentation, apply_base_change, gaussian)
+from biquiver.linalg import _integer_parts, _reduced
 from biquiver.scalars import as_gaussian
 
 
@@ -142,6 +143,24 @@ def similar_small_oracle(m: CMatrix, n: CMatrix) -> bool:
 def consimilar_necessary_invariant(m: CMatrix, n: CMatrix) -> bool:
     """Necessary condition: m conj(m) similar to n conj(n) (sizes <= 2)."""
     return similar_small_oracle(m @ m.conj(), n @ n.conj())
+
+
+def oracle_is_identity(m: CMatrix) -> bool:
+    """Whether m is a square identity matrix, as `CMatrix.is_identity` once said."""
+    return m.is_square and m == CMatrix.identity(m.rows)
+
+
+def oracle_scale(m: CMatrix, s) -> CMatrix:
+    """s times m, for s an int, Fraction or GaussianRational, as `CMatrix.scale` gave it."""
+    s = as_gaussian(s)
+    den, (sr, si) = _integer_parts([s.re, s.im])
+    if si:
+        re = tuple(sr * x - si * y for x, y in zip(m.re, m.im))
+        im = tuple(sr * y + si * x for x, y in zip(m.re, m.im))
+    else:
+        re = tuple(sr * x for x in m.re)
+        im = tuple(sr * y for y in m.im)
+    return _reduced(m.rows, m.cols, den * m.den, re, im)
 
 
 def oracle_norm2(z: GaussianRational) -> Fraction:

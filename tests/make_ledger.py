@@ -139,7 +139,8 @@ def write_inputs() -> None:
     save("j.json", bq.serialize_representation(j))
     save("j.s1.json", bq.serialize_representation(scramble(rng, j)))
     save("jj.json", bq.serialize_representation(scramble(rng, bq.direct_sum(j, j))))
-    diag = bq.MatrixRepresentation(loop(True), (2,), {"a": bq.CMatrix.from_rows([[1, 0], [0, -1]])})
+    diag = bq.MatrixRepresentation(loop(True), (2,),
+                                   {"a": bq.CMatrix.from_rows([[1, 0], [0, -1]])})
     save("diag.json", bq.serialize_representation(diag))
 
 

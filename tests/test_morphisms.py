@@ -17,19 +17,21 @@ from biquiver import (CMatrix, GaussianRational, IndecomposabilityStatus, Matrix
                       gaussian, hom_basis, krull_schmidt_compare,
                       random_representation, roots_with_value, zero_representation)
 from biquiver import linalg, morphisms
-from biquiver.linalg import block_diag, fraction_nullspace, fraction_solve, submatrix
+from biquiver.linalg import (_integer_parts, block_diag, fraction_nullspace, fraction_solve,
+                             submatrix)
 from biquiver.morphisms import (MAX_PROFILE_RANKS, Decomposition, _certify_local,
-                                _check_sampling, _combine, _flatten_tuple, _identity_tuple,
-                                _image_kernel_change, _minimal_polynomial,
+                                _check_sampling, _combine, _eval_poly_tuple, _flatten_tuple,
+                                _identity_tuple, _image_kernel_change, _minimal_polynomial,
                                 _splitting_idempotent, _trace_form, _tuple_compose,
                                 _vertex_killers, rank_profile)
 from biquiver.polynomials import poly_normalize
 from biquiver.semilinear import are_consimilar
-from conftest import (biq, gmat, mat, path_biquiver, random_base_change, random_biquiver,
-                      random_invertible, star_biquiver)
+from conftest import (biq, gmat, mat, oracle_is_identity, oracle_scale, path_biquiver,
+                      random_base_change, random_biquiver, random_invertible, star_biquiver)
 from test_acceptance import _a3_indecomposables, _d4_indecomposables, _random_dashing
 import test_linalg
-from test_linalg import oracle_fraction_nullspace, oracle_int_fraction_nullspace
+from test_linalg import (kernel, oracle_fraction_nullspace, oracle_int_fraction_nullspace,
+                         small_fractions, small_gaussians, wide_gaussians)
 
 
 def _satisfies_morphism(a, b, f):
@@ -138,9 +140,11 @@ def _scrambled_sums():
 def test_hom_basis_matches_oracle_kernel(monkeypatch):
     # the canonical Hom basis that `rep hom` prints must not depend on the
     # elimination kernel behind fraction_nullspace; hom_basis hands it integer
-    # rows, which the oracle divides exactly only as Fractions
+    # rows, which the oracle divides exactly only as Fractions; its vectors
+    # are handed back as the kernel's (den, nums) pairs
     def oracle(rows, ncols):
-        return oracle_fraction_nullspace([[Fraction(x) for x in row] for row in rows], ncols)
+        return [_integer_parts(v) for v in
+                oracle_fraction_nullspace([[Fraction(x) for x in row] for row in rows], ncols)]
 
     for a, b in _hom_differential_pairs():
         basis = hom_basis(a, b)
@@ -192,7 +196,7 @@ def oracle_combine(basis, coeffs):
         acc = CMatrix.zero(r, c)
         for coef, tup in zip(coeffs, basis.tuples):
             if coef:
-                acc = acc + tup[v].scale(GaussianRational(coef))
+                acc = acc + oracle_scale(tup[v], GaussianRational(coef))
         mats.append(acc)
     return tuple(mats)
 
@@ -217,7 +221,7 @@ def test_iso_identical_representations():
     a = full_loop(mat([1, 2], [3, 4]))
     res = are_isomorphic(a, a, seed=0)
     assert res.verdict is Verdict.YES
-    assert all(m.is_identity() for m in res.certificate)
+    assert all(oracle_is_identity(m) for m in res.certificate)
 
 
 def test_iso_dashed_loop_example():
@@ -490,7 +494,7 @@ def oracle_trace_form(basis):
 
 def oracle_radical_coords(basis):
     """Coordinates (in the Hom basis) of a basis of the radical of End."""
-    return fraction_nullspace(oracle_trace_form(basis), basis.dimension)
+    return kernel(oracle_trace_form(basis), basis.dimension)
 
 
 def oracle_certify_local(basis):
@@ -686,12 +690,62 @@ def test_minimal_polynomial_matches_oracle():
             assert _minimal_polynomial(basis, phi) == oracle_minimal_polynomial(basis, phi)
 
 
+def oracle_eval_poly_tuple(poly, phi, dims):
+    """The Horner evaluation that `_eval_poly_tuple` replaced, verbatim but for
+    `CMatrix.scale`, which moved here as `oracle_scale`."""
+    acc = tuple(CMatrix.zero(d, d) for d in dims)
+    ident = _identity_tuple(dims)
+    for c in reversed(poly):
+        acc = _tuple_compose(acc, phi)
+        if c:
+            acc = tuple(am + oracle_scale(im, c) for am, im in zip(acc, ident))
+    return acc
+
+
+@st.composite
+def polynomials_at_tuples(draw):
+    """(poly, phi, dims): a nonempty rational polynomial, lowest degree first,
+    and a tuple of square Gaussian-rational matrices on 1-3 vertices."""
+    dims = tuple(draw(st.lists(st.integers(0, 3), min_size=1, max_size=3)))
+    entry = draw(st.sampled_from([small_gaussians, wide_gaussians]))
+    phi = tuple(CMatrix(d, d, [draw(entry) for _ in range(d * d)]) for d in dims)
+    poly = draw(st.lists(st.one_of(st.just(Fraction(0)), small_fractions), min_size=1, max_size=7))
+    return poly, phi, dims
+
+
+@settings(deadline=None)
+@given(polynomials_at_tuples())
+def test_eval_poly_tuple_matches_horner(case):
+    poly, phi, dims = case
+    assert _eval_poly_tuple(poly, phi, dims) == oracle_eval_poly_tuple(poly, phi, dims)
+
+
+def test_eval_poly_tuple_composes_only_for_the_powers(monkeypatch):
+    # 1 and phi cost nothing, so a polynomial of degree k composes k - 1
+    # times, where Horner composed k + 1 times, once with the zero tuple
+    phi = (gmat([(1, 2), (0, -1)], [(3, 0), (Fraction(1, 2), 5)]), mat([2]))
+    poly = [Fraction(1, 3), 0, Fraction(-2), 0, Fraction(5, 7)]
+    expected = oracle_eval_poly_tuple(poly, phi, (2, 1))
+    compositions = []
+    real_compose = morphisms._tuple_compose
+
+    def counting(f, g_):
+        compositions.append(1)
+        return real_compose(f, g_)
+
+    monkeypatch.setattr(morphisms, "_tuple_compose", counting)
+    assert _eval_poly_tuple(poly, phi, (2, 1)) == expected
+    assert len(compositions) == 3
+    assert _eval_poly_tuple(poly[:2], phi, (2, 1)) == oracle_eval_poly_tuple(poly[:2], phi, (2, 1))
+    assert len(compositions) == 3
+
+
 def oracle_vertex_killers(basis, vertex, vec):
     """The `_vertex_killers` that solved over the Fraction flattening."""
     columns = [oracle_flatten_tuple(basis, (tup[vertex] @ vec,)) for tup in basis.tuples]
     height = len(columns[0]) if columns else 0
     rows = [[col[i] for col in columns] for i in range(height)]
-    return fraction_nullspace(rows, len(columns))
+    return kernel(rows, len(columns))
 
 
 def test_vertex_killers_match_oracle():

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from math import lcm
@@ -8,11 +9,13 @@ from hypothesis import given, strategies as st
 from biquiver import (Definiteness, FormatError, PreconditionError, RepKind, TitsGram,
                       definiteness, evaluate, gram_matrix, radical_vector,
                       representation_type, roots_with_value)
-from biquiver import tits
+from biquiver import serialize_biquiver, tits
+from biquiver.cli import main
 from biquiver.tits import MAX_GRAM_VERTICES
-from biquiver.linalg import _integer_parts, _symmetric_ldl
+from biquiver.linalg import _integer_parts, _integral, _symmetric_ldl
 from biquiver.model import Arrow, ArrowKind, Biquiver
 from conftest import biq, cycle_biquiver, dynkin_and_extended, path_biquiver
+from test_linalg import kernel
 
 
 def F(x):
@@ -458,6 +461,60 @@ def test_radical_vectors():
     # extended D4: center 5th vertex joined to all four leaves
     d4t = biq(5, "a:1>5", "b:2>5", "c:3~5", "d:4>5")
     assert radical_vector(gram_matrix(d4t)) == (1, 1, 1, 1, 2)
+
+
+def oracle_radical_vector(gram):
+    """`radical_vector` as it was when the kernel returned Fraction vectors."""
+    if definiteness(gram) is not Definiteness.POSITIVE_SEMIDEFINITE:
+        return None
+    basis = kernel(gram.c, gram.t)
+    if len(basis) != 1:
+        return None
+    ints = _integral(basis[0])
+    if all(x < 0 for x in ints):
+        ints = [-x for x in ints]
+    if any(x <= 0 for x in ints):
+        return None
+    return tuple(ints)
+
+
+def test_radical_vector_matches_oracle():
+    rng = random.Random(8)
+    graphs = [g for _, g in dynkin_and_extended()]
+    graphs += [biq(2, "a:1>2", "b:1~2", "c:2>1"), biq(3, "a:1>1", "b:2>2"), biq(2, "a:1>1")]
+    for _ in range(40):
+        t = rng.randint(1, 5)
+        specs = [f"a{k}:{rng.randint(1, t)}>{rng.randint(1, t)}" for k in range(rng.randint(0, 5))]
+        graphs.append(biq(t, *specs))
+    found = 0
+    for g in graphs:
+        radical = radical_vector(gram_matrix(g))
+        assert radical == oracle_radical_vector(gram_matrix(g))
+        found += radical is not None
+    assert found > 10
+
+
+def test_one_elimination_per_gram(monkeypatch, tmp_path, capsys):
+    # `tits` reads definiteness twice, once inside radical_vector, and
+    # roots_with_value reads it before enumerating: each eliminates once
+    eliminations = []
+    real_ldl = tits._symmetric_ldl
+
+    def counting(rows):
+        eliminations.append(len(rows))
+        return real_ldl(rows)
+
+    monkeypatch.setattr(tits, "_symmetric_ldl", counting)
+    d4t = tmp_path / "d4t.json"
+    d4t.write_text(serialize_biquiver(biq(5, "a:1>5", "b:2>5", "c:3~5", "d:4>5")))
+    assert main(["tits", str(d4t)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["definiteness"], out["radical"]) == ("PositiveSemidefinite", [1, 1, 1, 1, 2])
+    assert eliminations == [5]
+    eliminations.clear()
+    assert roots_with_value(path_biquiver(3), 1) == [(0, 0, 1), (0, 1, 0), (0, 1, 1), (1, 0, 0),
+                                                     (1, 1, 0), (1, 1, 1)]
+    assert eliminations == [3]
 
 
 def test_radical_of_cycles_is_all_ones():
