@@ -7,9 +7,13 @@ to it and are checked in, so the ledger moves only when an answer does.
 
     python tests/make_ledger.py           # rewrite answers.json
     python tests/make_ledger.py --inputs  # rewrite the input documents too
+    python tests/make_ledger.py --check   # list the answers that moved
 
 Rewrite the answers only for a change that moves answers on purpose, and
 name the entries that moved, and why, in that change's CHANGES.md entry.
+`--check` writes nothing: it prints each invocation whose stdout hash or
+exit code differs from answers.json, or that answers.json lacks, and exits
+with 1 if there is any.
 The input documents are built from fixed seeds by `write_inputs`.
 """
 from __future__ import annotations
@@ -61,6 +65,15 @@ INVOCATIONS: list[tuple[str, ...]] = [
     ("roots", "d4t.biquiver.json", "--value", "0", "--bound", "2"),
     ("roots", "wild.biquiver.json", "--value", "1", "--bound", "2"),
     ("classify", "d4t.biquiver.json"),
+    ("classify", "wild.biquiver.json"),
+    # isotypic sums X + X + Y: over A3 and D4 (each with a dashed arrow), whose
+    # generic minimal polynomials have irreducible quartic factors, and on the
+    # dashed loop, whose End holds M2(Q) blocks with real irrational roots
+    *(("rep", "decompose", f"{name}.json", "--seed", str(s))
+      for name in ("a3xxy", "d4xxy", "loopxxyy") for s in (0, 1)),
+    # consimilarity of 3x3 matrices: a base change of A, and another matrix
+    ("rep", "iso", "cons.json", "cons.s1.json", "--seed", "0"),
+    ("rep", "iso", "cons.json", "cons.other.json", "--seed", "0"),
 ]
 
 
@@ -143,15 +156,50 @@ def write_inputs() -> None:
                                    {"a": bq.CMatrix.from_rows([[1, 0], [0, -1]])})
     save("diag.json", bq.serialize_representation(diag))
 
+    rng = random.Random(11)
+    for name, g, x_dims, y_dims in (("a3xxy", a3, (1, 1, 1), (1, 1, 0)),
+                                    ("d4xxy", shapes["d4"][0], (2, 1, 1, 1), (1, 1, 1, 0))):
+        x, y = (bq.random_representation(g, d, 2, rng.randrange(10 ** 6)) for d in (x_dims, y_dims))
+        save(f"{name}.json", bq.serialize_representation(scramble(rng, bq.direct_sum_list(g, [x, x, y]))))
+    # [1] and [2] on the dashed loop are not consimilar, and End of each is Q
+    one, two = (bq.MatrixRepresentation(loop(True), (1,), {"a": bq.CMatrix.from_rows([[c]])})
+                for c in (1, 2))
+    save("loopxxyy.json", bq.serialize_representation(
+        scramble(rng, bq.direct_sum_list(one.biquiver, [one, one, two, two]))))
+    cons, other = (bq.random_representation(loop(True), (3,), 2, rng.randrange(10 ** 6))
+                   for _ in range(2))
+    save("cons.json", bq.serialize_representation(cons))
+    save("cons.s1.json", bq.serialize_representation(scramble(rng, cons)))
+    save("cons.other.json", bq.serialize_representation(other))
 
-def main(argv: list[str]) -> None:
+
+def moved(entries: list[dict]) -> list[str]:
+    """One line per entry that differs from its recorded answer."""
+    recorded = {tuple(e["argv"]): e for e in json.loads(ANSWERS.read_text())}
+    lines = []
+    for e in entries:
+        old = recorded.get(tuple(e["argv"]))
+        if old is None:
+            lines.append(f"{' '.join(e['argv'])}: not in the ledger")
+        elif old != e:
+            lines.append(f"{' '.join(e['argv'])}: exit {old['exit']} -> {e['exit']}, "
+                         f"stdout {old['stdout_sha256'][:12]} -> {e['stdout_sha256'][:12]}")
+    return lines
+
+
+def main(argv: list[str]) -> int:
     sys.path.insert(0, str(LEDGER.parents[1] / "src"))
     if "--inputs" in argv:
         write_inputs()
     entries = [answer(inv) for inv in INVOCATIONS]
+    if "--check" in argv:
+        lines = moved(entries)
+        print("\n".join(lines) or f"all {len(entries)} answers match the ledger")
+        return 1 if lines else 0
     ANSWERS.write_text(json.dumps(entries, indent=1) + "\n")
     print(f"wrote {len(entries)} entries to {ANSWERS}")
+    return 0
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    raise SystemExit(main(sys.argv[1:]))
