@@ -1,14 +1,17 @@
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import biquiver
-from biquiver.polynomials import poly_factor, poly_normalize, split_idempotent
+from biquiver import decompose, direct_sum_list, morphisms, random_representation
+from biquiver.polynomials import _from_sympy, _to_sympy, poly_factor, poly_normalize, split_idempotent
+from conftest import biq, random_base_change
 
 
 # -- reference implementations ------------------------------------------------
@@ -99,6 +102,28 @@ def oracle_idempotent(m1, m2):
     return oracle_poly_mul(w, m2)
 
 
+# The sympy-only factorisation that the root stages of `poly_factor` now
+# front, and its conversion through sympy.Rational, kept verbatim.
+
+def oracle_to_sympy(p: list[Fraction]):
+    import sympy
+
+    return sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(p)],
+                      sympy.Symbol("x"), domain="QQ")
+
+
+def oracle_poly_factor(p: list[Fraction]) -> list[tuple[list[Fraction], int]]:
+    """Irreducible factorization over the rationals.
+
+    Returns monic (factor, multiplicity) pairs sorted by (degree,
+    coefficients) so the result is deterministic.
+    """
+    _, factors = oracle_to_sympy(p).factor_list()
+    out = [(poly_normalize(_from_sympy(fac)), int(mult)) for fac, mult in factors]
+    out.sort(key=lambda fm: (len(fm[0]), fm[0]))
+    return out
+
+
 # -- tests ----------------------------------------------------------------------
 
 def test_poly_factor_orders_by_degree_then_coefficients():
@@ -131,6 +156,92 @@ def test_split_idempotent_matches_euclid(a, b, k):
     split = oracle_coprime_split(p)
     if split is not None:
         assert split_idempotent(p, *poly_factor(p)[0]) == oracle_idempotent(*split)
+
+
+def poly(*coefficients) -> list[Fraction]:
+    return [Fraction(c) for c in coefficients]
+
+
+big = st.fractions(min_value=-10 ** 12, max_value=10 ** 12, max_denominator=10 ** 12)
+small = st.integers(1, 50)
+factor_kinds = st.one_of(
+    # x^2 - 2ax + a^2 + b^2, roots a +- bi in Q(i)
+    st.tuples(big, big.filter(bool)).map(lambda ab: [ab[0] ** 2 + ab[1] ** 2, -2 * ab[0], 1]),
+    # x - r
+    big.map(lambda r: [-r, 1]),
+    # x^2 - d and x^2 + ex - d with real irrational roots when d is not a square
+    small.map(lambda d: poly(-d, 0, 1)),
+    st.tuples(small, small).map(lambda ed: poly(-ed[1], ed[0], 1)),
+    # x^4 + k, and a Q(i)-quadratic x^2 - (s + ti)x + m times its conjugate
+    small.map(lambda k: poly(k, 0, 0, 0, 1)),
+    st.tuples(small, small, small).map(lambda stm: poly(
+        stm[2] ** 2, -2 * stm[0] * stm[2], stm[0] ** 2 + stm[1] ** 2 + 2 * stm[2], -2 * stm[0], 1)),
+)
+products = st.tuples(st.lists(st.tuples(factor_kinds, st.integers(1, 3)), min_size=1, max_size=3),
+                     st.integers(0, 3)).filter(
+    lambda fs: sum((len(f) - 1) * m for f, m in fs[0]) <= 12)
+
+
+@settings(deadline=None, max_examples=150)
+@given(products)
+# a double rational root that rounding misses, whose two approximations pair
+# into (x - r)^2: the square discriminant must refuse it
+@example(([(poly(Fraction(18577, 10600), 1), 2)], 0))
+@example(([(poly(Fraction(9207, 10019), 1), 2), (poly(3, 0, 1), 1)], 1))
+def test_poly_factor_matches_sympy_only_factorisation(product):
+    factors, k = product
+    p = [Fraction(0)] * k + [Fraction(1)]
+    for f, m in factors:
+        for _ in range(m):
+            p = oracle_poly_mul(p, f)
+    assert poly_factor(p) == oracle_poly_factor(p)
+
+
+@pytest.mark.parametrize("p", [
+    oracle_poly_mul(poly(-10 ** 400, 1), poly(1, 0, 1)),   # integer form overflows a float
+    oracle_poly_mul([Fraction(-1, 10 ** 400), Fraction(1)], poly(1, 0, 1)),   # so does c
+    oracle_poly_mul(poly(-10 ** 200, 1), [Fraction(-1, 10 ** 200), Fraction(1)]),
+    poly(2, 3, 1), poly(5), poly(0, 0, 1), [],
+])
+def test_poly_factor_far_roots_and_degenerate_input(p):
+    assert poly_factor(p) == oracle_poly_factor(p)
+
+
+@pytest.mark.parametrize("p", [poly(1), poly(-3, 0, 1),
+                               [Fraction(7, 3), Fraction(0), Fraction(-2, 5), Fraction(1)],
+                               [Fraction(-10 ** 30 + 1, 10 ** 12), Fraction(5, 10 ** 40)]])
+def test_to_sympy_builds_the_rational_poly(p):
+    fast, slow = _to_sympy(p), oracle_to_sympy(p)
+    assert fast == slow and fast.rep == slow.rep
+
+
+def test_sympy_is_reached_only_for_irreducible_cofactors(monkeypatch):
+    # three pairwise non-isomorphic parts give End = C^3 and a product of
+    # three Gaussian quadratics; X + X gives M2(C) and a rational quartic
+    from sympy import Poly
+
+    calls = []
+    real_factor_list = Poly.factor_list
+
+    def counting(f, *args, **kwargs):
+        calls.append(f.degree())
+        return real_factor_list(f, *args, **kwargs)
+
+    g = biq(3, "a:1>2", "b:3~2")
+    x, y, z = (random_representation(g, d, 2, seed)
+               for d, seed in (((1, 1, 1), 1), ((1, 1, 0), 2), ((0, 1, 1), 3)))
+    rng = random.Random(0)
+    for parts, reached in (([x, y, z], False), ([x, x], True)):
+        rep = random_base_change(rng, direct_sum_list(g, parts), bound=2)
+        with monkeypatch.context() as m:
+            m.setattr(morphisms, "poly_factor", oracle_poly_factor)
+            expected = decompose(rep, seed=0)
+        calls.clear()
+        with monkeypatch.context() as m:
+            m.setattr(Poly, "factor_list", counting)
+            assert decompose(rep, seed=0) == expected
+        assert len(expected.summands) == len(parts)
+        assert bool(calls) == reached, calls
 
 
 def test_split_idempotent_rejects_a_non_factor():
