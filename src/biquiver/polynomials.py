@@ -10,7 +10,6 @@ so that `import biquiver` does not load it, also gives split idempotents.
 """
 from __future__ import annotations
 
-import cmath
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
@@ -86,8 +85,8 @@ def poly_factor(p: list[Fraction]) -> list[tuple[list[Fraction], int]]:
     denominators of the monic p, F = c p is primitive. Off F come: x^k;
     x - u/c or x^2 - 2(u/c)x + (u^2 + v^2)/c^2 for each root (u + vi)/c in
     Q(i), the algebraic integer u + vi rounded from c times a Durand-Kerner
-    root; for pairs of real roots, quadratics with coefficients rounded to
-    multiples of 1/c and a non-square discriminant; a cofactor of degree 1,
+    root; for pairs of real or conjugate roots, quadratics with coefficients
+    rounded to multiples of 1/c, non-square discriminant; a cofactor of degree 1,
     or 2 with a non-square discriminant. Each is irreducible and counts
     only as often as it divides F exactly, so rounding can only miss a
     factor, which sympy finds in the cofactor. Monic irreducible factors
@@ -103,13 +102,13 @@ def poly_factor(p: list[Fraction]) -> list[tuple[list[Fraction], int]]:
         roots = [c * z for z in _approximate_roots([x / c for x in rest])] if len(rest) > 1 else []
     except OverflowError:
         roots = []
-    roots = [(round(w.real), abs(round(w.imag)), w.real) for w in roots if cmath.isfinite(w)]
-    candidates = [(u * u + v * v, -2 * u * c, c * c) if v else (-u, c) for u, v, _ in roots]
-    real = [r for _, v, r in roots if not v]
-    for i, r in enumerate(real):
-        for s in real[i + 1:]:
-            b, e = round(r + s), round(r * s / c)
-            if not _is_square(b * b - 4 * c * e):
+    roots = [w for w in roots if abs(w) < 2 ** 53]  # past 2^53 floats skip integers
+    gaussian = [(round(w.real), abs(round(w.imag))) for w in roots]
+    candidates = [(u * u + v * v, -2 * u * c, c * c) if v else (-u, c) for u, v in gaussian]
+    for i, r in enumerate(roots):
+        for t, n in ((r + s, r * s / c) for s in roots[i + 1:]):
+            b, e = round(t.real), round(n.real)
+            if abs(t.imag) < 0.5 and abs(n.imag) < 0.5 and not _is_square(b * b - 4 * c * e):
                 candidates.append((e, -b, c))
     out = [([Fraction(0), Fraction(1)], k)] if k else []
     for g in dict.fromkeys(tuple(x // gcd(*g) for x in g) for g in candidates):

@@ -201,6 +201,9 @@ def test_poly_factor_matches_sympy_only_factorisation(product):
     oracle_poly_mul(poly(-10 ** 400, 1), poly(1, 0, 1)),   # integer form overflows a float
     oracle_poly_mul([Fraction(-1, 10 ** 400), Fraction(1)], poly(1, 0, 1)),   # so does c
     oracle_poly_mul(poly(-10 ** 200, 1), [Fraction(-1, 10 ** 200), Fraction(1)]),
+    # c = 1e150 times the roots 1e10 and 3 is finite, their product is not
+    oracle_poly_mul(oracle_poly_mul([Fraction(-10 ** 160 - 1, 10 ** 150), Fraction(1)],
+                                    poly(-3, 1)), poly(1, 0, 1)),
     poly(2, 3, 1), poly(5), poly(0, 0, 1), [],
 ])
 def test_poly_factor_far_roots_and_degenerate_input(p):
@@ -213,6 +216,25 @@ def test_poly_factor_far_roots_and_degenerate_input(p):
 def test_to_sympy_builds_the_rational_poly(p):
     fast, slow = _to_sympy(p), oracle_to_sympy(p)
     assert fast == slow and fast.rep == slow.rep
+
+
+def test_only_the_cofactor_reaches_sympy(monkeypatch):
+    # x, a double rational root, a Gaussian quadratic and two real-root
+    # quadratics come off exactly; sympy sees only the quartic x^4 + 2
+    from sympy import Poly
+
+    low = [Fraction(0)] + oracle_poly_mul(oracle_poly_mul(poly(-2, 0, 1), poly(-3, 0, 1)),
+                                          oracle_poly_mul(poly(1, 1, 1), [Fraction(1, 9), Fraction(-2, 3), Fraction(1)]))
+    cases = [(low, []), (oracle_poly_mul(low, poly(2, 0, 0, 0, 1)), [4])]
+    expected = [oracle_poly_factor(p) for p, _ in cases]
+    calls = []
+    real_factor_list = Poly.factor_list
+    monkeypatch.setattr(Poly, "factor_list",
+                        lambda f, *args: calls.append(f.degree()) or real_factor_list(f, *args))
+    for (p, degrees), factors in zip(cases, expected):
+        calls.clear()
+        assert poly_factor(p) == factors
+        assert calls == degrees
 
 
 def test_sympy_is_reached_only_for_irreducible_cofactors(monkeypatch):
