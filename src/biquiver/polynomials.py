@@ -86,10 +86,10 @@ def poly_factor(p: list[Fraction]) -> list[tuple[list[Fraction], int]]:
     x - u/c or x^2 - 2(u/c)x + (u^2 + v^2)/c^2 for each root (u + vi)/c in
     Q(i), the algebraic integer u + vi rounded from c times a Durand-Kerner
     root; for pairs of real or conjugate roots, quadratics with coefficients
-    rounded to multiples of 1/c, non-square discriminant; a cofactor of degree 1,
-    or 2 with a non-square discriminant. Each is irreducible and counts
-    only as often as it divides F exactly, so rounding can only miss a
-    factor, which sympy finds in the cofactor. Monic irreducible factors
+    rounded to multiples of 1/c and a non-square discriminant; a cofactor of
+    degree 1, or 2 with a non-square discriminant. Each is irreducible and
+    counts only as often as it divides F exactly, so rounding can only miss
+    a factor, which sympy finds in the cofactor. Monic irreducible factors
     are unique: the result is sympy's for all of p.
     """
     q = poly_normalize(p)

@@ -10,7 +10,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import biquiver
 from biquiver import decompose, direct_sum_list, morphisms, random_representation
-from biquiver.polynomials import _from_sympy, _to_sympy, poly_factor, poly_normalize, split_idempotent
+from biquiver.polynomials import (_from_sympy, _to_sympy, poly_factor, poly_normalize,
+                                  split_idempotent)
 from conftest import biq, random_base_change
 
 
@@ -218,28 +219,8 @@ def test_to_sympy_builds_the_rational_poly(p):
     assert fast == slow and fast.rep == slow.rep
 
 
-def test_only_the_cofactor_reaches_sympy(monkeypatch):
-    # x, a double rational root, a Gaussian quadratic and two real-root
-    # quadratics come off exactly; sympy sees only the quartic x^4 + 2
-    from sympy import Poly
-
-    low = [Fraction(0)] + oracle_poly_mul(oracle_poly_mul(poly(-2, 0, 1), poly(-3, 0, 1)),
-                                          oracle_poly_mul(poly(1, 1, 1), [Fraction(1, 9), Fraction(-2, 3), Fraction(1)]))
-    cases = [(low, []), (oracle_poly_mul(low, poly(2, 0, 0, 0, 1)), [4])]
-    expected = [oracle_poly_factor(p) for p, _ in cases]
-    calls = []
-    real_factor_list = Poly.factor_list
-    monkeypatch.setattr(Poly, "factor_list",
-                        lambda f, *args: calls.append(f.degree()) or real_factor_list(f, *args))
-    for (p, degrees), factors in zip(cases, expected):
-        calls.clear()
-        assert poly_factor(p) == factors
-        assert calls == degrees
-
-
-def test_sympy_is_reached_only_for_irreducible_cofactors(monkeypatch):
-    # three pairwise non-isomorphic parts give End = C^3 and a product of
-    # three Gaussian quadratics; X + X gives M2(C) and a rational quartic
+def counted_factor_lists(monkeypatch) -> list[int]:
+    """The degrees of the polynomials that sympy's factor_list sees from now on."""
     from sympy import Poly
 
     calls = []
@@ -249,20 +230,44 @@ def test_sympy_is_reached_only_for_irreducible_cofactors(monkeypatch):
         calls.append(f.degree())
         return real_factor_list(f, *args, **kwargs)
 
+    monkeypatch.setattr(Poly, "factor_list", counting)
+    return calls
+
+
+def test_only_the_cofactor_reaches_sympy(monkeypatch):
+    # x, the double root 1/3, the Gaussian pair of x^2 + 1, the conjugate
+    # pair of x^2 + x + 1 and the real pairs of x^2 - 2 and x^2 - 3 come off
+    # exactly; sympy sees only the quartic x^4 + 2
+    low = [Fraction(0), Fraction(1)]
+    for f in (poly(1, 0, 1), poly(1, 1, 1), poly(-2, 0, 1), poly(-3, 0, 1),
+              [Fraction(1, 9), Fraction(-2, 3), Fraction(1)]):
+        low = oracle_poly_mul(low, f)
+    cases = [(low, []), (oracle_poly_mul(low, poly(2, 0, 0, 0, 1)), [4])]
+    expected = [oracle_poly_factor(p) for p, _ in cases]
+    calls = counted_factor_lists(monkeypatch)
+    for (p, degrees), factors in zip(cases, expected):
+        calls.clear()
+        assert poly_factor(p) == factors
+        assert calls == degrees
+
+
+def test_sympy_is_reached_only_for_irreducible_cofactors(monkeypatch):
+    # three pairwise non-isomorphic parts give End = C^3 and a product of
+    # three Gaussian quadratics; X + X gives M2(C) and a rational quartic
     g = biq(3, "a:1>2", "b:3~2")
     x, y, z = (random_representation(g, d, 2, seed)
                for d, seed in (((1, 1, 1), 1), ((1, 1, 0), 2), ((0, 1, 1), 3)))
     rng = random.Random(0)
-    for parts, reached in (([x, y, z], False), ([x, x], True)):
-        rep = random_base_change(rng, direct_sum_list(g, parts), bound=2)
-        with monkeypatch.context() as m:
-            m.setattr(morphisms, "poly_factor", oracle_poly_factor)
-            expected = decompose(rep, seed=0)
+    cases = [(random_base_change(rng, direct_sum_list(g, parts), bound=2), len(parts), reached)
+             for parts, reached in (([x, y, z], False), ([x, x], True))]
+    with monkeypatch.context() as m:
+        m.setattr(morphisms, "poly_factor", oracle_poly_factor)
+        expected = [decompose(rep, seed=0) for rep, _, _ in cases]
+    calls = counted_factor_lists(monkeypatch)
+    for (rep, parts, reached), dec in zip(cases, expected):
         calls.clear()
-        with monkeypatch.context() as m:
-            m.setattr(Poly, "factor_list", counting)
-            assert decompose(rep, seed=0) == expected
-        assert len(expected.summands) == len(parts)
+        assert decompose(rep, seed=0) == dec
+        assert len(dec.summands) == parts
         assert bool(calls) == reached, calls
 
 
