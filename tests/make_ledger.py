@@ -74,6 +74,11 @@ INVOCATIONS: list[tuple[str, ...]] = [
     # consimilarity of 3x3 matrices: a base change of A, and another matrix
     ("rep", "iso", "cons.json", "cons.s1.json", "--seed", "0"),
     ("rep", "iso", "cons.json", "cons.other.json", "--seed", "0"),
+    # Hom and iso into the block-diagonal sum, whose Hom system falls apart
+    # into one independent block per summand
+    *(cmd for shape in ("e6", "d4")
+      for cmd in (("rep", "hom", f"{shape}.s1.json", f"{shape}.sum.json"),
+                  ("rep", "iso", f"{shape}.s1.json", f"{shape}.sum.json", "--seed", "0"))),
 ]
 
 
