@@ -13,12 +13,12 @@ All elimination is integral: each rational row is scaled to a primitive
 integer row (which leaves its solution set alone), and a complex matrix is
 reduced through its real form, in which entry z is the 2x2 block
 [[re z, -im z], [im z, re z]], read straight from the integer parts.
-Every fraction-free elimination combines rows by one step, `_row_step`.
+Every fraction-free elimination combines rows by one sparse step, `_clear`.
 `_echelon` eliminates forward only, which is all that ranks, images and
 kernels need (`_nullspace` reads kernel vectors by back-substitution);
 `_rref` adds the backward pass for inverses and rational solves, and
-`_first_dependence` reduces each new vector once against the rows it
-keeps. `_symmetric_ldl` counts the inertia of symmetric int forms.
+`_first_dependence` reduces each new vector once against the rows it keeps.
+`_symmetric_ldl` counts the inertia of symmetric int forms.
 Zero-row and zero-column matrices are first-class values; the 0x0 matrix
 is invertible.
 """
@@ -26,7 +26,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import compress
+from math import gcd, inf, lcm
 from operator import mul, neg
 
 from .errors import FormatError, SingularMatrixError
@@ -215,30 +216,32 @@ class CMatrix:
 
     def column_space_basis(self) -> "CMatrix":
         """Columns forming a basis of the column space (original columns)."""
-        pivots = _echelon(_real_rows(self))
-        return submatrix(self, range(self.rows), [p // 2 for p in pivots if p % 2 == 0])
+        return _image_and_kernel(self)[0]
 
     def nullspace_basis(self) -> "CMatrix":
-        """Columns forming a basis of the right null space.
-
-        The canonical real kernel vector of the free real column 2f is the
-        realified canonical complex kernel vector of the free column f.
-        """
-        reduced = _real_rows(self)
-        pivots = _echelon(reduced)
-        free = [f for f in range(0, 2 * self.cols, 2) if f not in pivots]
-        vecs = _nullspace(reduced, pivots, 2 * self.cols, free)
-        # entry (k, j) is (nums_j[2k] + i nums_j[2k + 1]) / den_j; put over the lcm
-        den = lcm(*(d for d, _ in vecs))
-        scaled = [(den // d, nums) for d, nums in vecs]
-        re = tuple(s * nums[k] for k in range(0, 2 * self.cols, 2) for s, nums in scaled)
-        im = tuple(s * nums[k] for k in range(1, 2 * self.cols, 2) for s, nums in scaled)
-        return _canonical(self.cols, len(vecs), den, re, im)
+        """Columns forming a basis of the right null space."""
+        return _image_and_kernel(self)[1]
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(repr(self.at(i, j)) for j in range(self.cols))
                          for i in range(self.rows))
         return f"CMatrix({self.rows}x{self.cols}: {body})"
+
+
+def _image_and_kernel(m: CMatrix) -> tuple[CMatrix, CMatrix]:
+    """`column_space_basis` and `nullspace_basis` of m from one elimination; the canonical
+    real kernel vector of free real column 2f realifies that of free column f."""
+    reduced = _real_rows(m)
+    pivots = _echelon(reduced)
+    vecs = _nullspace(reduced, pivots, 2 * m.cols,
+                      [f for f in range(0, 2 * m.cols, 2) if f not in pivots])
+    # entry (k, j) is (nums_j[2k] + i nums_j[2k + 1]) / den_j; put over the lcm
+    den = lcm(*(d for d, _ in vecs))
+    scaled = [(den // d, nums) for d, nums in vecs]
+    re = tuple(s * nums[k] for k in range(0, 2 * m.cols, 2) for s, nums in scaled)
+    im = tuple(s * nums[k] for k in range(1, 2 * m.cols, 2) for s, nums in scaled)
+    image = submatrix(m, range(m.rows), [p // 2 for p in pivots if p % 2 == 0])
+    return image, _canonical(m.cols, len(vecs), den, re, im)
 
 
 _set = object.__setattr__
@@ -352,19 +355,20 @@ def submatrix(m: CMatrix, row_range, col_range) -> CMatrix:
 
 # -- the elimination kernel --------------------------------------------------
 
-def _row_step(row: list[int], pivot_row: list[int], c: int, start: int) -> list[int]:
-    """`row` with column c cleared by `pivot_row`; both are zero before column `start`.
+def _clear(row: list[int], c: int, p: int, support: list, start: int) -> list[int]:
+    """`row` with column c cleared by a pivot row with entry p there and nonzeros `support`.
 
-    The new row is (p * row - f * pivot_row) / gcd(p, f), for p and f their
-    entries in column c, divided by its content (the gcd of its entries),
-    so the work stays in the integers, as in Bareiss (1968), and rows stay
-    primitive. Only the columns from `start` on are recombined.
+    Both rows are zero before column `start`. With f the row's entry in column c
+    and g = gcd(p, f), the new row is (p * row - f * pivot_row) / g over its
+    content (the gcd of its entries), as in Bareiss (1968): integral and primitive.
     """
-    p, f = pivot_row[c], row[c]
+    f = row[c]
     g = gcd(p, f)
     a, b = p // g, f // g
-    return row[:start] + _primitive([a * x - b * y
-                                     for x, y in zip(row[start:], pivot_row[start:])])
+    new = row[start:] if a == 1 else [a * x for x in row[start:]]
+    for j, y in support:
+        new[j - start] -= b * y
+    return row[:start] + _primitive(new)
 
 
 def _echelon(rows: list[list[int]], width: int | None = None) -> list[int]:
@@ -372,14 +376,14 @@ def _echelon(rows: list[list[int]], width: int | None = None) -> list[int]:
 
     Pivots are sought only in the first `width` columns (default: all);
     later columns are carried along, as for an augmented system. Column c
-    takes as pivot the row among r.. (r the number of pivots so far) with
-    the smallest nonzero |entry| there, which keeps the multipliers, hence
-    the entries, small, and `_row_step` clears it in the rows below, which
-    are zero before column c. The pivots, and each row until it becomes a
-    pivot row, are those of a full Gauss-Jordan pass, which differs only
-    in also clearing above. On return row r has its pivot at pivots[r] and
-    is zero before it, and the rows from len(pivots) on are zero in the
-    first `width` columns.
+    takes as pivot the first row among r.. (r the number of pivots so far)
+    with the smallest nonzero |entry| there, which keeps the multipliers,
+    hence the entries, small, and `_clear` clears it in the rows below,
+    which are zero before column c. The pivots, and each row until it
+    becomes a pivot row, are those of a full Gauss-Jordan pass, which
+    differs only in also clearing above. On return row r has its pivot at
+    pivots[r] and is zero before it, and the rows from len(pivots) on are
+    zero in the first `width` columns.
     """
     if not rows:
         return []
@@ -391,15 +395,20 @@ def _echelon(rows: list[list[int]], width: int | None = None) -> list[int]:
         r = len(pivots)
         if r == n:
             break
-        piv = min((i for i in range(r, n) if rows[i][c]),
-                  key=lambda i: abs(rows[i][c]), default=None)
+        piv, best = None, inf
+        for i in range(r, n):
+            x = abs(rows[i][c])
+            if 0 < x < best:
+                piv, best = i, x
+                if x == 1:
+                    break
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        rr = rows[r]
+        p, support = rows[r][c], [(j, y) for j, y in enumerate(rows[r]) if y]
         for i in range(r + 1, n):
             if rows[i][c]:
-                rows[i] = _row_step(rows[i], rr, c, c)
+                rows[i] = _clear(rows[i], c, p, support, c)
         pivots.append(c)
     return pivots
 
@@ -408,7 +417,7 @@ def _rref(rows: list[list[int]], width: int | None = None) -> list[int]:
     """Fraction-free reduced row echelon form of integer rows in place; return the pivot columns.
 
     `_echelon`, then one backward pass, last pivot first, that clears each
-    pivot column in the rows above it with `_row_step`. On return row r
+    pivot column in the rows above it with `_clear`. On return row r
     has its pivot at pivots[r] and is zero in every other pivot column, so
     its reduced row echelon entry in column j is row[j] / row[pivots[r]];
     since that form is unique, it does not depend on which row is chosen
@@ -417,10 +426,11 @@ def _rref(rows: list[list[int]], width: int | None = None) -> list[int]:
     """
     pivots = _echelon(rows, width)
     for r in range(len(pivots) - 1, 0, -1):
-        c, rr = pivots[r], rows[r]
+        c = pivots[r]
+        p, support = rows[r][c], [(j, y) for j, y in enumerate(rows[r]) if y]
         for i in range(r):
             if rows[i][c]:
-                rows[i] = _row_step(rows[i], rr, c, pivots[i])
+                rows[i] = _clear(rows[i], c, p, support, pivots[i])
     return pivots
 
 
@@ -560,19 +570,17 @@ def _first_dependence(vectors, count: int) -> list[Fraction]:
     scale, with c_k != 0. Raises ValueError when the first `count` vectors
     are independent.
     """
-    rows: list[list[int]] = []
-    pivots: list[int] = []
+    kept: list[tuple[int, int, list]] = []  # (pivot column, entry, support)
     for k, (den, vec) in zip(range(count), vectors):
         n = len(vec)
         row = vec + [den if j == k else 0 for j in range(count)]
-        for kept, p in zip(rows, pivots):
-            if row[p]:
-                row = _row_step(row, kept, p, 0)
-        p = min((j for j in range(n) if row[j]), key=lambda j: abs(row[j]), default=None)
-        if p is None:
-            return [Fraction(c) for c in row[n:n + k + 1]]
-        rows.append(row)
-        pivots.append(p)
+        for c, p, support in kept:
+            if row[c]:
+                row = _clear(row, c, p, support, 0)
+        c = min((j for j in range(n) if row[j]), key=lambda j: abs(row[j]), default=None)
+        if c is None:
+            return [Fraction(x) for x in row[n:n + k + 1]]
+        kept.append((c, row[c], [(j, y) for j, y in enumerate(row) if y]))
     raise ValueError(f"the first {count} vectors are independent")
 
 
@@ -580,15 +588,50 @@ def fraction_nullspace(rows: list[list[int]], ncols: int) -> list[tuple[int, lis
     """Canonical basis of the solution space of the homogeneous int system rows . x = 0.
 
     One (den, nums) per free column f in turn, see `_nullspace`: x = nums / den
-    is 1 at f and 0 at the other free columns. The rows are made primitive,
-    not changed. Raises FormatError unless every row has `ncols` entries.
-    The name stays while the benchmark's tracer wraps the kernel by it.
+    is 1 at f and 0 at the other free columns. The nonzero rows are made
+    primitive, not changed. Each of their `_blocks`, one per summand in the
+    Hom system of a direct sum in block form, is reduced on its own: the
+    kernel is their kernels' direct sum, so f's vector lies in f's block.
+    Raises FormatError unless every row has `ncols` entries. The name stays
+    while the benchmark's tracer wraps the kernel by it.
     """
     if ncols < 0 or any(len(row) != ncols for row in rows):
         raise FormatError(f"every equation needs {ncols} coefficients")
-    reduced = [_primitive(row) for row in rows]
-    pivots = _echelon(reduced)
-    return _nullspace(reduced, pivots, ncols, [f for f in range(ncols) if f not in pivots])
+    reduced = [_primitive(row) for row in rows if any(row)]
+    blocks = _blocks(reduced, ncols)
+    if len(blocks) < 2:
+        pivots = _echelon(reduced)
+        return _nullspace(reduced, pivots, ncols, [f for f in range(ncols) if f not in pivots])
+    vectors = {}
+    for mask, block in blocks:
+        cols = [j for j in range(ncols) if mask >> j & 1]
+        sub = [[row[j] for j in cols] for row in block]
+        pivots = _echelon(sub)
+        free = [f for f in range(len(cols)) if f not in pivots]
+        for f, (den, nums) in zip(free, _nullspace(sub, pivots, len(cols), free)):
+            x = dict(zip(cols, nums))
+            vectors[cols[f]] = den, [x.get(j, 0) for j in range(ncols)]
+    return [vectors[f] for f in sorted(vectors)]
+
+
+def _blocks(rows: list[list[int]], ncols: int) -> list[tuple[int, list[list[int]]]]:
+    """The independent blocks of nonzero rows as (columns, rows), the columns an int with
+    bit j for column j: a chain of rows, each nonzero in the next, links any two columns
+    of a block, whose rows are nonzero there only. Untouched columns form a rowless block."""
+    bits = [1 << j for j in range(ncols)]
+    masks = [sum(compress(bits, row)) for row in rows]
+    blocks: list[int] = []
+    for m in masks:
+        rest = []
+        for b in blocks:
+            if b & m:
+                m |= b
+            else:
+                rest.append(b)
+        rest.append(m)
+        blocks = rest
+    blocks.append((1 << ncols) - 1 - sum(blocks))  # the untouched columns, if any
+    return [(b, [row for row, m in zip(rows, masks) if m & b]) for b in blocks if b]
 
 
 def fraction_solve(columns: list[list[Fraction]], target: list[Fraction]) -> list[Fraction] | None:

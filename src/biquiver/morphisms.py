@@ -25,8 +25,8 @@ from math import lcm
 from operator import mul
 
 from .errors import PreconditionError, SingularMatrixError, echo
-from .linalg import (CMatrix, _first_dependence, _symmetric_ldl, block_diag,
-                     fraction_nullspace, hstack, submatrix, vstack)
+from .linalg import (CMatrix, _first_dependence, _image_and_kernel, _symmetric_ldl,
+                     block_diag, fraction_nullspace, hstack, submatrix, vstack)
 from .model import Biquiver, DimensionVector
 from .polynomials import poly_factor, poly_normalize, split_idempotent
 from .representation import (MatrixRepresentation, apply_base_change,
@@ -337,15 +337,27 @@ def are_isomorphic(a: MatrixRepresentation, b: MatrixRepresentation,
         return IsoResult(Verdict.NO, reason="Hom(a, b) = 0 with nonzero dimensions")
     rng = random.Random(seed)
     for used in range(1, trials + 1):
+        sample = _sample(basis, rng, coeff_bound)
         try:
-            s = tuple(m.inverse() for m in _sample(basis, rng, coeff_bound))
+            s = tuple(m.inverse() for m in sample)
         except SingularMatrixError:
             continue
-        if apply_base_change(a, list(s)) == b:
+        if _inverts_to(a, b, s, sample):
             return IsoResult(Verdict.YES, certificate=s, trials=used, seed=seed)
     return IsoResult(Verdict.PROBABLY_NO,
                      reason=f"no invertible morphism found in {trials} samples",
                      trials=trials, seed=seed)
+
+
+def _inverts_to(a: MatrixRepresentation, b: MatrixRepresentation, s: MorphismTuple,
+                f: MorphismTuple) -> bool:
+    """Whether apply_base_change(a, s) == b, with no inverse taken: exactly when
+    s_v f_v = 1 at every vertex, so f_v = s_v^-1, and B F_u = F_v A on full
+    arrows and B F_u = conj(F_v) A on dashed ones."""
+    return all(sv @ fv == CMatrix.identity(sv.rows) for sv, fv in zip(s, f)) and all(
+        b.matrices[x.id] @ f[x.source - 1]
+        == (f[x.target - 1].conj() if x.is_dashed else f[x.target - 1]) @ a.matrices[x.id]
+        for x in a.biquiver.arrows)
 
 
 # -- Krull-Schmidt decomposition ----------------------------------------------
@@ -492,14 +504,8 @@ def _certify_local(basis: MorphismBasis) -> bool:
 
 def _image_kernel_change(e: MorphismTuple) -> tuple[list[CMatrix], DimensionVector]:
     """Per-vertex base change [im-basis | ker-basis] for an idempotent tuple."""
-    ts = []
-    ranks = []
-    for ev in e:
-        im = ev.column_space_basis()
-        ker = ev.nullspace_basis()
-        ts.append(hstack(im, ker))
-        ranks.append(im.cols)
-    return ts, tuple(ranks)
+    bases = [_image_and_kernel(ev) for ev in e]
+    return [hstack(im, ker) for im, ker in bases], tuple(im.cols for im, _ in bases)
 
 
 def _split_blocks(rep: MatrixRepresentation, ranks: DimensionVector

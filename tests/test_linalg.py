@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from biquiver import (CMatrix, FormatError, GaussianRational, SingularMatrixError,
-                      block_diag, from_blocks, hstack, vstack)
+                      block_diag, from_blocks, hstack, linalg, vstack)
 from biquiver.linalg import (_echelon, _first_dependence, _integral, _nullspace, _primitive,
                              _real_rows, _reduced, _rref, fraction_nullspace, fraction_solve,
                              submatrix)
@@ -148,11 +148,79 @@ def oracle_first_dependence(vectors, count: int) -> list[Fraction]:
     raise ValueError(f"the first {count} vectors are independent")
 
 
+# The dense row step that `_clear` replaced, with the echelon kernel, the
+# backward pass of `_rref` and `_first_dependence` over it, kept verbatim
+# apart from the names: every row they make must come out entry for entry.
+
+def oracle_row_step(row: list[int], pivot_row: list[int], c: int, start: int) -> list[int]:
+    """`row` with column c cleared by `pivot_row`; both are zero before column `start`."""
+    p, f = pivot_row[c], row[c]
+    g = gcd(p, f)
+    a, b = p // g, f // g
+    return row[:start] + _primitive([a * x - b * y
+                                     for x, y in zip(row[start:], pivot_row[start:])])
+
+
+def oracle_dense_echelon(rows: list[list[int]], width: int | None = None) -> list[int]:
+    """Fraction-free row echelon form of integer rows in place; return the pivot columns."""
+    if not rows:
+        return []
+    if width is None:
+        width = len(rows[0])
+    n = len(rows)
+    pivots: list[int] = []
+    for c in range(width):
+        r = len(pivots)
+        if r == n:
+            break
+        piv = min((i for i in range(r, n) if rows[i][c]),
+                  key=lambda i: abs(rows[i][c]), default=None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        rr = rows[r]
+        for i in range(r + 1, n):
+            if rows[i][c]:
+                rows[i] = oracle_row_step(rows[i], rr, c, c)
+        pivots.append(c)
+    return pivots
+
+
+def oracle_dense_rref(rows: list[list[int]], width: int | None = None) -> list[int]:
+    """Fraction-free reduced row echelon form of integer rows in place; return the pivot columns."""
+    pivots = oracle_dense_echelon(rows, width)
+    for r in range(len(pivots) - 1, 0, -1):
+        c, rr = pivots[r], rows[r]
+        for i in range(r):
+            if rows[i][c]:
+                rows[i] = oracle_row_step(rows[i], rr, c, pivots[i])
+    return pivots
+
+
+def oracle_dense_first_dependence(vectors, count: int) -> list[Fraction]:
+    """Coefficients c_0..c_k of the first linear dependence among the vectors."""
+    rows: list[list[int]] = []
+    pivots: list[int] = []
+    for k, (den, vec) in zip(range(count), vectors):
+        n = len(vec)
+        row = vec + [den if j == k else 0 for j in range(count)]
+        for kept, p in zip(rows, pivots):
+            if row[p]:
+                row = oracle_row_step(row, kept, p, 0)
+        p = min((j for j in range(n) if row[j]), key=lambda j: abs(row[j]), default=None)
+        if p is None:
+            return [Fraction(c) for c in row[n:n + k + 1]]
+        rows.append(row)
+        pivots.append(p)
+    raise ValueError(f"the first {count} vectors are independent")
+
+
 def oracle_fraction_kernel(rows, ncols):
-    """`fraction_nullspace` as it was before it returned integer pairs, verbatim:
-    rows of ints and Fractions in, Fraction vectors out."""
+    """`fraction_nullspace` as it was before it returned integer pairs, verbatim
+    but over `oracle_dense_echelon`: rows of ints and Fractions in, Fraction
+    vectors out, with no split into blocks."""
     reduced = [_integral(row) for row in rows]
-    pivots = _echelon(reduced)
+    pivots = oracle_dense_echelon(reduced)
     return oracle_echelon_nullspace(reduced, pivots, ncols,
                                     [f for f in range(ncols) if f not in pivots])
 
@@ -804,6 +872,86 @@ def test_first_dependence_draws_only_what_it_needs():
 
     assert poly_normalize(_first_dependence(vectors(), 4)) == [-2, -3, 1]
     assert drawn == [0, 1, 2]
+
+
+# -- the sparse row step and the block split against the dense kernel ----------
+
+@given(int_systems())
+def test_echelon_and_rref_match_the_dense_kernel(system):
+    # every row, not only the pivots and the reduced form: `_clear` makes the
+    # integers `oracle_row_step` made
+    rows, _, width = system
+    for w in (None, width):
+        for kernel_fn, oracle_fn in ((_echelon, oracle_dense_echelon), (_rref, oracle_dense_rref)):
+            got = [row[:] for row in rows]
+            expected = [row[:] for row in rows]
+            assert kernel_fn(got, w) == oracle_fn(expected, w)
+            assert got == expected
+
+
+@given(vector_sequences())
+def test_first_dependence_matches_the_dense_kernel(sequence):
+    vectors, count = sequence
+    try:
+        expected = oracle_dense_first_dependence(iter(vectors), count)
+    except ValueError:
+        with pytest.raises(ValueError):
+            _first_dependence(iter(vectors), count)
+    else:
+        assert _first_dependence(iter(vectors), count) == expected
+
+
+@st.composite
+def block_systems(draw):
+    """(rows, ncols): 1-4 independent blocks of random int rows, each up to 5x5, with up
+    to 2 zero rows and 2 zero columns added, then the columns and the rows shuffled."""
+    entries = draw(int_entries)
+    shapes = draw(st.lists(st.tuples(st.integers(1, 5), st.integers(1, 5)), min_size=1, max_size=4))
+    ncols = sum(w for _, w in shapes) + draw(st.integers(0, 2))
+    rows, start = [], 0
+    for h, w in shapes:
+        for _ in range(h):
+            row = [0] * ncols
+            row[start:start + w] = [draw(entries) for _ in range(w)]
+            rows.append(row)
+        start += w
+    rows += [[0] * ncols for _ in range(draw(st.integers(0, 2)))]
+    order = draw(st.permutations(range(ncols)))
+    return draw(st.permutations([[row[j] for j in order] for row in rows])), ncols
+
+
+@given(block_systems())
+def test_block_split_matches_the_whole_system(system):
+    rows, n = system
+    before = [row[:] for row in rows]
+    pairs = fraction_nullspace(rows, n)
+    assert rows == before
+    assert as_fractions(pairs) == oracle_fraction_kernel(rows, n)
+    pivots = oracle_dense_echelon([row[:] for row in rows])
+    free = [f for f in range(n) if f not in pivots]
+    assert len(pairs) == len(free)
+    for f, (den, nums) in zip(free, pairs):
+        assert den > 0 and gcd(den, *nums) == 1 and nums[f] == den
+
+
+def test_blocks_are_eliminated_apart(monkeypatch):
+    widths = []
+    original = linalg._echelon
+
+    def counting(rows, width=None):
+        widths.append(len(rows[0]))
+        return original(rows, width)
+
+    monkeypatch.setattr(linalg, "_echelon", counting)
+    # blocks on the interleaved columns {0, 3}, {1, 4, 5} and {2, 6}, a zero row among them
+    rows = [[1, 0, 0, 2, 0, 0, 0], [0, 1, 0, 0, 1, 1, 0], [0, 0, 0, 0, 0, 0, 0],
+            [0, 0, 3, 0, 0, 0, 1], [0, 2, 0, 0, 0, 1, 0]]
+    assert as_fractions(fraction_nullspace(rows, 7)) == oracle_fraction_kernel(rows, 7)
+    assert sorted(widths) == [2, 2, 3]
+    widths.clear()
+    connected = rows + [[1, 1, 1, 0, 0, 0, 0]]
+    assert as_fractions(fraction_nullspace(connected, 7)) == oracle_fraction_kernel(connected, 7)
+    assert widths == [7]
 
 
 # -- the integer-backed CMatrix against the GaussianRational one ---------------

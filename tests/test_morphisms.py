@@ -11,18 +11,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import biquiver
-from biquiver import (CMatrix, GaussianRational, IndecomposabilityStatus, MatrixRepresentation,
-                      PreconditionError, Verdict, apply_base_change,
+from biquiver import (CMatrix, GaussianRational, IndecomposabilityStatus, IsoResult,
+                      MatrixRepresentation, PreconditionError, SingularMatrixError,
+                      Verdict, apply_base_change,
                       are_isomorphic, decompose, direct_sum, direct_sum_list,
                       gaussian, hom_basis, krull_schmidt_compare,
                       random_representation, roots_with_value, zero_representation)
 from biquiver import linalg, morphisms
 from biquiver.linalg import (_integer_parts, block_diag, fraction_nullspace, fraction_solve,
-                             submatrix)
+                             hstack, submatrix)
 from biquiver.morphisms import (MAX_PROFILE_RANKS, Decomposition, _certify_local,
-                                _check_sampling, _combine, _eval_poly_tuple, _flatten_tuple,
+                                _check_same_biquiver, _check_sampling, _combine, _eval_poly_tuple, _flatten_tuple,
                                 _identity_tuple, _image_kernel_change, _minimal_polynomial,
-                                _splitting_idempotent, _trace_form, _tuple_compose,
+                                _profile_difference, _sample, _splitting_idempotent,
+                                _trace_form, _tuple_compose,
                                 _vertex_killers, rank_profile)
 from biquiver.polynomials import poly_normalize
 from biquiver.semilinear import are_consimilar
@@ -295,6 +297,78 @@ def test_iso_yes_reports_samples_used():
         assert res.trials == first <= 50
         late += first > 1
     assert late > 0
+
+
+def oracle_are_isomorphic(a, b, trials=morphisms.DEFAULT_TRIALS, seed=0,
+                          coeff_bound=morphisms.DEFAULT_COEFF_BOUND):
+    """`are_isomorphic` as it was when a Yes was verified by `apply_base_change`,
+    which inverts the certificate again, verbatim."""
+    _check_same_biquiver(a, b)
+    _check_sampling(trials, coeff_bound)
+    if a.dims != b.dims:
+        return IsoResult(Verdict.NO, reason="dimension vectors differ")
+    if a == b:
+        return IsoResult(Verdict.YES, certificate=_identity_tuple(a.dims))
+    differs = _profile_difference(a, b)
+    if differs is not None:
+        return IsoResult(Verdict.NO, reason=differs)
+    basis = hom_basis(a, b)
+    if basis.dimension == 0:
+        return IsoResult(Verdict.NO, reason="Hom(a, b) = 0 with nonzero dimensions")
+    rng = random.Random(seed)
+    for used in range(1, trials + 1):
+        try:
+            s = tuple(m.inverse() for m in _sample(basis, rng, coeff_bound))
+        except SingularMatrixError:
+            continue
+        if apply_base_change(a, list(s)) == b:
+            return IsoResult(Verdict.YES, certificate=s, trials=used, seed=seed)
+    return IsoResult(Verdict.PROBABLY_NO,
+                     reason=f"no invertible morphism found in {trials} samples",
+                     trials=trials, seed=seed)
+
+
+def test_iso_matches_the_reinverting_oracle():
+    # planted base changes on dashed and full arrows, with coefficients small
+    # enough that singular samples come first, and pairs that are not isomorphic
+    rng = random.Random(12)
+    yes = 0
+    for k in range(40):
+        g = biq(2, "a:1~2", "b:2>1", "c:2~2")
+        dims = (rng.randint(1, 2), rng.randint(1, 2))
+        a = random_representation(g, dims, 2, rng.randint(0, 10 ** 6))
+        b = random_base_change(rng, a) if k % 4 else random_representation(g, dims, 1, k)
+        for trials, coeff_bound in ((8, 10 ** 4), (3, 1)):
+            res = are_isomorphic(a, b, trials=trials, seed=k, coeff_bound=coeff_bound)
+            assert res == oracle_are_isomorphic(a, b, trials=trials, seed=k,
+                                                coeff_bound=coeff_bound)
+            yes += res.verdict is Verdict.YES
+    for a, b in _scrambled_sums():
+        assert are_isomorphic(b, a) == oracle_are_isomorphic(b, a)
+    assert yes >= 40
+
+
+def test_inverts_to_is_the_base_change_check():
+    # for invertible s: _inverts_to(a, b, s, f) exactly when f is the inverse
+    # of s and s carries a to b; f is either the inverse or a perturbed one
+    rng = random.Random(8)
+    g = biq(2, "a:1~2", "b:2>1", "c:2~2")
+    seen = set()
+    for k in range(60):
+        a = random_representation(g, (2, 2), 2, k)
+        s = tuple(random_invertible(rng, 2) for _ in range(2))
+        moved = apply_base_change(a, list(s))
+        other = random_base_change(rng, a)
+        b = rng.choice([moved, moved, other])
+        f = [m.inverse() for m in s]
+        if rng.random() < 0.3:
+            v = rng.randrange(2)
+            f[v] = f[v] + gmat([(0, 0), (rng.choice([1, -1]), 0)], [(0, 0), (0, 0)])
+        expected = (all(oracle_is_identity(sv @ fv) for sv, fv in zip(s, f))
+                    and apply_base_change(a, list(s)) == b)
+        assert morphisms._inverts_to(a, b, s, tuple(f)) == expected
+        seen.add(expected)
+    assert seen == {True, False}
 
 
 # -- rank profile ---------------------------------------------------------------
@@ -1048,6 +1122,23 @@ def test_decompose_certificate_check_survives_optimize_flag():
     assert proc.stdout.startswith("raised:"), proc.stdout
 
 
+def test_image_kernel_change_eliminates_once_per_vertex(monkeypatch):
+    e = (mat([1, 1], [0, 0]), mat([0, 0], [0, 1]), CMatrix.identity(1), CMatrix.zero(2, 2),
+         CMatrix.zero(0, 0))
+    expected = ([hstack(ev.column_space_basis(), ev.nullspace_basis()) for ev in e],
+                (1, 1, 1, 0, 0))
+    calls = []
+    original = linalg._echelon
+
+    def counting(rows, width=None):
+        calls.append(len(rows))
+        return original(rows, width)
+
+    monkeypatch.setattr(linalg, "_echelon", counting)
+    assert _image_kernel_change(e) == expected
+    assert calls == [4, 4, 2, 4, 0]
+
+
 # _image_kernel_change with identity in place of [im-basis | ker-basis]: the
 # upper triangular loop stays unsplit, so the block check must refuse it
 WRONG_BASE_CHANGE = textwrap.dedent("""
@@ -1090,6 +1181,46 @@ def test_block_check_survives_optimize_flag():
     proc = subprocess.run([sys.executable, "-O", "-c", WRONG_BASE_CHANGE],
                           capture_output=True, text=True, env=env, check=True)
     assert proc.stdout == "raised: idempotent did not block-diagonalize\n", proc.stdout
+
+
+# CMatrix.inverse patched to hand back its inverse plus E11: every sample of
+# Hom(a, b) between isomorphic a and b is then certified by a wrong inverse,
+# so the exact check must refuse them all and answer ProbablyNo
+WRONG_INVERSE = textwrap.dedent("""
+    from fractions import Fraction
+    from biquiver import (Arrow, ArrowKind, Biquiver, CMatrix, are_isomorphic,
+                          apply_base_change, random_representation)
+    g = Biquiver(2, (Arrow("a", 1, 2, ArrowKind.DASHED), Arrow("b", 2, 1, ArrowKind.FULL)))
+    a = random_representation(g, (2, 2), 2, 5)
+    b = apply_base_change(a, [CMatrix.from_rows([[1, 2], [0, 1]]),
+                              CMatrix.from_rows([[1, 0], [Fraction(1, 3), 2]])])
+    print(are_isomorphic(a, b).verdict.value)
+    real_inverse = CMatrix.inverse
+
+    def perturbed(m):
+        inv = real_inverse(m)
+        e11 = [int(k == 0) for k in range(inv.rows * inv.cols)]
+        return inv + CMatrix.from_integers(inv.rows, inv.cols, 1, e11, [0] * len(e11))
+
+    CMatrix.inverse = perturbed
+    res = are_isomorphic(a, b)
+    print(res.verdict.value, res.certificate, res.trials)
+""")
+
+
+def test_wrong_inverse_is_refused(monkeypatch, capsys):
+    # registered so that teardown undoes the script's own patch
+    monkeypatch.setattr(CMatrix, "inverse", CMatrix.inverse)
+    exec(WRONG_INVERSE, {})
+    assert capsys.readouterr().out == "Yes\nProbablyNo None 8\n"
+
+
+def test_wrong_inverse_is_refused_under_optimize_flag():
+    src = str(Path(biquiver.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-O", "-c", WRONG_INVERSE],
+                          capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout == "Yes\nProbablyNo None 8\n", proc.stdout
 
 
 @settings(deadline=None, max_examples=60)
