@@ -356,12 +356,10 @@ def submatrix(m: CMatrix, row_range, col_range) -> CMatrix:
 # -- the elimination kernel --------------------------------------------------
 
 def _clear(row: list[int], c: int, p: int, support: list, start: int) -> list[int]:
-    """`row` with column c cleared by a pivot row with entry p there and nonzeros `support`.
-
-    Both rows are zero before column `start`. With f the row's entry in column c
-    and g = gcd(p, f), the new row is (p * row - f * pivot_row) / g over its
-    content (the gcd of its entries), as in Bareiss (1968): integral and primitive.
-    """
+    """`row` with column c cleared by a pivot row with entry p there and nonzeros `support`,
+    both zero before column `start`: with f the row's entry in column c and g = gcd(p, f),
+    (p * row - f * pivot_row) / g over its content, as in Bareiss (1968), so integral
+    and primitive."""
     f = row[c]
     g = gcd(p, f)
     a, b = p // g, f // g
@@ -557,6 +555,9 @@ def _nullspace(reduced: list[list[int]], pivots: list[int], ncols: int,
 
 # -- real linear systems -----------------------------------------------------
 
+MIN_SPLIT_CELLS = 512  # below it, finding and gathering blocks costs more than it saves
+
+
 def _first_dependence(vectors, count: int) -> list[Fraction]:
     """Coefficients c_0..c_k of the first linear dependence among the vectors.
 
@@ -589,16 +590,16 @@ def fraction_nullspace(rows: list[list[int]], ncols: int) -> list[tuple[int, lis
 
     One (den, nums) per free column f in turn, see `_nullspace`: x = nums / den
     is 1 at f and 0 at the other free columns. The nonzero rows are made
-    primitive, not changed. Each of their `_blocks`, one per summand in the
-    Hom system of a direct sum in block form, is reduced on its own: the
-    kernel is their kernels' direct sum, so f's vector lies in f's block.
-    Raises FormatError unless every row has `ncols` entries. The name stays
-    while the benchmark's tracer wraps the kernel by it.
+    primitive, not changed. From MIN_SPLIT_CELLS cells on, each of their
+    `_blocks`, one per summand in the Hom system of a direct sum in block
+    form, is reduced on its own: the kernel is their kernels' direct sum, so
+    f's vector lies in f's block. Raises FormatError unless every row has
+    `ncols` entries. The name stays while the benchmark's tracer wraps it.
     """
     if ncols < 0 or any(len(row) != ncols for row in rows):
         raise FormatError(f"every equation needs {ncols} coefficients")
     reduced = [_primitive(row) for row in rows if any(row)]
-    blocks = _blocks(reduced, ncols)
+    blocks = _blocks(reduced, ncols) if len(reduced) * ncols >= MIN_SPLIT_CELLS else []
     if len(blocks) < 2:
         pivots = _echelon(reduced)
         return _nullspace(reduced, pivots, ncols, [f for f in range(ncols) if f not in pivots])

@@ -922,16 +922,20 @@ def block_systems(draw):
 
 @given(block_systems())
 def test_block_split_matches_the_whole_system(system):
+    # split however small, and at the default threshold, which these are below
     rows, n = system
     before = [row[:] for row in rows]
-    pairs = fraction_nullspace(rows, n)
-    assert rows == before
-    assert as_fractions(pairs) == oracle_fraction_kernel(rows, n)
     pivots = oracle_dense_echelon([row[:] for row in rows])
     free = [f for f in range(n) if f not in pivots]
-    assert len(pairs) == len(free)
-    for f, (den, nums) in zip(free, pairs):
-        assert den > 0 and gcd(den, *nums) == 1 and nums[f] == den
+    for threshold in (0, linalg.MIN_SPLIT_CELLS):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(linalg, "MIN_SPLIT_CELLS", threshold)
+            pairs = fraction_nullspace(rows, n)
+        assert rows == before
+        assert as_fractions(pairs) == oracle_fraction_kernel(rows, n)
+        assert len(pairs) == len(free)
+        for f, (den, nums) in zip(free, pairs):
+            assert den > 0 and gcd(den, *nums) == 1 and nums[f] == den
 
 
 def test_blocks_are_eliminated_apart(monkeypatch):
@@ -943,15 +947,29 @@ def test_blocks_are_eliminated_apart(monkeypatch):
         return original(rows, width)
 
     monkeypatch.setattr(linalg, "_echelon", counting)
-    # blocks on the interleaved columns {0, 3}, {1, 4, 5} and {2, 6}, a zero row among them
-    rows = [[1, 0, 0, 2, 0, 0, 0], [0, 1, 0, 0, 1, 1, 0], [0, 0, 0, 0, 0, 0, 0],
-            [0, 0, 3, 0, 0, 0, 1], [0, 2, 0, 0, 0, 1, 0]]
-    assert as_fractions(fraction_nullspace(rows, 7)) == oracle_fraction_kernel(rows, 7)
-    assert sorted(widths) == [2, 2, 3]
+    # blocks of widths 10, 12 and 14 on shuffled columns, each one row short
+    # of square, and zero rows: 36 rows of 36 columns, past MIN_SPLIT_CELLS
+    rng = random.Random(3)
+    order = rng.sample(range(36), 36)
+    rows = []
+    for cols in (order[:10], order[10:22], order[22:]):
+        for _ in range(len(cols) - 1):
+            row = [0] * 36
+            for k in cols:
+                row[k] = rng.randint(-4, 4)
+            rows.append(row)
+    rows += [[0] * 36] * 3
+    assert len(rows) * 36 >= linalg.MIN_SPLIT_CELLS
+    assert as_fractions(fraction_nullspace(rows, 36)) == oracle_fraction_kernel(rows, 36)
+    assert sorted(widths) == [10, 12, 14]
     widths.clear()
-    connected = rows + [[1, 1, 1, 0, 0, 0, 0]]
-    assert as_fractions(fraction_nullspace(connected, 7)) == oracle_fraction_kernel(connected, 7)
-    assert widths == [7]
+    connected = rows[:-1] + [[1] * 36]
+    assert as_fractions(fraction_nullspace(connected, 36)) == oracle_fraction_kernel(connected, 36)
+    assert widths == [36]
+    widths.clear()
+    small = [[1, 2, 0, 0], [0, 0, 3, 4]]  # two blocks, below MIN_SPLIT_CELLS
+    assert as_fractions(fraction_nullspace(small, 4)) == oracle_fraction_kernel(small, 4)
+    assert widths == [4]
 
 
 # -- the integer-backed CMatrix against the GaussianRational one ---------------

@@ -21,10 +21,10 @@ from biquiver import linalg, morphisms
 from biquiver.linalg import (_integer_parts, block_diag, fraction_nullspace, fraction_solve,
                              hstack, submatrix)
 from biquiver.morphisms import (MAX_PROFILE_RANKS, Decomposition, _certify_local,
-                                _check_same_biquiver, _check_sampling, _combine, _eval_poly_tuple, _flatten_tuple,
-                                _identity_tuple, _image_kernel_change, _minimal_polynomial,
-                                _profile_difference, _sample, _splitting_idempotent,
-                                _trace_form, _tuple_compose,
+                                _check_same_biquiver, _check_sampling, _combine,
+                                _eval_poly_tuple, _flatten_tuple, _identity_tuple,
+                                _image_kernel_change, _minimal_polynomial, _profile_difference,
+                                _sample, _splitting_idempotent, _trace_form, _tuple_compose,
                                 _vertex_killers, rank_profile)
 from biquiver.polynomials import poly_normalize
 from biquiver.semilinear import are_consimilar
