@@ -356,10 +356,9 @@ def submatrix(m: CMatrix, row_range, col_range) -> CMatrix:
 # -- the elimination kernel --------------------------------------------------
 
 def _clear(row: list[int], c: int, p: int, support: list, start: int) -> list[int]:
-    """`row` with column c cleared by a pivot row with entry p there and nonzeros `support`,
-    both zero before column `start`: with f the row's entry in column c and g = gcd(p, f),
-    (p * row - f * pivot_row) / g over its content, as in Bareiss (1968), so integral
-    and primitive."""
+    """`row` with column c cleared by a pivot row holding p there and the nonzeros `support`;
+    both rows are zero before column `start`. The result is (p * row - f * pivot_row) / gcd(p, f),
+    f the row's entry in column c, over its content, as in Bareiss (1968): integral, primitive."""
     f = row[c]
     g = gcd(p, f)
     a, b = p // g, f // g
@@ -555,7 +554,7 @@ def _nullspace(reduced: list[list[int]], pivots: list[int], ncols: int,
 
 # -- real linear systems -----------------------------------------------------
 
-MIN_SPLIT_CELLS = 512  # below it, finding and gathering blocks costs more than it saves
+_MIN_SPLIT_CELLS = 512  # below it, finding and gathering blocks costs more than it saves
 
 
 def _first_dependence(vectors, count: int) -> list[Fraction]:
@@ -590,7 +589,7 @@ def fraction_nullspace(rows: list[list[int]], ncols: int) -> list[tuple[int, lis
 
     One (den, nums) per free column f in turn, see `_nullspace`: x = nums / den
     is 1 at f and 0 at the other free columns. The nonzero rows are made
-    primitive, not changed. From MIN_SPLIT_CELLS cells on, each of their
+    primitive, not changed. From _MIN_SPLIT_CELLS cells on, each of their
     `_blocks`, one per summand in the Hom system of a direct sum in block
     form, is reduced on its own: the kernel is their kernels' direct sum, so
     f's vector lies in f's block. Raises FormatError unless every row has
@@ -599,7 +598,7 @@ def fraction_nullspace(rows: list[list[int]], ncols: int) -> list[tuple[int, lis
     if ncols < 0 or any(len(row) != ncols for row in rows):
         raise FormatError(f"every equation needs {ncols} coefficients")
     reduced = [_primitive(row) for row in rows if any(row)]
-    blocks = _blocks(reduced, ncols) if len(reduced) * ncols >= MIN_SPLIT_CELLS else []
+    blocks = _blocks(reduced, ncols) if len(reduced) * ncols >= _MIN_SPLIT_CELLS else []
     if len(blocks) < 2:
         pivots = _echelon(reduced)
         return _nullspace(reduced, pivots, ncols, [f for f in range(ncols) if f not in pivots])

@@ -927,9 +927,9 @@ def test_block_split_matches_the_whole_system(system):
     before = [row[:] for row in rows]
     pivots = oracle_dense_echelon([row[:] for row in rows])
     free = [f for f in range(n) if f not in pivots]
-    for threshold in (0, linalg.MIN_SPLIT_CELLS):
+    for threshold in (0, linalg._MIN_SPLIT_CELLS):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(linalg, "MIN_SPLIT_CELLS", threshold)
+            patch.setattr(linalg, "_MIN_SPLIT_CELLS", threshold)
             pairs = fraction_nullspace(rows, n)
         assert rows == before
         assert as_fractions(pairs) == oracle_fraction_kernel(rows, n)
@@ -948,7 +948,7 @@ def test_blocks_are_eliminated_apart(monkeypatch):
 
     monkeypatch.setattr(linalg, "_echelon", counting)
     # blocks of widths 10, 12 and 14 on shuffled columns, each one row short
-    # of square, and zero rows: 36 rows of 36 columns, past MIN_SPLIT_CELLS
+    # of square, and zero rows: 36 rows of 36 columns, past _MIN_SPLIT_CELLS
     rng = random.Random(3)
     order = rng.sample(range(36), 36)
     rows = []
@@ -959,7 +959,7 @@ def test_blocks_are_eliminated_apart(monkeypatch):
                 row[k] = rng.randint(-4, 4)
             rows.append(row)
     rows += [[0] * 36] * 3
-    assert len(rows) * 36 >= linalg.MIN_SPLIT_CELLS
+    assert len(rows) * 36 >= linalg._MIN_SPLIT_CELLS
     assert as_fractions(fraction_nullspace(rows, 36)) == oracle_fraction_kernel(rows, 36)
     assert sorted(widths) == [10, 12, 14]
     widths.clear()
@@ -967,7 +967,7 @@ def test_blocks_are_eliminated_apart(monkeypatch):
     assert as_fractions(fraction_nullspace(connected, 36)) == oracle_fraction_kernel(connected, 36)
     assert widths == [36]
     widths.clear()
-    small = [[1, 2, 0, 0], [0, 0, 3, 4]]  # two blocks, below MIN_SPLIT_CELLS
+    small = [[1, 2, 0, 0], [0, 0, 3, 4]]  # two blocks, below _MIN_SPLIT_CELLS
     assert as_fractions(fraction_nullspace(small, 4)) == oracle_fraction_kernel(small, 4)
     assert widths == [4]
 
