@@ -14,10 +14,11 @@ integer row (which leaves its solution set alone), and a complex matrix is
 reduced through its real form, in which entry z is the 2x2 block
 [[re z, -im z], [im z, re z]], read straight from the integer parts.
 Every fraction-free elimination combines rows by one sparse step, `_clear`.
-`_echelon` eliminates forward only, which is all that ranks, images and
-kernels need (`_nullspace` reads kernel vectors by back-substitution);
-`_rref` adds the backward pass for inverses and rational solves, and
-`_first_dependence` reduces each new vector once against the rows it keeps.
+`_echelon` eliminates forward only, and `_nullspace` reads kernel vectors
+off its rows by back-substitution; ranks, images, kernels, inverses and
+rational solves all come from these two, an inverse or a solution being
+the kernel vector at an augmented column. `_first_dependence` reduces
+each new vector once against the rows it keeps.
 `_symmetric_ldl` counts the inertia of symmetric int forms.
 Zero-row and zero-column matrices are first-class values; the 0x0 matrix
 is invertible.
@@ -185,31 +186,24 @@ class CMatrix:
     # complex pivot j shows up as the real pivot pair (2j, 2j + 1).
 
     def inverse(self) -> "CMatrix":
-        """Exact inverse by row-reducing [A | I] in real form; raises SingularMatrixError.
+        """Exact inverse by reducing [A | -I] in real form; raises SingularMatrixError.
 
-        The reduced rows 2i and 2i + 1 carry the real and imaginary parts of
-        row i of the inverse, over their pivots.
+        A is singular exactly when a pivot lands in the -I columns (the real
+        column space of A is closed under i, so it holds the -I columns only
+        when it is everything). Otherwise the kernel vector at free column
+        2n + j solves A x = e_j in real form: it is column j of the inverse.
         """
         if not self.is_square:
             raise SingularMatrixError(f"only square matrices invert, got {self.rows}x{self.cols}")
         n = self.rows
-        aug = _real_rows(self, CMatrix.identity(n))
-        if len(_rref(aug, 2 * n)) < 2 * n:
+        rows = _real_rows(self, -CMatrix.identity(n))
+        pivots = _echelon(rows)
+        if pivots and pivots[-1] >= 2 * n:
             raise SingularMatrixError(f"singular {n}x{n} matrix")
-        # over the lcm of the pivots (lcm is never negative)
-        den = lcm(*(row[r] for r, row in enumerate(aug)))
-        parts = [[x * (den // row[r]) for x in row[2 * n:]] for r, row in enumerate(aug)]
-        return _reduced(n, n, den, [x for row in parts[0::2] for x in row],
-                        [x for row in parts[1::2] for x in row])
+        return _realified_columns(n, _nullspace(rows, pivots, 3 * n, range(2 * n, 3 * n)))
 
     def is_invertible(self) -> bool:
-        if not self.is_square:
-            return False
-        try:
-            self.inverse()
-            return True
-        except SingularMatrixError:
-            return False
+        return self.is_square and self.rank() == self.rows
 
     def rank(self) -> int:
         return len(_echelon(_real_rows(self))) // 2
@@ -235,13 +229,20 @@ def _image_and_kernel(m: CMatrix) -> tuple[CMatrix, CMatrix]:
     pivots = _echelon(reduced)
     vecs = _nullspace(reduced, pivots, 2 * m.cols,
                       [f for f in range(0, 2 * m.cols, 2) if f not in pivots])
-    # entry (k, j) is (nums_j[2k] + i nums_j[2k + 1]) / den_j; put over the lcm
+    image = submatrix(m, range(m.rows), [p // 2 for p in pivots if p % 2 == 0])
+    return image, _realified_columns(m.cols, vecs)
+
+
+def _realified_columns(rows: int, vecs: list[tuple[int, list[int]]]) -> CMatrix:
+    """The rows x len(vecs) matrix with entry (k, j) (nums_j[2k] + i nums_j[2k + 1]) / den_j,
+    for `_nullspace` vectors (den_j, nums_j) read in their first 2 * rows coordinates, put
+    over the lcm of the den_j. It is canonical: gcd(den_j, *nums_j) == 1, and the one entry
+    read past them is nums_j[f] == den_j, which adds nothing to that gcd."""
     den = lcm(*(d for d, _ in vecs))
     scaled = [(den // d, nums) for d, nums in vecs]
-    re = tuple(s * nums[k] for k in range(0, 2 * m.cols, 2) for s, nums in scaled)
-    im = tuple(s * nums[k] for k in range(1, 2 * m.cols, 2) for s, nums in scaled)
-    image = submatrix(m, range(m.rows), [p // 2 for p in pivots if p % 2 == 0])
-    return image, _canonical(m.cols, len(vecs), den, re, im)
+    re = tuple(s * nums[k] for k in range(0, 2 * rows, 2) for s, nums in scaled)
+    im = tuple(s * nums[k] for k in range(1, 2 * rows, 2) for s, nums in scaled)
+    return _canonical(rows, len(vecs), den, re, im)
 
 
 _set = object.__setattr__
@@ -368,27 +369,23 @@ def _clear(row: list[int], c: int, p: int, support: list, start: int) -> list[in
     return row[:start] + _primitive(new)
 
 
-def _echelon(rows: list[list[int]], width: int | None = None) -> list[int]:
+def _echelon(rows: list[list[int]]) -> list[int]:
     """Fraction-free row echelon form of integer rows in place; return the pivot columns.
 
-    Pivots are sought only in the first `width` columns (default: all);
-    later columns are carried along, as for an augmented system. Column c
-    takes as pivot the first row among r.. (r the number of pivots so far)
-    with the smallest nonzero |entry| there, which keeps the multipliers,
-    hence the entries, small, and `_clear` clears it in the rows below,
-    which are zero before column c. The pivots, and each row until it
-    becomes a pivot row, are those of a full Gauss-Jordan pass, which
-    differs only in also clearing above. On return row r has its pivot at
-    pivots[r] and is zero before it, and the rows from len(pivots) on are
-    zero in the first `width` columns.
+    Column c takes as pivot the first row among r.. (r the number of pivots
+    so far) with the smallest nonzero |entry| there, which keeps the
+    multipliers, hence the entries, small, and `_clear` clears it in the
+    rows below, which are zero before column c. The pivots, and each row
+    until it becomes a pivot row, are those of a full Gauss-Jordan pass,
+    which differs only in also clearing above. On return row r has its
+    pivot at pivots[r] and is zero before it, and the rows from
+    len(pivots) on are zero.
     """
     if not rows:
         return []
-    if width is None:
-        width = len(rows[0])
     n = len(rows)
     pivots: list[int] = []
-    for c in range(width):
+    for c in range(len(rows[0])):
         r = len(pivots)
         if r == n:
             break
@@ -407,27 +404,6 @@ def _echelon(rows: list[list[int]], width: int | None = None) -> list[int]:
             if rows[i][c]:
                 rows[i] = _clear(rows[i], c, p, support, c)
         pivots.append(c)
-    return pivots
-
-
-def _rref(rows: list[list[int]], width: int | None = None) -> list[int]:
-    """Fraction-free reduced row echelon form of integer rows in place; return the pivot columns.
-
-    `_echelon`, then one backward pass, last pivot first, that clears each
-    pivot column in the rows above it with `_clear`. On return row r
-    has its pivot at pivots[r] and is zero in every other pivot column, so
-    its reduced row echelon entry in column j is row[j] / row[pivots[r]];
-    since that form is unique, it does not depend on which row is chosen
-    as pivot. The rows from len(pivots) on are zero in the first `width`
-    columns.
-    """
-    pivots = _echelon(rows, width)
-    for r in range(len(pivots) - 1, 0, -1):
-        c = pivots[r]
-        p, support = rows[r][c], [(j, y) for j, y in enumerate(rows[r]) if y]
-        for i in range(r):
-            if rows[i][c]:
-                rows[i] = _clear(rows[i], c, p, support, pivots[i])
     return pivots
 
 
@@ -637,16 +613,17 @@ def _blocks(rows: list[list[int]], ncols: int) -> list[tuple[int, list[list[int]
 def fraction_solve(columns: list[list[Fraction]], target: list[Fraction]) -> list[Fraction] | None:
     """Solve sum_j x_j * columns[j] = target exactly; None when inconsistent.
 
+    The rows [columns | -target] are reduced; the system is inconsistent
+    exactly when column k = len(columns) is a pivot, and otherwise the
+    kernel vector at free column k, 0 at the other free columns, is x.
     Raises FormatError unless every column has the length of `target`.
     """
     if any(len(col) != len(target) for col in columns):
         raise FormatError(f"every column needs {len(target)} entries")
     k = len(columns)
-    aug = [_integral([col[i] for col in columns] + [t]) for i, t in enumerate(target)]
-    pivots = _rref(aug, k)
-    if any(row[k] for row in aug[len(pivots):]):
+    aug = [_integral([col[i] for col in columns] + [-t]) for i, t in enumerate(target)]
+    pivots = _echelon(aug)
+    if k in pivots:
         return None
-    x = [Fraction(0)] * k
-    for row, p in zip(aug, pivots):
-        x[p] = Fraction(row[k], row[p])
-    return x
+    (den, nums), = _nullspace(aug, pivots, k + 1, [k])
+    return [Fraction(x, den) for x in nums[:k]]

@@ -550,6 +550,21 @@ def test_rep_random_past_the_cap_exit_3(run, a2_file):
     assert err.startswith("error:") and "cap" in err
 
 
+@pytest.mark.parametrize("command", [["hom", "R", "R"], ["decompose", "R"]])
+def test_rep_hom_and_decompose_past_the_cell_cap_exit_3(run, tmp_path, command):
+    # a full 14-dimensional loop: 392 equations in 392 unknowns, 153,664 cells,
+    # refused before any row is built
+    loop = Biquiver(1, (Arrow("a", 1, 1, ArrowKind.FULL),))
+    rep = _write(tmp_path, "r.json",
+                 serialize_representation(random_representation(loop, (14,), 3, 0)))
+    start = time.perf_counter()
+    code, out, err = run("rep", *(rep if word == "R" else word for word in command))
+    assert time.perf_counter() - start < 5
+    assert (code, out) == (3, "")
+    assert err == ("error: the Hom system has 392 equations in 392 unknowns, "
+                   "past the cap of 131072 cells\n")
+
+
 def test_unexpected_exception_exit_4(run, tmp_path, a2_file, monkeypatch):
     def failing_decompose(*args, **kwargs):
         raise AssertionError("certificate does not verify")

@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 from biquiver import (CMatrix, FormatError, GaussianRational, SingularMatrixError,
                       block_diag, from_blocks, hstack, linalg, vstack)
 from biquiver.linalg import (_echelon, _first_dependence, _integral, _nullspace, _primitive,
-                             _real_rows, _reduced, _rref, fraction_nullspace, fraction_solve,
+                             _real_rows, _reduced, fraction_nullspace, fraction_solve,
                              submatrix)
 from biquiver.polynomials import poly_normalize
 from biquiver.scalars import I, ONE, ZERO, as_gaussian
@@ -20,8 +20,8 @@ from conftest import (gmat, mat, oracle_divide, oracle_is_identity, oracle_scale
 
 
 # -- reference implementations ------------------------------------------------
-# The hand-written eliminations that the shared `_rref` kernel replaced, kept
-# verbatim as differential oracles.
+# The hand-written eliminations that the shared fraction-free kernel replaced,
+# kept verbatim as differential oracles.
 
 def oracle_fraction_rref(rows):
     """In-place reduced row echelon form of a rational matrix."""
@@ -92,7 +92,8 @@ def oracle_fraction_solve(columns, target):
 
 
 # The integer fraction-free Gauss-Jordan kernel that `_echelon` and
-# back-substitution replaced, kept verbatim apart from the names.
+# back-substitution replaced, for kernels, inverses and rational solves alike,
+# kept verbatim apart from the names.
 
 def oracle_rref(rows: list[list[int]], width: int | None = None) -> list[int]:
     """Fraction-free Gauss-Jordan reduction of integer rows in place; return the pivot columns."""
@@ -149,8 +150,9 @@ def oracle_first_dependence(vectors, count: int) -> list[Fraction]:
 
 
 # The dense row step that `_clear` replaced, with the echelon kernel, the
-# backward pass of `_rref` and `_first_dependence` over it, kept verbatim
-# apart from the names: every row they make must come out entry for entry.
+# backward pass that inverses and rational solves once ran, and
+# `_first_dependence` over it, kept verbatim apart from the names: every row
+# the kernel makes must come out entry for entry.
 
 def oracle_row_step(row: list[int], pivot_row: list[int], c: int, start: int) -> list[int]:
     """`row` with column c cleared by `pivot_row`; both are zero before column `start`."""
@@ -600,6 +602,21 @@ def test_singular_raises():
         mat([1, 2], [2, 4]).inverse()
 
 
+def test_singular_only_over_c_raises():
+    # [[1, i], [i, -1]] has invertible real and imaginary parts, and
+    # B diag(1, .., 1, 0) C rank n - 1
+    rng = random.Random(8)
+    ms = [gmat([(1, 0), (0, 1)], [(0, 1), (-1, 0)])]
+    for n in (1, 2, 3, 4, 5):
+        drop = CMatrix.from_rows([[int(i == j < n - 1) for j in range(n)] for i in range(n)])
+        ms.append(random_invertible(rng, n) @ drop @ random_invertible(rng, n))
+    for m in ms:
+        assert m.rank() == m.rows - 1
+        with pytest.raises(SingularMatrixError):
+            m.inverse()
+        assert not m.is_invertible()
+
+
 def test_zero_size_matrices_are_valid_and_invertible():
     e = CMatrix.zero(0, 0)
     assert e.inverse() == e
@@ -677,6 +694,9 @@ def test_fraction_solve():
     assert fraction_solve(cols, [Fraction(1), Fraction(3)]) is None
     assert fraction_solve([], [Fraction(0)]) == []
     assert fraction_solve([], [Fraction(1)]) is None
+    # no equations: every x solves, and the free coordinates come out 0
+    assert fraction_solve([], []) == []
+    assert fraction_solve([[], []], []) == [Fraction(0), Fraction(0)]
 
 
 def test_fraction_nullspace_rejects_malformed_rows():
@@ -754,35 +774,27 @@ int_entries = st.sampled_from([st.integers(-3, 3), st.integers(-10 ** 12, 10 ** 
 
 @st.composite
 def int_systems(draw):
-    """(rows, ncols, width): `row_lists` of small or wide ints, pivots sought in the first width."""
-    rows, n = draw(row_lists(draw(int_entries), 0))
-    return rows, n, draw(st.integers(0, n))
-
-
-def normalized(rows, pivots):
-    """The reduced row echelon rows: each row over its pivot."""
-    return [[Fraction(x, row[p]) for x in row] for row, p in zip(rows, pivots)]
+    """(rows, ncols): `row_lists` of small or wide ints."""
+    return draw(row_lists(draw(int_entries), 0))
 
 
 @given(int_systems())
-def test_echelon_and_rref_match_oracle(system):
-    rows, _, width = system
+def test_echelon_matches_oracle(system):
+    rows, _ = system
     expected = [row[:] for row in rows]
-    pivots = oracle_rref(expected, width)
+    pivots = oracle_rref(expected)
     echelon = [row[:] for row in rows]
-    assert _echelon(echelon, width) == pivots
+    assert _echelon(echelon) == pivots
     for row, p in zip(echelon, pivots):
         assert row[p] and not any(row[:p])
-    reduced = [row[:] for row in rows]
-    assert _rref(reduced, width) == pivots
-    assert normalized(reduced, pivots) == normalized(expected, pivots)
-    # the rows past the last pivot evolve exactly as under Gauss-Jordan
-    assert echelon[len(pivots):] == reduced[len(pivots):] == expected[len(pivots):]
+    # the rows past the last pivot are zero, as under Gauss-Jordan
+    assert echelon[len(pivots):] == expected[len(pivots):]
+    assert not any(map(any, echelon[len(pivots):]))
 
 
-@given(st.one_of(int_systems(), row_lists(wide_fractions, Fraction(0)).map(lambda s: (*s, 0))))
+@given(st.one_of(int_systems(), row_lists(wide_fractions, Fraction(0))))
 def test_fraction_nullspace_matches_gauss_jordan(system):
-    rows, n, _ = system
+    rows, n = system
     assert kernel(rows, n) == oracle_int_fraction_nullspace(rows, n)
     reduced = [_integral(row) for row in rows]
     pivots = _echelon(reduced)
@@ -791,9 +803,9 @@ def test_fraction_nullspace_matches_gauss_jordan(system):
         oracle_int_fraction_nullspace(rows, n)
 
 
-@given(st.one_of(int_systems(), row_lists(wide_fractions, Fraction(0)).map(lambda s: (*s, 0))))
+@given(st.one_of(int_systems(), row_lists(wide_fractions, Fraction(0))))
 def test_kernel_pairs_match_the_fraction_kernel(system):
-    rows, n, _ = system
+    rows, n = system
     ints = integer_rows(rows)
     pairs = fraction_nullspace(ints, n)
     expected = oracle_fraction_kernel(rows, n)
@@ -807,7 +819,7 @@ def test_kernel_pairs_match_the_fraction_kernel(system):
 
 @given(int_systems(), st.data())
 def test_fraction_solve_matches_gauss_jordan(system, data):
-    rows, n, _ = system
+    rows, n = system
     columns = [[row[j] for row in rows] for j in range(n)]
     x = [data.draw(st.integers(-5, 5)) for _ in range(n)]
     consistent = [sum(a * b for a, b in zip(row, x)) for row in rows]
@@ -837,8 +849,10 @@ def test_inverse_matches_gauss_jordan(system):
     except SingularMatrixError:
         with pytest.raises(SingularMatrixError):
             m.inverse()
+        assert not m.is_invertible()
     else:
         assert m.inverse() == expected
+        assert m.is_invertible()
 
 
 @st.composite
@@ -877,16 +891,14 @@ def test_first_dependence_draws_only_what_it_needs():
 # -- the sparse row step and the block split against the dense kernel ----------
 
 @given(int_systems())
-def test_echelon_and_rref_match_the_dense_kernel(system):
-    # every row, not only the pivots and the reduced form: `_clear` makes the
-    # integers `oracle_row_step` made
-    rows, _, width = system
-    for w in (None, width):
-        for kernel_fn, oracle_fn in ((_echelon, oracle_dense_echelon), (_rref, oracle_dense_rref)):
-            got = [row[:] for row in rows]
-            expected = [row[:] for row in rows]
-            assert kernel_fn(got, w) == oracle_fn(expected, w)
-            assert got == expected
+def test_echelon_matches_the_dense_kernel(system):
+    # every row, not only the pivots: `_clear` makes the integers
+    # `oracle_row_step` made
+    rows, _ = system
+    got = [row[:] for row in rows]
+    expected = [row[:] for row in rows]
+    assert _echelon(got) == oracle_dense_echelon(expected)
+    assert got == expected
 
 
 @given(vector_sequences())
@@ -942,9 +954,9 @@ def test_blocks_are_eliminated_apart(monkeypatch):
     widths = []
     original = linalg._echelon
 
-    def counting(rows, width=None):
+    def counting(rows):
         widths.append(len(rows[0]))
-        return original(rows, width)
+        return original(rows)
 
     monkeypatch.setattr(linalg, "_echelon", counting)
     # blocks of widths 10, 12 and 14 on shuffled columns, each one row short

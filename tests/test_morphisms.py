@@ -20,7 +20,7 @@ from biquiver import (CMatrix, GaussianRational, IndecomposabilityStatus, IsoRes
 from biquiver import linalg, morphisms
 from biquiver.linalg import (_integer_parts, block_diag, fraction_nullspace, fraction_solve,
                              hstack, submatrix)
-from biquiver.morphisms import (MAX_PROFILE_RANKS, Decomposition, _certify_local,
+from biquiver.morphisms import (MAX_HOM_CELLS, MAX_PROFILE_RANKS, Decomposition, _certify_local,
                                 _check_same_biquiver, _check_sampling, _combine,
                                 _eval_poly_tuple, _flatten_tuple, _identity_tuple,
                                 _image_kernel_change, _minimal_polynomial, _profile_difference,
@@ -32,8 +32,9 @@ from conftest import (biq, gmat, mat, oracle_is_identity, oracle_scale, path_biq
                       random_base_change, random_biquiver, random_invertible, star_biquiver)
 from test_acceptance import _a3_indecomposables, _d4_indecomposables, _random_dashing
 import test_linalg
-from test_linalg import (kernel, oracle_fraction_nullspace, oracle_int_fraction_nullspace,
-                         small_fractions, small_gaussians, wide_gaussians)
+from test_linalg import (kernel, oracle_dense_rref, oracle_fraction_nullspace,
+                         oracle_int_fraction_nullspace, small_fractions, small_gaussians,
+                         wide_gaussians)
 
 
 def _satisfies_morphism(a, b, f):
@@ -92,6 +93,17 @@ def test_hom_counts_nullity():
     basis = hom_basis(a, a)
     # endomorphisms: (f1, f2) with f2 = f1, complex scalar
     assert basis.dimension == 2
+
+
+def test_hom_basis_refuses_a_system_past_the_cell_cap(monkeypatch):
+    # a full 2-dimensional loop: 8 equations in 8 unknowns, 64 cells
+    a = full_loop(mat([1, 2], [3, 4]))
+    assert MAX_HOM_CELLS == 2 ** 17
+    monkeypatch.setattr(morphisms, "MAX_HOM_CELLS", 64)
+    assert hom_basis(a, a).dimension == 4
+    monkeypatch.setattr(morphisms, "MAX_HOM_CELLS", 63)
+    with pytest.raises(PreconditionError, match="8 equations in 8 unknowns, past the cap of 63"):
+        hom_basis(a, a)
 
 
 def test_hom_mismatched_biquiver():
@@ -184,7 +196,7 @@ def test_nullspace_makes_fewer_row_combinations_than_gauss_jordan(monkeypatch):
     monkeypatch.setattr(linalg, "_primitive", counting)
     monkeypatch.setattr(test_linalg, "_primitive", counting)
     echelon = combinations(lambda: fraction_nullspace(rows, ncols))
-    jordan = combinations(lambda: linalg._rref([linalg._integral(row) for row in rows]))
+    jordan = combinations(lambda: oracle_dense_rref([linalg._integral(row) for row in rows]))
     oracle = combinations(lambda: oracle_int_fraction_nullspace(rows, ncols))
     assert 0 < echelon < jordan and echelon < oracle
 
@@ -499,8 +511,8 @@ def test_rank_profile_stays_within_its_cap(monkeypatch, t, specs, last):
     ranks = profile_ranks(a)
     assert len(ranks) == len(calls) == MAX_PROFILE_RANKS
     assert ranks[-1][0].startswith(last)
-    calls.clear()
     b = random_base_change(random.Random(8), a)
+    calls.clear()  # is_invertible ranks the base change's matrices
     start = time.perf_counter()
     res = are_isomorphic(a, b, seed=1)
     assert time.perf_counter() - start < 1
@@ -1130,9 +1142,9 @@ def test_image_kernel_change_eliminates_once_per_vertex(monkeypatch):
     calls = []
     original = linalg._echelon
 
-    def counting(rows, width=None):
+    def counting(rows):
         calls.append(len(rows))
-        return original(rows, width)
+        return original(rows)
 
     monkeypatch.setattr(linalg, "_echelon", counting)
     assert _image_kernel_change(e) == expected
