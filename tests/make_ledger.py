@@ -74,6 +74,11 @@ INVOCATIONS: list[tuple[str, ...]] = [
     # consimilarity of 3x3 matrices: a base change of A, and another matrix
     ("rep", "iso", "cons.json", "cons.s1.json", "--seed", "0"),
     ("rep", "iso", "cons.json", "cons.other.json", "--seed", "0"),
+    # isotypic sums X + X and X + X + X over A3 and D4 (each with a dashed
+    # arrow) and X + X on the dashed loop: End/rad is M2(C) or M3(C), so the
+    # generic minimal polynomial is an irreducible rational quartic or sextic
+    *(("rep", "decompose", f"{name}.json", "--seed", str(s))
+      for name in ("a3xx", "a3xxx", "d4xx", "d4xxx", "loopxx") for s in range(4)),
     # Hom and iso into the block-diagonal sum, whose Hom system falls apart
     # into one independent block per summand
     *(cmd for shape in ("e6", "d4")
@@ -176,6 +181,14 @@ def write_inputs() -> None:
     save("cons.json", bq.serialize_representation(cons))
     save("cons.s1.json", bq.serialize_representation(scramble(rng, cons)))
     save("cons.other.json", bq.serialize_representation(other))
+
+    rng = random.Random(13)
+    for name, g, dims in (("a3", a3, (1, 1, 1)), ("d4", shapes["d4"][0], (2, 1, 1, 1)),
+                          ("loop", loop(True), (2,))):
+        x = bq.random_representation(g, dims, 2, rng.randrange(10 ** 6))
+        for copies in (2, 3) if name != "loop" else (2,):
+            save(f"{name}{'x' * copies}.json",
+                 bq.serialize_representation(scramble(rng, bq.direct_sum_list(g, [x] * copies))))
 
 
 def moved(entries: list[dict]) -> list[str]:
