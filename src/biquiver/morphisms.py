@@ -363,12 +363,17 @@ def are_isomorphic(a: MatrixRepresentation, b: MatrixRepresentation,
 def _inverts_to(a: MatrixRepresentation, b: MatrixRepresentation, s: MorphismTuple,
                 f: MorphismTuple) -> bool:
     """Whether apply_base_change(a, s) == b, with no inverse taken: exactly when
-    s_v f_v = 1 at every vertex, so f_v = s_v^-1, and B F_u = F_v A on full
-    arrows and B F_u = conj(F_v) A on dashed ones."""
-    return all(sv @ fv == CMatrix.identity(sv.rows) for sv, fv in zip(s, f)) and all(
-        b.matrices[x.id] @ f[x.source - 1]
-        == (f[x.target - 1].conj() if x.is_dashed else f[x.target - 1]) @ a.matrices[x.id]
-        for x in a.biquiver.arrows)
+    s_v f_v = 1 at every vertex, so f_v = s_v^-1, and f: a -> b is a morphism."""
+    return all(sv @ fv == CMatrix.identity(sv.rows) for sv, fv in zip(s, f)) and _is_morphism(
+        a, b, f)
+
+
+def _is_morphism(a: MatrixRepresentation, b: MatrixRepresentation, f: MorphismTuple) -> bool:
+    """Whether B F_u == F_v A on every full arrow u -> v and B F_u == conj(F_v) A
+    on every dashed one."""
+    return all(b.matrices[x.id] @ f[x.source - 1]
+               == (f[x.target - 1].conj() if x.is_dashed else f[x.target - 1]) @ a.matrices[x.id]
+               for x in a.biquiver.arrows)
 
 
 # -- Krull-Schmidt decomposition ----------------------------------------------
@@ -582,8 +587,12 @@ def decompose(a: MatrixRepresentation, trials: int = DEFAULT_TRIALS, seed: int =
     summands, change, statuses = rec(a) if a.total_dim() else ([], _identity_tuple(a.dims), [])
     result = Decomposition(tuple(summands), tuple(change), tuple(statuses),
                            trials, seed)
+    # apply_base_change(a, S) == recombined, with no inverse taken: every S_v
+    # is invertible and S: recombined -> a is a morphism
     recombined = direct_sum_list(a.biquiver, list(result.summands))
-    if apply_base_change(a, list(result.base_change)) != recombined:
+    if not (recombined.dims == a.dims
+            and all(m.rows == d and m.is_invertible() for m, d in zip(result.base_change, a.dims))
+            and _is_morphism(recombined, a, result.base_change)):
         raise AssertionError("decomposition certificate does not verify")
     return result
 

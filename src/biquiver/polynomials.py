@@ -4,9 +4,11 @@ Polynomials are lists of Fractions, lowest degree first. A random element
 of End (residue fields R, C, H) acts on a summand by a scalar a + bi in
 Q(i), so nearly every minimal polynomial that `decompose` factors is a
 product of x - a and x^2 - 2ax + a^2 + b^2. `poly_factor` finds those from
-floating-point roots and leaves only the cofactor, such as the irreducible
-quartic of an isotypic block, to sympy's Zassenhaus. sympy, imported lazily
-so that `import biquiver` does not load it, also gives split idempotents.
+floating-point roots. The cofactor left over, such as the irreducible
+quartic or sextic of an isotypic block, is proved irreducible from its
+factor degrees modulo a few small primes, and goes to sympy's Zassenhaus
+only when the primes cannot decide it. sympy, imported lazily so that
+`import biquiver` does not load it, also gives split idempotents.
 """
 from __future__ import annotations
 
@@ -73,6 +75,134 @@ def _exact_quotient(f: list[int], g: tuple[int, ...]) -> list[int] | None:
     return quot if quot and not any(f[:m]) else None
 
 
+# Primes q = 3 (mod 4) for `_certified_irreducible`. The quartics and
+# sextics of isotypic blocks have i in their splitting field, and their
+# roots fall into two conjugate halves that a Frobenius fixing i keeps
+# apart: a prime p = 1 (mod 4) always leaves half the degree possible.
+_PRIMES = (3, 7, 11, 19, 23, 31, 43, 47, 59, 67, 71, 79, 83)
+
+
+class _Residues:
+    """Polynomials over F_q reduced modulo a monic g of degree n >= 2. Each
+    is an int that holds coefficient j in bits [jw, (j + 1)w), below q once
+    reduced; up to 2n slots.
+
+    `reduce` takes every slot v to v - q floor(v m / 2^s) with m =
+    ceil(2^s / q), exact for v q < 2^s (Barrett). `mul` divides by g the
+    same way: the quotient of p is floor(floor(p / x^n) mu / x^(n-2)) with
+    mu = floor(x^(2n-2) / g), exact up to degree 2n - 2. No slot reaches
+    n^2 q^3 before it is reduced, and w leaves room for its product with m.
+    """
+
+    def __init__(self, g: list[int], q: int):
+        n = self.n = len(g) - 1
+        self.q, bound = q, n * n * q ** 3
+        self.s = (bound * q).bit_length()
+        self.m = -(-(1 << self.s) // q)
+        w = self.w = (bound * self.m).bit_length()
+        self.slot = (1 << w) - 1
+        ones = ((1 << 2 * n * w) - 1) // self.slot  # 1 in each of 2n slots
+        self.floor_bits, self.q_slots = ones * ((1 << w) - (1 << self.s)), q * ones
+        num, mu = [0] * (2 * n - 2) + [1], [0] * (n - 1)
+        for k in reversed(range(n - 1)):
+            c = mu[k] = num[k + n] % q
+            for j in range(n):
+                num[k + j] -= c * g[j]
+        self.mu, self.g = self.pack(mu), self.pack(g)
+        self.neg_g = self.pack([-c % q for c in g[:n]])
+
+    def pack(self, coeffs: list[int]) -> int:
+        return sum(c << j * self.w for j, c in enumerate(coeffs))
+
+    def coefficients(self, a: int) -> list[int]:
+        return [a >> j * self.w & self.slot for j in range(self.n)]
+
+    def degree(self, a: int) -> int:
+        """The degree of a reduced a; -1 for 0."""
+        return (a.bit_length() - 1) // self.w
+
+    def reduce(self, a: int) -> int:
+        return a - self.q * ((a * self.m & self.floor_bits) >> self.s)
+
+    def mul(self, a: int, b: int) -> int:
+        """a b mod g, for a and b of degree below n."""
+        n, w, p = self.n, self.w, a * b
+        quot = self.reduce((p >> n * w) * self.mu >> (n - 2) * w)
+        return self.reduce(p + quot * self.neg_g & (1 << n * w) - 1)
+
+    def divmod(self, a: int, b: int) -> tuple[int, int]:
+        """Quotient and remainder of a by a monic b, both reduced."""
+        q, w, db = self.q, self.w, self.degree(b)
+        minus_b, quot = (self.q_slots & (1 << (db + 1) * w) - 1) - b, 0
+        for k in reversed(range(self.degree(a) - db + 1)):
+            if c := (a >> (k + db) * w & self.slot) % q:
+                quot |= c << k * w
+                a += c * minus_b << k * w
+        return quot, self.reduce(a & (1 << db * w) - 1)
+
+    def gcd(self, a: int, b: int) -> int:
+        """The monic gcd of a and a nonzero b, both reduced."""
+        while b:
+            b = self.reduce(b * pow(b >> self.degree(b) * self.w, -1, self.q))
+            a, b = b, self.divmod(a, b)[1]
+        return a
+
+
+def _factor_degrees(f: list[int], q: int) -> list[int] | None:
+    """The degrees of the irreducible factors of f mod q, by distinct-degree
+    factorisation, or None when f mod q has a repeated factor (gcd(f, f')
+    is not 1). q must not divide f's leading coefficient."""
+    inv = pow(f[-1], -1, q)
+    ring = _Residues([c * inv % q for c in f], q)
+    x = xq = 1 << ring.w
+    for bit in bin(q)[3:]:
+        xq = ring.mul(xq, xq)
+        if bit == "1":
+            xq = ring.mul(xq, x)
+    # h -> h^q is F_q-linear: h^q = sum of h_j x^(jq) for h of degree below n
+    frobenius = [1, xq]
+    while len(frobenius) < ring.n:
+        frobenius.append(ring.mul(frobenius[-1], xq))
+    degrees, rest, h, d = [], ring.g, x, 1
+    while 2 * d <= ring.degree(rest):
+        # with h = x^(q^d), gcd(h - x, rest) is the product of the distinct
+        # factors of degree d, those of lower degree having been divided out
+        # of rest; a factor of degree d still in rest after that is repeated
+        h = ring.reduce(sum(c * row for c, row in zip(ring.coefficients(h), frobenius)))
+        diff = ring.divmod(ring.reduce(h + (q - 1) * x), rest)[1]
+        part = ring.gcd(rest, diff) if diff else rest
+        if ring.degree(part):
+            rest = ring.divmod(rest, part)[0]
+            if ring.degree(rest) >= d and ring.degree(ring.gcd(rest, ring.divmod(diff, rest)[1])):
+                return None
+            degrees += [d] * (ring.degree(part) // d)
+        d += 1
+    return degrees + [ring.degree(rest)] if ring.degree(rest) else degrees
+
+
+def _certified_irreducible(f: list[int]) -> bool:
+    """Whether the factor degrees of the integer polynomial f of degree n >= 3
+    modulo the primes in _PRIMES prove it irreducible over the rationals.
+
+    A factorisation over Z (Gauss) reduces mod q to a union of the factors
+    mod q, so a factor of degree k needs k among the subset sums of the
+    factor degrees mod every q that divides neither the leading coefficient
+    nor gcd(f, f') mod q. True once no k in 1..n-1 is left; False proves
+    nothing.
+    """
+    possible = (1 << len(f) - 1) - 2  # bit k: a factor of degree k is not ruled out
+    for q in _PRIMES:
+        degrees = _factor_degrees(f, q) if f[-1] % q else None
+        if degrees is not None:
+            sums = 1
+            for k in degrees:
+                sums |= sums << k
+            possible &= sums
+            if not possible:
+                return True
+    return False
+
+
 def _is_square(n: int) -> bool:
     return n >= 0 and isqrt(n) ** 2 == n
 
@@ -87,10 +217,12 @@ def poly_factor(p: list[Fraction]) -> list[tuple[list[Fraction], int]]:
     Q(i), the algebraic integer u + vi rounded from c times a Durand-Kerner
     root; for pairs of real or conjugate roots, quadratics with coefficients
     rounded to multiples of 1/c and a non-square discriminant; a cofactor of
-    degree 1, or 2 with a non-square discriminant. Each is irreducible and
-    counts only as often as it divides F exactly, so rounding can only miss
-    a factor, which sympy finds in the cofactor. Monic irreducible factors
-    are unique: the result is sympy's for all of p.
+    degree 1, or 2 with a non-square discriminant, or 3 and up proved
+    irreducible by `_certified_irreducible`. Each is irreducible and counts
+    only as often as it divides F exactly, so rounding can only miss a
+    factor. The cofactor goes to sympy only when the primes cannot decide
+    it, and sympy finds what was missed. Monic irreducible factors are
+    unique: the result is sympy's for all of p.
     """
     q = poly_normalize(p)
     if len(q) < 2:
@@ -117,7 +249,8 @@ def poly_factor(p: list[Fraction]) -> list[tuple[list[Fraction], int]]:
             rest, mult = quot, mult + 1
         if mult:
             out.append(([Fraction(x, g[-1]) for x in g], mult))
-    if len(rest) == 2 or len(rest) == 3 and not _is_square(rest[1] ** 2 - 4 * rest[0] * rest[2]):
+    if (len(rest) == 2 or len(rest) == 3 and not _is_square(rest[1] ** 2 - 4 * rest[0] * rest[2])
+            or len(rest) > 3 and _certified_irreducible(rest)):
         out.append(([Fraction(x, rest[-1]) for x in rest], 1))
     elif len(rest) > 2:
         _, factors = _to_sympy([Fraction(x) for x in rest]).factor_list()

@@ -1134,6 +1134,31 @@ def test_decompose_certificate_check_survives_optimize_flag():
     assert proc.stdout.startswith("raised:"), proc.stdout
 
 
+def test_decompose_refuses_a_singular_base_change_under_optimize_flag():
+    # S = 0 passes the morphism half of the certificate check trivially
+    # (A 0 == 0 R), so the invertibility half must refuse it under -O too
+    code = textwrap.dedent("""
+        import biquiver.morphisms as morphisms
+        from biquiver import (Arrow, ArrowKind, Biquiver, CMatrix,
+                              MatrixRepresentation)
+
+        morphisms._identity_tuple = lambda dims: tuple(CMatrix.zero(d, d) for d in dims)
+        g = Biquiver(1, (Arrow("a", 1, 1, ArrowKind.DASHED),))
+        rep = MatrixRepresentation(g, (1,), {"a": CMatrix.from_rows([[1]])})
+        try:
+            morphisms.decompose(rep)
+        except AssertionError as e:
+            print("raised:", e)
+        else:
+            print("returned")
+    """)
+    src = str(Path(biquiver.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                          text=True, env=env, check=True)
+    assert proc.stdout == "raised: decomposition certificate does not verify\n", proc.stdout
+
+
 def test_image_kernel_change_eliminates_once_per_vertex(monkeypatch):
     e = (mat([1, 1], [0, 0]), mat([0, 0], [0, 1]), CMatrix.identity(1), CMatrix.zero(2, 2),
          CMatrix.zero(0, 0))

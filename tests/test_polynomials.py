@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import subprocess
@@ -10,8 +11,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import biquiver
 from biquiver import decompose, direct_sum_list, morphisms, random_representation
-from biquiver.polynomials import (_from_sympy, _to_sympy, poly_factor, poly_normalize,
-                                  split_idempotent)
+from biquiver.polynomials import (_PRIMES, _certified_irreducible, _factor_degrees, _from_sympy,
+                                  _to_sympy, poly_factor, poly_normalize, split_idempotent)
 from conftest import biq, random_base_change
 
 
@@ -183,6 +184,16 @@ products = st.tuples(st.lists(st.tuples(factor_kinds, st.integers(1, 3)), min_si
     lambda fs: sum((len(f) - 1) * m for f, m in fs[0]) <= 12)
 
 
+def expand(product) -> list[Fraction]:
+    """x^k times the factors of a `products` draw, each to its multiplicity."""
+    factors, k = product
+    p = [Fraction(0)] * k + [Fraction(1)]
+    for f, m in factors:
+        for _ in range(m):
+            p = oracle_poly_mul(p, f)
+    return p
+
+
 @settings(deadline=None, max_examples=150)
 @given(products)
 # a double rational root that rounding misses, whose two approximations pair
@@ -190,12 +201,59 @@ products = st.tuples(st.lists(st.tuples(factor_kinds, st.integers(1, 3)), min_si
 @example(([(poly(Fraction(18577, 10600), 1), 2)], 0))
 @example(([(poly(Fraction(9207, 10019), 1), 2), (poly(3, 0, 1), 1)], 1))
 def test_poly_factor_matches_sympy_only_factorisation(product):
-    factors, k = product
-    p = [Fraction(0)] * k + [Fraction(1)]
-    for f, m in factors:
-        for _ in range(m):
-            p = oracle_poly_mul(p, f)
+    p = expand(product)
     assert poly_factor(p) == oracle_poly_factor(p)
+
+
+def integral(p: list[Fraction]) -> list[int]:
+    c = math.lcm(*(a.denominator for a in p))
+    return [int(a * c) for a in p]
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.one_of(products.map(expand),
+                 st.lists(st.integers(-20, 20), min_size=4, max_size=9).filter(
+                     lambda f: f[-1]).map(lambda f: [Fraction(c) for c in f])))
+def test_certificate_holds_only_for_irreducible_polynomials(p):
+    factors = oracle_poly_factor(p)
+    if len(p) > 3 and _certified_irreducible(integral(p)):
+        assert len(factors) == 1 and factors[0][1] == 1, factors
+    assert poly_factor(p) == factors
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=3, max_size=11).filter(lambda f: f[-1]),
+       st.sampled_from(_PRIMES), st.booleans())
+def test_factor_degrees_match_sympy_mod_q(f, q, squared):
+    # a square, and any other polynomial with a repeated factor mod q, has none
+    from sympy import Poly, Symbol
+
+    assume(f[-1] % q)
+    f = [int(c) for c in oracle_poly_mul(f, f)] if squared else f
+    _, factors = Poly(list(reversed(f)), Symbol("x"), modulus=q).factor_list()
+    expected = sorted(g.degree() for g, _ in factors) if all(m == 1 for _, m in factors) else None
+    degrees = _factor_degrees(f, q)
+    assert (degrees if degrees is None else sorted(degrees)) == expected
+
+
+M2C_QUARTIC = [5, -6, 6, -2, 1]   # x^2 - (1 + i)x + 2 + i times its conjugate
+
+
+@pytest.mark.parametrize("f, certified", [
+    ([1, 0, 0, 0, 1], False),                   # x^4 + 1 splits mod every prime
+    ([4, 0, 0, 0, 4, 0, 0, 0, 1], False),       # (x^4 + 2)^2 has repeated factors mod all
+    ([1, 1, 0, 0, math.prod(_PRIMES)], False),  # every prime divides the lead
+    (M2C_QUARTIC, True),
+    ([6 * c for c in M2C_QUARTIC], True),       # content 6, and 3 divides the lead
+    ([-2, 0, 0, 1], True),                      # the irreducible cubic x^3 - 2
+])
+def test_certificate_edge_cases(monkeypatch, f, certified):
+    p = [Fraction(c) for c in f]
+    expected = oracle_poly_factor(p)
+    calls = counted_factor_lists(monkeypatch)
+    assert _certified_irreducible(f) is certified
+    assert poly_factor(p) == expected
+    assert calls == ([] if certified else [len(f) - 1])
 
 
 @pytest.mark.parametrize("p", [
@@ -251,24 +309,25 @@ def test_only_the_cofactor_reaches_sympy(monkeypatch):
         assert calls == degrees
 
 
-def test_sympy_is_reached_only_for_irreducible_cofactors(monkeypatch):
+def test_isotypic_cofactors_never_reach_sympy(monkeypatch):
     # three pairwise non-isomorphic parts give End = C^3 and a product of
-    # three Gaussian quadratics; X + X gives M2(C) and a rational quartic
+    # three Gaussian quadratics; X + X gives M2(C) and a rational quartic,
+    # which the primes prove irreducible
     g = biq(3, "a:1>2", "b:3~2")
     x, y, z = (random_representation(g, d, 2, seed)
                for d, seed in (((1, 1, 1), 1), ((1, 1, 0), 2), ((0, 1, 1), 3)))
     rng = random.Random(0)
-    cases = [(random_base_change(rng, direct_sum_list(g, parts), bound=2), len(parts), reached)
-             for parts, reached in (([x, y, z], False), ([x, x], True))]
+    cases = [(random_base_change(rng, direct_sum_list(g, parts), bound=2), len(parts))
+             for parts in ([x, y, z], [x, x])]
     with monkeypatch.context() as m:
         m.setattr(morphisms, "poly_factor", oracle_poly_factor)
-        expected = [decompose(rep, seed=0) for rep, _, _ in cases]
+        expected = [decompose(rep, seed=0) for rep, _ in cases]
     calls = counted_factor_lists(monkeypatch)
-    for (rep, parts, reached), dec in zip(cases, expected):
+    for (rep, parts), dec in zip(cases, expected):
         calls.clear()
         assert decompose(rep, seed=0) == dec
         assert len(dec.summands) == parts
-        assert bool(calls) == reached, calls
+        assert calls == [], calls
 
 
 def test_split_idempotent_rejects_a_non_factor():
