@@ -13,6 +13,7 @@ only when the primes cannot decide it. sympy, imported lazily so that
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, isqrt, lcm
 
 
@@ -82,6 +83,17 @@ def _exact_quotient(f: list[int], g: tuple[int, ...]) -> list[int] | None:
 _PRIMES = (3, 7, 11, 19, 23, 31, 43, 47, 59, 67, 71, 79, 83)
 
 
+@lru_cache(maxsize=None)
+def _slot_layout(n: int, q: int) -> tuple[int, int, int, int, int]:
+    """s, m, w, the mask of bits s..w-1 and q in each of 2n slots, for _Residues."""
+    bound = n * n * q ** 3
+    s = (bound * q).bit_length()
+    m = -(-(1 << s) // q)
+    w = (bound * m).bit_length()
+    ones = ((1 << 2 * n * w) - 1) // ((1 << w) - 1)
+    return s, m, w, ones * ((1 << w) - (1 << s)), q * ones
+
+
 class _Residues:
     """Polynomials over F_q reduced modulo a monic g of degree n >= 2. Each
     is an int that holds coefficient j in bits [jw, (j + 1)w), below q once
@@ -95,21 +107,11 @@ class _Residues:
     """
 
     def __init__(self, g: list[int], q: int):
-        n = self.n = len(g) - 1
-        self.q, bound = q, n * n * q ** 3
-        self.s = (bound * q).bit_length()
-        self.m = -(-(1 << self.s) // q)
-        w = self.w = (bound * self.m).bit_length()
-        self.slot = (1 << w) - 1
-        ones = ((1 << 2 * n * w) - 1) // self.slot  # 1 in each of 2n slots
-        self.floor_bits, self.q_slots = ones * ((1 << w) - (1 << self.s)), q * ones
-        num, mu = [0] * (2 * n - 2) + [1], [0] * (n - 1)
-        for k in reversed(range(n - 1)):
-            c = mu[k] = num[k + n] % q
-            for j in range(n):
-                num[k + j] -= c * g[j]
-        self.mu, self.g = self.pack(mu), self.pack(g)
-        self.neg_g = self.pack([-c % q for c in g[:n]])
+        self.n, self.q = len(g) - 1, q
+        self.s, self.m, self.w, self.floor_bits, self.q_slots = _slot_layout(self.n, q)
+        self.slot = (1 << self.w) - 1
+        self.g, self.neg_g = self.pack(g), self.pack([-c % q for c in g[:-1]])
+        self.mu = self.divmod(1 << (2 * self.n - 2) * self.w, self.g)[0]
 
     def pack(self, coeffs: list[int]) -> int:
         return sum(c << j * self.w for j, c in enumerate(coeffs))
@@ -154,10 +156,12 @@ def _factor_degrees(f: list[int], q: int) -> list[int] | None:
     is not 1). q must not divide f's leading coefficient."""
     inv = pow(f[-1], -1, q)
     ring = _Residues([c * inv % q for c in f], q)
-    x = xq = 1 << ring.w
-    for bit in bin(q)[3:]:
+    # x^q from the left: x^(q >> k) is a monomial while q >> k < n
+    top = next(k for k in range(q.bit_length() + 1) if q >> k < ring.n)
+    x, xq = 1 << ring.w, 1 << (q >> top) * ring.w
+    for k in reversed(range(top)):
         xq = ring.mul(xq, xq)
-        if bit == "1":
+        if q >> k & 1:
             xq = ring.mul(xq, x)
     # h -> h^q is F_q-linear: h^q = sum of h_j x^(jq) for h of degree below n
     frobenius = [1, xq]
@@ -185,10 +189,10 @@ def _certified_irreducible(f: list[int]) -> bool:
     modulo the primes in _PRIMES prove it irreducible over the rationals.
 
     A factorisation over Z (Gauss) reduces mod q to a union of the factors
-    mod q, so a factor of degree k needs k among the subset sums of the
-    factor degrees mod every q that divides neither the leading coefficient
-    nor gcd(f, f') mod q. True once no k in 1..n-1 is left; False proves
-    nothing.
+    mod q. So a factor of degree k needs k among the subset sums of the
+    factor degrees mod every q that does not divide the leading coefficient
+    and leaves no repeated factor. True once no k in 1..n-1 is left; False
+    proves nothing.
     """
     possible = (1 << len(f) - 1) - 2  # bit k: a factor of degree k is not ruled out
     for q in _PRIMES:
