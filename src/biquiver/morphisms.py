@@ -364,8 +364,8 @@ def _inverts_to(a: MatrixRepresentation, b: MatrixRepresentation, s: MorphismTup
                 f: MorphismTuple) -> bool:
     """Whether apply_base_change(a, s) == b, with no inverse taken: exactly when
     s_v f_v = 1 at every vertex, so f_v = s_v^-1, and f: a -> b is a morphism."""
-    return all(sv @ fv == CMatrix.identity(sv.rows) for sv, fv in zip(s, f)) and _is_morphism(
-        a, b, f)
+    return (all(sv @ fv == CMatrix.identity(sv.rows) for sv, fv in zip(s, f))
+            and _is_morphism(a, b, f))
 
 
 def _is_morphism(a: MatrixRepresentation, b: MatrixRepresentation, f: MorphismTuple) -> bool:

@@ -83,7 +83,7 @@ def _exact_quotient(f: list[int], g: tuple[int, ...]) -> list[int] | None:
 _PRIMES = (3, 7, 11, 19, 23, 31, 43, 47, 59, 67, 71, 79, 83)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None)  # one entry per (degree, prime) met
 def _slot_layout(n: int, q: int) -> tuple[int, int, int, int, int]:
     """s, m, w, the mask of bits s..w-1 and q in each of 2n slots, for _Residues."""
     bound = n * n * q ** 3

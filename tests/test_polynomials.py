@@ -225,7 +225,7 @@ def test_certificate_holds_only_for_irreducible_polynomials(p):
 @given(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=3, max_size=11).filter(lambda f: f[-1]),
        st.sampled_from(_PRIMES), st.booleans())
 def test_factor_degrees_match_sympy_mod_q(f, q, squared):
-    # a square, and any other polynomial with a repeated factor mod q, has none
+    # squares, and whatever else has a repeated factor mod q, give None
     from sympy import Poly, Symbol
 
     assume(f[-1] % q)
@@ -241,7 +241,7 @@ M2C_QUARTIC = [5, -6, 6, -2, 1]   # x^2 - (1 + i)x + 2 + i times its conjugate
 
 @pytest.mark.parametrize("f, certified", [
     ([1, 0, 0, 0, 1], False),                   # x^4 + 1 splits mod every prime
-    ([4, 0, 0, 0, 4, 0, 0, 0, 1], False),       # (x^4 + 2)^2 has repeated factors mod all
+    ([4, 0, 0, 0, 4, 0, 0, 0, 1], False),       # (x^4 + 2)^2: repeated factors mod all
     ([1, 1, 0, 0, math.prod(_PRIMES)], False),  # every prime divides the lead
     (M2C_QUARTIC, True),
     ([6 * c for c in M2C_QUARTIC], True),       # content 6, and 3 divides the lead
