@@ -9,8 +9,10 @@ certified answers (isomorphism certificates, decompositions) are verified
 by exact rational arithmetic before being returned. A negative isomorphism
 answer is certified when the dimension vectors differ, when the rank
 profiles differ (ranks of maps the graph defines, which no base change
-moves) or when Hom itself is zero; otherwise it is Monte Carlo with seeded
-sampling.
+moves), when Hom itself is zero, or, once sampling has failed, when dim
+End(a) or dim End(b) differs from dim Hom(a, b); otherwise it is Monte
+Carlo with seeded sampling. `decompose` splits by Fitting idempotents of
+random endomorphisms and of integer endomorphisms killing a random vector.
 """
 from __future__ import annotations
 
@@ -31,7 +33,6 @@ from .model import Biquiver, DimensionVector
 from .polynomials import poly_factor, poly_normalize, split_idempotent
 from .representation import (MatrixRepresentation, apply_base_change,
                              direct_sum_list)
-from .scalars import GaussianRational
 
 DEFAULT_TRIALS = 8
 DEFAULT_COEFF_BOUND = 10 ** 4
@@ -198,7 +199,7 @@ def _flatten_tuple(mats: MorphismTuple) -> tuple[int, list[int]]:
     return den, nums
 
 
-def _combination(coeffs: list[Fraction], tuples, shapes) -> MorphismTuple:
+def _combination(coeffs: list[int] | list[Fraction], tuples, shapes) -> MorphismTuple:
     """sum_j coeffs[j] * tuples[j], tuples of the given (rows, cols); extra tuples are ignored."""
     terms = [(c, tup) for c, tup in zip(coeffs, tuples) if c]
     mats = []
@@ -216,15 +217,14 @@ def _combination(coeffs: list[Fraction], tuples, shapes) -> MorphismTuple:
     return tuple(mats)
 
 
-def _combine(basis: MorphismBasis, coeffs: list[Fraction]) -> MorphismTuple:
+def _combine(basis: MorphismBasis, coeffs: list[int] | list[Fraction]) -> MorphismTuple:
     """The rational combination sum_j coeffs[j] * basis.tuples[j]."""
     return _combination(coeffs, basis.tuples, zip(basis.target_dims, basis.source_dims))
 
 
 def _sample(basis: MorphismBasis, rng: random.Random, coeff_bound: int) -> MorphismTuple:
     """A random integer combination of the basis, coefficients in [-coeff_bound, coeff_bound]."""
-    return _combine(basis, [Fraction(rng.randint(-coeff_bound, coeff_bound))
-                            for _ in basis.tuples])
+    return _combine(basis, [rng.randint(-coeff_bound, coeff_bound) for _ in basis.tuples])
 
 
 def _tuple_compose(f: MorphismTuple, g_: MorphismTuple) -> MorphismTuple:
@@ -322,17 +322,17 @@ def are_isomorphic(a: MatrixRepresentation, b: MatrixRepresentation,
     """Randomized isomorphism test with exact certificates.
 
     Yes certificates S_1..S_t are verified exactly before being returned.
-    No is certified, with trials = 0, by the first of three checks that
-    fails, in this order: the dimension vectors agree; the rank profiles
-    agree (the reason names the first invariant that differs and both
-    ranks); Hom(a, b) is not zero. Only the last builds a linear system.
-    When all three pass, random rational combinations of the Hom basis
-    are tried; invertible tuples form the complement of a determinant
-    hypersurface, so when an isomorphism exists a random point misses the
-    hypersurface with high probability and ProbablyNo after `trials`
-    failures is Monte Carlo evidence only.
-    A sampled Yes reports in `trials` the samples drawn, up to and
-    including the one that succeeded.
+    No is certified, with trials = 0, by the first of four checks that
+    fails: the dimension vectors agree; the rank profiles agree (the
+    reason names the first invariant that differs and both ranks);
+    Hom(a, b) is not zero; dim End(a) = dim End(b) = dim Hom(a, b), as for
+    isomorphic a and b (the reason names both dimensions), which solves two
+    more systems and so runs only after sampling fails. The samples are
+    random integer combinations of the Hom basis; invertible tuples form
+    the complement of a determinant hypersurface, so when an isomorphism
+    exists a random point misses it with high probability, and ProbablyNo
+    is Monte Carlo evidence only. A sampled Yes reports in `trials` the
+    samples drawn, up to and including the one that succeeded.
     """
     _check_same_biquiver(a, b)
     _check_sampling(trials, coeff_bound)
@@ -355,6 +355,11 @@ def are_isomorphic(a: MatrixRepresentation, b: MatrixRepresentation,
             continue
         if _inverts_to(a, b, s, sample):
             return IsoResult(Verdict.YES, certificate=s, trials=used, seed=seed)
+    for name, rep in (("a", a), ("b", b)):
+        end = hom_basis(rep, rep).dimension
+        if end != basis.dimension:
+            return IsoResult(Verdict.NO, reason=f"dim End({name}) = {end} differs from "
+                                                f"dim Hom(a, b) = {basis.dimension}")
     return IsoResult(Verdict.PROBABLY_NO,
                      reason=f"no invertible morphism found in {trials} samples",
                      trials=trials, seed=seed)
@@ -422,21 +427,21 @@ def _splitting_idempotent(minpoly, phi, dims) -> MorphismTuple | None:
     return e
 
 
-def _vertex_killers(basis: MorphismBasis, vertex: int,
-                    vec: CMatrix) -> list[list[Fraction]]:
-    """Coordinates of a basis of the endomorphisms annihilating a vector at one vertex.
+def _vertex_killers(basis: MorphismBasis, vertex: int, vec: CMatrix) -> list[list[int]]:
+    """Integer coordinates of a basis of the endomorphisms annihilating a vector at one vertex.
 
-    Such endomorphisms are singular, so their minimal polynomials pick up a
-    factor of x; together with the coprime Fitting split this decomposes
-    isotypic sums X + X whose generic endomorphisms have irreducible
-    rational minimal polynomials. `_split_candidates` tries two random
-    mixes of these coordinates first (see there), then each of them.
+    Each is the numerator list of a canonical kernel vector, which is that
+    vector times its denominator and so kills `vec` too. Such endomorphisms
+    are singular, so their minimal polynomials pick up a factor of x;
+    together with the coprime Fitting split this decomposes isotypic sums
+    X + X whose generic endomorphisms have irreducible rational minimal
+    polynomials.
     """
     columns = [_flatten_tuple((tup[vertex] @ vec,)) for tup in basis.tuples]
     # all columns over one denominator: a uniform scale keeps the nullspace
     den = lcm(*(d for d, _ in columns))
     rows = [list(row) for row in zip(*([x * (den // d) for x in col] for d, col in columns))]
-    return [[Fraction(x, d) for x in nums] for d, nums in fraction_nullspace(rows, len(columns))]
+    return [nums for _, nums in fraction_nullspace(rows, len(columns))]
 
 
 def _split_candidates(basis: MorphismBasis, dims: DimensionVector, trials: int,
@@ -444,28 +449,19 @@ def _split_candidates(basis: MorphismBasis, dims: DimensionVector, trials: int,
     """Endomorphisms to try for a Fitting split, drawn from rng only as they are asked for.
 
     Each of `trials` rounds yields a random element of End, then, at each
-    nonzero vertex in random order, the nonzero ones among two random mixes
-    of the `_vertex_killers` of a random vector there, then those killers.
-    Coordinate i of a mix is sum_k w_ik k[i] with a fresh weight per (i, k),
-    so a mix is not a combination of the killers and need not kill the vector.
+    nonzero vertex in random order, the `_vertex_killers` of a random
+    nonzero Gaussian-integer vector there.
     """
-    n = basis.dimension
     for _ in range(trials):
         yield _sample(basis, rng, coeff_bound)
         vertices = [w for w, d in enumerate(dims) if d > 0]
         rng.shuffle(vertices)
         for w in vertices:
-            vec = CMatrix.column([GaussianRational(
-                Fraction(rng.randint(-9, 9)), Fraction(rng.randint(-9, 9)))
-                for _ in range(dims[w])])
-            if vec.is_zero():
-                continue
-            killers = _vertex_killers(basis, w, vec)
-            # with no killers the two combinations are zero and draw nothing
-            mixes = [[sum((Fraction(rng.randint(-9, 9)) * k[i] for k in killers), Fraction(0))
-                      for i in range(n)] for _ in range(2)]
-            for coords in mixes + killers:
-                if any(coords):
+            # real and imaginary part of each entry in turn
+            parts = [rng.randint(-9, 9) for _ in range(2 * dims[w])]
+            vec = CMatrix.from_integers(dims[w], 1, 1, parts[::2], parts[1::2])
+            if not vec.is_zero():
+                for coords in _vertex_killers(basis, w, vec):
                     yield _combine(basis, coords)
 
 
@@ -553,8 +549,8 @@ def decompose(a: MatrixRepresentation, trials: int = DEFAULT_TRIALS, seed: int =
     """Decompose into indecomposables by recursive Fitting-style splitting.
 
     A representation whose End is not local tries the endomorphisms phi
-    that `_split_candidates` yields: per round a random one, then vertex
-    killers. The first whose minimal polynomial factors into coprime
+    that `_split_candidates` yields: per round a random one, then integer
+    vertex killers. The first whose minimal polynomial factors into coprime
     rational pieces m1 m2 gives the Bezout idempotent E = 1 mod m1, 0 mod
     m2, which splits it exactly, and the summands are decomposed in turn.
     E(phi) is never 0 or 1, as m1 m2 divides neither E nor E - 1.

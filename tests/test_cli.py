@@ -324,8 +324,9 @@ def test_byte_identical_output(run, a3_file, tmp_path):
 
 
 # (biquiver, dims, matrices of a, matrices of b, extra arguments, stdout): one
-# certified No per kind of rank invariant, then a Yes and a ProbablyNo that
-# the rank profile leaves to the sampler, whose output it does not change
+# certified No per kind of rank invariant, then a Yes, a No from End
+# dimensions and a ProbablyNo that the rank profile leaves to the sampler,
+# whose output it does not change
 ISO_GOLDEN = [
     (biq(2, "a:1>2"), (1, 1), {"a": mat([1])}, {"a": mat([0])}, [],
      '{"reason":"rank of arrow a differs: 1 vs 0","verdict":"No"}\n'),
@@ -345,13 +346,18 @@ ISO_GOLDEN = [
      '{"certificate":{"S":[[[["-1/11196","1/11196"]]]]},"seed":1,"trials":1,"verdict":"Yes"}\n'),
     (biq(1, "a:1>1"), (2,), {"a": mat([1, 0], [0, 2])}, {"a": mat([1, 0], [0, 3])},
      ["--trials", "4", "--seed", "9"],
-     '{"reason":"no invertible morphism found in 4 samples","seed":9,"trials":4,'
+     '{"reason":"dim End(a) = 4 differs from dim Hom(a, b) = 2","verdict":"No"}\n'),
+    # isomorphic, but both samples with coefficients in {-1, 0, 1} are singular
+    (biq(1, "a:1>1"), (2,), {"a": mat([1, 0], [0, 2])}, {"a": mat([2, 0], [0, 1])},
+     ["--trials", "2", "--seed", "0", "--bound", "1"],
+     '{"reason":"no invertible morphism found in 2 samples","seed":0,"trials":2,'
      '"verdict":"ProbablyNo"}\n'),
 ]
 
 
 @pytest.mark.parametrize("g, dims, mats_a, mats_b, extra, want", ISO_GOLDEN,
-                         ids=["arrow", "kernel-meet", "image-sum", "path", "yes", "probably-no"])
+                         ids=["arrow", "kernel-meet", "image-sum", "path", "yes", "end-dimension",
+                              "probably-no"])
 def test_rep_iso_golden(run, tmp_path, g, dims, mats_a, mats_b, extra, want):
     paths = [_write(tmp_path, f"{name}.json", serialize_representation(
         biquiver.MatrixRepresentation(g, dims, mats))) for name, mats in (("a", mats_a),

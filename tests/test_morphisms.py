@@ -24,8 +24,8 @@ from biquiver.morphisms import (MAX_HOM_CELLS, MAX_PROFILE_RANKS, Decomposition,
                                 _check_same_biquiver, _check_sampling, _combine,
                                 _eval_poly_tuple, _flatten_tuple, _identity_tuple,
                                 _image_kernel_change, _minimal_polynomial, _profile_difference,
-                                _sample, _splitting_idempotent, _trace_form, _tuple_compose,
-                                _vertex_killers, rank_profile)
+                                _sample, _split_candidates, _splitting_idempotent, _trace_form,
+                                _tuple_compose, _vertex_killers, rank_profile)
 from biquiver.polynomials import poly_normalize
 from biquiver.semilinear import are_consimilar
 from conftest import (biq, gmat, mat, oracle_is_identity, oracle_scale, path_biquiver,
@@ -279,12 +279,27 @@ def test_iso_planted_base_changes_recovered():
 
 
 def test_iso_probably_no_metadata():
-    # Hom is the span of E11 (never invertible), so only Monte Carlo evidence
+    # Hom is the span of E11, never invertible, and End(a) is twice as big
     a = full_loop(mat([1, 0], [0, 2]))
-    b = full_loop(mat([1, 0], [0, 3]))
-    res = are_isomorphic(a, b, trials=4, seed=9)
+    res = are_isomorphic(a, full_loop(mat([1, 0], [0, 3])), trials=4, seed=9)
+    assert res == IsoResult(Verdict.NO, reason="dim End(a) = 4 differs from dim Hom(a, b) = 2")
+    # a is isomorphic to b, but both samples with coefficients in {-1, 0, 1} are singular
+    res = are_isomorphic(a, full_loop(mat([2, 0], [0, 1])), trials=2, seed=0, coeff_bound=1)
     assert res.verdict is Verdict.PROBABLY_NO
-    assert res.trials == 4 and res.seed == 9
+    assert res.trials == 2 and res.seed == 0
+
+
+LEDGER = Path(__file__).resolve().parent / "ledger"
+
+
+def test_iso_no_from_end_dimensions():
+    # equal rank profiles and Hom(a, b) != 0: only the End dimensions tell them apart
+    a, b = (biquiver.parse_representation((LEDGER / f"e6.{name}.json").read_text())
+            for name in ("s1", "other"))
+    for seed in range(4):
+        res = are_isomorphic(a, b, seed=seed)
+        assert res == IsoResult(Verdict.NO,
+                                reason="dim End(a) = 16 differs from dim Hom(a, b) = 12")
 
 
 def test_iso_yes_reports_samples_used():
@@ -314,7 +329,8 @@ def test_iso_yes_reports_samples_used():
 def oracle_are_isomorphic(a, b, trials=morphisms.DEFAULT_TRIALS, seed=0,
                           coeff_bound=morphisms.DEFAULT_COEFF_BOUND):
     """`are_isomorphic` as it was when a Yes was verified by `apply_base_change`,
-    which inverts the certificate again, verbatim."""
+    which inverts the certificate again, verbatim, with the later No from End
+    dimensions added."""
     _check_same_biquiver(a, b)
     _check_sampling(trials, coeff_bound)
     if a.dims != b.dims:
@@ -335,6 +351,11 @@ def oracle_are_isomorphic(a, b, trials=morphisms.DEFAULT_TRIALS, seed=0,
             continue
         if apply_base_change(a, list(s)) == b:
             return IsoResult(Verdict.YES, certificate=s, trials=used, seed=seed)
+    for name, rep in (("a", a), ("b", b)):
+        end = hom_basis(rep, rep).dimension
+        if end != basis.dimension:
+            return IsoResult(Verdict.NO, reason=f"dim End({name}) = {end} differs from "
+                                                f"dim Hom(a, b) = {basis.dimension}")
     return IsoResult(Verdict.PROBABLY_NO,
                      reason=f"no invertible morphism found in {trials} samples",
                      trials=trials, seed=seed)
@@ -459,9 +480,10 @@ def oracle_iso_by_sampling(a, b, trials, seed):
 def test_profile_no_never_contradicts_the_sampler():
     # pairs with equal dimension vectors: an unrelated sparse draw, and the
     # other's base change with one arrow matrix replaced; whenever the
-    # profiles differ, the Hom system and 32 samples never find a Yes
+    # profiles differ, and whenever End dimensions certify a No, the Hom
+    # system and 32 samples never find a Yes
     rng = random.Random(5)
-    differing = nonzero_hom = 0
+    differing = nonzero_hom = end_no = 0
     for k in range(120):
         g = random_biquiver(rng)
         a = _sparse_representation(rng, g, 2)
@@ -474,13 +496,16 @@ def test_profile_no_never_contradicts_the_sampler():
         for other in (twin, b):
             res = are_isomorphic(a, other, seed=k)
             if profile_ranks(a) == profile_ranks(other):
-                assert res.verdict is not Verdict.NO or res.reason.startswith("Hom")
+                assert res.verdict is not Verdict.NO or res.reason.startswith(("Hom", "dim End"))
+                if res.verdict is Verdict.NO and res.reason.startswith("dim End"):
+                    end_no += 1
+                    assert not oracle_iso_by_sampling(a, other, trials=32, seed=k)
                 continue
             differing += 1
             nonzero_hom += hom_basis(a, other).dimension > 0
             assert res.verdict is Verdict.NO and res.trials == 0
             assert not oracle_iso_by_sampling(a, other, trials=32, seed=k)
-    assert differing >= 50 and nonzero_hom >= 25
+    assert differing >= 50 and nonzero_hom >= 25 and end_no >= 10
 
 
 def test_consimilarity_certified_no_from_path_rank():
@@ -847,9 +872,45 @@ def test_vertex_killers_match_oracle():
                 vec = CMatrix.column([gaussian(Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
                                                rng.randint(-9, 9)) for _ in range(a.dims[w])])
                 killers = _vertex_killers(basis, w, vec)
-                assert killers == oracle_vertex_killers(basis, w, vec)
+                oracle = oracle_vertex_killers(basis, w, vec)
+                assert len(killers) == len(oracle)
+                for k, o in zip(killers, oracle):
+                    # the free column is the last nonzero one of a canonical kernel vector
+                    f = max(i for i, x in enumerate(o) if x)
+                    assert o[f] == 1 and k[f] > 0 and all(type(x) is int for x in k)
+                    assert k == [k[f] * x for x in o]
                 found += bool(killers)
     assert found
+
+
+def test_split_candidates_kill_their_vector(monkeypatch):
+    # every candidate that is not the round's sample kills, at its vertex,
+    # the vector last handed to `_vertex_killers`
+    calls, sampled = [], []
+    real_killers, real_sample = morphisms._vertex_killers, morphisms._sample
+
+    def killers(basis, w, vec):
+        calls.append((w, vec))
+        return real_killers(basis, w, vec)
+
+    def sample(*args):
+        sampled.append(real_sample(*args))
+        return sampled[-1]
+
+    monkeypatch.setattr(morphisms, "_vertex_killers", killers)
+    monkeypatch.setattr(morphisms, "_sample", sample)
+    xx = direct_sum(full_loop(mat([1, 1], [0, 1])), full_loop(mat([1, 1], [0, 1])))
+    reps = [rep for rep, _, _ in _decompose_corpus()[:2]]
+    reps.append(random_base_change(random.Random(41), xx))
+    checked = 0
+    for seed, rep in enumerate(reps):
+        basis = hom_basis(rep, rep)
+        for phi in _split_candidates(basis, rep.dims, 2, random.Random(seed), 10 ** 4):
+            if not any(phi is f for f in sampled):
+                w, vec = calls[-1]
+                assert (phi[w] @ vec).is_zero()
+                checked += 1
+    assert checked
 
 
 def test_minimal_polynomial_of_identity():
@@ -958,18 +1019,7 @@ def oracle_decompose(a, trials=morphisms.DEFAULT_TRIALS, seed=0,
                         for _ in range(rep.dims[w])])
                     if vec.is_zero():
                         continue
-                    killers = _vertex_killers(basis, w, vec)
-                    if not killers:
-                        continue
-                    candidates = []
-                    for _ in range(2):
-                        candidates.append([
-                            sum((Fraction(rng.randint(-9, 9)) * k[i] for k in killers),
-                                Fraction(0)) for i in range(n)])
-                    candidates.extend(killers)
-                    for coords in candidates:
-                        if not any(coords):
-                            continue
+                    for coords in _vertex_killers(basis, w, vec):
                         e = attempt(_combine(basis, coords))
                         if e is not None:
                             break
