@@ -9,11 +9,15 @@ to it and are checked in, so the ledger moves only when an answer does.
     python tests/make_ledger.py --inputs  # rewrite the input documents too
     python tests/make_ledger.py --check   # list the answers that moved
 
-Rewrite the answers only for a change that moves answers on purpose, and
-name the entries that moved, and why, in that change's CHANGES.md entry.
-`--check` writes nothing: it prints each invocation whose stdout hash or
-exit code differs from answers.json, or that answers.json lacks, and exits
-with 1 if there is any.
+Each `rep decompose` entry also records each summand's dimension vector
+and status, as "dims status", in the order printed. Rewrite the answers only for a change that
+moves answers on purpose, and name the entries that moved, and why, in
+that change's CHANGES.md entry. `--check` writes nothing: it prints each
+invocation whose stdout hash or exit code differs from answers.json, or
+that answers.json lacks, and exits with 1 if there is any. For a moved
+`rep decompose` entry it also says whether its multiset of (dims, status)
+pairs is kept, so that only the certificate and the summands' bases
+moved, or which pairs the summands moved from and to.
 The input documents are built from fixed seeds by `write_inputs`.
 """
 from __future__ import annotations
@@ -95,8 +99,13 @@ def answer(argv: tuple[str, ...]) -> dict:
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = main(args)
-    return {"argv": list(argv), "exit": code,
-            "stdout_sha256": hashlib.sha256(out.getvalue().encode()).hexdigest()}
+    entry = {"argv": list(argv), "exit": code,
+             "stdout_sha256": hashlib.sha256(out.getvalue().encode()).hexdigest()}
+    if argv[:2] == ("rep", "decompose") and code == 0:
+        doc = json.loads(out.getvalue())
+        entry["summands"] = [f"{','.join(map(str, s['dims']))} {status}"
+                             for s, status in zip(doc["summands"], doc["statuses"])]
+    return entry
 
 
 def write_inputs() -> None:
@@ -200,8 +209,13 @@ def moved(entries: list[dict]) -> list[str]:
         if old is None:
             lines.append(f"{' '.join(e['argv'])}: not in the ledger")
         elif old != e:
-            lines.append(f"{' '.join(e['argv'])}: exit {old['exit']} -> {e['exit']}, "
-                         f"stdout {old['stdout_sha256'][:12]} -> {e['stdout_sha256'][:12]}")
+            line = (f"{' '.join(e['argv'])}: exit {old['exit']} -> {e['exit']}, "
+                    f"stdout {old['stdout_sha256'][:12]} -> {e['stdout_sha256'][:12]}")
+            before, after = (sorted(x.get("summands", [])) for x in (old, e))
+            if "summands" in old or "summands" in e:
+                line += ("; same (dims, status) multiset" if before == after else
+                         f"; summands [{'; '.join(before)}] -> [{'; '.join(after)}]")
+            lines.append(line)
     return lines
 
 
