@@ -102,7 +102,7 @@ def _iso_result_obj(res) -> dict:
         obj["certificate"] = {"S": [matrix_to_obj(m) for m in res.certificate]}
     if res.reason is not None:
         obj["reason"] = res.reason
-    if res.trials:
+    if res.seed is not None:  # a sampled Yes and every ProbablyNo, --trials 0 included
         obj["trials"] = res.trials
         obj["seed"] = res.seed
     return obj

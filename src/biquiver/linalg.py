@@ -210,27 +210,21 @@ class CMatrix:
 
     def column_space_basis(self) -> "CMatrix":
         """Columns forming a basis of the column space (original columns)."""
-        return _image_and_kernel(self)[0]
+        pivots = _echelon(_real_rows(self))
+        return submatrix(self, range(self.rows), [p // 2 for p in pivots if p % 2 == 0])
 
     def nullspace_basis(self) -> "CMatrix":
-        """Columns forming a basis of the right null space."""
-        return _image_and_kernel(self)[1]
+        """Columns forming a basis of the right null space; the canonical real
+        kernel vector of free real column 2f realifies that of free column f."""
+        reduced, n = _real_rows(self), 2 * self.cols
+        pivots = _echelon(reduced)
+        free = [f for f in range(0, n, 2) if f not in pivots]
+        return _realified_columns(self.cols, _nullspace(reduced, pivots, n, free))
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(repr(self.at(i, j)) for j in range(self.cols))
                          for i in range(self.rows))
         return f"CMatrix({self.rows}x{self.cols}: {body})"
-
-
-def _image_and_kernel(m: CMatrix) -> tuple[CMatrix, CMatrix]:
-    """`column_space_basis` and `nullspace_basis` of m from one elimination; the canonical
-    real kernel vector of free real column 2f realifies that of free column f."""
-    reduced = _real_rows(m)
-    pivots = _echelon(reduced)
-    vecs = _nullspace(reduced, pivots, 2 * m.cols,
-                      [f for f in range(0, 2 * m.cols, 2) if f not in pivots])
-    image = submatrix(m, range(m.rows), [p // 2 for p in pivots if p % 2 == 0])
-    return image, _realified_columns(m.cols, vecs)
 
 
 def _realified_columns(rows: int, vecs: list[tuple[int, list[int]]]) -> CMatrix:

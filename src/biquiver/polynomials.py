@@ -7,8 +7,8 @@ product of x - a and x^2 - 2ax + a^2 + b^2. `poly_factor` finds those from
 floating-point roots. The cofactor left over, such as the irreducible
 quartic or sextic of an isotypic block, is proved irreducible from its
 factor degrees modulo a few small primes, and goes to sympy's Zassenhaus
-only when the primes cannot decide it. sympy, imported lazily so that
-`import biquiver` does not load it, also gives split idempotents.
+only when the primes cannot decide it. sympy is imported at the first
+`poly_factor` call, not by `import biquiver`.
 """
 from __future__ import annotations
 
@@ -228,6 +228,7 @@ def poly_factor(p: list[Fraction]) -> list[tuple[list[Fraction], int]]:
     it, and sympy finds what was missed. Monic irreducible factors are
     unique: the result is sympy's for all of p.
     """
+    import sympy  # noqa: F401 -- its one-time cost at the first call, not at a later Zassenhaus
     q = poly_normalize(p)
     if len(q) < 2:
         return []
@@ -263,15 +264,24 @@ def poly_factor(p: list[Fraction]) -> list[tuple[list[Fraction], int]]:
     return out
 
 
-def split_idempotent(p: list[Fraction], factor: list[Fraction],
-                     mult: int) -> list[Fraction]:
-    """E with E = 1 mod m1 and E = 0 mod m2, where p = m1 m2 and m1 = factor**mult.
+def primary_cofactors(p: list[Fraction], factors: list[tuple[list[Fraction], int]]
+                      ) -> list[list[int]]:
+    """For p = prod f_j^m_j, as `poly_factor` gives it, the integer
+    polynomial that is a positive multiple of p / f_j^m_j, for each j.
 
-    m1 and m2 must be coprime. E = (m2^-1 mod m1) m2 has degree below
-    deg p, the least such, and is unique modulo p.
+    With c the lcm of the denominators of the monic p, c p is primitive, and
+    so is the integer form of each monic f_j; f_j^m_j divides c p exactly
+    over the integers (Gauss), one `_exact_quotient` per power.
     """
-    m1 = _to_sympy(factor) ** mult
-    m2, rem = _to_sympy(p).div(m1)
-    if not rem.is_zero:
-        raise AssertionError("factor power does not divide the minimal polynomial")
-    return _from_sympy(m2.invert(m1) * m2)
+    def integers(f: list[Fraction]) -> list[int]:
+        c = lcm(*(a.denominator for a in f))
+        return [int(a * c) for a in f]
+
+    out = []
+    for f, mult in factors:
+        quot, g = integers(p), tuple(integers(f))
+        for _ in range(mult):
+            if (quot := _exact_quotient(quot, g)) is None:
+                raise AssertionError("factor power does not divide the minimal polynomial")
+        out.append(quot)
+    return out

@@ -352,12 +352,17 @@ ISO_GOLDEN = [
      ["--trials", "2", "--seed", "0", "--bound", "1"],
      '{"reason":"no invertible morphism found in 2 samples","seed":0,"trials":2,'
      '"verdict":"ProbablyNo"}\n'),
+    # no samples at all: the ProbablyNo still records them
+    (biq(1, "a:1>1"), (2,), {"a": mat([1, 0], [0, 2])}, {"a": mat([2, 0], [0, 1])},
+     ["--trials", "0", "--seed", "4"],
+     '{"reason":"no invertible morphism found in 0 samples","seed":4,"trials":0,'
+     '"verdict":"ProbablyNo"}\n'),
 ]
 
 
 @pytest.mark.parametrize("g, dims, mats_a, mats_b, extra, want", ISO_GOLDEN,
                          ids=["arrow", "kernel-meet", "image-sum", "path", "yes", "end-dimension",
-                              "probably-no"])
+                              "probably-no", "no-trials"])
 def test_rep_iso_golden(run, tmp_path, g, dims, mats_a, mats_b, extra, want):
     paths = [_write(tmp_path, f"{name}.json", serialize_representation(
         biquiver.MatrixRepresentation(g, dims, mats))) for name, mats in (("a", mats_a),

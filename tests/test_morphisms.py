@@ -4,6 +4,7 @@ import subprocess
 import sys
 import textwrap
 import time
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,17 +21,18 @@ from biquiver import (CMatrix, GaussianRational, IndecomposabilityStatus, IsoRes
 from biquiver import linalg, morphisms
 from biquiver.linalg import (_integer_parts, block_diag, fraction_nullspace, fraction_solve,
                              hstack, submatrix)
-from biquiver.morphisms import (MAX_HOM_CELLS, MAX_PROFILE_RANKS, Decomposition, _certify_local,
-                                _check_same_biquiver, _check_sampling, _combine,
-                                _eval_poly_tuple, _flatten_tuple, _identity_tuple,
-                                _image_kernel_change, _minimal_polynomial, _profile_difference,
+from biquiver.morphisms import (MAX_HOM_CELLS, MAX_PROFILE_RANKS, Decomposition, MorphismBasis,
+                                _certify_local, _check_same_biquiver, _check_sampling,
+                                _combination, _combine, _flatten_tuple, _identity_tuple,
+                                _minimal_polynomial, _primary_change, _profile_difference,
                                 _sample, _split_candidates, _splitting_idempotent, _trace_form,
                                 _tuple_compose, _vertex_killers, rank_profile)
-from biquiver.polynomials import poly_normalize
+from biquiver.polynomials import poly_normalize, primary_cofactors
 from biquiver.semilinear import are_consimilar
 from conftest import (biq, gmat, mat, oracle_is_identity, oracle_scale, path_biquiver,
                       random_base_change, random_biquiver, random_invertible, star_biquiver)
 from test_acceptance import _a3_indecomposables, _d4_indecomposables, _random_dashing
+from test_polynomials import oracle_coprime_split, oracle_idempotent
 import test_linalg
 from test_linalg import (kernel, oracle_dense_rref, oracle_fraction_nullspace,
                          oracle_int_fraction_nullspace, small_fractions, small_gaussians,
@@ -802,7 +804,7 @@ def test_minimal_polynomial_matches_oracle():
 
 
 def oracle_eval_poly_tuple(poly, phi, dims):
-    """The Horner evaluation that `_eval_poly_tuple` replaced, verbatim but for
+    """The Horner evaluation of a polynomial at a tuple, verbatim but for
     `CMatrix.scale`, which moved here as `oracle_scale`."""
     acc = tuple(CMatrix.zero(d, d) for d in dims)
     ident = _identity_tuple(dims)
@@ -826,29 +828,49 @@ def polynomials_at_tuples(draw):
 
 @settings(deadline=None)
 @given(polynomials_at_tuples())
-def test_eval_poly_tuple_matches_horner(case):
+def test_powers_combine_to_horner(case):
+    # the powers `_minimal_polynomial` hands back are 1, phi, ..., phi^deg, so
+    # a polynomial of degree up to deg is one combination of them
     poly, phi, dims = case
-    assert _eval_poly_tuple(poly, phi, dims) == oracle_eval_poly_tuple(poly, phi, dims)
+    powers = []
+    minpoly = _minimal_polynomial(MorphismBasis(None, dims, dims, ()), phi, powers)
+    assert len(powers) == len(minpoly)
+    assert powers[:2] == [_identity_tuple(dims), phi][:len(powers)]
+    for k in range(2, len(powers)):
+        assert powers[k] == _tuple_compose(phi, powers[k - 1])
+    assert _combination(minpoly, powers, [(d, d) for d in dims]) == \
+        tuple(CMatrix.zero(d, d) for d in dims)
+    poly = poly[:len(powers)]
+    assert _combination(poly, powers, [(d, d) for d in dims]) == \
+        oracle_eval_poly_tuple(poly, phi, dims)
 
 
-def test_eval_poly_tuple_composes_only_for_the_powers(monkeypatch):
-    # 1 and phi cost nothing, so a polynomial of degree k composes k - 1
-    # times, where Horner composed k + 1 times, once with the zero tuple
-    phi = (gmat([(1, 2), (0, -1)], [(3, 0), (Fraction(1, 2), 5)]), mat([2]))
-    poly = [Fraction(1, 3), 0, Fraction(-2), 0, Fraction(5, 7)]
-    expected = oracle_eval_poly_tuple(poly, phi, (2, 1))
-    compositions = []
-    real_compose = morphisms._tuple_compose
+def test_cofactors_compose_only_inside_the_minimal_polynomial(monkeypatch):
+    # per candidate, phi^2..phi^deg take one composition each, all while the
+    # minimal polynomial is found; the primary parts compose nothing
+    compositions, degrees, inside = [], [], []
+    real_compose, real_minpoly = morphisms._tuple_compose, morphisms._minimal_polynomial
 
-    def counting(f, g_):
-        compositions.append(1)
+    def compose(f, g_):
+        compositions.append(bool(inside))
         return real_compose(f, g_)
 
-    monkeypatch.setattr(morphisms, "_tuple_compose", counting)
-    assert _eval_poly_tuple(poly, phi, (2, 1)) == expected
-    assert len(compositions) == 3
-    assert _eval_poly_tuple(poly[:2], phi, (2, 1)) == oracle_eval_poly_tuple(poly[:2], phi, (2, 1))
-    assert len(compositions) == 3
+    def minpoly(basis, phi, powers=None):
+        inside.append(1)
+        try:
+            result = real_minpoly(basis, phi, powers)
+        finally:
+            inside.pop()
+        degrees.append(len(result) - 1)
+        return result
+
+    monkeypatch.setattr(morphisms, "_tuple_compose", compose)
+    monkeypatch.setattr(morphisms, "_minimal_polynomial", minpoly)
+    for rep, trials, seed in _decompose_corpus()[:6]:
+        decompose(rep, trials, seed)
+    assert all(compositions)
+    assert len(compositions) == sum(d - 1 for d in degrees)
+    assert len(degrees) >= 6 and max(degrees) >= 3
 
 
 def oracle_vertex_killers(basis, vertex, vec):
@@ -983,10 +1005,30 @@ def oracle_assert_block_diagonal(a, split):
             raise AssertionError("idempotent did not block-diagonalize")
 
 
+def oracle_splitting_idempotent(minpoly, phi, dims):
+    """The binary split: the idempotent E(phi), E = 1 mod m1 and 0 mod m2 for
+    the power m1 of the first irreducible factor of minpoly and its cofactor
+    m2, or None when minpoly has one irreducible factor."""
+    split = oracle_coprime_split(minpoly)
+    if split is None:
+        return None
+    e = oracle_eval_poly_tuple(oracle_idempotent(*split), phi, dims)
+    if _tuple_compose(e, e) != e:
+        raise AssertionError("Bezout element is not idempotent")
+    return e
+
+
+def oracle_image_kernel_change(e):
+    """Per-vertex base change [im-basis | ker-basis] for an idempotent tuple."""
+    return ([hstack(ev.column_space_basis(), ev.nullspace_basis()) for ev in e],
+            tuple(ev.rank() for ev in e))
+
+
 def oracle_decompose(a, trials=morphisms.DEFAULT_TRIALS, seed=0,
                      coeff_bound=morphisms.DEFAULT_COEFF_BOUND):
-    """`decompose` with the vertex-killer search nested inside its trial loop,
-    before `_split_candidates` drew the same candidates lazily."""
+    """`decompose` splitting one factor power off at a time, with the
+    vertex-killer search nested inside its trial loop, before
+    `_split_candidates` drew the same candidates lazily."""
     _check_sampling(trials, coeff_bound)
     rng = random.Random(seed)
 
@@ -1000,7 +1042,7 @@ def oracle_decompose(a, trials=morphisms.DEFAULT_TRIALS, seed=0,
                 [IndecomposabilityStatus.CERTIFIED]
 
         def attempt(phi):
-            return _splitting_idempotent(_minimal_polynomial(basis, phi), phi, rep.dims)
+            return oracle_splitting_idempotent(_minimal_polynomial(basis, phi), phi, rep.dims)
 
         for _ in range(trials):
             coeffs = [Fraction(rng.randint(-coeff_bound, coeff_bound))
@@ -1027,7 +1069,7 @@ def oracle_decompose(a, trials=morphisms.DEFAULT_TRIALS, seed=0,
                         break
             if e is None:
                 continue
-            ts, ranks = _image_kernel_change(e)
+            ts, ranks = oracle_image_kernel_change(e)
             if all(r == d for r, d in zip(ranks, rep.dims)) or not any(ranks):
                 continue
             changed = apply_base_change(rep, ts)
@@ -1078,9 +1120,33 @@ def _decompose_corpus():
     return cases
 
 
+def matches_oracle(rep, trials, seed) -> bool:
+    """Whether decompose and oracle_decompose give the same (dims, status)
+    multiset; if so, `krull_schmidt_compare` matches their summands. If not,
+    decompose must have split ProbablyIndecomposable leaves of the oracle
+    further, into certified leaves, keeping every certified one."""
+    dec, oracle = decompose(rep, trials, seed), oracle_decompose(rep, trials, seed)
+    leaves, oracle_leaves = (Counter(zip((s.dims for s in d.summands), d.statuses))
+                             for d in (dec, oracle))
+    if leaves != oracle_leaves:
+        probable = IndecomposabilityStatus.PROBABLE
+        unsplit = [dims for dims, st in oracle_leaves.elements() if st is probable]
+        split = leaves - oracle_leaves
+        assert oracle_leaves - leaves == Counter((dims, probable) for dims in unsplit)
+        assert all(st is IndecomposabilityStatus.CERTIFIED for _, st in split)
+        assert [sum(x) for x in zip(*(dims for dims, _ in split.elements()))] == \
+            [sum(x) for x in zip(*unsplit)]
+        return False
+    match = krull_schmidt_compare(list(dec.summands), list(oracle.summands), seed=seed)
+    assert match is not None
+    for i, j, cert in match:
+        assert apply_base_change(dec.summands[i], list(cert)) == oracle.summands[j]
+    return True
+
+
 def test_decompose_matches_oracle(monkeypatch):
     # a split whose phi did not come from `_sample` came from the killer tail
-    sampled = []
+    sampled, widths = [], []
     killer_splits = 0
     real_sample, real_split = morphisms._sample, morphisms._splitting_idempotent
 
@@ -1088,17 +1154,32 @@ def test_decompose_matches_oracle(monkeypatch):
         sampled.append(real_sample(*args))
         return sampled[-1]
 
-    def split(minpoly, phi, dims):
+    def split(minpoly, powers, dims):
         nonlocal killer_splits
-        e = real_split(minpoly, phi, dims)
-        killer_splits += e is not None and not any(phi is f for f in sampled)
-        return e
+        parts = real_split(minpoly, powers, dims)
+        if parts is not None:
+            killer_splits += not any(powers[1] is f for f in sampled)
+            widths.append(len(parts))
+        return parts
 
     monkeypatch.setattr(morphisms, "_sample", sample)
     monkeypatch.setattr(morphisms, "_splitting_idempotent", split)
-    for rep, trials, seed in _decompose_corpus():
-        assert decompose(rep, trials, seed) == oracle_decompose(rep, trials, seed)
+    # the one case whose multiset moves: x + x + y over 1 -> 2 with a dashed
+    # loop at 2, where the oracle leaves a ProbablyIndecomposable leaf of
+    # dimension (2, 2) that splits into two certified ones
+    moved = [k for k, case in enumerate(_decompose_corpus()) if not matches_oracle(*case)]
+    assert moved == [21]
     assert killer_splits > 0
+    # some nodes split into three primary components at once
+    assert max(widths) == 3
+
+
+@settings(deadline=None, max_examples=60)
+@given(profile_representations(max_dim=2), st.integers(0, 10 ** 6))
+def test_decompose_matches_oracle_under_base_change(x, seed):
+    rng = random.Random(seed)
+    matches_oracle(apply_base_change(x, [random_invertible(rng, d) for d in x.dims]),
+                   morphisms.DEFAULT_TRIALS, seed)
 
 
 def test_diag_loop_keeps_its_unsplit_seeds():
@@ -1209,11 +1290,12 @@ def test_decompose_refuses_a_singular_base_change_under_optimize_flag():
     assert proc.stdout == "raised: decomposition certificate does not verify\n", proc.stdout
 
 
-def test_image_kernel_change_eliminates_once_per_vertex(monkeypatch):
-    e = (mat([1, 1], [0, 0]), mat([0, 0], [0, 1]), CMatrix.identity(1), CMatrix.zero(2, 2),
-         CMatrix.zero(0, 0))
-    expected = ([hstack(ev.column_space_basis(), ev.nullspace_basis()) for ev in e],
-                (1, 1, 1, 0, 0))
+def test_primary_change_eliminates_once_per_part_and_vertex(monkeypatch):
+    # the parts of phi = diag(1, 2, 2) on three vertices, zero at the third:
+    # M_1 = x - 2 and M_2 = x - 1
+    parts = [(mat([-1, 0], [0, 0]), mat([-1]), CMatrix.zero(0, 0)),
+             (mat([0, 0], [0, 1]), mat([0]), CMatrix.zero(0, 0))]
+    expected = ([mat([-1, 0], [0, 1]), mat([-1]), CMatrix.zero(0, 0)], [(1, 1, 0), (1, 0, 0)])
     calls = []
     original = linalg._echelon
 
@@ -1222,23 +1304,40 @@ def test_image_kernel_change_eliminates_once_per_vertex(monkeypatch):
         return original(rows)
 
     monkeypatch.setattr(linalg, "_echelon", counting)
-    assert _image_kernel_change(e) == expected
-    assert calls == [4, 4, 2, 4, 0]
+    assert _primary_change(parts, (2, 1, 0)) == expected
+    assert calls == [4, 2, 0, 4, 2, 0]
 
 
-# _image_kernel_change with identity in place of [im-basis | ker-basis]: the
+@pytest.mark.parametrize("extra", ["repeated", "zero"])
+def test_rank_check_refuses_parts_that_do_not_split(monkeypatch, extra):
+    # a part repeated makes the ranks sum past d_v; a zero part is refused outright
+    real_split = morphisms._splitting_idempotent
+
+    def split(minpoly, powers, dims):
+        parts = real_split(minpoly, powers, dims)
+        if parts is None:
+            return None
+        return parts + [parts[0] if extra == "repeated" else
+                        tuple(CMatrix.zero(d, d) for d in dims)]
+
+    monkeypatch.setattr(morphisms, "_splitting_idempotent", split)
+    with pytest.raises(AssertionError, match="^primary parts do not split the representation$"):
+        decompose(full_loop(mat([1, 1], [0, 2])))
+
+
+# _primary_change with identity in place of [im M_1(phi) | im M_2(phi)]: the
 # upper triangular loop stays unsplit, so the block check must refuse it
 WRONG_BASE_CHANGE = textwrap.dedent("""
     import biquiver.morphisms as morphisms
     from biquiver import (Arrow, ArrowKind, Biquiver, CMatrix,
                           MatrixRepresentation)
-    real_change = morphisms._image_kernel_change
+    real_change = morphisms._primary_change
 
-    def wrong_change(e):
-        ts, ranks = real_change(e)
-        return [CMatrix.identity(t.rows) for t in ts], ranks
+    def wrong_change(parts, dims):
+        ts, sizes = real_change(parts, dims)
+        return [CMatrix.identity(t.rows) for t in ts], sizes
 
-    morphisms._image_kernel_change = wrong_change
+    morphisms._primary_change = wrong_change
     g = Biquiver(1, (Arrow("a", 1, 1, ArrowKind.FULL),))
     rep = MatrixRepresentation(g, (2,), {"a": CMatrix.from_rows([[1, 1], [0, 2]])})
     try:
@@ -1251,14 +1350,14 @@ WRONG_BASE_CHANGE = textwrap.dedent("""
 
 
 def test_block_check_refuses_a_wrong_base_change(monkeypatch):
-    real_change = morphisms._image_kernel_change
+    real_change = morphisms._primary_change
 
-    def wrong_change(e):
-        ts, ranks = real_change(e)
-        return [CMatrix.identity(t.rows) for t in ts], ranks
+    def wrong_change(parts, dims):
+        ts, sizes = real_change(parts, dims)
+        return [CMatrix.identity(t.rows) for t in ts], sizes
 
-    monkeypatch.setattr(morphisms, "_image_kernel_change", wrong_change)
-    with pytest.raises(AssertionError, match="^idempotent did not block-diagonalize$"):
+    monkeypatch.setattr(morphisms, "_primary_change", wrong_change)
+    with pytest.raises(AssertionError, match="^base change did not block-diagonalize$"):
         decompose(full_loop(mat([1, 1], [0, 2])))
 
 
@@ -1267,7 +1366,7 @@ def test_block_check_survives_optimize_flag():
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run([sys.executable, "-O", "-c", WRONG_BASE_CHANGE],
                           capture_output=True, text=True, env=env, check=True)
-    assert proc.stdout == "raised: idempotent did not block-diagonalize\n", proc.stdout
+    assert proc.stdout == "raised: base change did not block-diagonalize\n", proc.stdout
 
 
 # CMatrix.inverse patched to hand back its inverse plus E11: every sample of

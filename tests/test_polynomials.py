@@ -12,13 +12,14 @@ from hypothesis import assume, example, given, settings, strategies as st
 import biquiver
 from biquiver import decompose, direct_sum_list, morphisms, random_representation
 from biquiver.polynomials import (_PRIMES, _certified_irreducible, _factor_degrees, _from_sympy,
-                                  _to_sympy, poly_factor, poly_normalize, split_idempotent)
+                                  _to_sympy, poly_factor, poly_normalize, primary_cofactors)
 from conftest import biq, random_base_change
 
 
 # -- reference implementations ------------------------------------------------
 # The hand-written Euclid that sympy's `div` and `invert` replaced, kept
-# verbatim as differential oracles.
+# verbatim as differential oracles; `oracle_coprime_split` and
+# `oracle_idempotent` also give the binary split of the decompose oracle.
 
 def oracle_poly_mul(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
     if not p or not q:
@@ -141,7 +142,7 @@ nonconstant = st.lists(coefficients, min_size=2, max_size=4).filter(lambda p: p[
 
 @settings(deadline=None)
 @given(nonconstant, nonconstant, st.integers(1, 3))
-def test_split_idempotent_matches_euclid(a, b, k):
+def test_primary_cofactors_match_euclid(a, b, k):
     # p = a^k b with gcd(a, b) = 1, rational a and b of degree 1 to 3
     a, b = poly_normalize(a), poly_normalize(b)
     assume(oracle_poly_xgcd(a, b)[0] == [1])
@@ -149,15 +150,21 @@ def test_split_idempotent_matches_euclid(a, b, k):
     for _ in range(k):
         m1 = oracle_poly_mul(m1, a)
     p = oracle_poly_mul(m1, b)
-    e = split_idempotent(p, a, k)
-    assert e == oracle_idempotent(m1, b)
-    assert not oracle_poly_divmod(oracle_poly_sub(e, [Fraction(1)]), m1)[1]
-    assert not oracle_poly_divmod(e, b)[1]
-    assert len(e) < len(p)
-    # the split that `_splitting_idempotent` takes: the first irreducible factor
+    factors = poly_factor(p)
+    cofactors = primary_cofactors(p, factors)
+    assert len(cofactors) == len(factors)
+    for (f, mult), cofactor in zip(factors, cofactors):
+        power = [Fraction(1)]
+        for _ in range(mult):
+            power = oracle_poly_mul(power, f)
+        quot, rem = oracle_poly_divmod(p, power)
+        # an integer polynomial, a positive multiple of p / f^mult
+        assert not rem and all(type(c) is int for c in cofactor) and cofactor[-1] > 0
+        assert poly_normalize([Fraction(c) for c in cofactor]) == quot
+    # the cofactor of the first factor power is the m2 of the binary split
     split = oracle_coprime_split(p)
     if split is not None:
-        assert split_idempotent(p, *poly_factor(p)[0]) == oracle_idempotent(*split)
+        assert poly_normalize([Fraction(c) for c in cofactors[0]]) == split[1]
 
 
 def poly(*coefficients) -> list[Fraction]:
@@ -330,10 +337,12 @@ def test_isotypic_cofactors_never_reach_sympy(monkeypatch):
         assert calls == [], calls
 
 
-def test_split_idempotent_rejects_a_non_factor():
+def test_primary_cofactors_reject_a_non_factor():
     p = [Fraction(c) for c in (-2, -1, 1)]  # (x + 1)(x - 2)
     with pytest.raises(AssertionError, match="does not divide"):
-        split_idempotent(p, [Fraction(-3), Fraction(1)], 1)
+        primary_cofactors(p, [([Fraction(-3), Fraction(1)], 1)])
+    with pytest.raises(AssertionError, match="does not divide"):
+        primary_cofactors(p, [([Fraction(1), Fraction(1)], 2)])
 
 
 def test_import_leaves_sympy_unloaded():
@@ -343,3 +352,17 @@ def test_import_leaves_sympy_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, check=True)
     assert proc.stdout == "False\n"
+
+
+def test_first_poly_factor_imports_sympy():
+    # the one-time import falls on the first factorisation, even one that
+    # needs no Zassenhaus, and not on a later one
+    code = ("import sys\nfrom fractions import Fraction\nimport biquiver\n"
+            "from biquiver.polynomials import poly_factor\n"
+            "loaded = 'sympy' in sys.modules\n"
+            "assert poly_factor([Fraction(-1), Fraction(1)]) == [([-1, 1], 1)]\n"
+            "print(loaded, 'sympy' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(Path(biquiver.__file__).resolve().parent.parent)}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert proc.stdout == "False True\n"
