@@ -277,9 +277,9 @@ def primary_cofactors(p: list[Fraction], factors: list[tuple[list[Fraction], int
         c = lcm(*(a.denominator for a in f))
         return [int(a * c) for a in f]
 
-    out = []
+    whole, out = integers(p), []
     for f, mult in factors:
-        quot, g = integers(p), tuple(integers(f))
+        quot, g = whole, tuple(integers(f))
         for _ in range(mult):
             if (quot := _exact_quotient(quot, g)) is None:
                 raise AssertionError("factor power does not divide the minimal polynomial")

@@ -25,9 +25,9 @@ from biquiver.morphisms import (MAX_HOM_CELLS, MAX_PROFILE_RANKS, Decomposition,
                                 _certify_local, _check_same_biquiver, _check_sampling,
                                 _combination, _combine, _flatten_tuple, _identity_tuple,
                                 _minimal_polynomial, _primary_change, _profile_difference,
-                                _sample, _split_candidates, _splitting_idempotent, _trace_form,
+                                _sample, _split_candidates, _trace_form,
                                 _tuple_compose, _vertex_killers, rank_profile)
-from biquiver.polynomials import poly_normalize, primary_cofactors
+from biquiver.polynomials import poly_normalize
 from biquiver.semilinear import are_consimilar
 from conftest import (biq, gmat, mat, oracle_is_identity, oracle_scale, path_biquiver,
                       random_base_change, random_biquiver, random_invertible, star_biquiver)
@@ -1291,8 +1291,8 @@ def test_decompose_refuses_a_singular_base_change_under_optimize_flag():
 
 
 def test_primary_change_eliminates_once_per_part_and_vertex(monkeypatch):
-    # the parts of phi = diag(1, 2, 2) on three vertices, zero at the third:
-    # M_1 = x - 2 and M_2 = x - 1
+    # the parts of phi = (diag(1, 2), [1], the 0 x 0 matrix), whose minimal
+    # polynomial is (x - 1)(x - 2): M_1 = x - 2 and M_2 = x - 1
     parts = [(mat([-1, 0], [0, 0]), mat([-1]), CMatrix.zero(0, 0)),
              (mat([0, 0], [0, 1]), mat([0]), CMatrix.zero(0, 0))]
     expected = ([mat([-1, 0], [0, 1]), mat([-1]), CMatrix.zero(0, 0)], [(1, 1, 0), (1, 0, 0)])
