@@ -50,8 +50,10 @@ def transport_isomorphism(s: list[CMatrix], u: int) -> list[CMatrix]:
     """Carry an isomorphism certificate through conjugation at u.
 
     If S_1..S_t witnesses A = B up to base change, then the same list with
-    S_u conjugated witnesses the conjugated pair.
+    S_u conjugated witnesses the conjugated pair. u must be a vertex of s.
     """
+    if not 1 <= u <= len(s):
+        raise PreconditionError(f"vertex {echo(u)} outside 1..{len(s)}")
     return [m.conj() if v == u else m for v, m in enumerate(s, start=1)]
 
 

@@ -18,7 +18,8 @@ Every fraction-free elimination combines rows by one sparse step, `_clear`.
 off its rows by back-substitution; ranks, images, kernels, inverses and
 rational solves all come from these two, an inverse or a solution being
 the kernel vector at an augmented column. `_first_dependence` reduces
-each new vector once against the rows it keeps.
+each new vector once against the rows it keeps, and gives the dependence
+as a primitive integer polynomial.
 `_symmetric_ldl` counts the inertia of symmetric int forms.
 Zero-row and zero-column matrices are first-class values; the 0x0 matrix
 is invertible.
@@ -527,7 +528,7 @@ def _nullspace(reduced: list[list[int]], pivots: list[int], ncols: int,
 _MIN_SPLIT_CELLS = 512  # below it, finding and gathering blocks costs more than it saves
 
 
-def _first_dependence(vectors, count: int) -> list[Fraction]:
+def _first_dependence(vectors, count: int) -> list[int]:
     """Coefficients c_0..c_k of the first linear dependence among the vectors.
 
     Vector k comes as (den_k, nums_k), v_k = nums_k / den_k; only the first
@@ -537,8 +538,9 @@ def _first_dependence(vectors, count: int) -> list[Fraction]:
     first len(nums_k) columns, where the rows kept after it vanish. The
     first row that reduces to zero there carries c in the extra columns,
     with c_0 v_0 + ... + c_k v_k = 0: the first dependence, unique up to
-    scale, with c_k != 0. Raises ValueError when the first `count` vectors
-    are independent.
+    scale, with c_k != 0. It comes primitive with c_k > 0, the integer
+    polynomial form of `polynomials`. Raises ValueError when the first
+    `count` vectors are independent.
     """
     kept: list[tuple[int, int, list]] = []  # (pivot column, entry, support)
     for k, (den, vec) in zip(range(count), vectors):
@@ -549,7 +551,8 @@ def _first_dependence(vectors, count: int) -> list[Fraction]:
                 row = _clear(row, c, p, support, 0)
         c = min((j for j in range(n) if row[j]), key=lambda j: abs(row[j]), default=None)
         if c is None:
-            return [Fraction(x) for x in row[n:n + k + 1]]
+            dep = _primitive(row[n:n + k + 1])
+            return dep if dep[-1] > 0 else [-x for x in dep]
         kept.append((c, row[c], [(j, y) for j, y in enumerate(row) if y]))
     raise ValueError(f"the first {count} vectors are independent")
 

@@ -21,7 +21,6 @@ import random
 from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, combinations, islice
 from math import lcm
@@ -31,7 +30,7 @@ from .errors import PreconditionError, SingularMatrixError, echo
 from .linalg import (CMatrix, _first_dependence, _symmetric_ldl, block_diag,
                      fraction_nullspace, hstack, submatrix, vstack)
 from .model import Biquiver, DimensionVector
-from .polynomials import poly_factor, poly_normalize, primary_cofactors
+from .polynomials import poly_factor, primary_cofactors
 from .representation import (MatrixRepresentation, apply_base_change,
                              direct_sum_list)
 
@@ -200,26 +199,26 @@ def _flatten_tuple(mats: MorphismTuple) -> tuple[int, list[int]]:
     return den, nums
 
 
-def _combination(coeffs: list[int] | list[Fraction], tuples, shapes) -> MorphismTuple:
+def _combination(coeffs: list[int], tuples, shapes) -> MorphismTuple:
     """sum_j coeffs[j] * tuples[j], tuples of the given (rows, cols); extra tuples are ignored."""
     terms = [(c, tup) for c, tup in zip(coeffs, tuples) if c]
     mats = []
     for v, (r, c) in enumerate(shapes):
-        # term j is (p_j / q_j) (R_j / d_j); sum over the lcm of the q_j d_j
-        den = lcm(*(coef.denominator * tup[v].den for coef, tup in terms))
+        # term j is p_j (R_j / d_j); sum over the lcm of the d_j
+        den = lcm(*(tup[v].den for _, tup in terms))
         re = [0] * (r * c)
         im = [0] * (r * c)
         for coef, tup in terms:
             m = tup[v]
-            f = coef.numerator * (den // (coef.denominator * m.den))
+            f = coef * (den // m.den)
             re = [x + f * y for x, y in zip(re, m.re)]
             im = [x + f * y for x, y in zip(im, m.im)]
         mats.append(CMatrix.from_integers(r, c, den, re, im))
     return tuple(mats)
 
 
-def _combine(basis: MorphismBasis, coeffs: list[int] | list[Fraction]) -> MorphismTuple:
-    """The rational combination sum_j coeffs[j] * basis.tuples[j]."""
+def _combine(basis: MorphismBasis, coeffs: list[int]) -> MorphismTuple:
+    """The integer combination sum_j coeffs[j] * basis.tuples[j]."""
     return _combination(coeffs, basis.tuples, zip(basis.target_dims, basis.source_dims))
 
 
@@ -385,8 +384,9 @@ def _is_morphism(a: MatrixRepresentation, b: MatrixRepresentation, f: MorphismTu
 # -- Krull-Schmidt decomposition ----------------------------------------------
 
 def _minimal_polynomial(basis: MorphismBasis, phi: MorphismTuple,
-                        powers: list[MorphismTuple] | None = None) -> list[Fraction]:
-    """Monic minimal polynomial of phi as a real-linear operator tuple.
+                        powers: list[MorphismTuple] | None = None) -> list[int]:
+    """Minimal polynomial of phi as a real-linear operator tuple, primitive
+    integer coefficients with a positive leading one.
 
     Found as the first linear dependence among the flattened powers of phi.
     phi acts on a real space of dimension 2 * sum(dims), so by
@@ -403,14 +403,14 @@ def _minimal_polynomial(basis: MorphismBasis, phi: MorphismTuple,
             yield _flatten_tuple(power)
             power = _tuple_compose(phi, power) if len(powers) > 1 else phi
 
-    return poly_normalize(_first_dependence(flattened(), 2 * sum(basis.source_dims) + 1))
+    return _first_dependence(flattened(), 2 * sum(basis.source_dims) + 1)
 
 
-def _splitting_idempotent(minpoly: list[Fraction], powers: list[MorphismTuple],
+def _splitting_idempotent(minpoly: list[int], powers: list[MorphismTuple],
                           dims: DimensionVector) -> list[MorphismTuple] | None:
     """The primary parts M_j(phi) of phi, or None when minpoly has one irreducible factor.
 
-    For minpoly p = prod f_j^m_j, M_j is a positive multiple of p / f_j^m_j
+    For minpoly p = prod f_j^m_j, M_j is the integer polynomial p / f_j^m_j
     and each M_j(phi) one `_combination` of `powers`, the 1, phi, ...,
     phi^deg p that `_minimal_polynomial` composed. (The benchmark's tracer
     looks this function up by its name, which predates the primary split.)

@@ -1,44 +1,32 @@
-"""Rational polynomial helpers for the decomposition machinery.
+"""Integer polynomial helpers for the decomposition machinery.
 
-Polynomials are lists of Fractions, lowest degree first. A random element
-of End (residue fields R, C, H) acts on a summand by a scalar a + bi in
-Q(i), so nearly every minimal polynomial that `decompose` factors is a
-product of x - a and x^2 - 2ax + a^2 + b^2. `poly_factor` finds those from
-floating-point roots. The cofactor left over, such as the irreducible
-quartic or sextic of an isotypic block, is proved irreducible from its
-factor degrees modulo a few small primes, and goes to sympy's Zassenhaus
-only when the primes cannot decide it. sympy is imported at the first
-`poly_factor` call, not by `import biquiver`.
+Polynomials are lists of ints, lowest degree first, primitive, with a
+positive leading coefficient: each stands for the rational polynomials it
+is a multiple of, and a minimal polynomial and its factors need nothing
+more. A random element of End (residue fields R, C, H) acts on a summand
+by a scalar a + bi in Q(i), so nearly every minimal polynomial that
+`decompose` factors is a product of x - a and x^2 - 2ax + a^2 + b^2.
+`poly_factor` finds those from floating-point roots. The cofactor left
+over, such as the irreducible quartic or sextic of an isotypic block, is
+proved irreducible from its factor degrees modulo a few small primes, and
+goes to sympy's Zassenhaus only when the primes cannot decide it. sympy is
+imported at the first `poly_factor` call, not by `import biquiver`.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 
 
-def poly_normalize(p: list[Fraction]) -> list[Fraction]:
-    """Strip trailing zeros and scale to a monic polynomial."""
-    q = list(p)
-    while q and not q[-1]:
-        q.pop()
-    if not q:
-        return q
-    lead = q[-1]
-    if lead != 1:
-        q = [c / lead for c in q]
-    return q
+def _to_sympy(p: list[int]):
+    from sympy import ZZ, Poly, Symbol
+
+    return Poly.from_list(list(reversed(p)), Symbol("x"), domain=ZZ)
 
 
-def _to_sympy(p: list[Fraction]):
-    from sympy import QQ, Poly, Symbol
-
-    return Poly.from_list([QQ(c.numerator, c.denominator) for c in reversed(p)],
-                          Symbol("x"), domain=QQ)
-
-
-def _from_sympy(f) -> list[Fraction]:
-    return [Fraction(int(c.numerator), int(c.denominator)) for c in reversed(f.all_coeffs())]
+def _from_sympy(f) -> list[int]:
+    return [int(c) for c in reversed(f.all_coeffs())]
 
 
 def _approximate_roots(a: list[float]) -> list[complex]:
@@ -63,7 +51,7 @@ def _approximate_roots(a: list[float]) -> list[complex]:
     return z
 
 
-def _exact_quotient(f: list[int], g: tuple[int, ...]) -> list[int] | None:
+def _exact_quotient(f: list[int], g: list[int] | tuple[int, ...]) -> list[int] | None:
     """f / g, or None when g does not divide f; integral for primitive g (Gauss)."""
     m, f = len(g) - 1, list(f)
     quot = [0] * max(len(f) - m, 0)
@@ -211,30 +199,29 @@ def _is_square(n: int) -> bool:
     return n >= 0 and isqrt(n) ** 2 == n
 
 
-def poly_factor(p: list[Fraction]) -> list[tuple[list[Fraction], int]]:
-    """Irreducible factorization over the rationals.
+def poly_factor(f: list[int]) -> list[tuple[list[int], int]]:
+    """Irreducible factorization over the rationals of a polynomial f.
 
-    Returns monic (factor, multiplicity) pairs sorted by (degree,
-    coefficients) so the result is deterministic. With c the lcm of the
-    denominators of the monic p, F = c p is primitive. Off F come: x^k;
-    x - u/c or x^2 - 2(u/c)x + (u^2 + v^2)/c^2 for each root (u + vi)/c in
-    Q(i), the algebraic integer u + vi rounded from c times a Durand-Kerner
-    root; for pairs of real or conjugate roots, quadratics with coefficients
-    rounded to multiples of 1/c and a non-square discriminant; a cofactor of
-    degree 1, or 2 with a non-square discriminant, or 3 and up proved
-    irreducible by `_certified_irreducible`. Each is irreducible and counts
-    only as often as it divides F exactly, so rounding can only miss a
-    factor. The cofactor goes to sympy only when the primes cannot decide
-    it, and sympy finds what was missed. Monic irreducible factors are
-    unique: the result is sympy's for all of p.
+    f and each factor are primitive integer polynomials with a positive
+    leading coefficient. Returns (factor, multiplicity) pairs sorted by
+    (degree, monic coefficients) so the result is deterministic. With
+    c = f[-1], off f come: x^k; cx - u or c^2 x^2 - 2ucx + u^2 + v^2, over
+    their content, for each root (u + vi)/c in Q(i), the algebraic integer
+    u + vi rounded from c times a Durand-Kerner root; for pairs of real or
+    conjugate roots, quadratics cx^2 - bx + e with b and e rounded and a
+    non-square discriminant; a cofactor of degree 1, or 2 with a non-square
+    discriminant, or 3 and up proved irreducible by `_certified_irreducible`.
+    Each is irreducible and counts only as often as it divides f exactly, so
+    rounding can only miss a factor. The cofactor goes to sympy only when
+    the primes cannot decide it, and sympy finds what was missed.
+    Irreducible factors in this form are unique: the result is sympy's for
+    all of f.
     """
     import sympy  # noqa: F401 -- its one-time cost at the first call, not at a later Zassenhaus
-    q = poly_normalize(p)
-    if len(q) < 2:
+    if len(f) < 2:
         return []
-    k = next(i for i, a in enumerate(q) if a)
-    c = lcm(*(a.denominator for a in q))
-    rest = [int(a * c) for a in q[k:]]
+    k = next(i for i, a in enumerate(f) if a)
+    c, rest = f[-1], f[k:]
     try:
         roots = [c * z for z in _approximate_roots([x / c for x in rest])] if len(rest) > 1 else []
     except OverflowError:
@@ -247,41 +234,33 @@ def poly_factor(p: list[Fraction]) -> list[tuple[list[Fraction], int]]:
             b, e = round(t.real), round(n.real)
             if abs(t.imag) < 0.5 and abs(n.imag) < 0.5 and not _is_square(b * b - 4 * c * e):
                 candidates.append((e, -b, c))
-    out = [([Fraction(0), Fraction(1)], k)] if k else []
+    out = [([0, 1], k)] if k else []
     for g in dict.fromkeys(tuple(x // gcd(*g) for x in g) for g in candidates):
         mult = 0
         while (quot := _exact_quotient(rest, g)) is not None:
             rest, mult = quot, mult + 1
         if mult:
-            out.append(([Fraction(x, g[-1]) for x in g], mult))
+            out.append((list(g), mult))
     if (len(rest) == 2 or len(rest) == 3 and not _is_square(rest[1] ** 2 - 4 * rest[0] * rest[2])
             or len(rest) > 3 and _certified_irreducible(rest)):
-        out.append(([Fraction(x, rest[-1]) for x in rest], 1))
+        out.append((rest, 1))
     elif len(rest) > 2:
-        _, factors = _to_sympy([Fraction(x) for x in rest]).factor_list()
-        out += [(poly_normalize(_from_sympy(fac)), int(mult)) for fac, mult in factors]
-    out.sort(key=lambda fm: (len(fm[0]), fm[0]))
+        _, factors = _to_sympy(rest).factor_list()
+        out += [(_from_sympy(fac), int(mult)) for fac, mult in factors]
+    out.sort(key=lambda fm: (len(fm[0]), [Fraction(a, fm[0][-1]) for a in fm[0]]))
     return out
 
 
-def primary_cofactors(p: list[Fraction], factors: list[tuple[list[Fraction], int]]
-                      ) -> list[list[int]]:
+def primary_cofactors(p: list[int], factors: list[tuple[list[int], int]]) -> list[list[int]]:
     """For p = prod f_j^m_j, as `poly_factor` gives it, the integer
-    polynomial that is a positive multiple of p / f_j^m_j, for each j.
-
-    With c the lcm of the denominators of the monic p, c p is primitive, and
-    so is the integer form of each monic f_j; f_j^m_j divides c p exactly
-    over the integers (Gauss), one `_exact_quotient` per power.
+    polynomial p / f_j^m_j, for each j: f_j^m_j divides p exactly over the
+    integers (Gauss), one `_exact_quotient` per power.
     """
-    def integers(f: list[Fraction]) -> list[int]:
-        c = lcm(*(a.denominator for a in f))
-        return [int(a * c) for a in f]
-
-    whole, out = integers(p), []
+    out = []
     for f, mult in factors:
-        quot, g = whole, tuple(integers(f))
+        quot = p
         for _ in range(mult):
-            if (quot := _exact_quotient(quot, g)) is None:
+            if (quot := _exact_quotient(quot, f)) is None:
                 raise AssertionError("factor power does not divide the minimal polynomial")
         out.append(quot)
     return out

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .errors import FormatError
+from .errors import FormatError, SingularMatrixError
 from .linalg import CMatrix
 from .model import Arrow, ArrowKind, Biquiver
 from .morphisms import DEFAULT_COEFF_BOUND, DEFAULT_TRIALS, IsoResult, are_isomorphic
@@ -50,9 +50,16 @@ def compose(kind_b: MapKind, b: CMatrix, kind_a: MapKind, a: CMatrix
 
 def change_of_basis(kind: MapKind, m: CMatrix, s_target: CMatrix,
                     s_source: CMatrix) -> CMatrix:
-    """Matrix of the same map after changing source and target bases."""
-    if s_source.rows != m.cols or s_target.rows != m.rows:
+    """Matrix of the same map after changing source and target bases.
+
+    The transitions are square, s_target of size m.rows and s_source of size
+    m.cols (FormatError otherwise), and invertible (SingularMatrixError).
+    """
+    if not (s_source.is_square and s_target.is_square
+            and s_source.rows == m.cols and s_target.rows == m.rows):
         raise FormatError("transition matrices do not match the map's shape")
+    if not s_source.is_invertible():
+        raise SingularMatrixError("singular source transition matrix")
     left = s_target.conj() if kind is MapKind.SEMILINEAR else s_target
     return left.inverse() @ m @ s_source
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 from biquiver import (Arrow, ArrowKind, Biquiver, CMatrix, GaussianRational,
                       MatrixRepresentation, apply_base_change, gaussian)
@@ -178,3 +179,28 @@ def oracle_divide(a: GaussianRational, b: GaussianRational) -> GaussianRational:
         (a.re * b.re + a.im * b.im) / n,
         (a.im * b.re - a.re * b.im) / n,
     )
+
+
+def oracle_monic(p: list[Fraction]) -> list[Fraction]:
+    """Strip trailing zeros and scale to a monic polynomial, as the
+    `poly_normalize` of the rational polynomial format did."""
+    q = list(p)
+    while q and not q[-1]:
+        q.pop()
+    if not q:
+        return q
+    lead = q[-1]
+    if lead != 1:
+        q = [c / lead for c in q]
+    return q
+
+
+def primitive_form(p: list[Fraction]) -> list[int]:
+    """The primitive integer multiple, with a positive leading coefficient, of a
+    rational polynomial whose leading coefficient is nonzero: the form that
+    `poly_factor` takes and gives. For a monic p it is p times the lcm of
+    its denominators."""
+    c = lcm(*(Fraction(a).denominator for a in p))
+    ints = [int(a * c) for a in p]
+    g = -gcd(*ints) if ints and ints[-1] < 0 else gcd(*ints)
+    return [x // g for x in ints] if g else ints

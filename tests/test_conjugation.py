@@ -61,6 +61,16 @@ def test_transport_isomorphism():
     assert transport_isomorphism([mat([5])], 1) == [mat([5])]
 
 
+@pytest.mark.parametrize("u", [0, 3, -1])
+def test_transport_isomorphism_rejects_a_vertex_outside_the_list(u):
+    # as conjugating the biquiver at that vertex does
+    s = [mat([2]), gmat([(0, 1)])]
+    with pytest.raises(PreconditionError):
+        conjugate_biquiver(biq(2, "a:1~2"), u)
+    with pytest.raises(PreconditionError):
+        transport_isomorphism(s, u)
+
+
 def test_conjugations_commute():
     rng = random.Random(3)
     for _ in range(30):

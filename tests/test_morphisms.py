@@ -6,6 +6,7 @@ import textwrap
 import time
 from collections import Counter
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -27,10 +28,10 @@ from biquiver.morphisms import (MAX_HOM_CELLS, MAX_PROFILE_RANKS, Decomposition,
                                 _minimal_polynomial, _primary_change, _profile_difference,
                                 _sample, _split_candidates, _trace_form,
                                 _tuple_compose, _vertex_killers, rank_profile)
-from biquiver.polynomials import poly_normalize
 from biquiver.semilinear import are_consimilar
-from conftest import (biq, gmat, mat, oracle_is_identity, oracle_scale, path_biquiver,
-                      random_base_change, random_biquiver, random_invertible, star_biquiver)
+from conftest import (biq, gmat, mat, oracle_is_identity, oracle_monic, oracle_scale,
+                      path_biquiver, primitive_form, random_base_change, random_biquiver,
+                      random_invertible, star_biquiver)
 from test_acceptance import _a3_indecomposables, _d4_indecomposables, _random_dashing
 from test_polynomials import oracle_coprime_split, oracle_idempotent
 import test_linalg
@@ -218,13 +219,12 @@ def oracle_combine(basis, coeffs):
 
 
 def test_combine_and_flatten_match_oracle():
-    # coefficients with denominators, as the vertex-killer coordinates have
+    # integer coefficients, zeros among them, up to the sampling bound
     rng = random.Random(31)
     for a, b in _hom_differential_pairs():
         basis = hom_basis(a, b)
         for _ in range(3):
-            coeffs = [Fraction(rng.choice((0, rng.randint(-9, 9))), rng.randint(1, 12))
-                      for _ in basis.tuples]
+            coeffs = [rng.choice((0, rng.randint(-10 ** 4, 10 ** 4))) for _ in basis.tuples]
             f = _combine(basis, coeffs)
             assert f == oracle_combine(basis, coeffs)
             den, nums = _flatten_tuple(f)
@@ -318,7 +318,7 @@ def test_iso_yes_reports_samples_used():
         sampler = random.Random(seed)
         first = None
         for index in range(1, 51):
-            coeffs = [Fraction(sampler.randint(-1, 1)) for _ in basis.tuples]
+            coeffs = [sampler.randint(-1, 1) for _ in basis.tuples]
             if all(m.is_invertible() for m in _combine(basis, coeffs)):
                 first = index
                 break
@@ -472,7 +472,7 @@ def oracle_iso_by_sampling(a, b, trials, seed):
     basis = hom_basis(a, b)
     rng = random.Random(seed)
     for _ in range(trials if basis.dimension else 0):
-        f = _combine(basis, [Fraction(rng.randint(-10 ** 4, 10 ** 4)) for _ in basis.tuples])
+        f = _combine(basis, [rng.randint(-10 ** 4, 10 ** 4) for _ in basis.tuples])
         if all(m.is_invertible() for m in f):
             if apply_base_change(a, [m.inverse() for m in f]) == b:
                 return True
@@ -781,7 +781,7 @@ def oracle_minimal_polynomial(basis, phi):
                 combo = [x - f * y for x, y in zip(combo, padded)]
         lead = next((i for i, x in enumerate(vec) if x), None)
         if lead is None:
-            return poly_normalize(combo)
+            return oracle_monic(combo)
         inv = 1 / vec[lead]
         echelon.append((lead, [x * inv for x in vec], [x * inv for x in combo]))
         power = _tuple_compose(phi, power)
@@ -795,12 +795,13 @@ def test_minimal_polynomial_matches_oracle():
     reps.append(full_loop(CMatrix.zero(0, 0)))
     for a in reps:
         basis = hom_basis(a, a)
-        samples = [[Fraction(rng.randint(-5, 5)) for _ in basis.tuples] for _ in range(3)]
-        samples += [[Fraction(int(i == j)) for i in range(basis.dimension)]
+        samples = [[rng.randint(-5, 5) for _ in basis.tuples] for _ in range(3)]
+        samples += [[int(i == j) for i in range(basis.dimension)]
                     for j in range(basis.dimension)]
         for coeffs in samples:
             phi = _combine(basis, coeffs)
-            assert _minimal_polynomial(basis, phi) == oracle_minimal_polynomial(basis, phi)
+            assert _minimal_polynomial(basis, phi) == \
+                primitive_form(oracle_minimal_polynomial(basis, phi))
 
 
 def oracle_eval_poly_tuple(poly, phi, dims):
@@ -840,7 +841,9 @@ def test_powers_combine_to_horner(case):
         assert powers[k] == _tuple_compose(phi, powers[k - 1])
     assert _combination(minpoly, powers, [(d, d) for d in dims]) == \
         tuple(CMatrix.zero(d, d) for d in dims)
-    poly = poly[:len(powers)]
+    # the drawn rational polynomial, over the lcm of its denominators
+    den = lcm(*(c.denominator for c in poly[:len(powers)]))
+    poly = [int(c * den) for c in poly[:len(powers)]]
     assert _combination(poly, powers, [(d, d) for d in dims]) == \
         oracle_eval_poly_tuple(poly, phi, dims)
 
@@ -1045,8 +1048,7 @@ def oracle_decompose(a, trials=morphisms.DEFAULT_TRIALS, seed=0,
             return oracle_splitting_idempotent(_minimal_polynomial(basis, phi), phi, rep.dims)
 
         for _ in range(trials):
-            coeffs = [Fraction(rng.randint(-coeff_bound, coeff_bound))
-                      for _ in range(n)]
+            coeffs = [rng.randint(-coeff_bound, coeff_bound) for _ in range(n)]
             e = attempt(_combine(basis, coeffs))
             if e is None:
                 # singular-element search: endomorphisms killing a random

@@ -11,9 +11,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import biquiver
 from biquiver import decompose, direct_sum_list, morphisms, random_representation
-from biquiver.polynomials import (_PRIMES, _certified_irreducible, _factor_degrees, _from_sympy,
-                                  _to_sympy, poly_factor, poly_normalize, primary_cofactors)
-from conftest import biq, random_base_change
+from biquiver.polynomials import (_PRIMES, _certified_irreducible, _factor_degrees, _to_sympy,
+                                  poly_factor, primary_cofactors)
+from conftest import biq, oracle_monic, primitive_form, random_base_change
 
 
 # -- reference implementations ------------------------------------------------
@@ -84,7 +84,7 @@ def oracle_poly_sub(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
     return out
 
 
-def oracle_coprime_split(minpoly: list[Fraction]) -> tuple[list[Fraction], list[Fraction]] | None:
+def oracle_coprime_split(minpoly: list[int]) -> tuple[list[Fraction], list[Fraction]] | None:
     """Split the minimal polynomial into two nonconstant coprime factors."""
     factors = poly_factor(minpoly)
     if len(factors) < 2:
@@ -106,13 +106,18 @@ def oracle_idempotent(m1, m2):
 
 
 # The sympy-only factorisation that the root stages of `poly_factor` now
-# front, and its conversion through sympy.Rational, kept verbatim.
+# front, and its conversions through sympy.Rational and back to Fractions,
+# kept verbatim.
 
 def oracle_to_sympy(p: list[Fraction]):
     import sympy
 
     return sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(p)],
                       sympy.Symbol("x"), domain="QQ")
+
+
+def oracle_from_sympy(f) -> list[Fraction]:
+    return [Fraction(int(c.numerator), int(c.denominator)) for c in reversed(f.all_coeffs())]
 
 
 def oracle_poly_factor(p: list[Fraction]) -> list[tuple[list[Fraction], int]]:
@@ -122,18 +127,26 @@ def oracle_poly_factor(p: list[Fraction]) -> list[tuple[list[Fraction], int]]:
     coefficients) so the result is deterministic.
     """
     _, factors = oracle_to_sympy(p).factor_list()
-    out = [(poly_normalize(_from_sympy(fac)), int(mult)) for fac, mult in factors]
+    out = [(oracle_monic(oracle_from_sympy(fac)), int(mult)) for fac, mult in factors]
     out.sort(key=lambda fm: (len(fm[0]), fm[0]))
     return out
+
+
+def oracle_primitive_factors(p: list[Fraction]) -> list[tuple[list[int], int]]:
+    """`oracle_poly_factor` of p, each factor in the primitive integer form of `poly_factor`."""
+    return [(primitive_form(f), mult) for f, mult in oracle_poly_factor(p)]
 
 
 # -- tests ----------------------------------------------------------------------
 
 def test_poly_factor_orders_by_degree_then_coefficients():
     # (x^2 + 1)^2 (x - 3)
-    p = [Fraction(c) for c in (-3, 1, -6, 2, -3, 1)]
-    assert poly_factor(p) == [([Fraction(-3), Fraction(1)], 1),
-                              ([Fraction(1), Fraction(0), Fraction(1)], 2)]
+    assert poly_factor([-3, 1, -6, 2, -3, 1]) == [([-3, 1], 1), ([1, 0, 1], 2)]
+
+
+def test_poly_factor_orders_by_monic_coefficients():
+    # (x + 1)(2x + 1): x + 1/2 comes before x + 1, though [1, 1] < [1, 2]
+    assert poly_factor([1, 3, 2]) == [([1, 2], 1), ([1, 1], 1)]
 
 
 coefficients = st.fractions(min_value=-6, max_value=6, max_denominator=4)
@@ -144,12 +157,12 @@ nonconstant = st.lists(coefficients, min_size=2, max_size=4).filter(lambda p: p[
 @given(nonconstant, nonconstant, st.integers(1, 3))
 def test_primary_cofactors_match_euclid(a, b, k):
     # p = a^k b with gcd(a, b) = 1, rational a and b of degree 1 to 3
-    a, b = poly_normalize(a), poly_normalize(b)
+    a, b = oracle_monic(a), oracle_monic(b)
     assume(oracle_poly_xgcd(a, b)[0] == [1])
     m1 = [Fraction(1)]
     for _ in range(k):
         m1 = oracle_poly_mul(m1, a)
-    p = oracle_poly_mul(m1, b)
+    p = primitive_form(oracle_poly_mul(m1, b))
     factors = poly_factor(p)
     cofactors = primary_cofactors(p, factors)
     assert len(cofactors) == len(factors)
@@ -158,13 +171,13 @@ def test_primary_cofactors_match_euclid(a, b, k):
         for _ in range(mult):
             power = oracle_poly_mul(power, f)
         quot, rem = oracle_poly_divmod(p, power)
-        # an integer polynomial, a positive multiple of p / f^mult
+        # the integer polynomial p / f^mult, primitive as p and f are
         assert not rem and all(type(c) is int for c in cofactor) and cofactor[-1] > 0
-        assert poly_normalize([Fraction(c) for c in cofactor]) == quot
+        assert cofactor == quot == primitive_form(quot)
     # the cofactor of the first factor power is the m2 of the binary split
     split = oracle_coprime_split(p)
     if split is not None:
-        assert poly_normalize([Fraction(c) for c in cofactors[0]]) == split[1]
+        assert cofactors[0] == primitive_form(split[1])
 
 
 def poly(*coefficients) -> list[Fraction]:
@@ -209,7 +222,19 @@ def expand(product) -> list[Fraction]:
 @example(([(poly(Fraction(9207, 10019), 1), 2), (poly(3, 0, 1), 1)], 1))
 def test_poly_factor_matches_sympy_only_factorisation(product):
     p = expand(product)
-    assert poly_factor(p) == oracle_poly_factor(p)
+    assert poly_factor(primitive_form(p)) == oracle_primitive_factors(p)
+
+
+@settings(deadline=None, max_examples=150)
+@given(products)
+def test_poly_factor_multiplies_back_exactly(product):
+    f = primitive_form(expand(product))
+    back = [1]
+    for g, mult in poly_factor(f):
+        assert all(type(c) is int for c in g) and g[-1] > 0 and math.gcd(*g) == 1
+        for _ in range(mult):
+            back = oracle_poly_mul(back, g)
+    assert back == f
 
 
 def integral(p: list[Fraction]) -> list[int]:
@@ -222,10 +247,10 @@ def integral(p: list[Fraction]) -> list[int]:
                  st.lists(st.integers(-20, 20), min_size=4, max_size=9).filter(
                      lambda f: f[-1]).map(lambda f: [Fraction(c) for c in f])))
 def test_certificate_holds_only_for_irreducible_polynomials(p):
-    factors = oracle_poly_factor(p)
+    factors = oracle_primitive_factors(p)
     if len(p) > 3 and _certified_irreducible(integral(p)):
         assert len(factors) == 1 and factors[0][1] == 1, factors
-    assert poly_factor(p) == factors
+    assert poly_factor(primitive_form(p)) == factors
 
 
 @settings(deadline=None, max_examples=150)
@@ -255,11 +280,10 @@ M2C_QUARTIC = [5, -6, 6, -2, 1]   # x^2 - (1 + i)x + 2 + i times its conjugate
     ([-2, 0, 0, 1], True),                      # the irreducible cubic x^3 - 2
 ])
 def test_certificate_edge_cases(monkeypatch, f, certified):
-    p = [Fraction(c) for c in f]
-    expected = oracle_poly_factor(p)
+    expected = oracle_primitive_factors([Fraction(c) for c in f])
     calls = counted_factor_lists(monkeypatch)
     assert _certified_irreducible(f) is certified
-    assert poly_factor(p) == expected
+    assert poly_factor(primitive_form(f)) == expected
     assert calls == ([] if certified else [len(f) - 1])
 
 
@@ -273,14 +297,16 @@ def test_certificate_edge_cases(monkeypatch, f, certified):
     poly(2, 3, 1), poly(5), poly(0, 0, 1), [],
 ])
 def test_poly_factor_far_roots_and_degenerate_input(p):
-    assert poly_factor(p) == oracle_poly_factor(p)
+    assert poly_factor(primitive_form(p)) == oracle_primitive_factors(p)
 
 
 @pytest.mark.parametrize("p", [poly(1), poly(-3, 0, 1),
                                [Fraction(7, 3), Fraction(0), Fraction(-2, 5), Fraction(1)],
                                [Fraction(-10 ** 30 + 1, 10 ** 12), Fraction(5, 10 ** 40)]])
 def test_to_sympy_builds_the_rational_poly(p):
-    fast, slow = _to_sympy(p), oracle_to_sympy(p)
+    # over the integers, as the primitive form of p
+    f = primitive_form(p)
+    fast, slow = _to_sympy(f), oracle_to_sympy(f).to_ring()
     assert fast == slow and fast.rep == slow.rep
 
 
@@ -308,11 +334,11 @@ def test_only_the_cofactor_reaches_sympy(monkeypatch):
               [Fraction(1, 9), Fraction(-2, 3), Fraction(1)]):
         low = oracle_poly_mul(low, f)
     cases = [(low, []), (oracle_poly_mul(low, poly(2, 0, 0, 0, 1)), [4])]
-    expected = [oracle_poly_factor(p) for p, _ in cases]
+    expected = [oracle_primitive_factors(p) for p, _ in cases]
     calls = counted_factor_lists(monkeypatch)
     for (p, degrees), factors in zip(cases, expected):
         calls.clear()
-        assert poly_factor(p) == factors
+        assert poly_factor(primitive_form(p)) == factors
         assert calls == degrees
 
 
@@ -327,7 +353,7 @@ def test_isotypic_cofactors_never_reach_sympy(monkeypatch):
     cases = [(random_base_change(rng, direct_sum_list(g, parts), bound=2), len(parts))
              for parts in ([x, y, z], [x, x])]
     with monkeypatch.context() as m:
-        m.setattr(morphisms, "poly_factor", oracle_poly_factor)
+        m.setattr(morphisms, "poly_factor", oracle_primitive_factors)
         expected = [decompose(rep, seed=0) for rep, _ in cases]
     calls = counted_factor_lists(monkeypatch)
     for (rep, parts), dec in zip(cases, expected):
@@ -338,11 +364,11 @@ def test_isotypic_cofactors_never_reach_sympy(monkeypatch):
 
 
 def test_primary_cofactors_reject_a_non_factor():
-    p = [Fraction(c) for c in (-2, -1, 1)]  # (x + 1)(x - 2)
+    p = [-2, -1, 1]  # (x + 1)(x - 2)
     with pytest.raises(AssertionError, match="does not divide"):
-        primary_cofactors(p, [([Fraction(-3), Fraction(1)], 1)])
+        primary_cofactors(p, [([-3, 1], 1)])
     with pytest.raises(AssertionError, match="does not divide"):
-        primary_cofactors(p, [([Fraction(1), Fraction(1)], 2)])
+        primary_cofactors(p, [([1, 1], 2)])
 
 
 def test_import_leaves_sympy_unloaded():
@@ -357,10 +383,10 @@ def test_import_leaves_sympy_unloaded():
 def test_first_poly_factor_imports_sympy():
     # the one-time import falls on the first factorisation, even one that
     # needs no Zassenhaus, and not on a later one
-    code = ("import sys\nfrom fractions import Fraction\nimport biquiver\n"
+    code = ("import sys\nimport biquiver\n"
             "from biquiver.polynomials import poly_factor\n"
             "loaded = 'sympy' in sys.modules\n"
-            "assert poly_factor([Fraction(-1), Fraction(1)]) == [([-1, 1], 1)]\n"
+            "assert poly_factor([-1, 1]) == [([-1, 1], 1)]\n"
             "print(loaded, 'sympy' in sys.modules)")
     env = {**os.environ, "PYTHONPATH": str(Path(biquiver.__file__).resolve().parent.parent)}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

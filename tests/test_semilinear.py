@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from biquiver import (CMatrix, FormatError, MapKind, Verdict, apply_map,
+from biquiver import (CMatrix, FormatError, MapKind, SingularMatrixError, Verdict, apply_map,
                       are_consimilar, change_of_basis, compose, gaussian)
 from conftest import gmat, mat, random_invertible
 
@@ -58,6 +58,17 @@ def test_change_of_basis_scalar_example():
     assert change_of_basis(MapKind.SEMILINEAR, m, s, s) == mat([1])
     assert change_of_basis(MapKind.LINEAR, mat([2]), mat([3]), mat([3])) == mat([2])
     assert change_of_basis(MapKind.LINEAR, m, CMatrix.identity(1), CMatrix.identity(1)) == m
+
+
+@pytest.mark.parametrize("kind", list(MapKind))
+@pytest.mark.parametrize("error, s_target, s_source", [
+    (FormatError, CMatrix.identity(2), mat([1, 0, 0], [0, 1, 0])),  # non-square source
+    (SingularMatrixError, CMatrix.identity(2), mat([1, 2], [2, 4])),
+    (FormatError, mat([1, 0, 0], [0, 1, 0]), CMatrix.identity(2)),  # non-square target
+])
+def test_change_of_basis_rejects_bad_transitions(kind, error, s_target, s_source):
+    with pytest.raises(error):
+        change_of_basis(kind, mat([1, 2], [3, 4]), s_target, s_source)
 
 
 def test_change_of_basis_composes():
