@@ -88,6 +88,9 @@ INVOCATIONS: list[tuple[str, ...]] = [
     *(cmd for shape in ("e6", "d4")
       for cmd in (("rep", "hom", f"{shape}.s1.json", f"{shape}.sum.json"),
                   ("rep", "iso", f"{shape}.s1.json", f"{shape}.sum.json", "--seed", "0"))),
+    # a deep tree: a scrambled sum on a ten-vertex path of full and dashed
+    # arrows in both directions, at most 2 dimensions at each vertex
+    ("rep", "decompose", "path10.json", "--seed", "0"),
 ]
 
 
@@ -198,6 +201,15 @@ def write_inputs() -> None:
         for copies in (2, 3) if name != "loop" else (2,):
             save(f"{name}{'x' * copies}.json",
                  bq.serialize_representation(scramble(rng, bq.direct_sum_list(g, [x] * copies))))
+
+    rng = random.Random(17)
+    kinds = (bq.ArrowKind.FULL, bq.ArrowKind.DASHED)
+    path = bq.Biquiver(10, tuple(bq.Arrow(f"e{i}", *((i, i + 1) if rng.randrange(2) else (i + 1, i)),
+                                          rng.choice(kinds)) for i in range(1, 10)))
+    parts = [bq.random_representation(path, dims, 2, rng.randrange(10 ** 6))
+             for dims in ((1, 1, 1, 1, 1, 1, 1, 0, 0, 0), (0, 0, 0, 1, 1, 1, 1, 1, 1, 1),
+                          (1, 1, 1, 0, 0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0, 0, 1, 1, 1))]
+    save("path10.json", bq.serialize_representation(scramble(rng, bq.direct_sum_list(path, parts))))
 
 
 def moved(entries: list[dict]) -> list[str]:
