@@ -77,7 +77,8 @@ def _spanning_forest(g: Biquiver):
     tree path read off it, depends only on the arrow list. Returns lists
     indexed by vertex (index 0 unused) of the root of its tree, its parent
     (0 at a root) and the parity of dashed arrows on its tree path from the
-    root, then the set of tree-arrow ids, then the adjacency: for each
+    root, then the tree arrows, each id mapped to the vertex it reaches, in
+    the order the walk takes them, then the adjacency: for each
     vertex, its (neighbour, arrow) pairs in arrow order, one per non-loop
     arrow, so len(adj[v]) is the degree of v.
     """
@@ -89,7 +90,7 @@ def _spanning_forest(g: Biquiver):
     root = [0] * (g.t + 1)
     parent = [0] * (g.t + 1)
     parity = [0] * (g.t + 1)
-    tree_arrows: set[str] = set()
+    tree_arrows: dict[str, int] = {}
     for r in g.vertices():
         if root[r]:
             continue
@@ -101,7 +102,7 @@ def _spanning_forest(g: Biquiver):
                     root[w] = r
                     parent[w] = v
                     parity[w] = parity[v] ^ (1 if a.is_dashed else 0)
-                    tree_arrows.add(a.id)
+                    tree_arrows[a.id] = w
                     queue.append(w)
     return root, parent, parity, tree_arrows, adj
 

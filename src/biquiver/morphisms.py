@@ -27,11 +27,11 @@ from math import lcm
 from operator import mul
 
 from .errors import PreconditionError, SingularMatrixError, echo
-from .linalg import (CMatrix, _first_dependence, _symmetric_ldl, block_diag,
-                     fraction_nullspace, hstack, submatrix, vstack)
-from .model import Biquiver, DimensionVector
+from .linalg import (_MIN_SPLIT_CELLS, CMatrix, _first_dependence, _symmetric_ldl,
+                     block_diag, fraction_nullspace, hstack, submatrix, transpose, vstack)
+from .model import Biquiver, DimensionVector, _spanning_forest
 from .polynomials import poly_factor, primary_cofactors
-from .representation import (MatrixRepresentation, apply_base_change,
+from .representation import (MatrixRepresentation, _transform, apply_base_change,
                              direct_sum_list)
 
 DEFAULT_TRIALS = 8
@@ -111,6 +111,12 @@ def _check_sampling(trials: int, coeff_bound: int) -> None:
         raise PreconditionError(f"coefficient bound must be at least 1, got {echo(coeff_bound)}")
 
 
+def _hom_system_size(g: Biquiver, da: DimensionVector, db: DimensionVector) -> tuple[int, int]:
+    """(equations, unknowns) of the Hom system `hom_basis` builds for dimension vectors da, db."""
+    unknowns = sum(2 * y * x for x, y in zip(da, db))
+    return sum(2 * db[x.target - 1] * da[x.source - 1] for x in g.arrows), unknowns
+
+
 def hom_basis(a: MatrixRepresentation, b: MatrixRepresentation) -> MorphismBasis:
     """Exact basis of the real vector space Hom(a, b).
 
@@ -123,15 +129,11 @@ def hom_basis(a: MatrixRepresentation, b: MatrixRepresentation) -> MorphismBasis
     g = a.biquiver
     da, db = a.dims, b.dims
 
-    offsets = []
-    total = 0
-    for v in range(g.t):
-        offsets.append(total)
-        total += 2 * db[v] * da[v]
-    equations = sum(2 * db[arrow.target - 1] * da[arrow.source - 1] for arrow in g.arrows)
+    equations, total = _hom_system_size(g, da, db)
     if equations * total > MAX_HOM_CELLS:
         raise PreconditionError(f"the Hom system has {equations} equations in {total} unknowns, "
                                 f"past the cap of {MAX_HOM_CELLS} cells")
+    offsets = list(accumulate((2 * y * x for x, y in zip(da, db)), initial=0))
 
     def x_index(v: int, i: int, j: int) -> int:
         return offsets[v] + i * da[v] + j
@@ -539,6 +541,42 @@ def _split_blocks(rep: MatrixRepresentation, sizes: list[DimensionVector]
     return [MatrixRepresentation(rep.biquiver, d, block) for d, block in zip(sizes, blocks)]
 
 
+def _echelon_change(rep: MatrixRepresentation
+                    ) -> tuple[list[CMatrix], MatrixRepresentation]:
+    """A base change S that puts every arrow of the spanning forest in reduced echelon
+    form, and the representation it carries rep to.
+
+    The forest of `model._spanning_forest` is walked as it was grown, so at
+    each tree arrow one end w is placed and the other, o, is new; S is the
+    identity at the roots. On w -> o, with M = A S_w, X holds the first
+    independent columns of M and then the unit vectors that complete a basis,
+    and S_o = X, or conj(X) on a dashed arrow: the arrow becomes X^-1 M, with
+    e_k at the k-th independent column and zero rows below the rank. On
+    o -> w, with M = S_w^-1 A (conj(S_w)^-1 A on a dashed arrow), S_o^-1
+    holds the first independent rows of M and then the unit rows that
+    complete a basis: the arrow becomes M S_o, whose k-th independent row is
+    e_k and whose columns past the rank are zero. Loops and the other arrows
+    off the forest take what the change gives them. One inverse per placed
+    vertex.
+    """
+    g = rep.biquiver
+    s = [CMatrix.identity(d) for d in rep.dims]
+    inv = list(s)
+    _, parent, _, tree, _ = _spanning_forest(g)
+    for aid, o in tree.items():
+        arrow, w = g.arrow(aid), parent[o] - 1
+        m, unit = rep.matrices[aid], CMatrix.identity(rep.dims[o - 1])
+        if arrow.target == o:
+            x = hstack(m @ s[w], unit).column_space_basis()
+            x_inv = x.inverse()
+            s[o - 1], inv[o - 1] = (x.conj(), x_inv.conj()) if arrow.is_dashed else (x, x_inv)
+        else:
+            left = inv[w].conj() if arrow.is_dashed else inv[w]
+            y = transpose(hstack(transpose(left @ m), unit).column_space_basis())
+            s[o - 1], inv[o - 1] = y.inverse(), y
+    return s, _transform(rep, s, inv)
+
+
 def decompose(a: MatrixRepresentation, trials: int = DEFAULT_TRIALS, seed: int = 0,
               coeff_bound: int = DEFAULT_COEFF_BOUND) -> Decomposition:
     """Decompose into indecomposables by recursive primary splitting.
@@ -550,15 +588,28 @@ def decompose(a: MatrixRepresentation, trials: int = DEFAULT_TRIALS, seed: int =
     components ker f_j(phi)^m_j = im (p / f_j^m_j)(phi): nonzero, invariant
     under the arrows as (p / f_j^m_j)(phi) is in End, and summing directly to
     the whole space. Each is decomposed in turn. Splittings that would need
-    irrational idempotents are not found. A leaf is CertifiedIndecomposable
-    when End is local (End/rad is R, C or the quaternions H), read exactly
-    from the trace form, and otherwise ProbablyIndecomposable. The base change
-    applied to `a` is the direct sum of the summands, exactly.
+    irrational idempotents are not found. A node whose End system has
+    _MIN_SPLIT_CELLS cells or more, counted as `hom_basis` counts them, is
+    first put in echelon form by `_echelon_change`, which leaves the arrows
+    of a spanning forest in reduced echelon form and so makes the End system
+    sparse; End is solved, sampled and split in those coordinates, and the
+    change is composed into the node's base change. A leaf is
+    CertifiedIndecomposable when End is local (End/rad is R, C or the
+    quaternions H), read exactly from the trace form, and otherwise
+    ProbablyIndecomposable. The base change applied to `a` is the direct sum
+    of the summands, exactly.
     """
     _check_sampling(trials, coeff_bound)
     rng = random.Random(seed)
 
     def rec(rep: MatrixRepresentation):
+        if mul(*_hom_system_size(rep.biquiver, rep.dims, rep.dims)) < _MIN_SPLIT_CELLS:
+            return node(rep)
+        echelon, rep = _echelon_change(rep)
+        summands, change, statuses = node(rep)
+        return summands, [e @ c for e, c in zip(echelon, change)], statuses
+
+    def node(rep: MatrixRepresentation):
         # rep is nonzero: every primary component is
         basis = hom_basis(rep, rep)
         status = IndecomposabilityStatus.CERTIFIED

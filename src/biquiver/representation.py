@@ -13,12 +13,13 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import FormatError, PreconditionError, echo
 from .linalg import CMatrix, block_diag
 from .model import (Biquiver, DimensionVector, biquiver_to_obj,
                     parse_biquiver_obj, parse_json)
-from .scalars import GaussianRational, parse_gaussian_pair
+from .scalars import GaussianRational, _rational_parts
 
 
 @dataclass(frozen=True)
@@ -89,13 +90,18 @@ def apply_base_change(a: MatrixRepresentation, s: list[CMatrix]) -> MatrixRepres
             raise PreconditionError(
                 f"transition matrix at vertex {v} must be {a.dim(v)}x{a.dim(v)}")
         inv.append(m.inverse())
+    return _transform(a, s, inv)
+
+
+def _transform(a: MatrixRepresentation, s: list[CMatrix], inv: list[CMatrix]
+               ) -> MatrixRepresentation:
+    """The base change of `a` by S, given S and its inverse S^-1 at every vertex."""
     mats = {}
-    for arr in g.arrows:
-        m = a.matrices[arr.id]
+    for arr in a.biquiver.arrows:
         # conj(S)^{-1} = conj(S^{-1}), so one inverse per vertex suffices
         left = inv[arr.target - 1].conj() if arr.is_dashed else inv[arr.target - 1]
-        mats[arr.id] = left @ m @ s[arr.source - 1]
-    return MatrixRepresentation(g, a.dims, mats)
+        mats[arr.id] = left @ a.matrices[arr.id] @ s[arr.source - 1]
+    return MatrixRepresentation(a.biquiver, a.dims, mats)
 
 
 # The most matrix entries random_representation may draw: the sum over arrows
@@ -158,8 +164,15 @@ def parse_matrix_obj(obj, rows: int | None = None, cols: int | None = None) -> C
         raise FormatError(f"expected {rows} rows, got {r}")
     if cols is not None and r > 0 and c != cols:
         raise FormatError(f"expected {cols} columns, got {c}")
-    entries = tuple(parse_gaussian_pair(cell) for row in obj for cell in row)
-    return CMatrix(r, c, entries)
+    parts = []  # (p, q) for the real, then the imaginary part of each entry
+    for row in obj:
+        for pair in row:
+            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+                raise FormatError(f"matrix entry must be a [re, im] pair, got {echo(pair)}")
+            parts += (_rational_parts(pair[0]), _rational_parts(pair[1]))
+    den = lcm(*(q for _, q in parts))
+    nums = [p * (den // q) for p, q in parts]
+    return CMatrix.from_integers(r, c, den, nums[::2], nums[1::2])
 
 
 def representation_to_obj(a: MatrixRepresentation, embed_biquiver: bool = True) -> dict:

@@ -14,10 +14,13 @@ from __future__ import annotations
 import re as _re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .errors import FormatError, echo
 
-_RATIONAL_RE = _re.compile(r"^-?\d+(/[1-9]\d*)?$")
+# The shape of a rational string, its numerator and denominator as groups;
+# `_rational_parts` tells the canonical ones apart.
+_RATIONAL_RE = _re.compile(r"^(-?\d+)(?:/([1-9]\d*))?$")
 
 
 def _coerce(x) -> Fraction:
@@ -107,24 +110,29 @@ def gaussian(re=0, im=0) -> GaussianRational:
 def parse_rational(text: str) -> Fraction:
     """Parse a canonical rational string "p" or "p/q" (q > 1, reduced, no
     leading zeros, no "-0"): exactly the strings `format_rational` prints."""
-    if not isinstance(text, str) or not _RATIONAL_RE.match(text):
+    return Fraction(*_rational_parts(text))
+
+
+def _rational_parts(text) -> tuple[int, int]:
+    """(p, q) of a canonical rational string, the value p / q in lowest terms, q > 0.
+
+    The string is canonical when it is the one `format_rational` prints for
+    p / q, which rules out leading zeros, "-0", "p/1", unreduced fractions
+    and digits other than ASCII ones; FormatError otherwise, and also when
+    a part has more digits than the interpreter converts.
+    """
+    match = _RATIONAL_RE.match(text) if isinstance(text, str) else None
+    if match is None:
         raise FormatError(f"not a canonical rational string: {echo(text)}")
     try:
-        x = Fraction(text)
+        p, q = int(match[1]), int(match[2] or 1)
     except ValueError:  # more digits than the interpreter converts
         raise FormatError(f"rational string of {len(text)} characters is too long") from None
-    if format_rational(x) != text:
+    if gcd(p, q) != 1 or text != (f"{p}/{q}" if q != 1 else f"{p}"):
         raise FormatError(f"not a canonical rational string: {echo(text)}")
-    return x
+    return p, q
 
 
 def format_rational(x: Fraction) -> str:
     """Canonical rational string: "p" when the denominator is 1, else "p/q"."""
     return str(x)
-
-
-def parse_gaussian_pair(pair) -> GaussianRational:
-    """Parse a [re, im] pair of canonical rational strings."""
-    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-        raise FormatError(f"matrix entry must be a [re, im] pair, got {echo(pair)}")
-    return GaussianRational(parse_rational(pair[0]), parse_rational(pair[1]))

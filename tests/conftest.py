@@ -2,13 +2,15 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 from math import gcd, lcm
 
-from biquiver import (Arrow, ArrowKind, Biquiver, CMatrix, GaussianRational,
+from biquiver import (Arrow, ArrowKind, Biquiver, CMatrix, FormatError, GaussianRational,
                       MatrixRepresentation, apply_base_change, gaussian)
+from biquiver.errors import echo
 from biquiver.linalg import _integer_parts, _reduced
-from biquiver.scalars import as_gaussian
+from biquiver.scalars import as_gaussian, format_rational
 
 
 def biq(t: int, *specs: str) -> Biquiver:
@@ -204,3 +206,23 @@ def primitive_form(p: list[Fraction]) -> list[int]:
     ints = [int(a * c) for a in p]
     g = -gcd(*ints) if ints and ints[-1] < 0 else gcd(*ints)
     return [x // g for x in ints] if g else ints
+
+
+def oracle_parse_rational(text) -> Fraction:
+    """A canonical rational string read through a Fraction, as `parse_rational` once did."""
+    if not isinstance(text, str) or not re.match(r"^-?\d+(/[1-9]\d*)?$", text):
+        raise FormatError(f"not a canonical rational string: {echo(text)}")
+    try:
+        x = Fraction(text)
+    except ValueError:  # more digits than the interpreter converts
+        raise FormatError(f"rational string of {len(text)} characters is too long") from None
+    if format_rational(x) != text:
+        raise FormatError(f"not a canonical rational string: {echo(text)}")
+    return x
+
+
+def oracle_parse_gaussian_pair(pair) -> GaussianRational:
+    """A [re, im] pair of canonical rational strings, as `scalars.parse_gaussian_pair` read it."""
+    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+        raise FormatError(f"matrix entry must be a [re, im] pair, got {echo(pair)}")
+    return GaussianRational(oracle_parse_rational(pair[0]), oracle_parse_rational(pair[1]))

@@ -6,7 +6,7 @@ import textwrap
 import time
 from collections import Counter
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from pathlib import Path
 
 import pytest
@@ -21,13 +21,15 @@ from biquiver import (CMatrix, GaussianRational, IndecomposabilityStatus, IsoRes
                       random_representation, roots_with_value, zero_representation)
 from biquiver import linalg, morphisms
 from biquiver.linalg import (_integer_parts, block_diag, fraction_nullspace, fraction_solve,
-                             hstack, submatrix)
+                             hstack, submatrix, transpose)
+from biquiver.model import _spanning_forest
 from biquiver.morphisms import (MAX_HOM_CELLS, MAX_PROFILE_RANKS, Decomposition, MorphismBasis,
                                 _certify_local, _check_same_biquiver, _check_sampling,
-                                _combination, _combine, _flatten_tuple, _identity_tuple,
-                                _minimal_polynomial, _primary_change, _profile_difference,
-                                _sample, _split_candidates, _trace_form,
-                                _tuple_compose, _vertex_killers, rank_profile)
+                                _combination, _combine, _echelon_change, _flatten_tuple,
+                                _hom_system_size, _identity_tuple, _minimal_polynomial,
+                                _primary_change, _profile_difference, _sample,
+                                _split_candidates, _trace_form, _tuple_compose, _vertex_killers,
+                                rank_profile)
 from biquiver.semilinear import are_consimilar
 from conftest import (biq, gmat, mat, oracle_is_identity, oracle_monic, oracle_scale,
                       path_biquiver, primitive_form, random_base_change, random_biquiver,
@@ -764,6 +766,100 @@ def test_decompose_splits_scrambled_sums_of_bricks():
         assert all(st is IndecomposabilityStatus.CERTIFIED for st in dec.statuses)
 
 
+def in_reduced_echelon(m: CMatrix) -> bool:
+    """Whether the k-th of m's first independent columns is the unit vector e_k
+    and the rows past its rank are zero."""
+    rank = 0
+    for j in range(m.cols):
+        if submatrix(m, range(m.rows), range(j + 1)).rank() > rank:
+            if submatrix(m, range(m.rows), [j]) != submatrix(CMatrix.identity(m.rows),
+                                                            range(m.rows), [rank]):
+                return False
+            rank += 1
+    return submatrix(m, range(rank, m.rows), range(m.cols)).is_zero()
+
+
+def assert_forest_in_echelon_form(rep):
+    """Each spanning-forest arrow of rep is in reduced echelon form: an arrow into the
+    vertex it reaches by columns, an arrow out of it by rows."""
+    for aid, o in _spanning_forest(rep.biquiver)[3].items():
+        m = rep.matrices[aid]
+        assert in_reduced_echelon(m if rep.biquiver.arrow(aid).target == o else transpose(m))
+
+
+def assert_echelon_change(rep):
+    s, changed = _echelon_change(rep)
+    assert all(m.rows == d and m.is_invertible() for m, d in zip(s, rep.dims))
+    assert changed == apply_base_change(rep, s)
+    assert_forest_in_echelon_form(changed)
+
+
+@settings(deadline=None, max_examples=100)
+@given(profile_representations(), st.integers(0, 10 ** 6), st.booleans())
+def test_echelon_change_is_a_base_change_to_echelon_form(x, seed, summed):
+    # mixed arrows, loops, parallel arrows and zero dimensions, and scrambled
+    # sums x + x, which are dense
+    rng = random.Random(seed)
+    rep = direct_sum(x, x) if summed else x
+    assert_echelon_change(rep)
+    assert_echelon_change(apply_base_change(rep, [random_invertible(rng, d) for d in rep.dims]))
+
+
+def test_echelon_change_on_scrambled_sums():
+    # the E6 and E7 sums, and one whose arrows into and out of the placed
+    # vertices alternate along a path of mixed arrows
+    g = biq(5, "a:1>2", "b:3~2", "c:3>4", "d:5~4", "l:2~2")
+    x = random_representation(g, (2, 1, 3, 2, 0), 2, 5)
+    rng = random.Random(8)
+    for rep in [sx for _, sx in _scrambled_sums()] + [random_base_change(rng, direct_sum(x, x))]:
+        assert_echelon_change(rep)
+
+
+def test_decompose_solves_large_nodes_in_echelon_form(monkeypatch):
+    # every node reaches hom_basis: from _MIN_SPLIT_CELLS cells on as the
+    # echelon change gave it, below that as decompose had it; the threshold
+    # is moved to the root's own count and just past it
+    rep = _scrambled_sums()[0][1]
+
+    def cells(r):
+        return prod(_hom_system_size(r.biquiver, r.dims, r.dims))
+
+    assert cells(rep) >= linalg._MIN_SPLIT_CELLS
+    solved, changed, nodes = [], [], []
+    real_hom, real_change, real_blocks = (morphisms.hom_basis, morphisms._echelon_change,
+                                          morphisms._split_blocks)
+
+    def hom(a, b):
+        solved.append(a)
+        return real_hom(a, b)
+
+    def change(r):
+        s, a = real_change(r)
+        changed.append(a)
+        return s, a
+
+    def blocks(r, sizes):
+        nodes.extend(real_blocks(r, sizes))
+        return nodes[-len(sizes):]
+
+    monkeypatch.setattr(morphisms, "hom_basis", hom)
+    monkeypatch.setattr(morphisms, "_echelon_change", change)
+    monkeypatch.setattr(morphisms, "_split_blocks", blocks)
+    for threshold in (cells(rep), cells(rep) + 1):
+        monkeypatch.setattr(morphisms, "_MIN_SPLIT_CELLS", threshold)
+        solved.clear(), changed.clear()
+        nodes[:] = [rep]
+        decompose(rep, seed=0)
+        assert len(solved) == len(nodes) > 1
+        assert len(changed) == (threshold == cells(rep))
+        for a in solved:
+            if cells(a) >= threshold:
+                assert any(a is c for c in changed)
+                assert_forest_in_echelon_form(a)
+            else:
+                assert any(a is n for n in nodes)
+
+
 def oracle_minimal_polynomial(basis, phi):
     """The incremental Fraction elimination that `_minimal_polynomial` replaced."""
     echelon = []
@@ -1166,11 +1262,14 @@ def test_decompose_matches_oracle(monkeypatch):
 
     monkeypatch.setattr(morphisms, "_sample", sample)
     monkeypatch.setattr(morphisms, "_splitting_idempotent", split)
-    # the one case whose multiset moves: x + x + y over 1 -> 2 with a dashed
-    # loop at 2, where the oracle leaves a ProbablyIndecomposable leaf of
-    # dimension (2, 2) that splits into two certified ones
+    # no case's multiset moves, and which ones do is seed luck. Over the
+    # corpus at seeds 0-9 the oracle leaves 138 ProbablyIndecomposable leaves
+    # and decompose 136: on x + x + y over 1 -> 2 with a dashed loop at 2
+    # (case 21 at seed 4, case 22 at seed 1) decompose splits the oracle's
+    # (2, 2) leaf into two certified ones. At case 21's own seed 12 it did so
+    # too until large nodes were put in echelon form, and no longer does.
     moved = [k for k, case in enumerate(_decompose_corpus()) if not matches_oracle(*case)]
-    assert moved == [21]
+    assert moved == []
     assert killer_splits > 0
     # some nodes split into three primary components at once
     assert max(widths) == 3

@@ -3,7 +3,8 @@
 Every mutated document must either be rejected with FormatError or
 PreconditionError, or parse to an object that re-serializes and re-parses
 to an equal object; through `biquiver rep validate` it must exit 0, 2 or 3
-with no traceback.
+with no traceback. Rational strings and matrices, valid or not, must read
+as they did through Fractions: the same value or the same error message.
 """
 import contextlib
 import copy
@@ -16,11 +17,13 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from biquiver import (CMatrix, FormatError, MatrixRepresentation, PreconditionError,
-                      parse_biquiver, parse_representation, serialize_biquiver,
+                      parse_biquiver, parse_matrix_obj, parse_representation, serialize_biquiver,
                       serialize_representation, zero_representation)
 from biquiver.cli import main
 from biquiver.representation import representation_to_obj
-from conftest import biq, gmat, path_biquiver, star_biquiver
+from biquiver.scalars import format_rational, parse_rational
+from conftest import (biq, gmat, oracle_parse_gaussian_pair, oracle_parse_rational, path_biquiver,
+                      star_biquiver)
 
 BIQUIVERS = [path_biquiver(3, dashed=(2,)), biq(1, "a:1>1"), biq(2, "a:1>2", "b:2~1", "c:2~2"),
              star_biquiver([1, 1, 2], dashed=("b1e0",))]
@@ -38,10 +41,13 @@ REPRESENTATION_DOCS = [representation_to_obj(a) for a in REPRESENTATIONS]
 
 # Strings that `parse_rational` must refuse or read exactly: leading zeros,
 # signs, unreduced or zero denominators, whitespace, decimals, non-ASCII
-# digits and more digits than the interpreter converts.
+# digits and more digits than the interpreter converts, which must be told
+# apart in the same order as before (a long string with a leading zero, a
+# trailing newline or non-ASCII digits is too long, not non-canonical).
 RATIONAL_STRINGS = ["1", "-1", "0", "1/2", "-7/4", "01", "-0", "+1", "2/4", "1/1", "0/1", "1/0",
-                    "1/-2", " 1", "1\n", "1.0", "1e3", "١", "", "/2", "1//2",
-                    "9" * 5000, "1/" + "9" * 5000]
+                    "1/-2", " 1", "1\n", "1.0", "1e3", "١", "", "/2", "1//2", "0/5", "-0/3",
+                    "1/1١", "9" * 5000, "1/" + "9" * 5000, "0" + "9" * 5000, "9" * 5000 + "\n",
+                    "١" * 5000]
 leaves = st.one_of(st.none(), st.booleans(), st.integers(-3, 3),
                    st.integers(-10 ** 30, 10 ** 30), st.floats(), st.text(max_size=4),
                    st.sampled_from(RATIONAL_STRINGS))
@@ -161,3 +167,60 @@ def test_valid_documents_round_trip_unmutated():
         assert parse_biquiver(json.dumps(doc)) == g
     for a, doc in zip(REPRESENTATIONS, REPRESENTATION_DOCS):
         assert parse_representation(json.dumps(doc)) == a
+
+
+def oracle_parse_matrix_obj(obj, rows=None, cols=None) -> CMatrix:
+    """`parse_matrix_obj` as it read entries before: each a GaussianRational of Fractions."""
+    if not isinstance(obj, list):
+        raise FormatError("matrix must be a list of rows")
+    r = len(obj)
+    widths = {len(row) if isinstance(row, list) else -1 for row in obj}
+    if -1 in widths:
+        raise FormatError("matrix rows must be lists")
+    if len(widths) > 1:
+        raise FormatError("ragged matrix rows")
+    c = widths.pop() if widths else (cols if cols is not None else 0)
+    if rows is not None and r != rows:
+        raise FormatError(f"expected {rows} rows, got {r}")
+    if cols is not None and r > 0 and c != cols:
+        raise FormatError(f"expected {cols} columns, got {c}")
+    return CMatrix(r, c, tuple(oracle_parse_gaussian_pair(cell) for row in obj for cell in row))
+
+
+def _outcome(parse, *args):
+    """What `parse` gives: its value, or the message of the FormatError it raises."""
+    try:
+        return parse(*args)
+    except FormatError as e:
+        return f"FormatError: {e}"
+
+
+canonical_pairs = st.builds(lambda re, im: [format_rational(re), format_rational(im)],
+                            st.fractions(), st.fractions(max_denominator=10 ** 30))
+matrix_cells = st.one_of(canonical_pairs, canonical_pairs, canonical_pairs,
+                         st.lists(st.sampled_from(RATIONAL_STRINGS), max_size=3), leaves)
+
+
+@st.composite
+def matrix_objects(draw):
+    """A list of rows of [re, im] pairs, mostly canonical, sometimes with a row
+    replaced by any JSON value or shortened."""
+    r, c = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    obj = [[draw(matrix_cells) for _ in range(c)] for _ in range(r)]
+    if obj and draw(st.booleans()):
+        i = draw(st.integers(0, r - 1))
+        obj[i] = draw(st.one_of(json_values, st.just(obj[i][1:])))
+    return draw(st.sampled_from([obj, obj, obj, draw(json_values)]))
+
+
+@given(st.one_of(st.sampled_from(RATIONAL_STRINGS), st.text("-/0123456789١\n ", max_size=8),
+                 leaves))
+def test_parse_rational_matches_the_fraction_path(text):
+    assert _outcome(parse_rational, text) == _outcome(oracle_parse_rational, text)
+
+
+@given(matrix_objects(), st.one_of(st.none(), st.integers(0, 3)),
+       st.one_of(st.none(), st.integers(0, 3)))
+def test_parse_matrix_obj_matches_the_fraction_path(obj, rows, cols):
+    assert _outcome(parse_matrix_obj, obj, rows, cols) == \
+        _outcome(oracle_parse_matrix_obj, obj, rows, cols)
