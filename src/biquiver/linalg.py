@@ -6,8 +6,8 @@ Tits-form kernels, whose vectors come back as ints over one denominator.
 A CMatrix is stored as integers: one positive common denominator and the
 integer real and imaginary parts of its entries, so products and sums are
 integer arithmetic with a single denominator per matrix. GaussianRational
-entries are built only at the boundary (parsing, printing, `at`, and the
-lazily built `entries`).
+entries are built only at the boundary (printing, `at`, and the lazily
+built `entries`).
 
 All elimination is integral: each rational row is scaled to a primitive
 integer row (which leaves its solution set alone), and a complex matrix is

@@ -4,10 +4,11 @@ A GaussianRational is a complex number whose real and imaginary parts are
 arbitrary-precision rationals. Fraction keeps every part canonical
 (denominator positive, reduced), so equality is exact and hashing is well
 defined. Matrices keep their entries as integers over one denominator
-(see `linalg.CMatrix`); GaussianRationals are the scalars of the public
-interface: matrix entries as parsed, printed and read back, and scalars
-passed in. They add, multiply and conjugate but do not divide: every
-division happens inside the integer matrix kernels.
+(see `linalg.CMatrix`), and a parsed matrix goes straight to them from
+its rational strings; GaussianRationals are the scalars of the public
+interface: matrix entries as printed and read back, and scalars passed
+in. They add, multiply and conjugate but do not divide: every division
+happens inside the integer matrix kernels.
 """
 from __future__ import annotations
 
