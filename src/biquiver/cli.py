@@ -7,13 +7,16 @@ printed as exact "p/q" strings.
 Exit codes: 0 success, 1 usage error, 2 parse/validation error (including
 documents nested too deeply or holding numbers with too many digits),
 3 precondition violation, 4 failed certificate check or any other
-unexpected error (reported on one line, without a traceback).
+unexpected error (reported on one line, without a traceback), 141 when
+stdout is closed before the document is written, as after `| head`
+(128 + SIGPIPE, quietly, as a program that SIGPIPE kills would end).
 """
 from __future__ import annotations
 
 import argparse
 import functools
 import json
+import os
 import sys
 
 from .classify import RepKind, representation_type
@@ -34,6 +37,7 @@ from .scalars import format_rational
 from .tits import Definiteness, definiteness, evaluate, gram_matrix, radical_vector
 
 USAGE_ERROR, FORMAT_ERROR, PRECONDITION_ERROR, INTERNAL_ERROR = 1, 2, 3, 4
+CLOSED_STDOUT = 141  # 128 + SIGPIPE
 
 # On a connected graph the Tits form is positive definite exactly on Dynkin diagrams
 # and singular semidefinite exactly on extended ones (checked by acceptance criterion 1).
@@ -329,6 +333,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _discard_stdout() -> None:
+    """Point the file descriptor behind stdout at the null device, so that the
+    interpreter's last flush of what stdout still buffers fails no more."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):  # stdout is no file, as when captured
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -336,6 +352,10 @@ def main(argv=None) -> int:
         return e.code if isinstance(e.code, int) else USAGE_ERROR
     try:
         _emit(args.func(args), args.pretty)
+        sys.stdout.flush()  # a closed stdout fails here, not at the interpreter's exit
+    except BrokenPipeError:
+        _discard_stdout()
+        return CLOSED_STDOUT
     except FormatError as e:
         print(f"error: {e}", file=sys.stderr)
         return FORMAT_ERROR

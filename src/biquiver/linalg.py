@@ -15,11 +15,11 @@ reduced through its real form, in which entry z is the 2x2 block
 [[re z, -im z], [im z, re z]], read straight from the integer parts.
 Every fraction-free elimination combines rows by one sparse step, `_clear`.
 `_echelon` eliminates forward only, and `_nullspace` reads kernel vectors
-off its rows by back-substitution; ranks, images, kernels, inverses and
-rational solves all come from these two, an inverse or a solution being
-the kernel vector at an augmented column. `_first_dependence` reduces
-each new vector once against the rows it keeps, and gives the dependence
-as a primitive integer polynomial.
+off its rows by back-substitution; ranks, images, kernels, inverses,
+reduced row echelon forms and rational solves all come from these two, an
+inverse or a solution being the kernel vector at an augmented column.
+`_first_dependence` reduces each new vector once against the rows it
+keeps, and gives the dependence as a primitive integer polynomial.
 `_symmetric_ldl` counts the inertia of symmetric int forms.
 Zero-row and zero-column matrices are first-class values; the 0x0 matrix
 is invertible.
@@ -347,6 +347,36 @@ def submatrix(m: CMatrix, row_range, col_range) -> CMatrix:
     idx = [i * m.cols + j for i in row_range for j in col_range]
     return _reduced(len(row_range), len(col_range), m.den,
                     [m.re[k] for k in idx], [m.im[k] for k in idx])
+
+
+def reduced_row_echelon(m: CMatrix) -> tuple[list[int], CMatrix]:
+    """(pivots, R): the pivot columns of m, its first independent ones, and the
+    nonzero rows R of its reduced row echelon form, so that m equals
+    submatrix(m, range(m.rows), pivots) @ R.
+
+    One `_echelon` of the real form gives the pivots. R is the identity on
+    them, and on a free column f it is minus the pivot entries of f's
+    canonical kernel vector (see `_nullspace`), read as in
+    `_realified_columns`. R is canonical as it stands: kernel vector j has
+    gcd(den_j, its pivot entries) == 1, as nums_j[2f] == den_j is its only
+    other nonzero entry, so over den = lcm(den_j) the gcd of den and R's
+    numerators is gcd_j(den / den_j) == 1.
+    """
+    reduced, n = _real_rows(m), 2 * m.cols
+    pivots = _echelon(reduced)
+    cols = [p // 2 for p in pivots if p % 2 == 0]
+    free = [f for f in range(0, n, 2) if f not in pivots]
+    vecs = _nullspace(reduced, pivots, n, free)
+    den = lcm(*(d for d, _ in vecs))
+    re, im = [0] * (len(cols) * m.cols), [0] * (len(cols) * m.cols)
+    for k, c in enumerate(cols):
+        re[k * m.cols + c] = den
+    for f, (d, nums) in zip(free, vecs):
+        s = den // d
+        for k, c in enumerate(cols):
+            re[k * m.cols + f // 2] = -s * nums[2 * c]
+            im[k * m.cols + f // 2] = -s * nums[2 * c + 1]
+    return cols, _canonical(len(cols), m.cols, den, tuple(re), tuple(im))
 
 
 def transpose(m: CMatrix) -> CMatrix:

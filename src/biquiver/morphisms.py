@@ -24,15 +24,15 @@ from enum import Enum
 from functools import reduce
 from itertools import accumulate, combinations, islice
 from math import lcm
-from operator import mul
+from operator import matmul, mul
 
 from .errors import PreconditionError, SingularMatrixError, echo
 from .linalg import (_MIN_SPLIT_CELLS, CMatrix, _first_dependence, _symmetric_ldl,
-                     block_diag, fraction_nullspace, hstack, submatrix, transpose, vstack)
+                     fraction_nullspace, hstack, reduced_row_echelon, submatrix, transpose,
+                     vstack)
 from .model import Biquiver, DimensionVector, _spanning_forest
 from .polynomials import poly_factor, primary_cofactors
-from .representation import (MatrixRepresentation, _transform, apply_base_change,
-                             direct_sum_list)
+from .representation import MatrixRepresentation, _transform, direct_sum_list
 
 DEFAULT_TRIALS = 8
 DEFAULT_COEFF_BOUND = 10 ** 4
@@ -414,8 +414,10 @@ def _splitting_idempotent(minpoly: list[int], powers: list[MorphismTuple],
 
     For minpoly p = prod f_j^m_j, M_j is the integer polynomial p / f_j^m_j
     and each M_j(phi) one `_combination` of `powers`, the 1, phi, ...,
-    phi^deg p that `_minimal_polynomial` composed. (The benchmark's tracer
-    looks this function up by its name, which predates the primary split.)
+    phi^deg p that `_minimal_polynomial` composed. `_primary_split` reads the
+    base change and the blocks off their reduced row echelon forms. (The
+    benchmark's tracer looks this function up by its name, which predates
+    the primary split.)
     """
     factors = poly_factor(minpoly)
     if len(factors) < 2:
@@ -511,34 +513,44 @@ def _certify_local(basis: MorphismBasis) -> bool:
     return positive == 1
 
 
-def _primary_change(parts: list[MorphismTuple], dims: DimensionVector
-                    ) -> tuple[list[CMatrix], list[DimensionVector]]:
-    """Per vertex v the base change [im M_1(phi)_v | ... | im M_r(phi)_v], and the dimension
-    vector of each image; AssertionError when an image is zero or when the ranks at some
-    vertex do not sum to d_v."""
-    images = [[m.column_space_basis() for m in part] for part in parts]
-    sizes = [tuple(m.cols for m in image) for image in images]
-    if not all(map(any, sizes)) or any(sum(col) != d for col, d in zip(zip(*sizes), dims)):
+def _primary_split(rep: MatrixRepresentation, parts: list[MorphismTuple]
+                   ) -> tuple[list[MorphismTuple], list[MatrixRepresentation]]:
+    """The bases X_j of the images of the primary parts, whose [X_1 | ... | X_r] is the
+    base change T that splits rep, and the blocks of rep in it.
+
+    At vertex v, M_j(phi)_v = X_{j,v} R_{j,v}, with X_{j,v} its pivot columns
+    and R_{j,v} its reduced row echelon rows (`reduced_row_echelon`, one
+    elimination per part and vertex), and T_v = [X_{1,v} | ... | X_{r,v}].
+    M_j(phi) is an endomorphism, so A M_{j,u} = M_{j,v} A on a full arrow
+    u -> v; restricted to the pivot columns P_{j,u}, where R_{j,u} is the
+    identity, that is A X_{j,u} = X_{j,v} B_j with B_j = (R_{j,v} A)
+    restricted to the columns P_{j,u}, the block j of T_v^-1 A T_u. A dashed
+    arrow, with A M_{j,u} = conj(M_{j,v}) A, takes conj(R_{j,v}) and
+    conj(X_{j,v}). No inverse is taken: each block is checked by that
+    equation, exactly. AssertionError when a part's image is zero, when the
+    ranks at some vertex do not sum to d_v, or when a check fails.
+    """
+    reduced = [[reduced_row_echelon(m) for m in part] for part in parts]
+    sizes = [tuple(len(pivots) for pivots, _ in part) for part in reduced]
+    if not all(map(any, sizes)) or any(sum(col) != d for col, d in zip(zip(*sizes), rep.dims)):
         raise AssertionError("primary parts do not split the representation")
-    return [reduce(hstack, column) for column in zip(*images)], sizes
-
-
-def _split_blocks(rep: MatrixRepresentation, sizes: list[DimensionVector]
-                  ) -> list[MatrixRepresentation]:
-    """The diagonal blocks of rep, block j of dimension vector sizes[j]; AssertionError
-    when a block off the diagonal of some arrow's matrix is not zero."""
-    starts = [list(accumulate(column, initial=0)) for column in zip(*sizes)]
-    blocks: list[dict] = [{} for _ in sizes]
-    for arrow in rep.biquiver.arrows:
-        u, v = arrow.source - 1, arrow.target - 1
-        m = rep.matrices[arrow.id]
-        for j, block in enumerate(blocks):
-            rows = range(starts[v][j], starts[v][j + 1])
-            cols = range(starts[u][j], starts[u][j + 1])
-            if not submatrix(m, [i for i in range(m.rows) if i not in rows], cols).is_zero():
+    images = [tuple(submatrix(m, range(m.rows), pivots) for m, (pivots, _) in zip(part, readout))
+              for part, readout in zip(parts, reduced)]
+    blocks = []
+    for readout, image, dims in zip(reduced, images, sizes):
+        mats = {}
+        for arrow in rep.biquiver.arrows:
+            u, v = arrow.source - 1, arrow.target - 1
+            a = rep.matrices[arrow.id]
+            x, r = image[v], readout[v][1]
+            if arrow.is_dashed:
+                x, r = x.conj(), r.conj()
+            block = r @ submatrix(a, range(a.rows), readout[u][0])
+            if a @ image[u] != x @ block:
                 raise AssertionError("base change did not block-diagonalize")
-            block[arrow.id] = submatrix(m, rows, cols)
-    return [MatrixRepresentation(rep.biquiver, d, block) for d, block in zip(sizes, blocks)]
+            mats[arrow.id] = block
+        blocks.append(MatrixRepresentation(rep.biquiver, dims, mats))
+    return images, blocks
 
 
 def _echelon_change(rep: MatrixRepresentation
@@ -551,30 +563,38 @@ def _echelon_change(rep: MatrixRepresentation
     identity at the roots. On w -> o, with M = A S_w, X holds the first
     independent columns of M and then the unit vectors that complete a basis,
     and S_o = X, or conj(X) on a dashed arrow: the arrow becomes X^-1 M, with
-    e_k at the k-th independent column and zero rows below the rank. On
-    o -> w, with M = S_w^-1 A (conj(S_w)^-1 A on a dashed arrow), S_o^-1
-    holds the first independent rows of M and then the unit rows that
-    complete a basis: the arrow becomes M S_o, whose k-th independent row is
-    e_k and whose columns past the rank are zero. Loops and the other arrows
-    off the forest take what the change gives them. One inverse per placed
-    vertex.
+    e_k at the k-th independent column and zero rows below the rank. X is
+    the pivot columns of [M | I], and its reduced row echelon form is
+    X^-1 [M | I], so both X^-1 M and X^-1 come off it. On o -> w, with
+    M = S_w^-1 A (conj(S_w)^-1 A on a dashed arrow), S_o^-1 holds the first
+    independent rows of M and then the unit rows that complete a basis: the
+    arrow becomes M S_o, whose k-th independent row is e_k and whose columns
+    past the rank are zero. That is the transpose of the case before, read
+    off [M^T | I]. No inverse is taken, and only the loops and the other
+    arrows off the forest go through `_transform`.
     """
     g = rep.biquiver
     s = [CMatrix.identity(d) for d in rep.dims]
     inv = list(s)
+    placed = {}
     _, parent, _, tree, _ = _spanning_forest(g)
     for aid, o in tree.items():
         arrow, w = g.arrow(aid), parent[o] - 1
-        m, unit = rep.matrices[aid], CMatrix.identity(rep.dims[o - 1])
+        m = rep.matrices[aid]
         if arrow.target == o:
-            x = hstack(m @ s[w], unit).column_space_basis()
-            x_inv = x.inverse()
-            s[o - 1], inv[o - 1] = (x.conj(), x_inv.conj()) if arrow.is_dashed else (x, x_inv)
+            m = m @ s[w]
         else:
-            left = inv[w].conj() if arrow.is_dashed else inv[w]
-            y = transpose(hstack(transpose(left @ m), unit).column_space_basis())
-            s[o - 1], inv[o - 1] = y.inverse(), y
-    return s, _transform(rep, s, inv)
+            m = transpose((inv[w].conj() if arrow.is_dashed else inv[w]) @ m)
+        aug, rows = hstack(m, CMatrix.identity(m.rows)), range(m.rows)
+        pivots, r = reduced_row_echelon(aug)
+        x, x_inv = submatrix(aug, rows, pivots), submatrix(r, rows, range(m.cols, aug.cols))
+        changed = submatrix(r, rows, range(m.cols))
+        if arrow.target == o:
+            s[o - 1], inv[o - 1] = (x.conj(), x_inv.conj()) if arrow.is_dashed else (x, x_inv)
+            placed[aid] = changed
+        else:
+            s[o - 1], inv[o - 1], placed[aid] = transpose(x_inv), transpose(x), transpose(changed)
+    return s, _transform(rep, s, inv, placed)
 
 
 def decompose(a: MatrixRepresentation, trials: int = DEFAULT_TRIALS, seed: int = 0,
@@ -587,13 +607,16 @@ def decompose(a: MatrixRepresentation, trials: int = DEFAULT_TRIALS, seed: int =
     rational factor powers f_j^m_j splits it in one step into its r primary
     components ker f_j(phi)^m_j = im (p / f_j^m_j)(phi): nonzero, invariant
     under the arrows as (p / f_j^m_j)(phi) is in End, and summing directly to
-    the whole space. Each is decomposed in turn. Splittings that would need
-    irrational idempotents are not found. A node whose End system has
+    the whole space. `_primary_split` takes their pivot columns as the base
+    change and reads each block off a reduced row echelon form, checking it
+    exactly. Each component is decomposed in turn. Splittings that would
+    need irrational idempotents are not found. A node whose End system has
     _MIN_SPLIT_CELLS cells or more, counted as `hom_basis` counts them, is
     first put in echelon form by `_echelon_change`, which leaves the arrows
     of a spanning forest in reduced echelon form and so makes the End system
     sparse; End is solved, sampled and split in those coordinates, and the
-    change is composed into the node's base change. A leaf is
+    change is composed into the node's base change. No base change is
+    inverted on the way. A leaf is
     CertifiedIndecomposable when End is local (End/rad is R, C or the
     quaternions H), read exactly from the trace form, and otherwise
     ProbablyIndecomposable. The base change applied to `a` is the direct sum
@@ -620,11 +643,11 @@ def decompose(a: MatrixRepresentation, trials: int = DEFAULT_TRIALS, seed: int =
                                               rep.dims)
                 if parts is None:
                     continue
-                ts, sizes = _primary_change(parts, rep.dims)
-                summands, changes, statuses = zip(*map(rec, _split_blocks(
-                    apply_base_change(rep, ts), sizes)))
-                return (sum(summands, []), [t @ reduce(block_diag, c) for t, c in
-                                            zip(ts, zip(*changes))], sum(statuses, []))
+                images, blocks = _primary_split(rep, parts)
+                summands, changes, statuses = zip(*map(rec, blocks))
+                # T_v diag(C_1v, ..., C_rv) = [X_1v C_1v | ... | X_rv C_rv]
+                return (sum(summands, []), [reduce(hstack, map(matmul, xs, cs)) for xs, cs in
+                                            zip(zip(*images), zip(*changes))], sum(statuses, []))
             status = IndecomposabilityStatus.PROBABLE
         return [rep], _identity_tuple(rep.dims), [status]
 

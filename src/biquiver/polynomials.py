@@ -6,17 +6,20 @@ is a multiple of, and a minimal polynomial and its factors need nothing
 more. A random element of End (residue fields R, C, H) acts on a summand
 by a scalar a + bi in Q(i), so nearly every minimal polynomial that
 `decompose` factors is a product of x - a and x^2 - 2ax + a^2 + b^2.
-`poly_factor` finds those from floating-point roots. The cofactor left
-over, such as the irreducible quartic or sextic of an isotypic block, is
-proved irreducible from its factor degrees modulo a few small primes, and
-goes to sympy's Zassenhaus only when the primes cannot decide it. sympy is
-imported at the first `poly_factor` call, not by `import biquiver`.
+`poly_factor` finds those from floating-point roots, and where c times a
+root is too large for double precision to round, from the same roots
+refined by Newton steps in fixed-point integers; every factor is confirmed
+by exact division. The cofactor left over, such as the irreducible quartic
+or sextic of an isotypic block, is proved irreducible from its factor
+degrees modulo a few small primes, and goes to sympy's Zassenhaus only when
+the primes cannot decide it. sympy is imported at the first `poly_factor`
+call, not by `import biquiver`.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, isfinite, isqrt
 
 
 def _to_sympy(p: list[int]):
@@ -199,6 +202,75 @@ def _is_square(n: int) -> bool:
     return n >= 0 and isqrt(n) ** 2 == n
 
 
+# The most Newton steps `_rounded_root` takes from one start.
+_NEWTON_STEPS = 12
+# Only the roots z with |cz| from here on are refined. Durand-Kerner settles
+# at a relative error of 1e-13 to 1e-10, far below 2^-26, so below it cz is
+# rounded to the right algebraic integer already, and refining it finds
+# nothing new. The irreducible quartics of ks-small have |cz| of 2^12 to 2^44,
+# most below 2^15, and the products of Gaussian quadratics that the rounding
+# missed on cli-rep-large 2^48 to 2^209 (seeds 1 to 3).
+_ROUNDED_EXACTLY = 2 ** 24
+
+
+def _fixed(x: float, k: int) -> int:
+    """round(x 2^k), exactly: a finite float is a dyadic rational."""
+    num, den = x.as_integer_ratio()
+    return ((num << k) + den // 2) // den
+
+
+def _rounded_root(g: list[int], z: complex) -> tuple[int, int] | None:
+    """c times a root of the integer polynomial g, c = g[-1], rounded to a Gaussian
+    integer (u, v), the root found by Newton steps from z in fixed point; None when z
+    is not finite or g' vanishes on the way.
+
+    The iterates carry k bits after the point, about log2 c + log2 |z| + 40,
+    and the steps stop once c times one is below 2^-20, or after
+    _NEWTON_STEPS. From a double-precision start near a simple root each step
+    doubles the correct bits, so c times the last iterate is then within far
+    less than 1/2 of c times the root.
+    """
+    if not (isfinite(z.real) and isfinite(z.imag)):
+        return None
+    c, zbits = g[-1], int(abs(z)).bit_length()
+    k = c.bit_length() + zbits + 40
+    zr, zi, tol = _fixed(z.real, k), _fixed(z.imag, k), 1 << zbits + 20
+    for _ in range(_NEWTON_STEPS):
+        # Horner for g and g' at once, every product truncated back to k bits
+        pr, pi, dr, di = c << k, 0, 0, 0
+        for a in reversed(g[:-1]):
+            dr, di = ((dr * zr - di * zi) >> k) + pr, ((dr * zi + di * zr) >> k) + pi
+            pr, pi = ((pr * zr - pi * zi) >> k) + (a << k), (pr * zi + pi * zr) >> k
+        norm = dr * dr + di * di
+        if not norm:
+            return None
+        sr, si = ((pr * dr + pi * di) << k) // norm, ((pi * dr - pr * di) << k) // norm
+        zr, zi = zr - sr, zi - si
+        if abs(sr) + abs(si) < tol:
+            break
+    half = 1 << k - 1
+    return (c * zr + half) >> k, (c * zi + half) >> k
+
+
+def _gaussian_candidate(c: int, u: int, v: int) -> tuple[int, ...]:
+    """The factor that a root (u + vi) / c in Q(i) gives: cx - u, or
+    c^2 x^2 - 2ucx + u^2 + v^2 for v != 0 (not yet over its content)."""
+    return (u * u + v * v, -2 * u * c, c * c) if v else (-u, c)
+
+
+def _divide_out(rest: list[int], candidates, out: list) -> list[int]:
+    """rest with each candidate, over its content, divided out as often as it
+    divides exactly; the factors that divide are appended to `out` with their
+    multiplicities."""
+    for g in dict.fromkeys(tuple(x // gcd(*g) for x in g) for g in candidates):
+        mult = 0
+        while (quot := _exact_quotient(rest, g)) is not None:
+            rest, mult = quot, mult + 1
+        if mult:
+            out.append((list(g), mult))
+    return rest
+
+
 def poly_factor(f: list[int]) -> list[tuple[list[int], int]]:
     """Irreducible factorization over the rationals of a polynomial f.
 
@@ -209,13 +281,18 @@ def poly_factor(f: list[int]) -> list[tuple[list[int], int]]:
     their content, for each root (u + vi)/c in Q(i), the algebraic integer
     u + vi rounded from c times a Durand-Kerner root; for pairs of real or
     conjugate roots, quadratics cx^2 - bx + e with b and e rounded and a
-    non-square discriminant; a cofactor of degree 1, or 2 with a non-square
-    discriminant, or 3 and up proved irreducible by `_certified_irreducible`.
-    Each is irreducible and counts only as often as it divides f exactly, so
-    rounding can only miss a factor. The cofactor goes to sympy only when
-    the primes cannot decide it, and sympy finds what was missed.
-    Irreducible factors in this form are unique: the result is sympy's for
-    all of f.
+    non-square discriminant. A cofactor of degree 3 and up that is left
+    gives the same Gaussian factors for its own leading coefficient c' and
+    c' times each Durand-Kerner root z with |cz| >= _ROUNDED_EXACTLY, refined
+    on the cofactor and rounded in integers by `_rounded_root`; a root that
+    does not settle in _NEWTON_STEPS steps, as in a cluster tighter than
+    double precision resolves, gives nothing. Then what is left is a cofactor
+    of degree 1, or 2 with a non-square discriminant, or 3 and up proved
+    irreducible by `_certified_irreducible`. Each factor is irreducible and
+    counts only as often as it divides f exactly, so rounding can only miss
+    a factor. The cofactor goes to sympy only when the primes cannot decide
+    it, and sympy finds what was missed. Irreducible factors in this form
+    are unique: the result is sympy's for all of f.
     """
     import sympy  # noqa: F401 -- its one-time cost at the first call, not at a later Zassenhaus
     if len(f) < 2:
@@ -223,24 +300,24 @@ def poly_factor(f: list[int]) -> list[tuple[list[int], int]]:
     k = next(i for i, a in enumerate(f) if a)
     c, rest = f[-1], f[k:]
     try:
-        roots = [c * z for z in _approximate_roots([x / c for x in rest])] if len(rest) > 1 else []
+        approx = _approximate_roots([x / c for x in rest]) if len(rest) > 1 else []
+        scaled = [c * z for z in approx]
     except OverflowError:
-        roots = []
-    roots = [w for w in roots if abs(w) < 2 ** 53]  # past 2^53 floats skip integers
-    gaussian = [(round(w.real), abs(round(w.imag))) for w in roots]
-    candidates = [(u * u + v * v, -2 * u * c, c * c) if v else (-u, c) for u, v in gaussian]
+        approx = scaled = []
+    roots = [w for w in scaled if abs(w) < 2 ** 53]  # past 2^53 floats skip integers
+    candidates = [_gaussian_candidate(c, round(w.real), abs(round(w.imag))) for w in roots]
     for i, r in enumerate(roots):
         for t, n in ((r + s, r * s / c) for s in roots[i + 1:]):
             b, e = round(t.real), round(n.real)
             if abs(t.imag) < 0.5 and abs(n.imag) < 0.5 and not _is_square(b * b - 4 * c * e):
                 candidates.append((e, -b, c))
     out = [([0, 1], k)] if k else []
-    for g in dict.fromkeys(tuple(x // gcd(*g) for x in g) for g in candidates):
-        mult = 0
-        while (quot := _exact_quotient(rest, g)) is not None:
-            rest, mult = quot, mult + 1
-        if mult:
-            out.append((list(g), mult))
+    rest = _divide_out(rest, candidates, out)
+    if len(rest) > 3:
+        refined = [_rounded_root(rest, z) for z, w in zip(approx, scaled)
+                   if abs(w) >= _ROUNDED_EXACTLY]
+        rest = _divide_out(rest, [_gaussian_candidate(rest[-1], u, abs(v))
+                                  for u, v in filter(None, refined)], out)
     if (len(rest) == 2 or len(rest) == 3 and not _is_square(rest[1] ** 2 - 4 * rest[0] * rest[2])
             or len(rest) > 3 and _certified_irreducible(rest)):
         out.append((rest, 1))

@@ -13,7 +13,7 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import FormatError, PreconditionError, echo
 from .linalg import CMatrix, block_diag
@@ -93,11 +93,16 @@ def apply_base_change(a: MatrixRepresentation, s: list[CMatrix]) -> MatrixRepres
     return _transform(a, s, inv)
 
 
-def _transform(a: MatrixRepresentation, s: list[CMatrix], inv: list[CMatrix]
-               ) -> MatrixRepresentation:
-    """The base change of `a` by S, given S and its inverse S^-1 at every vertex."""
+def _transform(a: MatrixRepresentation, s: list[CMatrix], inv: list[CMatrix],
+               known: dict[str, CMatrix] | None = None) -> MatrixRepresentation:
+    """The base change of `a` by S, given S and its inverse S^-1 at every vertex; the
+    arrows in `known` take the matrices given there, which the caller has read off
+    the change already."""
     mats = {}
     for arr in a.biquiver.arrows:
+        if known and arr.id in known:
+            mats[arr.id] = known[arr.id]
+            continue
         # conj(S)^{-1} = conj(S^{-1}), so one inverse per vertex suffices
         left = inv[arr.target - 1].conj() if arr.is_dashed else inv[arr.target - 1]
         mats[arr.id] = left @ a.matrices[arr.id] @ s[arr.source - 1]
@@ -147,7 +152,16 @@ def random_representation(g: Biquiver, dims: DimensionVector, entry_bound: int,
 # -- JSON format --------------------------------------------------------------
 
 def matrix_to_obj(m: CMatrix) -> list:
-    return [[m.at(i, j).to_pair() for j in range(m.cols)] for i in range(m.rows)]
+    """Rows of [re, im] pairs of canonical rational strings, "p" or "p/q" as
+    `scalars.format_rational` prints them, each part x / m.den reduced by one gcd."""
+    den, c = m.den, m.cols
+
+    def part(x: int) -> str:
+        g = gcd(x, den)
+        return str(x // g) if g == den else f"{x // g}/{den // g}"
+
+    return [[[part(x), part(y)] for x, y in zip(m.re[i * c:(i + 1) * c], m.im[i * c:(i + 1) * c])]
+            for i in range(m.rows)]
 
 
 def parse_matrix_obj(obj, rows: int | None = None, cols: int | None = None) -> CMatrix:

@@ -84,10 +84,6 @@ class GaussianRational:
         sign = "+" if self.im > 0 else "-"
         return f"{self.re}{sign}{abs(self.im)}i"
 
-    def to_pair(self) -> list[str]:
-        """[re, im] as canonical rational strings (used by the JSON formats)."""
-        return [format_rational(self.re), format_rational(self.im)]
-
 
 ZERO = GaussianRational()
 ONE = GaussianRational(Fraction(1))

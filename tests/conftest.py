@@ -221,6 +221,16 @@ def oracle_parse_rational(text) -> Fraction:
     return x
 
 
+def oracle_to_pair(z: GaussianRational) -> list[str]:
+    """[re, im] as canonical rational strings, as `GaussianRational.to_pair` gave them."""
+    return [format_rational(z.re), format_rational(z.im)]
+
+
+def oracle_matrix_to_obj(m: CMatrix) -> list:
+    """`matrix_to_obj` as it was: one GaussianRational, and two Fractions, per entry."""
+    return [[oracle_to_pair(m.at(i, j)) for j in range(m.cols)] for i in range(m.rows)]
+
+
 def oracle_parse_gaussian_pair(pair) -> GaussianRational:
     """A [re, im] pair of canonical rational strings, as `scalars.parse_gaussian_pair` read it."""
     if not isinstance(pair, (list, tuple)) or len(pair) != 2:

@@ -10,11 +10,14 @@ import pytest
 
 import biquiver
 
-from biquiver import (Arrow, ArrowKind, Biquiver, serialize_biquiver, serialize_representation,
-                      random_representation)
+from biquiver import (Arrow, ArrowKind, Biquiver, CMatrix, apply_base_change, direct_sum_list,
+                      gaussian, random_representation, roots_with_value, serialize_biquiver,
+                      serialize_representation)
 from biquiver.cli import main
 from biquiver.tits import MAX_GRAM_VERTICES, definiteness, gram_matrix
-from conftest import biq, cycle_biquiver, gmat, mat, path_biquiver
+from conftest import biq, cycle_biquiver, gmat, mat, path_biquiver, star_biquiver
+
+LEDGER = Path(__file__).resolve().parent / "ledger"
 
 
 @pytest.fixture
@@ -422,6 +425,21 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     assert malformed.stderr.startswith("error:")
 
 
+def test_closed_stdout_exits_141_quietly():
+    # the reader of the pipe is gone before the document is written, as after
+    # `| head -c 10`: no error line, and the exit status of a SIGPIPE death
+    read, write = os.pipe()
+    os.close(read)
+    env = {**os.environ, "PYTHONPATH": str(Path(biquiver.__file__).resolve().parent.parent)}
+    try:
+        proc = subprocess.run([sys.executable, "-m", "biquiver", "rep", "decompose",
+                               str(LEDGER / "e6.s1.json"), "--seed", "0"],
+                              stdout=write, stderr=subprocess.PIPE, env=env)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (141, b"")
+
+
 def test_non_utf8_file_exit_2(run, tmp_path):
     p = tmp_path / "b.json"
     p.write_bytes(b"\xff\xfe")
@@ -588,6 +606,71 @@ def test_unexpected_exception_exit_4(run, tmp_path, a2_file, monkeypatch):
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert "Traceback" not in err and "certificate does not verify" in err
+
+
+def _unimodular(rng, n):
+    """L U with L unit lower and U unit upper triangular, and Gaussian-integer
+    entries in [-2, 2] off the diagonal."""
+    def entry():
+        return gaussian(rng.randint(-2, 2), rng.randint(-2, 2))
+
+    one, zero = gaussian(1), gaussian(0)
+    lower = CMatrix(n, n, [one if i == j else entry() if i > j else zero
+                           for i in range(n) for j in range(n)])
+    upper = CMatrix(n, n, [one if i == j else entry() if i < j else zero
+                           for i in range(n) for j in range(n)])
+    return lower @ upper
+
+
+def _scrambled_e7_sum(seed):
+    """Three random representations of a mixed E7 tree at root dimension vectors of
+    heights 4, 5 and 6, summed and scrambled by a unimodular base change, as the
+    inputs of the cli-rep-large benchmark are."""
+    g = star_biquiver([1, 2, 3], dashed=("b0e0", "b2e1"))
+    rng = random.Random(seed)
+    roots = roots_with_value(g, 1)
+    total = direct_sum_list(g, [random_representation(
+        g, rng.choice([z for z in roots if sum(z) == h]), 2, rng.randrange(10 ** 6))
+        for h in (4, 5, 6)])
+    return apply_base_change(total, [_unimodular(rng, d) for d in total.dims])
+
+
+def test_decompose_takes_no_inverse_and_no_zassenhaus(run, tmp_path, monkeypatch):
+    # the split reads its blocks and the echelon change its inverses off reduced
+    # row echelon forms, and poly_factor confirms refined roots exactly: no
+    # CMatrix.inverse call inside decompose, and no call of sympy's factor_list
+    from sympy import Poly
+
+    inside, inverses, factor_lists = [False], [], []
+    real_decompose, real_inverse = biquiver.cli.decompose, CMatrix.inverse
+    real_factor_list = Poly.factor_list
+
+    def decompose(*args, **kwargs):
+        inside[0] = True
+        try:
+            return real_decompose(*args, **kwargs)
+        finally:
+            inside[0] = False
+
+    def inverse(m):
+        if inside[0]:
+            inverses.append(m.rows)
+        return real_inverse(m)
+
+    def factor_list(f, *args, **kwargs):
+        factor_lists.append(f.degree())
+        return real_factor_list(f, *args, **kwargs)
+
+    monkeypatch.setattr(biquiver.cli, "decompose", decompose)
+    monkeypatch.setattr(CMatrix, "inverse", inverse)
+    monkeypatch.setattr(Poly, "factor_list", factor_list)
+    e7 = _write(tmp_path, "e7.json", serialize_representation(_scrambled_e7_sum(0)))
+    cases = [(str(LEDGER / name), seed) for name in ("e6.s1.json", "d4xxx.json", "path10.json")
+             for seed in (0, 1)] + [(e7, 0)]
+    for path, seed in cases:
+        code, out, _ = run("rep", "decompose", path, "--seed", str(seed))
+        assert code == 0 and len(json.loads(out)["summands"]) > 1
+        assert (inverses, factor_lists) == ([], []), path
 
 
 def _leaf_invocations(tmp_path):

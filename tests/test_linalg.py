@@ -12,7 +12,7 @@ from biquiver import (CMatrix, FormatError, GaussianRational, SingularMatrixErro
                       block_diag, from_blocks, hstack, linalg, vstack)
 from biquiver.linalg import (_echelon, _first_dependence, _integral, _nullspace, _primitive,
                              _real_rows, _reduced, fraction_nullspace, fraction_solve,
-                             submatrix)
+                             reduced_row_echelon, submatrix)
 from biquiver.scalars import I, ONE, ZERO, as_gaussian
 from conftest import (gmat, mat, oracle_divide, oracle_is_identity, oracle_scale,
                       primitive_form, random_invertible)
@@ -836,6 +836,18 @@ def test_cmatrix_reductions_match_gauss_jordan(system):
     assert m.column_space_basis() == submatrix(m, range(m.rows),
                                                [p // 2 for p in pivots if p % 2 == 0])
     assert m.nullspace_basis() == oracle_int_nullspace_basis(m)
+
+
+@given(st.one_of(row_lists(small_gaussians, ZERO), row_lists(wide_gaussians, ZERO),
+                 real_or_imaginary_columns()))
+def test_reduced_row_echelon_matches_gauss_jordan(system):
+    # the pivots and the nonzero rows of the Gauss-Jordan form, canonical as built
+    m = _cmatrix(*system)
+    rows, pivots = oracle_echelon(oracle_row_list(m))
+    got, r = reduced_row_echelon(m)
+    assert got == pivots
+    assert r == CMatrix(len(pivots), m.cols, [x for row in rows[:len(pivots)] for x in row])
+    assert submatrix(m, range(m.rows), pivots) @ r == m
 
 
 @given(st.one_of(row_lists(small_gaussians, ZERO, square=True),

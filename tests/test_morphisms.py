@@ -6,6 +6,8 @@ import textwrap
 import time
 from collections import Counter
 from fractions import Fraction
+from functools import reduce
+from itertools import accumulate, islice
 from math import lcm, prod
 from pathlib import Path
 
@@ -27,9 +29,10 @@ from biquiver.morphisms import (MAX_HOM_CELLS, MAX_PROFILE_RANKS, Decomposition,
                                 _certify_local, _check_same_biquiver, _check_sampling,
                                 _combination, _combine, _echelon_change, _flatten_tuple,
                                 _hom_system_size, _identity_tuple, _minimal_polynomial,
-                                _primary_change, _profile_difference, _sample,
-                                _split_candidates, _trace_form, _tuple_compose, _vertex_killers,
-                                rank_profile)
+                                _primary_split, _profile_difference, _sample,
+                                _split_candidates, _splitting_idempotent, _trace_form,
+                                _tuple_compose, _vertex_killers, rank_profile)
+from biquiver.representation import _transform
 from biquiver.semilinear import are_consimilar
 from conftest import (biq, gmat, mat, oracle_is_identity, oracle_monic, oracle_scale,
                       path_biquiver, primitive_form, random_base_change, random_biquiver,
@@ -787,11 +790,34 @@ def assert_forest_in_echelon_form(rep):
         assert in_reduced_echelon(m if rep.biquiver.arrow(aid).target == o else transpose(m))
 
 
+def oracle_echelon_change(rep):
+    """`_echelon_change` as it was before it read S_o^-1 and the tree arrows off
+    one reduced row echelon form: one inverse per placed vertex, and every
+    arrow through `_transform`."""
+    g = rep.biquiver
+    s = [CMatrix.identity(d) for d in rep.dims]
+    inv = list(s)
+    _, parent, _, tree, _ = _spanning_forest(g)
+    for aid, o in tree.items():
+        arrow, w = g.arrow(aid), parent[o] - 1
+        m, unit = rep.matrices[aid], CMatrix.identity(rep.dims[o - 1])
+        if arrow.target == o:
+            x = hstack(m @ s[w], unit).column_space_basis()
+            x_inv = x.inverse()
+            s[o - 1], inv[o - 1] = (x.conj(), x_inv.conj()) if arrow.is_dashed else (x, x_inv)
+        else:
+            left = inv[w].conj() if arrow.is_dashed else inv[w]
+            y = transpose(hstack(transpose(left @ m), unit).column_space_basis())
+            s[o - 1], inv[o - 1] = y.inverse(), y
+    return s, _transform(rep, s, inv)
+
+
 def assert_echelon_change(rep):
     s, changed = _echelon_change(rep)
     assert all(m.rows == d and m.is_invertible() for m, d in zip(s, rep.dims))
     assert changed == apply_base_change(rep, s)
     assert_forest_in_echelon_form(changed)
+    assert (s, changed) == oracle_echelon_change(rep)
 
 
 @settings(deadline=None, max_examples=100)
@@ -826,8 +852,8 @@ def test_decompose_solves_large_nodes_in_echelon_form(monkeypatch):
 
     assert cells(rep) >= linalg._MIN_SPLIT_CELLS
     solved, changed, nodes = [], [], []
-    real_hom, real_change, real_blocks = (morphisms.hom_basis, morphisms._echelon_change,
-                                          morphisms._split_blocks)
+    real_hom, real_change, real_split = (morphisms.hom_basis, morphisms._echelon_change,
+                                         morphisms._primary_split)
 
     def hom(a, b):
         solved.append(a)
@@ -838,13 +864,14 @@ def test_decompose_solves_large_nodes_in_echelon_form(monkeypatch):
         changed.append(a)
         return s, a
 
-    def blocks(r, sizes):
-        nodes.extend(real_blocks(r, sizes))
-        return nodes[-len(sizes):]
+    def split(r, parts):
+        images, blocks = real_split(r, parts)
+        nodes.extend(blocks)
+        return images, blocks
 
     monkeypatch.setattr(morphisms, "hom_basis", hom)
     monkeypatch.setattr(morphisms, "_echelon_change", change)
-    monkeypatch.setattr(morphisms, "_split_blocks", blocks)
+    monkeypatch.setattr(morphisms, "_primary_split", split)
     for threshold in (cells(rep), cells(rep) + 1):
         monkeypatch.setattr(morphisms, "_MIN_SPLIT_CELLS", threshold)
         solved.clear(), changed.clear()
@@ -1391,12 +1418,75 @@ def test_decompose_refuses_a_singular_base_change_under_optimize_flag():
     assert proc.stdout == "raised: decomposition certificate does not verify\n", proc.stdout
 
 
+def oracle_primary_change(parts, dims):
+    """`_primary_change` as it was before the split read its blocks off reduced
+    row echelon forms: the base change [im M_1(phi)_v | ... | im M_r(phi)_v]
+    and the dimension vector of each image."""
+    images = [[m.column_space_basis() for m in part] for part in parts]
+    sizes = [tuple(m.cols for m in image) for image in images]
+    if not all(map(any, sizes)) or any(sum(col) != d for col, d in zip(zip(*sizes), dims)):
+        raise AssertionError("primary parts do not split the representation")
+    return [reduce(hstack, column) for column in zip(*images)], sizes
+
+
+def oracle_split_blocks(rep, sizes):
+    """`_split_blocks` as it was: the diagonal blocks of rep, once the blocks off
+    the diagonal are checked to be zero."""
+    starts = [list(accumulate(column, initial=0)) for column in zip(*sizes)]
+    blocks = [{} for _ in sizes]
+    for arrow in rep.biquiver.arrows:
+        u, v = arrow.source - 1, arrow.target - 1
+        m = rep.matrices[arrow.id]
+        for j, block in enumerate(blocks):
+            rows = range(starts[v][j], starts[v][j + 1])
+            cols = range(starts[u][j], starts[u][j + 1])
+            if not submatrix(m, [i for i in range(m.rows) if i not in rows], cols).is_zero():
+                raise AssertionError("base change did not block-diagonalize")
+            block[arrow.id] = submatrix(m, rows, cols)
+    return [MatrixRepresentation(rep.biquiver, d, block) for d, block in zip(sizes, blocks)]
+
+
+def base_change(images):
+    """T_v = [X_1v | ... | X_rv] at each vertex v, from the images X_j of `_primary_split`."""
+    return [reduce(hstack, column) for column in zip(*images)]
+
+
+def oracle_primary_split(rep, parts):
+    """The split as `decompose` made it before: T, then the blocks of T^-1 A T,
+    with T inverted by `apply_base_change`."""
+    ts, sizes = oracle_primary_change(parts, rep.dims)
+    return ts, oracle_split_blocks(apply_base_change(rep, ts), sizes)
+
+
+@settings(deadline=None, max_examples=100)
+@given(profile_representations(), st.integers(0, 10 ** 6), st.booleans())
+def test_primary_split_matches_the_inverting_oracle(x, seed, scrambled):
+    # mixed arrows, loops, parallel arrows and zero dimensions; the parts of the
+    # first few split candidates that have some
+    rng = random.Random(seed)
+    rep = apply_base_change(x, [random_invertible(rng, d) for d in x.dims]) if scrambled else x
+    basis = hom_basis(rep, rep)
+    for phi in islice(_split_candidates(basis, rep.dims, 2, rng, 10), 6):
+        powers = []
+        parts = _splitting_idempotent(_minimal_polynomial(basis, phi, powers), powers, rep.dims)
+        if parts is not None:
+            images, blocks = _primary_split(rep, parts)
+            assert (base_change(images), blocks) == oracle_primary_split(rep, parts)
+
+
 def test_primary_change_eliminates_once_per_part_and_vertex(monkeypatch):
     # the parts of phi = (diag(1, 2), [1], the 0 x 0 matrix), whose minimal
-    # polynomial is (x - 1)(x - 2): M_1 = x - 2 and M_2 = x - 1
+    # polynomial is (x - 1)(x - 2): M_1 = x - 2 and M_2 = x - 1; phi is an
+    # endomorphism of a: 2 -> 1 and b: 1 -> 3 below
     parts = [(mat([-1, 0], [0, 0]), mat([-1]), CMatrix.zero(0, 0)),
              (mat([0, 0], [0, 1]), mat([0]), CMatrix.zero(0, 0))]
-    expected = ([mat([-1, 0], [0, 1]), mat([-1]), CMatrix.zero(0, 0)], [(1, 1, 0), (1, 0, 0)])
+    g = biq(3, "a:2>1", "b:1~3")
+    rep = MatrixRepresentation(g, (2, 1, 0), {"a": mat([1], [0]), "b": CMatrix.zero(0, 2)})
+    images = [(mat([-1], [0]), mat([-1]), CMatrix.zero(0, 0)),
+              (mat([0], [1]), CMatrix.zero(1, 0), CMatrix.zero(0, 0))]
+    blocks = [MatrixRepresentation(g, (1, 1, 0), {"a": mat([1]), "b": CMatrix.zero(0, 1)}),
+              MatrixRepresentation(g, (1, 0, 0), {"a": CMatrix.zero(1, 0),
+                                                  "b": CMatrix.zero(0, 1)})]
     calls = []
     original = linalg._echelon
 
@@ -1405,8 +1495,9 @@ def test_primary_change_eliminates_once_per_part_and_vertex(monkeypatch):
         return original(rows)
 
     monkeypatch.setattr(linalg, "_echelon", counting)
-    assert _primary_change(parts, (2, 1, 0)) == expected
+    assert _primary_split(rep, parts) == (images, blocks)
     assert calls == [4, 2, 0, 4, 2, 0]
+    assert oracle_primary_split(rep, parts) == (base_change(images), blocks)
 
 
 @pytest.mark.parametrize("extra", ["repeated", "zero"])
@@ -1426,19 +1517,33 @@ def test_rank_check_refuses_parts_that_do_not_split(monkeypatch, extra):
         decompose(full_loop(mat([1, 1], [0, 2])))
 
 
-# _primary_change with identity in place of [im M_1(phi) | im M_2(phi)]: the
-# upper triangular loop stays unsplit, so the block check must refuse it
+# _splitting_idempotent with coordinate projections in place of the parts
+# M_j(phi), so that the base change is the identity in place of
+# [im M_1(phi) | im M_2(phi)]: the upper triangular loop stays unsplit, and
+# the block check must refuse it
 WRONG_BASE_CHANGE = textwrap.dedent("""
     import biquiver.morphisms as morphisms
     from biquiver import (Arrow, ArrowKind, Biquiver, CMatrix,
                           MatrixRepresentation)
-    real_change = morphisms._primary_change
+    real_split = morphisms._splitting_idempotent
 
-    def wrong_change(parts, dims):
-        ts, sizes = real_change(parts, dims)
-        return [CMatrix.identity(t.rows) for t in ts], sizes
+    def wrong_split(minpoly, powers, dims):
+        parts = real_split(minpoly, powers, dims)
+        if parts is None:
+            return None
+        starts, wrong = [0] * len(dims), []
+        for part in parts:
+            mats = []
+            for v, m in enumerate(part):
+                lo, hi = starts[v], starts[v] + m.rank()
+                mats.append(CMatrix.from_rows([[int(i == j and lo <= i < hi)
+                                                for j in range(dims[v])]
+                                               for i in range(dims[v])]))
+                starts[v] = hi
+            wrong.append(tuple(mats))
+        return wrong
 
-    morphisms._primary_change = wrong_change
+    morphisms._splitting_idempotent = wrong_split
     g = Biquiver(1, (Arrow("a", 1, 1, ArrowKind.FULL),))
     rep = MatrixRepresentation(g, (2,), {"a": CMatrix.from_rows([[1, 1], [0, 2]])})
     try:
@@ -1450,16 +1555,11 @@ WRONG_BASE_CHANGE = textwrap.dedent("""
 """)
 
 
-def test_block_check_refuses_a_wrong_base_change(monkeypatch):
-    real_change = morphisms._primary_change
-
-    def wrong_change(parts, dims):
-        ts, sizes = real_change(parts, dims)
-        return [CMatrix.identity(t.rows) for t in ts], sizes
-
-    monkeypatch.setattr(morphisms, "_primary_change", wrong_change)
-    with pytest.raises(AssertionError, match="^base change did not block-diagonalize$"):
-        decompose(full_loop(mat([1, 1], [0, 2])))
+def test_block_check_refuses_a_wrong_base_change(monkeypatch, capsys):
+    # registered so that teardown undoes the script's own patch
+    monkeypatch.setattr(morphisms, "_splitting_idempotent", morphisms._splitting_idempotent)
+    exec(WRONG_BASE_CHANGE, {})
+    assert capsys.readouterr().out == "raised: base change did not block-diagonalize\n"
 
 
 def test_block_check_survives_optimize_flag():

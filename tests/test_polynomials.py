@@ -363,6 +363,95 @@ def test_isotypic_cofactors_never_reach_sympy(monkeypatch):
         assert calls == [], calls
 
 
+# The seven cofactors that went to sympy's Zassenhaus over one cli-rep-large
+# pass at seeds 1 and 2 (4 and 3 of them) when their roots were only rounded
+# from double precision: products of 2 or 3 rational quadratics with
+# Gaussian-rational roots, leading coefficients of 60, 17, 12, 27, 22, 7 and
+# 19 digits. All but the sixth reach sympy on their own; the third and the
+# sixth are quartics left of the two sextic minimal polynomials after them.
+NEAR_MISSES = [
+    [29379176407083781205476913709344629158878364966479639134165805156535089535754569320,
+     14977569098642969808536052302730400517159818481349194939872730378357122162683024,
+     4330697481853800230382671457426745708126023218325925813419625011320584613854,
+     732118505511533785049798537915974466058666524415990239665883420642085966,
+     79396425092054927709381326228619388923635484265258723580208215625089,
+     4754109924428181674950807356347798979998923642423359995124331746,
+     119970891842701867067923595194303965896640390392328821608098],
+    [140070153504821933434166969974402649093091752, 15372480579913675381527934628357627467500,
+     853634950328697168663763025432203125, 27933092863971848914176035156250,
+     529548834476090421386718750, 5344824451904296875000, 22247314453125000],
+    [16717071793037364504635143310132, 1298477636708484433887671832, 22842049231276044003729,
+     -160446043583801910, 331869318561],
+    [251244068136778971353765832737491942640825164549460,
+     -62372212980666561692949592525014946763825267908,
+     14413919961390240137715539093937569836333349, -1727143659091268975428804298564710900758,
+     174334406078246603641952991160446827, -9905468507730428244479598820810,
+     371784328577818778056162658],
+    [75679709744226334130894653920126464789289882417800,
+     -6276138795385478241566879108078108885408334320,
+     303992667070425628486536074804167951314702, -5837267131182351497118705252096638970,
+     45425094726800428272256404397423, -198013597258525921709565936, 1595846275912470715849],
+    [81397811666569817818546645, 4987620028019788171288, 124139671386729410, 1459181585400,
+     6670125],
+    [1675489180144071751649243640122767301162105, 1096852748031988681563987990157246395474,
+     296915740173489944620224692990610333, 42536842476437490219399641838404,
+     3401369881414835611416721124, 143940574470025218005120, 2518693250936409316],
+    [1755909063876650490989620991649137668160, 345284568835427581314048070500573632,
+     35342105925406220071389893048324, 1567059132076123308593828616, 20871973988442228866049,
+     -156299004579063654, 331869318561],
+    [144598842264736948574358561045886140020, 8989350129551314835084387388578828,
+     407920859253012981508221526921, 13786766777200323539298960, 287891607332081242350,
+     3228075361318500, 14707625625],
+]
+
+
+def assert_factored_without_sympy(f: list[int]) -> None:
+    expected = oracle_primitive_factors([Fraction(c) for c in f])
+    with pytest.MonkeyPatch.context() as m:
+        calls = counted_factor_lists(m)
+        assert poly_factor(f) == expected
+    assert calls == []
+
+
+@pytest.mark.parametrize("f", NEAR_MISSES)
+def test_recorded_near_misses_never_reach_sympy(f):
+    assert_factored_without_sympy(f)
+
+
+@st.composite
+def gaussian_quadratic_products(draw):
+    """Products of 2 or 3 rational quadratics with roots (u + vi) / c near one Gaussian
+    integer and a leading coefficient of 12 to 25 digits: the kind the rounding
+    missed. The roots, conjugates included, are at least 1/1000 of the largest one
+    apart, as there (2% and more); tighter clusters are left to the primes and sympy."""
+    n = draw(st.integers(2, 3))
+    a, b = draw(st.integers(-10 ** 5, 10 ** 5)), draw(st.integers(-10 ** 5, 10 ** 5))
+    spread = draw(st.integers(1, 10 ** 4))
+    factors, roots = [], []
+    for _ in range(n):
+        c = draw(st.integers(10 ** (6 // n), 10 ** (13 // n)))
+        u = a * c + draw(st.integers(-spread * c, spread * c))
+        v = b * c + draw(st.integers(-spread * c, spread * c))
+        assume(v)
+        g = [u * u + v * v, -2 * u * c, c * c]
+        factors.append([x // math.gcd(*g) for x in g])
+        roots.append(complex(Fraction(u, c), Fraction(v, c)))
+    roots += [z.conjugate() for z in roots]
+    size = max(abs(z) for z in roots)
+    assume(all(abs(z - w) >= size / 1000 for i, z in enumerate(roots) for w in roots[i + 1:]))
+    f = [1]
+    for g in factors:
+        f = [int(x) for x in oracle_poly_mul(f, g)]
+    assume(12 <= len(str(f[-1])) <= 25)
+    return f
+
+
+@settings(deadline=None, max_examples=200)
+@given(gaussian_quadratic_products())
+def test_gaussian_quadratic_products_never_reach_sympy(f):
+    assert_factored_without_sympy(f)
+
+
 def test_primary_cofactors_reject_a_non_factor():
     p = [-2, -1, 1]  # (x + 1)(x - 2)
     with pytest.raises(AssertionError, match="does not divide"):

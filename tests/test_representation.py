@@ -1,12 +1,16 @@
+import json
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from biquiver import (CMatrix, FormatError, MatrixRepresentation,
-                      PreconditionError, apply_base_change, direct_sum,
+from biquiver import (CMatrix, FormatError, GaussianRational, MatrixRepresentation,
+                      PreconditionError, apply_base_change, direct_sum, matrix_to_obj,
                       parse_representation, random_representation,
                       serialize_representation, zero_representation)
-from conftest import biq, gmat, mat, path_biquiver, random_base_change
+from conftest import (biq, gmat, mat, oracle_matrix_to_obj, path_biquiver,
+                      random_base_change)
 
 
 def loop():
@@ -157,3 +161,28 @@ def test_base_change_composition_is_isomorphism_shape():
     scrambled = random_base_change(rng, rep)
     assert scrambled.dims == rep.dims
     assert scrambled.biquiver == rep.biquiver
+
+
+# zero, negative and long parts over denominators from 1 to 60 digits
+_parts = st.one_of(st.just(0), st.integers(-10 ** 60, 10 ** 60), st.integers(-9, 9))
+_fractions = st.builds(Fraction, _parts, st.one_of(st.just(1), st.integers(1, 10 ** 60),
+                                                   st.integers(1, 12)))
+
+
+@st.composite
+def matrices(draw):
+    rows, cols = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    entries = draw(st.lists(st.builds(GaussianRational, _fractions, _fractions),
+                            min_size=rows * cols, max_size=rows * cols))
+    return CMatrix(rows, cols, entries)
+
+
+@settings(deadline=None, max_examples=300)
+@given(matrices())
+@example(CMatrix.zero(0, 3))
+@example(CMatrix.zero(3, 0))
+@example(mat([0, -1], [Fraction(-3, 4), Fraction(10 ** 59 + 1, 10 ** 60)]))
+def test_matrix_to_obj_matches_the_fraction_path(m):
+    fast, slow = matrix_to_obj(m), oracle_matrix_to_obj(m)
+    assert json.dumps(fast) == json.dumps(slow)
+    assert fast == slow
