@@ -209,19 +209,6 @@ class CMatrix:
     def rank(self) -> int:
         return len(_echelon(_real_rows(self))) // 2
 
-    def column_space_basis(self) -> "CMatrix":
-        """Columns forming a basis of the column space (original columns)."""
-        pivots = _echelon(_real_rows(self))
-        return submatrix(self, range(self.rows), [p // 2 for p in pivots if p % 2 == 0])
-
-    def nullspace_basis(self) -> "CMatrix":
-        """Columns forming a basis of the right null space; the canonical real
-        kernel vector of free real column 2f realifies that of free column f."""
-        reduced, n = _real_rows(self), 2 * self.cols
-        pivots = _echelon(reduced)
-        free = [f for f in range(0, n, 2) if f not in pivots]
-        return _realified_columns(self.cols, _nullspace(reduced, pivots, n, free))
-
     def __repr__(self) -> str:
         body = "; ".join(" ".join(repr(self.at(i, j)) for j in range(self.cols))
                          for i in range(self.rows))

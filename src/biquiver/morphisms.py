@@ -410,9 +410,9 @@ def _minimal_polynomial(basis: MorphismBasis, phi: MorphismTuple,
 
 def _splitting_idempotent(minpoly: list[int], powers: list[MorphismTuple],
                           dims: DimensionVector) -> list[MorphismTuple] | None:
-    """The primary parts M_j(phi) of phi, or None when minpoly has one irreducible factor.
+    """The primary parts M_j(phi) of phi, or None when minpoly is one coprime part.
 
-    For minpoly p = prod f_j^m_j, M_j is the integer polynomial p / f_j^m_j
+    For minpoly p = prod f_j^m_j, in the coprime parts of `poly_factor`, M_j is the integer polynomial p / f_j^m_j
     and each M_j(phi) one `_combination` of `powers`, the 1, phi, ...,
     phi^deg p that `_minimal_polynomial` composed. `_primary_split` reads the
     base change and the blocks off their reduced row echelon forms. (The

@@ -9,7 +9,8 @@ from math import gcd, lcm
 from biquiver import (Arrow, ArrowKind, Biquiver, CMatrix, FormatError, GaussianRational,
                       MatrixRepresentation, apply_base_change, gaussian)
 from biquiver.errors import echo
-from biquiver.linalg import _integer_parts, _reduced
+from biquiver.linalg import (_echelon, _integer_parts, _nullspace, _real_rows, _realified_columns,
+                             _reduced, submatrix)
 from biquiver.scalars import as_gaussian, format_rational
 
 
@@ -206,6 +207,23 @@ def primitive_form(p: list[Fraction]) -> list[int]:
     ints = [int(a * c) for a in p]
     g = -gcd(*ints) if ints and ints[-1] < 0 else gcd(*ints)
     return [x // g for x in ints] if g else ints
+
+
+def column_space_basis(m: CMatrix) -> CMatrix:
+    """The pivot columns of m, a basis of its column space, as the deleted
+    `CMatrix.column_space_basis` gave them."""
+    pivots = _echelon(_real_rows(m))
+    return submatrix(m, range(m.rows), [p // 2 for p in pivots if p % 2 == 0])
+
+
+def nullspace_basis(m: CMatrix) -> CMatrix:
+    """Columns forming a basis of the right null space of m, as the deleted
+    `CMatrix.nullspace_basis` gave them: the canonical real kernel vector of
+    free real column 2f realifies that of free column f."""
+    reduced, n = _real_rows(m), 2 * m.cols
+    pivots = _echelon(reduced)
+    free = [f for f in range(0, n, 2) if f not in pivots]
+    return _realified_columns(m.cols, _nullspace(reduced, pivots, n, free))
 
 
 def oracle_parse_rational(text) -> Fraction:

@@ -34,9 +34,9 @@ from biquiver.morphisms import (MAX_HOM_CELLS, MAX_PROFILE_RANKS, Decomposition,
                                 _tuple_compose, _vertex_killers, rank_profile)
 from biquiver.representation import _transform
 from biquiver.semilinear import are_consimilar
-from conftest import (biq, gmat, mat, oracle_is_identity, oracle_monic, oracle_scale,
-                      path_biquiver, primitive_form, random_base_change, random_biquiver,
-                      random_invertible, star_biquiver)
+from conftest import (biq, column_space_basis, gmat, mat, nullspace_basis, oracle_is_identity,
+                      oracle_monic, oracle_scale, path_biquiver, primitive_form,
+                      random_base_change, random_biquiver, random_invertible, star_biquiver)
 from test_acceptance import _a3_indecomposables, _d4_indecomposables, _random_dashing
 from test_polynomials import oracle_coprime_split, oracle_idempotent
 import test_linalg
@@ -802,12 +802,12 @@ def oracle_echelon_change(rep):
         arrow, w = g.arrow(aid), parent[o] - 1
         m, unit = rep.matrices[aid], CMatrix.identity(rep.dims[o - 1])
         if arrow.target == o:
-            x = hstack(m @ s[w], unit).column_space_basis()
+            x = column_space_basis(hstack(m @ s[w], unit))
             x_inv = x.inverse()
             s[o - 1], inv[o - 1] = (x.conj(), x_inv.conj()) if arrow.is_dashed else (x, x_inv)
         else:
             left = inv[w].conj() if arrow.is_dashed else inv[w]
-            y = transpose(hstack(transpose(left @ m), unit).column_space_basis())
+            y = transpose(column_space_basis(hstack(transpose(left @ m), unit)))
             s[o - 1], inv[o - 1] = y.inverse(), y
     return s, _transform(rep, s, inv)
 
@@ -1146,7 +1146,7 @@ def oracle_splitting_idempotent(minpoly, phi, dims):
 
 def oracle_image_kernel_change(e):
     """Per-vertex base change [im-basis | ker-basis] for an idempotent tuple."""
-    return ([hstack(ev.column_space_basis(), ev.nullspace_basis()) for ev in e],
+    return ([hstack(column_space_basis(ev), nullspace_basis(ev)) for ev in e],
             tuple(ev.rank() for ev in e))
 
 
@@ -1422,7 +1422,7 @@ def oracle_primary_change(parts, dims):
     """`_primary_change` as it was before the split read its blocks off reduced
     row echelon forms: the base change [im M_1(phi)_v | ... | im M_r(phi)_v]
     and the dimension vector of each image."""
-    images = [[m.column_space_basis() for m in part] for part in parts]
+    images = [[column_space_basis(m) for m in part] for part in parts]
     sizes = [tuple(m.cols for m in image) for image in images]
     if not all(map(any, sizes)) or any(sum(col) != d for col, d in zip(zip(*sizes), dims)):
         raise AssertionError("primary parts do not split the representation")

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import textwrap
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,8 +12,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import biquiver
 from biquiver import decompose, direct_sum_list, morphisms, random_representation
-from biquiver.polynomials import (_PRIMES, _certified_irreducible, _factor_degrees, _to_sympy,
-                                  poly_factor, primary_cofactors)
+from biquiver.polynomials import poly_factor, primary_cofactors
 from conftest import biq, oracle_monic, primitive_form, random_base_change
 
 
@@ -105,9 +105,8 @@ def oracle_idempotent(m1, m2):
     return oracle_poly_mul(w, m2)
 
 
-# The sympy-only factorisation that the root stages of `poly_factor` now
-# front, and its conversions through sympy.Rational and back to Fractions,
-# kept verbatim.
+# The sympy-only factorisation that `poly_factor` once returned, and its
+# conversions through sympy.Rational and back to Fractions, kept verbatim.
 
 def oracle_to_sympy(p: list[Fraction]):
     import sympy
@@ -214,15 +213,67 @@ def expand(product) -> list[Fraction]:
     return p
 
 
+def oracle_power(g: list, m: int) -> list:
+    out = [1]
+    for _ in range(m):
+        out = oracle_poly_mul(out, g)
+    return out
+
+
+def assert_coprime_parts(f: list[int]) -> list[tuple[list[int], int]]:
+    """`poly_factor(f)`, checked against the irreducible factors of the oracle:
+    the parts multiply back to f with their multiplicities, are pairwise
+    coprime, are irreducible when linear or quadratic, and each oracle factor
+    power divides exactly one part, to its power."""
+    parts = poly_factor(f)
+    if len(f) < 2:  # a constant, or the empty list
+        assert parts == []
+        return parts
+    back = [1]
+    for g, mult in parts:
+        assert all(type(c) is int for c in g) and g[-1] > 0 and math.gcd(*g) == 1
+        back = oracle_poly_mul(back, oracle_power(g, mult))
+    assert back == f
+    for i, (g, _) in enumerate(parts):
+        for h, _ in parts[i + 1:]:
+            assert oracle_poly_xgcd(poly(*g), poly(*h))[0] == [1], parts
+        if len(g) <= 3:
+            assert oracle_primitive_factors(g) == [(g, 1)], g
+    for factor, mult in oracle_primitive_factors(poly(*f)):
+        owners = [oracle_power(g, m) for g, m in parts
+                  if not any(oracle_poly_divmod(oracle_power(g, m), factor)[1])]
+        assert len(owners) == 1, (factor, parts)
+        assert not any(oracle_poly_divmod(owners[0], oracle_power(factor, mult))[1])
+    return parts
+
+
+# Two clustered-root products of Gaussian quadratics that Durand-Kerner does
+# not separate (roots -116.83 +- 0.001i and -117 +- 0.001i; +-331i and
+# +-330.9999987i), and the quartic of `tests/ledger/loopxxyy.json` at seed 0:
+# two rational quadratics with real roots near 10^5 and a leading coefficient
+# of 19 digits, so that c times a root is past 2^53.
+CLUSTERED = [[186844568219438248901, 6392495983067660000, 82014688902000000, 467660000000000,
+              1000000000000],
+             [1659581119187159600644, 0, 30295107431867605, 0, 138256805241]]
+LOOPXXYY_QUARTIC = [475612460153243989025324593918974571500, 3134643772734366525493384118553350,
+                    -48690441259524730391812778230, -175629555725511706426223,
+                    1498370745460198918]
+
+
 @settings(deadline=None, max_examples=150)
-@given(products)
+@given(st.one_of(products.map(expand),
+                 st.lists(st.integers(-20, 20), min_size=4, max_size=9).filter(
+                     lambda f: f[-1]).map(lambda f: [Fraction(c) for c in f])))
 # a double rational root that rounding misses, whose two approximations pair
 # into (x - r)^2: the square discriminant must refuse it
-@example(([(poly(Fraction(18577, 10600), 1), 2)], 0))
-@example(([(poly(Fraction(9207, 10019), 1), 2), (poly(3, 0, 1), 1)], 1))
-def test_poly_factor_matches_sympy_only_factorisation(product):
-    p = expand(product)
-    assert poly_factor(primitive_form(p)) == oracle_primitive_factors(p)
+@example(expand(([(poly(Fraction(18577, 10600), 1), 2)], 0)))
+@example(expand(([(poly(Fraction(9207, 10019), 1), 2), (poly(3, 0, 1), 1)], 1)))
+@example(poly(*CLUSTERED[0]))
+@example(poly(*CLUSTERED[1]))
+@example(poly(*LOOPXXYY_QUARTIC))
+def test_poly_factor_matches_sympy_only_factorisation(p):
+    # the parts are unions of sympy's factor powers
+    assert_coprime_parts(primitive_form(p))
 
 
 @settings(deadline=None, max_examples=150)
@@ -237,56 +288,6 @@ def test_poly_factor_multiplies_back_exactly(product):
     assert back == f
 
 
-def integral(p: list[Fraction]) -> list[int]:
-    c = math.lcm(*(a.denominator for a in p))
-    return [int(a * c) for a in p]
-
-
-@settings(deadline=None, max_examples=150)
-@given(st.one_of(products.map(expand),
-                 st.lists(st.integers(-20, 20), min_size=4, max_size=9).filter(
-                     lambda f: f[-1]).map(lambda f: [Fraction(c) for c in f])))
-def test_certificate_holds_only_for_irreducible_polynomials(p):
-    factors = oracle_primitive_factors(p)
-    if len(p) > 3 and _certified_irreducible(integral(p)):
-        assert len(factors) == 1 and factors[0][1] == 1, factors
-    assert poly_factor(primitive_form(p)) == factors
-
-
-@settings(deadline=None, max_examples=150)
-@given(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=3, max_size=11).filter(lambda f: f[-1]),
-       st.sampled_from(_PRIMES), st.booleans())
-def test_factor_degrees_match_sympy_mod_q(f, q, squared):
-    # squares, and whatever else has a repeated factor mod q, give None
-    from sympy import Poly, Symbol
-
-    assume(f[-1] % q)
-    f = [int(c) for c in oracle_poly_mul(f, f)] if squared else f
-    _, factors = Poly(list(reversed(f)), Symbol("x"), modulus=q).factor_list()
-    expected = sorted(g.degree() for g, _ in factors) if all(m == 1 for _, m in factors) else None
-    degrees = _factor_degrees(f, q)
-    assert (degrees if degrees is None else sorted(degrees)) == expected
-
-
-M2C_QUARTIC = [5, -6, 6, -2, 1]   # x^2 - (1 + i)x + 2 + i times its conjugate
-
-
-@pytest.mark.parametrize("f, certified", [
-    ([1, 0, 0, 0, 1], False),                   # x^4 + 1 splits mod every prime
-    ([4, 0, 0, 0, 4, 0, 0, 0, 1], False),       # (x^4 + 2)^2: repeated factors mod all
-    ([1, 1, 0, 0, math.prod(_PRIMES)], False),  # every prime divides the lead
-    (M2C_QUARTIC, True),
-    ([6 * c for c in M2C_QUARTIC], True),       # content 6, and 3 divides the lead
-    ([-2, 0, 0, 1], True),                      # the irreducible cubic x^3 - 2
-])
-def test_certificate_edge_cases(monkeypatch, f, certified):
-    expected = oracle_primitive_factors([Fraction(c) for c in f])
-    calls = counted_factor_lists(monkeypatch)
-    assert _certified_irreducible(f) is certified
-    assert poly_factor(primitive_form(f)) == expected
-    assert calls == ([] if certified else [len(f) - 1])
-
-
 @pytest.mark.parametrize("p", [
     oracle_poly_mul(poly(-10 ** 400, 1), poly(1, 0, 1)),   # integer form overflows a float
     oracle_poly_mul([Fraction(-1, 10 ** 400), Fraction(1)], poly(1, 0, 1)),   # so does c
@@ -297,55 +298,29 @@ def test_certificate_edge_cases(monkeypatch, f, certified):
     poly(2, 3, 1), poly(5), poly(0, 0, 1), [],
 ])
 def test_poly_factor_far_roots_and_degenerate_input(p):
-    assert poly_factor(primitive_form(p)) == oracle_primitive_factors(p)
+    assert_coprime_parts(primitive_form(p))
 
 
-@pytest.mark.parametrize("p", [poly(1), poly(-3, 0, 1),
-                               [Fraction(7, 3), Fraction(0), Fraction(-2, 5), Fraction(1)],
-                               [Fraction(-10 ** 30 + 1, 10 ** 12), Fraction(5, 10 ** 40)]])
-def test_to_sympy_builds_the_rational_poly(p):
-    # over the integers, as the primitive form of p
-    f = primitive_form(p)
-    fast, slow = _to_sympy(f), oracle_to_sympy(f).to_ring()
-    assert fast == slow and fast.rep == slow.rep
-
-
-def counted_factor_lists(monkeypatch) -> list[int]:
-    """The degrees of the polynomials that sympy's factor_list sees from now on."""
-    from sympy import Poly
-
-    calls = []
-    real_factor_list = Poly.factor_list
-
-    def counting(f, *args, **kwargs):
-        calls.append(f.degree())
-        return real_factor_list(f, *args, **kwargs)
-
-    monkeypatch.setattr(Poly, "factor_list", counting)
-    return calls
-
-
-def test_only_the_cofactor_reaches_sympy(monkeypatch):
+def test_only_the_cofactor_is_left_whole():
     # x, the double root 1/3, the Gaussian pair of x^2 + 1, the conjugate
     # pair of x^2 + x + 1 and the real pairs of x^2 - 2 and x^2 - 3 come off
-    # exactly; sympy sees only the quartic x^4 + 2
+    # exactly; x^4 + 2 is left as one part, and so is its square
     low = [Fraction(0), Fraction(1)]
     for f in (poly(1, 0, 1), poly(1, 1, 1), poly(-2, 0, 1), poly(-3, 0, 1),
               [Fraction(1, 9), Fraction(-2, 3), Fraction(1)]):
         low = oracle_poly_mul(low, f)
-    cases = [(low, []), (oracle_poly_mul(low, poly(2, 0, 0, 0, 1)), [4])]
-    expected = [oracle_primitive_factors(p) for p, _ in cases]
-    calls = counted_factor_lists(monkeypatch)
-    for (p, degrees), factors in zip(cases, expected):
-        calls.clear()
-        assert poly_factor(primitive_form(p)) == factors
-        assert calls == degrees
+    quartic = poly(2, 0, 0, 0, 1)
+    for p in (low, oracle_poly_mul(low, quartic)):
+        assert poly_factor(primitive_form(p)) == oracle_primitive_factors(p)
+    squared = oracle_poly_mul(oracle_poly_mul(low, quartic), quartic)
+    assert poly_factor(primitive_form(squared)) == oracle_primitive_factors(low) + [
+        ([4, 0, 0, 0, 4, 0, 0, 0, 1], 1)]
 
 
 def test_isotypic_cofactors_never_reach_sympy(monkeypatch):
     # three pairwise non-isomorphic parts give End = C^3 and a product of
     # three Gaussian quadratics; X + X gives M2(C) and a rational quartic,
-    # which the primes prove irreducible
+    # left as one part: decompose answers as with sympy's factorisation
     g = biq(3, "a:1>2", "b:3~2")
     x, y, z = (random_representation(g, d, 2, seed)
                for d, seed in (((1, 1, 1), 1), ((1, 1, 0), 2), ((0, 1, 1), 3)))
@@ -355,19 +330,16 @@ def test_isotypic_cofactors_never_reach_sympy(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(morphisms, "poly_factor", oracle_primitive_factors)
         expected = [decompose(rep, seed=0) for rep, _ in cases]
-    calls = counted_factor_lists(monkeypatch)
     for (rep, parts), dec in zip(cases, expected):
-        calls.clear()
         assert decompose(rep, seed=0) == dec
         assert len(dec.summands) == parts
-        assert calls == [], calls
 
 
 # The seven cofactors that went to sympy's Zassenhaus over one cli-rep-large
 # pass at seeds 1 and 2 (4 and 3 of them) when their roots were only rounded
 # from double precision: products of 2 or 3 rational quadratics with
 # Gaussian-rational roots, leading coefficients of 60, 17, 12, 27, 22, 7 and
-# 19 digits. All but the sixth reach sympy on their own; the third and the
+# 19 digits. All but the sixth reached sympy on their own; the third and the
 # sixth are quartics left of the two sextic minimal polynomials after them.
 NEAR_MISSES = [
     [29379176407083781205476913709344629158878364966479639134165805156535089535754569320,
@@ -406,14 +378,12 @@ NEAR_MISSES = [
 
 
 def assert_factored_without_sympy(f: list[int]) -> None:
-    expected = oracle_primitive_factors([Fraction(c) for c in f])
-    with pytest.MonkeyPatch.context() as m:
-        calls = counted_factor_lists(m)
-        assert poly_factor(f) == expected
-    assert calls == []
+    # every factor comes off the roots: none is left in a coprime part
+    assert poly_factor(f) == oracle_primitive_factors([Fraction(c) for c in f])
 
 
-@pytest.mark.parametrize("f", NEAR_MISSES)
+# The loopxxyy quartic comes last: only the refined real pairs split it.
+@pytest.mark.parametrize("f", NEAR_MISSES + [LOOPXXYY_QUARTIC])
 def test_recorded_near_misses_never_reach_sympy(f):
     assert_factored_without_sympy(f)
 
@@ -423,7 +393,7 @@ def gaussian_quadratic_products(draw):
     """Products of 2 or 3 rational quadratics with roots (u + vi) / c near one Gaussian
     integer and a leading coefficient of 12 to 25 digits: the kind the rounding
     missed. The roots, conjugates included, are at least 1/1000 of the largest one
-    apart, as there (2% and more); tighter clusters are left to the primes and sympy."""
+    apart, as there (2% and more); tighter clusters may stay in one part (see CLUSTERED)."""
     n = draw(st.integers(2, 3))
     a, b = draw(st.integers(-10 ** 5, 10 ** 5)), draw(st.integers(-10 ** 5, 10 ** 5))
     spread = draw(st.integers(1, 10 ** 4))
@@ -461,7 +431,7 @@ def test_primary_cofactors_reject_a_non_factor():
 
 
 def test_import_leaves_sympy_unloaded():
-    # sympy is only needed once a minimal polynomial is factored
+    # importing the package and its CLI loads no sympy
     code = "import sys, biquiver, biquiver.cli; print('sympy' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(Path(biquiver.__file__).resolve().parent.parent)}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -469,15 +439,26 @@ def test_import_leaves_sympy_unloaded():
     assert proc.stdout == "False\n"
 
 
-def test_first_poly_factor_imports_sympy():
-    # the one-time import falls on the first factorisation, even one that
-    # needs no Zassenhaus, and not on a later one
-    code = ("import sys\nimport biquiver\n"
-            "from biquiver.polynomials import poly_factor\n"
-            "loaded = 'sympy' in sys.modules\n"
-            "assert poly_factor([-1, 1]) == [([-1, 1], 1)]\n"
-            "print(loaded, 'sympy' in sys.modules)")
+def test_factoring_leaves_sympy_unloaded():
+    # neither poly_factor nor a `python -m biquiver rep decompose` that
+    # factors, real pairs included, imports sympy
+    code = textwrap.dedent("""
+        import contextlib, io, json, runpy, sys
+        from biquiver.polynomials import poly_factor
+        assert poly_factor([0, 2, 0, 2, 0, 1, 0, 1]) == [([0, 1], 1), ([1, 0, 1], 1),
+                                                         ([2, 0, 0, 0, 1], 1)]
+        ledger = sys.argv[1]
+        for name in ("e6.s1.json", "loopxxyy.json"):
+            sys.argv = ["biquiver", "rep", "decompose", f"{ledger}/{name}", "--seed", "0"]
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                try:
+                    runpy.run_module("biquiver", run_name="__main__")
+                except SystemExit as e:
+                    assert e.code == 0, e.code
+            assert len(json.loads(out.getvalue())["summands"]) > 1
+        print('sympy' in sys.modules)
+    """)
     env = {**os.environ, "PYTHONPATH": str(Path(biquiver.__file__).resolve().parent.parent)}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, check=True)
-    assert proc.stdout == "False True\n"
+    proc = subprocess.run([sys.executable, "-c", code, str(Path(__file__).parent / "ledger")],
+                          capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout == "False\n"
