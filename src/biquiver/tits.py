@@ -77,7 +77,9 @@ def evaluate(g: Biquiver, z: DimensionVector) -> int:
     if len(z) != g.t:
         raise PreconditionError(
             f"dimension vector has length {len(z)}, biquiver has {g.t} vertices")
-    total = sum(zi * zi for zi in z)
+    total = 0
+    for zi in z:
+        total += zi * zi
     for a in g.arrows:
         total -= z[a.source - 1] * z[a.target - 1]
     return total

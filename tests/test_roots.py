@@ -5,7 +5,7 @@ import subprocess
 import sys
 import textwrap
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +16,8 @@ import biquiver
 from biquiver import (Arrow, ArrowKind, Biquiver, Definiteness, PreconditionError,
                       TitsGram, definiteness, evaluate, gram_matrix,
                       positive_root_count, radical_vector, roots_with_value)
-from biquiver.roots import MAX_BOX_CANDIDATES, MAX_ROOTS, _enumerate_box, _enumerate_sos
+from biquiver.roots import (MAX_BOX_CANDIDATES, MAX_ROOTS, _check_box, _enumerate_box,
+                            _enumerate_sos, _keep)
 from conftest import (biq, cycle_biquiver, dynkin_and_extended, path_biquiver,
                       star_biquiver)
 from test_tits import oracle_symmetric_ldl
@@ -185,7 +186,7 @@ def test_output_sorted_and_valid():
     assert all(evaluate(g, z) == 1 for z in roots)
 
 
-# -- integer enumeration against the Fraction enumeration it replaced --------
+# -- enumeration against the Fraction and looping searches it replaced -------
 
 def oracle_enumerate_sos(gram, value, bound):
     """The Fraction-budget `_enumerate_sos` that the integer one replaced, verbatim,
@@ -231,6 +232,79 @@ def oracle_enumerate_sos(gram, value, bound):
     return results
 
 
+def oracle_search_sos(gram, value, bound):
+    """The integer `_enumerate_sos` that searched its last LDL step, verbatim."""
+    _, steps, free = gram.ldl
+    # Step k contributes (d z_p + c)^2 / (prev d), and every prev d > 0 as
+    # n- == 0 here; scaled by m = lcm(prev d) the squares sum to
+    # m * 2q with the integer weights m / (prev d).
+    m = lcm(*(prev * d for _, prev, d, _ in steps))
+    weights = [m // (prev * d) for _, prev, d, _ in steps]
+    target = 2 * value * m
+    n = gram.t
+    z = [0] * n
+    results = []
+
+    def assign_pivots(k: int, spent: int) -> None:
+        if k < 0:
+            if spent == target:
+                _keep(results, z)
+            return
+        p, _, d, lin = steps[k]
+        weight = weights[k]
+        c = sum(x * z[j] for j, x in lin.items())
+        # the z >= 0 with weight (d z + c)^2 <= target - spent; each choice
+        # keeps spent <= target
+        w_max = isqrt((target - spent) // weight)
+        lo, hi = max(-((w_max + c) // d), 0), (w_max - c) // d
+        if bound is not None:
+            hi = min(hi, bound)
+        for val in range(lo, hi + 1):
+            z[p] = val
+            assign_pivots(k - 1, spent + (d * val + c) ** 2 * weight)
+        z[p] = 0
+
+    def assign_free(i: int) -> None:
+        if i == len(free):
+            assign_pivots(len(steps) - 1, 0)
+            return
+        for val in range(bound + 1):
+            z[free[i]] = val
+            assign_free(i + 1)
+        z[free[i]] = 0
+
+    if free and bound is None:
+        raise PreconditionError("kernel directions require an explicit bound")
+    _check_box(bound, len(free), "the form is semidefinite; a search of its kernel directions")
+    assign_free(0)
+    return results
+
+
+def oracle_enumerate_box(gram, value, bound):
+    """The `_enumerate_box` that searched its last coordinate, verbatim."""
+    # q(z) = sum_i (c_ii / 2) z_i^2 + sum_{j < i} c_ij z_i z_j, c_ii = 2 q_ii even
+    n = gram.t
+    diag = [gram.c[i][i] // 2 for i in range(n)]
+    cross = [[-gram.c[i][j] for j in range(i)] for i in range(n)]
+    z = [0] * n
+    results = []
+
+    def rec(i: int, partial: int) -> None:
+        if i == n:
+            if partial == value:
+                _keep(results, z)
+            return
+        row = cross[i]
+        mixed = sum(row[j] * z[j] for j in range(i))
+        for val in range(bound + 1):
+            z[i] = val
+            rec(i + 1, partial + diag[i] * val * val - mixed * val)
+        z[i] = 0
+
+    rec(0, 0)
+    return results
+
+
 @pytest.mark.parametrize("label, g", list(dynkin_and_extended()),
                          ids=[label for label, _ in dynkin_and_extended()])
 def test_integer_enumeration_matches_fraction_oracle(label, g):
@@ -240,8 +314,9 @@ def test_integer_enumeration_matches_fraction_oracle(label, g):
         bounds.append(None)
     for value in (0, 1):
         for bound in bounds:
-            assert (_enumerate_sos(gram, value, bound)
-                    == oracle_enumerate_sos(gram, value, bound)), (value, bound)
+            got = _enumerate_sos(gram, value, bound)
+            assert got == oracle_enumerate_sos(gram, value, bound), (value, bound)
+            assert got == oracle_search_sos(gram, value, bound), (value, bound)
 
 
 @st.composite
@@ -264,12 +339,34 @@ def connected_biquivers(draw):
 @given(connected_biquivers(), st.sampled_from((0, 1)), st.integers(0, 3))
 def test_integer_enumeration_matches_oracle_on_random_biquivers(g, value, bound):
     gram = gram_matrix(g)
+    # the box search serves indefinite forms but accepts any; loops make
+    # c_ii / 2 zero or negative
+    assert _enumerate_box(gram, value, bound) == oracle_enumerate_box(gram, value, bound)
     verdict = definiteness(gram)
     if verdict is Definiteness.INDEFINITE:
-        return  # the box search serves these; no sum of squares exists
-    assert _enumerate_sos(gram, value, bound) == oracle_enumerate_sos(gram, value, bound)
-    if verdict is Definiteness.POSITIVE_DEFINITE:
-        assert _enumerate_sos(gram, value, None) == oracle_enumerate_sos(gram, value, None)
+        return  # no sum of squares exists
+    bounds = [bound, None] if verdict is Definiteness.POSITIVE_DEFINITE else [bound]
+    for b in bounds:
+        got = _enumerate_sos(gram, value, b)
+        assert got == oracle_enumerate_sos(gram, value, b)
+        assert got == oracle_search_sos(gram, value, b)
+
+
+def test_solved_searches_match_oracles_on_degenerate_forms():
+    zero = TitsGram(2, ((0, 0), (0, 0)))  # two kernel directions, no LDL step
+    empty = TitsGram(0, ())
+    # last box coordinate with c_ii / 2 = -1 and two roots (z = (1, 1), (1, 2)
+    # at value 1), then 0 with and without cross terms
+    negative = TitsGram(2, ((-2, 3), (3, -2)))
+    flat = TitsGram(2, ((2, -3), (-3, 0)))
+    loose = TitsGram(2, ((-2, 0), (0, 0)))
+    for value in (0, 1):
+        for bound in range(5):
+            for gram in (zero, empty):
+                assert _enumerate_sos(gram, value, bound) == oracle_search_sos(gram, value, bound)
+            for gram in (zero, empty, negative, flat, loose):
+                assert (_enumerate_box(gram, value, bound)
+                        == oracle_enumerate_box(gram, value, bound)), (gram, value, bound)
 
 
 def test_enumeration_builds_no_fractions(monkeypatch):
