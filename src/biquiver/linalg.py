@@ -15,9 +15,11 @@ reduced through its real form, in which entry z is the 2x2 block
 [[re z, -im z], [im z, re z]], read straight from the integer parts.
 Every fraction-free elimination combines rows by one sparse step, `_clear`.
 `_echelon` eliminates forward only, and `_nullspace` reads kernel vectors
-off its rows by back-substitution; ranks, images, kernels, inverses,
-reduced row echelon forms and rational solves all come from these two, an
-inverse or a solution being the kernel vector at an augmented column.
+off its rows by back-substitution; images, kernels, inverses, reduced row
+echelon forms and rational solves all come from these two, an inverse or a
+solution being the kernel vector at an augmented column. So does every
+rank, except a full one: `_modular_rank` certifies that first, modulo a
+Gaussian prime, which is cheaper and exact whenever it reaches full rank.
 `_first_dependence` reduces each new vector once against the rows it
 keeps, and gives the dependence as a primitive integer polynomial.
 `_symmetric_ldl` counts the inertia of symmetric int forms.
@@ -204,9 +206,15 @@ class CMatrix:
         return _realified_columns(n, _nullspace(rows, pivots, 3 * n, range(2 * n, 3 * n)))
 
     def is_invertible(self) -> bool:
+        """Whether the matrix is square of full rank, read from `rank`."""
         return self.is_square and self.rank() == self.rows
 
     def rank(self) -> int:
+        """The exact rank. A full rank is certified modulo a Gaussian prime first
+        (see `_modular_rank`); any other comes from `_echelon` of the real form."""
+        full = min(self.rows, self.cols)
+        if not full or _modular_rank(self, full) == full:
+            return full
         return len(_echelon(_real_rows(self))) // 2
 
     def __repr__(self) -> str:
@@ -423,6 +431,46 @@ def _echelon(rows: list[list[int]]) -> list[int]:
                 rows[i] = _clear(rows[i], c, p, support, c)
         pivots.append(c)
     return pivots
+
+
+# The prime p = 119 * 2^23 + 1, which is 1 mod 4, and a square root of -1 modulo
+# it (3 is a primitive root). Residues stay below 2^30, one digit of a CPython int.
+_P = 998244353
+_SQRT_MINUS_ONE = pow(3, (_P - 1) // 4, _P)
+
+
+def _modular_rank(m: CMatrix, stop: int) -> int:
+    """The rank of m's image in F_p, eliminated until it reaches `stop`.
+
+    re + i im goes to re + s im mod p, s the square root of -1 above: a ring
+    map Z[i] -> F_p, applied to the integer parts, den times m. A minor that
+    is nonzero mod p is nonzero over Z[i], so the result is at most m's rank,
+    and it is that rank when it reaches min(rows, cols). A false shortfall
+    costs only the exact elimination, never an answer. Each step takes the
+    first row nonzero in the leading column as the pivot row, a its entry
+    there, drops that column and takes each other row r to
+    a r - r[0] pivot, which needs no inverse mod p.
+    """
+    c, s = m.cols, _SQRT_MINUS_ONE
+    residues = [(x + s * y) % _P for x, y in zip(m.re, m.im)]
+    rows = [residues[i * c:(i + 1) * c] for i in range(m.rows)]
+    rank = 0
+    while rank < stop and rows and rows[0]:
+        pivot = next((row for row in rows if row[0]), None)
+        if pivot is None:
+            rows = [row[1:] for row in rows]
+            continue
+        rank += 1
+        if rank == stop:
+            break
+        rows.remove(pivot)
+        a, pivot = pivot[0], pivot[1:]
+        rest = []
+        for row in rows:
+            f = row[0]
+            rest.append([(a * x - f * y) % _P for x, y in zip(row[1:], pivot)] if f else row[1:])
+        rows = rest
+    return rank
 
 
 def _symmetric_ldl(rows: list[list[int]]) -> tuple:

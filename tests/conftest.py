@@ -119,6 +119,20 @@ def random_invertible(rng: random.Random, n: int, bound: int = 3) -> CMatrix:
             return m
 
 
+def random_unimodular(rng: random.Random, n: int) -> CMatrix:
+    """L U with L unit lower and U unit upper triangular, and Gaussian-integer
+    entries in [-2, 2] off the diagonal: invertible over Z[i]."""
+    def entry():
+        return gaussian(rng.randint(-2, 2), rng.randint(-2, 2))
+
+    one, zero = gaussian(1), gaussian(0)
+    lower = CMatrix(n, n, [one if i == j else entry() if i > j else zero
+                           for i in range(n) for j in range(n)])
+    upper = CMatrix(n, n, [one if i == j else entry() if i < j else zero
+                           for i in range(n) for j in range(n)])
+    return lower @ upper
+
+
 def random_base_change(rng: random.Random, rep: MatrixRepresentation,
                        bound: int = 3) -> MatrixRepresentation:
     s = [random_invertible(rng, d, bound) for d in rep.dims]

@@ -11,11 +11,12 @@ import pytest
 import biquiver
 
 from biquiver import (Arrow, ArrowKind, Biquiver, CMatrix, apply_base_change, direct_sum_list,
-                      gaussian, random_representation, roots_with_value, serialize_biquiver,
+                      random_representation, roots_with_value, serialize_biquiver,
                       serialize_representation)
 from biquiver.cli import main
 from biquiver.tits import MAX_GRAM_VERTICES, definiteness, gram_matrix
-from conftest import biq, cycle_biquiver, gmat, mat, path_biquiver, star_biquiver
+from conftest import (biq, cycle_biquiver, gmat, mat, path_biquiver, random_unimodular,
+                      star_biquiver)
 
 LEDGER = Path(__file__).resolve().parent / "ledger"
 
@@ -579,19 +580,24 @@ def test_rep_random_past_the_cap_exit_3(run, a2_file):
     assert err.startswith("error:") and "cap" in err
 
 
-@pytest.mark.parametrize("command", [["hom", "R", "R"], ["decompose", "R"]])
-def test_rep_hom_and_decompose_past_the_cell_cap_exit_3(run, tmp_path, command):
-    # a full 14-dimensional loop: 392 equations in 392 unknowns, 153,664 cells,
-    # refused before any row is built
+@pytest.mark.parametrize("command", [["hom", "R", "R"], ["decompose", "R"], ["iso", "A", "B"]])
+def test_rep_hom_iso_and_decompose_past_the_cell_cap_exit_3(run, tmp_path, command):
+    # R, a full 14-dimensional loop: 392 equations in 392 unknowns, 153,664
+    # cells, refused before any row is built. A and B, two random 100 x 100
+    # maps: 20,000 equations in 40,000 unknowns, refused once the rank profile
+    # (one full rank each) agrees
     loop = Biquiver(1, (Arrow("a", 1, 1, ArrowKind.FULL),))
-    rep = _write(tmp_path, "r.json",
-                 serialize_representation(random_representation(loop, (14,), 3, 0)))
+    arrow = Biquiver(2, (Arrow("a", 1, 2, ArrowKind.FULL),))
+    inputs = {"R": (loop, (14,), 0), "A": (arrow, (100, 100), 0), "B": (arrow, (100, 100), 1)}
+    files = {word: _write(tmp_path, f"{word}.json",
+                          serialize_representation(random_representation(g, dims, 3, seed)))
+             for word, (g, dims, seed) in inputs.items() if word in command}
     start = time.perf_counter()
-    code, out, err = run("rep", *(rep if word == "R" else word for word in command))
+    code, out, err = run("rep", *(files.get(word, word) for word in command))
     assert time.perf_counter() - start < 5
     assert (code, out) == (3, "")
-    assert err == ("error: the Hom system has 392 equations in 392 unknowns, "
-                   "past the cap of 131072 cells\n")
+    size = "20000 equations in 40000 unknowns" if "A" in command else "392 equations in 392 unknowns"
+    assert err == f"error: the Hom system has {size}, past the cap of 131072 cells\n"
 
 
 def test_unexpected_exception_exit_4(run, tmp_path, a2_file, monkeypatch):
@@ -608,20 +614,6 @@ def test_unexpected_exception_exit_4(run, tmp_path, a2_file, monkeypatch):
     assert "Traceback" not in err and "certificate does not verify" in err
 
 
-def _unimodular(rng, n):
-    """L U with L unit lower and U unit upper triangular, and Gaussian-integer
-    entries in [-2, 2] off the diagonal."""
-    def entry():
-        return gaussian(rng.randint(-2, 2), rng.randint(-2, 2))
-
-    one, zero = gaussian(1), gaussian(0)
-    lower = CMatrix(n, n, [one if i == j else entry() if i > j else zero
-                           for i in range(n) for j in range(n)])
-    upper = CMatrix(n, n, [one if i == j else entry() if i < j else zero
-                           for i in range(n) for j in range(n)])
-    return lower @ upper
-
-
 def _scrambled_e7_sum(seed):
     """Three random representations of a mixed E7 tree at root dimension vectors of
     heights 4, 5 and 6, summed and scrambled by a unimodular base change, as the
@@ -632,7 +624,7 @@ def _scrambled_e7_sum(seed):
     total = direct_sum_list(g, [random_representation(
         g, rng.choice([z for z in roots if sum(z) == h]), 2, rng.randrange(10 ** 6))
         for h in (4, 5, 6)])
-    return apply_base_change(total, [_unimodular(rng, d) for d in total.dims])
+    return apply_base_change(total, [random_unimodular(rng, d) for d in total.dims])
 
 
 def test_decompose_takes_no_inverse_and_no_zassenhaus(run, tmp_path, monkeypatch):

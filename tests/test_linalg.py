@@ -15,7 +15,8 @@ from biquiver.linalg import (_echelon, _first_dependence, _integral, _nullspace,
                              reduced_row_echelon, submatrix)
 from biquiver.scalars import I, ONE, ZERO, as_gaussian
 from conftest import (column_space_basis, gmat, mat, nullspace_basis, oracle_divide,
-                      oracle_is_identity, oracle_scale, primitive_form, random_invertible)
+                      oracle_is_identity, oracle_scale, primitive_form, random_invertible,
+                      random_unimodular)
 
 
 # -- reference implementations ------------------------------------------------
@@ -864,6 +865,54 @@ def test_inverse_matches_gauss_jordan(system):
     else:
         assert m.inverse() == expected
         assert m.is_invertible()
+
+
+# -- full ranks certified modulo a Gaussian prime ------------------------------
+
+def _oracle_rank(m: CMatrix) -> int:
+    return len(oracle_echelon(oracle_row_list(m))[1])
+
+
+def test_the_modulus_is_a_prime_with_a_square_root_of_minus_one():
+    from sympy import isprime
+
+    p, s = linalg._P, linalg._SQRT_MINUS_ONE
+    assert isprime(p) and p % 4 == 1
+    assert s * s % p == p - 1
+
+
+def test_a_rank_lost_modulo_the_prime_falls_back_to_the_exact_one():
+    # each matrix has full rank over Q(i), and a nonzero minor that maps to 0
+    p, s = linalg._P, linalg._SQRT_MINUS_ONE
+    ms = [mat([p]), gmat([(s, -1)]), mat([1, 0], [0, p])]
+    rng = random.Random(3)
+    for n in (2, 3, 4):
+        u = random_unimodular(rng, n)
+        d = CMatrix.from_rows([[p if i == j == n - 1 else int(i == j) for j in range(n)]
+                               for i in range(n)])
+        ms.append(u @ d @ u.inverse())
+    for m in ms:
+        n = m.rows
+        assert linalg._modular_rank(m, n) < n
+        assert m.rank() == _oracle_rank(m) == n
+        assert m.is_invertible()
+
+
+@st.composite
+def low_rank_products(draw):
+    """An m x k times a k x n matrix, k <= 3: rank at most k, often below min(m, n)."""
+    entry = draw(st.sampled_from([small_gaussians, wide_gaussians]))
+    k = draw(st.integers(0, 3))
+    m, n = draw(st.integers(0, 6)), draw(st.integers(0, 7))
+    tall = CMatrix(m, k, [draw(entry) for _ in range(m * k)])
+    wide = CMatrix(k, n, [draw(entry) for _ in range(k * n)])
+    return tall @ wide
+
+
+@given(low_rank_products())
+def test_rank_of_low_rank_products_matches_oracle(m):
+    assert m.rank() == _oracle_rank(m)
+    assert m.is_invertible() == (m.is_square and _oracle_rank(m) == m.rows)
 
 
 @st.composite
