@@ -9,7 +9,7 @@ or E6/E7/E8-tilde. Everything else is wild. Extended labels are spelled
 with a leading tilde, e.g. "~A2" for the 3-vertex cycle.
 
 The shape is read off the graph layer's one traversal,
-`model._spanning_forest`: its roots decide connectivity, and its neighbour
+`model.connected_forest`, which refuses disconnected input; its neighbour
 lists give the degrees and the branch lengths.
 """
 from __future__ import annotations
@@ -17,8 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import PreconditionError
-from .model import Biquiver, _spanning_forest
+from .model import Biquiver, connected_forest
 
 
 class RepKind(Enum):
@@ -50,9 +49,7 @@ def diagram_shape(g: Biquiver) -> str | None:
     spanning-forest traversal. Raises PreconditionError on disconnected
     input, whatever loops, parallel arrows or arrow count it has.
     """
-    root, _, _, _, adj = _spanning_forest(g)
-    if max(root) > 1:  # a second tree grows from a later root
-        raise PreconditionError("biquiver is not connected")
+    adj = connected_forest(g)[4]
 
     t, m = g.t, len(g.arrows)
     if any(a.is_loop for a in g.arrows):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .errors import PreconditionError, echo
 from .linalg import CMatrix
-from .model import Arrow, ArrowKind, Biquiver, _spanning_forest
+from .model import Arrow, ArrowKind, Biquiver, connected_forest
 from .representation import MatrixRepresentation
 
 
@@ -77,9 +77,7 @@ def dash_elimination_plan(g: Biquiver) -> DashEliminationPlan | DashEliminationO
         if a.is_loop and a.is_dashed:
             return DashEliminationObstruction(f"dashed loop at vertex {a.source}")
 
-    root, parent, color, tree_arrows, _ = _spanning_forest(g)
-    if any(root[v] != 1 for v in g.vertices()):
-        raise PreconditionError("biquiver is not connected")
+    _, parent, color, tree_arrows, _ = connected_forest(g)
 
     for a in g.arrows:
         if a.is_loop or a.id in tree_arrows:

@@ -13,7 +13,7 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import FormatError, echo
+from .errors import FormatError, PreconditionError, echo
 
 DimensionVector = tuple[int, ...]
 
@@ -107,9 +107,27 @@ def _spanning_forest(g: Biquiver):
     return root, parent, parity, tree_arrows, adj
 
 
+def connected_forest(g: Biquiver):
+    """`_spanning_forest(g)` for a connected g, one tree rooted at vertex 1.
+
+    The graph layer's one connectivity check: raises PreconditionError on
+    disconnected input, and with fewer than t - 1 non-loop arrows, too few
+    to connect t vertices, before any per-vertex list is built.
+    """
+    if sum(not a.is_loop for a in g.arrows) < g.t - 1:
+        raise PreconditionError("biquiver is not connected")
+    forest = _spanning_forest(g)
+    if max(forest[0]) > 1:  # a second tree grows from a later root
+        raise PreconditionError("biquiver is not connected")
+    return forest
+
+
 def is_connected(g: Biquiver) -> bool:
-    root = _spanning_forest(g)[0]
-    return all(root[v] == 1 for v in g.vertices())
+    try:
+        connected_forest(g)
+    except PreconditionError:
+        return False
+    return True
 
 
 def connected_components(g: Biquiver) -> list[list[int]]:

@@ -6,13 +6,13 @@ is a multiple of, and a minimal polynomial and its factors need nothing
 more. A random element of End (residue fields R, C, H) acts on a summand
 by a scalar a + bi in Q(i), so nearly every minimal polynomial that
 `decompose` factors is a product of x - a and x^2 - 2ax + a^2 + b^2.
-`poly_factor` finds those from floating-point roots, and where c times a
-root is too large for double precision to round, from the same roots
-refined by Newton steps in fixed-point integers; every factor is confirmed
-by exact division. `decompose` needs only coprime factor powers, as each
-block is decomposed again and checked exactly. So the cofactor left over,
-such as the irreducible quartic or sextic of an isotypic block, is one
-more coprime part, neither proved irreducible nor factored further, and
+`poly_factor` finds those from floating-point roots, read exactly into
+fixed-point integers and rounded there, first as they are and then, on
+the cofactor left, after Newton steps; every factor is confirmed by exact
+division. `decompose` needs only coprime factor powers, as each block is
+decomposed again and checked exactly. So the cofactor left over, such as
+the irreducible quartic or sextic of an isotypic block, is one more
+coprime part, neither proved irreducible nor factored further, and
 nothing here imports sympy.
 """
 from __future__ import annotations
@@ -63,15 +63,6 @@ def _is_square(n: int) -> bool:
 
 # The most Newton steps `_newton` takes from one start.
 _NEWTON_STEPS = 12
-# Roots are refined only once some root z has |cz| max(|z|, 1) from here on,
-# as then c times a root, or times the product of a pair, may be past what
-# double precision rounds right. Durand-Kerner settles at a relative error of
-# 1e-13 to 1e-10, far below 2^-26, so below it those are rounded to the right
-# algebraic integers already, and refining them finds nothing new. The
-# irreducible quartics of ks-small have |cz| of 2^12 to 2^44, most below
-# 2^15, and the products of Gaussian quadratics that the rounding missed on
-# cli-rep-large 2^48 to 2^209 (seeds 1 to 3).
-_ROUNDED_EXACTLY = 2 ** 24
 
 
 def _fixed(x: float, k: int) -> int:
@@ -80,16 +71,16 @@ def _fixed(x: float, k: int) -> int:
     return ((num << k) + den // 2) // den
 
 
-def _newton(g: list[int], z: complex, k: int, tol: int) -> tuple[int, int] | None:
-    """A root (zr + i zi) / 2^k of the integer polynomial g, found by Newton
-    steps from the finite z in fixed point with k bits after the point; None
-    when g' vanishes on the way. The steps stop once one is below tol / 2^k,
-    or after _NEWTON_STEPS: from a double-precision start near a simple root
-    each step doubles the correct bits, so the last iterate is then within far
+def _newton(g: list[int], z: complex, k: int, tol: int, steps: int) -> tuple[int, int] | None:
+    """A root (zr + i zi) / 2^k of the integer polynomial g, found by at most
+    `steps` Newton steps from the finite z in fixed point with k bits after
+    the point; None when g' vanishes on the way. The steps stop once one is
+    below tol / 2^k: from a double-precision start near a simple root each
+    step doubles the correct bits, so the last iterate is then within far
     less than tol / 2^k of the root.
     """
     c, zr, zi = g[-1], _fixed(z.real, k), _fixed(z.imag, k)
-    for _ in range(_NEWTON_STEPS):
+    for _ in range(steps):
         # Horner for g and g' at once, every product truncated back to k bits
         pr, pi, dr, di = c << k, 0, 0, 0
         for a in reversed(g[:-1]):
@@ -105,22 +96,24 @@ def _newton(g: list[int], z: complex, k: int, tol: int) -> tuple[int, int] | Non
     return zr, zi
 
 
-def _refined_candidates(g: list[int], approx: list[complex]) -> list[tuple[int, ...]]:
-    """The factors that the roots of the integer polynomial g give, refined by
-    `_newton` from the finite ones among `approx` at one common scale.
+def _refined_candidates(g: list[int], approx: list[complex], steps: int) -> list[tuple[int, ...]]:
+    """The factors that the roots of the integer polynomial g give, read from
+    the finite ones among `approx` at one common scale and refined there by
+    `steps` steps of `_newton`.
 
-    With c = g[-1] and 2^b past every |z|, the iterates carry k = log2 c + 2b
-    + 40 bits after the point, and the steps stop once c 2^b times one is
-    below 2^-20, so that c times a root, and c times the sum and the product
-    of two, are within far less than 1/2 of their values. Each root gives
-    the Gaussian factor of c times it rounded; each pair of roots whose sum
-    and product round to reals, two real roots or a conjugate pair, gives
-    cx^2 - bx + e with b and e those roundings.
+    With c = g[-1] and 2^b past every |z|, the roots carry k = log2 c + 2b +
+    40 bits after the point, so that reading a float loses nothing that c
+    times it, or times the sum or the product of two, would round. The
+    steps stop once c 2^b times one is below 2^-20, so that these are then
+    within far less than 1/2 of their values. Each root gives the Gaussian
+    factor of c times it rounded; each pair of roots whose sum and product
+    round to reals, two real roots or a conjugate pair, gives cx^2 - bx + e
+    with b and e those roundings.
     """
     c, starts = g[-1], [z for z in approx if isfinite(z)]
     b = max((int(abs(z)).bit_length() for z in starts), default=0)
     k = c.bit_length() + 2 * b + 40
-    roots = [r for r in (_newton(g, z, k, 1 << b + 20) for z in starts) if r]
+    roots = [r for r in (_newton(g, z, k, 1 << b + 20, steps) for z in starts) if r]
     half, half2 = 1 << k - 1, 1 << 2 * k - 1
     candidates = [_gaussian_candidate(c, (c * zr + half) >> k, abs((c * zi + half) >> k))
                   for zr, zi in roots]
@@ -166,11 +159,11 @@ def poly_factor(f: list[int]) -> list[tuple[list[int], int]]:
     (u + vi)/c in Q(i), the algebraic integer u + vi rounded from c times a
     Durand-Kerner root; for pairs of real or conjugate roots, quadratics
     cx^2 - bx + e with b and e rounded from c times their sum and product.
-    When a cofactor of degree 3 and up is left and some root z has
-    |cz| max(|z|, 1) >= _ROUNDED_EXACTLY, the same factors for its own
-    leading coefficient come off the roots refined on it in integers by
-    `_refined_candidates`; a root that does not settle in _NEWTON_STEPS
-    steps, as in a cluster tighter than double precision resolves, gives
+    `_refined_candidates` rounds all of these in integers, from the roots
+    read exactly into fixed point. When a cofactor of degree 3 and up is
+    left, the same factors for its own leading coefficient come off the
+    roots refined on it by _NEWTON_STEPS Newton steps; a root that does not
+    settle, as in a cluster tighter than double precision resolves, gives
     nothing. A quadratic cofactor with rational roots splits into its two
     linear factors.
 
@@ -188,20 +181,12 @@ def poly_factor(f: list[int]) -> list[tuple[list[int], int]]:
     c, rest = f[-1], f[k:]
     try:
         approx = _approximate_roots([x / c for x in rest]) if len(rest) > 1 else []
-        scaled = [c * z for z in approx]
     except OverflowError:
-        approx = scaled = []
-    roots = [w for w in scaled if abs(w) < 2 ** 53]  # past 2^53 floats skip integers
-    candidates = [_gaussian_candidate(c, round(w.real), abs(round(w.imag))) for w in roots]
-    for i, r in enumerate(roots):
-        for t, n in ((r + s, r * s / c) for s in roots[i + 1:]):
-            if abs(t.imag) < 0.5 and abs(n.imag) < 0.5:
-                candidates.append((round(n.real), -round(t.real), c))
+        approx = []
     out = [([0, 1], k)] if k else []
-    rest = _divide_out(rest, candidates, out)
-    if len(rest) > 3 and any(abs(w) * max(abs(z), 1) >= _ROUNDED_EXACTLY
-                             for z, w in zip(approx, scaled)):
-        rest = _divide_out(rest, _refined_candidates(rest, approx), out)
+    rest = _divide_out(rest, _refined_candidates(rest, approx, 0), out)
+    if len(rest) > 3:
+        rest = _divide_out(rest, _refined_candidates(rest, approx, _NEWTON_STEPS), out)
     if len(rest) == 3 and _is_square(disc := rest[1] * rest[1] - 4 * rest[0] * rest[2]):
         # its roots (-b +- sqrt(disc)) / 2a are rational, the rounding missed them
         b, a2 = rest[1], 2 * rest[2]

@@ -25,7 +25,7 @@ from math import inf, isqrt, lcm
 
 from .errors import PreconditionError, echo
 from .classify import RepKind, representation_type
-from .model import Biquiver, DimensionVector, is_connected
+from .model import Biquiver, DimensionVector, connected_forest
 from .tits import Definiteness, TitsGram, definiteness, evaluate, gram_matrix
 
 # The most vectors a root search may try: (bound + 1)^k over the t coordinates
@@ -52,8 +52,7 @@ def roots_with_value(g: Biquiver, value: int, bound: int | None = None) -> list[
         raise PreconditionError(f"value must be 0 or 1, got {echo(value)}")
     if bound is not None and bound < 0:
         raise PreconditionError(f"bound must be nonnegative, got {echo(bound)}")
-    if not is_connected(g):
-        raise PreconditionError("biquiver is not connected")
+    connected_forest(g)  # refuses a disconnected g
     gram = gram_matrix(g)
     verdict = definiteness(gram)
     if verdict is Definiteness.POSITIVE_DEFINITE:

@@ -7,6 +7,7 @@ import pytest
 from biquiver import (Arrow, ArrowKind, Biquiver, Definiteness, PreconditionError,
                       RepKind, definiteness, diagram_shape, gram_matrix,
                       representation_type, serialize_biquiver)
+from biquiver import classify, conjugation, model
 from biquiver.classify import _TRIPOD_LABELS
 from biquiver.cli import main
 from biquiver.model import is_connected
@@ -320,3 +321,26 @@ def test_disconnected_rejected_before_every_early_return(name, tmp_path, capsys)
     assert main(["classify", str(p), "--components"]) == 0
     comps = json.loads(capsys.readouterr().out)["components"]
     assert [(c["vertices"], c["diagram"]) for c in comps] == components
+
+
+def test_too_few_arrows_refused_before_any_traversal(tmp_path, monkeypatch, capsys):
+    # 10^9 vertices need 10^9 - 1 non-loop arrows to be connected: with none,
+    # classify, eliminate and roots refuse before building a per-vertex list
+    def traversal(g):
+        raise AssertionError("a spanning forest was built")
+
+    for module in (model, classify, conjugation):
+        monkeypatch.setattr(module, "_spanning_forest", traversal, raising=False)
+    t = 10 ** 9
+    p = tmp_path / "g.json"
+    p.write_text(json.dumps({"vertices": t, "arrows": []}))
+    for argv in (["classify"], ["eliminate"], ["roots", "--value", "1"]):
+        assert main(argv + [str(p)]) == 3
+        assert capsys.readouterr() == ("", "error: biquiver is not connected\n")
+    assert not is_connected(Biquiver(t, ()))
+    # a dashed loop is still the obstruction that `eliminate` reports first
+    p.write_text(json.dumps({"vertices": t, "arrows": [
+        {"id": "a", "from": 1, "to": 1, "kind": "dashed"}]}))
+    assert main(["eliminate", str(p)]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "status": "impossible", "reason": "dashed loop at vertex 1"}

@@ -258,6 +258,12 @@ CLUSTERED = [[186844568219438248901, 6392495983067660000, 82014688902000000, 467
 LOOPXXYY_QUARTIC = [475612460153243989025324593918974571500, 3134643772734366525493384118553350,
                     -48690441259524730391812778230, -175629555725511706426223,
                     1498370745460198918]
+# Repeated roots that Durand-Kerner settles on slowly, so that c times them
+# is off by more than rounding forgives until Newton steps refine them:
+# (3x + 7)^3 (3x + 8)^4, once left as one degree-7 part, and (3x - 2)(6x - 7)^4,
+# whose quartic was once left whole.
+REPEATED_ROOTS = [primitive_form(oracle_poly_mul(oracle_power(a, m), oracle_power(b, n)))
+                  for a, m, b, n in (([7, 3], 3, [8, 3], 4), ([-2, 3], 1, [-7, 6], 4))]
 
 
 @settings(deadline=None, max_examples=150)
@@ -271,6 +277,8 @@ LOOPXXYY_QUARTIC = [475612460153243989025324593918974571500, 3134643772734366525
 @example(poly(*CLUSTERED[0]))
 @example(poly(*CLUSTERED[1]))
 @example(poly(*LOOPXXYY_QUARTIC))
+@example(poly(*REPEATED_ROOTS[0]))
+@example(poly(*REPEATED_ROOTS[1]))
 def test_poly_factor_matches_sympy_only_factorisation(p):
     # the parts are unions of sympy's factor powers
     assert_coprime_parts(primitive_form(p))
@@ -382,8 +390,9 @@ def assert_factored_without_sympy(f: list[int]) -> None:
     assert poly_factor(f) == oracle_primitive_factors([Fraction(c) for c in f])
 
 
-# The loopxxyy quartic comes last: only the refined real pairs split it.
-@pytest.mark.parametrize("f", NEAR_MISSES + [LOOPXXYY_QUARTIC])
+# The loopxxyy quartic follows them: only the refined real pairs split it.
+# The two products with repeated roots come last.
+@pytest.mark.parametrize("f", NEAR_MISSES + [LOOPXXYY_QUARTIC] + REPEATED_ROOTS)
 def test_recorded_near_misses_never_reach_sympy(f):
     assert_factored_without_sympy(f)
 
