@@ -12,6 +12,8 @@ import json
 import sys
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
+from types import MappingProxyType
 
 from .errors import FormatError, PreconditionError, echo
 
@@ -41,6 +43,13 @@ class Arrow:
 
 @dataclass(frozen=True)
 class Biquiver:
+    """A biquiver on the vertices 1..t.
+
+    Each instance is analysed once: its spanning forest and its Tits form,
+    with the form's checked LDL, are memos computed on first use and kept
+    in the instance, outside the fields, so ==, hash, repr and pickling
+    see only t and the arrows.
+    """
     t: int
     arrows: tuple[Arrow, ...]
 
@@ -66,21 +75,37 @@ class Biquiver:
     def vertices(self) -> range:
         return range(1, self.t + 1)
 
+    @cached_property
+    def _forest(self):
+        return _spanning_forest(self)
+
+    @cached_property
+    def _gram(self):
+        from .tits import _tits_gram  # tits imports this module
+        return _tits_gram(self)
+
+    def __getstate__(self):
+        # the memos are derived: pickles and copies carry the fields alone
+        return {"t": self.t, "arrows": self.arrows}
+
 
 def _spanning_forest(g: Biquiver):
     """BFS spanning forest of the underlying graph, loops skipped.
 
-    The graph layer's one traversal: connectivity, components, shape
-    recognition and dash elimination all read it, and nothing else builds
-    neighbour lists. Trees grow from roots taken in vertex order, and each
-    vertex's neighbours are visited in arrow order, so the forest, and every
-    tree path read off it, depends only on the arrow list. Returns lists
-    indexed by vertex (index 0 unused) of the root of its tree, its parent
-    (0 at a root) and the parity of dashed arrows on its tree path from the
-    root, then the tree arrows, each id mapped to the vertex it reaches, in
-    the order the walk takes them, then the adjacency: for each
-    vertex, its (neighbour, arrow) pairs in arrow order, one per non-loop
-    arrow, so len(adj[v]) is the degree of v.
+    The graph layer's one traversal, run once per Biquiver: `g._forest`
+    keeps what it returns, and connectivity, components, shape recognition,
+    dash elimination and the echelon change of `decompose` all read that
+    memo; nothing else builds neighbour lists. Trees grow from roots taken
+    in vertex order, and each vertex's neighbours are visited in arrow
+    order, so the forest, and every tree path read off it, depends only on
+    the arrow list. Returns tuples indexed by vertex (index 0 unused) of
+    the root of its tree, its parent (0 at a root) and the parity of dashed
+    arrows on its tree path from the root, then the tree arrows, each id
+    mapped to the vertex it reaches, in the order the walk takes them, then
+    the adjacency: for each vertex, its (neighbour, arrow) pairs in arrow
+    order, one per non-loop arrow, so len(adj[v]) is the degree of v. All
+    of it is read-only (tuples and a mapping proxy), as every reader shares
+    the one memo.
     """
     adj: list[list[tuple[int, Arrow]]] = [[] for _ in range(g.t + 1)]
     for a in g.arrows:
@@ -104,19 +129,21 @@ def _spanning_forest(g: Biquiver):
                     parity[w] = parity[v] ^ (1 if a.is_dashed else 0)
                     tree_arrows[a.id] = w
                     queue.append(w)
-    return root, parent, parity, tree_arrows, adj
+    return (tuple(root), tuple(parent), tuple(parity), MappingProxyType(tree_arrows),
+            tuple(map(tuple, adj)))
 
 
 def connected_forest(g: Biquiver):
-    """`_spanning_forest(g)` for a connected g, one tree rooted at vertex 1.
+    """g's memoized `_spanning_forest` for a connected g, one tree rooted at vertex 1.
 
-    The graph layer's one connectivity check: raises PreconditionError on
-    disconnected input, and with fewer than t - 1 non-loop arrows, too few
-    to connect t vertices, before any per-vertex list is built.
+    The graph layer's one connectivity check, run on every call though the
+    forest is built once: raises PreconditionError on disconnected input,
+    and with fewer than t - 1 non-loop arrows, too few to connect t
+    vertices, before any per-vertex list is built.
     """
     if sum(not a.is_loop for a in g.arrows) < g.t - 1:
         raise PreconditionError("biquiver is not connected")
-    forest = _spanning_forest(g)
+    forest = g._forest
     if max(forest[0]) > 1:  # a second tree grows from a later root
         raise PreconditionError("biquiver is not connected")
     return forest
@@ -132,7 +159,7 @@ def is_connected(g: Biquiver) -> bool:
 
 def connected_components(g: Biquiver) -> list[list[int]]:
     """Vertex sets of the connected components, each sorted ascending."""
-    root = _spanning_forest(g)[0]
+    root = g._forest[0]
     comps: dict[int, list[int]] = {}
     for v in g.vertices():
         comps.setdefault(root[v], []).append(v)

@@ -30,7 +30,7 @@ from .errors import PreconditionError, SingularMatrixError, echo
 from .linalg import (_MIN_SPLIT_CELLS, CMatrix, _first_dependence, _symmetric_ldl,
                      fraction_nullspace, hstack, reduced_row_echelon, submatrix, transpose,
                      vstack)
-from .model import Biquiver, DimensionVector, _spanning_forest
+from .model import Biquiver, DimensionVector
 from .polynomials import poly_factor, primary_cofactors
 from .representation import MatrixRepresentation, _transform, direct_sum_list
 
@@ -558,11 +558,12 @@ def _echelon_change(rep: MatrixRepresentation
     """A base change S that puts every arrow of the spanning forest in reduced echelon
     form, and the representation it carries rep to.
 
-    The forest of `model._spanning_forest` is walked as it was grown, so at
-    each tree arrow one end w is placed and the other, o, is new; S is the
-    identity at the roots. On w -> o, with M = A S_w, X holds the first
-    independent columns of M and then the unit vectors that complete a basis,
-    and S_o = X, or conj(X) on a dashed arrow: the arrow becomes X^-1 M, with
+    The forest of `model._spanning_forest`, read from g's memo, is walked
+    as it was grown, so at each tree arrow one end w is placed and the
+    other, o, is new; S is the identity at the roots. On w -> o, with
+    M = A S_w, X holds the first independent columns of M and then the unit
+    vectors that complete a basis, and S_o = X, or conj(X) on a dashed
+    arrow: the arrow becomes X^-1 M, with
     e_k at the k-th independent column and zero rows below the rank. X is
     the pivot columns of [M | I], and its reduced row echelon form is
     X^-1 [M | I], so both X^-1 M and X^-1 come off it. On o -> w, with
@@ -577,7 +578,7 @@ def _echelon_change(rep: MatrixRepresentation
     s = [CMatrix.identity(d) for d in rep.dims]
     inv = list(s)
     placed = {}
-    _, parent, _, tree, _ = _spanning_forest(g)
+    _, parent, _, tree, _ = g._forest
     for aid, o in tree.items():
         arrow, w = g.arrow(aid), parent[o] - 1
         m = rep.matrices[aid]

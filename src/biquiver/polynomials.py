@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from cmath import isfinite
-from math import gcd, isqrt
+from math import gcd, isqrt, ldexp
 
 
 def _approximate_roots(a: list[float]) -> list[complex]:
@@ -42,6 +42,25 @@ def _approximate_roots(a: list[float]) -> list[complex]:
         if settled:
             break
     return z
+
+
+def _scaled_roots(f: list[int]) -> list[complex]:
+    """`_approximate_roots` of f over its leading coefficient c, for when those
+    coefficients overflow a float: the roots y of f(2^s y), scaled back to
+    2^s y. s >= 1 is read off bit lengths so that |f_i / c| < 2^(s (n - i) + 1)
+    for each i, so every monic coefficient of f(2^s y) is below 2 in size. A
+    root past a float is left out, as it gives no factor, and so is every root
+    when the search still overflows.
+    """
+    n, c = len(f) - 1, f[-1]
+    s = max(1, *(-((c.bit_length() - x.bit_length()) // (n - i)) for i, x in enumerate(f[:-1])))
+    try:
+        roots = _approximate_roots([x / (c << s * (n - i)) for i, x in enumerate(f)])
+        # ldexp(x, s) is finite for |x| < 2^(1024 - s)
+        return [complex(ldexp(z.real, s), ldexp(z.imag, s)) for z in roots
+                if abs(z) < 2.0 ** (1023 - s)]
+    except OverflowError:
+        return []
 
 
 def _exact_quotient(f: list[int], g: list[int] | tuple[int, ...]) -> list[int] | None:
@@ -182,7 +201,7 @@ def poly_factor(f: list[int]) -> list[tuple[list[int], int]]:
     try:
         approx = _approximate_roots([x / c for x in rest]) if len(rest) > 1 else []
     except OverflowError:
-        approx = []
+        approx = _scaled_roots(rest)
     out = [([0, 1], k)] if k else []
     rest = _divide_out(rest, _refined_candidates(rest, approx, 0), out)
     if len(rest) > 3:

@@ -4,9 +4,13 @@ q_G(x) = sum x_i^2 - sum_{arrows u->v} x_u x_v, summed over all arrows of
 either kind. Twice its Gram matrix Q is the integer generalized Cartan
 matrix C = 2Q of the underlying multigraph, stored with Q as its view.
 Definiteness is read exactly from the inertia of C, that of Q, counted by
-the integer elimination `linalg._symmetric_ldl`, run once per TitsGram,
-whose LDL^T steps root enumeration reuses. That elimination is cubic in
-the number of vertices, so forms past MAX_GRAM_VERTICES vertices are refused.
+the integer elimination `linalg._symmetric_ldl`, whose LDL^T steps root
+enumeration reuses. Each Biquiver is analysed once: `gram_matrix(g)`
+returns the one TitsGram that g keeps, and that TitsGram checks and
+eliminates C once, so `definiteness`, `radical_vector` and
+`roots_with_value` on the same g share one elimination. That elimination
+is cubic in the number of vertices, so forms past MAX_GRAM_VERTICES
+vertices are refused.
 """
 from __future__ import annotations
 
@@ -45,8 +49,23 @@ class TitsGram:
 
     @cached_property
     def ldl(self) -> tuple:
-        """`_symmetric_ldl(c)`, computed once and shared; read it once `definiteness` checked c."""
-        return _symmetric_ldl(self.c)
+        """`_symmetric_ldl(c)` of the checked c, computed once and shared.
+
+        Raises FormatError unless c is a symmetric t x t matrix of ints, and
+        PreconditionError, before eliminating, when t > MAX_GRAM_VERTICES.
+        A refusal is not memoized, so a malformed TitsGram raises on every
+        read.
+        """
+        t, c = self.t, self.c
+        if not (isinstance(t, int) and t >= 0 and isinstance(c, (tuple, list)) and len(c) == t
+                and all(isinstance(row, (tuple, list)) and len(row) == t for row in c)):
+            raise FormatError(f"Gram matrix must be {t} x {t}")
+        _check_vertex_cap(t)
+        if not all(isinstance(x, int) for row in c for x in row):
+            raise FormatError("Gram matrix entries must be ints")
+        if any(c[i][j] != c[j][i] for i in range(t) for j in range(i)):
+            raise FormatError("Gram matrix must be symmetric")
+        return _symmetric_ldl(c)
 
 
 def _check_vertex_cap(t: int) -> None:
@@ -56,8 +75,15 @@ def _check_vertex_cap(t: int) -> None:
 
 
 def gram_matrix(g: Biquiver) -> TitsGram:
-    """C = 2Q; raises PreconditionError when g has more than MAX_GRAM_VERTICES vertices."""
+    """C = 2Q, g's one TitsGram, built on the first call and returned by every
+    later one; each call raises PreconditionError when g has more than
+    MAX_GRAM_VERTICES vertices."""
     _check_vertex_cap(g.t)
+    return g._gram
+
+
+def _tits_gram(g: Biquiver) -> TitsGram:
+    """C = 2Q, built from the arrows; `Biquiver._gram` memoizes it."""
     # 2 - 2 loops on the diagonal, minus the arrows joining u and v off it
     c = [[0] * g.t for _ in range(g.t)]
     for v in range(g.t):
@@ -90,20 +116,12 @@ def definiteness(gram: TitsGram) -> Definiteness:
 
     Read off the inertia (n+, n-, n0) of C, which is that of Q: positive
     definite when n+ = t, positive semidefinite (and singular) when n- = 0.
-    Raises FormatError unless C is a symmetric t x t matrix of ints, and
+    Only reads `gram.ldl`, which checks and eliminates C once per TitsGram:
+    it raises FormatError unless C is a symmetric t x t matrix of ints, and
     PreconditionError, before eliminating, when t > MAX_GRAM_VERTICES.
     """
-    t, c = gram.t, gram.c
-    if not (isinstance(t, int) and t >= 0 and isinstance(c, (tuple, list)) and len(c) == t
-            and all(isinstance(row, (tuple, list)) and len(row) == t for row in c)):
-        raise FormatError(f"Gram matrix must be {t} x {t}")
-    _check_vertex_cap(t)
-    if not all(isinstance(x, int) for row in c for x in row):
-        raise FormatError("Gram matrix entries must be ints")
-    if any(c[i][j] != c[j][i] for i in range(t) for j in range(i)):
-        raise FormatError("Gram matrix must be symmetric")
     (positive, negative, _), *_ = gram.ldl
-    if positive == t:
+    if positive == gram.t:
         return Definiteness.POSITIVE_DEFINITE
     if negative == 0:
         return Definiteness.POSITIVE_SEMIDEFINITE

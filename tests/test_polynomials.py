@@ -309,6 +309,22 @@ def test_poly_factor_far_roots_and_degenerate_input(p):
     assert_coprime_parts(primitive_form(p))
 
 
+# prod_{k=1..9} (x - k 10^40): its monic coefficients reach 9! 10^360, past a
+# float, while its roots do not
+FAR_LINEARS = primitive_form(expand(([(poly(-k * 10 ** 40, 1), 1) for k in range(1, 10)], 0)))
+
+
+@pytest.mark.parametrize("f", [FAR_LINEARS,
+                               primitive_form(oracle_poly_mul(poly(*FAR_LINEARS), poly(1, 0, 1)))])
+def test_poly_factor_scales_x_when_the_monic_coefficients_overflow(f):
+    with pytest.raises(OverflowError):
+        [x / f[-1] for x in f]
+    # the roots are found for a scaled x and scaled back: every factor comes
+    # off, the 9 linear ones and x^2 + 1
+    assert_factored_without_sympy(f)
+    assert [len(g) for g, _ in poly_factor(f)] == [2] * 9 + [3] * (len(f) == 12)
+
+
 def test_only_the_cofactor_is_left_whole():
     # x, the double root 1/3, the Gaussian pair of x^2 + 1, the conjugate
     # pair of x^2 + x + 1 and the real pairs of x^2 - 2 and x^2 - 3 come off
