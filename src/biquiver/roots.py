@@ -1,23 +1,39 @@
 """Exact enumeration of root dimension vectors of the Tits form.
 
-For a positive definite form the nonzero z >= 0 with q_G(z) = 1 form a
-finite set that is enumerated completely without any external bound: the
-LDL^T steps of `linalg._symmetric_ldl` on the int matrix C = 2Q write 2q
-as a sum of squares of linear forms, and choosing coordinates from the
-innermost form outwards confines each coordinate to a finite interval.
-The search runs on integers: every term is weighted by the lcm of the
-steps' denominators, so the remaining budget is an int. In the
-semidefinite case the same pruning applies but kernel directions are
-only limited by the caller's bound; indefinite forms fall back to a
-bounded box search. Neither search loops over its last coordinate: the
-last LDL step and the last box coordinate are solved exactly, leaving at
-most two candidates (all of 0..bound where the box coordinate's equation
-vanishes identically), and `evaluate` still checks every returned root.
-Either search refuses to start when its box, of
-(bound + 1)^k vectors over its k unpruned coordinates, holds more than
-MAX_BOX_CANDIDATES, and stops as soon as it finds more than MAX_ROOTS
-roots. No floating-point arithmetic is used anywhere; the one float, inf,
-is only compared with, as the coordinate cap of a definite search.
+Which method serves a call depends on the verdict on the connected form
+and on the value:
+
+- Positive definite, value 1: the form is a simply-laced ADE Cartan
+  matrix, and the z >= 0 with q(z) = 1 are its positive roots, a finite
+  set found without any bound by closing the simple roots upwards
+  (`_close_simple_roots`): z + e_i is a root exactly when (C z)_i = -1,
+  and every positive root z that is not simple has 2 = sum z_i (C z)_i,
+  so (C z)_i = 1 for some i with z_i > 0, and z - e_i is a positive root.
+  At value 0 there is nothing to find.
+- Positive semidefinite, value 0: the form is extended Dynkin, q(z) = 0
+  exactly when C z = 0, and ker C = Z delta with delta > 0, read off the
+  shared LDL^T by `tits._null_root`. The answer is k delta for
+  k = 1..bound // max(delta) (`_null_roots`).
+- Positive semidefinite, value 1: the LDL^T steps of `linalg._symmetric_ldl`
+  on the int matrix C = 2Q write 2q as a sum of squares of linear forms,
+  and choosing coordinates from the innermost form outwards confines each
+  pivot coordinate to a finite interval; the kernel direction is limited
+  by the caller's bound (`_enumerate_sos`). The search runs on integers:
+  every term is weighted by the lcm of the steps' denominators, so the
+  remaining budget is an int.
+- Indefinite: a box search over 0..bound per coordinate (`_enumerate_box`).
+
+Neither search loops over its last coordinate: the last LDL step and
+the last box coordinate are solved exactly, leaving at most two
+candidates (all of 0..bound where the box coordinate's equation vanishes
+identically), and `evaluate` still checks every returned root.
+A search refuses to start when its box, of (bound + 1)^k vectors over its
+k unpruned coordinates, holds more than MAX_BOX_CANDIDATES, and stops as
+soon as it finds more than MAX_ROOTS roots; the null roots are counted,
+and refused at the same inputs, before any is built. No floating-point
+arithmetic is used anywhere; the one float, inf, is only compared with,
+as the coordinate cap of `_enumerate_sos` on a definite form, the
+closure's oracle in the tests.
 """
 from __future__ import annotations
 
@@ -26,7 +42,7 @@ from math import inf, isqrt, lcm
 from .errors import PreconditionError, echo
 from .classify import RepKind, representation_type
 from .model import Biquiver, DimensionVector, connected_forest
-from .tits import Definiteness, TitsGram, definiteness, evaluate, gram_matrix
+from .tits import Definiteness, TitsGram, _null_root, definiteness, evaluate, gram_matrix
 
 # The most vectors a root search may try: (bound + 1)^k over the t coordinates
 # of an indefinite form or the k kernel directions of a semidefinite one.
@@ -56,19 +72,18 @@ def roots_with_value(g: Biquiver, value: int, bound: int | None = None) -> list[
     gram = gram_matrix(g)
     verdict = definiteness(gram)
     if verdict is Definiteness.POSITIVE_DEFINITE:
-        sols = _enumerate_sos(gram, value, None)
+        out = _close_simple_roots(gram) if value else []
     elif verdict is Definiteness.POSITIVE_SEMIDEFINITE:
         if bound is None:
             raise PreconditionError(
                 "the root set is infinite for a semidefinite form; pass an explicit bound")
-        sols = _enumerate_sos(gram, value, bound)
+        out = sorted(_enumerate_sos(gram, 1, bound)) if value else _null_roots(gram, bound)
     else:
         if bound is None:
             raise PreconditionError(
                 "the form is indefinite; root search requires an explicit bound")
         _check_box(bound, g.t, "the form is indefinite; a box search")
-        sols = _enumerate_box(gram, value, bound)
-    out = sorted(z for z in sols if any(z))
+        out = sorted(z for z in _enumerate_box(gram, value, bound) if any(z))
     for z in out:
         if evaluate(g, z) != value:
             raise AssertionError(f"enumerated vector {z} does not have q = {value}")
@@ -98,12 +113,74 @@ def _check_box(bound: int, k: int, search: str) -> None:
                 f"exceeds the cap of {MAX_BOX_CANDIDATES} candidates")
 
 
-def _keep(results: list[DimensionVector], z: list[int]) -> None:
-    """Record the solution z, refusing one past MAX_ROOTS."""
-    if len(results) == MAX_ROOTS:
+def _check_roots(found: int) -> None:
+    """Refuse a search that records more than MAX_ROOTS solutions."""
+    if found > MAX_ROOTS:
         raise PreconditionError(
             f"the root search found more than the cap of {MAX_ROOTS} roots; lower the bound")
+
+
+def _keep(results: list[DimensionVector], z: list[int]) -> None:
+    """Record the solution z, refusing one past MAX_ROOTS."""
+    _check_roots(len(results) + 1)
     results.append(tuple(z))
+
+
+# -- the root system of a Dynkin or extended Dynkin form ---------------------
+
+def _close_simple_roots(gram: TitsGram) -> list[DimensionVector]:
+    """The positive roots of a connected positive definite form, sorted.
+
+    Closes the simple roots upwards, as the module docstring argues. C has
+    2 on its diagonal and 0 or -1 off it, as a loop or a double arrow would
+    make it not definite, so (C z)_i = 1 implies z_i > 0. Each root z keeps
+    w = C z beside it, and z + e_i, a root exactly when w_i = -1, is kept
+    only from its one parent z - e_i, i the least index with (C z)_i = 1;
+    its w adds the sparse column C[:, i] to a copy. A height whose roots
+    would pass MAX_ROOTS is refused before any of them is recorded.
+    """
+    n, c = gram.t, gram.c
+    neighbours = [tuple(j for j, x in enumerate(row) if x == -1) for row in c]
+    level = []
+    for i in range(n):
+        z = [0] * n
+        z[i] = 1
+        level.append((z, list(c[i])))
+    found: list[DimensionVector] = []
+    while level:
+        _check_roots(len(found) + len(level))
+        higher = []
+        for z, w in level:
+            found.append(tuple(z))
+            i = -1
+            for _ in range(w.count(-1)):
+                i = w.index(-1, i + 1)
+                up = w.copy()
+                up[i] += 2
+                for j in neighbours[i]:
+                    up[j] -= 1
+                if up.index(1) == i:  # z + e_i's parent is z
+                    child = z.copy()
+                    child[i] += 1
+                    higher.append((child, up))
+        level = higher
+    found.sort()
+    return found
+
+
+def _null_roots(gram: TitsGram, bound: int) -> list[DimensionVector]:
+    """The null roots k delta, k = 1..bound // max(delta), of a connected
+    semidefinite form.
+
+    Refused where `_enumerate_sos` refuses, before any vector is built: its
+    candidates are the k of 0..bound in the one kernel direction, and its
+    solutions the k of 0..bound // max(delta), the zero vector included.
+    """
+    delta = _null_root(gram)
+    _check_box(bound, 1, "the form is semidefinite; a search of its kernel directions")
+    top = bound // max(delta)
+    _check_roots(top + 1)
+    return [tuple(k * x for x in delta) for k in range(1, top + 1)]
 
 
 # -- weighted sum-of-squares enumeration -------------------------------------

@@ -4,13 +4,16 @@ q_G(x) = sum x_i^2 - sum_{arrows u->v} x_u x_v, summed over all arrows of
 either kind. Twice its Gram matrix Q is the integer generalized Cartan
 matrix C = 2Q of the underlying multigraph, stored with Q as its view.
 Definiteness is read exactly from the inertia of C, that of Q, counted by
-the integer elimination `linalg._symmetric_ldl`, whose LDL^T steps root
-enumeration reuses. Each Biquiver is analysed once: `gram_matrix(g)`
-returns the one TitsGram that g keeps, and that TitsGram checks and
-eliminates C once, so `definiteness`, `radical_vector` and
-`roots_with_value` on the same g share one elimination. That elimination
-is cubic in the number of vertices, so forms past MAX_GRAM_VERTICES
-vertices are refused.
+the integer elimination `linalg._symmetric_ldl`. Each Biquiver is analysed
+once: `gram_matrix(g)` returns the one TitsGram that g keeps, and that
+TitsGram checks and eliminates C once, in `TitsGram.ldl`. On the same g,
+`definiteness` reads the inertia of that one LDL^T, `_null_root` solves
+its steps back for the radical vector of a semidefinite form, and
+`roots_with_value` reads the verdict, that radical vector at value 0, and
+the steps for its search of a semidefinite form at value 1.
+`radical_vector` shares the verdict but still solves ker C with
+`fraction_nullspace`. The elimination is cubic in the number of vertices,
+so forms past MAX_GRAM_VERTICES vertices are refused.
 """
 from __future__ import annotations
 
@@ -18,6 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 
 from .errors import FormatError, PreconditionError
 from .linalg import _symmetric_ldl, fraction_nullspace
@@ -145,3 +149,35 @@ def radical_vector(gram: TitsGram) -> DimensionVector | None:
     if any(x <= 0 for x in nums):
         return None
     return tuple(nums)
+
+
+def _null_root(gram: TitsGram) -> DimensionVector:
+    """The primitive generator delta > 0 of ker C, read off `gram.ldl`.
+
+    For the singular positive semidefinite form of a connected biquiver,
+    an extended Dynkin form, ker C = Z delta with delta > 0, and `ldl` has
+    one `free` index. Every LDL^T term vanishes on ker C, so each step's
+    d z_p + lin . z = 0 gives z_p from the indices pivoted after p; from
+    z_free = 1 the steps, solved last to first in integers, scale z up by
+    what d does not divide. Read for a semidefinite form only; raises
+    AssertionError unless `free` has length 1 and delta > 0.
+    """
+    _, steps, free = gram.ldl
+    if len(free) != 1:
+        raise AssertionError(f"the kernel has {len(free)} free directions, not 1")
+    z = [0] * gram.t
+    z[free[0]] = 1
+    for p, _, d, lin in reversed(steps):
+        s = 0
+        for j, x in lin.items():
+            s += x * z[j]
+        scale = d // gcd(s, d)  # d > 0, as n- == 0
+        if scale > 1:
+            z = [scale * v for v in z]
+            s *= scale
+        z[p] = -s // d
+    common = gcd(*z)
+    delta = tuple(v // common for v in z)
+    if min(delta) <= 0:
+        raise AssertionError(f"the kernel vector {delta} is not strictly positive")
+    return delta

@@ -68,6 +68,11 @@ INVOCATIONS: list[tuple[str, ...]] = [
     ("roots", "e6.biquiver.json", "--value", "1"),
     ("roots", "d4t.biquiver.json", "--value", "0", "--bound", "2"),
     ("roots", "wild.biquiver.json", "--value", "1", "--bound", "2"),
+    # a definite form has no null root; a semidefinite one at value 1, and
+    # below its radical vector at value 0, where it has none
+    ("roots", "e6.biquiver.json", "--value", "0"),
+    ("roots", "d4t.biquiver.json", "--value", "1", "--bound", "2"),
+    ("roots", "d4t.biquiver.json", "--value", "0", "--bound", "1"),
     ("classify", "d4t.biquiver.json"),
     ("classify", "wild.biquiver.json"),
     # isotypic sums X + X + Y: over A3 and D4 (each with a dashed arrow), whose

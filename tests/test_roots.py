@@ -16,8 +16,9 @@ import biquiver
 from biquiver import (Arrow, ArrowKind, Biquiver, Definiteness, PreconditionError,
                       TitsGram, definiteness, evaluate, gram_matrix,
                       positive_root_count, radical_vector, roots_with_value)
-from biquiver.roots import (MAX_BOX_CANDIDATES, MAX_ROOTS, _check_box, _enumerate_box,
-                            _enumerate_sos, _keep)
+from biquiver.roots import (MAX_BOX_CANDIDATES, MAX_ROOTS, _check_box, _close_simple_roots,
+                            _enumerate_box, _enumerate_sos, _keep, _null_roots)
+from biquiver.tits import _null_root
 from conftest import (biq, cycle_biquiver, dynkin_and_extended, path_biquiver,
                       star_biquiver)
 from test_tits import oracle_symmetric_ldl
@@ -369,6 +370,102 @@ def test_solved_searches_match_oracles_on_degenerate_forms():
                         == oracle_enumerate_box(gram, value, bound)), (gram, value, bound)
 
 
+# -- the root system against the searches it replaced ------------------------
+
+def searched(search, gram, value, bound):
+    """A search's nonzero solutions in lexicographic order."""
+    return sorted(z for z in search(gram, value, bound) if any(z))
+
+
+def assert_root_system_matches_searches(gram, bounds):
+    """The closure (definite) or the null roots (semidefinite) equal what
+    `_enumerate_sos` and both oracles find at each bound; the closure also
+    equals the unbounded searches, and is refused nothing at value 0."""
+    searches = (_enumerate_sos, oracle_enumerate_sos, oracle_search_sos)
+    verdict = definiteness(gram)
+    if verdict is Definiteness.POSITIVE_DEFINITE:
+        roots = _close_simple_roots(gram)
+        for search in searches:
+            assert roots == searched(search, gram, 1, None)
+            assert searched(search, gram, 0, None) == []
+        for bound in bounds:
+            capped = [z for z in roots if max(z) <= bound]
+            for search in searches:
+                assert capped == searched(search, gram, 1, bound), bound
+    elif verdict is Definiteness.POSITIVE_SEMIDEFINITE:
+        for bound in bounds:
+            roots = _null_roots(gram, bound)
+            for search in searches:
+                assert roots == searched(search, gram, 0, bound), bound
+
+
+@pytest.mark.parametrize("label, g", list(dynkin_and_extended()),
+                         ids=[label for label, _ in dynkin_and_extended()])
+def test_root_system_matches_the_searches(label, g):
+    gram = gram_matrix(g)
+    expected = Definiteness.POSITIVE_SEMIDEFINITE if label.startswith("~") \
+        else Definiteness.POSITIVE_DEFINITE
+    assert definiteness(gram) is expected
+    assert_root_system_matches_searches(gram, range(7))
+
+
+@settings(deadline=None, max_examples=60)
+@given(connected_biquivers())
+def test_root_system_matches_the_searches_on_random_biquivers(g):
+    gram = gram_matrix(g)
+    assert_root_system_matches_searches(gram, range(7))
+    if definiteness(gram) is Definiteness.POSITIVE_SEMIDEFINITE:
+        assert _null_root(gram) == radical_vector(gram)
+
+
+def test_weyl_counts_of_large_a_and_d():
+    n = 128
+    a, d = path_biquiver(n), star_biquiver([1, 1, n - 3])
+    assert positive_root_count(a) == n * (n + 1) // 2
+    assert positive_root_count(d) == n * (n - 1)
+    # the highest root of D_n: 1 at the two forked leaves and the far end, 2 between
+    highest = max(roots_with_value(d, 1), key=sum)
+    assert sorted(highest) == [1, 1, 1] + [2] * (n - 3)
+
+
+@pytest.mark.parametrize("label, g", [(label, g) for label, g in dynkin_and_extended()
+                                      if label.startswith("~")],
+                         ids=[label for label, _ in dynkin_and_extended() if label.startswith("~")])
+def test_null_roots_are_the_multiples_of_the_radical_vector(label, g):
+    gram = gram_matrix(g)
+    delta = radical_vector(gram)
+    assert _null_root(gram) == delta
+    for bound in (0, max(delta) - 1, max(delta), 7, 3 * max(delta) + 1):
+        want = [tuple(k * x for x in delta) for k in range(1, bound // max(delta) + 1)]
+        assert roots_with_value(g, 0, bound=bound) == want
+
+
+def test_null_root_refuses_a_kernel_it_cannot_read():
+    with pytest.raises(AssertionError, match="2 free directions"):
+        _null_root(TitsGram(2, ((0, 0), (0, 0))))
+    for c in (((2, 2), (2, 2)), ((2, 0), (0, 0))):  # kernels (-1, 1) and (0, 1)
+        with pytest.raises(AssertionError, match="not strictly positive"):
+            _null_root(TitsGram(2, c))
+
+
+def test_null_roots_refuse_where_the_kernel_search_refuses():
+    a1_tilde = gram_matrix(biq(2, "a:1>2", "b:2~1"))  # delta = (1, 1)
+    for bound in (MAX_ROOTS - 1, MAX_ROOTS, MAX_BOX_CANDIDATES - 1, MAX_BOX_CANDIDATES):
+        try:
+            want = searched(_enumerate_sos, a1_tilde, 0, bound)
+        except PreconditionError as e:
+            with pytest.raises(PreconditionError) as got:
+                _null_roots(a1_tilde, bound)
+            assert str(got.value) == str(e), bound
+        else:
+            assert _null_roots(a1_tilde, bound) == want
+    # delta = (2, 1, 1, 1, 1): the cap counts k = 0..bound // 2
+    d4_tilde = gram_matrix(star_biquiver([1, 1, 1, 1]))
+    assert len(_null_roots(d4_tilde, 2 * MAX_ROOTS - 1)) == MAX_ROOTS - 1
+    with pytest.raises(PreconditionError, match=f"more than the cap of {MAX_ROOTS} roots"):
+        _null_roots(d4_tilde, 2 * MAX_ROOTS)
+
+
 def test_enumeration_builds_no_fractions(monkeypatch):
     e8 = star_biquiver([1, 2, 4])
     e8_tilde = star_biquiver([1, 2, 5])
@@ -386,10 +483,14 @@ def test_enumeration_builds_no_fractions(monkeypatch):
     roots = _enumerate_sos(gram, 1, None)
     found = [roots_with_value(e8, 1), roots_with_value(e8_tilde, 0, bound=6),
              roots_with_value(wild, 1, bound=4)]
+    tilde_gram = gram_matrix(e8_tilde)
+    closed, nulls = _close_simple_roots(gram), _null_roots(tilde_gram, 12)
+    delta = _null_root(tilde_gram)
     monkeypatch.undo()
     assert verdict is Definiteness.POSITIVE_DEFINITE
     assert len([z for z in roots if any(z)]) == 120
     assert [len(f) for f in found] == [120, 1, len(brute_force_roots(wild, 1, 4))]
+    assert closed == found[0] and nulls == [delta, tuple(2 * x for x in delta)]
     assert built == []
 
 
