@@ -165,16 +165,8 @@ class CMatrix:
         if self.cols != other.rows:
             raise FormatError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        k, m = self.cols, other.cols
-        are, aim = self.re, self.im
-        bcols = [(other.re[j::m], other.im[j::m]) for j in range(m)]
-        re, im = [], []
-        for i in range(self.rows):
-            ar, ai = are[i * k:(i + 1) * k], aim[i * k:(i + 1) * k]
-            for br, bi in bcols:
-                re.append(sum(map(mul, ar, br)) - sum(map(mul, ai, bi)))
-                im.append(sum(map(mul, ar, bi)) + sum(map(mul, ai, br)))
-        return _reduced(self.rows, m, self.den * other.den, re, im)
+        re, im = _product(self.rows, self.cols, other.cols, self.re, self.im, other.re, other.im)
+        return _reduced(self.rows, other.cols, self.den * other.den, re, im)
 
     def conj(self) -> "CMatrix":
         return _canonical(self.rows, self.cols, self.den, self.re, tuple(map(neg, self.im)))
@@ -274,6 +266,19 @@ def _integer_parts(values: list) -> tuple[int, list[int]]:
     """
     den = lcm(*(x.denominator for x in values))
     return den, [x.numerator * (den // x.denominator) for x in values]
+
+
+def _product(rows: int, k: int, m: int, are, aim, bre, bim) -> tuple[list[int], list[int]]:
+    """The integer parts of A B, row-major, for A of `rows` x k and B of k x m, each
+    given by the integer parts of its entries, row-major."""
+    bcols = [(bre[j::m], bim[j::m]) for j in range(m)]
+    re, im = [], []
+    for i in range(rows):
+        ar, ai = are[i * k:(i + 1) * k], aim[i * k:(i + 1) * k]
+        for br, bi in bcols:
+            re.append(sum(map(mul, ar, br)) - sum(map(mul, ai, bi)))
+            im.append(sum(map(mul, ar, bi)) + sum(map(mul, ai, br)))
+    return re, im
 
 
 def _add(a: CMatrix, b: CMatrix, sign: int) -> CMatrix:

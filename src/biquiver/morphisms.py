@@ -4,7 +4,11 @@ A morphism F: A -> B is a tuple of complex matrices F_v with
 B_alpha F_u = F_v A_alpha on full arrows and B_alpha F_u = conj(F_v) A_alpha
 on dashed ones. Because of the conjugation, Hom(A, B) is only a *real*
 vector space; writing F_v = X_v + i Y_v turns the constraints into a
-homogeneous rational linear system whose exact nullspace we compute. All
+homogeneous rational linear system whose exact nullspace we compute.
+`MorphismBasis` keeps its canonical kernel vectors, integers over one
+denominator each, and samples, killers, powers and the trace form are
+integer arithmetic on them: CMatrix matrices are built only for a sample
+to invert, for the primary parts of a split, and on reading `tuples`. All
 certified answers (isomorphism certificates, decompositions) are verified
 by exact rational arithmetic before being returned. A negative isomorphism
 answer is certified when the dimension vectors differ, when the rank
@@ -21,15 +25,15 @@ import random
 from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import accumulate, combinations, islice
 from math import lcm
 from operator import matmul, mul
 
 from .errors import PreconditionError, SingularMatrixError, echo
-from .linalg import (_MIN_SPLIT_CELLS, CMatrix, _first_dependence, _symmetric_ldl,
-                     fraction_nullspace, hstack, reduced_row_echelon, submatrix, transpose,
-                     vstack)
+from .linalg import (_MIN_SPLIT_CELLS, CMatrix, _first_dependence, _primitive, _product,
+                     _symmetric_ldl, fraction_nullspace, hstack, reduced_row_echelon, submatrix,
+                     transpose, vstack)
 from .model import Biquiver, DimensionVector
 from .polynomials import poly_factor, primary_cofactors
 from .representation import MatrixRepresentation, _transform, direct_sum_list
@@ -50,19 +54,33 @@ MAX_PROFILE_RANKS = 256
 MAX_HOM_CELLS = 2 ** 17
 
 MorphismTuple = tuple[CMatrix, ...]
+_Vector = tuple[int, list[int]]  # (den, nums): the morphism nums / den in the Hom layout
 
 
 @dataclass(frozen=True)
 class MorphismBasis:
-    """Real-rational basis of Hom(A, B) as tuples of per-vertex matrices."""
+    """Real-rational basis of Hom(A, B): the canonical kernel vectors of its system.
+
+    Each vector is (den, nums), the morphism nums / den in the layout of
+    `hom_basis`'s unknowns, with gcd(den, *nums) == 1, so den is also the
+    lcm of the per-vertex denominators. `tuples`, the basis as tuples of
+    per-vertex CMatrix, is built on first read and kept outside the fields.
+    """
     biquiver: Biquiver
     source_dims: DimensionVector
     target_dims: DimensionVector
-    tuples: tuple[MorphismTuple, ...]
+    vectors: tuple[tuple[int, tuple[int, ...]], ...]
 
     @property
     def dimension(self) -> int:
-        return len(self.tuples)
+        return len(self.vectors)
+
+    @cached_property
+    def tuples(self) -> tuple[MorphismTuple, ...]:
+        return tuple(_matrices(self.target_dims, self.source_dims, *v) for v in self.vectors)
+
+    def __getstate__(self):
+        return {name: getattr(self, name) for name in self.__dataclass_fields__}
 
 
 class Verdict(Enum):
@@ -134,104 +152,66 @@ def hom_basis(a: MatrixRepresentation, b: MatrixRepresentation) -> MorphismBasis
         raise PreconditionError(f"the Hom system has {equations} equations in {total} unknowns, "
                                 f"past the cap of {MAX_HOM_CELLS} cells")
     offsets = list(accumulate((2 * y * x for x, y in zip(da, db)), initial=0))
-
-    def x_index(v: int, i: int, j: int) -> int:
-        return offsets[v] + i * da[v] + j
-
-    def y_index(v: int, i: int, j: int) -> int:
-        return offsets[v] + db[v] * da[v] + i * da[v] + j
-
-    # B F_u - F_v A = 0 (conj(F_v) on dashed arrows), times den(A) den(B):
-    # the B terms are scaled by den(A) and the A terms by den(B)
+    # B F_u - F_v A = 0 (conj(F_v) on dashed arrows), times den(A) den(B): the B
+    # terms are scaled by den(A) and the A terms by den(B). X_v[i, j] is unknown
+    # offsets[v] + i * da[v] + j, and Y_v[i, j] comes db[v] * da[v] after it. A
+    # term is (unknown, its coefficient in the real row, in the imaginary row).
     rows: list[list[int]] = []
     for arrow in g.arrows:
         u, v = arrow.source - 1, arrow.target - 1
         am, bm = a.matrices[arrow.id], b.matrices[arrow.id]
-        sb, sa = am.den, bm.den
-        sign = -1 if arrow.is_dashed else 1
-        for i in range(db[v]):
-            for j in range(da[u]):
-                real = [0] * total
-                imag = [0] * total
-                for k in range(db[u]):
-                    cr, ci = bm.re[i * db[u] + k], bm.im[i * db[u] + k]
-                    if cr or ci:
-                        cr, ci = sb * cr, sb * ci
-                        real[x_index(u, k, j)] += cr
-                        real[y_index(u, k, j)] -= ci
-                        imag[y_index(u, k, j)] += cr
-                        imag[x_index(u, k, j)] += ci
-                for l in range(da[v]):
-                    cr, ci = am.re[l * da[u] + j], am.im[l * da[u] + j]
-                    if not (cr or ci):
-                        continue
-                    cr, ci = sa * cr, sa * ci
-                    # F_v A: real -= Xv.Are - Yv.Aim, imag -= Xv.Aim + Yv.Are;
-                    # conj(F_v) = Xv - i Yv flips the sign of the Yv terms
-                    real[x_index(v, i, l)] -= cr
-                    real[y_index(v, i, l)] += sign * ci
-                    imag[x_index(v, i, l)] -= ci
-                    imag[y_index(v, i, l)] -= sign * cr
-                if any(real):
-                    rows.append(real)
-                if any(imag):
-                    rows.append(imag)
+        sb, sa, sign = am.den, bm.den, -1 if arrow.is_dashed else 1
+        xu, yu, yv = offsets[u], offsets[u] + db[u] * da[u], db[v] * da[v]
+        # B F_u: B[i, k] times X_u[k, j] + i Y_u[k, j], at j = 0 (row (i, j) adds j)
+        b_terms = [[t for k, x, y in zip(range(db[u]), bm.re[i * db[u]:], bm.im[i * db[u]:])
+                    if x or y for t in ((xu + k * da[u], sb * x, sb * y),
+                                        (yu + k * da[u], -sb * y, sb * x))]
+                   for i in range(db[v])]
+        # -F_v A: X_v[i, l] + i Y_v[i, l] times A[l, j], less offsets[v] + i * da[v];
+        # conj(F_v) = X_v - i Y_v flips the sign of the Y_v terms
+        a_terms = [[t for l, x, y in zip(range(da[v]), am.re[j::da[u]], am.im[j::da[u]])
+                    if x or y for t in ((l, -sa * x, -sa * y),
+                                        (yv + l, sign * sa * y, -sign * sa * x))]
+                   for j in range(da[u])]
+        for i, b_row in enumerate(b_terms):
+            base = offsets[v] + i * da[v]
+            for j, a_col in enumerate(a_terms):
+                real, imag = [0] * total, [0] * total
+                for shift, terms in ((j, b_row), (base, a_col)):
+                    for p, cr, ci in terms:
+                        real[shift + p] += cr
+                        imag[shift + p] += ci
+                rows += (row for row in (real, imag) if any(row))
 
-    basis_vectors = fraction_nullspace(rows, total)
-
-    def unflatten(den: int, nums: list[int]) -> MorphismTuple:
-        mats = []
-        for v in range(g.t):
-            n, start = db[v] * da[v], offsets[v]
-            mats.append(CMatrix.from_integers(db[v], da[v], den, nums[start:start + n],
-                                              nums[start + n:start + 2 * n]))
-        return tuple(mats)
-
-    return MorphismBasis(g, da, db, tuple(unflatten(*v) for v in basis_vectors))
+    vectors = tuple((den, tuple(nums)) for den, nums in fraction_nullspace(rows, total))
+    return MorphismBasis(g, da, db, vectors)
 
 
-def _flatten_tuple(mats: MorphismTuple) -> tuple[int, list[int]]:
-    """(den, nums): real, then imaginary parts of each matrix in turn, as nums / den."""
-    den = lcm(*(m.den for m in mats))
-    nums: list[int] = []
-    for m in mats:
-        s = den // m.den
-        nums += (s * x for x in m.re)
-        nums += (s * y for y in m.im)
-    return den, nums
+def _matrices(rows: DimensionVector, cols: DimensionVector, den: int, nums) -> MorphismTuple:
+    """The per-vertex matrices, rows[v] x cols[v], of the vector nums / den in the Hom layout."""
+    starts = accumulate((2 * r * c for r, c in zip(rows, cols)), initial=0)
+    return tuple(CMatrix.from_integers(r, c, den, nums[s:s + r * c], nums[s + r * c:s + 2 * r * c])
+                 for r, c, s in zip(rows, cols, starts))
 
 
-def _combination(coeffs: list[int], tuples, shapes) -> MorphismTuple:
-    """sum_j coeffs[j] * tuples[j], tuples of the given (rows, cols); extra tuples are ignored."""
-    terms = [(c, tup) for c, tup in zip(coeffs, tuples) if c]
-    mats = []
-    for v, (r, c) in enumerate(shapes):
-        # term j is p_j (R_j / d_j); sum over the lcm of the d_j
-        den = lcm(*(tup[v].den for _, tup in terms))
-        re = [0] * (r * c)
-        im = [0] * (r * c)
-        for coef, tup in terms:
-            m = tup[v]
-            f = coef * (den // m.den)
-            re = [x + f * y for x, y in zip(re, m.re)]
-            im = [x + f * y for x, y in zip(im, m.im)]
-        mats.append(CMatrix.from_integers(r, c, den, re, im))
-    return tuple(mats)
+def _linear_combination(coeffs: list[int], vectors, length: int) -> _Vector:
+    """sum_j coeffs[j] * vectors[j], each of `length`, over the lcm of the terms' dens."""
+    terms = [(c, v) for c, v in zip(coeffs, vectors) if c]
+    den = lcm(*(d for _, (d, _) in terms))
+    scales = [c * (den // d) for c, (d, _) in terms]
+    columns = zip(*(v for _, (_, v) in terms)) if terms else [()] * length
+    return den, [sum(map(mul, scales, column)) for column in columns]
 
 
-def _combine(basis: MorphismBasis, coeffs: list[int]) -> MorphismTuple:
-    """The integer combination sum_j coeffs[j] * basis.tuples[j]."""
-    return _combination(coeffs, basis.tuples, zip(basis.target_dims, basis.source_dims))
+def _combine(basis: MorphismBasis, coeffs: list[int]) -> _Vector:
+    """The integer combination sum_j coeffs[j] * basis.vectors[j]."""
+    return _linear_combination(coeffs, basis.vectors, 2 * sum(map(mul, basis.target_dims,
+                                                                   basis.source_dims)))
 
 
-def _sample(basis: MorphismBasis, rng: random.Random, coeff_bound: int) -> MorphismTuple:
+def _sample(basis: MorphismBasis, rng: random.Random, coeff_bound: int) -> _Vector:
     """A random integer combination of the basis, coefficients in [-coeff_bound, coeff_bound]."""
-    return _combine(basis, [rng.randint(-coeff_bound, coeff_bound) for _ in basis.tuples])
-
-
-def _tuple_compose(f: MorphismTuple, g_: MorphismTuple) -> MorphismTuple:
-    """Composition f after g, componentwise matrix product."""
-    return tuple(fm @ gm for fm, gm in zip(f, g_))
+    return _combine(basis, [rng.randint(-coeff_bound, coeff_bound) for _ in basis.vectors])
 
 
 def _identity_tuple(dims: DimensionVector) -> MorphismTuple:
@@ -350,7 +330,7 @@ def are_isomorphic(a: MatrixRepresentation, b: MatrixRepresentation,
         return IsoResult(Verdict.NO, reason="Hom(a, b) = 0 with nonzero dimensions")
     rng = random.Random(seed)
     for used in range(1, trials + 1):
-        sample = _sample(basis, rng, coeff_bound)
+        sample = _matrices(basis.target_dims, basis.source_dims, *_sample(basis, rng, coeff_bound))
         try:
             s = tuple(m.inverse() for m in sample)
         except SingularMatrixError:
@@ -385,45 +365,62 @@ def _is_morphism(a: MatrixRepresentation, b: MatrixRepresentation, f: MorphismTu
 
 # -- Krull-Schmidt decomposition ----------------------------------------------
 
-def _minimal_polynomial(basis: MorphismBasis, phi: MorphismTuple,
-                        powers: list[MorphismTuple] | None = None) -> list[int]:
-    """Minimal polynomial of phi as a real-linear operator tuple, primitive
-    integer coefficients with a positive leading one.
+def _compose(f: _Vector, g_: _Vector, dims: DimensionVector) -> _Vector:
+    """f after g_, canonical, for vectors in the End layout of dims: the integer parts
+    are multiplied vertex by vertex, over den(f) den(g_)."""
+    (df, a), (dg, b) = f, g_
+    out = [df * dg]  # the denominator, then the parts at each vertex
+    for d, s in zip(dims, accumulate((2 * d * d for d in dims), initial=0)):
+        n = d * d
+        re, im = _product(d, d, d, a[s:s + n], a[s + n:s + 2 * n], b[s:s + n], b[s + n:s + 2 * n])
+        out += re + im
+    den, *out = _primitive(out)  # canonical: gcd(den, *out) == 1
+    return den, out
 
-    Found as the first linear dependence among the flattened powers of phi.
-    phi acts on a real space of dimension 2 * sum(dims), so by
+
+def _minimal_polynomial(basis: MorphismBasis, phi: _Vector,
+                        powers: list[_Vector] | None = None) -> list[int]:
+    """Minimal polynomial of phi, a vector in the End layout of `basis`, as a real-linear
+    operator tuple: primitive integer coefficients, the leading one positive.
+
+    Found as the first linear dependence among the canonical vectors of the
+    powers of phi. phi acts on a real space of dimension 2 * sum(dims), so by
     Cayley-Hamilton one of the first 2 * sum(dims) + 1 powers is dependent.
-    The powers 1, phi, ..., phi^deg it flattens are appended to `powers`
-    when a list is passed; phi^2 on take one composition each.
+    The powers 1, phi, ..., phi^deg it reads are appended to `powers` when a
+    list is passed; phi^2 on take one `_compose` each.
     """
-    powers = [] if powers is None else powers
+    powers, dims = [] if powers is None else powers, basis.source_dims
+    den, *nums = _primitive([phi[0], *phi[1]])
+    phi = den, nums
 
-    def flattened():
-        power = _identity_tuple(basis.source_dims)
+    def vectors():
+        power = 1, [x for d in dims
+                    for x in [int(i == j) for i in range(d) for j in range(d)] + [0] * (d * d)]
         while True:
             powers.append(power)
-            yield _flatten_tuple(power)
-            power = _tuple_compose(phi, power) if len(powers) > 1 else phi
+            yield power
+            power = _compose(phi, power, dims) if len(powers) > 1 else phi
 
-    return _first_dependence(flattened(), 2 * sum(basis.source_dims) + 1)
+    return _first_dependence(vectors(), 2 * sum(dims) + 1)
 
 
-def _splitting_idempotent(minpoly: list[int], powers: list[MorphismTuple],
+def _splitting_idempotent(minpoly: list[int], powers: list[_Vector],
                           dims: DimensionVector) -> list[MorphismTuple] | None:
     """The primary parts M_j(phi) of phi, or None when minpoly is one coprime part.
 
-    For minpoly p = prod f_j^m_j, in the coprime parts of `poly_factor`, M_j is the integer polynomial p / f_j^m_j
-    and each M_j(phi) one `_combination` of `powers`, the 1, phi, ...,
-    phi^deg p that `_minimal_polynomial` composed. `_primary_split` reads the
-    base change and the blocks off their reduced row echelon forms. (The
-    benchmark's tracer looks this function up by its name, which predates
-    the primary split.)
+    For minpoly p = prod f_j^m_j, in the coprime parts of `poly_factor`, M_j
+    is the integer polynomial p / f_j^m_j and M_j(phi) one integer
+    combination of `powers`, the vectors of 1, phi, ..., phi^deg p that
+    `_minimal_polynomial` read; these parts are the first matrices a split
+    node builds. `_primary_split` reads the base change and the blocks off
+    their reduced row echelon forms. (The benchmark's tracer looks this
+    function up by its name, which predates the primary split.)
     """
     factors = poly_factor(minpoly)
     if len(factors) < 2:
         return None
-    shapes = [(d, d) for d in dims]
-    return [_combination(m, powers, shapes) for m in primary_cofactors(minpoly, factors)]
+    return [_matrices(dims, dims, *_linear_combination(m, powers, len(powers[0][1])))
+            for m in primary_cofactors(minpoly, factors)]
 
 
 def _vertex_killers(basis: MorphismBasis, vertex: int, vec: CMatrix) -> list[list[int]]:
@@ -434,17 +431,22 @@ def _vertex_killers(basis: MorphismBasis, vertex: int, vec: CMatrix) -> list[lis
     are singular, so their minimal polynomials pick up a factor of x;
     together with the primary split this decomposes isotypic sums
     X + X whose generic endomorphisms have irreducible rational minimal
-    polynomials.
+    polynomials. Column j is basis vector j's slice at the vertex times
+    `vec`, all over one denominator: a uniform scale keeps the nullspace.
     """
-    columns = [_flatten_tuple((tup[vertex] @ vec,)) for tup in basis.tuples]
-    # all columns over one denominator: a uniform scale keeps the nullspace
-    den = lcm(*(d for d, _ in columns))
-    rows = [list(row) for row in zip(*([x * (den // d) for x in col] for d, col in columns))]
+    s = sum(2 * r * c for r, c in zip(basis.target_dims[:vertex], basis.source_dims))
+    r, c = basis.target_dims[vertex], basis.source_dims[vertex]
+    den, n = lcm(*(d for d, _ in basis.vectors)), r * c
+    columns = []
+    for d, nums in basis.vectors:
+        re, im = _product(r, c, 1, nums[s:s + n], nums[s + n:s + 2 * n], vec.re, vec.im)
+        columns.append([den // d * x for x in re + im])
+    rows = [list(row) for row in zip(*columns)]
     return [nums for _, nums in fraction_nullspace(rows, len(columns))]
 
 
 def _split_candidates(basis: MorphismBasis, dims: DimensionVector, trials: int,
-                      rng: random.Random, coeff_bound: int) -> Iterator[MorphismTuple]:
+                      rng: random.Random, coeff_bound: int) -> Iterator[_Vector]:
     """Endomorphisms to try for a Fitting split, drawn from rng only as they are asked for.
 
     Each of `trials` rounds yields a random element of End, then, at each
@@ -464,38 +466,33 @@ def _split_candidates(basis: MorphismBasis, dims: DimensionVector, trials: int,
                     yield _combine(basis, coords)
 
 
+def _trace_rows(basis: MorphismBasis) -> Iterator[list[int]]:
+    """Row i of `_trace_form`, up to its diagonal, for each i in turn."""
+    dims = basis.source_dims
+    starts = accumulate((2 * d * d for d in dims), initial=0)
+    transpose_map = [s + part + j * d + i for d, s in zip(dims, starts)
+                     for part in (0, d * d) for i in range(d) for j in range(d)]
+    signs, transposed = [x for d in dims for x in [1] * (d * d) + [-1] * (d * d)], []
+    for _, nums in basis.vectors:
+        transposed.append(list(map(nums.__getitem__, transpose_map)))
+        f = list(map(mul, signs, nums))
+        yield [2 * sum(map(mul, f, g)) for g in transposed]
+
+
 def _trace_form(basis: MorphismBasis) -> list[list[int]]:
     """Integer Gram matrix D T D of the trace form T, D = diag(den_i).
 
-    T(f, g) is the real trace of fg acting on the realified spaces: on a
-    complex space realified that is 2 Re tr(fg), and Re(f_kl g_lk) =
-    Re f_kl Re g_lk - Im f_kl Im g_lk. Basis tuple i is brought to its
-    denominator den_i, its integer parts laid out flat, and those of g also
-    transposed, so an entry is one integer sum. D T D is congruent to T,
-    so it has the same inertia.
+    T(f, g) is the real trace of fg on the realified spaces, 2 Re tr(fg) on a
+    complex one, and entry (i, j) of D T D is twice one integer sum: nums_i,
+    its imaginary parts negated, times nums_j read through one transpose map,
+    as Re(f_kl g_lk) = Re f_kl Re g_lk - Im f_kl Im g_lk. D T D is congruent
+    to T, so it has the same inertia.
     """
-    n = basis.dimension
-    flat = []
-    for tup in basis.tuples:
-        den = lcm(*(m.den for m in tup))
-        re: list[int] = []
-        im: list[int] = []
-        re_t: list[int] = []
-        im_t: list[int] = []
-        for m in tup:
-            s = den // m.den
-            re += (s * x for x in m.re)
-            im += (s * y for y in m.im)
-            for l in range(m.cols):
-                re_t += (s * x for x in m.re[l::m.cols])
-                im_t += (s * y for y in m.im[l::m.cols])
-        flat.append((re, im, re_t, im_t))
-    t = [[0] * n for _ in range(n)]
-    for i, (re_f, im_f, _, _) in enumerate(flat):
-        for j, (_, _, re_gt, im_gt) in enumerate(flat[:i + 1]):
-            acc = sum(map(mul, re_f, re_gt)) - sum(map(mul, im_f, im_gt))
-            t[i][j] = t[j][i] = 2 * acc
-    return t
+    return _symmetrized(list(_trace_rows(basis)))
+
+
+def _symmetrized(lower: list[list[int]]) -> list[list[int]]:
+    return [row + [lower[j][i] for j in range(i + 1, len(lower))] for i, row in enumerate(lower)]
 
 
 def _certify_local(basis: MorphismBasis) -> bool:
@@ -508,9 +505,19 @@ def _certify_local(basis: MorphismBasis) -> bool:
     positive multiple of the real trace form of D^n, whose positive index
     n(n + 1)/2, n^2 or n(2n - 1) is 1 exactly when n = 1. So End is local,
     End/rad a division algebra, exactly when T has positive index 1.
+
+    T is built a row at a time, and a leading block of size 2, 4, 8, ...
+    with positive index 2 or more settles False: by Cauchy interlacing (Horn
+    & Johnson, Matrix Analysis, Thm 4.3.28) no principal block has more.
     """
-    (positive, _, _), *_ = _symmetric_ldl(_trace_form(basis))
-    return positive == 1
+    n, lower = basis.dimension, []
+    for k, row in enumerate(_trace_rows(basis), 1):
+        lower.append(row)
+        if k == n or (k >= 2 and not k & (k - 1)):
+            (positive, _, _), *_ = _symmetric_ldl(_symmetrized(lower))
+            if positive >= 2 or k == n:
+                return positive == 1
+    return False  # End = 0
 
 
 def _primary_split(rep: MatrixRepresentation, parts: list[MorphismTuple]
@@ -639,7 +646,7 @@ def decompose(a: MatrixRepresentation, trials: int = DEFAULT_TRIALS, seed: int =
         status = IndecomposabilityStatus.CERTIFIED
         if not _certify_local(basis):
             for phi in _split_candidates(basis, rep.dims, trials, rng, coeff_bound):
-                powers: list[MorphismTuple] = []
+                powers: list[_Vector] = []
                 parts = _splitting_idempotent(_minimal_polynomial(basis, phi, powers), powers,
                                               rep.dims)
                 if parts is None:
@@ -679,18 +686,12 @@ def krull_schmidt_compare(x: list[MatrixRepresentation], y: list[MatrixRepresent
     unmatched = list(range(len(y)))
     matching = []
     for i, xi in enumerate(x):
-        found = None
-        for pos, j in enumerate(unmatched):
-            if y[j].dims != xi.dims:
-                continue
-            res = are_isomorphic(xi, y[j], trials=trials, seed=seed + 7919 * (i + 1) + j,
-                                 coeff_bound=coeff_bound)
-            if res.verdict is Verdict.YES:
-                found = (pos, j, res.certificate)
+        for j in unmatched:
+            if y[j].dims == xi.dims and (res := are_isomorphic(
+                    xi, y[j], trials, seed + 7919 * (i + 1) + j, coeff_bound)):
+                unmatched.remove(j)
+                matching.append((i, j, res.certificate))
                 break
-        if found is None:
+        else:
             return None
-        pos, j, cert = found
-        unmatched.pop(pos)
-        matching.append((i, j, cert))
     return matching

@@ -104,12 +104,6 @@ def gaussian(re=0, im=0) -> GaussianRational:
     return GaussianRational(_coerce(re), _coerce(im))
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse a canonical rational string "p" or "p/q" (q > 1, reduced, no
-    leading zeros, no "-0"): exactly the strings `format_rational` prints."""
-    return Fraction(*_rational_parts(text))
-
-
 def _rational_parts(text) -> tuple[int, int]:
     """(p, q) of a canonical rational string, the value p / q in lowest terms, q > 0.
 

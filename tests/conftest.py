@@ -11,7 +11,7 @@ from biquiver import (Arrow, ArrowKind, Biquiver, CMatrix, FormatError, Gaussian
 from biquiver.errors import echo
 from biquiver.linalg import (_echelon, _integer_parts, _nullspace, _real_rows, _realified_columns,
                              _reduced, submatrix)
-from biquiver.scalars import as_gaussian, format_rational
+from biquiver.scalars import _rational_parts, as_gaussian, format_rational
 
 
 def biq(t: int, *specs: str) -> Biquiver:
@@ -238,6 +238,13 @@ def nullspace_basis(m: CMatrix) -> CMatrix:
     pivots = _echelon(reduced)
     free = [f for f in range(0, n, 2) if f not in pivots]
     return _realified_columns(m.cols, _nullspace(reduced, pivots, n, free))
+
+
+def parse_rational(text: str) -> Fraction:
+    """Parse a canonical rational string "p" or "p/q" (q > 1, reduced, no
+    leading zeros, no "-0"): exactly the strings `format_rational` prints,
+    read by the parser behind `parse_matrix_obj`."""
+    return Fraction(*_rational_parts(text))
 
 
 def oracle_parse_rational(text) -> Fraction:

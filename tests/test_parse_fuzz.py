@@ -21,9 +21,9 @@ from biquiver import (CMatrix, FormatError, MatrixRepresentation, PreconditionEr
                       serialize_representation, zero_representation)
 from biquiver.cli import main
 from biquiver.representation import representation_to_obj
-from biquiver.scalars import format_rational, parse_rational
-from conftest import (biq, gmat, oracle_parse_gaussian_pair, oracle_parse_rational, path_biquiver,
-                      star_biquiver)
+from biquiver.scalars import format_rational
+from conftest import (biq, gmat, oracle_parse_gaussian_pair, oracle_parse_rational,
+                      parse_rational, path_biquiver, star_biquiver)
 
 BIQUIVERS = [path_biquiver(3, dashed=(2,)), biq(1, "a:1>1"), biq(2, "a:1>2", "b:2~1", "c:2~2"),
              star_biquiver([1, 1, 2], dashed=("b1e0",))]

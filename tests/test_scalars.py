@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from biquiver import FormatError, GaussianRational, gaussian, parse_matrix_obj
-from biquiver.scalars import format_rational, parse_rational
-from conftest import oracle_divide, oracle_norm2, oracle_parse_gaussian_pair, oracle_to_pair
+from biquiver.scalars import format_rational
+from conftest import (oracle_divide, oracle_norm2, oracle_parse_gaussian_pair, oracle_to_pair,
+                      parse_rational)
 
 rationals = st.fractions(min_value=-10 ** 6, max_value=10 ** 6, max_denominator=10 ** 4)
 scalars = st.builds(GaussianRational, rationals, rationals)
