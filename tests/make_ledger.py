@@ -96,6 +96,16 @@ INVOCATIONS: list[tuple[str, ...]] = [
     # a deep tree: a scrambled sum on a ten-vertex path of full and dashed
     # arrows in both directions, at most 2 dimensions at each vertex
     ("rep", "decompose", "path10.json", "--seed", "0"),
+    # the positive real roots of extended Dynkin forms, up to a bound: ~D4,
+    # the dashed loop ~A0 (none), ~A1 on a full and a dashed arrow, the
+    # 4-cycle ~A3 with one dashed arrow, and ~E6; at bound 8333, ~D4 has
+    # more than roots.MAX_ROOTS of them (99,988 at 8332) and exits 3
+    ("roots", "d4t.biquiver.json", "--value", "1", "--bound", "5"),
+    ("roots", "a0t.biquiver.json", "--value", "1", "--bound", "3"),
+    ("roots", "a1t.biquiver.json", "--value", "1", "--bound", "6"),
+    ("roots", "a3t.biquiver.json", "--value", "1", "--bound", "4"),
+    ("roots", "e6t.biquiver.json", "--value", "1", "--bound", "3"),
+    ("roots", "d4t.biquiver.json", "--value", "1", "--bound", "8333"),
 ]
 
 
@@ -173,6 +183,13 @@ def write_inputs() -> None:
              bq.serialize_representation(scramble(rng, bq.direct_sum_list(g, others))))
     save("d4t.biquiver.json", bq.serialize_biquiver(star([1, 1, 1, 1])))
     save("wild.biquiver.json", bq.serialize_biquiver(star([1, 1, 1, 1, 1])))
+    save("a0t.biquiver.json", bq.serialize_biquiver(loop(True)))
+    save("a1t.biquiver.json", bq.serialize_biquiver(bq.Biquiver(2, (
+        bq.Arrow("a", 1, 2, bq.ArrowKind.FULL), bq.Arrow("b", 2, 1, bq.ArrowKind.DASHED)))))
+    save("a3t.biquiver.json", bq.serialize_biquiver(bq.Biquiver(4, tuple(
+        bq.Arrow(f"e{i}", i, i % 4 + 1, bq.ArrowKind.DASHED if i == 2 else bq.ArrowKind.FULL)
+        for i in range(1, 5)))))
+    save("e6t.biquiver.json", bq.serialize_biquiver(star([2, 2, 2])))
 
     rng = random.Random(7)
     j = bq.MatrixRepresentation(loop(True), (2,), {"a": bq.CMatrix.from_rows([[0, -1], [1, 0]])})
