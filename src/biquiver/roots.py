@@ -10,46 +10,41 @@ and on the value:
   and every positive root z that is not simple has 2 = sum z_i (C z)_i,
   so (C z)_i = 1 for some i with z_i > 0, and z - e_i is a positive root.
   At value 0 there is nothing to find.
-- Positive semidefinite, value 0: the form is extended Dynkin, q(z) = 0
-  exactly when C z = 0, and ker C = Z delta with delta > 0, read off the
-  shared LDL^T by `tits._null_root`. The answer is k delta for
-  k = 1..bound // max(delta) (`_null_roots`).
-- Positive semidefinite, value 1: the LDL^T steps of `linalg._symmetric_ldl`
-  on the int matrix C = 2Q write 2q as a sum of squares of linear forms,
-  and choosing coordinates from the innermost form outwards confines each
-  pivot coordinate to a finite interval; the kernel direction is limited
-  by the caller's bound (`_enumerate_sos`). The search runs on integers:
-  every term is weighted by the lcm of the steps' denominators, so the
-  remaining budget is an int.
+- Positive semidefinite: the form is extended Dynkin, and ker C = Z delta
+  with delta > 0, read off the shared LDL^T by `tits._null_root`. At
+  value 0, q(z) = 0 exactly when C z = 0, and the answer is k delta for
+  k = 1..bound // max(delta) (`_null_roots`). At value 1 the answer is
+  the positive real roots: alpha + k delta for k >= 0 and -alpha + k delta
+  for k >= 1, where alpha runs over the positive roots of the Dynkin form
+  left by deleting a vertex e with delta_e = 1, found by the closure
+  (Kac, Infinite dimensional Lie algebras, Prop. 6.3; `_real_roots`).
 - Indefinite: a box search over 0..bound per coordinate (`_enumerate_box`).
+  Its last coordinate is solved exactly, leaving at most two candidates
+  (all of 0..bound where that coordinate's equation vanishes
+  identically).
 
-Neither search loops over its last coordinate: the last LDL step and
-the last box coordinate are solved exactly, leaving at most two
-candidates (all of 0..bound where the box coordinate's equation vanishes
-identically), and `evaluate` still checks every returned root.
-A search refuses to start when its box, of (bound + 1)^k vectors over its
-k unpruned coordinates, holds more than MAX_BOX_CANDIDATES, and stops as
-soon as it finds more than MAX_ROOTS roots; the null roots are counted,
-and refused at the same inputs, before any is built. No floating-point
-arithmetic is used anywhere; the one float, inf, is only compared with,
-as the coordinate cap of `_enumerate_sos` on a definite form, the
-closure's oracle in the tests.
+`evaluate` checks every returned root. A call refuses when its box, of
+(bound + 1)^t vectors for an indefinite form on t vertices or the bound + 1
+multiples of delta for a semidefinite one, holds more than
+MAX_BOX_CANDIDATES, and when it has more than MAX_ROOTS roots: the box
+search as soon as it finds them, the root system before it builds any, by
+counting them. No floating-point arithmetic is used anywhere.
 """
 from __future__ import annotations
 
-from math import inf, isqrt, lcm
+from math import isqrt
 
 from .errors import PreconditionError, echo
 from .classify import RepKind, representation_type
 from .model import Biquiver, DimensionVector, connected_forest
 from .tits import Definiteness, TitsGram, _null_root, definiteness, evaluate, gram_matrix
 
-# The most vectors a root search may try: (bound + 1)^k over the t coordinates
-# of an indefinite form or the k kernel directions of a semidefinite one.
+# The most vectors a root search may try: (bound + 1)^t over the t coordinates
+# of an indefinite form, or the bound + 1 multiples k delta, k = 0..bound, of
+# the one kernel direction of a connected semidefinite form.
 MAX_BOX_CANDIDATES = 10 ** 7
 # The most solutions a search may record, the zero vector included: the
-# output, unlike the box, grows with the bound even when only one coordinate
-# is unpruned.
+# output, unlike the box, grows with the bound even in one kernel direction.
 MAX_ROOTS = 10 ** 5
 
 
@@ -58,16 +53,17 @@ def roots_with_value(g: Biquiver, value: int, bound: int | None = None) -> list[
 
     With a positive definite form the result is complete and `bound` is
     ignored; otherwise the set is infinite and `bound` caps every
-    coordinate (and is required). A negative `bound` is rejected, and so is
-    a search past MAX_BOX_CANDIDATES: (bound + 1)^t candidates for an
-    indefinite form on t vertices, (bound + 1)^k for a semidefinite form
-    with k kernel directions, and a search that finds more than MAX_ROOTS
-    roots.
+    coordinate (and is required). A `bound` that is not an int, or is a
+    bool or negative, is rejected, and so is a call past
+    MAX_BOX_CANDIDATES: (bound + 1)^t candidates for an indefinite form on
+    t vertices, bound + 1 multiples of the one kernel direction of a
+    semidefinite form. So is one with more than MAX_ROOTS roots.
     """
     if value not in (0, 1):
         raise PreconditionError(f"value must be 0 or 1, got {echo(value)}")
-    if bound is not None and bound < 0:
-        raise PreconditionError(f"bound must be nonnegative, got {echo(bound)}")
+    if bound is not None and (not isinstance(bound, int) or isinstance(bound, bool)
+                              or bound < 0):
+        raise PreconditionError(f"bound must be a nonnegative int, got {echo(bound)}")
     connected_forest(g)  # refuses a disconnected g
     gram = gram_matrix(g)
     verdict = definiteness(gram)
@@ -77,7 +73,7 @@ def roots_with_value(g: Biquiver, value: int, bound: int | None = None) -> list[
         if bound is None:
             raise PreconditionError(
                 "the root set is infinite for a semidefinite form; pass an explicit bound")
-        out = sorted(_enumerate_sos(gram, 1, bound)) if value else _null_roots(gram, bound)
+        out = _real_roots(gram, bound) if value else _null_roots(gram, bound)
     else:
         if bound is None:
             raise PreconditionError(
@@ -172,9 +168,10 @@ def _null_roots(gram: TitsGram, bound: int) -> list[DimensionVector]:
     """The null roots k delta, k = 1..bound // max(delta), of a connected
     semidefinite form.
 
-    Refused where `_enumerate_sos` refuses, before any vector is built: its
-    candidates are the k of 0..bound in the one kernel direction, and its
-    solutions the k of 0..bound // max(delta), the zero vector included.
+    Refused where the sum-of-squares search, the tests' `_enumerate_sos`,
+    refuses, before any vector is built: its candidates are the k of
+    0..bound in the one kernel direction, and its solutions the k of
+    0..bound // max(delta), the zero vector included.
     """
     delta = _null_root(gram)
     _check_box(bound, 1, "the form is semidefinite; a search of its kernel directions")
@@ -183,78 +180,33 @@ def _null_roots(gram: TitsGram, bound: int) -> list[DimensionVector]:
     return [tuple(k * x for x in delta) for k in range(1, top + 1)]
 
 
-# -- weighted sum-of-squares enumeration -------------------------------------
+def _real_roots(gram: TitsGram, bound: int) -> list[DimensionVector]:
+    """The positive real roots of a connected semidefinite form, each
+    coordinate at most `bound`, sorted.
 
-def _enumerate_sos(gram: TitsGram, value: int, bound: int | None):
-    """The z >= 0 with q(z) = value, coordinates past `bound` excluded.
-
-    Results keep the order of the full search: ascending in each kernel
-    direction, outermost first, then in each pivot from steps[-1] in to
-    steps[0]. The search's last step, steps[0], is solved instead of
-    looped over; at most two of its values fit, and they are emitted in
-    ascending order, so that order is kept.
+    Reads them off the root system, as the module docstring says: alpha,
+    a positive root of the form without e, is padded with 0 at e, and
+    alpha + k delta and -alpha + k delta fit the bound for the k of one
+    interval each. Refused where `_null_roots` refuses, and when the
+    intervals, counted before any vector is built, hold more than MAX_ROOTS.
+    The closure itself is never refused: the form without e has at most
+    MAX_GRAM_VERTICES - 1 = 255 vertices, and D255, with the most positive
+    roots, has 64,770.
     """
-    _, steps, free = gram.ldl
-    # Step k contributes (d z_p + c)^2 / (prev d), and every prev d > 0 as
-    # n- == 0 here; scaled by m = lcm(prev d) the squares sum to
-    # m * 2q with the integer weights m / (prev d).
-    m = lcm(*(prev * d for _, prev, d, _ in steps))
-    weights = [m // (prev * d) for _, prev, d, _ in steps]
-    lins = [tuple(lin.items()) for _, _, _, lin in steps]
-    target = 2 * value * m
-    cap = inf if bound is None else bound
-    n = gram.t
-    z = [0] * n
-    results: list[DimensionVector] = []
-
-    def assign_pivots(k: int, spent: int) -> None:
-        p, _, d, _ = steps[k]
-        weight = weights[k]
-        c = 0
-        for j, x in lins[k]:
-            c += x * z[j]
-        if k == 0:
-            # the search's last step: weight (d z + c)^2 == target - spent,
-            # so d z + c = -s or s with d > 0, the smaller root first
-            square, r = divmod(target - spent, weight)
-            s = isqrt(square)
-            if r or s * s != square:
-                return
-            for w in ((-s - c, s - c) if s else (-c,)):
-                val, r = divmod(w, d)
-                if not r and 0 <= val <= cap:
-                    z[p] = val
-                    _keep(results, z)
-            z[p] = 0
-            return
-        # the z >= 0 with weight (d z + c)^2 <= target - spent; each choice
-        # keeps spent <= target
-        w_max = isqrt((target - spent) // weight)
-        lo, hi = max(-((w_max + c) // d), 0), (w_max - c) // d
-        if hi > cap:
-            hi = cap
-        for val in range(lo, hi + 1):
-            z[p] = val
-            assign_pivots(k - 1, spent + (d * val + c) ** 2 * weight)
-        z[p] = 0
-
-    def assign_free(i: int) -> None:
-        if i == len(free):
-            if steps:
-                assign_pivots(len(steps) - 1, 0)
-            elif target == 0:
-                _keep(results, z)
-            return
-        for val in range(bound + 1):
-            z[free[i]] = val
-            assign_free(i + 1)
-        z[free[i]] = 0
-
-    if free and bound is None:
-        raise PreconditionError("kernel directions require an explicit bound")
-    _check_box(bound, len(free), "the form is semidefinite; a search of its kernel directions")
-    assign_free(0)
-    return results
+    delta = _null_root(gram)
+    _check_box(bound, 1, "the form is semidefinite; a search of its kernel directions")
+    e = delta.index(1)
+    rest = [i for i in range(gram.t) if i != e]
+    dynkin = TitsGram(gram.t - 1, tuple(tuple(gram.c[i][j] for j in rest) for i in rest))
+    runs = []
+    for alpha in _close_simple_roots(dynkin):
+        alpha = alpha[:e] + (0,) + alpha[e:]
+        for sign, first in ((1, 0), (-1, 1)):
+            last = min((bound - sign * a) // d for a, d in zip(alpha, delta))
+            runs.append((sign, alpha, range(first, last + 1)))
+    _check_roots(sum(len(ks) for _, _, ks in runs))
+    return sorted(tuple(k * d + sign * a for a, d in zip(alpha, delta))
+                  for sign, alpha, ks in runs for k in ks)
 
 
 # -- bounded box search for indefinite forms ---------------------------------

@@ -9,8 +9,8 @@ once: `gram_matrix(g)` returns the one TitsGram that g keeps, and that
 TitsGram checks and eliminates C once, in `TitsGram.ldl`. On the same g,
 `definiteness` reads the inertia of that one LDL^T, `_null_root` solves
 its steps back for the radical vector of a semidefinite form, and
-`roots_with_value` reads the verdict, that radical vector at value 0, and
-the steps for its search of a semidefinite form at value 1.
+`roots_with_value` reads the verdict and, for a semidefinite form, that
+radical vector.
 `radical_vector` shares the verdict but still solves ker C with
 `fraction_nullspace`. The elimination is cubic in the number of vertices,
 so forms past MAX_GRAM_VERTICES vertices are refused.

@@ -5,7 +5,7 @@ import subprocess
 import sys
 import textwrap
 from fractions import Fraction
-from math import isqrt, lcm
+from math import inf, isqrt, lcm
 from pathlib import Path
 
 import numpy as np
@@ -16,8 +16,9 @@ import biquiver
 from biquiver import (Arrow, ArrowKind, Biquiver, Definiteness, PreconditionError,
                       TitsGram, definiteness, evaluate, gram_matrix,
                       positive_root_count, radical_vector, roots_with_value)
+from biquiver.model import DimensionVector
 from biquiver.roots import (MAX_BOX_CANDIDATES, MAX_ROOTS, _check_box, _close_simple_roots,
-                            _enumerate_box, _enumerate_sos, _keep, _null_roots)
+                            _enumerate_box, _keep, _null_roots)
 from biquiver.tits import _null_root
 from conftest import (biq, cycle_biquiver, dynkin_and_extended, path_biquiver,
                       star_biquiver)
@@ -122,6 +123,15 @@ def test_negative_bound_rejected():
         roots_with_value(path_biquiver(2), 1, bound=-1)
 
 
+def test_bound_of_another_type_rejected():
+    # ~A1, an indefinite form and A2, where a definite form would ignore the bound
+    for g in (biq(2, "a:1>2", "b:2~1"), biq(2, "l:1~1", "a:1>2"), path_biquiver(2)):
+        for value in (0, 1):
+            for bound in (2.0, "2", True, False, [2]):
+                with pytest.raises(PreconditionError, match="bound must be a nonnegative int"):
+                    roots_with_value(g, value, bound)
+
+
 def test_root_check_survives_optimize_flag():
     # python -O strips assert statements; the final q check must still raise.
     code = textwrap.dedent("""
@@ -185,6 +195,80 @@ def test_output_sorted_and_valid():
     roots = roots_with_value(g, 1)
     assert roots == sorted(roots)
     assert all(evaluate(g, z) == 1 for z in roots)
+
+
+# -- the sum-of-squares search, the root system's oracle ---------------------
+
+def _enumerate_sos(gram: TitsGram, value: int, bound: int | None):
+    """The z >= 0 with q(z) = value, coordinates past `bound` excluded.
+
+    Results keep the order of the full search: ascending in each kernel
+    direction, outermost first, then in each pivot from steps[-1] in to
+    steps[0]. The search's last step, steps[0], is solved instead of
+    looped over; at most two of its values fit, and they are emitted in
+    ascending order, so that order is kept.
+    """
+    _, steps, free = gram.ldl
+    # Step k contributes (d z_p + c)^2 / (prev d), and every prev d > 0 as
+    # n- == 0 here; scaled by m = lcm(prev d) the squares sum to
+    # m * 2q with the integer weights m / (prev d).
+    m = lcm(*(prev * d for _, prev, d, _ in steps))
+    weights = [m // (prev * d) for _, prev, d, _ in steps]
+    lins = [tuple(lin.items()) for _, _, _, lin in steps]
+    target = 2 * value * m
+    cap = inf if bound is None else bound
+    n = gram.t
+    z = [0] * n
+    results: list[DimensionVector] = []
+
+    def assign_pivots(k: int, spent: int) -> None:
+        p, _, d, _ = steps[k]
+        weight = weights[k]
+        c = 0
+        for j, x in lins[k]:
+            c += x * z[j]
+        if k == 0:
+            # the search's last step: weight (d z + c)^2 == target - spent,
+            # so d z + c = -s or s with d > 0, the smaller root first
+            square, r = divmod(target - spent, weight)
+            s = isqrt(square)
+            if r or s * s != square:
+                return
+            for w in ((-s - c, s - c) if s else (-c,)):
+                val, r = divmod(w, d)
+                if not r and 0 <= val <= cap:
+                    z[p] = val
+                    _keep(results, z)
+            z[p] = 0
+            return
+        # the z >= 0 with weight (d z + c)^2 <= target - spent; each choice
+        # keeps spent <= target
+        w_max = isqrt((target - spent) // weight)
+        lo, hi = max(-((w_max + c) // d), 0), (w_max - c) // d
+        if hi > cap:
+            hi = cap
+        for val in range(lo, hi + 1):
+            z[p] = val
+            assign_pivots(k - 1, spent + (d * val + c) ** 2 * weight)
+        z[p] = 0
+
+    def assign_free(i: int) -> None:
+        if i == len(free):
+            if steps:
+                assign_pivots(len(steps) - 1, 0)
+            elif target == 0:
+                _keep(results, z)
+            return
+        for val in range(bound + 1):
+            z[free[i]] = val
+            assign_free(i + 1)
+        z[free[i]] = 0
+
+    if free and bound is None:
+        raise PreconditionError("kernel directions require an explicit bound")
+    _check_box(bound, len(free), "the form is semidefinite; a search of its kernel directions")
+    assign_free(0)
+    return results
 
 
 # -- enumeration against the Fraction and looping searches it replaced -------
@@ -377,11 +461,13 @@ def searched(search, gram, value, bound):
     return sorted(z for z in search(gram, value, bound) if any(z))
 
 
-def assert_root_system_matches_searches(gram, bounds):
-    """The closure (definite) or the null roots (semidefinite) equal what
-    `_enumerate_sos` and both oracles find at each bound; the closure also
-    equals the unbounded searches, and is refused nothing at value 0."""
+def assert_root_system_matches_searches(g, bounds):
+    """The closure (definite), or the null roots and the real roots of
+    `roots_with_value` (semidefinite), equal what `_enumerate_sos` and both
+    oracles find at each bound; the closure also equals the unbounded
+    searches, and is refused nothing at value 0."""
     searches = (_enumerate_sos, oracle_enumerate_sos, oracle_search_sos)
+    gram = gram_matrix(g)
     verdict = definiteness(gram)
     if verdict is Definiteness.POSITIVE_DEFINITE:
         roots = _close_simple_roots(gram)
@@ -394,9 +480,10 @@ def assert_root_system_matches_searches(gram, bounds):
                 assert capped == searched(search, gram, 1, bound), bound
     elif verdict is Definiteness.POSITIVE_SEMIDEFINITE:
         for bound in bounds:
-            roots = _null_roots(gram, bound)
-            for search in searches:
-                assert roots == searched(search, gram, 0, bound), bound
+            for value, roots in ((0, _null_roots(gram, bound)),
+                                 (1, roots_with_value(g, 1, bound))):
+                for search in searches:
+                    assert roots == searched(search, gram, value, bound), (value, bound)
 
 
 @pytest.mark.parametrize("label, g", list(dynkin_and_extended()),
@@ -406,14 +493,14 @@ def test_root_system_matches_the_searches(label, g):
     expected = Definiteness.POSITIVE_SEMIDEFINITE if label.startswith("~") \
         else Definiteness.POSITIVE_DEFINITE
     assert definiteness(gram) is expected
-    assert_root_system_matches_searches(gram, range(7))
+    assert_root_system_matches_searches(g, range(7))
 
 
 @settings(deadline=None, max_examples=60)
 @given(connected_biquivers())
 def test_root_system_matches_the_searches_on_random_biquivers(g):
+    assert_root_system_matches_searches(g, range(7))
     gram = gram_matrix(g)
-    assert_root_system_matches_searches(gram, range(7))
     if definiteness(gram) is Definiteness.POSITIVE_SEMIDEFINITE:
         assert _null_root(gram) == radical_vector(gram)
 
@@ -464,6 +551,40 @@ def test_null_roots_refuse_where_the_kernel_search_refuses():
     assert len(_null_roots(d4_tilde, 2 * MAX_ROOTS - 1)) == MAX_ROOTS - 1
     with pytest.raises(PreconditionError, match=f"more than the cap of {MAX_ROOTS} roots"):
         _null_roots(d4_tilde, 2 * MAX_ROOTS)
+    # the real roots pass MAX_ROOTS from the bound last + 1 on: ~A1, ~A3, ~D4, ~E6
+    for g, last in ((biq(2, "a:1>2", "b:2~1"), 50_000), (cycle_biquiver(4, dashed=(2,)), 8_333),
+                    (star_biquiver([1, 1, 1, 1]), 8_332), (star_biquiver([2, 2, 2]), 4_166)):
+        bounds = (last, last + 1, MAX_BOX_CANDIDATES - 1, MAX_BOX_CANDIDATES)
+        refused = [b for b in bounds if real_roots_refused_where_the_search_is(g, b)]
+        assert refused == [last + 1, MAX_BOX_CANDIDATES - 1, MAX_BOX_CANDIDATES]
+
+
+def real_roots_refused_where_the_search_is(g, bound):
+    """Whether `roots_with_value(g, 1, bound)` refuses; it must refuse with
+    `_enumerate_sos`'s message where that does, and return its nonzero
+    solutions where it does not."""
+    gram = gram_matrix(g)
+    try:
+        want = searched(_enumerate_sos, gram, 1, bound)
+    except PreconditionError as e:
+        with pytest.raises(PreconditionError) as got:
+            roots_with_value(g, 1, bound)
+        assert str(got.value) == str(e), (g, bound)
+        return True
+    assert roots_with_value(g, 1, bound) == want
+    return False
+
+
+@pytest.mark.parametrize("cap", [120, 123, 255])
+def test_real_roots_count_exactly_at_a_lowered_root_cap(monkeypatch, cap):
+    # the counted intervals and the search's running count meet each cap alike:
+    # ~A4 has 120 roots at bound 6, ~D5 124 and ~D7 256. No closure of a
+    # Dynkin form here is refused, as E8 has the most positive roots, 120.
+    monkeypatch.setattr(biquiver.roots, "MAX_ROOTS", cap)
+    outcomes = [real_roots_refused_where_the_search_is(g, bound)
+                for label, g in dynkin_and_extended() if label.startswith("~")
+                for bound in range(7)]
+    assert any(outcomes) and not all(outcomes)
 
 
 def test_enumeration_builds_no_fractions(monkeypatch):
@@ -482,14 +603,15 @@ def test_enumeration_builds_no_fractions(monkeypatch):
     verdict = definiteness(gram)
     roots = _enumerate_sos(gram, 1, None)
     found = [roots_with_value(e8, 1), roots_with_value(e8_tilde, 0, bound=6),
-             roots_with_value(wild, 1, bound=4)]
+             roots_with_value(wild, 1, bound=4), roots_with_value(e8_tilde, 1, bound=2)]
     tilde_gram = gram_matrix(e8_tilde)
     closed, nulls = _close_simple_roots(gram), _null_roots(tilde_gram, 12)
     delta = _null_root(tilde_gram)
     monkeypatch.undo()
     assert verdict is Definiteness.POSITIVE_DEFINITE
     assert len([z for z in roots if any(z)]) == 120
-    assert [len(f) for f in found] == [120, 1, len(brute_force_roots(wild, 1, 4))]
+    assert [len(f) for f in found] == [120, 1, len(brute_force_roots(wild, 1, 4)),
+                                       len(searched(_enumerate_sos, tilde_gram, 1, 2))]
     assert closed == found[0] and nulls == [delta, tuple(2 * x for x in delta)]
     assert built == []
 
