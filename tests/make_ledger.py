@@ -106,6 +106,23 @@ INVOCATIONS: list[tuple[str, ...]] = [
     ("roots", "a3t.biquiver.json", "--value", "1", "--bound", "4"),
     ("roots", "e6t.biquiver.json", "--value", "1", "--bound", "3"),
     ("roots", "d4t.biquiver.json", "--value", "1", "--bound", "8333"),
+    # one entry for each command that no entry above runs: direct sums (of two
+    # representations of one biquiver, of one biquiver and another, which exits
+    # 3), the gadgets on 2x2 matrices with mixed denominators, conjugation of a
+    # biquiver and of a representation, a dash-elimination plan and an
+    # obstruction (the 4-cycle with one dashed arrow), validation and sampling
+    ("rep", "sum", "a3.sum.json", "a3.other.json"),
+    ("rep", "sum", "j.json", "cons.json"),
+    ("rep", "sum", "a3.sum.json", "d4.sum.json"),
+    ("gadget", "cycle", "a3t.biquiver.json", "--arrows", "e1,e2,e3,e4", "--matrix", "p.json"),
+    *(("gadget", name, "p.json", "q.json") for name in ("g1", "g2", "g3", "g4")),
+    ("conjugate", "d4.biquiver.json", "--vertex", "1,3"),
+    ("conjugate", "a3.biquiver.json", "--vertex", "2", "--representation", "a3.sum.json"),
+    ("eliminate", "d4.biquiver.json"),
+    ("eliminate", "a3t.biquiver.json"),
+    ("rep", "validate", "a3.s1.json"),
+    ("rep", "random", "d4.biquiver.json", "--dims", "2,1,1,1", "--entry-bound", "3",
+     "--seed", "5"),
 ]
 
 
@@ -232,6 +249,11 @@ def write_inputs() -> None:
              for dims in ((1, 1, 1, 1, 1, 1, 1, 0, 0, 0), (0, 0, 0, 1, 1, 1, 1, 1, 1, 1),
                           (1, 1, 1, 0, 0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0, 0, 1, 1, 1))]
     save("path10.json", bq.serialize_representation(scramble(rng, bq.direct_sum_list(path, parts))))
+
+    rng = random.Random(19)
+    for name in ("p", "q"):
+        m = bq.random_representation(loop(False), (2,), 3, rng.randrange(10 ** 6)).matrices["a"]
+        save(f"{name}.json", json.dumps(bq.matrix_to_obj(m), separators=(",", ":")))
 
 
 def moved(entries: list[dict]) -> list[str]:
