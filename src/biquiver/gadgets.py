@@ -11,9 +11,9 @@ tests treat them as part of the interface.
 from __future__ import annotations
 
 from .errors import FormatError, PreconditionError
-from .linalg import CMatrix, from_blocks
+from .linalg import CMatrix, block_diag, from_blocks
 from .model import Arrow, ArrowKind, Biquiver
-from .representation import MatrixRepresentation
+from .representation import MatrixRepresentation, zero_representation
 
 
 def gadget_cycle(g: Biquiver, cycle_arrow_ids: list[str], m: CMatrix) -> MatrixRepresentation:
@@ -32,9 +32,7 @@ def gadget_cycle(g: Biquiver, cycle_arrow_ids: list[str], m: CMatrix) -> MatrixR
     vertices = _cycle_vertices(arrows)
     n = m.rows
     dims = tuple(n if v in vertices else 0 for v in g.vertices())
-    mats = {}
-    for a in g.arrows:
-        mats[a.id] = CMatrix.zero(dims[a.target - 1], dims[a.source - 1])
+    mats = dict(zero_representation(g, dims).matrices)
     for a in arrows[:-1]:
         mats[a.id] = CMatrix.identity(n)
     mats[arrows[-1].id] = m
@@ -131,7 +129,7 @@ def gadget_g3(p: CMatrix, q: CMatrix) -> MatrixRepresentation:
     n = _check_pair(p, q)
     eye, zero = CMatrix.identity(n), CMatrix.zero(n, n)
     full_loop = from_blocks([[zero, eye], [zero, zero]])
-    dashed_loop = from_blocks([[p, zero], [zero, q]])
+    dashed_loop = block_diag(p, q)
     return MatrixRepresentation(gadget_biquiver("g3"), (2 * n,),
                                 {_LOOP: full_loop, _SECOND_LOOP: dashed_loop})
 

@@ -7,7 +7,8 @@ A CMatrix is stored as integers: one positive common denominator and the
 integer real and imaginary parts of its entries, so products and sums are
 integer arithmetic with a single denominator per matrix. GaussianRational
 entries are built only at the boundary (printing, `at`, and the lazily
-built `entries`).
+built `entries`). Every block matrix, from `from_blocks`, `hstack`, `vstack`
+and `block_diag` alike, is placed by one assembler, `_assemble`.
 
 All elimination is integral: each rational row is scaled to a primitive
 integer row (which leaves its solution set alone), and a complex matrix is
@@ -92,8 +93,7 @@ class CMatrix:
     @staticmethod
     def zero(rows: int, cols: int) -> "CMatrix":
         _check_dims(rows, cols)
-        z = (0,) * (rows * cols)
-        return _canonical(rows, cols, 1, z, z)
+        return _assemble(rows, cols, ())
 
     @staticmethod
     def identity(n: int) -> "CMatrix":
@@ -289,57 +289,57 @@ def _add(a: CMatrix, b: CMatrix, sign: int) -> CMatrix:
                     [fa * x + fb * y for x, y in zip(a.im, b.im)])
 
 
-def _over_lcm(a: CMatrix, b: CMatrix) -> tuple[int, tuple, tuple, tuple, tuple]:
-    """(den, a.re, a.im, b.re, b.im) with both matrices rescaled to den = lcm(a.den, b.den).
-
-    Placing the two side by side keeps the canonical form: a prime power
-    dividing den exactly divides a.den or b.den, and that matrix has a part
-    prime to it, multiplied by a cofactor prime to it.
-    """
-    den = lcm(a.den, b.den)
-    fa, fb = den // a.den, den // b.den
-    if fa == 1 and fb == 1:
-        return den, a.re, a.im, b.re, b.im
-    return (den, tuple(fa * x for x in a.re), tuple(fa * x for x in a.im),
-            tuple(fb * x for x in b.re), tuple(fb * x for x in b.im))
-
-
-def hstack(a: CMatrix, b: CMatrix) -> CMatrix:
-    if a.rows != b.rows:
-        raise FormatError("hstack needs equal row counts")
-    den, are, aim, bre, bim = _over_lcm(a, b)
-    re: list[int] = []
-    im: list[int] = []
-    for i in range(a.rows):
-        re += are[i * a.cols:(i + 1) * a.cols]
-        re += bre[i * b.cols:(i + 1) * b.cols]
-        im += aim[i * a.cols:(i + 1) * a.cols]
-        im += bim[i * b.cols:(i + 1) * b.cols]
-    return _canonical(a.rows, a.cols + b.cols, den, tuple(re), tuple(im))
-
-
-def vstack(a: CMatrix, b: CMatrix) -> CMatrix:
-    if a.cols != b.cols:
-        raise FormatError("vstack needs equal column counts")
-    den, are, aim, bre, bim = _over_lcm(a, b)
-    return _canonical(a.rows + b.rows, a.cols, den, are + bre, aim + bim)
-
-
-def block_diag(a: CMatrix, b: CMatrix) -> CMatrix:
-    top = hstack(a, CMatrix.zero(a.rows, b.cols))
-    bot = hstack(CMatrix.zero(b.rows, a.cols), b)
-    return vstack(top, bot)
+def _assemble(rows: int, cols: int, placed) -> CMatrix:
+    """The rows x cols matrix with each block b of `placed`, given as (i, j, b), at row i and
+    column j and zeros elsewhere (no zero block is built), over den, the lcm of the blocks'
+    denominators. It is canonical as it stands: a prime power dividing den exactly divides
+    the denominator of a block with a part prime to it, times a cofactor prime to it."""
+    den = lcm(*(b.den for _, _, b in placed))
+    re, im = [0] * (rows * cols), [0] * (rows * cols)
+    for i, j, b in placed:
+        f, c = den // b.den, b.cols
+        bre, bim = (b.re, b.im) if f == 1 else ([f * x for x in b.re], [f * y for y in b.im])
+        for r in range(b.rows):
+            k = (i + r) * cols + j
+            re[k:k + c], im[k:k + c] = bre[r * c:(r + 1) * c], bim[r * c:(r + 1) * c]
+    return _canonical(rows, cols, den, tuple(re), tuple(im))
 
 
 def from_blocks(grid: list[list[CMatrix]]) -> CMatrix:
-    """Assemble a matrix from a 2D grid of blocks with consistent sizes."""
-    rows = None
-    for row in grid:
-        acc = row[0]
-        for blk in row[1:]:
-            acc = hstack(acc, blk)
-        rows = acc if rows is None else vstack(rows, acc)
-    return rows if rows is not None else CMatrix.zero(0, 0)
+    """The matrix whose horizontal strips are the rows of `grid`, each its blocks side by
+    side. Raises FormatError unless the blocks of a strip have equal row counts and the
+    strips equal widths. An empty grid or strip is 0x0."""
+    placed, top, width = [], 0, None
+    for strip in grid:
+        height, left = strip[0].rows if strip else 0, 0
+        for b in strip:
+            if b.rows != height:
+                raise FormatError("hstack needs equal row counts")
+            placed.append((top, left, b))
+            left += b.cols
+        if width is not None and left != width:
+            raise FormatError("vstack needs equal column counts")
+        top, width = top + height, left
+    return _assemble(top, width or 0, placed)
+
+
+def hstack(*blocks: CMatrix) -> CMatrix:
+    """The blocks side by side; they need equal row counts. No blocks give 0x0."""
+    return from_blocks([blocks])
+
+
+def vstack(*blocks: CMatrix) -> CMatrix:
+    """The blocks one above the other; they need equal column counts. No blocks give 0x0."""
+    return from_blocks([[b] for b in blocks])
+
+
+def block_diag(*blocks: CMatrix) -> CMatrix:
+    """The blocks down the diagonal, zeros elsewhere. No blocks give 0x0."""
+    placed, rows, cols = [], 0, 0
+    for b in blocks:
+        placed.append((rows, cols, b))
+        rows, cols = rows + b.rows, cols + b.cols
+    return _assemble(rows, cols, placed)
 
 
 def submatrix(m: CMatrix, row_range, col_range) -> CMatrix:

@@ -25,7 +25,7 @@ import random
 from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import accumulate, combinations, islice
 from math import lcm
 from operator import matmul, mul
@@ -123,10 +123,11 @@ def _check_same_biquiver(a: MatrixRepresentation, b: MatrixRepresentation) -> No
 
 
 def _check_sampling(trials: int, coeff_bound: int) -> None:
-    if trials < 0:
-        raise PreconditionError(f"trials must be nonnegative, got {echo(trials)}")
-    if coeff_bound < 1:
-        raise PreconditionError(f"coefficient bound must be at least 1, got {echo(coeff_bound)}")
+    if not isinstance(trials, int) or isinstance(trials, bool) or trials < 0:
+        raise PreconditionError(f"trials must be a nonnegative int, got {echo(trials)}")
+    if not isinstance(coeff_bound, int) or isinstance(coeff_bound, bool) or coeff_bound < 1:
+        raise PreconditionError(f"coefficient bound must be a positive int, "
+                                f"got {echo(coeff_bound)}")
 
 
 def _hom_system_size(g: Biquiver, da: DimensionVector, db: DimensionVector) -> tuple[int, int]:
@@ -269,11 +270,11 @@ def _profile_entries(a: MatrixRepresentation) -> Iterator[tuple[str, CMatrix]]:
         outs = [arrow for arrow in g.arrows if arrow.source == v]
         for group in _arrow_sets(outs):
             yield (f"kernel-meet rank of {_ids(group)} at vertex {v}",
-                   reduce(vstack, (mats[arrow.id] for arrow in group)))
+                   vstack(*(mats[arrow.id] for arrow in group)))
         ins = [arrow for arrow in g.arrows if arrow.target == v]
         for group in _arrow_sets(ins):
             yield (f"image-sum rank of {_ids(group)} at vertex {v}",
-                   reduce(hstack, map(image, group)))
+                   hstack(*map(image, group)))
     # (path, composite, semilinear) one length at a time, shortest first
     level = [((arrow,), mats[arrow.id], arrow.is_dashed) for arrow in g.arrows]
     for _ in range(PROFILE_PATH_LENGTH - 1):
@@ -654,7 +655,7 @@ def decompose(a: MatrixRepresentation, trials: int = DEFAULT_TRIALS, seed: int =
                 images, blocks = _primary_split(rep, parts)
                 summands, changes, statuses = zip(*map(rec, blocks))
                 # T_v diag(C_1v, ..., C_rv) = [X_1v C_1v | ... | X_rv C_rv]
-                return (sum(summands, []), [reduce(hstack, map(matmul, xs, cs)) for xs, cs in
+                return (sum(summands, []), [hstack(*map(matmul, xs, cs)) for xs, cs in
                                             zip(zip(*images), zip(*changes))], sum(statuses, []))
             status = IndecomposabilityStatus.PROBABLE
         return [rep], _identity_tuple(rep.dims), [status]

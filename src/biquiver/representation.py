@@ -65,18 +65,17 @@ def zero_representation(g: Biquiver, dims: DimensionVector | None = None) -> Mat
 
 
 def direct_sum(a: MatrixRepresentation, b: MatrixRepresentation) -> MatrixRepresentation:
-    if a.biquiver != b.biquiver:
-        raise PreconditionError("direct sum needs representations of the same biquiver")
-    dims = tuple(x + y for x, y in zip(a.dims, b.dims))
-    mats = {aid: block_diag(a.matrices[aid], b.matrices[aid]) for aid in a.matrices}
-    return MatrixRepresentation(a.biquiver, dims, mats)
+    return direct_sum_list(a.biquiver, [a, b])
 
 
 def direct_sum_list(g: Biquiver, summands: list[MatrixRepresentation]) -> MatrixRepresentation:
-    total = zero_representation(g)
-    for s in summands:
-        total = direct_sum(total, s)
-    return total
+    """The direct sum of representations of g: at each arrow, one `block_diag` of the
+    summands' matrices, in order. No summands give the zero-dimensional representation."""
+    if any(s.biquiver != g for s in summands):
+        raise PreconditionError("direct sum needs representations of the same biquiver")
+    dims = tuple(sum(s.dims[v] for s in summands) for v in range(g.t))
+    mats = {a.id: block_diag(*(s.matrices[a.id] for s in summands)) for a in g.arrows}
+    return MatrixRepresentation(g, dims, mats)
 
 
 def apply_base_change(a: MatrixRepresentation, s: list[CMatrix]) -> MatrixRepresentation:

@@ -53,13 +53,14 @@ def roots_with_value(g: Biquiver, value: int, bound: int | None = None) -> list[
 
     With a positive definite form the result is complete and `bound` is
     ignored; otherwise the set is infinite and `bound` caps every
-    coordinate (and is required). A `bound` that is not an int, or is a
-    bool or negative, is rejected, and so is a call past
-    MAX_BOX_CANDIDATES: (bound + 1)^t candidates for an indefinite form on
-    t vertices, bound + 1 multiples of the one kernel direction of a
-    semidefinite form. So is one with more than MAX_ROOTS roots.
+    coordinate (and is required). A `value` other than the int 0 or 1 is
+    rejected, as is a `bound` that is not an int, or is a bool or
+    negative, and a call past MAX_BOX_CANDIDATES: (bound + 1)^t candidates
+    for an indefinite form on t vertices, bound + 1 multiples of the one
+    kernel direction of a semidefinite form. So is one with more than
+    MAX_ROOTS roots.
     """
-    if value not in (0, 1):
+    if not isinstance(value, int) or isinstance(value, bool) or value not in (0, 1):
         raise PreconditionError(f"value must be 0 or 1, got {echo(value)}")
     if bound is not None and (not isinstance(bound, int) or isinstance(bound, bool)
                               or bound < 0):

@@ -2,6 +2,7 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
 from operator import mul
 
@@ -1101,6 +1102,51 @@ def test_cmatrix_blocks_match_oracle(r, c, k, entry, data):
     p, q = sorted(data.draw(st.integers(0, c)) for _ in range(2))
     assert_matches(submatrix(a, range(i, j), range(p, q)),
                    oracle_submatrix(oa, range(i, j), range(p, q)))
+
+
+@given(st.lists(dims, max_size=5), st.lists(dims, max_size=5), entry_kinds, st.data())
+def test_n_ary_blocks_match_a_fold_of_the_oracle(heights, widths, entry, data):
+    """Any number of blocks, of mixed denominators and with zero rows or columns, assembled
+    at once equal the pairwise oracles folded, and so does a grid of strips."""
+    r, c = data.draw(dims), data.draw(dims)
+    shapes = list(zip(heights, widths))
+
+    def twins(shapes):
+        return tuple(zip(*(data.draw(twin_matrices(h, w, entry)) for h, w in shapes))) or ((), ())
+
+    for build, oracle, (blocks, oracles) in (
+            (hstack, oracle_hstack, twins((r, w) for w in widths)),
+            (vstack, oracle_vstack, twins((h, c) for h in heights)),
+            (block_diag, oracle_block_diag, twins(shapes))):
+        if blocks:
+            assert_matches(build(*blocks), reduce(oracle, oracles))
+        else:
+            assert build() == CMatrix.zero(0, 0)
+    if heights and widths:
+        grid = [twins((h, w) for w in widths) for h in heights]
+        assert_matches(from_blocks([blocks for blocks, _ in grid]),
+                       reduce(oracle_vstack, (reduce(oracle_hstack, strip) for _, strip in grid)))
+
+
+def test_empty_assemblies_are_0x0():
+    zero = CMatrix.zero(0, 0)
+    assert hstack() == vstack() == block_diag() == from_blocks([]) == from_blocks([[]]) == zero
+    # a lone block comes back unchanged
+    for m in (mat([1, Fraction(1, 2)]), CMatrix.zero(0, 3), CMatrix.zero(2, 0)):
+        assert hstack(m) == vstack(m) == block_diag(m) == from_blocks([[m]]) == m
+
+
+def test_ragged_blocks_raise_the_pairwise_messages():
+    a, row, col = mat([1]), mat([1, 2]), mat([1], [2])
+    for make in (lambda: hstack(a, col), lambda: hstack(a, a, col), lambda: from_blocks([[a, col]]),
+                 lambda: hstack(CMatrix.zero(0, 2), CMatrix.zero(1, 0))):
+        with pytest.raises(FormatError, match="^hstack needs equal row counts$"):
+            make()
+    for make in (lambda: vstack(a, row), lambda: vstack(a, a, row),
+                 lambda: from_blocks([[a, a], [row, a]]), lambda: from_blocks([[a], []]),
+                 lambda: vstack(CMatrix.zero(2, 0), CMatrix.zero(0, 1))):
+        with pytest.raises(FormatError, match="^vstack needs equal column counts$"):
+            make()
 
 
 @given(dims, dims, entry_kinds, st.data())

@@ -1506,6 +1506,24 @@ def test_sampling_parameters_rejected(trials, coeff_bound):
         krull_schmidt_compare([a], [], trials=trials, coeff_bound=coeff_bound)
 
 
+@pytest.mark.parametrize("trials, coeff_bound, message", [
+    ("2", 10, "trials must be a nonnegative int"), (2.0, 10, "trials must be a nonnegative int"),
+    (True, 10, "trials must be a nonnegative int"), (None, 10, "trials must be a nonnegative int"),
+    (8, 2.5, "coefficient bound must be a positive int"),
+    (8, "2", "coefficient bound must be a positive int"),
+    (8, True, "coefficient bound must be a positive int")])
+def test_sampling_parameters_of_another_type_rejected(trials, coeff_bound, message):
+    a = full_loop(mat([1, 0], [0, 2]))
+    b = full_loop(mat([2, 0], [0, 1]))
+    for run in (lambda: are_isomorphic(a, b, trials=trials, coeff_bound=coeff_bound),
+                lambda: decompose(dashed_loop(mat([1, 0], [0, 2])), trials=trials,
+                                  coeff_bound=coeff_bound),
+                lambda: are_consimilar(mat([1]), mat([2]), trials=trials, coeff_bound=coeff_bound),
+                lambda: krull_schmidt_compare([a], [b], trials=trials, coeff_bound=coeff_bound)):
+        with pytest.raises(PreconditionError, match=message):
+            run()
+
+
 def test_sampling_parameter_edges_accepted():
     res = are_isomorphic(full_loop(mat([1])), full_loop(mat([2])), trials=0, coeff_bound=1)
     assert res.verdict is Verdict.NO

@@ -1,12 +1,14 @@
 import json
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from biquiver import (CMatrix, FormatError, GaussianRational, MatrixRepresentation,
-                      PreconditionError, apply_base_change, direct_sum, matrix_to_obj,
+                      PreconditionError, apply_base_change, direct_sum, direct_sum_list,
+                      matrix_to_obj,
                       parse_representation, random_representation,
                       serialize_representation, zero_representation)
 from conftest import (biq, gmat, mat, oracle_matrix_to_obj, path_biquiver,
@@ -57,6 +59,28 @@ def test_direct_sum_requires_same_biquiver():
     b = zero_representation(path_biquiver(2))
     with pytest.raises(PreconditionError):
         direct_sum(a, b)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 5])
+def test_direct_sum_list_equals_a_fold_of_direct_sum(k):
+    # full and dashed arrows and a loop, summands with zero-dimensional vertices and
+    # entries over several denominators
+    g = biq(3, "a:1>2", "b:3~2", "c:2~2")
+    rng = random.Random(k)
+    summands = [random_representation(g, tuple(rng.randint(0, 2) for _ in range(3)), 3,
+                                      rng.randrange(10 ** 6)) for _ in range(k)]
+    assert direct_sum_list(g, summands) == reduce(direct_sum, summands, zero_representation(g))
+
+
+def test_direct_sum_list_requires_same_biquiver():
+    a, other = zero_representation(loop(), (1,)), zero_representation(path_biquiver(2), (1, 1))
+    for summands in ([other], [a, other], [a, a, other, a]):
+        with pytest.raises(PreconditionError,
+                           match="^direct sum needs representations of the same biquiver$"):
+            direct_sum_list(loop(), summands)
+    with pytest.raises(PreconditionError,
+                       match="^direct sum needs representations of the same biquiver$"):
+        direct_sum(a, other)
 
 
 def test_base_change_identity():

@@ -132,6 +132,14 @@ def test_bound_of_another_type_rejected():
                     roots_with_value(g, value, bound)
 
 
+def test_value_of_another_type_rejected():
+    # A2 (definite), ~A1 (semidefinite) and an indefinite form
+    for g in (path_biquiver(2), biq(2, "a:1>2", "b:2~1"), biq(2, "l:1~1", "a:1>2")):
+        for value in (True, False, 1.0, 0.0, "1", None, 2):
+            with pytest.raises(PreconditionError, match="^value must be 0 or 1, got "):
+                roots_with_value(g, value, 2)
+
+
 def test_root_check_survives_optimize_flag():
     # python -O strips assert statements; the final q check must still raise.
     code = textwrap.dedent("""
