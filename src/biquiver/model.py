@@ -45,10 +45,13 @@ class Arrow:
 class Biquiver:
     """A biquiver on the vertices 1..t.
 
-    Each instance is analysed once: its spanning forest and its Tits form,
-    with the form's checked LDL, are memos computed on first use and kept
-    in the instance, outside the fields, so ==, hash, repr and pickling
-    see only t and the arrows.
+    Each instance is analysed once: its spanning forest and its Tits form
+    are memos computed on first use and kept in the instance, outside the
+    fields, so ==, hash, repr and pickling see only t and the arrows. The
+    forest, whose dashed parities read the kinds, stays per object. The
+    form, with its checked LDL and kept roots, forgets kinds and
+    directions, so it is shared with every live Biquiver on the same
+    numbered multigraph, and freed with the last of them.
     """
     t: int
     arrows: tuple[Arrow, ...]

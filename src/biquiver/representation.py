@@ -30,11 +30,7 @@ class MatrixRepresentation:
 
     def __post_init__(self):
         g = self.biquiver
-        if len(self.dims) != g.t:
-            raise FormatError(
-                f"dimension vector has length {len(self.dims)}, biquiver has {g.t} vertices")
-        if any(d < 0 for d in self.dims):
-            raise FormatError("dimensions must be nonnegative")
+        _check_dims(g, self.dims)
         ids = {a.id for a in g.arrows}
         extra = set(self.matrices) - ids
         if extra:
@@ -56,10 +52,23 @@ class MatrixRepresentation:
         return sum(self.dims)
 
 
+def _check_dims(g: Biquiver, dims: DimensionVector) -> None:
+    """Refuse dims unless it has g.t entries, each a nonnegative int."""
+    if len(dims) != g.t:
+        raise FormatError(f"dimension vector has length {len(dims)}, biquiver has {g.t} vertices")
+    for d in dims:
+        if not isinstance(d, int) or isinstance(d, bool):
+            raise FormatError(f"dimensions must be ints, got {echo(d)}")
+    if any(d < 0 for d in dims):
+        raise FormatError("dimensions must be nonnegative")
+
+
 def zero_representation(g: Biquiver, dims: DimensionVector | None = None) -> MatrixRepresentation:
-    """All-zero matrices; by default the zero-dimensional representation."""
+    """All-zero matrices; by default the zero-dimensional representation.
+    A dims that MatrixRepresentation refuses is refused before any matrix."""
     if dims is None:
         dims = (0,) * g.t
+    _check_dims(g, dims)
     mats = {a.id: CMatrix.zero(dims[a.target - 1], dims[a.source - 1]) for a in g.arrows}
     return MatrixRepresentation(g, tuple(dims), mats)
 

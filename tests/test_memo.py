@@ -1,16 +1,24 @@
-"""Each Biquiver is analysed once: its spanning forest and its Tits form,
-with the form's checked LDL, are memos kept in the instance.
+"""Each Biquiver is analysed once: its spanning forest and its Tits form
+are memos kept in the instance. Each form is analysed once: it is shared by
+every live Biquiver on the same numbered graph, whatever the kinds and
+directions of its arrows, and keeps its checked LDL and its positive roots.
 
-The counting tests wrap `model._spanning_forest` and `tits._symmetric_ldl`,
-the names the memos call, so they see every traversal and elimination. The
-refusal tests check that each check still runs on every call, not only on
-the first, and the property checks that a warm memo changes no answer and
-nothing of the Biquiver's value.
+The counting tests wrap `model._spanning_forest`, `tits._symmetric_ldl` and
+`roots._close_simple_roots`, the names the memos call, so they see every
+traversal, elimination and closure. A test that counts the work on a shared
+form builds one that no other test builds, so it counts the same alone and
+after other tests have left forms alive. The refusal tests check that each
+check still runs on every call, not only on the first, and the property
+checks that a warm memo changes no answer and nothing of the Biquiver's
+value.
 """
 import copy
+import gc
 import pickle
+import random
 import sys
 import threading
+import weakref
 from collections import Counter
 
 import pytest
@@ -20,7 +28,7 @@ from biquiver import (Arrow, ArrowKind, Biquiver, Definiteness, FormatError,
                       PreconditionError, RepKind, TitsGram, connected_components,
                       dash_elimination_plan, definiteness, gram_matrix, is_connected,
                       radical_vector, representation_type, roots_with_value)
-from biquiver import model, tits
+from biquiver import model, roots, tits
 from biquiver.model import connected_forest
 from biquiver.tits import MAX_GRAM_VERTICES
 from conftest import biq, cycle_biquiver, path_biquiver
@@ -59,6 +67,27 @@ def calls(monkeypatch):
     return seen
 
 
+@pytest.fixture
+def closures(monkeypatch):
+    """The vertex counts of the forms whose positive roots are closed from here on."""
+    seen = []
+    real = roots._close_simple_roots
+
+    def counted(gram):
+        seen.append(gram.t)
+        return real(gram)
+    monkeypatch.setattr(roots, "_close_simple_roots", counted)
+    return seen
+
+
+def reassigned(g, rng):
+    """g's numbered graph under random kinds and directions."""
+    return Biquiver(g.t, tuple(
+        Arrow(a.id, *((a.target, a.source) if rng.random() < 0.5 else (a.source, a.target)),
+              rng.choice((ArrowKind.FULL, ArrowKind.DASHED)))
+        for a in g.arrows))
+
+
 @pytest.mark.parametrize("g,kind,verdict", [
     (path_biquiver(4, dashed=(2,)), RepKind.FINITE, Definiteness.POSITIVE_DEFINITE),
     (cycle_biquiver(4, dashed=(1,)), RepKind.TAME_INFINITE, Definiteness.POSITIVE_SEMIDEFINITE),
@@ -73,6 +102,71 @@ def test_one_op_traverses_and_eliminates_once(g, kind, verdict, calls):
     assert connected_components(g) == [list(g.vertices())] and is_connected(g)
     assert calls == {"_spanning_forest": 1, "_symmetric_ldl": 1}
     assert gram_matrix(g) is gram_matrix(g)
+
+
+def test_biquivers_on_one_graph_share_one_form(calls, closures):
+    # E7, numbered so that nothing else builds its form; the second biquiver
+    # reverses or redraws every arrow, so only the forests are its own
+    first = biq(7, "a:7>2", "b:2~5", "c:5>3", "d:3>6", "e:6~1", "f:5>4")
+    second = biq(7, "a:2~7", "b:5>2", "c:3~5", "d:6~3", "e:1>6", "f:4~5")
+    assert gram_matrix(first) is gram_matrix(second)
+    ops = [tits_op(first), tits_op(second), tits_op(first), tits_op(second)]
+    assert [len(op[3]) for op in ops] == [63] * 4
+    assert all(op[:4] == ops[0][:4] for op in ops)
+    assert calls == {"_spanning_forest": 2, "_symmetric_ldl": 1}
+    assert closures == [7]
+
+
+def test_a_returned_root_list_is_the_callers():
+    g = path_biquiver(4, dashed=(2,))
+    mine = roots_with_value(g, 1)
+    want = list(mine)
+    assert len(want) == 10
+    mine.reverse()
+    mine[0] = (9, 9, 9, 9)
+    mine.append((1,))
+    assert roots_with_value(g, 1) == want
+    again = roots_with_value(reassigned(g, random.Random(1)), 1)
+    assert again == want and again is not roots_with_value(g, 1)
+    again.clear()
+    assert roots_with_value(g, 1) == want
+
+
+def test_a_lowered_root_cap_refuses_on_every_call_and_keeps_nothing(monkeypatch, closures):
+    # E6, numbered so that nothing else builds its form: 36 positive roots
+    g = biq(6, "a:4>6", "b:6~1", "c:1>3", "d:3~5", "e:1>2")
+    other = biq(6, "a:6~4", "b:1>6", "c:3>1", "d:5>3", "e:2~1")
+    gram = gram_matrix(g)
+    monkeypatch.setattr(roots, "MAX_ROOTS", 35)
+    for h in (g, other, g):
+        with pytest.raises(PreconditionError, match="more than the cap of 35 roots"):
+            roots_with_value(h, 1)
+    assert closures == [6, 6, 6]
+    assert "_positive_roots" not in vars(gram)
+    monkeypatch.setattr(roots, "MAX_ROOTS", 36)
+    assert len(roots_with_value(g, 1)) == 36
+    assert closures == [6, 6, 6, 6]
+    # kept roots meet a cap lowered after they were kept as the closure would
+    monkeypatch.setattr(roots, "MAX_ROOTS", 35)
+    for h in (g, other):
+        with pytest.raises(PreconditionError, match="more than the cap of 35 roots"):
+            roots_with_value(h, 1)
+    assert closures == [6, 6, 6, 6]
+
+
+def test_a_form_is_freed_with_its_last_biquiver():
+    # D6, numbered so that nothing else builds its form: 30 positive roots
+    first = biq(6, "a:5>1", "b:1~6", "c:6>3", "d:3>2", "e:3~4")
+    second = biq(6, "a:1~5", "b:6>1", "c:3~6", "d:2>3", "e:4>3")
+    assert [len(tits_op(first)[3]), len(tits_op(second)[3])] == [30, 30]  # fills every memo
+    form = weakref.ref(gram_matrix(first))
+    assert form() is gram_matrix(second)
+    del first
+    gc.collect()
+    assert form() is not None
+    del second
+    gc.collect()
+    assert form() is None
 
 
 def test_the_shared_forest_is_read_only():
@@ -141,6 +235,40 @@ def test_threads_filling_one_memo_agree():
         sys.setswitchinterval(interval)
     assert not any(th.is_alive() for th in threads)
     assert got == [[want] * len(fresh)] * len(threads)
+
+
+def test_threads_sharing_one_form_agree_with_cold_answers():
+    # each shape under 12 assignments of kinds and directions: every thread
+    # reads its own fresh biquivers, and all of them share one form per
+    # shape, which the threads race to analyse. The shapes are A5, ~A4 and
+    # a wild graph, each numbered so that nothing else builds its form.
+    rng = random.Random(7)
+    shapes = [biq(5, "a:3>1", "b:1>5", "c:5>2", "d:2>4"),
+              biq(5, "a:4>2", "b:2>5", "c:5>1", "d:1>3", "e:3>4"),
+              biq(4, "a:4>2", "b:2>3", "c:3>4", "d:4>1", "e:1>3")]
+    variants = [reassigned(g, rng) for g in shapes for _ in range(12)]
+    # each cold answer is read with no other biquiver holding its form
+    want = [tits_op(Biquiver(g.t, g.arrows)) for g in variants]
+    fresh = [[Biquiver(g.t, g.arrows) for g in variants] for _ in range(4)]
+    got = [None] * len(fresh)
+
+    def work(k):
+        got[k] = [tits_op(g) for g in fresh[k]]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(len(fresh))]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert got == [want] * len(fresh)
+    forms = {id(gram_matrix(g)) for gs in fresh for g in gs}
+    assert len(forms) == len(shapes)
 
 
 @st.composite

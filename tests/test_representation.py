@@ -19,6 +19,25 @@ def loop():
     return biq(1, "a:1>1")
 
 
+@pytest.mark.parametrize("dims,message", [
+    ((1,), "^dimension vector has length 1, biquiver has 2 vertices$"),
+    ((1, 1, 1), "^dimension vector has length 3, biquiver has 2 vertices$"),
+    ((1, -1), "^dimensions must be nonnegative$"),
+    ((1.0, 1), "^dimensions must be ints, got 1.0$"),
+    ((True, 1), "^dimensions must be ints, got True$"),
+    ((1, "1"), "^dimensions must be ints, got '1'$"),
+], ids=["short", "long", "negative", "float", "bool", "str"])
+def test_a_bad_dimension_vector_is_refused_before_any_matrix(dims, message):
+    # zero_representation checks dims as MatrixRepresentation does, before
+    # it indexes dims to build the zero matrices
+    g = path_biquiver(2)
+    with pytest.raises(FormatError, match=message):
+        zero_representation(g, dims)
+    with pytest.raises(FormatError, match=message):
+        MatrixRepresentation(g, dims, {"e1": CMatrix.zero(1, 1)})
+    assert zero_representation(g, [2, 0]).dims == (2, 0)
+
+
 def test_shape_validation():
     g = path_biquiver(2)
     MatrixRepresentation(g, (1, 2), {"e1": mat([1], [0])})

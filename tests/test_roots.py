@@ -16,6 +16,7 @@ import biquiver
 from biquiver import (Arrow, ArrowKind, Biquiver, Definiteness, PreconditionError,
                       TitsGram, definiteness, evaluate, gram_matrix,
                       positive_root_count, radical_vector, roots_with_value)
+from biquiver.linalg import _symmetric_ldl
 from biquiver.model import DimensionVector
 from biquiver.roots import (MAX_BOX_CANDIDATES, MAX_ROOTS, _check_box, _close_simple_roots,
                             _enumerate_box, _keep, _null_roots)
@@ -443,6 +444,36 @@ def test_integer_enumeration_matches_oracle_on_random_biquivers(g, value, bound)
         got = _enumerate_sos(gram, value, b)
         assert got == oracle_enumerate_sos(gram, value, b)
         assert got == oracle_search_sos(gram, value, b)
+
+
+@settings(deadline=None, max_examples=60)
+@given(connected_biquivers(), st.data())
+def test_a_shared_form_answers_as_a_fresh_one(g, data):
+    # the same numbered graph under other kinds and directions shares g's
+    # form, and both read what a fresh, unshared TitsGram of C gives
+    flips = data.draw(st.lists(st.booleans(), min_size=len(g.arrows), max_size=len(g.arrows)))
+    kinds = data.draw(st.lists(st.sampled_from((ArrowKind.FULL, ArrowKind.DASHED)),
+                               min_size=len(g.arrows), max_size=len(g.arrows)))
+    other = Biquiver(g.t, tuple(
+        Arrow(a.id, *((a.target, a.source) if flip else (a.source, a.target)), kind)
+        for a, flip, kind in zip(g.arrows, flips, kinds)))
+    gram = gram_matrix(g)
+    assert gram_matrix(other) is gram
+    fresh = TitsGram(g.t, gram.c)
+    assert fresh is not gram and fresh == gram
+    (positive, negative, _), *_ = _symmetric_ldl([list(row) for row in fresh.c])
+    verdict = (Definiteness.POSITIVE_DEFINITE if positive == g.t
+               else Definiteness.POSITIVE_SEMIDEFINITE if negative == 0
+               else Definiteness.INDEFINITE)
+    want = _close_simple_roots(fresh) if verdict is Definiteness.POSITIVE_DEFINITE else None
+    for h in (g, other, g, other):
+        assert definiteness(gram_matrix(h)) is verdict
+        if want is None:
+            with pytest.raises(PreconditionError, match="bound"):
+                roots_with_value(h, 1)
+        else:
+            assert roots_with_value(h, 1) == want
+    assert "ldl" not in vars(fresh) and "_positive_roots" not in vars(fresh)
 
 
 def test_solved_searches_match_oracles_on_degenerate_forms():

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction
 from math import lcm
 
@@ -443,6 +444,17 @@ def test_definiteness_invariant_under_kind_and_direction():
     assert definiteness(gram_matrix(flipped)) is base
 
 
+def test_evaluate_refuses_entries_that_are_not_ints():
+    a2 = path_biquiver(2)
+    for z, shown in (((1.5, 1), "1.5"), ((True, 1), "True"), (("a", 1), "'a'"),
+                     ((1, F(1)), "Fraction(1, 1)"), ((1, None), "None")):
+        with pytest.raises(PreconditionError,
+                           match=f"^dimension vector entries must be ints, got {re.escape(shown)}$"):
+            evaluate(a2, z)
+    assert evaluate(a2, (2, -1)) == 7
+    assert evaluate(a2, [1, 1]) == 1
+
+
 def test_psd_values_nonnegative_when_psd():
     rng = random.Random(3)
     for g in [cycle_biquiver(4), biq(1, "a:1>1"), path_biquiver(4)]:
@@ -496,7 +508,10 @@ def test_radical_vector_matches_oracle():
 
 def test_one_elimination_per_gram(monkeypatch, tmp_path, capsys):
     # `tits` reads definiteness twice, once inside radical_vector, and
-    # roots_with_value reads it before enumerating: each eliminates once
+    # roots_with_value reads it before enumerating: the first biquiver on a
+    # graph eliminates its form once, and a second one, with other kinds and
+    # directions, finds it eliminated while the first holds it. The form is
+    # ~D5, numbered so that nothing else builds it.
     eliminations = []
     real_ldl = tits._symmetric_ldl
 
@@ -505,16 +520,20 @@ def test_one_elimination_per_gram(monkeypatch, tmp_path, capsys):
         return real_ldl(rows)
 
     monkeypatch.setattr(tits, "_symmetric_ldl", counting)
-    d4t = tmp_path / "d4t.json"
-    d4t.write_text(serialize_biquiver(biq(5, "a:1>5", "b:2>5", "c:3~5", "d:4>5")))
-    assert main(["tits", str(d4t)]) == 0
+    first = biq(6, "a:6>2", "b:4~2", "c:2>1", "d:1~3", "e:5>1")
+    second = biq(6, "a:2~6", "b:2>4", "c:1~2", "d:3>1", "e:1>5")
+    held = gram_matrix(first)  # builds the form, eliminates nothing
+    path = tmp_path / "d5t.json"
+    path.write_text(serialize_biquiver(first))
+    assert main(["tits", str(path)]) == 0
     out = json.loads(capsys.readouterr().out)
-    assert (out["definiteness"], out["radical"]) == ("PositiveSemidefinite", [1, 1, 1, 1, 2])
-    assert eliminations == [5]
-    eliminations.clear()
-    assert roots_with_value(path_biquiver(3), 1) == [(0, 0, 1), (0, 1, 0), (0, 1, 1), (1, 0, 0),
-                                                     (1, 1, 0), (1, 1, 1)]
-    assert eliminations == [3]
+    assert (out["definiteness"], out["radical"]) == ("PositiveSemidefinite", [2, 2, 1, 1, 1, 1])
+    assert eliminations == [6]
+    assert gram_matrix(second) is held
+    assert radical_vector(held) == (2, 2, 1, 1, 1, 1)
+    assert roots_with_value(second, 0, 4) == [(2, 2, 1, 1, 1, 1), (4, 4, 2, 2, 2, 2)]
+    assert definiteness(gram_matrix(first)) is Definiteness.POSITIVE_SEMIDEFINITE
+    assert eliminations == [6]
 
 
 def test_radical_of_cycles_is_all_ones():
