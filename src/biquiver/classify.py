@@ -10,7 +10,12 @@ with a leading tilde, e.g. "~A2" for the 3-vertex cycle.
 
 The shape is read off the graph layer's one traversal,
 `model.connected_forest`, which refuses disconnected input; its neighbour
-lists give the degrees and the branch lengths.
+lists give the degrees and the branch lengths. The label, like the Tits
+form, forgets kinds and directions, so `representation_type` reads it once
+per form, from the TitsGram shared by every biquiver on the same numbered
+multigraph, after checking connectivity on every call. Past
+MAX_GRAM_VERTICES vertices no form is built, and the label is computed
+on every call.
 """
 from __future__ import annotations
 
@@ -18,6 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .model import Biquiver, connected_forest
+from .tits import MAX_GRAM_VERTICES
 
 
 class RepKind(Enum):
@@ -98,8 +104,13 @@ def diagram_shape(g: Biquiver) -> str | None:
 
 
 def representation_type(g: Biquiver) -> RepType:
-    """Finite / tame-infinite / wild verdict for a connected biquiver."""
-    label = diagram_shape(g)
+    """Finite / tame-infinite / wild verdict for a connected biquiver.
+
+    Raises PreconditionError on disconnected input, on every call.
+    """
+    connected_forest(g)
+    # past the cap no form is built, where gram_matrix would refuse
+    label = diagram_shape(g) if g.t > MAX_GRAM_VERTICES else g._gram._label(g)
     if label is None:
         return RepType(RepKind.WILD, None)
     if label.startswith("~"):

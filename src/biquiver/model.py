@@ -45,13 +45,16 @@ class Arrow:
 class Biquiver:
     """A biquiver on the vertices 1..t.
 
-    Each instance is analysed once: its spanning forest and its Tits form
-    are memos computed on first use and kept in the instance, outside the
-    fields, so ==, hash, repr and pickling see only t and the arrows. The
-    forest, whose dashed parities read the kinds, stays per object. The
-    form, with its checked LDL and kept roots, forgets kinds and
-    directions, so it is shared with every live Biquiver on the same
-    numbered multigraph, and freed with the last of them.
+    Each instance is analysed once: its spanning forest, the verdict that
+    it is connected and its Tits form are memos computed on first use and
+    kept in the instance, outside the fields, so ==, hash, repr and
+    pickling see only t and the arrows. The forest, whose dashed parities
+    read the kinds, and the connectivity verdict stay per object; a
+    refusal of disconnected input is kept by neither, so it runs again on
+    every call. The form, with its checked LDL, label, radical vector and
+    kept roots, forgets kinds and directions, so it is shared with every
+    live Biquiver on the same numbered multigraph, and freed with the last
+    of them.
     """
     t: int
     arrows: tuple[Arrow, ...]
@@ -81,6 +84,10 @@ class Biquiver:
     @cached_property
     def _forest(self):
         return _spanning_forest(self)
+
+    @cached_property
+    def _connected_forest(self):
+        return _check_connected(self)
 
     @cached_property
     def _gram(self):
@@ -139,11 +146,18 @@ def _spanning_forest(g: Biquiver):
 def connected_forest(g: Biquiver):
     """g's memoized `_spanning_forest` for a connected g, one tree rooted at vertex 1.
 
-    The graph layer's one connectivity check, run on every call though the
-    forest is built once: raises PreconditionError on disconnected input,
-    and with fewer than t - 1 non-loop arrows, too few to connect t
-    vertices, before any per-vertex list is built.
+    The graph layer's one connectivity check, `_check_connected`: its
+    success is kept in g's `_connected_forest` memo, so it runs once per
+    Biquiver, and its refusal is not, so a disconnected g is refused on
+    every call.
     """
+    return g._connected_forest
+
+
+def _check_connected(g: Biquiver):
+    """g's `_forest`, or PreconditionError on disconnected input. With fewer
+    than t - 1 non-loop arrows, too few to connect t vertices, it refuses
+    before any per-vertex list is built."""
     if sum(not a.is_loop for a in g.arrows) < g.t - 1:
         raise PreconditionError("biquiver is not connected")
     forest = g._forest

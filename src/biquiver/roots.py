@@ -13,13 +13,15 @@ and on the value:
   (`TitsGram._positive_roots`) for every biquiver sharing it. At value 0
   there is nothing to find.
 - Positive semidefinite: the form is extended Dynkin, and ker C = Z delta
-  with delta > 0, read off the shared LDL^T by `tits._null_root`. At
+  with delta > 0, read off the shared LDL^T once per form
+  (`TitsGram._delta`). At
   value 0, q(z) = 0 exactly when C z = 0, and the answer is k delta for
   k = 1..bound // max(delta) (`_null_roots`). At value 1 the answer is
   the positive real roots: alpha + k delta for k >= 0 and -alpha + k delta
   for k >= 1, where alpha runs over the positive roots of the Dynkin form
-  left by deleting a vertex e with delta_e = 1, found by the closure
-  (Kac, Infinite dimensional Lie algebras, Prop. 6.3; `_real_roots`).
+  left by deleting a vertex e with delta_e = 1, found by the closure once
+  per form and kept with it (`TitsGram._dynkin`; Kac, Infinite
+  dimensional Lie algebras, Prop. 6.3; `_real_roots`).
 - Indefinite: a box search over 0..bound per coordinate (`_enumerate_box`).
   Its last coordinate is solved exactly, leaving at most two candidates
   (all of 0..bound where that coordinate's equation vanishes
@@ -40,7 +42,7 @@ from math import isqrt
 from .errors import PreconditionError, echo
 from .classify import RepKind, representation_type
 from .model import Biquiver, DimensionVector, connected_forest
-from .tits import Definiteness, TitsGram, _null_root, definiteness, gram_matrix
+from .tits import Definiteness, TitsGram, definiteness, gram_matrix
 # the check of every returned root: q without `tits.evaluate`'s input checks,
 # as the roots checked are int vectors of length t built here
 from .tits import _evaluate as evaluate
@@ -183,7 +185,7 @@ def _null_roots(gram: TitsGram, bound: int) -> list[DimensionVector]:
     0..bound in the one kernel direction, and its solutions the k of
     0..bound // max(delta), the zero vector included.
     """
-    delta = _null_root(gram)
+    delta = gram._delta
     _check_box(bound, 1, "the form is semidefinite; a search of its kernel directions")
     top = bound // max(delta)
     _check_roots(top + 1)
@@ -201,15 +203,17 @@ def _real_roots(gram: TitsGram, bound: int) -> list[DimensionVector]:
     intervals, counted before any vector is built, hold more than MAX_ROOTS.
     The closure itself is never refused: the form without e has at most
     MAX_GRAM_VERTICES - 1 = 255 vertices, and D255, with the most positive
-    roots, has 64,770.
+    roots, has 64,770. It runs once per form, kept in `gram._dynkin`, whose
+    roots are refused like a closure's under a cap lowered after they were
+    kept.
     """
-    delta = _null_root(gram)
+    delta = gram._delta
     _check_box(bound, 1, "the form is semidefinite; a search of its kernel directions")
     e = delta.index(1)
-    rest = [i for i in range(gram.t) if i != e]
-    dynkin = TitsGram(gram.t - 1, tuple(tuple(gram.c[i][j] for j in rest) for i in rest))
+    alphas = gram._dynkin._positive_roots
+    _check_roots(len(alphas))
     runs = []
-    for alpha in _close_simple_roots(dynkin):
+    for alpha in alphas:
         alpha = alpha[:e] + (0,) + alpha[e:]
         for sign, first in ((1, 0), (-1, 1)):
             last = min((bound - sign * a) // d for a, d in zip(alpha, delta))

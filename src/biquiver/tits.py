@@ -10,22 +10,26 @@ Each form is analysed once. C forgets the kinds and directions of the
 arrows, so every biquiver on the same numbered multigraph has the same
 form, and `_tits_gram` returns one TitsGram per C: a weak intern table
 keeps it while some Biquiver holds it, in its `_gram` memo, and frees it
-with the last one. That TitsGram checks and eliminates C once, in
-`TitsGram.ldl`, and, for a positive definite C, closes its positive roots
-once, in `TitsGram._positive_roots`. On every biquiver sharing the form,
-`definiteness` reads the inertia of that one LDL^T, `_null_root` solves
-its steps back for the radical vector of a semidefinite form, and
-`roots_with_value` reads the verdict, that radical vector and the kept
-positive roots.
+with the last one. That TitsGram computes each of its memos once: the
+checked LDL^T of C (`ldl`); the Dynkin or extended Dynkin label of a
+connected graph (`_label`), as `classify.representation_type` reads it;
+for a positive definite C, its positive roots (`_positive_roots`); and
+for a semidefinite one, its radical vector delta, solved back from that
+LDL^T by `_null_root` (`_delta`), and the Dynkin form left by deleting a
+vertex e with delta_e = 1, with its positive roots (`_dynkin`). On every
+biquiver sharing the form, `definiteness` reads the inertia of that one
+LDL^T, and `roots_with_value` reads the verdict, delta and the kept roots.
 `radical_vector` shares the verdict but still solves ker C with
-`fraction_nullspace`, the call the benchmark's tests count for it. The
-elimination is cubic in the number of vertices, so forms past
-MAX_GRAM_VERTICES vertices are refused.
+`fraction_nullspace`, the call the benchmark's tests count for it, and
+raises AssertionError unless what it finds is delta. The elimination is
+cubic in the number of vertices, so forms past MAX_GRAM_VERTICES vertices
+are refused.
 """
 from __future__ import annotations
 
 import threading
 import weakref
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -59,8 +63,11 @@ class TitsGram:
 
     `gram_matrix` hands out one TitsGram per C, shared by every biquiver on
     that numbered multigraph, so its memos are computed once per form: the
-    checked `ldl`, and `_positive_roots` for a positive definite C. A
-    TitsGram built directly is a fresh form, with memos of its own.
+    checked `ldl`, the label `_label` reads, `_positive_roots` for a
+    positive definite C, and `_delta` and `_dynkin` for a semidefinite one. A
+    TitsGram built directly is a fresh form, with memos of its own. The
+    memos are kept in the instance, outside the fields, so ==, hash, repr
+    and pickling see only t and c.
     """
     t: int
     c: tuple[tuple[int, ...], ...]
@@ -103,6 +110,38 @@ class TitsGram:
         from . import roots  # roots imports this module
         return tuple(roots._close_simple_roots(self))
 
+    @cached_property
+    def _delta(self) -> DimensionVector:
+        """`_null_root(self)`, read for a semidefinite form only and solved
+        once per form. A refusal is not memoized."""
+        return _null_root(self)
+
+    @cached_property
+    def _dynkin(self) -> TitsGram:
+        """The Dynkin form left by deleting the first vertex e with
+        delta_e = 1 from a connected semidefinite form, read for such a form
+        only. It is kept with its own memos, so its `_positive_roots` are
+        closed once per semidefinite form: at most 64,770 roots, for D255,
+        as the form without e has at most MAX_GRAM_VERTICES - 1 vertices.
+        """
+        e = self._delta.index(1)
+        rest = [i for i in range(self.t) if i != e]
+        return TitsGram(self.t - 1, tuple(tuple(self.c[i][j] for j in rest) for i in rest))
+
+    def _label(self, g: Biquiver) -> str | None:
+        """`classify.diagram_shape(g)` of a connected g on this form,
+        computed once per form: the label, like C, forgets the kinds and
+        directions of the arrows. A refusal is not memoized."""
+        memo = vars(self)
+        if "_diagram" not in memo:
+            from . import classify  # classify imports this module
+            memo.setdefault("_diagram", classify.diagram_shape(g))
+        return memo["_diagram"]
+
+    def __getstate__(self):
+        # the memos are derived: pickles and copies carry the fields alone
+        return {"t": self.t, "c": self.c}
+
 
 def _check_vertex_cap(t: int) -> None:
     if t > MAX_GRAM_VERTICES:
@@ -141,7 +180,9 @@ def _tits_gram(g: Biquiver) -> TitsGram:
 
 
 def evaluate(g: Biquiver, z: DimensionVector) -> int:
-    """q_G(z) of an int vector z with g.t entries, refused otherwise."""
+    """q_G(z) of a sequence z of g.t ints, refused otherwise."""
+    if not isinstance(z, Sequence):
+        raise PreconditionError(f"dimension vector must be a sequence of ints, got {echo(z)}")
     if len(z) != g.t:
         raise PreconditionError(
             f"dimension vector has length {len(z)}, biquiver has {g.t} vertices")
@@ -184,7 +225,9 @@ def radical_vector(gram: TitsGram) -> DimensionVector | None:
 
     Present exactly when Q is positive semidefinite singular with a
     one-dimensional kernel spanned by a strictly positive vector (the case
-    of a connected tame biquiver).
+    of a connected tame biquiver). Solved with `fraction_nullspace` on
+    every call, and checked against the form's kept `_delta`, solved back
+    from its LDL^T: raises AssertionError when the two differ.
     """
     if definiteness(gram) is not Definiteness.POSITIVE_SEMIDEFINITE:
         return None
@@ -195,7 +238,11 @@ def radical_vector(gram: TitsGram) -> DimensionVector | None:
     _, nums = basis[0]
     if any(x <= 0 for x in nums):
         return None
-    return tuple(nums)
+    delta = tuple(nums)
+    if delta != gram._delta:
+        raise AssertionError(f"the kernel vector {delta} is not the radical vector "
+                             f"{gram._delta} read off the LDL^T")
+    return delta
 
 
 def _null_root(gram: TitsGram) -> DimensionVector:
@@ -206,8 +253,9 @@ def _null_root(gram: TitsGram) -> DimensionVector:
     one `free` index. Every LDL^T term vanishes on ker C, so each step's
     d z_p + lin . z = 0 gives z_p from the indices pivoted after p; from
     z_free = 1 the steps, solved last to first in integers, scale z up by
-    what d does not divide. Read for a semidefinite form only; raises
-    AssertionError unless `free` has length 1 and delta > 0.
+    what d does not divide. Read for a semidefinite form only, through its
+    memo `gram._delta`; raises AssertionError unless `free` has length 1 and
+    delta > 0.
     """
     _, steps, free = gram.ldl
     if len(free) != 1:

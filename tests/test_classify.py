@@ -275,12 +275,18 @@ def test_diagram_vertex_count_matches():
         assert (rt.diagram is not None) == (rt.kind is not RepKind.WILD)
 
 
+def _type_label(g):
+    """The label `representation_type` reads from g's form, computed once per form."""
+    return representation_type(g).diagram
+
+
 def test_matches_oracle_on_scrambled_diagrams():
     rng = random.Random(13)
     for label, g in _DIAGRAMS:
         for _ in range(20):
             h = _scramble(rng, g)
             assert diagram_shape(h) == oracle_diagram_shape(h) == label, h
+            assert _type_label(h) == label, h
 
 
 def test_matches_oracle_on_random_multigraphs():
@@ -289,7 +295,7 @@ def test_matches_oracle_on_random_multigraphs():
     for _ in range(3000):
         g = _random_multigraph(rng)
         got = _outcome(diagram_shape, g)
-        assert got == _outcome(oracle_diagram_shape, g), g
+        assert got == _outcome(oracle_diagram_shape, g) == _outcome(_type_label, g), g
         seen[got[0] if got[1] is not None else None] += 1
     # every kind of outcome is exercised: labels, None and the error
     assert min(seen["label"], seen[None], seen["error"]) > 150, seen

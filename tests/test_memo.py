@@ -1,16 +1,21 @@
-"""Each Biquiver is analysed once: its spanning forest and its Tits form
-are memos kept in the instance. Each form is analysed once: it is shared by
-every live Biquiver on the same numbered graph, whatever the kinds and
-directions of its arrows, and keeps its checked LDL and its positive roots.
+"""Each Biquiver is analysed once: its spanning forest, the verdict that
+it is connected and its Tits form are memos kept in the instance. Each form
+is analysed once: it is shared by every live Biquiver on the same numbered
+graph, whatever the kinds and directions of its arrows, and keeps its
+checked LDL, its Dynkin label, its positive roots, and, when semidefinite,
+its radical vector delta and the Dynkin sub-form its real roots are read
+from.
 
-The counting tests wrap `model._spanning_forest`, `tits._symmetric_ldl` and
+The counting tests wrap `model._spanning_forest`, `model._check_connected`,
+`tits._symmetric_ldl`, `tits._null_root`, `classify.diagram_shape` and
 `roots._close_simple_roots`, the names the memos call, so they see every
-traversal, elimination and closure. A test that counts the work on a shared
-form builds one that no other test builds, so it counts the same alone and
-after other tests have left forms alive. The refusal tests check that each
-check still runs on every call, not only on the first, and the property
-checks that a warm memo changes no answer and nothing of the Biquiver's
-value.
+traversal, connectivity check, elimination, back-substitution, label and
+closure. A test that counts the work on a shared form builds one that no
+other test builds, so it counts the same alone and after other tests have
+left forms alive. The refusal tests check that each check still runs on
+every call, not only on the first, and the properties check that a warm
+memo changes no answer and nothing of the Biquiver's value, and that every
+memo a form keeps is what a fresh form computes.
 """
 import copy
 import gc
@@ -25,10 +30,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from biquiver import (Arrow, ArrowKind, Biquiver, Definiteness, FormatError,
-                      PreconditionError, RepKind, TitsGram, connected_components,
+                      PreconditionError, RepKind, RepType, TitsGram, connected_components,
                       dash_elimination_plan, definiteness, gram_matrix, is_connected,
                       radical_vector, representation_type, roots_with_value)
-from biquiver import model, roots, tits
+from biquiver import classify, model, roots, tits
 from biquiver.model import connected_forest
 from biquiver.tits import MAX_GRAM_VERTICES
 from conftest import biq, cycle_biquiver, path_biquiver
@@ -49,22 +54,38 @@ def tits_op(g):
     return rt, verdict, radical, roots, dash_elimination_plan(g)
 
 
-@pytest.fixture
-def calls(monkeypatch):
-    """Counts of the traversals and eliminations run from here on."""
+def memo_op(g):
+    """`tits_op(g)`, then, on a semidefinite form, the value-1 roots up to 2,
+    which read the kept Dynkin sub-form: so every memo of g and its form is
+    read."""
+    op = tits_op(g)
+    if op[1] is Definiteness.POSITIVE_SEMIDEFINITE:
+        return op + (roots_with_value(g, 1, 2),)
+    return op
+
+
+def counting(monkeypatch, *names):
+    """Counts of the calls, from here on, of each (module, name) given."""
     seen = Counter()
-
-    def count(module, name):
-        real = getattr(module, name)
-
-        def counted(*args):
+    for module, name in names:
+        def counted(*args, real=getattr(module, name), name=name):
             seen[name] += 1
             return real(*args)
         monkeypatch.setattr(module, name, counted)
-
-    count(model, "_spanning_forest")
-    count(tits, "_symmetric_ldl")
     return seen
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Counts of the traversals and eliminations run from here on."""
+    return counting(monkeypatch, (model, "_spanning_forest"), (tits, "_symmetric_ldl"))
+
+
+@pytest.fixture
+def memo_calls(monkeypatch):
+    """Counts of the connectivity checks, back-substitutions and labels run from here on."""
+    return counting(monkeypatch, (model, "_check_connected"), (tits, "_null_root"),
+                    (classify, "diagram_shape"))
 
 
 @pytest.fixture
@@ -115,6 +136,127 @@ def test_biquivers_on_one_graph_share_one_form(calls, closures):
     assert all(op[:4] == ops[0][:4] for op in ops)
     assert calls == {"_spanning_forest": 2, "_symmetric_ldl": 1}
     assert closures == [7]
+
+
+def test_delta_is_solved_once_per_form(memo_calls, closures):
+    # ~D5, numbered so that nothing else builds its form; the second
+    # biquiver reverses or redraws every arrow
+    first = biq(6, "a:4>2", "b:2~6", "c:1>4", "d:4~5", "e:3>2")
+    second = biq(6, "a:2~4", "b:6>2", "c:4~1", "d:5>4", "e:2~3")
+    delta = (1, 2, 1, 2, 1, 1)
+    for g in (first, second, first, second):
+        assert radical_vector(gram_matrix(g)) == delta
+        assert roots_with_value(g, 0, 4) == [delta, tuple(2 * x for x in delta)]
+        assert len(roots_with_value(g, 1, 2)) == 44
+    assert memo_calls["_null_root"] == 1
+    assert closures == [5]  # the D5 left by deleting a vertex with delta_e = 1
+
+
+def test_the_dynkin_sub_form_is_closed_once_per_form(closures):
+    # ~E8, numbered so that nothing else builds its form
+    g = biq(9, "a:5>8", "b:3~5", "c:3>9", "d:1>5", "e:1~7", "f:2>7", "g:2>6", "h:4~6")
+    other = biq(9, "a:8~5", "b:5>3", "c:9~3", "d:5~1", "e:7>1", "f:7~2", "g:6~2", "h:6>4")
+    want = roots_with_value(g, 1, 2)
+    assert len(want) == 100
+    for _ in range(19):
+        assert roots_with_value(g, 1, 2) == want
+    assert roots_with_value(other, 1, 2) == want
+    assert closures == [8]
+    # the kept sub-form is E8, closed from the form without a vertex of delta 1
+    assert representation_type(g).diagram == "~E8"
+    assert len(gram_matrix(g)._dynkin._positive_roots) == 120
+
+
+def test_a_lowered_root_cap_refuses_the_kept_dynkin_roots_alike(monkeypatch, closures):
+    # ~E6, numbered so that nothing else builds its form: its Dynkin sub-form
+    # is E6, with 36 positive roots, though none fits the bound 0
+    g = biq(7, "a:2>5", "b:5~7", "c:2~4", "d:4>1", "e:2>6", "f:6~3")
+    monkeypatch.setattr(roots, "MAX_ROOTS", 35)
+    with pytest.raises(PreconditionError, match="more than the cap of 35 roots"):
+        roots_with_value(g, 1, 0)
+    assert closures == [6]
+    monkeypatch.setattr(roots, "MAX_ROOTS", 36)
+    assert roots_with_value(g, 1, 0) == []
+    monkeypatch.setattr(roots, "MAX_ROOTS", 35)
+    with pytest.raises(PreconditionError, match="more than the cap of 35 roots"):
+        roots_with_value(g, 1, 0)
+    assert closures == [6, 6]
+
+
+def test_the_label_is_read_once_per_form(memo_calls):
+    # ~E6, numbered so that nothing else builds its form
+    first = biq(7, "a:6>3", "b:3~1", "c:6~7", "d:7>4", "e:6>2", "f:2~5")
+    second = biq(7, "a:3~6", "b:1>3", "c:7>6", "d:4~7", "e:2~6", "f:5>2")
+    for g in (first, second, first, second):
+        assert representation_type(g).diagram == "~E6"
+        assert representation_type(g).kind is RepKind.TAME_INFINITE
+    assert memo_calls["diagram_shape"] == 1
+
+
+def test_connectivity_is_checked_once_per_biquiver(memo_calls):
+    g = path_biquiver(4, dashed=(2,))
+    first = memo_op(g)
+    assert memo_op(g) == first and is_connected(g)
+    assert memo_calls["_check_connected"] == 1
+    assert memo_op(Biquiver(g.t, g.arrows)) == first
+    assert memo_calls["_check_connected"] == 2
+    # a refusal is not kept: each call checks again
+    apart = Biquiver(3, path_biquiver(2).arrows)
+    for k in range(1, 4):
+        with pytest.raises(PreconditionError, match="^biquiver is not connected$"):
+            representation_type(apart)
+        assert memo_calls["_check_connected"] == 2 + k
+
+
+def test_a_path_past_the_vertex_cap_is_classified_without_a_form(memo_calls):
+    g = path_biquiver(300)
+    for k in (1, 2):
+        assert representation_type(g) == RepType(RepKind.FINITE, "A300")
+        assert memo_calls["diagram_shape"] == k
+    assert "_gram" not in vars(g)
+    assert memo_calls["_check_connected"] == 1
+
+
+def test_a_pickled_form_carries_its_fields_alone():
+    # A2 keeps its positive roots; ~A3, numbered so that nothing else builds
+    # its form, its label, delta and Dynkin sub-form
+    for g in (path_biquiver(2), biq(4, "a:3>1", "b:1~4", "c:4>2", "d:2~3")):
+        want = memo_op(g)
+        form = gram_matrix(g)
+        assert set(vars(form)) > {"t", "c", "ldl", "_diagram"}
+        for back in (pickle.loads(pickle.dumps(form)), copy.deepcopy(form)):
+            assert vars(back) == {"t": form.t, "c": form.c}
+            assert back == form and back is not form
+            assert definiteness(back) is want[1]
+            assert radical_vector(back) == want[2]
+            assert back._label(g) == want[0].diagram
+        assert_memos_are_cold_answers(form, g)
+
+
+def test_radical_vector_is_checked_against_delta(monkeypatch):
+    gram = TitsGram(3, ((2, -1, -1), (-1, 2, -1), (-1, -1, 2)))  # ~A2, delta = (1, 1, 1)
+    assert radical_vector(gram) == (1, 1, 1)
+    real = tits.fraction_nullspace
+
+    def scaled(rows, width):
+        return [(den, [2 * x for x in nums]) for den, nums in real(rows, width)]
+    monkeypatch.setattr(tits, "fraction_nullspace", scaled)
+    for fresh in (gram, TitsGram(gram.t, gram.c)):
+        with pytest.raises(AssertionError, match=r"\(2, 2, 2\) is not the radical vector"):
+            radical_vector(fresh)
+
+
+def assert_memos_are_cold_answers(form, g):
+    """Every memo that `form` keeps equals what a fresh, uninterned TitsGram
+    of the same C computes, the kept Dynkin sub-form's own memos included."""
+    fresh = TitsGram(form.t, form.c)
+    for name, kept in vars(form).items():
+        if name == "_diagram":
+            assert fresh._label(g) == kept
+        elif name not in ("t", "c"):
+            assert getattr(fresh, name) == kept, name
+            if name == "_dynkin":
+                assert_memos_are_cold_answers(kept, None)
 
 
 def test_a_returned_root_list_is_the_callers():
@@ -216,12 +358,12 @@ def test_threads_filling_one_memo_agree():
     # still read the answers a cold object gives
     shapes = [path_biquiver(5, dashed=(2,)), cycle_biquiver(5, dashed=(1, 3)),
               biq(3, "a:1>2", "b:2>3", "c:3>1", "d:1~3")]
-    want = [tits_op(Biquiver(g.t, g.arrows)) for g in shapes]
+    want = [memo_op(Biquiver(g.t, g.arrows)) for g in shapes]
     fresh = [[Biquiver(g.t, g.arrows) for g in shapes] for _ in range(40)]
     got = []
 
     def work():
-        got.append([[tits_op(g) for g in gs] for gs in fresh])
+        got.append([[memo_op(g) for g in gs] for gs in fresh])
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -248,12 +390,12 @@ def test_threads_sharing_one_form_agree_with_cold_answers():
               biq(4, "a:4>2", "b:2>3", "c:3>4", "d:4>1", "e:1>3")]
     variants = [reassigned(g, rng) for g in shapes for _ in range(12)]
     # each cold answer is read with no other biquiver holding its form
-    want = [tits_op(Biquiver(g.t, g.arrows)) for g in variants]
+    want = [memo_op(Biquiver(g.t, g.arrows)) for g in variants]
     fresh = [[Biquiver(g.t, g.arrows) for g in variants] for _ in range(4)]
     got = [None] * len(fresh)
 
     def work(k):
-        got[k] = [tits_op(g) for g in fresh[k]]
+        got[k] = [memo_op(g) for g in fresh[k]]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -269,6 +411,8 @@ def test_threads_sharing_one_form_agree_with_cold_answers():
     assert got == [want] * len(fresh)
     forms = {id(gram_matrix(g)) for gs in fresh for g in gs}
     assert len(forms) == len(shapes)
+    for g in fresh[0][::12]:
+        assert_memos_are_cold_answers(gram_matrix(g), g)
 
 
 @st.composite
@@ -305,3 +449,7 @@ def test_a_warm_memo_changes_no_answer_and_no_value(g):
     for back in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g)):
         assert back == g and hash(back) == hash(g)
         assert answers(back) == warm
+    # the shared form: each kept memo is a cold answer, and none is pickled
+    form = gram_matrix(g)
+    assert_memos_are_cold_answers(form, g)
+    assert vars(pickle.loads(pickle.dumps(form))) == {"t": form.t, "c": form.c}

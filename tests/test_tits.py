@@ -455,6 +455,26 @@ def test_evaluate_refuses_entries_that_are_not_ints():
     assert evaluate(a2, [1, 1]) == 1
 
 
+def test_evaluate_refuses_a_vector_that_is_not_a_sequence():
+    a2 = path_biquiver(2)
+    for z, shown in ((5, "5"), (None, "None"), ({1, 2}, "{1, 2}"), ({0: 1, 1: 1}, "{0: 1, 1: 1}"),
+                     (iter((1, 1)), "<tuple_iterator object at")):
+        with pytest.raises(PreconditionError,
+                           match=f"^dimension vector must be a sequence of ints, got {re.escape(shown)}"):
+            evaluate(a2, z)
+    assert evaluate(a2, range(1, 3)) == 3
+
+
+@pytest.mark.parametrize("label, g", [(label, g) for label, g in dynkin_and_extended()
+                                      if label.startswith("~")],
+                         ids=[label for label, _ in dynkin_and_extended() if label.startswith("~")])
+def test_radical_vector_is_the_delta_read_off_the_ldl(label, g):
+    gram = gram_matrix(g)
+    delta = radical_vector(gram)
+    assert delta is not None and min(delta) > 0
+    assert delta == gram._delta == tits._null_root(TitsGram(gram.t, gram.c))
+
+
 def test_psd_values_nonnegative_when_psd():
     rng = random.Random(3)
     for g in [cycle_biquiver(4), biq(1, "a:1>1"), path_biquiver(4)]:
