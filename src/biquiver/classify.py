@@ -11,11 +11,11 @@ with a leading tilde, e.g. "~A2" for the 3-vertex cycle.
 The shape is read off the graph layer's one traversal,
 `model.connected_forest`, which refuses disconnected input; its neighbour
 lists give the degrees and the branch lengths. The label, like the Tits
-form, forgets kinds and directions, so `representation_type` reads it once
-per form, from the TitsGram shared by every biquiver on the same numbered
-multigraph, after checking connectivity on every call. Past
-MAX_GRAM_VERTICES vertices no form is built, and the label is computed
-on every call.
+form, forgets kinds and directions, so `representation_type` keeps it
+once per form, under the key "label" of `TitsGram._kept` on the form
+shared by every biquiver on the same numbered multigraph, after checking
+connectivity on every call. Past MAX_GRAM_VERTICES vertices no form is
+built, and the label is computed on every call.
 """
 from __future__ import annotations
 
@@ -110,7 +110,8 @@ def representation_type(g: Biquiver) -> RepType:
     """
     connected_forest(g)
     # past the cap no form is built, where gram_matrix would refuse
-    label = diagram_shape(g) if g.t > MAX_GRAM_VERTICES else g._gram._label(g)
+    label = (diagram_shape(g) if g.t > MAX_GRAM_VERTICES
+             else g._gram._kept("label", lambda: diagram_shape(g)))
     if label is None:
         return RepType(RepKind.WILD, None)
     if label.startswith("~"):

@@ -23,9 +23,15 @@ from .model import Arrow, ArrowKind, Biquiver, connected_forest
 from .representation import MatrixRepresentation
 
 
+def _check_vertex(u: int, t: int) -> None:
+    if not isinstance(u, int) or isinstance(u, bool):
+        raise PreconditionError(f"vertex must be an int, got {echo(u)}")
+    if not 1 <= u <= t:
+        raise PreconditionError(f"vertex {echo(u)} outside 1..{t}")
+
+
 def conjugate_biquiver(g: Biquiver, u: int) -> Biquiver:
-    if not 1 <= u <= g.t:
-        raise PreconditionError(f"vertex {echo(u)} outside 1..{g.t}")
+    _check_vertex(u, g.t)
     arrows = []
     for a in g.arrows:
         if not a.is_loop and u in (a.source, a.target):
@@ -52,8 +58,7 @@ def transport_isomorphism(s: list[CMatrix], u: int) -> list[CMatrix]:
     If S_1..S_t witnesses A = B up to base change, then the same list with
     S_u conjugated witnesses the conjugated pair. u must be a vertex of s.
     """
-    if not 1 <= u <= len(s):
-        raise PreconditionError(f"vertex {echo(u)} outside 1..{len(s)}")
+    _check_vertex(u, len(s))
     return [m.conj() if v == u else m for v, m in enumerate(s, start=1)]
 
 

@@ -5,6 +5,7 @@ API. Full arrows carry linear maps, dashed arrows semilinear ones; at the
 graph level the kind is just a label, and the structural queries here
 (connectivity, the spanning forest and its dashed parities) ignore
 direction and treat the kind only where dashed-arrow parity matters.
+All of them read one spanning forest, kept per Biquiver.
 """
 from __future__ import annotations
 
@@ -45,21 +46,23 @@ class Arrow:
 class Biquiver:
     """A biquiver on the vertices 1..t.
 
-    Each instance is analysed once: its spanning forest, the verdict that
-    it is connected and its Tits form are memos computed on first use and
-    kept in the instance, outside the fields, so ==, hash, repr and
-    pickling see only t and the arrows. The forest, whose dashed parities
-    read the kinds, and the connectivity verdict stay per object; a
-    refusal of disconnected input is kept by neither, so it runs again on
-    every call. The form, with its checked LDL, label, radical vector and
-    kept roots, forgets kinds and directions, so it is shared with every
-    live Biquiver on the same numbered multigraph, and freed with the last
-    of them.
+    Each instance is analysed once: its spanning forest and its Tits form
+    are memos computed on first use and kept in the instance, outside the
+    fields, so ==, hash, repr and pickling see only t and the arrows. The
+    forest, whose dashed parities read the kinds, stays per object, and
+    `connected_forest` reads the connectivity verdict off it on every
+    call. The form, with its checked LDL, radical vector and what other
+    modules keep in it (the label, the roots), forgets kinds and
+    directions, so it is shared with every live Biquiver on the same
+    numbered multigraph, and freed with the last of them. The vertex count
+    and the arrow endpoints must be ints, not bools.
     """
     t: int
     arrows: tuple[Arrow, ...]
 
     def __post_init__(self):
+        if not isinstance(self.t, int) or isinstance(self.t, bool):
+            raise FormatError(f"vertex count must be an int, got {echo(self.t)}")
         if self.t < 1:
             raise FormatError(f"vertex count must be positive, got {echo(self.t)}")
         seen = set()
@@ -68,6 +71,8 @@ class Biquiver:
                 raise FormatError(f"duplicate arrow id {echo(a.id)}")
             seen.add(a.id)
             for v in (a.source, a.target):
+                if not isinstance(v, int) or isinstance(v, bool):
+                    raise FormatError(f"arrow {echo(a.id)} endpoint must be an int, got {echo(v)}")
                 if not 1 <= v <= self.t:
                     raise FormatError(
                         f"arrow {echo(a.id)} endpoint {echo(v)} outside 1..{echo(self.t)}")
@@ -84,10 +89,6 @@ class Biquiver:
     @cached_property
     def _forest(self):
         return _spanning_forest(self)
-
-    @cached_property
-    def _connected_forest(self):
-        return _check_connected(self)
 
     @cached_property
     def _gram(self):
@@ -146,22 +147,16 @@ def _spanning_forest(g: Biquiver):
 def connected_forest(g: Biquiver):
     """g's memoized `_spanning_forest` for a connected g, one tree rooted at vertex 1.
 
-    The graph layer's one connectivity check, `_check_connected`: its
-    success is kept in g's `_connected_forest` memo, so it runs once per
-    Biquiver, and its refusal is not, so a disconnected g is refused on
-    every call.
+    The graph layer's one connectivity check, run on every call and O(1)
+    once the forest is built. With fewer than t - 1 arrows, too few to
+    connect t vertices, it raises PreconditionError before any per-vertex
+    list is built; otherwise it reads the verdict off the forest, as a
+    forest of k trees has t - k tree arrows.
     """
-    return g._connected_forest
-
-
-def _check_connected(g: Biquiver):
-    """g's `_forest`, or PreconditionError on disconnected input. With fewer
-    than t - 1 non-loop arrows, too few to connect t vertices, it refuses
-    before any per-vertex list is built."""
-    if sum(not a.is_loop for a in g.arrows) < g.t - 1:
+    if len(g.arrows) < g.t - 1:
         raise PreconditionError("biquiver is not connected")
     forest = g._forest
-    if max(forest[0]) > 1:  # a second tree grows from a later root
+    if len(forest[3]) != g.t - 1:
         raise PreconditionError("biquiver is not connected")
     return forest
 

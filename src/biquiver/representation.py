@@ -56,11 +56,15 @@ def _check_dims(g: Biquiver, dims: DimensionVector) -> None:
     """Refuse dims unless it has g.t entries, each a nonnegative int."""
     if len(dims) != g.t:
         raise FormatError(f"dimension vector has length {len(dims)}, biquiver has {g.t} vertices")
+    _check_dim_types(dims)
+    if any(d < 0 for d in dims):
+        raise FormatError("dimensions must be nonnegative")
+
+
+def _check_dim_types(dims: DimensionVector) -> None:
     for d in dims:
         if not isinstance(d, int) or isinstance(d, bool):
             raise FormatError(f"dimensions must be ints, got {echo(d)}")
-    if any(d < 0 for d in dims):
-        raise FormatError("dimensions must be nonnegative")
 
 
 def zero_representation(g: Biquiver, dims: DimensionVector | None = None) -> MatrixRepresentation:
@@ -130,19 +134,22 @@ def random_representation(g: Biquiver, dims: DimensionVector, entry_bound: int,
     entry_bound] and denominators from [1, entry_bound]. Matrices are
     filled row-major in the biquiver's arrow order, so equal seeds give
     equal output. Refuses, before drawing, to fill more than
-    MAX_RANDOM_ENTRIES entries.
+    MAX_RANDOM_ENTRIES entries, and refuses dims as `_check_dims` does,
+    though with PreconditionError for a wrong length.
     """
-    if entry_bound < 1:
-        raise PreconditionError("entry_bound must be at least 1")
+    if not isinstance(entry_bound, int) or isinstance(entry_bound, bool) or entry_bound < 1:
+        raise PreconditionError(f"entry_bound must be a positive int, got {echo(entry_bound)}")
     if len(dims) != g.t:
         raise PreconditionError(
             f"dimension vector has length {len(dims)}, biquiver has {g.t} vertices")
-    # abs: a negative dimension, rejected by CMatrix, must not offset the others
+    _check_dim_types(dims)
+    # abs: a negative dimension, refused below, must not offset the others
     entries = sum(abs(dims[a.target - 1] * dims[a.source - 1]) for a in g.arrows)
     if entries > MAX_RANDOM_ENTRIES:
         raise PreconditionError(
             f"dimension vector {echo(list(dims))} needs more matrix entries "
             f"than the cap of {MAX_RANDOM_ENTRIES}")
+    _check_dims(g, dims)
     rng = random.Random(seed)
 
     def entry() -> GaussianRational:

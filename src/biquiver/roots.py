@@ -9,31 +9,31 @@ and on the value:
   (`_close_simple_roots`): z + e_i is a root exactly when (C z)_i = -1,
   and every positive root z that is not simple has 2 = sum z_i (C z)_i,
   so (C z)_i = 1 for some i with z_i > 0, and z - e_i is a positive root.
-  The closure runs once per form, which keeps its roots
-  (`TitsGram._positive_roots`) for every biquiver sharing it. At value 0
-  there is nothing to find.
+  The closure runs once per form, which keeps its roots (`_positive_roots`)
+  for every biquiver sharing it. At value 0 there is nothing to find.
 - Positive semidefinite: the form is extended Dynkin, and ker C = Z delta
   with delta > 0, read off the shared LDL^T once per form
-  (`TitsGram._delta`). At
-  value 0, q(z) = 0 exactly when C z = 0, and the answer is k delta for
-  k = 1..bound // max(delta) (`_null_roots`). At value 1 the answer is
-  the positive real roots: alpha + k delta for k >= 0 and -alpha + k delta
-  for k >= 1, where alpha runs over the positive roots of the Dynkin form
-  left by deleting a vertex e with delta_e = 1, found by the closure once
-  per form and kept with it (`TitsGram._dynkin`; Kac, Infinite
-  dimensional Lie algebras, Prop. 6.3; `_real_roots`).
+  (`TitsGram._delta`). At value 0, q(z) = 0 exactly when C z = 0, and the
+  answer is k delta for k = 1..bound // max(delta) (`_null_roots`). At
+  value 1 the answer is the positive real roots: alpha + k delta for
+  k >= 0 and -alpha + k delta for k >= 1, where alpha runs over the
+  positive roots of the Dynkin form left by deleting a vertex e with
+  delta_e = 1, found by the closure once per form and kept with it (Kac,
+  Infinite dimensional Lie algebras, Prop. 6.3; `_real_roots`).
 - Indefinite: a box search over 0..bound per coordinate (`_enumerate_box`).
   Its last coordinate is solved exactly, leaving at most two candidates
   (all of 0..bound where that coordinate's equation vanishes
   identically).
 
-`evaluate` checks every returned root, kept or not, on every call. A
-call refuses when its box, of (bound + 1)^t vectors for an indefinite
-form on t vertices or the bound + 1 multiples of delta for a
-semidefinite one, holds more than MAX_BOX_CANDIDATES, and when it has
-more than MAX_ROOTS roots: the box search as soon as it finds them, the
-root system before it builds any, by counting them, and kept roots on
-every read. No floating-point arithmetic is used anywhere.
+Both kept results live in the shared form, through `TitsGram._kept`, under
+the keys "positive_roots" and "dynkin"; a refusal is not kept. `evaluate`
+checks every returned root, kept or not, on every call. A call refuses
+when its box, of (bound + 1)^t vectors for an indefinite form on t
+vertices or the bound + 1 multiples of delta for a semidefinite one, holds
+more than MAX_BOX_CANDIDATES, and when it has more than MAX_ROOTS roots:
+the box search as soon as it finds them, the root system before it builds
+any, by counting them, and kept roots on every read. No floating-point
+arithmetic is used anywhere.
 """
 from __future__ import annotations
 
@@ -77,7 +77,7 @@ def roots_with_value(g: Biquiver, value: int, bound: int | None = None) -> list[
     gram = gram_matrix(g)
     verdict = definiteness(gram)
     if verdict is Definiteness.POSITIVE_DEFINITE:
-        out = list(gram._positive_roots) if value else []
+        out = list(_positive_roots(gram)) if value else []
         # the closure refuses exactly when the roots pass MAX_ROOTS, so kept
         # roots are refused alike under a cap lowered after they were kept
         _check_roots(len(out))
@@ -176,6 +176,12 @@ def _close_simple_roots(gram: TitsGram) -> list[DimensionVector]:
     return found
 
 
+def _positive_roots(gram: TitsGram) -> tuple[DimensionVector, ...]:
+    """`_close_simple_roots(gram)`, closed once per definite form and kept in
+    it: about 66 MB for A256 (32,896 roots), 131 MB for D256 (65,280)."""
+    return gram._kept("positive_roots", lambda: tuple(_close_simple_roots(gram)))
+
+
 def _null_roots(gram: TitsGram, bound: int) -> list[DimensionVector]:
     """The null roots k delta, k = 1..bound // max(delta), of a connected
     semidefinite form.
@@ -203,14 +209,15 @@ def _real_roots(gram: TitsGram, bound: int) -> list[DimensionVector]:
     intervals, counted before any vector is built, hold more than MAX_ROOTS.
     The closure itself is never refused: the form without e has at most
     MAX_GRAM_VERTICES - 1 = 255 vertices, and D255, with the most positive
-    roots, has 64,770. It runs once per form, kept in `gram._dynkin`, whose
-    roots are refused like a closure's under a cap lowered after they were
-    kept.
+    roots, has 64,770. It runs once per form, on the Dynkin form kept as
+    "dynkin", whose roots are refused like a closure's under a cap lowered
+    after they were kept.
     """
     delta = gram._delta
     _check_box(bound, 1, "the form is semidefinite; a search of its kernel directions")
     e = delta.index(1)
-    alphas = gram._dynkin._positive_roots
+    alphas = _positive_roots(gram._kept("dynkin", lambda: TitsGram(
+        gram.t - 1, tuple(row[:e] + row[e + 1:] for row in gram.c[:e] + gram.c[e + 1:]))))
     _check_roots(len(alphas))
     runs = []
     for alpha in alphas:

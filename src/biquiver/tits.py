@@ -10,20 +10,19 @@ Each form is analysed once. C forgets the kinds and directions of the
 arrows, so every biquiver on the same numbered multigraph has the same
 form, and `_tits_gram` returns one TitsGram per C: a weak intern table
 keeps it while some Biquiver holds it, in its `_gram` memo, and frees it
-with the last one. That TitsGram computes each of its memos once: the
-checked LDL^T of C (`ldl`); the Dynkin or extended Dynkin label of a
-connected graph (`_label`), as `classify.representation_type` reads it;
-for a positive definite C, its positive roots (`_positive_roots`); and
-for a semidefinite one, its radical vector delta, solved back from that
-LDL^T by `_null_root` (`_delta`), and the Dynkin form left by deleting a
-vertex e with delta_e = 1, with its positive roots (`_dynkin`). On every
-biquiver sharing the form, `definiteness` reads the inertia of that one
-LDL^T, and `roots_with_value` reads the verdict, delta and the kept roots.
-`radical_vector` shares the verdict but still solves ker C with
-`fraction_nullspace`, the call the benchmark's tests count for it, and
-raises AssertionError unless what it finds is delta. The elimination is
-cubic in the number of vertices, so forms past MAX_GRAM_VERTICES vertices
-are refused.
+with the last one. That TitsGram computes what this module derives from
+C once: the checked LDL^T of C (`ldl`) and, for a semidefinite C, its
+radical vector delta, solved back from that LDL^T by `_null_root`
+(`_delta`). What other modules derive from the form alone they keep in
+it through `TitsGram._kept`: `classify` the Dynkin or extended Dynkin
+label, and `roots` the positive roots of a definite form and the Dynkin
+sub-form of a semidefinite one. On every biquiver sharing the form,
+`definiteness` reads the inertia of that one LDL^T. `radical_vector`
+shares the verdict but still solves ker C with `fraction_nullspace`, the
+call the benchmark's tests count for it, and raises AssertionError unless
+what it finds is delta. The elimination is cubic in the number of
+vertices, so forms past MAX_GRAM_VERTICES vertices are neither built nor
+eliminated.
 """
 from __future__ import annotations
 
@@ -63,11 +62,11 @@ class TitsGram:
 
     `gram_matrix` hands out one TitsGram per C, shared by every biquiver on
     that numbered multigraph, so its memos are computed once per form: the
-    checked `ldl`, the label `_label` reads, `_positive_roots` for a
-    positive definite C, and `_delta` and `_dynkin` for a semidefinite one. A
-    TitsGram built directly is a fresh form, with memos of its own. The
-    memos are kept in the instance, outside the fields, so ==, hash, repr
-    and pickling see only t and c.
+    checked `ldl`, `_delta` for a semidefinite C, and whatever `_kept`
+    keeps for the modules that read the form. A TitsGram built directly is
+    a fresh form, with memos of its own. The memos are kept in the
+    instance, outside the fields, so ==, hash, repr and pickling see only
+    t and c.
     """
     t: int
     c: tuple[tuple[int, ...], ...]
@@ -99,44 +98,19 @@ class TitsGram:
         return _symmetric_ldl(c)
 
     @cached_property
-    def _positive_roots(self) -> tuple[DimensionVector, ...]:
-        """`roots._close_simple_roots(self)`, read for a positive definite
-        form only and closed once per form. A MAX_ROOTS refusal is not
-        memoized; `roots_with_value` copies the tuple into each answer.
-
-        The kept roots cost memory while the form lives: about 66 MB for
-        A256 (32,896 roots) and 131 MB for D256 (65,280 roots).
-        """
-        from . import roots  # roots imports this module
-        return tuple(roots._close_simple_roots(self))
-
-    @cached_property
     def _delta(self) -> DimensionVector:
         """`_null_root(self)`, read for a semidefinite form only and solved
         once per form. A refusal is not memoized."""
         return _null_root(self)
 
-    @cached_property
-    def _dynkin(self) -> TitsGram:
-        """The Dynkin form left by deleting the first vertex e with
-        delta_e = 1 from a connected semidefinite form, read for such a form
-        only. It is kept with its own memos, so its `_positive_roots` are
-        closed once per semidefinite form: at most 64,770 roots, for D255,
-        as the form without e has at most MAX_GRAM_VERTICES - 1 vertices.
-        """
-        e = self._delta.index(1)
-        rest = [i for i in range(self.t) if i != e]
-        return TitsGram(self.t - 1, tuple(tuple(self.c[i][j] for j in rest) for i in rest))
-
-    def _label(self, g: Biquiver) -> str | None:
-        """`classify.diagram_shape(g)` of a connected g on this form,
-        computed once per form: the label, like C, forgets the kinds and
-        directions of the arrows. A refusal is not memoized."""
+    def _kept(self, key: str, compute):
+        """`compute()`, run on the first read of `key` and kept in the
+        instance for every later one; a refusal is not kept. Races keep the
+        first result stored, so every reader sees one value."""
         memo = vars(self)
-        if "_diagram" not in memo:
-            from . import classify  # classify imports this module
-            memo.setdefault("_diagram", classify.diagram_shape(g))
-        return memo["_diagram"]
+        if key not in memo:
+            memo.setdefault(key, compute())
+        return memo[key]
 
     def __getstate__(self):
         # the memos are derived: pickles and copies carry the fields alone
@@ -153,13 +127,14 @@ def gram_matrix(g: Biquiver) -> TitsGram:
     """C = 2Q, g's one TitsGram, built on the first call and returned by every
     later one; each call raises PreconditionError when g has more than
     MAX_GRAM_VERTICES vertices."""
-    _check_vertex_cap(g.t)
     return g._gram
 
 
 def _tits_gram(g: Biquiver) -> TitsGram:
     """C = 2Q, built from the arrows, as the one live TitsGram of that C;
-    `Biquiver._gram` memoizes it."""
+    `Biquiver._gram` memoizes it. Refused past MAX_GRAM_VERTICES vertices,
+    before C is built."""
+    _check_vertex_cap(g.t)
     # 2 - 2 loops on the diagonal, minus the arrows joining u and v off it
     c = [[0] * g.t for _ in range(g.t)]
     for v in range(g.t):

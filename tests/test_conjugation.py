@@ -71,6 +71,15 @@ def test_transport_isomorphism_rejects_a_vertex_outside_the_list(u):
         transport_isomorphism(s, u)
 
 
+@pytest.mark.parametrize("u", [True, 1.0, "1", None])
+def test_a_vertex_that_is_not_an_int_is_refused(u):
+    s = [mat([2]), gmat([(0, 1)])]
+    for ask in (lambda: conjugate_biquiver(biq(2, "a:1~2"), u),
+                lambda: transport_isomorphism(s, u)):
+        with pytest.raises(PreconditionError, match="^vertex must be an int, got "):
+            ask()
+
+
 def test_conjugations_commute():
     rng = random.Random(3)
     for _ in range(30):

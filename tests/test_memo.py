@@ -1,22 +1,24 @@
-"""Each Biquiver is analysed once: its spanning forest, the verdict that
-it is connected and its Tits form are memos kept in the instance. Each form
-is analysed once: it is shared by every live Biquiver on the same numbered
-graph, whatever the kinds and directions of its arrows, and keeps its
-checked LDL, its Dynkin label, its positive roots, and, when semidefinite,
-its radical vector delta and the Dynkin sub-form its real roots are read
-from.
+"""Each Biquiver is analysed once: its spanning forest and its Tits form
+are memos kept in the instance, and connectivity is read off the forest on
+every call. Each form is analysed once: it is shared by every live
+Biquiver on the same numbered graph, whatever the kinds and directions of
+its arrows, and keeps its checked LDL and, when semidefinite, its radical
+vector delta; through `TitsGram._kept` it also keeps the Dynkin label
+(`classify`), its positive roots and the Dynkin sub-form its real roots are
+read from (`roots`).
 
-The counting tests wrap `model._spanning_forest`, `model._check_connected`,
-`tits._symmetric_ldl`, `tits._null_root`, `classify.diagram_shape` and
-`roots._close_simple_roots`, the names the memos call, so they see every
-traversal, connectivity check, elimination, back-substitution, label and
-closure. A test that counts the work on a shared form builds one that no
-other test builds, so it counts the same alone and after other tests have
-left forms alive. The refusal tests check that each check still runs on
-every call, not only on the first, and the properties check that a warm
-memo changes no answer and nothing of the Biquiver's value, and that every
-memo a form keeps is what a fresh form computes.
+The counting tests wrap `model._spanning_forest`, `tits._symmetric_ldl`,
+`tits._null_root`, `classify.diagram_shape` and `roots._close_simple_roots`,
+the names the memos call, so they see every traversal, elimination,
+back-substitution, label and closure. A test that counts the work on a
+shared form builds one that no other test builds, so it counts the same
+alone and after other tests have left forms alive. The refusal tests check
+that each check still runs on every call, not only on the first, and the
+properties check that a warm memo changes no answer and nothing of the
+Biquiver's value, and that every memo a form keeps is what a fresh form
+computes.
 """
+import ast
 import copy
 import gc
 import pickle
@@ -83,8 +85,8 @@ def calls(monkeypatch):
 
 @pytest.fixture
 def memo_calls(monkeypatch):
-    """Counts of the connectivity checks, back-substitutions and labels run from here on."""
-    return counting(monkeypatch, (model, "_check_connected"), (tits, "_null_root"),
+    """Counts of the traversals, back-substitutions and labels run from here on."""
+    return counting(monkeypatch, (model, "_spanning_forest"), (tits, "_null_root"),
                     (classify, "diagram_shape"))
 
 
@@ -164,7 +166,8 @@ def test_the_dynkin_sub_form_is_closed_once_per_form(closures):
     assert closures == [8]
     # the kept sub-form is E8, closed from the form without a vertex of delta 1
     assert representation_type(g).diagram == "~E8"
-    assert len(gram_matrix(g)._dynkin._positive_roots) == 120
+    sub = vars(gram_matrix(g))["dynkin"]
+    assert sub.t == 8 and len(vars(sub)["positive_roots"]) == 120
 
 
 def test_a_lowered_root_cap_refuses_the_kept_dynkin_roots_alike(monkeypatch, closures):
@@ -193,19 +196,27 @@ def test_the_label_is_read_once_per_form(memo_calls):
     assert memo_calls["diagram_shape"] == 1
 
 
-def test_connectivity_is_checked_once_per_biquiver(memo_calls):
-    g = path_biquiver(4, dashed=(2,))
+def test_connectivity_is_read_off_the_forest_on_every_call(memo_calls):
+    # A4 with a trailing loop, numbered so that nothing else builds its form
+    g = biq(4, "a:3>1", "b:1~4", "c:4>2", "d:2>2")
     first = memo_op(g)
     assert memo_op(g) == first and is_connected(g)
-    assert memo_calls["_check_connected"] == 1
+    assert memo_calls["_spanning_forest"] == 1
     assert memo_op(Biquiver(g.t, g.arrows)) == first
-    assert memo_calls["_check_connected"] == 2
-    # a refusal is not kept: each call checks again
-    apart = Biquiver(3, path_biquiver(2).arrows)
-    for k in range(1, 4):
-        with pytest.raises(PreconditionError, match="^biquiver is not connected$"):
-            representation_type(apart)
-        assert memo_calls["_check_connected"] == 2 + k
+    assert memo_calls["_spanning_forest"] == 2
+    assert memo_calls["diagram_shape"] == 1
+    # a refusal is not kept: each call reads the forest's tree arrows again,
+    # here three of the four a connected graph on 5 vertices has, as the
+    # loop at 5 passes the arrow count
+    apart = Biquiver(5, g.arrows + (Arrow("e", 5, 5, ArrowKind.FULL),))
+    assert len(apart.arrows) == apart.t and len(apart._forest[3]) == 3
+    for _ in range(3):
+        for ask in (connected_forest, representation_type):
+            with pytest.raises(PreconditionError, match="^biquiver is not connected$"):
+                ask(apart)
+        assert not is_connected(apart)
+    assert memo_calls["_spanning_forest"] == 3
+    assert memo_calls["diagram_shape"] == 1
 
 
 def test_a_path_past_the_vertex_cap_is_classified_without_a_form(memo_calls):
@@ -214,7 +225,31 @@ def test_a_path_past_the_vertex_cap_is_classified_without_a_form(memo_calls):
         assert representation_type(g) == RepType(RepKind.FINITE, "A300")
         assert memo_calls["diagram_shape"] == k
     assert "_gram" not in vars(g)
-    assert memo_calls["_check_connected"] == 1
+    assert memo_calls["_spanning_forest"] == 1
+
+
+def test_no_form_is_built_past_the_vertex_cap(calls):
+    g = path_biquiver(MAX_GRAM_VERTICES + 1)
+    for _ in range(2):
+        with pytest.raises(PreconditionError, match="257 vertices, past the cap of 256"):
+            g._gram
+    assert "_gram" not in vars(g)
+    assert not any(len(c) > MAX_GRAM_VERTICES for c in tits._FORMS.keys())
+    assert calls["_symmetric_ldl"] == 0
+
+
+def test_tits_imports_neither_roots_nor_classify():
+    # the modules that keep memos in a form import tits, not the other way
+    tree = ast.parse(open(tits.__file__, encoding="utf-8").read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add((node.module or "").rsplit(".", 1)[-1])
+            imported.update(alias.name for alias in node.names)
+    assert imported, "no import found"
+    assert not imported & {"roots", "classify"}
 
 
 def test_a_pickled_form_carries_its_fields_alone():
@@ -223,13 +258,13 @@ def test_a_pickled_form_carries_its_fields_alone():
     for g in (path_biquiver(2), biq(4, "a:3>1", "b:1~4", "c:4>2", "d:2~3")):
         want = memo_op(g)
         form = gram_matrix(g)
-        assert set(vars(form)) > {"t", "c", "ldl", "_diagram"}
+        assert set(vars(form)) > {"t", "c", "ldl", "label"}
         for back in (pickle.loads(pickle.dumps(form)), copy.deepcopy(form)):
             assert vars(back) == {"t": form.t, "c": form.c}
             assert back == form and back is not form
             assert definiteness(back) is want[1]
             assert radical_vector(back) == want[2]
-            assert back._label(g) == want[0].diagram
+            assert back._kept("label", lambda: classify.diagram_shape(g)) == want[0].diagram
         assert_memos_are_cold_answers(form, g)
 
 
@@ -246,16 +281,27 @@ def test_radical_vector_is_checked_against_delta(monkeypatch):
             radical_vector(fresh)
 
 
+def dynkin_sub_form(form):
+    """The form without the first vertex e of delta_e = 1, its row and column
+    deleted."""
+    e = form._delta.index(1)
+    rest = [i for i in range(form.t) if i != e]
+    return TitsGram(form.t - 1, tuple(tuple(form.c[i][j] for j in rest) for i in rest))
+
+
 def assert_memos_are_cold_answers(form, g):
     """Every memo that `form` keeps equals what a fresh, uninterned TitsGram
-    of the same C computes, the kept Dynkin sub-form's own memos included."""
+    of the same C computes, the kept Dynkin sub-form's own memos included;
+    a memo not named here fails."""
     fresh = TitsGram(form.t, form.c)
+    cold = {"ldl": lambda: fresh.ldl, "_delta": lambda: fresh._delta,
+            "label": lambda: classify.diagram_shape(g),
+            "positive_roots": lambda: tuple(roots._close_simple_roots(fresh)),
+            "dynkin": lambda: dynkin_sub_form(fresh)}
     for name, kept in vars(form).items():
-        if name == "_diagram":
-            assert fresh._label(g) == kept
-        elif name not in ("t", "c"):
-            assert getattr(fresh, name) == kept, name
-            if name == "_dynkin":
+        if name not in ("t", "c"):
+            assert cold[name]() == kept, name
+            if name == "dynkin":
                 assert_memos_are_cold_answers(kept, None)
 
 
@@ -284,7 +330,7 @@ def test_a_lowered_root_cap_refuses_on_every_call_and_keeps_nothing(monkeypatch,
         with pytest.raises(PreconditionError, match="more than the cap of 35 roots"):
             roots_with_value(h, 1)
     assert closures == [6, 6, 6]
-    assert "_positive_roots" not in vars(gram)
+    assert "positive_roots" not in vars(gram)
     monkeypatch.setattr(roots, "MAX_ROOTS", 36)
     assert len(roots_with_value(g, 1)) == 36
     assert closures == [6, 6, 6, 6]

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from biquiver import (ArrowKind, Biquiver, DashEliminationObstruction,
+from biquiver import (Arrow, ArrowKind, Biquiver, DashEliminationObstruction,
                       DashEliminationPlan, FormatError, connected_components,
                       dash_elimination_plan, induced_subbiquiver, is_connected,
                       parse_biquiver, serialize_biquiver)
@@ -95,3 +95,18 @@ def test_components_and_induced():
     assert comps == [[1, 2], [3], [4]]
     sub = induced_subbiquiver(g, [3])
     assert sub.t == 1 and sub.arrows[0].is_loop
+
+
+@pytest.mark.parametrize("t,ends,message", [
+    (2.0, (), "^vertex count must be an int, got 2.0$"),
+    (True, (), "^vertex count must be an int, got True$"),
+    (2, (1.0, 2), "^arrow 'a' endpoint must be an int, got 1.0$"),
+    (2, (1, True), "^arrow 'a' endpoint must be an int, got True$"),
+    (2, ("1", 2), "^arrow 'a' endpoint must be an int, got '1'$"),
+], ids=["float count", "bool count", "float endpoint", "bool endpoint", "str endpoint"])
+def test_a_vertex_count_or_endpoint_that_is_not_an_int_is_refused(t, ends, message):
+    # parse_biquiver_obj refuses these in JSON; the constructor refuses them
+    # in the API, before any graph query can index a list with them
+    arrows = (Arrow("a", *ends, ArrowKind.FULL),) if ends else ()
+    with pytest.raises(FormatError, match=message):
+        Biquiver(t, arrows)

@@ -165,6 +165,29 @@ def test_random_representation_refuses_past_the_cap(monkeypatch):
     assert drawn == []
 
 
+@pytest.mark.parametrize("dims,entry_bound,error,message", [
+    ((1, 1), 1.5, PreconditionError, "^entry_bound must be a positive int, got 1.5$"),
+    ((1, 1), "2", PreconditionError, "^entry_bound must be a positive int, got '2'$"),
+    ((1, 1), True, PreconditionError, "^entry_bound must be a positive int, got True$"),
+    ((1, 1), 0, PreconditionError, "^entry_bound must be a positive int, got 0$"),
+    ((1,), 2, PreconditionError, "^dimension vector has length 1, biquiver has 2 vertices$"),
+    ((1.5, 1), 2, FormatError, "^dimensions must be ints, got 1.5$"),
+    (("1", 1), 2, FormatError, "^dimensions must be ints, got '1'$"),
+    ((1, True), 2, FormatError, "^dimensions must be ints, got True$"),
+    ((-1, 1), 2, FormatError, "^dimensions must be nonnegative$"),
+], ids=["float bound", "str bound", "bool bound", "zero bound", "short dims", "float dim",
+        "str dim", "bool dim", "negative dim"])
+def test_random_representation_checks_its_inputs_before_drawing(
+        monkeypatch, dims, entry_bound, error, message):
+    import biquiver.representation as representation
+    drawn = []
+    monkeypatch.setattr(representation.random.Random, "randint",
+                        lambda self, a, b: drawn.append((a, b)))
+    with pytest.raises(error, match=message):
+        random_representation(path_biquiver(2), dims, entry_bound=entry_bound, seed=1)
+    assert drawn == []
+
+
 def test_representation_json_round_trip():
     g = biq(2, "a:1~2", "b:2>2")
     rep = random_representation(g, (1, 2), entry_bound=5, seed=7)
