@@ -21,8 +21,7 @@ import sys
 
 from .classify import RepKind, representation_type
 from .conjugation import (DashEliminationPlan, apply_conjugations,
-                          conjugate_biquiver, conjugate_representation,
-                          dash_elimination_plan)
+                          apply_conjugations_representation, dash_elimination_plan)
 from .errors import FormatError, PreconditionError, echo
 from .gadgets import gadget_cycle, gadget_g1, gadget_g2, gadget_g3, gadget_g4
 from .model import (Biquiver, biquiver_to_obj, connected_components,
@@ -152,13 +151,9 @@ def _cmd_conjugate(args) -> dict:
     g = _load_biquiver(args.biquiver)
     vertices = _parse_int_list(args.vertex, "--vertex")
     if args.representation:
-        rep = _load_representation(args.representation, args.biquiver)
-        for u in vertices:
-            rep = conjugate_representation(rep, u)
-        return representation_to_obj(rep)
-    for u in vertices:
-        g = conjugate_biquiver(g, u)
-    return biquiver_to_obj(g)
+        rep = parse_representation(_read(args.representation), g)
+        return representation_to_obj(apply_conjugations_representation(rep, vertices))
+    return biquiver_to_obj(apply_conjugations(g, vertices))
 
 
 def _cmd_eliminate(args) -> dict:

@@ -17,15 +17,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import PreconditionError, echo
+from .errors import PreconditionError, check_int, echo
 from .linalg import CMatrix
 from .model import Arrow, ArrowKind, Biquiver, connected_forest
 from .representation import MatrixRepresentation
 
 
 def _check_vertex(u: int, t: int) -> None:
-    if not isinstance(u, int) or isinstance(u, bool):
-        raise PreconditionError(f"vertex must be an int, got {echo(u)}")
+    check_int(u, "vertex", None, PreconditionError)
     if not 1 <= u <= t:
         raise PreconditionError(f"vertex {echo(u)} outside 1..{t}")
 

@@ -6,17 +6,20 @@ graph level the kind is just a label, and the structural queries here
 (connectivity, the spanning forest and its dashed parities) ignore
 direction and treat the kind only where dashed-arrow parity matters.
 All of them read one spanning forest, kept per Biquiver.
+The constructor checks every biquiver and `check_dims` the length of
+every dimension vector; the JSON parser only decodes.
 """
 from __future__ import annotations
 
 import json
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from types import MappingProxyType
 
-from .errors import FormatError, PreconditionError, echo
+from .errors import FormatError, PreconditionError, check_int, echo
 
 DimensionVector = tuple[int, ...]
 
@@ -54,25 +57,31 @@ class Biquiver:
     call. The form, with its checked LDL, radical vector and what other
     modules keep in it (the label, the roots), forgets kinds and
     directions, so it is shared with every live Biquiver on the same
-    numbered multigraph, and freed with the last of them. The vertex count
-    and the arrow endpoints must be ints, not bools.
+    numbered multigraph, and freed with the last of them. The constructor
+    refuses (FormatError) a t that is not a positive int, and arrows that
+    are not a tuple of Arrows with unique str ids, ArrowKind kinds and int
+    endpoints in 1..t.
     """
     t: int
     arrows: tuple[Arrow, ...]
 
     def __post_init__(self):
-        if not isinstance(self.t, int) or isinstance(self.t, bool):
-            raise FormatError(f"vertex count must be an int, got {echo(self.t)}")
-        if self.t < 1:
-            raise FormatError(f"vertex count must be positive, got {echo(self.t)}")
+        check_int(self.t, "vertex count", 1, FormatError)
+        if not (isinstance(self.arrows, tuple)
+                and all(isinstance(a, Arrow) for a in self.arrows)):
+            raise FormatError(f"arrows must be a tuple of Arrow, got {echo(self.arrows)}")
         seen = set()
         for a in self.arrows:
+            if not isinstance(a.id, str):
+                raise FormatError(f"arrow id must be a str, got {echo(a.id)}")
+            if not isinstance(a.kind, ArrowKind):
+                raise FormatError(
+                    f"arrow {echo(a.id)} kind must be an ArrowKind, got {echo(a.kind)}")
             if a.id in seen:
                 raise FormatError(f"duplicate arrow id {echo(a.id)}")
             seen.add(a.id)
             for v in (a.source, a.target):
-                if not isinstance(v, int) or isinstance(v, bool):
-                    raise FormatError(f"arrow {echo(a.id)} endpoint must be an int, got {echo(v)}")
+                check_int(v, f"arrow {echo(a.id)} endpoint", None, FormatError)
                 if not 1 <= v <= self.t:
                     raise FormatError(
                         f"arrow {echo(a.id)} endpoint {echo(v)} outside 1..{echo(self.t)}")
@@ -186,17 +195,25 @@ def induced_subbiquiver(g: Biquiver, vertices: list[int]) -> Biquiver:
     return Biquiver(len(vertices), arrows)
 
 
+def check_dims(dims, t: int, error: type[ValueError]) -> None:
+    """Raise `error` unless dims is a sequence of t entries; callers `check_int` each."""
+    if not isinstance(dims, Sequence):
+        raise error(f"dimension vector must be a sequence of ints, got {echo(dims)}")
+    if len(dims) != t:
+        raise error(f"dimension vector has length {len(dims)}, biquiver has {t} vertices")
+
+
 # -- JSON format -------------------------------------------------------------
 
 def parse_biquiver_obj(obj) -> Biquiver:
+    """Decode a biquiver document: an object, its fields present, each kind
+    "full" or "dashed"; `Biquiver` checks the rest."""
     if not isinstance(obj, dict):
         raise FormatError("biquiver document must be a JSON object")
     try:
         t = obj["vertices"]
     except KeyError:
         raise FormatError("missing field 'vertices'") from None
-    if not isinstance(t, int) or isinstance(t, bool):
-        raise FormatError(f"'vertices' must be an integer, got {echo(t)}")
     raw_arrows = obj.get("arrows", [])
     if not isinstance(raw_arrows, list):
         raise FormatError("'arrows' must be a list")
@@ -207,11 +224,6 @@ def parse_biquiver_obj(obj) -> Biquiver:
         for field in ("id", "from", "to", "kind"):
             if field not in ra:
                 raise FormatError(f"arrow #{pos} missing field '{field}'")
-        if not isinstance(ra["id"], str):
-            raise FormatError(f"arrow #{pos}: 'id' must be a string")
-        for field in ("from", "to"):
-            if not isinstance(ra[field], int) or isinstance(ra[field], bool):
-                raise FormatError(f"arrow {echo(ra['id'])}: '{field}' must be an integer")
         if ra["kind"] not in ("full", "dashed"):
             raise FormatError(
                 f"arrow {echo(ra['id'])}: kind must be \"full\" or \"dashed\", "

@@ -30,7 +30,7 @@ from itertools import accumulate, combinations, islice
 from math import lcm
 from operator import matmul, mul
 
-from .errors import PreconditionError, SingularMatrixError, echo
+from .errors import PreconditionError, SingularMatrixError, check_int
 from .linalg import (_MIN_SPLIT_CELLS, CMatrix, _first_dependence, _primitive, _product,
                      _symmetric_ldl, fraction_nullspace, hstack, reduced_row_echelon, submatrix,
                      transpose, vstack)
@@ -123,11 +123,8 @@ def _check_same_biquiver(a: MatrixRepresentation, b: MatrixRepresentation) -> No
 
 
 def _check_sampling(trials: int, coeff_bound: int) -> None:
-    if not isinstance(trials, int) or isinstance(trials, bool) or trials < 0:
-        raise PreconditionError(f"trials must be a nonnegative int, got {echo(trials)}")
-    if not isinstance(coeff_bound, int) or isinstance(coeff_bound, bool) or coeff_bound < 1:
-        raise PreconditionError(f"coefficient bound must be a positive int, "
-                                f"got {echo(coeff_bound)}")
+    check_int(trials, "trials", 0, PreconditionError)
+    check_int(coeff_bound, "coefficient bound", 1, PreconditionError)
 
 
 def _hom_system_size(g: Biquiver, da: DimensionVector, db: DimensionVector) -> tuple[int, int]:

@@ -6,6 +6,9 @@ by invertible matrices S_1..S_t acts as S_v^{-1} A S_u on full arrows and
 as conj(S_v)^{-1} A S_u on dashed ones; two representations are isomorphic
 exactly when a base change carries one onto the other. Zero-dimensional
 vertices are fully supported (empty matrices count as invertible).
+The constructor checks every representation: dims by `_check_dims`, which
+the builders that size matrices from dims run first, and one d_v x d_u
+matrix per arrow u -> v. The JSON parser otherwise only decodes.
 """
 from __future__ import annotations
 
@@ -15,9 +18,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import FormatError, PreconditionError, echo
+from .errors import FormatError, PreconditionError, check_int, echo
 from .linalg import CMatrix, block_diag
-from .model import (Biquiver, DimensionVector, biquiver_to_obj,
+from .model import (Biquiver, DimensionVector, biquiver_to_obj, check_dims,
                     parse_biquiver_obj, parse_json)
 from .scalars import GaussianRational, _rational_parts
 
@@ -53,18 +56,10 @@ class MatrixRepresentation:
 
 
 def _check_dims(g: Biquiver, dims: DimensionVector) -> None:
-    """Refuse dims unless it has g.t entries, each a nonnegative int."""
-    if len(dims) != g.t:
-        raise FormatError(f"dimension vector has length {len(dims)}, biquiver has {g.t} vertices")
-    _check_dim_types(dims)
-    if any(d < 0 for d in dims):
-        raise FormatError("dimensions must be nonnegative")
-
-
-def _check_dim_types(dims: DimensionVector) -> None:
+    """Refuse dims with FormatError unless it is a sequence of g.t nonnegative ints."""
+    check_dims(dims, g.t, FormatError)
     for d in dims:
-        if not isinstance(d, int) or isinstance(d, bool):
-            raise FormatError(f"dimensions must be ints, got {echo(d)}")
+        check_int(d, "dimension vector entry", 0, FormatError)
 
 
 def zero_representation(g: Biquiver, dims: DimensionVector | None = None) -> MatrixRepresentation:
@@ -134,15 +129,13 @@ def random_representation(g: Biquiver, dims: DimensionVector, entry_bound: int,
     entry_bound] and denominators from [1, entry_bound]. Matrices are
     filled row-major in the biquiver's arrow order, so equal seeds give
     equal output. Refuses, before drawing, to fill more than
-    MAX_RANDOM_ENTRIES entries, and refuses dims as `_check_dims` does,
-    though with PreconditionError for a wrong length.
+    MAX_RANDOM_ENTRIES entries, and dims as `_check_dims` does, types before
+    the cap and signs after, but with PreconditionError where `check_dims` refuses.
     """
-    if not isinstance(entry_bound, int) or isinstance(entry_bound, bool) or entry_bound < 1:
-        raise PreconditionError(f"entry_bound must be a positive int, got {echo(entry_bound)}")
-    if len(dims) != g.t:
-        raise PreconditionError(
-            f"dimension vector has length {len(dims)}, biquiver has {g.t} vertices")
-    _check_dim_types(dims)
+    check_int(entry_bound, "entry_bound", 1, PreconditionError)
+    check_dims(dims, g.t, PreconditionError)
+    for d in dims:
+        check_int(d, "dimension vector entry", None, FormatError)
     # abs: a negative dimension, refused below, must not offset the others
     entries = sum(abs(dims[a.target - 1] * dims[a.source - 1]) for a in g.arrows)
     if entries > MAX_RANDOM_ENTRIES:
@@ -215,7 +208,8 @@ def representation_to_obj(a: MatrixRepresentation, embed_biquiver: bool = True) 
 
 
 def parse_representation_obj(obj, biquiver: Biquiver | None = None) -> MatrixRepresentation:
-    """Parse {"dims", "matrices"[, "biquiver"]}; the biquiver may be embedded."""
+    """Parse {"dims", "matrices"[, "biquiver"]}; the biquiver may be embedded.
+    Matrices keyed by unknown arrow ids pass unread, for the constructor to refuse."""
     if not isinstance(obj, dict):
         raise FormatError("representation document must be a JSON object")
     if biquiver is None:
@@ -224,21 +218,15 @@ def parse_representation_obj(obj, biquiver: Biquiver | None = None) -> MatrixRep
                 "no biquiver supplied and none embedded in the representation document")
         biquiver = parse_biquiver_obj(obj["biquiver"])
     dims = obj.get("dims")
-    if (not isinstance(dims, list) or len(dims) != biquiver.t
-            or any(not isinstance(d, int) or isinstance(d, bool) or d < 0 for d in dims)):
-        raise FormatError(f"'dims' must be a list of {biquiver.t} nonnegative integers")
+    _check_dims(biquiver, dims)
     raw = obj.get("matrices")
     if not isinstance(raw, dict):
         raise FormatError("'matrices' must be an object keyed by arrow id")
-    mats = {}
+    mats = dict(raw)
     for arrow in biquiver.arrows:
-        if arrow.id not in raw:
-            raise FormatError(f"missing matrix for arrow {echo(arrow.id)}")
-        mats[arrow.id] = parse_matrix_obj(
-            raw[arrow.id], rows=dims[arrow.target - 1], cols=dims[arrow.source - 1])
-    extra = set(raw) - {a.id for a in biquiver.arrows}
-    if extra:
-        raise FormatError(f"matrices given for unknown arrows: {echo(sorted(extra))}")
+        if arrow.id in raw:
+            mats[arrow.id] = parse_matrix_obj(
+                raw[arrow.id], rows=dims[arrow.target - 1], cols=dims[arrow.source - 1])
     return MatrixRepresentation(biquiver, tuple(dims), mats)
 
 

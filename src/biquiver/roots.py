@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from math import isqrt
 
-from .errors import PreconditionError, echo
+from .errors import PreconditionError, check_int, echo, is_int
 from .classify import RepKind, representation_type
 from .model import Biquiver, DimensionVector, connected_forest
 from .tits import Definiteness, TitsGram, definiteness, gram_matrix
@@ -68,11 +68,10 @@ def roots_with_value(g: Biquiver, value: int, bound: int | None = None) -> list[
     kernel direction of a semidefinite form. So is one with more than
     MAX_ROOTS roots.
     """
-    if not isinstance(value, int) or isinstance(value, bool) or value not in (0, 1):
+    if not is_int(value) or value not in (0, 1):
         raise PreconditionError(f"value must be 0 or 1, got {echo(value)}")
-    if bound is not None and (not isinstance(bound, int) or isinstance(bound, bool)
-                              or bound < 0):
-        raise PreconditionError(f"bound must be a nonnegative int, got {echo(bound)}")
+    if bound is not None:
+        check_int(bound, "bound", 0, PreconditionError)
     connected_forest(g)  # refuses a disconnected g
     gram = gram_matrix(g)
     verdict = definiteness(gram)

@@ -28,16 +28,15 @@ from __future__ import annotations
 
 import threading
 import weakref
-from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
 
-from .errors import FormatError, PreconditionError, echo
+from .errors import FormatError, PreconditionError, check_int
 from .linalg import _symmetric_ldl, fraction_nullspace
-from .model import Biquiver, DimensionVector
+from .model import Biquiver, DimensionVector, check_dims
 
 # The most vertices of a Tits form that `gram_matrix` builds and
 # `definiteness` eliminates: the dense t x t elimination takes about 0.3 s
@@ -156,14 +155,9 @@ def _tits_gram(g: Biquiver) -> TitsGram:
 
 def evaluate(g: Biquiver, z: DimensionVector) -> int:
     """q_G(z) of a sequence z of g.t ints, refused otherwise."""
-    if not isinstance(z, Sequence):
-        raise PreconditionError(f"dimension vector must be a sequence of ints, got {echo(z)}")
-    if len(z) != g.t:
-        raise PreconditionError(
-            f"dimension vector has length {len(z)}, biquiver has {g.t} vertices")
+    check_dims(z, g.t, PreconditionError)
     for zi in z:
-        if not isinstance(zi, int) or isinstance(zi, bool):
-            raise PreconditionError(f"dimension vector entries must be ints, got {echo(zi)}")
+        check_int(zi, "dimension vector entry", None, PreconditionError)
     return _evaluate(g, z)
 
 

@@ -123,6 +123,9 @@ INVOCATIONS: list[tuple[str, ...]] = [
     ("rep", "validate", "a3.s1.json"),
     ("rep", "random", "d4.biquiver.json", "--dims", "2,1,1,1", "--entry-bound", "3",
      "--seed", "5"),
+    # each component of a disconnected biquiver on its own: an A3, a ~A1 and a
+    # vertex with two loops (wild), their vertices interleaved
+    ("classify", "components.biquiver.json", "--components"),
 ]
 
 
@@ -254,6 +257,11 @@ def write_inputs() -> None:
     for name in ("p", "q"):
         m = bq.random_representation(loop(False), (2,), 3, rng.randrange(10 ** 6)).matrices["a"]
         save(f"{name}.json", json.dumps(bq.matrix_to_obj(m), separators=(",", ":")))
+
+    full, dashed = bq.ArrowKind.FULL, bq.ArrowKind.DASHED
+    save("components.biquiver.json", bq.serialize_biquiver(bq.Biquiver(6, (
+        bq.Arrow("e1", 1, 4, full), bq.Arrow("a", 2, 5, full), bq.Arrow("l1", 3, 3, full),
+        bq.Arrow("e2", 6, 4, dashed), bq.Arrow("b", 5, 2, dashed), bq.Arrow("l2", 3, 3, dashed)))))
 
 
 def moved(entries: list[dict]) -> list[str]:

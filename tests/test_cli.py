@@ -531,7 +531,7 @@ def test_long_input_values_are_cut_in_errors(run, tmp_path, doc, argv, want):
 
 def test_short_input_values_keep_their_text(run, tmp_path):
     path = _write(tmp_path, "doc.json", '{"vertices":[1,2],"arrows":[]}')
-    assert run("classify", path)[2] == "error: 'vertices' must be an integer, got [1, 2]\n"
+    assert run("classify", path)[2] == "error: vertex count must be a positive int, got [1, 2]\n"
 
 
 def test_roots_box_search_past_the_cap_exit_3(run, tmp_path):

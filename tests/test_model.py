@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -97,16 +98,29 @@ def test_components_and_induced():
     assert sub.t == 1 and sub.arrows[0].is_loop
 
 
-@pytest.mark.parametrize("t,ends,message", [
-    (2.0, (), "^vertex count must be an int, got 2.0$"),
-    (True, (), "^vertex count must be an int, got True$"),
-    (2, (1.0, 2), "^arrow 'a' endpoint must be an int, got 1.0$"),
-    (2, (1, True), "^arrow 'a' endpoint must be an int, got True$"),
-    (2, ("1", 2), "^arrow 'a' endpoint must be an int, got '1'$"),
-], ids=["float count", "bool count", "float endpoint", "bool endpoint", "str endpoint"])
-def test_a_vertex_count_or_endpoint_that_is_not_an_int_is_refused(t, ends, message):
-    # parse_biquiver_obj refuses these in JSON; the constructor refuses them
-    # in the API, before any graph query can index a list with them
-    arrows = (Arrow("a", *ends, ArrowKind.FULL),) if ends else ()
+def full_a(source, target):
+    return (Arrow("a", source, target, ArrowKind.FULL),)
+
+
+@pytest.mark.parametrize("t,arrows,message", [
+    (2.0, (), "^vertex count must be a positive int, got 2.0$"),
+    (True, (), "^vertex count must be a positive int, got True$"),
+    (2, full_a(1.0, 2), "^arrow 'a' endpoint must be an int, got 1.0$"),
+    (2, full_a(1, True), "^arrow 'a' endpoint must be an int, got True$"),
+    (2, full_a("1", 2), "^arrow 'a' endpoint must be an int, got '1'$"),
+    (2, (Arrow("a", 1, 2, "dashed"),), "^arrow 'a' kind must be an ArrowKind, got 'dashed'$"),
+    (2, list(full_a(1, 2)), "^" + re.escape(
+        "arrows must be a tuple of Arrow, got [Arrow(id='a', source=1, target=2, "
+        "kind=<ArrowKind.FULL: 'fu... (66 characters)") + "$"),
+    (2, (("a", 1, 2, "full"),),
+     "^" + re.escape("arrows must be a tuple of Arrow, got (('a', 1, 2, 'full'),)") + "$"),
+    (3, (Arrow(1, 1, 2, ArrowKind.FULL), Arrow("b", 2, 3, ArrowKind.FULL)),
+     "^arrow id must be a str, got 1$"),
+], ids=["float count", "bool count", "float endpoint", "bool endpoint", "str endpoint",
+        "str kind", "list of arrows", "tuple for an arrow", "int id"])
+def test_a_vertex_count_or_endpoint_that_is_not_an_int_is_refused(t, arrows, message):
+    # the constructor is the one check of a biquiver, from the JSON parser and
+    # the API alike, before any graph query can index a list with these, read
+    # a str as a full kind, hash a list or serialize an id that no parser reads
     with pytest.raises(FormatError, match=message):
         Biquiver(t, arrows)

@@ -22,11 +22,12 @@ def loop():
 @pytest.mark.parametrize("dims,message", [
     ((1,), "^dimension vector has length 1, biquiver has 2 vertices$"),
     ((1, 1, 1), "^dimension vector has length 3, biquiver has 2 vertices$"),
-    ((1, -1), "^dimensions must be nonnegative$"),
-    ((1.0, 1), "^dimensions must be ints, got 1.0$"),
-    ((True, 1), "^dimensions must be ints, got True$"),
-    ((1, "1"), "^dimensions must be ints, got '1'$"),
-], ids=["short", "long", "negative", "float", "bool", "str"])
+    ((1, -1), "^dimension vector entry must be a nonnegative int, got -1$"),
+    ((1.0, 1), "^dimension vector entry must be a nonnegative int, got 1.0$"),
+    ((True, 1), "^dimension vector entry must be a nonnegative int, got True$"),
+    ((1, "1"), "^dimension vector entry must be a nonnegative int, got '1'$"),
+    (5, "^dimension vector must be a sequence of ints, got 5$"),
+], ids=["short", "long", "negative", "float", "bool", "str", "int"])
 def test_a_bad_dimension_vector_is_refused_before_any_matrix(dims, message):
     # zero_representation checks dims as MatrixRepresentation does, before
     # it indexes dims to build the zero matrices
@@ -171,12 +172,13 @@ def test_random_representation_refuses_past_the_cap(monkeypatch):
     ((1, 1), True, PreconditionError, "^entry_bound must be a positive int, got True$"),
     ((1, 1), 0, PreconditionError, "^entry_bound must be a positive int, got 0$"),
     ((1,), 2, PreconditionError, "^dimension vector has length 1, biquiver has 2 vertices$"),
-    ((1.5, 1), 2, FormatError, "^dimensions must be ints, got 1.5$"),
-    (("1", 1), 2, FormatError, "^dimensions must be ints, got '1'$"),
-    ((1, True), 2, FormatError, "^dimensions must be ints, got True$"),
-    ((-1, 1), 2, FormatError, "^dimensions must be nonnegative$"),
+    ((1.5, 1), 2, FormatError, "^dimension vector entry must be an int, got 1.5$"),
+    (("1", 1), 2, FormatError, "^dimension vector entry must be an int, got '1'$"),
+    ((1, True), 2, FormatError, "^dimension vector entry must be an int, got True$"),
+    ((-1, 1), 2, FormatError, "^dimension vector entry must be a nonnegative int, got -1$"),
+    (5, 2, PreconditionError, "^dimension vector must be a sequence of ints, got 5$"),
 ], ids=["float bound", "str bound", "bool bound", "zero bound", "short dims", "float dim",
-        "str dim", "bool dim", "negative dim"])
+        "str dim", "bool dim", "negative dim", "int dims"])
 def test_random_representation_checks_its_inputs_before_drawing(
         monkeypatch, dims, entry_bound, error, message):
     import biquiver.representation as representation

@@ -449,7 +449,7 @@ def test_evaluate_refuses_entries_that_are_not_ints():
     for z, shown in (((1.5, 1), "1.5"), ((True, 1), "True"), (("a", 1), "'a'"),
                      ((1, F(1)), "Fraction(1, 1)"), ((1, None), "None")):
         with pytest.raises(PreconditionError,
-                           match=f"^dimension vector entries must be ints, got {re.escape(shown)}$"):
+                           match=f"^dimension vector entry must be an int, got {re.escape(shown)}$"):
             evaluate(a2, z)
     assert evaluate(a2, (2, -1)) == 7
     assert evaluate(a2, [1, 1]) == 1
