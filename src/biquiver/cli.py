@@ -22,7 +22,7 @@ import sys
 from .classify import RepKind, representation_type
 from .conjugation import (DashEliminationPlan, apply_conjugations,
                           apply_conjugations_representation, dash_elimination_plan)
-from .errors import FormatError, PreconditionError, echo
+from .errors import FormatError, PreconditionError, echo, is_int
 from .gadgets import gadget_cycle, gadget_g1, gadget_g2, gadget_g3, gadget_g4
 from .model import (Biquiver, biquiver_to_obj, connected_components,
                     induced_subbiquiver, parse_biquiver, parse_json)
@@ -344,7 +344,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as e:
-        return e.code if isinstance(e.code, int) else USAGE_ERROR
+        return e.code if is_int(e.code) else USAGE_ERROR
     try:
         _emit(args.func(args), args.pretty)
         sys.stdout.flush()  # a closed stdout fails here, not at the interpreter's exit

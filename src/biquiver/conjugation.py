@@ -11,7 +11,9 @@ Whether some set of conjugations removes every dashed arrow is a parity
 question over GF(2): c(u) + c(v) must equal the dashed flag of each
 non-loop arrow. On a spanning tree the system always propagates; the
 obstructions are dashed loops (conjugation never changes a loop's kind)
-and cycles carrying an odd number of dashed arrows.
+and cycles carrying an odd number of dashed arrows. The answer depends
+only on the biquiver, so each Biquiver keeps its plan, or the obstruction
+to one, once computed (`Biquiver._plan`).
 """
 from __future__ import annotations
 
@@ -74,8 +76,21 @@ class DashEliminationObstruction:
 def dash_elimination_plan(g: Biquiver) -> DashEliminationPlan | DashEliminationObstruction:
     """Vertex set whose conjugations make every arrow full, or why none exists.
 
-    Solves c(u) xor c(v) = dashed(e) over GF(2) by rooting a spanning tree
-    at vertex 1 and checking consistency on the remaining arrows.
+    The answer is `_dash_elimination_plan(g)`, computed on the first call
+    and kept in g (`Biquiver._plan`), so a later call returns the same
+    frozen object. A dashed loop is reported whether or not g is connected;
+    otherwise a disconnected g raises PreconditionError on every call, as
+    a refusal is not kept.
+    """
+    return g._plan
+
+
+def _dash_elimination_plan(g: Biquiver) -> DashEliminationPlan | DashEliminationObstruction:
+    """Solve c(u) xor c(v) = dashed(e) over GF(2), read off g's spanning tree
+    rooted at vertex 1, and check consistency on the remaining arrows.
+
+    Dashed loops are looked for first, before `connected_forest` checks
+    connectivity.
     """
     for a in g.arrows:
         if a.is_loop and a.is_dashed:

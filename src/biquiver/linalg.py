@@ -14,11 +14,12 @@ All elimination is integral: each rational row is scaled to a primitive
 integer row (which leaves its solution set alone), and a complex matrix is
 reduced through its real form, in which entry z is the 2x2 block
 [[re z, -im z], [im z, re z]], read straight from the integer parts.
-Every fraction-free elimination combines rows by one sparse step, `_clear`.
-`_echelon` eliminates forward only, and `_nullspace` reads kernel vectors
-off its rows by back-substitution; images, kernels, inverses, reduced row
-echelon forms and rational solves all come from these two, an inverse or a
-solution being the kernel vector at an augmented column. So does every
+Every fraction-free elimination combines rows by one sparse step, `_clear`,
+which `_echelon` runs inline. `_echelon` eliminates forward only, and
+`_nullspace` reads kernel vectors off its rows by back-substitution;
+images, kernels, inverses, reduced row echelon forms and rational solves
+all come from these two, an inverse or a solution being the kernel vector
+at an augmented column. So does every
 rank, except a full one: `_modular_rank` certifies that first, modulo a
 Gaussian prime, which is cheaper and exact whenever it reaches full rank.
 `_first_dependence` reduces each new vector once against the rows it
@@ -35,13 +36,13 @@ from itertools import compress
 from math import gcd, inf, lcm
 from operator import mul, neg
 
-from .errors import FormatError, SingularMatrixError
+from .errors import FormatError, SingularMatrixError, check_int
 from .scalars import GaussianRational, as_gaussian
 
 
 def _check_dims(rows: int, cols: int) -> None:
-    if rows < 0 or cols < 0:
-        raise FormatError("matrix dimensions must be nonnegative")
+    check_int(rows, "matrix row count", 0, FormatError)
+    check_int(cols, "matrix column count", 0, FormatError)
 
 
 class CMatrix:
@@ -387,17 +388,17 @@ def transpose(m: CMatrix) -> CMatrix:
 
 # -- the elimination kernel --------------------------------------------------
 
-def _clear(row: list[int], c: int, p: int, support: list, start: int) -> list[int]:
-    """`row` with column c cleared by a pivot row holding p there and the nonzeros `support`;
-    both rows are zero before column `start`. The result is (p * row - f * pivot_row) / gcd(p, f),
-    f the row's entry in column c, over its content, as in Bareiss (1968): integral, primitive."""
+def _clear(row: list[int], c: int, p: int, support: list) -> list[int]:
+    """`row` with column c cleared by a pivot row holding p there and the nonzeros `support`:
+    (p * row - f * pivot_row) / gcd(p, f), f the row's entry in column c, over its content,
+    as in Bareiss (1968): integral and primitive. `_echelon` runs the same step inline."""
     f = row[c]
     g = gcd(p, f)
     a, b = p // g, f // g
-    new = row[start:] if a == 1 else [a * x for x in row[start:]]
+    new = row[:] if a == 1 else [a * x for x in row]
     for j, y in support:
-        new[j - start] -= b * y
-    return row[:start] + _primitive(new)
+        new[j] -= b * y
+    return _primitive(new)
 
 
 def _echelon(rows: list[list[int]]) -> list[int]:
@@ -405,12 +406,15 @@ def _echelon(rows: list[list[int]]) -> list[int]:
 
     Column c takes as pivot the first row among r.. (r the number of pivots
     so far) with the smallest nonzero |entry| there, which keeps the
-    multipliers, hence the entries, small, and `_clear` clears it in the
-    rows below, which are zero before column c. The pivots, and each row
+    multipliers, hence the entries, small, and each row below with a
+    nonzero entry f there is replaced by the `_clear` step, run inline:
+    (p * row - f * pivot_row) / gcd(p, f) over its content, on a copy of
+    the whole row, which is zero before column c. The pivots, and each row
     until it becomes a pivot row, are those of a full Gauss-Jordan pass,
     which differs only in also clearing above. On return row r has its
     pivot at pivots[r] and is zero before it, and the rows from
-    len(pivots) on are zero.
+    len(pivots) on are zero. The row lists passed in are never written:
+    each cleared row is a new list, as a caller may still hold the old one.
     """
     if not rows:
         return []
@@ -432,8 +436,16 @@ def _echelon(rows: list[list[int]]) -> list[int]:
         rows[r], rows[piv] = rows[piv], rows[r]
         p, support = rows[r][c], [(j, y) for j, y in enumerate(rows[r]) if y]
         for i in range(r + 1, n):
-            if rows[i][c]:
-                rows[i] = _clear(rows[i], c, p, support, c)
+            row = rows[i]
+            f = row[c]
+            if f:
+                g = gcd(p, f)
+                a, b = p // g, f // g
+                new = row[:] if a == 1 else [a * x for x in row]
+                for j, y in support:
+                    new[j] -= b * y
+                g = gcd(*new)
+                rows[i] = [x // g for x in new] if g > 1 else new
         pivots.append(c)
     return pivots
 
@@ -633,7 +645,7 @@ def _first_dependence(vectors, count: int) -> list[int]:
         row = vec + [den if j == k else 0 for j in range(count)]
         for c, p, support in kept:
             if row[c]:
-                row = _clear(row, c, p, support, 0)
+                row = _clear(row, c, p, support)
         c = min((j for j in range(n) if row[j]), key=lambda j: abs(row[j]), default=None)
         if c is None:
             dep = _primitive(row[n:n + k + 1])

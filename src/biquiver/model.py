@@ -5,7 +5,8 @@ API. Full arrows carry linear maps, dashed arrows semilinear ones; at the
 graph level the kind is just a label, and the structural queries here
 (connectivity, the spanning forest and its dashed parities) ignore
 direction and treat the kind only where dashed-arrow parity matters.
-All of them read one spanning forest, kept per Biquiver.
+All of them read one spanning forest, kept per Biquiver, as is the
+dash-elimination plan that `conjugation` reads off it.
 The constructor checks every biquiver and `check_dims` the length of
 every dimension vector; the JSON parser only decodes.
 """
@@ -49,12 +50,15 @@ class Arrow:
 class Biquiver:
     """A biquiver on the vertices 1..t.
 
-    Each instance is analysed once: its spanning forest and its Tits form
-    are memos computed on first use and kept in the instance, outside the
-    fields, so ==, hash, repr and pickling see only t and the arrows. The
-    forest, whose dashed parities read the kinds, stays per object, and
-    `connected_forest` reads the connectivity verdict off it on every
-    call. The form, with its checked LDL, radical vector and what other
+    Each instance is analysed once: its spanning forest, its Tits form and
+    its dash-elimination plan are memos computed on first use and kept in
+    the instance, outside the fields, so ==, hash, repr and pickling see
+    only t and the arrows. A refusal is not kept, so it is raised again on
+    every call. The forest, whose dashed parities read the kinds, stays per
+    object, and `connected_forest` reads the connectivity verdict off it on
+    every call. The plan, or the obstruction to one, is read off the forest
+    and stays per object too; both are frozen, so every caller shares the
+    one kept. The form, with its checked LDL, radical vector and what other
     modules keep in it (the label, the roots), forgets kinds and
     directions, so it is shared with every live Biquiver on the same
     numbered multigraph, and freed with the last of them. The constructor
@@ -103,6 +107,11 @@ class Biquiver:
     def _gram(self):
         from .tits import _tits_gram  # tits imports this module
         return _tits_gram(self)
+
+    @cached_property
+    def _plan(self):
+        from .conjugation import _dash_elimination_plan  # conjugation imports this module
+        return _dash_elimination_plan(self)
 
     def __getstate__(self):
         # the memos are derived: pickles and copies carry the fields alone

@@ -94,9 +94,10 @@ def as_gaussian(x) -> GaussianRational:
     """Coerce an int, Fraction, or GaussianRational to a GaussianRational."""
     if isinstance(x, GaussianRational):
         return x
-    if isinstance(x, (int, Fraction)):
+    try:
         return GaussianRational(_coerce(x))
-    raise TypeError(f"cannot interpret {x!r} as a GaussianRational")
+    except TypeError:
+        raise TypeError(f"cannot interpret {x!r} as a GaussianRational") from None
 
 
 def gaussian(re=0, im=0) -> GaussianRational:

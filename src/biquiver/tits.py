@@ -34,7 +34,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd
 
-from .errors import FormatError, PreconditionError, check_int
+from .errors import FormatError, PreconditionError, check_int, is_int
 from .linalg import _symmetric_ldl, fraction_nullspace
 from .model import Biquiver, DimensionVector, check_dims
 
@@ -80,17 +80,20 @@ class TitsGram:
     def ldl(self) -> tuple:
         """`_symmetric_ldl(c)` of the checked c, computed once and shared.
 
-        Raises FormatError unless c is a symmetric t x t matrix of ints, and
+        Raises FormatError unless c is a symmetric t x t matrix of ints, t
+        and each entry an int and not a bool (`errors.is_int`), and
         PreconditionError, before eliminating, when t > MAX_GRAM_VERTICES.
         A refusal is not memoized, so a malformed TitsGram raises on every
         read.
         """
         t, c = self.t, self.c
-        if not (isinstance(t, int) and t >= 0 and isinstance(c, (tuple, list)) and len(c) == t
+        if not (is_int(t) and t >= 0 and isinstance(c, (tuple, list)) and len(c) == t
                 and all(isinstance(row, (tuple, list)) and len(row) == t for row in c)):
             raise FormatError(f"Gram matrix must be {t} x {t}")
         _check_vertex_cap(t)
-        if not all(isinstance(x, int) for row in c for x in row):
+        # an exact int is what `is_int` accepts; testing its type first spares
+        # the call on every entry `_tits_gram` builds, in each form's first query
+        if not all(type(x) is int or is_int(x) for row in c for x in row):
             raise FormatError("Gram matrix entries must be ints")
         if any(c[i][j] != c[j][i] for i in range(t) for j in range(i)):
             raise FormatError("Gram matrix must be symmetric")

@@ -7,7 +7,7 @@ from math import gcd, lcm
 from operator import mul
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from biquiver import (CMatrix, FormatError, GaussianRational, SingularMatrixError,
                       block_diag, from_blocks, hstack, linalg, vstack)
@@ -975,6 +975,120 @@ def test_first_dependence_matches_the_dense_kernel(sequence):
         assert _first_dependence(iter(vectors), count) == expected
 
 
+# `_echelon` and `_clear` as they were before `_echelon` ran the row step
+# inline, kept verbatim apart from the names as the oracle for the inline
+# step: the same pivots and the same rows, entry for entry.
+
+def oracle_clear(row: list[int], c: int, p: int, support: list, start: int) -> list[int]:
+    """`row` with column c cleared by a pivot row holding p there and the nonzeros `support`;
+    both rows are zero before column `start`."""
+    f = row[c]
+    g = gcd(p, f)
+    a, b = p // g, f // g
+    new = row[start:] if a == 1 else [a * x for x in row[start:]]
+    for j, y in support:
+        new[j - start] -= b * y
+    return row[:start] + _primitive(new)
+
+
+def oracle_sparse_echelon(rows: list[list[int]]) -> list[int]:
+    """Fraction-free row echelon form of integer rows in place; return the pivot columns."""
+    if not rows:
+        return []
+    n = len(rows)
+    pivots: list[int] = []
+    for c in range(len(rows[0])):
+        r = len(pivots)
+        if r == n:
+            break
+        piv, best = None, float("inf")
+        for i in range(r, n):
+            x = abs(rows[i][c])
+            if 0 < x < best:
+                piv, best = i, x
+                if x == 1:
+                    break
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        p, support = rows[r][c], [(j, y) for j, y in enumerate(rows[r]) if y]
+        for i in range(r + 1, n):
+            if rows[i][c]:
+                rows[i] = oracle_clear(rows[i], c, p, support, c)
+        pivots.append(c)
+    return pivots
+
+
+def oracle_sparse_first_dependence(vectors, count: int) -> list[int]:
+    """Coefficients c_0..c_k of the first linear dependence among the vectors."""
+    kept: list[tuple[int, int, list]] = []
+    for k, (den, vec) in zip(range(count), vectors):
+        n = len(vec)
+        row = vec + [den if j == k else 0 for j in range(count)]
+        for c, p, support in kept:
+            if row[c]:
+                row = oracle_clear(row, c, p, support, 0)
+        c = min((j for j in range(n) if row[j]), key=lambda j: abs(row[j]), default=None)
+        if c is None:
+            dep = _primitive(row[n:n + k + 1])
+            return dep if dep[-1] > 0 else [-x for x in dep]
+        kept.append((c, row[c], [(j, y) for j, y in enumerate(row) if y]))
+    raise ValueError(f"the first {count} vectors are independent")
+
+
+@st.composite
+def scaled_systems(draw):
+    """Up to 7x8 int rows, empty input included, edited to hold zero rows, rows scaled
+    by a non-unit (so not primitive), and columns led by negative and non-unit entries,
+    so pivots of any sign and size meet rows that share a factor."""
+    entry = draw(st.sampled_from([st.integers(-3, 3), st.integers(-40, 40),
+                                  st.integers(-10 ** 12, 10 ** 12)]))
+    m, n = draw(st.integers(0, 7)), draw(st.integers(0, 8))
+    rows = [[draw(entry) for _ in range(n)] for _ in range(m)]
+    for row in rows:
+        edit = draw(st.sampled_from(["keep", "zero", "scale", "negative_lead"]))
+        if edit == "zero":
+            row[:] = [0] * n
+        elif edit == "scale":
+            k = draw(st.sampled_from([-6, -2, 2, 3, 12]))
+            row[:] = [k * x for x in row]
+        elif edit == "negative_lead" and n:
+            row[0] = -draw(st.integers(2, 9))
+    return rows
+
+
+@given(scaled_systems())
+@example([])  # empty input
+@example([[]])
+# zero rows, non-primitive rows, and negative non-unit pivots
+@example([[0, 0, 0], [-4, 2, 6], [6, 9, 3], [0, 0, 0], [-2, 5, -1]])
+def test_echelon_matches_the_called_row_step(rows):
+    got = [row[:] for row in rows]
+    expected = [row[:] for row in rows]
+    assert _echelon(got) == oracle_sparse_echelon(expected)
+    assert got == expected
+
+
+def test_echelon_leaves_the_input_rows_alone():
+    rows = [[2, 1, 4], [3, 5, 7], [4, 2, 8]]
+    before = [row[:] for row in rows]
+    lists = list(rows)
+    _echelon(rows)
+    assert lists == before
+
+
+@given(vector_sequences())
+def test_first_dependence_matches_the_called_row_step(sequence):
+    vectors, count = sequence
+    try:
+        expected = oracle_sparse_first_dependence(iter(vectors), count)
+    except ValueError:
+        with pytest.raises(ValueError):
+            _first_dependence(iter(vectors), count)
+    else:
+        assert _first_dependence(iter(vectors), count) == expected
+
+
 @st.composite
 def block_systems(draw):
     """(rows, ncols): 1-4 independent blocks of random int rows, each up to 5x5, with up
@@ -1176,3 +1290,15 @@ def test_cmatrix_is_immutable_and_checks_its_shape():
                 lambda: CMatrix.from_integers(1, 2, 1, [1], [0, 0])):
         with pytest.raises(FormatError):
             bad()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: CMatrix.from_integers(True, 1, 1, [1], [0]),
+    lambda: CMatrix.zero(1.5, 1),
+    lambda: CMatrix.identity("3"),
+    lambda: CMatrix.identity(2.0),
+    lambda: CMatrix(1.0, 1, [1]),
+], ids=["bool-rows", "float-rows", "str-size", "float-size", "float-rows-entries"])
+def test_matrix_dimensions_follow_the_int_rule(build):
+    with pytest.raises(FormatError, match="^matrix (row|column) count must be a nonnegative int"):
+        build()

@@ -5,7 +5,8 @@ Biquiver on the same numbered graph, whatever the kinds and directions of
 its arrows, and keeps its checked LDL and, when semidefinite, its radical
 vector delta; through `TitsGram._kept` it also keeps the Dynkin label
 (`classify`), its positive roots and the Dynkin sub-form its real roots are
-read from (`roots`).
+read from (`roots`). Each Biquiver also keeps its dash-elimination plan,
+or the obstruction to one (`conjugation`), read off its own forest.
 
 The counting tests wrap `model._spanning_forest`, `tits._symmetric_ldl`,
 `tits._null_root`, `classify.diagram_shape` and `roots._close_simple_roots`,
@@ -31,11 +32,12 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from biquiver import (Arrow, ArrowKind, Biquiver, Definiteness, FormatError,
+from biquiver import (Arrow, ArrowKind, Biquiver, DashEliminationObstruction,
+                      DashEliminationPlan, Definiteness, FormatError,
                       PreconditionError, RepKind, RepType, TitsGram, connected_components,
                       dash_elimination_plan, definiteness, gram_matrix, is_connected,
                       radical_vector, representation_type, roots_with_value)
-from biquiver import classify, model, roots, tits
+from biquiver import classify, conjugation, model, roots, tits
 from biquiver.model import connected_forest
 from biquiver.tits import MAX_GRAM_VERTICES
 from conftest import biq, cycle_biquiver, path_biquiver
@@ -459,6 +461,89 @@ def test_threads_sharing_one_form_agree_with_cold_answers():
     assert len(forms) == len(shapes)
     for g in fresh[0][::12]:
         assert_memos_are_cold_answers(gram_matrix(g), g)
+
+
+@pytest.fixture
+def plans(monkeypatch):
+    """Counts of the dash-elimination plans computed from here on."""
+    return counting(monkeypatch, (conjugation, "_dash_elimination_plan"))
+
+
+def test_the_plan_is_computed_once_per_biquiver(plans):
+    # a plan and an odd-cycle obstruction, on graphs that no other test builds
+    plan = biq(6, "a:5~2", "b:2>6", "c:6~1", "d:1>4", "e:4>3", "f:3>5")
+    odd = biq(6, "a:5~2", "b:2>6", "c:6~1", "d:1>4", "e:4~3", "f:3>5")
+    first = dash_elimination_plan(plan)
+    assert first == DashEliminationPlan(frozenset({2, 6}))
+    assert dash_elimination_plan(odd) == DashEliminationObstruction(
+        "odd dashed parity on cycle <3 4 1 6 2 5 3>")
+    for _ in range(4):
+        assert dash_elimination_plan(plan) is first
+        assert dash_elimination_plan(odd) is vars(odd)["_plan"]
+    assert plans == {"_dash_elimination_plan": 2}
+    # the memo is per object: an equal biquiver computes its own
+    assert dash_elimination_plan(Biquiver(plan.t, plan.arrows)) == first
+    assert plans == {"_dash_elimination_plan": 3}
+
+
+def test_a_disconnected_plan_is_refused_on_every_call_and_kept_nowhere(plans):
+    g = Biquiver(4, biq(3, "a:1~2", "b:2>3").arrows)
+    for k in (1, 2, 3):
+        with pytest.raises(PreconditionError, match="^biquiver is not connected$"):
+            dash_elimination_plan(g)
+        assert "_plan" not in vars(g)
+        assert plans == {"_dash_elimination_plan": k}
+
+
+def test_a_dashed_loop_is_reported_before_connectivity(calls, plans):
+    # the loop sits past an isolated vertex: no forest is built for the verdict
+    g = biq(3, "a:1>2", "b:3~3")
+    want = DashEliminationObstruction("dashed loop at vertex 3")
+    for _ in range(3):
+        assert dash_elimination_plan(g) == want
+    assert vars(g)["_plan"] == want
+    assert plans == {"_dash_elimination_plan": 1}
+    assert calls["_spanning_forest"] == 0
+    with pytest.raises(PreconditionError, match="^biquiver is not connected$"):
+        representation_type(g)
+
+
+def test_a_pickled_biquiver_carries_its_fields_alone_and_plans_alike():
+    for g in (path_biquiver(4, dashed=(1, 3)), cycle_biquiver(3, dashed=(2,)),
+              biq(2, "a:1>2", "b:2~2")):
+        want = dash_elimination_plan(g)
+        assert "_plan" in vars(g)
+        for back in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g)):
+            assert vars(back) == {"t": g.t, "arrows": g.arrows}
+            assert back == g and dash_elimination_plan(back) == want
+            assert vars(back)["_plan"] == want
+
+
+def test_threads_filling_one_plan_agree():
+    # threads race on shared fresh biquivers: each may compute the plan, and
+    # every one must read, and leave kept, the plan a cold object gives
+    shapes = [path_biquiver(6, dashed=(2, 5)), cycle_biquiver(5, dashed=(1, 3)),
+              cycle_biquiver(5, dashed=(1,)), biq(3, "a:1>2", "b:2>3", "c:3~3")]
+    want = [dash_elimination_plan(Biquiver(g.t, g.arrows)) for g in shapes]
+    fresh = [[Biquiver(g.t, g.arrows) for g in shapes] for _ in range(200)]
+    got = []
+
+    def work():
+        got.append([[dash_elimination_plan(g) for g in gs] for gs in fresh])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert got == [[want] * len(fresh)] * len(threads)
+    assert all([vars(g)["_plan"] for g in gs] == want for gs in fresh)
 
 
 @st.composite

@@ -406,7 +406,9 @@ def test_definiteness_requires_symmetry():
     TitsGram(2, ((1.0, 0), (0, 1))),                # a float entry
     TitsGram(2, ((Fraction(1, 2), 0), (0, 1))),     # a Fraction entry: C is integral
     TitsGram(-1, ()),
-], ids=["short", "long", "ragged", "float", "fraction", "negative-t"])
+    TitsGram(True, ((2,),)),                        # a bool vertex count
+    TitsGram(2, ((2, False), (False, True))),       # bool entries
+], ids=["short", "long", "ragged", "float", "fraction", "negative-t", "bool-t", "bool-entries"])
 def test_malformed_gram_is_rejected(gram):
     with pytest.raises(FormatError):
         definiteness(gram)
