@@ -10,6 +10,12 @@ documents nested too deeply or holding numbers with too many digits),
 unexpected error (reported on one line, without a traceback), 141 when
 stdout is closed before the document is written, as after `| head`
 (128 + SIGPIPE, quietly, as a program that SIGPIPE kills would end).
+
+The graph commands (`classify`, `tits`, `roots`, `eliminate`, and
+`conjugate` without --representation) load only the graph layer and
+`scalars`. A handler that works on representations or gadgets imports what
+it uses from `representation`, `morphisms` and `gadgets` when it runs, on
+every call, so a patched name in one of those modules is the one it calls.
 """
 from __future__ import annotations
 
@@ -18,22 +24,20 @@ import functools
 import json
 import os
 import sys
+from typing import TYPE_CHECKING
 
 from .classify import RepKind, representation_type
 from .conjugation import (DashEliminationPlan, apply_conjugations,
                           apply_conjugations_representation, dash_elimination_plan)
 from .errors import FormatError, PreconditionError, echo, is_int
-from .gadgets import gadget_cycle, gadget_g1, gadget_g2, gadget_g3, gadget_g4
 from .model import (Biquiver, biquiver_to_obj, connected_components,
                     induced_subbiquiver, parse_biquiver, parse_json)
-from .morphisms import (DEFAULT_COEFF_BOUND, DEFAULT_TRIALS, Verdict,
-                        are_isomorphic, decompose, hom_basis)
-from .representation import (MatrixRepresentation, direct_sum, matrix_to_obj,
-                             parse_matrix_obj, parse_representation,
-                             random_representation, representation_to_obj)
 from .roots import roots_with_value
 from .scalars import format_rational
 from .tits import Definiteness, definiteness, evaluate, gram_matrix, radical_vector
+
+if TYPE_CHECKING:
+    from .representation import MatrixRepresentation
 
 USAGE_ERROR, FORMAT_ERROR, PRECONDITION_ERROR, INTERNAL_ERROR = 1, 2, 3, 4
 CLOSED_STDOUT = 141  # 128 + SIGPIPE
@@ -67,11 +71,13 @@ def _load_biquiver(path: str) -> Biquiver:
 
 
 def _load_representation(path: str, biquiver_path: str | None) -> MatrixRepresentation:
+    from .representation import parse_representation
     g = _load_biquiver(biquiver_path) if biquiver_path else None
     return parse_representation(_read(path), g)
 
 
 def _load_matrix(path: str):
+    from .representation import parse_matrix_obj
     return parse_matrix_obj(parse_json(_read(path)))
 
 
@@ -100,6 +106,8 @@ def _classify_obj(g: Biquiver) -> dict:
 
 
 def _iso_result_obj(res) -> dict:
+    from .morphisms import Verdict
+    from .representation import matrix_to_obj
     obj: dict = {"verdict": res.verdict.value}
     if res.verdict is Verdict.YES:
         obj["certificate"] = {"S": [matrix_to_obj(m) for m in res.certificate]}
@@ -151,6 +159,7 @@ def _cmd_conjugate(args) -> dict:
     g = _load_biquiver(args.biquiver)
     vertices = _parse_int_list(args.vertex, "--vertex")
     if args.representation:
+        from .representation import parse_representation, representation_to_obj
         rep = parse_representation(_read(args.representation), g)
         return representation_to_obj(apply_conjugations_representation(rep, vertices))
     return biquiver_to_obj(apply_conjugations(g, vertices))
@@ -175,12 +184,14 @@ def _cmd_rep_validate(args) -> dict:
 
 
 def _cmd_rep_sum(args) -> dict:
+    from .representation import direct_sum, representation_to_obj
     a = _load_representation(args.a, args.biquiver)
     b = _load_representation(args.b, args.biquiver)
     return representation_to_obj(direct_sum(a, b))
 
 
 def _cmd_rep_random(args) -> dict:
+    from .representation import random_representation, representation_to_obj
     g = _load_biquiver(args.biquiver)
     dims = _parse_int_list(args.dims, "--dims")
     return representation_to_obj(
@@ -188,6 +199,8 @@ def _cmd_rep_random(args) -> dict:
 
 
 def _cmd_rep_hom(args) -> dict:
+    from .morphisms import hom_basis
+    from .representation import matrix_to_obj
     a = _load_representation(args.a, args.biquiver)
     b = _load_representation(args.b, args.biquiver)
     basis = hom_basis(a, b)
@@ -198,16 +211,18 @@ def _cmd_rep_hom(args) -> dict:
 
 
 def _cmd_rep_iso(args) -> dict:
+    from .morphisms import are_isomorphic
     a = _load_representation(args.a, args.biquiver)
     b = _load_representation(args.b, args.biquiver)
-    res = are_isomorphic(a, b, trials=args.trials, seed=args.seed,
-                         coeff_bound=args.bound)
+    res = are_isomorphic(a, b, **_sampling(args))
     return _iso_result_obj(res)
 
 
 def _cmd_rep_decompose(args) -> dict:
+    from .morphisms import decompose
+    from .representation import matrix_to_obj, representation_to_obj
     a = _load_representation(args.representation, args.biquiver)
-    dec = decompose(a, trials=args.trials, seed=args.seed, coeff_bound=args.bound)
+    dec = decompose(a, **_sampling(args))
     return {
         "summands": [representation_to_obj(s, embed_biquiver=False) for s in dec.summands],
         "certificate": {"S": [matrix_to_obj(m) for m in dec.base_change]},
@@ -218,6 +233,8 @@ def _cmd_rep_decompose(args) -> dict:
 
 
 def _cmd_gadget_cycle(args) -> dict:
+    from .gadgets import gadget_cycle
+    from .representation import representation_to_obj
     g = _load_biquiver(args.biquiver)
     m = _load_matrix(args.matrix)
     arrows = [part for part in args.arrows.split(",") if part]
@@ -225,6 +242,8 @@ def _cmd_gadget_cycle(args) -> dict:
 
 
 def _cmd_gadget_pair(args) -> dict:
+    from .gadgets import gadget_g1, gadget_g2, gadget_g3, gadget_g4
+    from .representation import representation_to_obj
     p = _load_matrix(args.p)
     q = _load_matrix(args.q)
     builder = {"g1": gadget_g1, "g2": gadget_g2, "g3": gadget_g3,
@@ -233,10 +252,16 @@ def _cmd_gadget_pair(args) -> dict:
 
 
 def _add_sampling(p) -> None:
-    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
+    # no default for --trials or --bound: `_sampling` leaves the API's own
+    p.add_argument("--trials", type=int)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--bound", type=int, default=DEFAULT_COEFF_BOUND,
-                   help="bound on random rational coefficients")
+    p.add_argument("--bound", type=int, help="bound on random rational coefficients")
+
+
+def _sampling(args) -> dict:
+    """The sampling keywords of --seed, and of --trials and --bound where given."""
+    given = {"trials": args.trials, "seed": args.seed, "coeff_bound": args.bound}
+    return {key: value for key, value in given.items() if value is not None}
 
 
 @functools.cache

@@ -18,11 +18,18 @@ to one, once computed (`Biquiver._plan`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .errors import PreconditionError, check_int, echo
-from .linalg import CMatrix
 from .model import Arrow, ArrowKind, Biquiver, connected_forest
-from .representation import MatrixRepresentation
+
+# The graph layer loads neither `linalg` nor `representation`: CMatrix and
+# MatrixRepresentation name types in annotations, which run only under a type
+# checker, and `conjugate_representation` imports MatrixRepresentation to
+# build one.
+if TYPE_CHECKING:
+    from .linalg import CMatrix
+    from .representation import MatrixRepresentation
 
 
 def _check_vertex(u: int, t: int) -> None:
@@ -45,6 +52,7 @@ def conjugate_biquiver(g: Biquiver, u: int) -> Biquiver:
 
 def conjugate_representation(a: MatrixRepresentation, u: int) -> MatrixRepresentation:
     """Representation of the conjugated biquiver, per the conjugation functor."""
+    from .representation import MatrixRepresentation
     g = conjugate_biquiver(a.biquiver, u)
     mats = {}
     for arrow in a.biquiver.arrows:

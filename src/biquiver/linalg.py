@@ -1,4 +1,4 @@
-"""Exact matrices over the Gaussian rationals, plus rational linear systems.
+"""Exact matrices over the Gaussian rationals, reduced through their real forms.
 
 CMatrix (complex-rational matrices) carries all representation data; int
 row-lists carry the real linear systems behind morphism spaces and the
@@ -10,32 +10,27 @@ entries are built only at the boundary (printing, `at`, and the lazily
 built `entries`). Every block matrix, from `from_blocks`, `hstack`, `vstack`
 and `block_diag` alike, is placed by one assembler, `_assemble`.
 
-All elimination is integral: each rational row is scaled to a primitive
-integer row (which leaves its solution set alone), and a complex matrix is
-reduced through its real form, in which entry z is the 2x2 block
-[[re z, -im z], [im z, re z]], read straight from the integer parts.
-Every fraction-free elimination combines rows by one sparse step, `_clear`,
-which `_echelon` runs inline. `_echelon` eliminates forward only, and
-`_nullspace` reads kernel vectors off its rows by back-substitution;
-images, kernels, inverses, reduced row echelon forms and rational solves
-all come from these two, an inverse or a solution being the kernel vector
-at an augmented column. So does every
-rank, except a full one: `_modular_rank` certifies that first, modulo a
-Gaussian prime, which is cheaper and exact whenever it reaches full rank.
-`_first_dependence` reduces each new vector once against the rows it
-keeps, and gives the dependence as a primitive integer polynomial.
-`_symmetric_ldl` counts the inertia of symmetric int forms.
+All elimination is integral, and every fraction-free elimination runs in
+the kernel module `elimination`, which knows nothing of CMatrix. A complex
+matrix is reduced through its real form, in which entry z is the 2x2 block
+[[re z, -im z], [im z, re z]], read straight from the integer parts:
+images, kernels, inverses and reduced row echelon forms all come from the
+kernel's `_echelon` and `_nullspace`, an inverse being the kernel vector
+at an augmented column. So does every rank, except a full one:
+`_modular_rank` certifies that first, modulo a Gaussian prime, which is
+cheaper and exact whenever it reaches full rank. The kernel's
+`fraction_nullspace` and `fraction_solve` can be imported from here too.
 Zero-row and zero-column matrices are first-class values; the 0x0 matrix
 is invertible.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
 from fractions import Fraction
-from itertools import compress
-from math import gcd, inf, lcm
+from math import gcd, lcm
 from operator import mul, neg
 
+from .elimination import (_echelon, _integer_parts, _nullspace, _primitive,  # noqa: F401
+                          fraction_nullspace, fraction_solve)
 from .errors import FormatError, SingularMatrixError, check_int
 from .scalars import GaussianRational, as_gaussian
 
@@ -258,16 +253,6 @@ def _reduced(rows: int, cols: int, den: int, re, im) -> CMatrix:
     return _canonical(rows, cols, den, tuple(re), tuple(im))
 
 
-def _integer_parts(values: list) -> tuple[int, list[int]]:
-    """(den, nums) with values[k] == nums[k] / den, den the lcm of the denominators.
-
-    For reduced fractions (and ints) gcd(den, *nums) == 1: a prime power
-    dividing den exactly divides some denominator, whose numerator is prime
-    to it and is multiplied by a cofactor prime to it.
-    """
-    den = lcm(*(x.denominator for x in values))
-    return den, [x.numerator * (den // x.denominator) for x in values]
-
 
 def _product(rows: int, k: int, m: int, are, aim, bre, bim) -> tuple[list[int], list[int]]:
     """The integer parts of A B, row-major, for A of `rows` x k and B of k x m, each
@@ -386,69 +371,7 @@ def transpose(m: CMatrix) -> CMatrix:
                       tuple(m.im[k] for k in idx))
 
 
-# -- the elimination kernel --------------------------------------------------
-
-def _clear(row: list[int], c: int, p: int, support: list) -> list[int]:
-    """`row` with column c cleared by a pivot row holding p there and the nonzeros `support`:
-    (p * row - f * pivot_row) / gcd(p, f), f the row's entry in column c, over its content,
-    as in Bareiss (1968): integral and primitive. `_echelon` runs the same step inline."""
-    f = row[c]
-    g = gcd(p, f)
-    a, b = p // g, f // g
-    new = row[:] if a == 1 else [a * x for x in row]
-    for j, y in support:
-        new[j] -= b * y
-    return _primitive(new)
-
-
-def _echelon(rows: list[list[int]]) -> list[int]:
-    """Fraction-free row echelon form of integer rows in place; return the pivot columns.
-
-    Column c takes as pivot the first row among r.. (r the number of pivots
-    so far) with the smallest nonzero |entry| there, which keeps the
-    multipliers, hence the entries, small, and each row below with a
-    nonzero entry f there is replaced by the `_clear` step, run inline:
-    (p * row - f * pivot_row) / gcd(p, f) over its content, on a copy of
-    the whole row, which is zero before column c. The pivots, and each row
-    until it becomes a pivot row, are those of a full Gauss-Jordan pass,
-    which differs only in also clearing above. On return row r has its
-    pivot at pivots[r] and is zero before it, and the rows from
-    len(pivots) on are zero. The row lists passed in are never written:
-    each cleared row is a new list, as a caller may still hold the old one.
-    """
-    if not rows:
-        return []
-    n = len(rows)
-    pivots: list[int] = []
-    for c in range(len(rows[0])):
-        r = len(pivots)
-        if r == n:
-            break
-        piv, best = None, inf
-        for i in range(r, n):
-            x = abs(rows[i][c])
-            if 0 < x < best:
-                piv, best = i, x
-                if x == 1:
-                    break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        p, support = rows[r][c], [(j, y) for j, y in enumerate(rows[r]) if y]
-        for i in range(r + 1, n):
-            row = rows[i]
-            f = row[c]
-            if f:
-                g = gcd(p, f)
-                a, b = p // g, f // g
-                new = row[:] if a == 1 else [a * x for x in row]
-                for j, y in support:
-                    new[j] -= b * y
-                g = gcd(*new)
-                rows[i] = [x // g for x in new] if g > 1 else new
-        pivots.append(c)
-    return pivots
-
+# -- the real form -----------------------------------------------------------
 
 # The prime p = 119 * 2^23 + 1, which is 1 mod 4, and a square root of -1 modulo
 # it (3 is a primitive root). Residues stay below 2^30, one digit of a CPython int.
@@ -490,63 +413,6 @@ def _modular_rank(m: CMatrix, stop: int) -> int:
     return rank
 
 
-def _symmetric_ldl(rows: list[list[int]]) -> tuple:
-    """(inertia, steps, free) of a symmetric int matrix W.
-
-    W is reduced by Bareiss (1968) steps on the first nonzero diagonal
-    entry d of the active block: w_ij becomes (d w_ij - w_ip w_pj) / prev,
-    prev the pivot before (1 at first), exactly, as active entries are
-    minors of W bordered by the pivots. If the active diagonal is zero but
-    some w_ij is not, the congruence e_i <- e_i + e_j puts 2 w_ij on it.
-    Neither changes the inertia (n+, n-, n0) of W, counted from the signs
-    of d / prev. Step (p, prev, d, lin), lin mapping each other active j to
-    w_pj != 0, is the LDL^T term (d x_p + lin . x)^2 / (prev d); when
-    n- == 0 (no congruence) these terms sum to x^T W x, and W vanishes on
-    the unpivoted `free`.
-    """
-    w = [list(row) for row in rows]
-    active = list(range(len(w)))
-    steps = []
-    positive = 0
-    prev = 1
-    while active:
-        p = next((i for i in active if w[i][i]), None)
-        if p is None:
-            pair = next(((i, j) for i in active for j in active if w[i][j]), None)
-            if pair is None:
-                break
-            p, j = pair
-            for k in active:
-                w[p][k] += w[j][k]
-            for k in active:
-                w[k][p] += w[k][j]
-        d, row = w[p][p], w[p]
-        positive += (d > 0) == (prev > 0)
-        steps.append((p, prev, d, {j: row[j] for j in active if j != p and row[j]}))
-        active.remove(p)
-        for i in active:
-            wi = w[i]
-            f = wi[p]
-            for j in active:
-                wi[j] = (d * wi[j] - f * row[j]) // prev
-        prev = d
-    return (positive, len(steps) - positive, len(active)), steps, active
-
-
-def _integral(row: list) -> list[int]:
-    """The primitive integer multiple of a row of ints and Fractions.
-
-    Scaling a row by a nonzero rational leaves its solution set unchanged.
-    """
-    return _primitive(_integer_parts(row)[1])
-
-
-def _primitive(row: list[int]) -> list[int]:
-    """The row divided by the gcd of its entries."""
-    g = gcd(*row)
-    return [x // g for x in row] if g > 1 else row
-
-
 def _real_rows(m: CMatrix, rhs: CMatrix | None = None) -> list[list[int]]:
     """Primitive integer rows of the real 2m x 2n form of m, optionally augmented by rhs.
 
@@ -572,152 +438,3 @@ def _real_rows(m: CMatrix, rhs: CMatrix | None = None) -> list[list[int]]:
         out.append(_primitive(top))
         out.append(_primitive(bottom))
     return out
-
-
-def _nullspace(reduced: list[list[int]], pivots: list[int], ncols: int,
-               free: list[int]) -> list[tuple[int, list[int]]]:
-    """Canonical kernel vectors of `_echelon`-reduced rows, one per column in `free`.
-
-    For the free column f: x_f = 1, the other free coordinates 0, and the
-    pivot coordinates by back-substitution, last pivot first:
-    x_p = -(row . x) / row[p] for the row with pivot p. A pivot after f
-    gives 0, since x vanishes beyond f, so only the pivots before f are
-    visited, and the dot product runs over columns p + 1..f. The vector is
-    the one kernel vector with these free coordinates, so it equals the
-    reduced row echelon readout x_p = -rref[p][f] entry for entry. It comes
-    as (den, nums), x = nums / den, den > 0 and nums[f] == den, canonical
-    (gcd(den, *nums) == 1) as each step multiplies both by some q and sets
-    nums[p] to an s prime to q.
-    """
-    basis = []
-    for f in free:
-        x = [0] * ncols
-        x[f] = den = 1
-        for r in range(bisect_left(pivots, f) - 1, -1, -1):
-            row, p = reduced[r], pivots[r]
-            s = sum(map(mul, row[p + 1:f + 1], x[p + 1:f + 1]))
-            if not s:
-                continue
-            q = row[p]
-            g = gcd(s, q)
-            s, q = s // g, q // g
-            if q < 0:
-                s, q = -s, -q
-            if q != 1:
-                x = [v * q for v in x]
-                den *= q
-            x[p] = -s
-        basis.append((den, x))
-    return basis
-
-
-# -- real linear systems -----------------------------------------------------
-
-# The size, equations times unknowns, from which a linear system is worth
-# restructuring before it is solved. It gates two decisions: here, whether
-# `fraction_nullspace` looks for independent blocks, which below it cost
-# more to find and gather than they save; and in `morphisms.decompose`,
-# whether a node is put in echelon form first. On the 110 representations
-# that the cli-rep-large benchmark screens through `decompose` at seed 1,
-# the echelon change took them 1.36 times as long as no change when made at
-# every node, and 0.63 times with this threshold; on its 24 scrambled sums,
-# 0.79 and 0.65 times (best of 3, 2-core x86 host, CPython 3.11).
-_MIN_SPLIT_CELLS = 512
-
-
-def _first_dependence(vectors, count: int) -> list[int]:
-    """Coefficients c_0..c_k of the first linear dependence among the vectors.
-
-    Vector k comes as (den_k, nums_k), v_k = nums_k / den_k; only the first
-    `count` are drawn, lazily. The row nums_k, carrying den_k e_k in extra
-    columns, is reduced once against the rows kept so far, in the order
-    kept: each kept row pivots on its smallest nonzero |entry| among the
-    first len(nums_k) columns, where the rows kept after it vanish. The
-    first row that reduces to zero there carries c in the extra columns,
-    with c_0 v_0 + ... + c_k v_k = 0: the first dependence, unique up to
-    scale, with c_k != 0. It comes primitive with c_k > 0, the integer
-    polynomial form of `polynomials`. Raises ValueError when the first
-    `count` vectors are independent.
-    """
-    kept: list[tuple[int, int, list]] = []  # (pivot column, entry, support)
-    for k, (den, vec) in zip(range(count), vectors):
-        n = len(vec)
-        row = vec + [den if j == k else 0 for j in range(count)]
-        for c, p, support in kept:
-            if row[c]:
-                row = _clear(row, c, p, support)
-        c = min((j for j in range(n) if row[j]), key=lambda j: abs(row[j]), default=None)
-        if c is None:
-            dep = _primitive(row[n:n + k + 1])
-            return dep if dep[-1] > 0 else [-x for x in dep]
-        kept.append((c, row[c], [(j, y) for j, y in enumerate(row) if y]))
-    raise ValueError(f"the first {count} vectors are independent")
-
-
-def fraction_nullspace(rows: list[list[int]], ncols: int) -> list[tuple[int, list[int]]]:
-    """Canonical basis of the solution space of the homogeneous int system rows . x = 0.
-
-    One (den, nums) per free column f in turn, see `_nullspace`: x = nums / den
-    is 1 at f and 0 at the other free columns. The nonzero rows are made
-    primitive, not changed. From _MIN_SPLIT_CELLS cells on, each of their
-    `_blocks`, one per summand in the Hom system of a direct sum in block
-    form, is reduced on its own: the kernel is their kernels' direct sum, so
-    f's vector lies in f's block. Raises FormatError unless every row has
-    `ncols` entries. The name stays while the benchmark's tracer wraps it.
-    """
-    if ncols < 0 or any(len(row) != ncols for row in rows):
-        raise FormatError(f"every equation needs {ncols} coefficients")
-    reduced = [_primitive(row) for row in rows if any(row)]
-    blocks = _blocks(reduced, ncols) if len(reduced) * ncols >= _MIN_SPLIT_CELLS else []
-    if len(blocks) < 2:
-        pivots = _echelon(reduced)
-        return _nullspace(reduced, pivots, ncols, [f for f in range(ncols) if f not in pivots])
-    vectors = {}
-    for mask, block in blocks:
-        cols = [j for j in range(ncols) if mask >> j & 1]
-        sub = [[row[j] for j in cols] for row in block]
-        pivots = _echelon(sub)
-        free = [f for f in range(len(cols)) if f not in pivots]
-        for f, (den, nums) in zip(free, _nullspace(sub, pivots, len(cols), free)):
-            x = dict(zip(cols, nums))
-            vectors[cols[f]] = den, [x.get(j, 0) for j in range(ncols)]
-    return [vectors[f] for f in sorted(vectors)]
-
-
-def _blocks(rows: list[list[int]], ncols: int) -> list[tuple[int, list[list[int]]]]:
-    """The independent blocks of nonzero rows as (columns, rows), the columns an int with
-    bit j for column j: a chain of rows, each nonzero in the next, links any two columns
-    of a block, whose rows are nonzero there only. Untouched columns form a rowless block."""
-    bits = [1 << j for j in range(ncols)]
-    masks = [sum(compress(bits, row)) for row in rows]
-    blocks: list[int] = []
-    for m in masks:
-        rest = []
-        for b in blocks:
-            if b & m:
-                m |= b
-            else:
-                rest.append(b)
-        rest.append(m)
-        blocks = rest
-    blocks.append((1 << ncols) - 1 - sum(blocks))  # the untouched columns, if any
-    return [(b, [row for row, m in zip(rows, masks) if m & b]) for b in blocks if b]
-
-
-def fraction_solve(columns: list[list[Fraction]], target: list[Fraction]) -> list[Fraction] | None:
-    """Solve sum_j x_j * columns[j] = target exactly; None when inconsistent.
-
-    The rows [columns | -target] are reduced; the system is inconsistent
-    exactly when column k = len(columns) is a pivot, and otherwise the
-    kernel vector at free column k, 0 at the other free columns, is x.
-    Raises FormatError unless every column has the length of `target`.
-    """
-    if any(len(col) != len(target) for col in columns):
-        raise FormatError(f"every column needs {len(target)} entries")
-    k = len(columns)
-    aug = [_integral([col[i] for col in columns] + [-t]) for i, t in enumerate(target)]
-    pivots = _echelon(aug)
-    if k in pivots:
-        return None
-    (den, nums), = _nullspace(aug, pivots, k + 1, [k])
-    return [Fraction(x, den) for x in nums[:k]]

@@ -31,9 +31,9 @@ from math import lcm
 from operator import matmul, mul
 
 from .errors import PreconditionError, SingularMatrixError, check_int
-from .linalg import (_MIN_SPLIT_CELLS, CMatrix, _first_dependence, _primitive, _product,
-                     _symmetric_ldl, fraction_nullspace, hstack, reduced_row_echelon, submatrix,
-                     transpose, vstack)
+from .elimination import (_MIN_SPLIT_CELLS, _first_dependence, _primitive, _symmetric_ldl,
+                          fraction_nullspace)
+from .linalg import CMatrix, _product, hstack, reduced_row_echelon, submatrix, transpose, vstack
 from .model import Biquiver, DimensionVector
 from .polynomials import poly_factor, primary_cofactors
 from .representation import MatrixRepresentation, _transform, direct_sum_list

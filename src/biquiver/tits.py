@@ -4,7 +4,7 @@ q_G(x) = sum x_i^2 - sum_{arrows u->v} x_u x_v, summed over all arrows of
 either kind. Twice its Gram matrix Q is the integer generalized Cartan
 matrix C = 2Q of the underlying multigraph, stored with Q as its view.
 Definiteness is read exactly from the inertia of C, that of Q, counted by
-the integer elimination `linalg._symmetric_ldl`.
+the integer elimination `elimination._symmetric_ldl`.
 
 Each form is analysed once. C forgets the kinds and directions of the
 arrows, so every biquiver on the same numbered multigraph has the same
@@ -35,7 +35,7 @@ from functools import cached_property
 from math import gcd
 
 from .errors import FormatError, PreconditionError, check_int, is_int
-from .linalg import _symmetric_ldl, fraction_nullspace
+from .elimination import _symmetric_ldl, fraction_nullspace
 from .model import Biquiver, DimensionVector, check_dims
 
 # The most vertices of a Tits form that `gram_matrix` builds and

@@ -9,8 +9,8 @@ from math import gcd, lcm
 from biquiver import (Arrow, ArrowKind, Biquiver, CMatrix, FormatError, GaussianRational,
                       MatrixRepresentation, apply_base_change, gaussian)
 from biquiver.errors import echo
-from biquiver.linalg import (_echelon, _integer_parts, _nullspace, _real_rows, _realified_columns,
-                             _reduced, submatrix)
+from biquiver.elimination import _echelon, _integer_parts, _nullspace
+from biquiver.linalg import _real_rows, _realified_columns, _reduced, submatrix
 from biquiver.scalars import _rational_parts, as_gaussian, format_rational
 
 

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import biquiver
+import biquiver.morphisms
 
 from biquiver import (Arrow, ArrowKind, Biquiver, CMatrix, apply_base_change, direct_sum_list,
                       random_representation, roots_with_value, serialize_biquiver,
@@ -604,7 +605,7 @@ def test_unexpected_exception_exit_4(run, tmp_path, a2_file, monkeypatch):
     def failing_decompose(*args, **kwargs):
         raise AssertionError("certificate does not verify")
 
-    monkeypatch.setattr(biquiver.cli, "decompose", failing_decompose)
+    monkeypatch.setattr(biquiver.morphisms, "decompose", failing_decompose)
     code, out, _ = run("rep", "random", a2_file, "--dims", "1,1")
     rep_file = _write(tmp_path, "r.json", out)
     code, out, err = run("rep", "decompose", rep_file)
@@ -632,7 +633,7 @@ def test_decompose_takes_no_inverse_and_no_zassenhaus(run, tmp_path, monkeypatch
     # row echelon forms: no CMatrix.inverse call inside decompose (and poly_factor
     # has no Zassenhaus to call, see test_factoring_leaves_sympy_unloaded)
     inside, inverses = [False], []
-    real_decompose, real_inverse = biquiver.cli.decompose, CMatrix.inverse
+    real_decompose, real_inverse = biquiver.morphisms.decompose, CMatrix.inverse
 
     def decompose(*args, **kwargs):
         inside[0] = True
@@ -646,7 +647,7 @@ def test_decompose_takes_no_inverse_and_no_zassenhaus(run, tmp_path, monkeypatch
             inverses.append(m.rows)
         return real_inverse(m)
 
-    monkeypatch.setattr(biquiver.cli, "decompose", decompose)
+    monkeypatch.setattr(biquiver.morphisms, "decompose", decompose)
     monkeypatch.setattr(CMatrix, "inverse", inverse)
     e7 = _write(tmp_path, "e7.json", serialize_representation(_scrambled_e7_sum(0)))
     cases = [(str(LEDGER / name), seed) for name in ("e6.s1.json", "d4xxx.json", "path10.json")

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from biquiver import (Arrow, ArrowKind, Biquiver, DashEliminationObstruction,
                       DashEliminationPlan, MatrixRepresentation,
@@ -123,6 +124,48 @@ def test_isomorphism_invariance_under_conjugation():
             transported = transport_isomorphism(list(res.certificate), u)
             assert apply_base_change(conjugate_representation(a, u), transported) == \
                 conjugate_representation(b, u)
+
+
+@st.composite
+def conjugated_pairs(draw):
+    """(a, b, vertices): a random representation a of a biquiver on 1-3
+    vertices with full and dashed arrows, loops and parallel arrows allowed;
+    b either a planted base change of a or drawn independently; and a
+    random vertex set to conjugate at."""
+    t = draw(st.integers(1, 3))
+    ends = st.tuples(st.integers(1, t), st.integers(1, t), st.booleans())
+    g = Biquiver(t, tuple(Arrow(f"a{k}", u, v, ArrowKind.DASHED if d else ArrowKind.FULL)
+                          for k, (u, v, d) in enumerate(draw(st.lists(ends, max_size=3)))))
+    dims = tuple(draw(st.lists(st.integers(0, 2), min_size=t, max_size=t).filter(any)))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    a = random_representation(g, dims, 2, rng.randrange(10 ** 6))
+    if draw(st.booleans()):
+        b = apply_base_change(a, [random_invertible(rng, d) for d in dims])
+    else:
+        b = random_representation(g, dims, 2, rng.randrange(10 ** 6))
+    return a, b, draw(st.frozensets(st.integers(1, t), min_size=1))
+
+
+def transported(certificate, vertices):
+    s = list(certificate)
+    for u in vertices:
+        s = transport_isomorphism(s, u)
+    return s
+
+
+@settings(deadline=None, max_examples=200)
+@given(conjugated_pairs(), st.integers(0, 3))
+def test_conjugation_carries_every_certificate_and_no_verdict_across(pair, seed):
+    # conjugating both sides at a vertex set W is an equivalence, and an
+    # involution, so a Yes on either side, its certificate conjugated at W,
+    # verifies exactly on the other, and a certified No meets no Yes there
+    a, b, vertices = pair
+    aw, bw = (apply_conjugations_representation(x, vertices) for x in (a, b))
+    res, res_w = are_isomorphic(a, b, seed=seed), are_isomorphic(aw, bw, seed=seed)
+    for found, (x, y) in ((res, (aw, bw)), (res_w, (a, b))):
+        if found.verdict is Verdict.YES:
+            assert apply_base_change(x, transported(found.certificate, vertices)) == y
+    assert {res.verdict, res_w.verdict} != {Verdict.YES, Verdict.NO}
 
 
 def test_dash_elimination_path():

@@ -10,10 +10,10 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from biquiver import (CMatrix, FormatError, GaussianRational, SingularMatrixError,
-                      block_diag, from_blocks, hstack, linalg, vstack)
-from biquiver.linalg import (_echelon, _first_dependence, _integral, _nullspace, _primitive,
-                             _real_rows, _reduced, fraction_nullspace, fraction_solve,
-                             reduced_row_echelon, submatrix)
+                      block_diag, elimination, from_blocks, hstack, linalg, vstack)
+from biquiver.elimination import (_echelon, _first_dependence, _integral, _nullspace, _primitive,
+                                  fraction_nullspace, fraction_solve)
+from biquiver.linalg import _real_rows, _reduced, reduced_row_echelon, submatrix
 from biquiver.scalars import I, ONE, ZERO, as_gaussian
 from conftest import (column_space_basis, gmat, mat, nullspace_basis, oracle_divide,
                       oracle_is_identity, oracle_scale, primitive_form, random_invertible,
@@ -1115,9 +1115,9 @@ def test_block_split_matches_the_whole_system(system):
     before = [row[:] for row in rows]
     pivots = oracle_dense_echelon([row[:] for row in rows])
     free = [f for f in range(n) if f not in pivots]
-    for threshold in (0, linalg._MIN_SPLIT_CELLS):
+    for threshold in (0, elimination._MIN_SPLIT_CELLS):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(linalg, "_MIN_SPLIT_CELLS", threshold)
+            patch.setattr(elimination, "_MIN_SPLIT_CELLS", threshold)
             pairs = fraction_nullspace(rows, n)
         assert rows == before
         assert as_fractions(pairs) == oracle_fraction_kernel(rows, n)
@@ -1128,13 +1128,13 @@ def test_block_split_matches_the_whole_system(system):
 
 def test_blocks_are_eliminated_apart(monkeypatch):
     widths = []
-    original = linalg._echelon
+    original = elimination._echelon
 
     def counting(rows):
         widths.append(len(rows[0]))
         return original(rows)
 
-    monkeypatch.setattr(linalg, "_echelon", counting)
+    monkeypatch.setattr(elimination, "_echelon", counting)
     # blocks of widths 10, 12 and 14 on shuffled columns, each one row short
     # of square, and zero rows: 36 rows of 36 columns, past _MIN_SPLIT_CELLS
     rng = random.Random(3)
@@ -1147,7 +1147,7 @@ def test_blocks_are_eliminated_apart(monkeypatch):
                 row[k] = rng.randint(-4, 4)
             rows.append(row)
     rows += [[0] * 36] * 3
-    assert len(rows) * 36 >= linalg._MIN_SPLIT_CELLS
+    assert len(rows) * 36 >= elimination._MIN_SPLIT_CELLS
     assert as_fractions(fraction_nullspace(rows, 36)) == oracle_fraction_kernel(rows, 36)
     assert sorted(widths) == [10, 12, 14]
     widths.clear()

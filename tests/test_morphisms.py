@@ -23,9 +23,9 @@ from biquiver import (CMatrix, GaussianRational, IndecomposabilityStatus, IsoRes
                       are_isomorphic, decompose, direct_sum, direct_sum_list,
                       gaussian, hom_basis, krull_schmidt_compare,
                       random_representation, roots_with_value, zero_representation)
-from biquiver import linalg, morphisms
-from biquiver.linalg import (_integer_parts, _symmetric_ldl, block_diag, fraction_nullspace,
-                             fraction_solve, hstack, submatrix, transpose)
+from biquiver import elimination, linalg, morphisms
+from biquiver.elimination import _integer_parts, _symmetric_ldl, fraction_nullspace, fraction_solve
+from biquiver.linalg import block_diag, hstack, submatrix, transpose
 from biquiver.model import _spanning_forest
 from biquiver.morphisms import (MAX_HOM_CELLS, MAX_PROFILE_RANKS, Decomposition, MorphismBasis,
                                 _certify_local, _check_same_biquiver, _check_sampling,
@@ -277,7 +277,7 @@ def test_nullspace_makes_fewer_row_combinations_than_gauss_jordan(monkeypatch):
     hom_basis(x, sx)
     (rows, ncols), = systems
     calls = []
-    original = linalg._primitive
+    original = elimination._primitive
 
     def counting(row):
         calls.append(1)
@@ -288,10 +288,10 @@ def test_nullspace_makes_fewer_row_combinations_than_gauss_jordan(monkeypatch):
         solve()
         return len(calls)
 
-    monkeypatch.setattr(linalg, "_primitive", counting)
+    monkeypatch.setattr(elimination, "_primitive", counting)
     monkeypatch.setattr(test_linalg, "_primitive", counting)
     echelon = combinations(lambda: fraction_nullspace(rows, ncols))
-    jordan = combinations(lambda: oracle_dense_rref([linalg._integral(row) for row in rows]))
+    jordan = combinations(lambda: oracle_dense_rref([elimination._integral(row) for row in rows]))
     oracle = combinations(lambda: oracle_int_fraction_nullspace(rows, ncols))
     assert 0 < echelon < jordan and echelon < oracle
 
@@ -996,7 +996,7 @@ def test_decompose_solves_large_nodes_in_echelon_form(monkeypatch):
     def cells(r):
         return prod(_hom_system_size(r.biquiver, r.dims, r.dims))
 
-    assert cells(rep) >= linalg._MIN_SPLIT_CELLS
+    assert cells(rep) >= elimination._MIN_SPLIT_CELLS
     solved, changed, nodes = [], [], []
     real_hom, real_change, real_split = (morphisms.hom_basis, morphisms._echelon_change,
                                          morphisms._primary_split)

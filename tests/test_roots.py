@@ -16,7 +16,7 @@ import biquiver
 from biquiver import (Arrow, ArrowKind, Biquiver, Definiteness, PreconditionError,
                       TitsGram, definiteness, evaluate, gram_matrix,
                       positive_root_count, radical_vector, roots_with_value)
-from biquiver.linalg import _symmetric_ldl
+from biquiver.elimination import _symmetric_ldl
 from biquiver.model import DimensionVector
 from biquiver.roots import (MAX_BOX_CANDIDATES, MAX_ROOTS, _check_box, _close_simple_roots,
                             _enumerate_box, _keep, _null_roots)

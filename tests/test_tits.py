@@ -13,7 +13,7 @@ from biquiver import (Definiteness, FormatError, PreconditionError, RepKind, Tit
 from biquiver import serialize_biquiver, tits
 from biquiver.cli import main
 from biquiver.tits import MAX_GRAM_VERTICES
-from biquiver.linalg import _integer_parts, _integral, _symmetric_ldl
+from biquiver.elimination import _integer_parts, _integral, _symmetric_ldl
 from biquiver.model import Arrow, ArrowKind, Biquiver
 from conftest import biq, cycle_biquiver, dynkin_and_extended, path_biquiver
 from test_linalg import kernel
