@@ -11,12 +11,14 @@ decompositions.
 `conjugation`, `errors`, `model`, `roots` and `tits` are bound here. The
 names of `linalg`, `scalars`, `representation`, `morphisms`, `gadgets` and
 `semilinear` are resolved by the module `__getattr__`, which imports their
-module on first use and reads the name from it on every access. They are
-never copied into this namespace, so a name that is replaced in its home
-module, as by a tracer or a test's patch, reads here as replaced, and reads
-as the original once it is put back.
+module on first use and reads the name from it on every access, from
+`sys.modules` once the module is loaded. They are never copied into this
+namespace, so a name that is replaced in its home module, as by a tracer or
+a test's patch, reads here as replaced, and reads as the original once it
+is put back.
 """
 
+import sys as _sys
 from importlib import import_module as _import_module
 from types import ModuleType as _ModuleType
 
@@ -37,8 +39,8 @@ from .tits import (Definiteness, TitsGram, definiteness, evaluate,
 
 __version__ = "0.1.0"
 
-# The home module of each name resolved on first use.
-_LAZY = {name: module for module, names in (
+# The home module of each name resolved on first use, by its full name.
+_LAZY = {name: f"{__name__}.{module}" for module, names in (
     ("gadgets", ("gadget_biquiver", "gadget_cycle", "gadget_g1", "gadget_g2",
                  "gadget_g3", "gadget_g4")),
     ("linalg", ("CMatrix", "block_diag", "from_blocks", "hstack", "vstack")),
@@ -60,10 +62,10 @@ __all__ = sorted([name for name, value in globals().items()
 
 
 def __getattr__(name):
-    module = _LAZY.get(name)
-    if module is None:
+    home = _LAZY.get(name)
+    if home is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(_import_module(f"{__name__}.{module}"), name)
+    return getattr(_sys.modules.get(home) or _import_module(home), name)
 
 
 def __dir__():

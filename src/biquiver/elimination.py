@@ -1,15 +1,17 @@
-"""The exact integer elimination kernel, on int row-lists.
+"""The exact integer elimination kernel, on dense int rows and sparse dict rows.
 
 All elimination is integral: each rational row is scaled to a primitive
 integer row, which leaves its solution set alone. Every fraction-free
-elimination combines rows by one sparse step, `_clear`, which `_echelon`
-runs inline. `_echelon` eliminates forward only, and `_nullspace` reads
-kernel vectors off its rows by back-substitution; `fraction_nullspace`
-and `fraction_solve` come from these two, a solution being the kernel
-vector at an augmented column. `_first_dependence` reduces each new
-vector once against the rows it keeps, and gives the dependence as a
-primitive integer polynomial. `_symmetric_ldl` counts the inertia of
-symmetric int forms.
+elimination combines rows by one step, `_clear`, which `_echelon` runs
+inline. `_echelon` eliminates forward only, and `_nullspace` reads kernel
+vectors off its rows by back-substitution; `fraction_nullspace` and
+`fraction_solve` come from these two, a solution being the kernel vector
+at an augmented column. The Hom systems, dict rows, take the same steps on
+their nonzeros alone in the `sparse` module, which `fraction_nullspace`
+imports on its first such system.
+`_first_dependence` reduces each new vector once against the rows it
+keeps, and gives the dependence as a primitive integer polynomial.
+`_symmetric_ldl` counts the inertia of symmetric int forms.
 
 The module uses neither CMatrix nor the Gaussian rationals, so the graph
 layer (`tits`) loads it alone; `linalg` reduces complex matrices on it
@@ -19,11 +21,11 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import compress
+from itertools import chain
 from math import gcd, inf, lcm
 from operator import mul
 
-from .errors import FormatError
+from .errors import FormatError, echo, is_int
 
 # -- the elimination kernel --------------------------------------------------
 
@@ -193,14 +195,12 @@ def _nullspace(reduced: list[list[int]], pivots: list[int], ncols: int,
 # -- real linear systems -----------------------------------------------------
 
 # The size, equations times unknowns, from which a linear system is worth
-# restructuring before it is solved. It gates two decisions: here, whether
-# `fraction_nullspace` looks for independent blocks, which below it cost
-# more to find and gather than they save; and in `morphisms.decompose`,
-# whether a node is put in echelon form first. On the 110 representations
-# that the cli-rep-large benchmark screens through `decompose` at seed 1,
-# the echelon change took them 1.36 times as long as no change when made at
-# every node, and 0.63 times with this threshold; on its 24 scrambled sums,
-# 0.79 and 0.65 times (best of 3, 2-core x86 host, CPython 3.11).
+# restructuring before it is solved: in `morphisms.decompose`, whether a node
+# is put in echelon form first. On the 110 representations that the
+# cli-rep-large benchmark screens through `decompose` at seed 1, the echelon
+# change took them 1.36 times as long as no change when made at every node,
+# and 0.63 times with this threshold; on its 24 scrambled sums, 0.79 and
+# 0.65 times (best of 3, on a 2-core x86 host, CPython 3.11).
 _MIN_SPLIT_CELLS = 512
 
 
@@ -233,54 +233,50 @@ def _first_dependence(vectors, count: int) -> list[int]:
     raise ValueError(f"the first {count} vectors are independent")
 
 
-def fraction_nullspace(rows: list[list[int]], ncols: int) -> list[tuple[int, list[int]]]:
+def fraction_nullspace(rows: list, ncols: int) -> list[tuple[int, list[int]]]:
     """Canonical basis of the solution space of the homogeneous int system rows . x = 0.
 
-    One (den, nums) per free column f in turn, see `_nullspace`: x = nums / den
-    is 1 at f and 0 at the other free columns. The nonzero rows are made
-    primitive, not changed. From _MIN_SPLIT_CELLS cells on, each of their
-    `_blocks`, one per summand in the Hom system of a direct sum in block
-    form, is reduced on its own: the kernel is their kernels' direct sum, so
-    f's vector lies in f's block. Raises FormatError unless every row has
-    `ncols` entries. The name stays while the benchmark's tracer wraps it.
+    The rows are all lists of `ncols` ints, or all sparse rows: dicts from
+    column (0..ncols-1) to int, where a missing column and an explicit 0
+    both read as 0. The rows passed in are never written. One (den, nums)
+    per free column f in turn, see `_nullspace`: x = nums / den is 1 at f
+    and 0 at the other free columns. That vector depends only on the kernel
+    and the column order, so both routes give the same basis. The nonzero
+    rows are made primitive, not changed. Dict rows take the sparse route,
+    `sparse._sparse_echelon` and `sparse._sparse_nullspace`; list rows go
+    through `_echelon` and `_nullspace`. Raises FormatError for a list row
+    without `ncols` entries, for a dict row with a column outside
+    0..ncols-1 or a value that `is_int` rejects, and for dict and list rows
+    in one system. The name stays while the benchmark's tracer wraps it.
     """
-    if ncols < 0 or any(len(row) != ncols for row in rows):
+    if ncols < 0:
+        raise FormatError(f"every equation needs {ncols} coefficients")
+    if any(isinstance(row, dict) for row in rows):
+        if not all(isinstance(row, dict) for row in rows):
+            raise FormatError("the equations must be all dicts or all lists")
+        _check_sparse_rows(rows, ncols)
+        from .sparse import _sparse_echelon, _sparse_nullspace
+        return _sparse_nullspace(_sparse_echelon(rows, ncols), ncols)
+    if any(len(row) != ncols for row in rows):
         raise FormatError(f"every equation needs {ncols} coefficients")
     reduced = [_primitive(row) for row in rows if any(row)]
-    blocks = _blocks(reduced, ncols) if len(reduced) * ncols >= _MIN_SPLIT_CELLS else []
-    if len(blocks) < 2:
-        pivots = _echelon(reduced)
-        return _nullspace(reduced, pivots, ncols, [f for f in range(ncols) if f not in pivots])
-    vectors = {}
-    for mask, block in blocks:
-        cols = [j for j in range(ncols) if mask >> j & 1]
-        sub = [[row[j] for j in cols] for row in block]
-        pivots = _echelon(sub)
-        free = [f for f in range(len(cols)) if f not in pivots]
-        for f, (den, nums) in zip(free, _nullspace(sub, pivots, len(cols), free)):
-            x = dict(zip(cols, nums))
-            vectors[cols[f]] = den, [x.get(j, 0) for j in range(ncols)]
-    return [vectors[f] for f in sorted(vectors)]
+    pivots = _echelon(reduced)
+    return _nullspace(reduced, pivots, ncols, [f for f in range(ncols) if f not in pivots])
 
 
-def _blocks(rows: list[list[int]], ncols: int) -> list[tuple[int, list[list[int]]]]:
-    """The independent blocks of nonzero rows as (columns, rows), the columns an int with
-    bit j for column j: a chain of rows, each nonzero in the next, links any two columns
-    of a block, whose rows are nonzero there only. Untouched columns form a rowless block."""
-    bits = [1 << j for j in range(ncols)]
-    masks = [sum(compress(bits, row)) for row in rows]
-    blocks: list[int] = []
-    for m in masks:
-        rest = []
-        for b in blocks:
-            if b & m:
-                m |= b
-            else:
-                rest.append(b)
-        rest.append(m)
-        blocks = rest
-    blocks.append((1 << ncols) - 1 - sum(blocks))  # the untouched columns, if any
-    return [(b, [row for row, m in zip(rows, masks) if m & b]) for b in blocks if b]
+def _check_sparse_rows(rows: list[dict], ncols: int) -> None:
+    """Raise FormatError unless every column of the dict rows is an int in 0..ncols-1 and
+    every value one that `is_int` accepts. The rows are checked all at once: when every
+    key and value is exactly an int, the rule is one pass over their types."""
+    columns = list(chain.from_iterable(rows))
+    values = chain.from_iterable(map(dict.values, rows))
+    if not {*map(type, columns), *map(type, values)} <= {int}:  # then the exact rule
+        for j, x in chain.from_iterable(map(dict.items, rows)):
+            if not (is_int(j) and is_int(x)):
+                raise FormatError(f"a sparse equation maps int columns to ints, "
+                                  f"got {echo(j)}: {echo(x)}")
+    if columns and (min(columns) < 0 or max(columns) >= ncols):
+        raise FormatError(f"a sparse equation has a column outside 0..{ncols - 1}")
 
 
 def fraction_solve(columns: list[list[Fraction]], target: list[Fraction]) -> list[Fraction] | None:

@@ -138,8 +138,11 @@ def hom_basis(a: MatrixRepresentation, b: MatrixRepresentation) -> MorphismBasis
 
     Unknowns are the real and imaginary parts of each F_v, laid out
     vertex by vertex; the basis is the canonical nullspace basis of the
-    assembled system, hence deterministic. Raises PreconditionError, before
-    building it, when the system has more than MAX_HOM_CELLS cells.
+    assembled system, hence deterministic. Each equation touches only the
+    unknowns at its arrow's two ends, so it is built as a sparse row
+    {unknown: nonzero coefficient}, and `fraction_nullspace` keeps the
+    system sparse down to the kernel readout. Raises PreconditionError,
+    before building it, when the system has more than MAX_HOM_CELLS cells.
     """
     _check_same_biquiver(a, b)
     g = a.biquiver
@@ -154,7 +157,9 @@ def hom_basis(a: MatrixRepresentation, b: MatrixRepresentation) -> MorphismBasis
     # terms are scaled by den(A) and the A terms by den(B). X_v[i, j] is unknown
     # offsets[v] + i * da[v] + j, and Y_v[i, j] comes db[v] * da[v] after it. A
     # term is (unknown, its coefficient in the real row, in the imaginary row).
-    rows: list[list[int]] = []
+    # Each row is sparse, {unknown: nonzero coefficient}: on a loop the B and
+    # A terms can meet at one unknown and cancel, and a row left empty is dropped.
+    rows: list[dict[int, int]] = []
     for arrow in g.arrows:
         u, v = arrow.source - 1, arrow.target - 1
         am, bm = a.matrices[arrow.id], b.matrices[arrow.id]
@@ -174,12 +179,18 @@ def hom_basis(a: MatrixRepresentation, b: MatrixRepresentation) -> MorphismBasis
         for i, b_row in enumerate(b_terms):
             base = offsets[v] + i * da[v]
             for j, a_col in enumerate(a_terms):
-                real, imag = [0] * total, [0] * total
-                for shift, terms in ((j, b_row), (base, a_col)):
-                    for p, cr, ci in terms:
-                        real[shift + p] += cr
-                        imag[shift + p] += ci
-                rows += (row for row in (real, imag) if any(row))
+                real = {j + p: cr for p, cr, _ in b_row if cr}
+                imag = {j + p: ci for p, _, ci in b_row if ci}
+                for p, cr, ci in a_col:
+                    p += base
+                    for row, c in ((real, cr), (imag, ci)):
+                        if c:
+                            c += row.get(p, 0)
+                            if c:
+                                row[p] = c
+                            else:
+                                del row[p]
+                rows += (row for row in (real, imag) if row)
 
     vectors = tuple((den, tuple(nums)) for den, nums in fraction_nullspace(rows, total))
     return MorphismBasis(g, da, db, vectors)

@@ -1,3 +1,4 @@
+import copy
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from biquiver import (CMatrix, FormatError, GaussianRational, SingularMatrixError,
-                      block_diag, elimination, from_blocks, hstack, linalg, vstack)
+                      block_diag, from_blocks, hstack, linalg, sparse, vstack)
 from biquiver.elimination import (_echelon, _first_dependence, _integral, _nullspace, _primitive,
                                   fraction_nullspace, fraction_solve)
 from biquiver.linalg import _real_rows, _reduced, reduced_row_echelon, submatrix
@@ -1108,17 +1109,21 @@ def block_systems(draw):
     return draw(st.permutations([[row[j] for j in order] for row in rows])), ncols
 
 
+def as_dicts(rows):
+    """Dense int rows as sparse rows: dicts of their nonzeros."""
+    return [{j: x for j, x in enumerate(row) if x} for row in rows]
+
+
 @given(block_systems())
 def test_block_split_matches_the_whole_system(system):
-    # split however small, and at the default threshold, which these are below
+    # the same system as list rows, which take the dense route, and as dict
+    # rows, which take the sparse route
     rows, n = system
     before = [row[:] for row in rows]
     pivots = oracle_dense_echelon([row[:] for row in rows])
     free = [f for f in range(n) if f not in pivots]
-    for threshold in (0, elimination._MIN_SPLIT_CELLS):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(elimination, "_MIN_SPLIT_CELLS", threshold)
-            pairs = fraction_nullspace(rows, n)
+    for given_rows in (rows, as_dicts(rows)):
+        pairs = fraction_nullspace(given_rows, n)
         assert rows == before
         assert as_fractions(pairs) == oracle_fraction_kernel(rows, n)
         assert len(pairs) == len(free)
@@ -1126,38 +1131,101 @@ def test_block_split_matches_the_whole_system(system):
             assert den > 0 and gcd(den, *nums) == 1 and nums[f] == den
 
 
-def test_blocks_are_eliminated_apart(monkeypatch):
-    widths = []
-    original = elimination._echelon
+@st.composite
+def sparse_block_systems(draw):
+    """(rows, dict rows, ncols): a `block_systems` draw, and the same rows as dicts built
+    the way `hom_basis` builds them, term by term: each with up to 3 pairs of terms c, -c
+    at one column, which cancel as loop terms do, and up to 2 explicit zero entries, at
+    any column, inside the row's block or not."""
+    rows, ncols = draw(block_systems())
+    columns = st.integers(0, ncols - 1)
+    dicts = []
+    for row in rows:
+        terms = [(j, x) for j, x in enumerate(row) if x]
+        for j, c in draw(st.lists(st.tuples(columns, st.integers(1, 5)), max_size=3)):
+            terms += [(j, c), (j, -c)]
+        sparse: dict[int, int] = {}
+        for j, x in draw(st.permutations(terms)):
+            sparse[j] = sparse.get(j, 0) + x
+        for j in draw(st.lists(columns, max_size=2)):
+            sparse.setdefault(j, 0)
+        dicts.append(sparse)
+    return rows, dicts, ncols
 
-    def counting(rows):
-        widths.append(len(rows[0]))
-        return original(rows)
 
-    monkeypatch.setattr(elimination, "_echelon", counting)
+@given(sparse_block_systems())
+def test_sparse_and_dense_routes_match_the_oracle(system):
+    rows, dicts, n = system
+    before = copy.deepcopy(dicts)
+    expected = oracle_fraction_nullspace([[Fraction(x) for x in row] for row in rows], n)
+    # the dict rows take the sparse route, and the list rows the dense one
+    assert as_fractions(fraction_nullspace(dicts, n)) == expected
+    assert dicts == before
+    assert as_fractions(fraction_nullspace(rows, n)) == expected
+
+
+def test_sparse_route_never_combines_rows_of_different_blocks(monkeypatch):
+    steps = []
+    original = sparse._sparse_clear
+
+    def recording(row, c, p, support):
+        steps.append(set(row) | {j for j, _ in support})
+        return original(row, c, p, support)
+
+    monkeypatch.setattr(sparse, "_sparse_clear", recording)
     # blocks of widths 10, 12 and 14 on shuffled columns, each one row short
-    # of square, and zero rows: 36 rows of 36 columns, past _MIN_SPLIT_CELLS
+    # of square, with explicit zeros, and zero rows
     rng = random.Random(3)
     order = rng.sample(range(36), 36)
-    rows = []
-    for cols in (order[:10], order[10:22], order[22:]):
-        for _ in range(len(cols) - 1):
-            row = [0] * 36
-            for k in cols:
-                row[k] = rng.randint(-4, 4)
-            rows.append(row)
-    rows += [[0] * 36] * 3
-    assert len(rows) * 36 >= elimination._MIN_SPLIT_CELLS
-    assert as_fractions(fraction_nullspace(rows, 36)) == oracle_fraction_kernel(rows, 36)
-    assert sorted(widths) == [10, 12, 14]
-    widths.clear()
-    connected = rows[:-1] + [[1] * 36]
-    assert as_fractions(fraction_nullspace(connected, 36)) == oracle_fraction_kernel(connected, 36)
-    assert widths == [36]
-    widths.clear()
-    small = [[1, 2, 0, 0], [0, 0, 3, 4]]  # two blocks, below _MIN_SPLIT_CELLS
-    assert as_fractions(fraction_nullspace(small, 4)) == oracle_fraction_kernel(small, 4)
-    assert widths == [4]
+    blocks = [set(order[:10]), set(order[10:22]), set(order[22:])]
+    rows = [{k: rng.randint(-4, 4) for k in cols} for cols in blocks for _ in range(len(cols) - 1)]
+    rows += [{}, {}, {order[0]: 0}]
+    before = copy.deepcopy(rows)
+
+    def dense(rows):
+        return [[row.get(j, 0) for j in range(36)] for row in rows]
+
+    assert as_fractions(fraction_nullspace(rows, 36)) == oracle_fraction_kernel(dense(rows), 36)
+    assert rows == before
+    # every step combines two rows of one block
+    assert steps and all(any(cols <= block for block in blocks) for cols in steps)
+    # a row across the blocks links them, and steps then cross them
+    steps.clear()
+    connected = rows[:-1] + [dict.fromkeys(range(36), 1)]
+    assert as_fractions(fraction_nullspace(connected, 36)) == \
+        oracle_fraction_kernel(dense(connected), 36)
+    assert not all(any(cols <= block for block in blocks) for cols in steps)
+
+
+def test_fraction_nullspace_rejects_malformed_sparse_rows():
+    # a column outside 0..ncols-1 or not an int, or a value that `is_int`
+    # rejects, with the row alone and after a good one
+    class Count(int):
+        pass
+
+    good = {0: 1, 2: -3}
+    for bad in ({3: 1}, {-1: 1}, {1.0: 1}, {"0": 1}, {True: 1}, {None: 1},
+                {0: 1.0}, {0: True}, {0: Fraction(1)}, {0: "1"}, {0: None}):
+        for rows in ([bad], [good, bad]):
+            with pytest.raises(FormatError):
+                fraction_nullspace(rows, 3)
+    # a system is all dict rows or all list rows
+    for rows in ([[1, 2, 3], good], [good, [1, 2, 3]], [good, (1, 2, 3)]):
+        with pytest.raises(FormatError):
+            fraction_nullspace(rows, 3)
+    # explicit zeros and int subclasses other than bool are ints
+    expected = fraction_nullspace([[1, 0, -3]], 3)
+    assert fraction_nullspace([{0: Count(1), 1: 0, Count(2): -3}], 3) == expected
+    assert fraction_nullspace([good] * 2, 3) == expected
+
+
+def test_fraction_nullspace_never_writes_its_rows():
+    rng = random.Random(5)
+    rows = [{j: rng.randint(-3, 3) for j in rng.sample(range(10), 4)} for _ in range(8)]
+    rows.append({})
+    before = copy.deepcopy(rows)
+    fraction_nullspace(rows, 10)
+    assert rows == before
 
 
 # -- the integer-backed CMatrix against the GaussianRational one ---------------

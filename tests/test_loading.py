@@ -75,6 +75,8 @@ for g in (tame, wild):
     loaded = set(json.loads(fresh(code)))
     assert loaded.isdisjoint(REPRESENTATION_MODULES), loaded
     assert set(GRAPH_MODULES) <= loaded
+    # radical_vector solves dense list rows, so the sparse Hom kernel stays unloaded
+    assert "elimination" in loaded and "sparse" not in loaded, loaded
 
 
 def test_the_graph_commands_load_no_representation_module(tmp_path):
@@ -131,6 +133,23 @@ def test_each_lazy_name_is_its_home_object_and_never_cached():
         assert getattr(biquiver, name) is getattr(homes[name], name)
         assert name not in vars(biquiver)
     assert not hasattr(biquiver, "no_such_name")
+
+
+def test_a_lazy_name_reads_as_patched_in_its_home_module_after_the_first_access(monkeypatch):
+    # the home module is then found in sys.modules, and the name is still
+    # read from it on every access, never from a copy
+    from biquiver import morphisms
+    original = biquiver.hom_basis
+    assert original is morphisms.hom_basis and "biquiver.morphisms" in sys.modules
+
+    def patched(a, b):
+        return original(a, b)
+
+    monkeypatch.setattr(morphisms, "hom_basis", patched)
+    assert biquiver.hom_basis is patched
+    monkeypatch.undo()
+    assert biquiver.hom_basis is original
+    assert "hom_basis" not in vars(biquiver)
 
 
 def test_linalg_keeps_the_kernel_solvers_of_elimination():

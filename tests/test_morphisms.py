@@ -23,7 +23,7 @@ from biquiver import (CMatrix, GaussianRational, IndecomposabilityStatus, IsoRes
                       are_isomorphic, decompose, direct_sum, direct_sum_list,
                       gaussian, hom_basis, krull_schmidt_compare,
                       random_representation, roots_with_value, zero_representation)
-from biquiver import elimination, linalg, morphisms
+from biquiver import elimination, linalg, morphisms, sparse
 from biquiver.elimination import _integer_parts, _symmetric_ldl, fraction_nullspace, fraction_solve
 from biquiver.linalg import block_diag, hstack, submatrix, transpose
 from biquiver.model import _spanning_forest
@@ -202,14 +202,21 @@ def _scrambled_sums():
     return pairs
 
 
+def spread(rows, ncols):
+    """Sparse rows, dicts from column to int, as dense lists of `ncols` ints."""
+    return [[row.get(j, 0) for j in range(ncols)] for row in rows]
+
+
 def test_hom_basis_matches_oracle_kernel(monkeypatch):
     # the canonical Hom basis that `rep hom` prints must not depend on the
-    # elimination kernel behind fraction_nullspace; hom_basis hands it integer
-    # rows, which the oracle divides exactly only as Fractions; its vectors
+    # elimination kernel behind fraction_nullspace; hom_basis hands it sparse
+    # integer rows, {unknown: nonzero coefficient} and none empty, which the
+    # oracle spreads out and divides exactly only as Fractions; its vectors
     # are handed back as the kernel's (den, nums) pairs
     def oracle(rows, ncols):
-        return [_integer_parts(v) for v in
-                oracle_fraction_nullspace([[Fraction(x) for x in row] for row in rows], ncols)]
+        assert all(type(row) is dict and row and all(row.values()) for row in rows)
+        return [_integer_parts(v) for v in oracle_fraction_nullspace(
+            [[Fraction(x) for x in row] for row in spread(rows, ncols)], ncols)]
 
     for a, b in _hom_differential_pairs():
         basis = hom_basis(a, b)
@@ -263,9 +270,10 @@ def test_reading_tuples_changes_no_equality_hash_or_pickle():
 
 
 def test_nullspace_makes_fewer_row_combinations_than_gauss_jordan(monkeypatch):
-    # every row combination ends in `_primitive`, so counting its calls on one
-    # fixed Hom system pins the nullspace to forward elimination, without a
-    # timing: a backward pass, or the Gauss-Jordan oracle, makes more
+    # on the sparse route every row combination is one `_sparse_clear` call,
+    # and in the Gauss-Jordan oracles it ends in `_primitive`, so counting
+    # them on one fixed Hom system pins the nullspace to forward elimination,
+    # without a timing: a backward pass, or the Gauss-Jordan oracle, makes more
     systems = []
 
     def recording(rows, ncols):
@@ -276,23 +284,27 @@ def test_nullspace_makes_fewer_row_combinations_than_gauss_jordan(monkeypatch):
     monkeypatch.setattr(morphisms, "fraction_nullspace", recording)
     hom_basis(x, sx)
     (rows, ncols), = systems
+    assert all(type(row) is dict for row in rows)
     calls = []
-    original = elimination._primitive
+    sparse_step, primitive = sparse._sparse_clear, test_linalg._primitive
 
-    def counting(row):
-        calls.append(1)
-        return original(row)
+    def counting(step):
+        def counted(*args):
+            calls.append(1)
+            return step(*args)
+        return counted
 
     def combinations(solve):
         calls.clear()
         solve()
         return len(calls)
 
-    monkeypatch.setattr(elimination, "_primitive", counting)
-    monkeypatch.setattr(test_linalg, "_primitive", counting)
+    monkeypatch.setattr(sparse, "_sparse_clear", counting(sparse_step))
+    monkeypatch.setattr(test_linalg, "_primitive", counting(primitive))
+    dense = spread(rows, ncols)
     echelon = combinations(lambda: fraction_nullspace(rows, ncols))
-    jordan = combinations(lambda: oracle_dense_rref([elimination._integral(row) for row in rows]))
-    oracle = combinations(lambda: oracle_int_fraction_nullspace(rows, ncols))
+    jordan = combinations(lambda: oracle_dense_rref([elimination._integral(row) for row in dense]))
+    oracle = combinations(lambda: oracle_int_fraction_nullspace(dense, ncols))
     assert 0 < echelon < jordan and echelon < oracle
 
 
