@@ -15,8 +15,8 @@ the kernel module `elimination`, which knows nothing of CMatrix. A complex
 matrix is reduced through its real form, in which entry z is the 2x2 block
 [[re z, -im z], [im z, re z]], read straight from the integer parts:
 images, kernels, inverses and reduced row echelon forms all come from the
-kernel's `_echelon` and `_nullspace`, an inverse being the kernel vector
-at an augmented column. So does every rank, except a full one:
+kernel's `_echelon` and `_nullspace`, read off by `_readout` alone, an
+inverse at the I columns of [A | I]. So does every rank, except a full one:
 `_modular_rank` certifies that first, modulo a Gaussian prime, which is
 cheaper and exact whenever it reaches full rank. The kernel's
 `fraction_nullspace` and `fraction_solve` can be imported from here too.
@@ -177,21 +177,20 @@ class CMatrix:
     # complex pivot j shows up as the real pivot pair (2j, 2j + 1).
 
     def inverse(self) -> "CMatrix":
-        """Exact inverse by reducing [A | -I] in real form; raises SingularMatrixError.
-
-        A is singular exactly when a pivot lands in the -I columns (the real
-        column space of A is closed under i, so it holds the -I columns only
-        when it is everything). Otherwise the kernel vector at free column
-        2n + j solves A x = e_j in real form: it is column j of the inverse.
+        """Exact inverse; raises SingularMatrixError. [A | I] in real form, with one real
+        column per column of I, has a pivot in I's columns exactly when A is
+        singular (the real column space of A is closed under i, so it holds
+        them only when it is everything), and otherwise the reduced row
+        echelon form [I | A^-1], which `_readout` reads at I's columns alone.
         """
         if not self.is_square:
             raise SingularMatrixError(f"only square matrices invert, got {self.rows}x{self.cols}")
         n = self.rows
-        rows = _real_rows(self, -CMatrix.identity(n))
+        rows = _real_rows(self, CMatrix.identity(n))
         pivots = _echelon(rows)
         if pivots and pivots[-1] >= 2 * n:
             raise SingularMatrixError(f"singular {n}x{n} matrix")
-        return _realified_columns(n, _nullspace(rows, pivots, 3 * n, range(2 * n, 3 * n)))
+        return _readout(rows, pivots, 3 * n, range(2 * n, 3 * n))
 
     def is_invertible(self) -> bool:
         """Whether the matrix is square of full rank, read from `rank`."""
@@ -209,18 +208,6 @@ class CMatrix:
         body = "; ".join(" ".join(repr(self.at(i, j)) for j in range(self.cols))
                          for i in range(self.rows))
         return f"CMatrix({self.rows}x{self.cols}: {body})"
-
-
-def _realified_columns(rows: int, vecs: list[tuple[int, list[int]]]) -> CMatrix:
-    """The rows x len(vecs) matrix with entry (k, j) (nums_j[2k] + i nums_j[2k + 1]) / den_j,
-    for `_nullspace` vectors (den_j, nums_j) read in their first 2 * rows coordinates, put
-    over the lcm of the den_j. It is canonical: gcd(den_j, *nums_j) == 1, and the one entry
-    read past them is nums_j[f] == den_j, which adds nothing to that gcd."""
-    den = lcm(*(d for d, _ in vecs))
-    scaled = [(den // d, nums) for d, nums in vecs]
-    re = tuple(s * nums[k] for k in range(0, 2 * rows, 2) for s, nums in scaled)
-    im = tuple(s * nums[k] for k in range(1, 2 * rows, 2) for s, nums in scaled)
-    return _canonical(rows, len(vecs), den, re, im)
 
 
 _set = object.__setattr__
@@ -338,31 +325,37 @@ def submatrix(m: CMatrix, row_range, col_range) -> CMatrix:
 def reduced_row_echelon(m: CMatrix) -> tuple[list[int], CMatrix]:
     """(pivots, R): the pivot columns of m, its first independent ones, and the
     nonzero rows R of its reduced row echelon form, so that m equals
-    submatrix(m, range(m.rows), pivots) @ R.
-
-    One `_echelon` of the real form gives the pivots. R is the identity on
-    them, and on a free column f it is minus the pivot entries of f's
-    canonical kernel vector (see `_nullspace`), read as in
-    `_realified_columns`. R is canonical as it stands: kernel vector j has
-    gcd(den_j, its pivot entries) == 1, as nums_j[2f] == den_j is its only
-    other nonzero entry, so over den = lcm(den_j) the gcd of den and R's
-    numerators is gcd_j(den / den_j) == 1.
-    """
+    submatrix(m, range(m.rows), pivots) @ R. One `_echelon` of the real form
+    gives the pivots, and `_readout` reads R off at every complex column."""
     reduced, n = _real_rows(m), 2 * m.cols
     pivots = _echelon(reduced)
-    cols = [p // 2 for p in pivots if p % 2 == 0]
-    free = [f for f in range(0, n, 2) if f not in pivots]
-    vecs = _nullspace(reduced, pivots, n, free)
-    den = lcm(*(d for d, _ in vecs))
-    re, im = [0] * (len(cols) * m.cols), [0] * (len(cols) * m.cols)
-    for k, c in enumerate(cols):
-        re[k * m.cols + c] = den
-    for f, (d, nums) in zip(free, vecs):
-        s = den // d
-        for k, c in enumerate(cols):
-            re[k * m.cols + f // 2] = -s * nums[2 * c]
-            im[k * m.cols + f // 2] = -s * nums[2 * c + 1]
-    return cols, _canonical(len(cols), m.cols, den, tuple(re), tuple(im))
+    return [p // 2 for p in pivots if p % 2 == 0], _readout(reduced, pivots, n, range(0, n, 2))
+
+
+def _readout(reduced: list[list[int]], pivots: list[int], ncols: int, read) -> CMatrix:
+    """Columns `read` of the reduced row echelon form of `_echelon`-reduced real rows,
+    `ncols` wide, as a CMatrix with a row per complex pivot column c, the real pivot
+    pair (2c, 2c + 1). Pivot 2c reads as the unit vector at c's row, and free column
+    f as minus the pivot entries of its canonical kernel vector (den, nums) (see
+    `_nullspace`): -(nums[2c] + i nums[2c + 1]) / den at c's row. It is canonical as
+    it stands: vector j has gcd(den_j, its pivot entries) == 1, as nums_j[f] == den_j
+    is its only other nonzero entry, so over den = lcm(den_j) the gcd of den and the
+    numerators is gcd_j(den / den_j) == 1."""
+    free = [f for f in read if f not in pivots]
+    vecs = dict(zip(free, _nullspace(reduced, pivots, ncols, free)))
+    den = lcm(*(d for d, _ in vecs.values()))
+    evens, width = pivots[::2], len(read)
+    re, im = [0] * (len(evens) * width), [0] * (len(evens) * width)
+    for j, f in enumerate(read):
+        if f not in vecs:
+            re[evens.index(f) * width + j] = den
+            continue
+        d, nums = vecs[f]
+        s = -(den // d)
+        for k, p in enumerate(evens):
+            re[k * width + j] = s * nums[p]
+            im[k * width + j] = s * nums[p + 1]
+    return _canonical(len(evens), width, den, tuple(re), tuple(im))
 
 
 def transpose(m: CMatrix) -> CMatrix:

@@ -49,8 +49,9 @@ MAX_PROFILE_RANKS = 256
 # The most cells, equations times unknowns, of a Hom system that `hom_basis`
 # builds. A full loop of dimension d gives a 2d^2 x 2d^2 system; with random
 # Gaussian-integer entries in [-3, 3], CPython 3.11 on a 2-core x86 host
-# solves d = 12 (82,944 cells) in 4.5 s, d = 13 (114,244) in 7.7 s and
-# d = 14 (153,664) in 15.8 s.
+# solves d = 12 (82,944 cells) in 7.5 s and d = 13 (114,244) in 11.1 s on
+# the sparse route, and d = 14 (153,664), past the cap, in 23.6 s of the
+# kernel alone.
 MAX_HOM_CELLS = 2 ** 17
 
 MorphismTuple = tuple[CMatrix, ...]

@@ -9,8 +9,8 @@ from math import gcd, lcm
 from biquiver import (Arrow, ArrowKind, Biquiver, CMatrix, FormatError, GaussianRational,
                       MatrixRepresentation, apply_base_change, gaussian)
 from biquiver.errors import echo
-from biquiver.elimination import _echelon, _integer_parts, _nullspace
-from biquiver.linalg import _real_rows, _realified_columns, _reduced, submatrix
+from biquiver.elimination import _echelon, _integer_parts
+from biquiver.linalg import _real_rows, _reduced, reduced_row_echelon, submatrix, vstack
 from biquiver.scalars import _rational_parts, as_gaussian, format_rational
 
 
@@ -68,6 +68,10 @@ def star_biquiver(branches: list[int], dashed: tuple[str, ...] = ()) -> Biquiver
 def dynkin_and_extended(max_t: int = 9):
     """(label, biquiver) for every Dynkin and extended Dynkin diagram with
     at most max_t vertices."""
+    return ((label, g) for label, g in _diagrams(max_t) if g.t <= max_t)
+
+
+def _diagrams(max_t: int):
     for t in range(1, max_t + 1):
         yield f"A{t}", path_biquiver(t)
     for t in range(4, max_t + 1):
@@ -232,12 +236,15 @@ def column_space_basis(m: CMatrix) -> CMatrix:
 
 def nullspace_basis(m: CMatrix) -> CMatrix:
     """Columns forming a basis of the right null space of m, as the deleted
-    `CMatrix.nullspace_basis` gave them: the canonical real kernel vector of
-    free real column 2f realifies that of free column f."""
-    reduced, n = _real_rows(m), 2 * m.cols
-    pivots = _echelon(reduced)
-    free = [f for f in range(0, n, 2) if f not in pivots]
-    return _realified_columns(m.cols, _nullspace(reduced, pivots, n, free))
+    `CMatrix.nullspace_basis` gave them: for each free column f of the
+    reduced row echelon form R, the kernel vector that is 1 at f, 0 at the
+    other free columns and minus R's column f at the pivots."""
+    pivots, r = reduced_row_echelon(m)
+    free = [f for f in range(m.cols) if f not in pivots]
+    order = [pivots.index(c) if c in pivots else len(pivots) + free.index(c)
+             for c in range(m.cols)]
+    stacked = vstack(-submatrix(r, range(r.rows), free), CMatrix.identity(len(free)))
+    return submatrix(stacked, order, range(len(free)))
 
 
 def parse_rational(text: str) -> Fraction:

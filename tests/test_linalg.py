@@ -577,6 +577,11 @@ def _cmatrix(rows, ncols):
     return CMatrix(len(rows), ncols, tuple(x for row in rows for x in row))
 
 
+# Kernel vectors over 2 and over 3, read off together over their lcm, not
+# their max, the second at 1 / 3i, whose real and imaginary parts differ
+DENOMINATORS_2_AND_3 = ([[2, 0], [0, 3 * I]], 2)
+DENOMINATORS_2_AND_3_WIDE = ([[2, 0, 1, 0], [0, 3 * I, 0, 1]], 4)
+
 
 def test_matmul_identity_and_zero():
     m = gmat([(1, 2), (0, -1)], [(3, 0), (0, 5)])
@@ -756,6 +761,7 @@ def test_cmatrix_reductions_match_oracle(system):
                  row_lists(small_fractions.map(GaussianRational), ZERO, square=True),
                  row_lists(wide_gaussians, ZERO, square=True),
                  real_or_imaginary_columns(square=True)))
+@example(DENOMINATORS_2_AND_3)
 def test_inverse_matches_oracle(system):
     m = _cmatrix(*system)
     try:
@@ -843,6 +849,7 @@ def test_cmatrix_reductions_match_gauss_jordan(system):
 
 @given(st.one_of(row_lists(small_gaussians, ZERO), row_lists(wide_gaussians, ZERO),
                  real_or_imaginary_columns()))
+@example(DENOMINATORS_2_AND_3_WIDE)
 def test_reduced_row_echelon_matches_gauss_jordan(system):
     # the pivots and the nonzero rows of the Gauss-Jordan form, canonical as built
     m = _cmatrix(*system)
@@ -856,6 +863,7 @@ def test_reduced_row_echelon_matches_gauss_jordan(system):
 @given(st.one_of(row_lists(small_gaussians, ZERO, square=True),
                  row_lists(wide_gaussians, ZERO, square=True),
                  real_or_imaginary_columns(square=True)))
+@example(DENOMINATORS_2_AND_3)
 def test_inverse_matches_gauss_jordan(system):
     m = _cmatrix(*system)
     try:

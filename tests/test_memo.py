@@ -113,9 +113,14 @@ def reassigned(g, rng):
         for a in g.arrows))
 
 
+# A6 and ~A4, numbered so that nothing else builds their forms: other tests
+# build every numbering of A4 and of ~A3, some as parameters that pytest
+# holds for the whole session
 @pytest.mark.parametrize("g,kind,verdict", [
-    (path_biquiver(4, dashed=(2,)), RepKind.FINITE, Definiteness.POSITIVE_DEFINITE),
-    (cycle_biquiver(4, dashed=(1,)), RepKind.TAME_INFINITE, Definiteness.POSITIVE_SEMIDEFINITE),
+    (biq(6, "a:3>6", "b:6~1", "c:1>5", "d:5>2", "e:2>4"), RepKind.FINITE,
+     Definiteness.POSITIVE_DEFINITE),
+    (biq(5, "a:1~3", "b:3>2", "c:2>4", "d:4>5", "e:5>1"), RepKind.TAME_INFINITE,
+     Definiteness.POSITIVE_SEMIDEFINITE),
     (biq(2, "a:1>2", "b:1>2", "c:2~1"), RepKind.WILD, Definiteness.INDEFINITE),
 ], ids=["definite", "semidefinite", "wild"])
 def test_one_op_traverses_and_eliminates_once(g, kind, verdict, calls):

@@ -20,7 +20,7 @@ import biquiver
 from biquiver import (CMatrix, GaussianRational, IndecomposabilityStatus, IsoResult,
                       MatrixRepresentation, PreconditionError, SingularMatrixError,
                       Verdict, apply_base_change,
-                      are_isomorphic, decompose, direct_sum, direct_sum_list,
+                      are_isomorphic, decompose, direct_sum, direct_sum_list, evaluate,
                       gaussian, hom_basis, krull_schmidt_compare,
                       random_representation, roots_with_value, zero_representation)
 from biquiver import elimination, linalg, morphisms, sparse
@@ -36,10 +36,10 @@ from biquiver.morphisms import (MAX_HOM_CELLS, MAX_PROFILE_RANKS, Decomposition,
                                 _vertex_killers, rank_profile)
 from biquiver.representation import _transform
 from biquiver.semilinear import are_consimilar
-from conftest import (biq, column_space_basis, gmat, mat, nullspace_basis, oracle_is_identity,
-                      oracle_monic, oracle_scale, path_biquiver, primitive_form,
+from conftest import (biq, column_space_basis, dynkin_and_extended, gmat, mat, nullspace_basis,
+                      oracle_is_identity, oracle_monic, oracle_scale, path_biquiver, primitive_form,
                       random_base_change, random_biquiver, random_invertible, star_biquiver)
-from test_acceptance import _a3_indecomposables, _d4_indecomposables, _random_dashing
+from test_acceptance import _a3_indecomposables, _d4_indecomposables, _random_dashing, _reassign
 from test_polynomials import oracle_coprime_split, oracle_idempotent
 import test_linalg
 from test_linalg import (kernel, oracle_dense_rref, oracle_fraction_nullspace,
@@ -925,6 +925,24 @@ def test_decompose_splits_scrambled_sums_of_bricks():
         dec = decompose(scrambled, seed=seed)
         assert sorted(s.dims for s in dec.summands) == [(0, 1, 1), (1, 1, 0), (1, 1, 1)]
         assert all(st is IndecomposabilityStatus.CERTIFIED for st in dec.statuses)
+
+
+def test_every_summand_on_a_dynkin_biquiver_has_a_root_as_dimension_vector():
+    # Gabriel's theorem (1972), which conjugation at a vertex carries to
+    # biquivers: on a connected Dynkin graph an indecomposable has a positive
+    # root of the Tits form as its dimension vector, so q(dim X) == 1
+    rng = random.Random(1972)
+    shapes = [g for label, g in dynkin_and_extended(6) if label[0] != "~"]
+    summands = 0
+    for draw in range(120):
+        g = _reassign(rng, rng.choice(shapes))
+        dims = tuple(rng.randint(0, 2) for _ in range(g.t))
+        dec = decompose(random_representation(g, dims, 2, draw), seed=draw)
+        assert all(st is IndecomposabilityStatus.CERTIFIED for st in dec.statuses)
+        assert all(evaluate(g, s.dims) == 1 for s in dec.summands)
+        assert [sum(s.dims[v] for s in dec.summands) for v in range(g.t)] == list(dims)
+        summands += len(dec.summands)
+    assert summands > 200
 
 
 def in_reduced_echelon(m: CMatrix) -> bool:
