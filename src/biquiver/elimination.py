@@ -4,11 +4,11 @@ All elimination is integral: each rational row is scaled to a primitive
 integer row, which leaves its solution set alone. Every fraction-free
 elimination combines rows by one step, `_clear`, which `_echelon` runs
 inline. `_echelon` eliminates forward only, and `_nullspace` reads kernel
-vectors off its rows by back-substitution; `fraction_nullspace` and
-`fraction_solve` come from these two, a solution being the kernel vector
-at an augmented column. The Hom systems, dict rows, take the same steps on
-their nonzeros alone in the `sparse` module, which `fraction_nullspace`
-imports on its first such system.
+vectors off its rows by back-substitution; `fraction_nullspace` comes from
+these two, and `fraction_solve` reads a solution off its kernel, as the
+vector at an augmented column. The Hom systems, dict rows, take the same
+steps on their nonzeros alone in the `sparse` module, which
+`fraction_nullspace` imports on its first such system.
 `_first_dependence` reduces each new vector once against the rows it
 keeps, and gives the dependence as a primitive integer polynomial.
 `_symmetric_ldl` counts the inertia of symmetric int forms.
@@ -143,14 +143,6 @@ def _integer_parts(values: list) -> tuple[int, list[int]]:
     den = lcm(*(x.denominator for x in values))
     return den, [x.numerator * (den // x.denominator) for x in values]
 
-def _integral(row: list) -> list[int]:
-    """The primitive integer multiple of a row of ints and Fractions.
-
-    Scaling a row by a nonzero rational leaves its solution set unchanged.
-    """
-    return _primitive(_integer_parts(row)[1])
-
-
 def _primitive(row: list[int]) -> list[int]:
     """The row divided by the gcd of its entries."""
     g = gcd(*row)
@@ -193,16 +185,6 @@ def _nullspace(reduced: list[list[int]], pivots: list[int], ncols: int,
     return basis
 
 # -- real linear systems -----------------------------------------------------
-
-# The size, equations times unknowns, from which a linear system is worth
-# restructuring before it is solved: in `morphisms.decompose`, whether a node
-# is put in echelon form first. On the 110 representations that the
-# cli-rep-large benchmark screens through `decompose` at seed 1, the echelon
-# change took them 1.36 times as long as no change when made at every node,
-# and 0.63 times with this threshold; on its 24 scrambled sums, 0.79 and
-# 0.65 times (best of 3, on a 2-core x86 host, CPython 3.11).
-_MIN_SPLIT_CELLS = 512
-
 
 def _first_dependence(vectors, count: int) -> list[int]:
     """Coefficients c_0..c_k of the first linear dependence among the vectors.
@@ -282,17 +264,18 @@ def _check_sparse_rows(rows: list[dict], ncols: int) -> None:
 def fraction_solve(columns: list[list[Fraction]], target: list[Fraction]) -> list[Fraction] | None:
     """Solve sum_j x_j * columns[j] = target exactly; None when inconsistent.
 
-    The rows [columns | -target] are reduced; the system is inconsistent
-    exactly when column k = len(columns) is a pivot, and otherwise the
-    kernel vector at free column k, 0 at the other free columns, is x.
+    x is read off `fraction_nullspace` of the integer rows [columns | -target]:
+    the system is consistent exactly when column k = len(columns) is free,
+    and then the last basis vector, 1 at k and 0 at the other free columns,
+    is (x, 1). When k is a pivot every basis vector is 0 at k.
     Raises FormatError unless every column has the length of `target`.
     """
     if any(len(col) != len(target) for col in columns):
         raise FormatError(f"every column needs {len(target)} entries")
     k = len(columns)
-    aug = [_integral([col[i] for col in columns] + [-t]) for i, t in enumerate(target)]
-    pivots = _echelon(aug)
-    if k in pivots:
+    rows = [_integer_parts([col[i] for col in columns] + [-t])[1] for i, t in enumerate(target)]
+    basis = fraction_nullspace(rows, k + 1)
+    if not basis or not basis[-1][1][k]:
         return None
-    (den, nums), = _nullspace(aug, pivots, k + 1, [k])
+    den, nums = basis[-1]
     return [Fraction(x, den) for x in nums[:k]]

@@ -19,7 +19,8 @@ kernel's `_echelon` and `_nullspace`, read off by `_readout` alone, an
 inverse at the I columns of [A | I]. So does every rank, except a full one:
 `_modular_rank` certifies that first, modulo a Gaussian prime, which is
 cheaper and exact whenever it reaches full rank. The kernel's
-`fraction_nullspace` and `fraction_solve` can be imported from here too.
+`fraction_nullspace`, and `fraction_solve`, which reads a solution off it,
+can be imported from here too.
 Zero-row and zero-column matrices are first-class values; the 0x0 matrix
 is invertible.
 """

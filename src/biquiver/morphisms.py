@@ -31,8 +31,7 @@ from math import lcm
 from operator import matmul, mul
 
 from .errors import PreconditionError, SingularMatrixError, check_int
-from .elimination import (_MIN_SPLIT_CELLS, _first_dependence, _primitive, _symmetric_ldl,
-                          fraction_nullspace)
+from .elimination import _first_dependence, _primitive, _symmetric_ldl, fraction_nullspace
 from .linalg import CMatrix, _product, hstack, reduced_row_echelon, submatrix, transpose, vstack
 from .model import Biquiver, DimensionVector
 from .polynomials import poly_factor, primary_cofactors
@@ -53,6 +52,14 @@ MAX_PROFILE_RANKS = 256
 # the sparse route, and d = 14 (153,664), past the cap, in 23.6 s of the
 # kernel alone.
 MAX_HOM_CELLS = 2 ** 17
+# The End system size, in cells as `hom_basis` counts them, from which
+# `decompose` puts a node in echelon form first. On the 110 representations
+# that the cli-rep-large benchmark screens through `decompose` at seed 1, the
+# echelon change took them 1.9-2.3 times as long as no change when made at
+# every node, and 0.9-1.2 times with this threshold; on its 24 scrambled
+# sums, 0.70-0.72 and 0.60-0.70 times (best of 3 in each of three runs, on
+# a 2-core x86 host, CPython 3.11). Answers depend on the value.
+_MIN_SPLIT_CELLS = 512
 
 MorphismTuple = tuple[CMatrix, ...]
 _Vector = tuple[int, list[int]]  # (den, nums): the morphism nums / den in the Hom layout

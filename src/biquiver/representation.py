@@ -15,14 +15,13 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import FormatError, PreconditionError, check_int, echo
 from .linalg import CMatrix, block_diag
 from .model import (Biquiver, DimensionVector, biquiver_to_obj, check_dims,
                     parse_biquiver_obj, parse_json)
-from .scalars import GaussianRational, _rational_parts
+from .scalars import _rational_parts
 
 
 @dataclass(frozen=True)
@@ -144,17 +143,20 @@ def random_representation(g: Biquiver, dims: DimensionVector, entry_bound: int,
             f"than the cap of {MAX_RANDOM_ENTRIES}")
     _check_dims(g, dims)
     rng = random.Random(seed)
-
-    def entry() -> GaussianRational:
-        re = Fraction(rng.randint(-entry_bound, entry_bound), rng.randint(1, entry_bound))
-        im = Fraction(rng.randint(-entry_bound, entry_bound), rng.randint(1, entry_bound))
-        return GaussianRational(re, im)
-
     mats = {}
     for a in g.arrows:
         r, c = dims[a.target - 1], dims[a.source - 1]
-        mats[a.id] = CMatrix(r, c, tuple(entry() for _ in range(r * c)))
+        mats[a.id] = _from_parts(r, c, [(rng.randint(-entry_bound, entry_bound),
+                                          rng.randint(1, entry_bound)) for _ in range(2 * r * c)])
     return MatrixRepresentation(g, tuple(dims), mats)
+
+
+def _from_parts(rows: int, cols: int, parts: list[tuple[int, int]]) -> CMatrix:
+    """The matrix whose entries are parts[2k] + i * parts[2k + 1] row-major, each part
+    (p, q) the rational p / q, q > 0; the parts need not be in lowest terms."""
+    den = lcm(*(q for _, q in parts))
+    nums = [p * (den // q) for p, q in parts]
+    return CMatrix.from_integers(rows, cols, den, nums[::2], nums[1::2])
 
 
 # -- JSON format --------------------------------------------------------------
@@ -192,9 +194,7 @@ def parse_matrix_obj(obj, rows: int | None = None, cols: int | None = None) -> C
             if not isinstance(pair, (list, tuple)) or len(pair) != 2:
                 raise FormatError(f"matrix entry must be a [re, im] pair, got {echo(pair)}")
             parts += (_rational_parts(pair[0]), _rational_parts(pair[1]))
-    den = lcm(*(q for _, q in parts))
-    nums = [p * (den // q) for p, q in parts]
-    return CMatrix.from_integers(r, c, den, nums[::2], nums[1::2])
+    return _from_parts(r, c, parts)
 
 
 def representation_to_obj(a: MatrixRepresentation, embed_biquiver: bool = True) -> dict:

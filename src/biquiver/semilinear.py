@@ -5,17 +5,18 @@ composition picks up conjugations: composing with a linear map on the
 outside conjugates the outer matrix, and two semilinear maps compose to a
 linear one. Change of basis for a semilinear operator is consimilarity,
 conj(S)^{-1} M S; consimilarity of two square matrices is decided by the
-representation isomorphism test on the one-dashed-loop biquiver.
+representation isomorphism test on the one-dashed-loop biquiver, whose
+representations are the `gadgets` cycle gadgets of the two matrices.
 """
 from __future__ import annotations
 
 from enum import Enum
 
 from .errors import FormatError, SingularMatrixError
+from .gadgets import gadget_cycle
 from .linalg import CMatrix
 from .model import Arrow, ArrowKind, Biquiver
 from .morphisms import DEFAULT_COEFF_BOUND, DEFAULT_TRIALS, IsoResult, are_isomorphic
-from .representation import MatrixRepresentation
 
 
 class MapKind(Enum):
@@ -64,14 +65,6 @@ def change_of_basis(kind: MapKind, m: CMatrix, s_target: CMatrix,
     return left.inverse() @ m @ s_source
 
 
-_LOOP_ID = "a"
-
-
-def _dashed_loop_rep(m: CMatrix) -> MatrixRepresentation:
-    g = Biquiver(1, (Arrow(_LOOP_ID, 1, 1, ArrowKind.DASHED),))
-    return MatrixRepresentation(g, (m.rows,), {_LOOP_ID: m})
-
-
 def are_consimilar(a: CMatrix, b: CMatrix, trials: int = DEFAULT_TRIALS,
                    seed: int = 0, coeff_bound: int = DEFAULT_COEFF_BOUND) -> IsoResult:
     """Decide whether conj(S)^{-1} a S = b has an invertible solution S.
@@ -80,11 +73,12 @@ def are_consimilar(a: CMatrix, b: CMatrix, trials: int = DEFAULT_TRIALS,
     matrix). No is certified by the rank profile of the loop, whose paths
     give the consimilarity invariants rank a, rank a conj(a),
     rank a conj(a) a and rank (a conj(a))^2 (Hong & Horn 1988), or by the
-    morphism space; ProbablyNo is Monte Carlo. Delegates to the
-    one-dashed-loop biquiver where isomorphism of representations is
-    precisely consimilarity.
+    morphism space; ProbablyNo is Monte Carlo. Delegates to the cycle
+    gadgets of a and b on the one-dashed-loop biquiver, where isomorphism
+    of representations is precisely consimilarity.
     """
     if not a.is_square or not b.is_square or a.rows != b.rows:
         raise FormatError("consimilarity needs square matrices of equal size")
-    return are_isomorphic(_dashed_loop_rep(a), _dashed_loop_rep(b),
+    loop = Biquiver(1, (Arrow("a", 1, 1, ArrowKind.DASHED),))
+    return are_isomorphic(gadget_cycle(loop, ["a"], a), gadget_cycle(loop, ["a"], b),
                           trials=trials, seed=seed, coeff_bound=coeff_bound)

@@ -9,9 +9,15 @@ from math import gcd, lcm
 from biquiver import (Arrow, ArrowKind, Biquiver, CMatrix, FormatError, GaussianRational,
                       MatrixRepresentation, apply_base_change, gaussian)
 from biquiver.errors import echo
-from biquiver.elimination import _echelon, _integer_parts
+from biquiver.elimination import _echelon, _integer_parts, _primitive
 from biquiver.linalg import _real_rows, _reduced, reduced_row_echelon, submatrix, vstack
 from biquiver.scalars import _rational_parts, as_gaussian, format_rational
+
+
+def primitive_row(row: list) -> list[int]:
+    """The primitive integer multiple of a row of ints and Fractions, which has the
+    row's solution set: the rows `fraction_nullspace` takes."""
+    return _primitive(_integer_parts(row)[1])
 
 
 def biq(t: int, *specs: str) -> Biquiver:

@@ -12,13 +12,13 @@ from hypothesis import example, given, strategies as st
 
 from biquiver import (CMatrix, FormatError, GaussianRational, SingularMatrixError,
                       block_diag, from_blocks, hstack, linalg, sparse, vstack)
-from biquiver.elimination import (_echelon, _first_dependence, _integral, _nullspace, _primitive,
+from biquiver.elimination import (_echelon, _first_dependence, _nullspace, _primitive,
                                   fraction_nullspace, fraction_solve)
 from biquiver.linalg import _real_rows, _reduced, reduced_row_echelon, submatrix
 from biquiver.scalars import I, ONE, ZERO, as_gaussian
 from conftest import (column_space_basis, gmat, mat, nullspace_basis, oracle_divide,
-                      oracle_is_identity, oracle_scale, primitive_form, random_invertible,
-                      random_unimodular)
+                      oracle_is_identity, oracle_scale, primitive_form, primitive_row,
+                      random_invertible, random_unimodular)
 
 
 # -- reference implementations ------------------------------------------------
@@ -223,7 +223,7 @@ def oracle_fraction_kernel(rows, ncols):
     """`fraction_nullspace` as it was before it returned integer pairs, verbatim
     but over `oracle_dense_echelon`: rows of ints and Fractions in, Fraction
     vectors out, with no split into blocks."""
-    reduced = [_integral(row) for row in rows]
+    reduced = [primitive_row(row) for row in rows]
     pivots = oracle_dense_echelon(reduced)
     return oracle_echelon_nullspace(reduced, pivots, ncols,
                                     [f for f in range(ncols) if f not in pivots])
@@ -262,7 +262,7 @@ def as_fractions(pairs):
 
 def integer_rows(rows):
     """Rows of ints and Fractions as the primitive int rows `fraction_nullspace` takes."""
-    return [_integral(row) for row in rows]
+    return [primitive_row(row) for row in rows]
 
 
 def kernel(rows, ncols):
@@ -272,7 +272,7 @@ def kernel(rows, ncols):
 
 def oracle_int_fraction_nullspace(rows, ncols):
     """`fraction_nullspace` over the Gauss-Jordan kernel."""
-    reduced = [_integral(row) for row in rows]
+    reduced = [primitive_row(row) for row in rows]
     pivots = oracle_rref(reduced)
     return oracle_nullspace(reduced, pivots, ncols, [f for f in range(ncols) if f not in pivots])
 
@@ -280,7 +280,7 @@ def oracle_int_fraction_nullspace(rows, ncols):
 def oracle_int_fraction_solve(columns, target):
     """`fraction_solve` over the Gauss-Jordan kernel."""
     k = len(columns)
-    aug = [_integral([col[i] for col in columns] + [t]) for i, t in enumerate(target)]
+    aug = [primitive_row([col[i] for col in columns] + [t]) for i, t in enumerate(target)]
     pivots = oracle_rref(aug, k)
     if any(row[k] for row in aug[len(pivots):]):
         return None
@@ -701,6 +701,14 @@ def test_fraction_solve():
     assert fraction_solve(cols, [Fraction(1), Fraction(3)]) is None
     assert fraction_solve([], [Fraction(0)]) == []
     assert fraction_solve([], [Fraction(1)]) is None
+    # a zero column is free and comes out 0; k is a pivot exactly when the
+    # target leaves the span, even with a zero column beside it
+    zero = [Fraction(0), Fraction(0)]
+    assert fraction_solve([zero], zero) == [Fraction(0)]
+    assert fraction_solve([zero, [Fraction(1), Fraction(0)]], [Fraction(5), Fraction(0)]) == \
+        [Fraction(0), Fraction(5)]
+    assert fraction_solve([zero, [Fraction(1), Fraction(0)]], [Fraction(5), Fraction(1)]) is None
+    assert fraction_solve([zero, zero], [Fraction(0), Fraction(-2)]) is None
     # no equations: every x solves, and the free coordinates come out 0
     assert fraction_solve([], []) == []
     assert fraction_solve([[], []], []) == [Fraction(0), Fraction(0)]
@@ -804,7 +812,7 @@ def test_echelon_matches_oracle(system):
 def test_fraction_nullspace_matches_gauss_jordan(system):
     rows, n = system
     assert kernel(rows, n) == oracle_int_fraction_nullspace(rows, n)
-    reduced = [_integral(row) for row in rows]
+    reduced = [primitive_row(row) for row in rows]
     pivots = _echelon(reduced)
     free = [f for f in range(n) if f not in pivots]
     assert as_fractions(_nullspace(reduced, pivots, n, free)) == \

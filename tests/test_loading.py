@@ -97,6 +97,7 @@ for path, z in (({str(LEDGER / "d4t.biquiver.json")!r}, "1,1,1,1,2"), ({str(mixe
     loaded = set(json.loads(fresh(code)))
     # `tits` prints the Gram matrix with scalars.format_rational
     assert loaded.isdisjoint(set(REPRESENTATION_MODULES) - {"scalars"}), loaded
+    assert "elimination" in loaded and "sparse" not in loaded, loaded
 
 
 def test_a_rep_command_loads_what_it_uses():

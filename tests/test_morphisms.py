@@ -21,9 +21,9 @@ from biquiver import (CMatrix, GaussianRational, IndecomposabilityStatus, IsoRes
                       MatrixRepresentation, PreconditionError, SingularMatrixError,
                       Verdict, apply_base_change,
                       are_isomorphic, decompose, direct_sum, direct_sum_list, evaluate,
-                      gaussian, hom_basis, krull_schmidt_compare,
+                      gaussian, gram_matrix, hom_basis, krull_schmidt_compare, radical_vector,
                       random_representation, roots_with_value, zero_representation)
-from biquiver import elimination, linalg, morphisms, sparse
+from biquiver import linalg, morphisms, sparse
 from biquiver.elimination import _integer_parts, _symmetric_ldl, fraction_nullspace, fraction_solve
 from biquiver.linalg import block_diag, hstack, submatrix, transpose
 from biquiver.model import _spanning_forest
@@ -38,7 +38,8 @@ from biquiver.representation import _transform
 from biquiver.semilinear import are_consimilar
 from conftest import (biq, column_space_basis, dynkin_and_extended, gmat, mat, nullspace_basis,
                       oracle_is_identity, oracle_monic, oracle_scale, path_biquiver, primitive_form,
-                      random_base_change, random_biquiver, random_invertible, star_biquiver)
+                      primitive_row, random_base_change, random_biquiver, random_invertible,
+                      star_biquiver)
 from test_acceptance import _a3_indecomposables, _d4_indecomposables, _random_dashing, _reassign
 from test_polynomials import oracle_coprime_split, oracle_idempotent
 import test_linalg
@@ -303,7 +304,7 @@ def test_nullspace_makes_fewer_row_combinations_than_gauss_jordan(monkeypatch):
     monkeypatch.setattr(test_linalg, "_primitive", counting(primitive))
     dense = spread(rows, ncols)
     echelon = combinations(lambda: fraction_nullspace(rows, ncols))
-    jordan = combinations(lambda: oracle_dense_rref([elimination._integral(row) for row in dense]))
+    jordan = combinations(lambda: oracle_dense_rref([primitive_row(row) for row in dense]))
     oracle = combinations(lambda: oracle_int_fraction_nullspace(dense, ncols))
     assert 0 < echelon < jordan and echelon < oracle
 
@@ -945,6 +946,35 @@ def test_every_summand_on_a_dynkin_biquiver_has_a_root_as_dimension_vector():
     assert summands > 200
 
 
+def test_every_certified_summand_on_an_extended_dynkin_biquiver_is_a_root_or_a_null_root():
+    # Kac's theorem (1980) on an extended Dynkin quiver: an indecomposable has
+    # q(dim X) in {0, 1}, and q = 0 only at multiples of the radical vector
+    # delta. Cycles with an odd number of dashed arrows reduce to no quiver,
+    # and the property is checked there too
+    rng = random.Random(1980)
+    shapes = [(label, g) for label, g in dynkin_and_extended(7) if label[0] == "~"]
+    seen = Counter()
+    for draw in range(150):
+        label, g = rng.choice(shapes)
+        g = _reassign(rng, g)
+        odd = label[1] == "A" and sum(a.is_dashed for a in g.arrows) % 2 == 1
+        delta = radical_vector(gram_matrix(g))
+        dims = tuple(rng.randint(0, 2) for _ in range(g.t))
+        dec = decompose(random_representation(g, dims, 2, draw), seed=draw)
+        assert [sum(s.dims[v] for s in dec.summands) for v in range(g.t)] == list(dims)
+        for s, status in zip(dec.summands, dec.statuses):
+            if status is not IndecomposabilityStatus.CERTIFIED:
+                continue
+            q = evaluate(g, s.dims)
+            assert q in (0, 1), (g, dims, draw, s.dims)
+            if q == 0:
+                k = s.dims[0] // delta[0]
+                assert s.dims == tuple(k * x for x in delta), (g, dims, draw, s.dims)
+            seen[odd, q] += 1
+    # every case is met, odd-dash cycles with a null root among them
+    assert min(seen[odd, q] for odd in (False, True) for q in (0, 1)) >= 5, seen
+
+
 def in_reduced_echelon(m: CMatrix) -> bool:
     """Whether the k-th of m's first independent columns is the unit vector e_k
     and the rows past its rank are zero."""
@@ -1026,7 +1056,7 @@ def test_decompose_solves_large_nodes_in_echelon_form(monkeypatch):
     def cells(r):
         return prod(_hom_system_size(r.biquiver, r.dims, r.dims))
 
-    assert cells(rep) >= elimination._MIN_SPLIT_CELLS
+    assert cells(rep) >= morphisms._MIN_SPLIT_CELLS
     solved, changed, nodes = [], [], []
     real_hom, real_change, real_split = (morphisms.hom_basis, morphisms._echelon_change,
                                          morphisms._primary_split)

@@ -140,6 +140,41 @@ def test_random_representation_deterministic():
     assert one != other
 
 
+def oracle_random_representation(g, dims, entry_bound, seed):
+    """`random_representation` as it was when it built each entry as a GaussianRational of
+    two Fractions and each matrix through `CMatrix(...)`: the same draws in the same order."""
+    rng = random.Random(seed)
+
+    def entry():
+        re = Fraction(rng.randint(-entry_bound, entry_bound), rng.randint(1, entry_bound))
+        im = Fraction(rng.randint(-entry_bound, entry_bound), rng.randint(1, entry_bound))
+        return GaussianRational(re, im)
+
+    mats = {}
+    for a in g.arrows:
+        r, c = dims[a.target - 1], dims[a.source - 1]
+        mats[a.id] = CMatrix(r, c, tuple(entry() for _ in range(r * c)))
+    return MatrixRepresentation(g, tuple(dims), mats)
+
+
+def test_random_representation_matches_the_gaussian_rational_construction():
+    # loops, dashed and parallel arrows, zero dimensions, and every entry bound
+    # from 1 to 7, where unreduced draws such as 2/4 and 6/6 are common
+    shapes = [biq(1, "a:1>1"), biq(1, "a:1~1", "b:1>1"), biq(2, "a:1>2", "b:2~1", "c:2~2"),
+              biq(3, "a:1>2", "b:2~3", "c:3>1", "d:1~3"), biq(3, "a:1~2", "b:1~2")]
+    rng = random.Random(7)
+    for draw in range(300):
+        g = rng.choice(shapes)
+        dims = tuple(rng.randint(0, 3) for _ in range(g.t))
+        bound, seed = draw % 7 + 1, rng.randrange(10 ** 6)
+        assert random_representation(g, dims, bound, seed) == \
+            oracle_random_representation(g, dims, bound, seed)
+    zero = biq(2, "a:1>2", "l:2~2")
+    for dims in [(0, 0), (0, 2), (3, 0)]:
+        assert random_representation(zero, dims, 4, 5) == \
+            oracle_random_representation(zero, dims, 4, 5)
+
+
 def test_random_representation_zero_dims_and_pool():
     g = path_biquiver(2)
     r = random_representation(g, (0, 2), entry_bound=1, seed=0)

@@ -13,9 +13,9 @@ from biquiver import (Definiteness, FormatError, PreconditionError, RepKind, Tit
 from biquiver import serialize_biquiver, tits
 from biquiver.cli import main
 from biquiver.tits import MAX_GRAM_VERTICES
-from biquiver.elimination import _integer_parts, _integral, _symmetric_ldl
+from biquiver.elimination import _integer_parts, _symmetric_ldl
 from biquiver.model import Arrow, ArrowKind, Biquiver
-from conftest import biq, cycle_biquiver, dynkin_and_extended, path_biquiver
+from conftest import biq, cycle_biquiver, dynkin_and_extended, path_biquiver, primitive_row
 from test_linalg import kernel
 
 
@@ -504,7 +504,7 @@ def oracle_radical_vector(gram):
     basis = kernel(gram.c, gram.t)
     if len(basis) != 1:
         return None
-    ints = _integral(basis[0])
+    ints = primitive_row(basis[0])
     if all(x < 0 for x in ints):
         ints = [-x for x in ints]
     if any(x <= 0 for x in ints):
