@@ -12,7 +12,7 @@ The shape is read off the graph layer's one traversal,
 `model.connected_forest`, which refuses disconnected input; its neighbour
 lists give the degrees and the branch lengths. The label, like the Tits
 form, forgets kinds and directions, so `representation_type` keeps it
-once per form, under the key "label" of `TitsGram._kept` on the form
+once per form, with `model._kept` under the key "label" of the form
 shared by every biquiver on the same numbered multigraph, after checking
 connectivity on every call. Past MAX_GRAM_VERTICES vertices no form is
 built, and the label is computed on every call.
@@ -22,8 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .model import Biquiver, connected_forest
-from .tits import MAX_GRAM_VERTICES
+from .model import Biquiver, _kept, connected_forest
+from .tits import MAX_GRAM_VERTICES, _form
 
 
 class RepKind(Enum):
@@ -111,7 +111,7 @@ def representation_type(g: Biquiver) -> RepType:
     connected_forest(g)
     # past the cap no form is built, where gram_matrix would refuse
     label = (diagram_shape(g) if g.t > MAX_GRAM_VERTICES
-             else g._gram._kept("label", lambda: diagram_shape(g)))
+             else _kept(_form(g), "label", lambda form: diagram_shape(g)))
     if label is None:
         return RepType(RepKind.WILD, None)
     if label.startswith("~"):

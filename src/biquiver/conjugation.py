@@ -13,15 +13,14 @@ non-loop arrow. On a spanning tree the system always propagates; the
 obstructions are dashed loops (conjugation never changes a loop's kind)
 and cycles carrying an odd number of dashed arrows. The answer depends
 only on the biquiver, so each Biquiver keeps its plan, or the obstruction
-to one, once computed (`Biquiver._plan`).
+to one, once computed, as "_plan" (`model._kept`).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import PreconditionError, check_int, echo
-from .model import Arrow, ArrowKind, Biquiver, connected_forest
+from .model import Arrow, ArrowKind, Biquiver, _check_vertex, _kept, connected_forest
 
 # The graph layer loads neither `linalg` nor `representation`: CMatrix and
 # MatrixRepresentation name types in annotations, which run only under a type
@@ -30,12 +29,6 @@ from .model import Arrow, ArrowKind, Biquiver, connected_forest
 if TYPE_CHECKING:
     from .linalg import CMatrix
     from .representation import MatrixRepresentation
-
-
-def _check_vertex(u: int, t: int) -> None:
-    check_int(u, "vertex", None, PreconditionError)
-    if not 1 <= u <= t:
-        raise PreconditionError(f"vertex {echo(u)} outside 1..{t}")
 
 
 def conjugate_biquiver(g: Biquiver, u: int) -> Biquiver:
@@ -85,12 +78,12 @@ def dash_elimination_plan(g: Biquiver) -> DashEliminationPlan | DashEliminationO
     """Vertex set whose conjugations make every arrow full, or why none exists.
 
     The answer is `_dash_elimination_plan(g)`, computed on the first call
-    and kept in g (`Biquiver._plan`), so a later call returns the same
-    frozen object. A dashed loop is reported whether or not g is connected;
-    otherwise a disconnected g raises PreconditionError on every call, as
-    a refusal is not kept.
+    and kept in g as "_plan", so a later call returns the same frozen
+    object. A dashed loop is reported whether or not g is connected;
+    otherwise a disconnected g raises PreconditionError on every call, as a
+    refusal is not kept.
     """
-    return g._plan
+    return _kept(g, "_plan", _dash_elimination_plan)
 
 
 def _dash_elimination_plan(g: Biquiver) -> DashEliminationPlan | DashEliminationObstruction:

@@ -5,10 +5,10 @@ API. Full arrows carry linear maps, dashed arrows semilinear ones; at the
 graph level the kind is just a label, and the structural queries here
 (connectivity, the spanning forest and its dashed parities) ignore
 direction and treat the kind only where dashed-arrow parity matters.
-All of them read one spanning forest, kept per Biquiver, as is the
-dash-elimination plan that `conjugation` reads off it.
-The constructor checks every biquiver and `check_dims` the length of
-every dimension vector; the JSON parser only decodes.
+All of them read one spanning forest, kept per Biquiver by `_kept`, the
+memo rule of every module. The constructor checks every biquiver,
+`_check_vertex` every vertex that a caller names, and `check_dims` the
+length of every dimension vector; the JSON parser only decodes.
 """
 from __future__ import annotations
 
@@ -17,7 +17,6 @@ import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from types import MappingProxyType
 
 from .errors import FormatError, PreconditionError, check_int, echo
@@ -28,6 +27,11 @@ DimensionVector = tuple[int, ...]
 class ArrowKind(Enum):
     FULL = "full"
     DASHED = "dashed"
+
+
+def _fields(obj) -> dict:
+    """obj's dataclass fields: pickles and copies carry them, not the memos."""
+    return {name: getattr(obj, name) for name in obj.__dataclass_fields__}
 
 
 @dataclass(frozen=True)
@@ -50,21 +54,17 @@ class Arrow:
 class Biquiver:
     """A biquiver on the vertices 1..t.
 
-    Each instance is analysed once: its spanning forest, its Tits form and
-    its dash-elimination plan are memos computed on first use and kept in
-    the instance, outside the fields, so ==, hash, repr and pickling see
-    only t and the arrows. A refusal is not kept, so it is raised again on
-    every call. The forest, whose dashed parities read the kinds, stays per
-    object, and `connected_forest` reads the connectivity verdict off it on
-    every call. The plan, or the obstruction to one, is read off the forest
-    and stays per object too; both are frozen, so every caller shares the
-    one kept. The form, with its checked LDL, radical vector and what other
-    modules keep in it (the label, the roots), forgets kinds and
-    directions, so it is shared with every live Biquiver on the same
-    numbered multigraph, and freed with the last of them. The constructor
-    refuses (FormatError) a t that is not a positive int, and arrows that
-    are not a tuple of Arrows with unique str ids, ArrowKind kinds and int
-    endpoints in 1..t.
+    Each instance is analysed once: `_kept` keeps its spanning forest (this
+    module), Tits form (`tits`) and dash-elimination plan (`conjugation`)
+    outside the fields, so ==, hash, repr and pickling see only t and the
+    arrows. The forest, whose dashed parities read the kinds, and the plan
+    read off it stay per object, frozen, so every caller shares the one
+    kept; `connected_forest` reads connectivity off the forest on every
+    call. The form forgets kinds and directions, so it is shared with every
+    live Biquiver on the same numbered multigraph, and freed with the last
+    of them. The constructor refuses (FormatError) a t that is not a
+    positive int, and arrows that are not a tuple of Arrows with unique str
+    ids, ArrowKind kinds and int endpoints in 1..t.
     """
     t: int
     arrows: tuple[Arrow, ...]
@@ -99,42 +99,42 @@ class Biquiver:
     def vertices(self) -> range:
         return range(1, self.t + 1)
 
-    @cached_property
-    def _forest(self):
-        return _spanning_forest(self)
+    __getstate__ = _fields
 
-    @cached_property
-    def _gram(self):
-        from .tits import _tits_gram  # tits imports this module
-        return _tits_gram(self)
 
-    @cached_property
-    def _plan(self):
-        from .conjugation import _dash_elimination_plan  # conjugation imports this module
-        return _dash_elimination_plan(self)
+def _kept(obj, key: str, compute):
+    """`compute(obj)`, run on the first read of `key` and kept in vars(obj)
+    for every later one; a refusal is not kept. Races keep the first result
+    stored, so every reader sees one value."""
+    memo = obj.__dict__  # vars(obj), without the builtin's lookup and call
+    try:
+        return memo[key]
+    except KeyError:
+        return memo.setdefault(key, compute(obj))
 
-    def __getstate__(self):
-        # the memos are derived: pickles and copies carry the fields alone
-        return {"t": self.t, "arrows": self.arrows}
+
+def _forest(g: Biquiver):
+    """g's `_spanning_forest`, built on the first read and kept in g."""
+    return _kept(g, "_forest", _spanning_forest)
 
 
 def _spanning_forest(g: Biquiver):
     """BFS spanning forest of the underlying graph, loops skipped.
 
-    The graph layer's one traversal, run once per Biquiver: `g._forest`
-    keeps what it returns, and connectivity, components, shape recognition,
-    dash elimination and the echelon change of `decompose` all read that
-    memo; nothing else builds neighbour lists. Trees grow from roots taken
-    in vertex order, and each vertex's neighbours are visited in arrow
-    order, so the forest, and every tree path read off it, depends only on
-    the arrow list. Returns tuples indexed by vertex (index 0 unused) of
-    the root of its tree, its parent (0 at a root) and the parity of dashed
-    arrows on its tree path from the root, then the tree arrows, each id
-    mapped to the vertex it reaches, in the order the walk takes them, then
-    the adjacency: for each vertex, its (neighbour, arrow) pairs in arrow
-    order, one per non-loop arrow, so len(adj[v]) is the degree of v. All
-    of it is read-only (tuples and a mapping proxy), as every reader shares
-    the one memo.
+    The graph layer's one traversal, run once per Biquiver: its memo
+    "_forest" keeps what it returns, and connectivity, components, shape
+    recognition, dash elimination and the echelon change of `decompose` all
+    read that memo; nothing else builds neighbour lists. Trees grow from
+    roots taken in vertex order, and each vertex's neighbours are visited in
+    arrow order, so the forest, and every tree path read off it, depends
+    only on the arrow list. Returns tuples indexed by vertex (index 0
+    unused) of the root of its tree, its parent (0 at a root) and the parity
+    of dashed arrows on its tree path from the root, then the tree arrows,
+    each id mapped to the vertex it reaches, in the order the walk takes
+    them, then the adjacency: for each vertex, its (neighbour, arrow) pairs
+    in arrow order, one per non-loop arrow, so len(adj[v]) is the degree of
+    v. All of it is read-only (tuples and a mapping proxy), as every reader
+    shares the one memo.
     """
     adj: list[list[tuple[int, Arrow]]] = [[] for _ in range(g.t + 1)]
     for a in g.arrows:
@@ -173,7 +173,7 @@ def connected_forest(g: Biquiver):
     """
     if len(g.arrows) < g.t - 1:
         raise PreconditionError("biquiver is not connected")
-    forest = g._forest
+    forest = _kept(g, "_forest", _spanning_forest)
     if len(forest[3]) != g.t - 1:
         raise PreconditionError("biquiver is not connected")
     return forest
@@ -189,7 +189,7 @@ def is_connected(g: Biquiver) -> bool:
 
 def connected_components(g: Biquiver) -> list[list[int]]:
     """Vertex sets of the connected components, each sorted ascending."""
-    root = g._forest[0]
+    root = _kept(g, "_forest", _spanning_forest)[0]
     comps: dict[int, list[int]] = {}
     for v in g.vertices():
         comps.setdefault(root[v], []).append(v)
@@ -197,11 +197,22 @@ def connected_components(g: Biquiver) -> list[list[int]]:
 
 
 def induced_subbiquiver(g: Biquiver, vertices: list[int]) -> Biquiver:
-    """Restriction to a vertex subset, renumbering vertices to 1..k."""
+    """Restriction to a vertex subset, renumbering vertices to 1..k in the
+    order given; refuses a vertex that `_check_vertex` refuses, or one given twice."""
+    for v in vertices:
+        _check_vertex(v, g.t)
     index = {v: i + 1 for i, v in enumerate(vertices)}
+    if len(index) != len(vertices):
+        raise PreconditionError(f"vertices must be distinct, got {echo(vertices)}")
     keep = [a for a in g.arrows if a.source in index and a.target in index]
     arrows = tuple(Arrow(a.id, index[a.source], index[a.target], a.kind) for a in keep)
     return Biquiver(len(vertices), arrows)
+
+
+def _check_vertex(u, t: int) -> None:
+    check_int(u, "vertex", None, PreconditionError)
+    if not 1 <= u <= t:
+        raise PreconditionError(f"vertex {echo(u)} outside 1..{t}")
 
 
 def check_dims(dims, t: int, error: type[ValueError]) -> None:

@@ -25,7 +25,6 @@ import random
 from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from itertools import accumulate, combinations, islice
 from math import lcm
 from operator import matmul, mul
@@ -33,7 +32,7 @@ from operator import matmul, mul
 from .errors import PreconditionError, SingularMatrixError, check_int
 from .elimination import _first_dependence, _primitive, _symmetric_ldl, fraction_nullspace
 from .linalg import CMatrix, _product, hstack, reduced_row_echelon, submatrix, transpose, vstack
-from .model import Biquiver, DimensionVector
+from .model import Biquiver, DimensionVector, _fields, _forest, _kept
 from .polynomials import poly_factor, primary_cofactors
 from .representation import MatrixRepresentation, _transform, direct_sum_list
 
@@ -83,12 +82,12 @@ class MorphismBasis:
     def dimension(self) -> int:
         return len(self.vectors)
 
-    @cached_property
+    @property
     def tuples(self) -> tuple[MorphismTuple, ...]:
-        return tuple(_matrices(self.target_dims, self.source_dims, *v) for v in self.vectors)
+        return _kept(self, "tuples", lambda basis: tuple(
+            _matrices(basis.target_dims, basis.source_dims, *v) for v in basis.vectors))
 
-    def __getstate__(self):
-        return {name: getattr(self, name) for name in self.__dataclass_fields__}
+    __getstate__ = _fields
 
 
 class Verdict(Enum):
@@ -602,7 +601,7 @@ def _echelon_change(rep: MatrixRepresentation
     s = [CMatrix.identity(d) for d in rep.dims]
     inv = list(s)
     placed = {}
-    _, parent, _, tree, _ = g._forest
+    _, parent, _, tree, _ = _forest(g)
     for aid, o in tree.items():
         arrow, w = g.arrow(aid), parent[o] - 1
         m = rep.matrices[aid]

@@ -8,7 +8,8 @@ exactly when a base change carries one onto the other. Zero-dimensional
 vertices are fully supported (empty matrices count as invertible).
 The constructor checks every representation: dims by `_check_dims`, which
 the builders that size matrices from dims run first, and one d_v x d_u
-matrix per arrow u -> v. The JSON parser otherwise only decodes.
+CMatrix per arrow u -> v. It keeps dims as a tuple, so that equal vectors
+compare equal. The JSON parser otherwise only decodes.
 """
 from __future__ import annotations
 
@@ -41,11 +42,14 @@ class MatrixRepresentation:
             m = self.matrices.get(a.id)
             if m is None:
                 raise FormatError(f"missing matrix for arrow {echo(a.id)}")
+            if not isinstance(m, CMatrix):
+                raise FormatError(f"arrow {echo(a.id)} needs a CMatrix, got {echo(m)}")
             want = (self.dims[a.target - 1], self.dims[a.source - 1])
             if (m.rows, m.cols) != want:
                 raise FormatError(
                     f"arrow {echo(a.id)} needs a {want[0]}x{want[1]} matrix, "
                     f"got {m.rows}x{m.cols}")
+        object.__setattr__(self, "dims", tuple(self.dims))
 
     def dim(self, v: int) -> int:
         return self.dims[v - 1]
@@ -68,7 +72,7 @@ def zero_representation(g: Biquiver, dims: DimensionVector | None = None) -> Mat
         dims = (0,) * g.t
     _check_dims(g, dims)
     mats = {a.id: CMatrix.zero(dims[a.target - 1], dims[a.source - 1]) for a in g.arrows}
-    return MatrixRepresentation(g, tuple(dims), mats)
+    return MatrixRepresentation(g, dims, mats)
 
 
 def direct_sum(a: MatrixRepresentation, b: MatrixRepresentation) -> MatrixRepresentation:
@@ -148,7 +152,7 @@ def random_representation(g: Biquiver, dims: DimensionVector, entry_bound: int,
         r, c = dims[a.target - 1], dims[a.source - 1]
         mats[a.id] = _from_parts(r, c, [(rng.randint(-entry_bound, entry_bound),
                                           rng.randint(1, entry_bound)) for _ in range(2 * r * c)])
-    return MatrixRepresentation(g, tuple(dims), mats)
+    return MatrixRepresentation(g, dims, mats)
 
 
 def _from_parts(rows: int, cols: int, parts: list[tuple[int, int]]) -> CMatrix:
@@ -227,7 +231,7 @@ def parse_representation_obj(obj, biquiver: Biquiver | None = None) -> MatrixRep
         if arrow.id in raw:
             mats[arrow.id] = parse_matrix_obj(
                 raw[arrow.id], rows=dims[arrow.target - 1], cols=dims[arrow.source - 1])
-    return MatrixRepresentation(biquiver, tuple(dims), mats)
+    return MatrixRepresentation(biquiver, dims, mats)
 
 
 def parse_representation(text: str, biquiver: Biquiver | None = None) -> MatrixRepresentation:

@@ -13,7 +13,7 @@ and on the value:
   for every biquiver sharing it. At value 0 there is nothing to find.
 - Positive semidefinite: the form is extended Dynkin, and ker C = Z delta
   with delta > 0, read off the shared LDL^T once per form
-  (`TitsGram._delta`). At value 0, q(z) = 0 exactly when C z = 0, and the
+  (`tits._delta`). At value 0, q(z) = 0 exactly when C z = 0, and the
   answer is k delta for k = 1..bound // max(delta) (`_null_roots`). At
   value 1 the answer is the positive real roots: alpha + k delta for
   k >= 0 and -alpha + k delta for k >= 1, where alpha runs over the
@@ -25,7 +25,7 @@ and on the value:
   (all of 0..bound where that coordinate's equation vanishes
   identically).
 
-Both kept results live in the shared form, through `TitsGram._kept`, under
+Both kept results live in the shared form, through `model._kept`, under
 the keys "positive_roots" and "dynkin"; a refusal is not kept. `evaluate`
 checks every returned root, kept or not, on every call. A call refuses
 when its box, of (bound + 1)^t vectors for an indefinite form on t
@@ -41,8 +41,8 @@ from math import isqrt
 
 from .errors import PreconditionError, check_int, echo, is_int
 from .classify import RepKind, representation_type
-from .model import Biquiver, DimensionVector, connected_forest
-from .tits import Definiteness, TitsGram, definiteness, gram_matrix
+from .model import Biquiver, DimensionVector, _kept, connected_forest
+from .tits import Definiteness, TitsGram, _delta, definiteness, gram_matrix
 # the check of every returned root: q without `tits.evaluate`'s input checks,
 # as the roots checked are int vectors of length t built here
 from .tits import _evaluate as evaluate
@@ -178,7 +178,7 @@ def _close_simple_roots(gram: TitsGram) -> list[DimensionVector]:
 def _positive_roots(gram: TitsGram) -> tuple[DimensionVector, ...]:
     """`_close_simple_roots(gram)`, closed once per definite form and kept in
     it: about 66 MB for A256 (32,896 roots), 131 MB for D256 (65,280)."""
-    return gram._kept("positive_roots", lambda: tuple(_close_simple_roots(gram)))
+    return _kept(gram, "positive_roots", lambda gram: tuple(_close_simple_roots(gram)))
 
 
 def _null_roots(gram: TitsGram, bound: int) -> list[DimensionVector]:
@@ -190,7 +190,7 @@ def _null_roots(gram: TitsGram, bound: int) -> list[DimensionVector]:
     0..bound in the one kernel direction, and its solutions the k of
     0..bound // max(delta), the zero vector included.
     """
-    delta = gram._delta
+    delta = _delta(gram)
     _check_box(bound, 1, "the form is semidefinite; a search of its kernel directions")
     top = bound // max(delta)
     _check_roots(top + 1)
@@ -212,10 +212,10 @@ def _real_roots(gram: TitsGram, bound: int) -> list[DimensionVector]:
     "dynkin", whose roots are refused like a closure's under a cap lowered
     after they were kept.
     """
-    delta = gram._delta
+    delta = _delta(gram)
     _check_box(bound, 1, "the form is semidefinite; a search of its kernel directions")
     e = delta.index(1)
-    alphas = _positive_roots(gram._kept("dynkin", lambda: TitsGram(
+    alphas = _positive_roots(_kept(gram, "dynkin", lambda gram: TitsGram(
         gram.t - 1, tuple(row[:e] + row[e + 1:] for row in gram.c[:e] + gram.c[e + 1:]))))
     _check_roots(len(alphas))
     runs = []

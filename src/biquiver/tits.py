@@ -9,20 +9,19 @@ the integer elimination `elimination._symmetric_ldl`.
 Each form is analysed once. C forgets the kinds and directions of the
 arrows, so every biquiver on the same numbered multigraph has the same
 form, and `_tits_gram` returns one TitsGram per C: a weak intern table
-keeps it while some Biquiver holds it, in its `_gram` memo, and frees it
-with the last one. That TitsGram computes what this module derives from
-C once: the checked LDL^T of C (`ldl`) and, for a semidefinite C, its
+keeps it while some Biquiver holds it as "_gram", and frees it with the
+last one. `model._kept` keeps in the form what this module derives from C
+once: the checked LDL^T of C (`ldl`) and, for a semidefinite C, its
 radical vector delta, solved back from that LDL^T by `_null_root`
-(`_delta`). What other modules derive from the form alone they keep in
-it through `TitsGram._kept`: `classify` the Dynkin or extended Dynkin
-label, and `roots` the positive roots of a definite form and the Dynkin
-sub-form of a semidefinite one. On every biquiver sharing the form,
-`definiteness` reads the inertia of that one LDL^T. `radical_vector`
-shares the verdict but still solves ker C with `fraction_nullspace`, the
-call the benchmark's tests count for it, and raises AssertionError unless
-what it finds is delta. The elimination is cubic in the number of
-vertices, so forms past MAX_GRAM_VERTICES vertices are neither built nor
-eliminated.
+(`_delta`); and, under keys of their own, what other modules derive from
+the form alone: `classify` the Dynkin or extended Dynkin label, and
+`roots` the positive roots of a definite form and the Dynkin sub-form of
+a semidefinite one. On every biquiver sharing the form, `definiteness`
+reads the inertia of that one LDL^T. `radical_vector` shares the verdict
+but still solves ker C with `fraction_nullspace`, the call the
+benchmark's tests count for it, and raises AssertionError unless what it
+finds is delta. The elimination is cubic in the number of vertices, so
+forms past MAX_GRAM_VERTICES vertices are neither built nor eliminated.
 """
 from __future__ import annotations
 
@@ -31,19 +30,18 @@ import weakref
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
 from math import gcd
 
 from .errors import FormatError, PreconditionError, check_int, is_int
 from .elimination import _symmetric_ldl, fraction_nullspace
-from .model import Biquiver, DimensionVector, check_dims
+from .model import Biquiver, DimensionVector, _fields, _kept, check_dims
 
 # The most vertices of a Tits form that `gram_matrix` builds and
 # `definiteness` eliminates: the dense t x t elimination takes about 0.3 s
 # at t = 200 and 2 s at t = 400, and the matrix alone grows as t^2.
 MAX_GRAM_VERTICES = 256
 
-# The one live TitsGram of each C, held weakly: the biquivers' `_gram`
+# The one live TitsGram of each C, held weakly: the biquivers' "_gram"
 # memos keep a form alive, and it leaves the table with the last of them.
 _FORMS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 _FORMS_LOCK = threading.Lock()
@@ -60,12 +58,10 @@ class TitsGram:
     """The symmetric int matrix C = 2Q with x^T C x = 2 q_G(x).
 
     `gram_matrix` hands out one TitsGram per C, shared by every biquiver on
-    that numbered multigraph, so its memos are computed once per form: the
-    checked `ldl`, `_delta` for a semidefinite C, and whatever `_kept`
-    keeps for the modules that read the form. A TitsGram built directly is
-    a fresh form, with memos of its own. The memos are kept in the
-    instance, outside the fields, so ==, hash, repr and pickling see only
-    t and c.
+    that numbered multigraph, so each memo kept in it is computed once per
+    form. A TitsGram built directly is a fresh form, with memos of its own.
+    `model._kept` keeps them outside the fields, so ==, hash, repr and
+    pickling see only t and c.
     """
     t: int
     c: tuple[tuple[int, ...], ...]
@@ -76,47 +72,39 @@ class TitsGram:
         return tuple(tuple(x // 2 if x % 2 == 0 else Fraction(x, 2) for x in row)
                      for row in self.c)
 
-    @cached_property
+    @property
     def ldl(self) -> tuple:
-        """`_symmetric_ldl(c)` of the checked c, computed once and shared.
+        """`_checked_ldl(self)`, computed once and shared."""
+        return _kept(self, "ldl", _checked_ldl)
 
-        Raises FormatError unless c is a symmetric t x t matrix of ints, t
-        and each entry an int and not a bool (`errors.is_int`), and
-        PreconditionError, before eliminating, when t > MAX_GRAM_VERTICES.
-        A refusal is not memoized, so a malformed TitsGram raises on every
-        read.
-        """
-        t, c = self.t, self.c
-        if not (is_int(t) and t >= 0 and isinstance(c, (tuple, list)) and len(c) == t
-                and all(isinstance(row, (tuple, list)) and len(row) == t for row in c)):
-            raise FormatError(f"Gram matrix must be {t} x {t}")
-        _check_vertex_cap(t)
-        # an exact int is what `is_int` accepts; testing its type first spares
-        # the call on every entry `_tits_gram` builds, in each form's first query
-        if not all(type(x) is int or is_int(x) for row in c for x in row):
-            raise FormatError("Gram matrix entries must be ints")
-        if any(c[i][j] != c[j][i] for i in range(t) for j in range(i)):
-            raise FormatError("Gram matrix must be symmetric")
-        return _symmetric_ldl(c)
+    __getstate__ = _fields
 
-    @cached_property
-    def _delta(self) -> DimensionVector:
-        """`_null_root(self)`, read for a semidefinite form only and solved
-        once per form. A refusal is not memoized."""
-        return _null_root(self)
 
-    def _kept(self, key: str, compute):
-        """`compute()`, run on the first read of `key` and kept in the
-        instance for every later one; a refusal is not kept. Races keep the
-        first result stored, so every reader sees one value."""
-        memo = vars(self)
-        if key not in memo:
-            memo.setdefault(key, compute())
-        return memo[key]
+def _checked_ldl(gram: TitsGram) -> tuple:
+    """`_symmetric_ldl(c)` of gram's checked c.
 
-    def __getstate__(self):
-        # the memos are derived: pickles and copies carry the fields alone
-        return {"t": self.t, "c": self.c}
+    Raises FormatError unless c is a symmetric t x t matrix of ints, t and
+    each entry an int and not a bool (`errors.is_int`), and
+    PreconditionError, before eliminating, when t > MAX_GRAM_VERTICES. A
+    refusal is not memoized, so a malformed TitsGram raises on every read.
+    """
+    t, c = gram.t, gram.c
+    if not (is_int(t) and t >= 0 and isinstance(c, (tuple, list)) and len(c) == t
+            and all(isinstance(row, (tuple, list)) and len(row) == t for row in c)):
+        raise FormatError(f"Gram matrix must be {t} x {t}")
+    _check_vertex_cap(t)
+    # an exact int is what `is_int` accepts; testing its type first spares
+    # the call on every entry `_tits_gram` builds, in each form's first query
+    if not all(type(x) is int or is_int(x) for row in c for x in row):
+        raise FormatError("Gram matrix entries must be ints")
+    if any(c[i][j] != c[j][i] for i in range(t) for j in range(i)):
+        raise FormatError("Gram matrix must be symmetric")
+    return _symmetric_ldl(c)
+
+
+def _delta(gram: TitsGram) -> DimensionVector:
+    """`_null_root(gram)`, solved once per semidefinite form."""
+    return _kept(gram, "_delta", _null_root)
 
 
 def _check_vertex_cap(t: int) -> None:
@@ -129,13 +117,18 @@ def gram_matrix(g: Biquiver) -> TitsGram:
     """C = 2Q, g's one TitsGram, built on the first call and returned by every
     later one; each call raises PreconditionError when g has more than
     MAX_GRAM_VERTICES vertices."""
-    return g._gram
+    return _kept(g, "_gram", _tits_gram)
+
+
+def _form(g: Biquiver) -> TitsGram:
+    """`gram_matrix(g)` for `classify`, outside the calls the benchmark's tests count."""
+    return _kept(g, "_gram", _tits_gram)
 
 
 def _tits_gram(g: Biquiver) -> TitsGram:
     """C = 2Q, built from the arrows, as the one live TitsGram of that C;
-    `Biquiver._gram` memoizes it. Refused past MAX_GRAM_VERTICES vertices,
-    before C is built."""
+    each Biquiver keeps it as "_gram". Refused past MAX_GRAM_VERTICES
+    vertices, before C is built."""
     _check_vertex_cap(g.t)
     # 2 - 2 loops on the diagonal, minus the arrows joining u and v off it
     c = [[0] * g.t for _ in range(g.t)]
@@ -211,9 +204,9 @@ def radical_vector(gram: TitsGram) -> DimensionVector | None:
     if any(x <= 0 for x in nums):
         return None
     delta = tuple(nums)
-    if delta != gram._delta:
+    if delta != _delta(gram):
         raise AssertionError(f"the kernel vector {delta} is not the radical vector "
-                             f"{gram._delta} read off the LDL^T")
+                             f"{_delta(gram)} read off the LDL^T")
     return delta
 
 
@@ -226,7 +219,7 @@ def _null_root(gram: TitsGram) -> DimensionVector:
     d z_p + lin . z = 0 gives z_p from the indices pivoted after p; from
     z_free = 1 the steps, solved last to first in integers, scale z up by
     what d does not divide. Read for a semidefinite form only, through its
-    memo `gram._delta`; raises AssertionError unless `free` has length 1 and
+    memo `_delta`; raises AssertionError unless `free` has length 1 and
     delta > 0.
     """
     _, steps, free = gram.ldl

@@ -4,6 +4,7 @@ The graph layer (classify, tits, roots, dash elimination) loads none of
 the representation modules; their names in the package namespace resolve
 on first use, always to the object in their home module.
 """
+import ast
 import json
 import os
 import pickle
@@ -55,6 +56,22 @@ import json, sys
 print(json.dumps(sorted(m[len("biquiver."):] for m in sys.modules
                         if m.startswith("biquiver."))))
 """
+
+
+def test_model_imports_no_package_module_but_errors():
+    # every module keeps its memos with model._kept, so model, at the bottom of
+    # the graph layer, needs none of the modules above it, not even inside a
+    # function
+    tree = ast.parse(Path(biquiver.model.__file__).read_text(encoding="utf-8"))
+    package = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            package.update([node.module] if node.module else [a.name for a in node.names])
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [node.module] if isinstance(node, ast.ImportFrom) else [a.name for a in node.names]
+            package.update(name.removeprefix("biquiver.") for name in names
+                           if name.split(".")[0] == "biquiver")
+    assert package == {"errors"}, package
 
 
 def test_the_graph_api_loads_no_representation_module():

@@ -3,10 +3,12 @@ are memos kept in the instance, and connectivity is read off the forest on
 every call. Each form is analysed once: it is shared by every live
 Biquiver on the same numbered graph, whatever the kinds and directions of
 its arrows, and keeps its checked LDL and, when semidefinite, its radical
-vector delta; through `TitsGram._kept` it also keeps the Dynkin label
-(`classify`), its positive roots and the Dynkin sub-form its real roots are
-read from (`roots`). Each Biquiver also keeps its dash-elimination plan,
-or the obstruction to one (`conjugation`), read off its own forest.
+vector delta, the Dynkin label (`classify`), its positive roots and the
+Dynkin sub-form its real roots are read from (`roots`). Each Biquiver also
+keeps its dash-elimination plan, or the obstruction to one
+(`conjugation`), read off its own forest. Every one of these memos is kept
+by `model._kept`, the package's one memo rule, and no module uses
+`functools.cached_property`.
 
 The counting tests wrap `model._spanning_forest`, `tits._symmetric_ldl`,
 `tits._null_root`, `classify.diagram_shape` and `roots._close_simple_roots`,
@@ -28,6 +30,7 @@ import sys
 import threading
 import weakref
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -216,7 +219,7 @@ def test_connectivity_is_read_off_the_forest_on_every_call(memo_calls):
     # here three of the four a connected graph on 5 vertices has, as the
     # loop at 5 passes the arrow count
     apart = Biquiver(5, g.arrows + (Arrow("e", 5, 5, ArrowKind.FULL),))
-    assert len(apart.arrows) == apart.t and len(apart._forest[3]) == 3
+    assert len(apart.arrows) == apart.t and len(model._forest(apart)[3]) == 3
     for _ in range(3):
         for ask in (connected_forest, representation_type):
             with pytest.raises(PreconditionError, match="^biquiver is not connected$"):
@@ -239,7 +242,7 @@ def test_no_form_is_built_past_the_vertex_cap(calls):
     g = path_biquiver(MAX_GRAM_VERTICES + 1)
     for _ in range(2):
         with pytest.raises(PreconditionError, match="257 vertices, past the cap of 256"):
-            g._gram
+            gram_matrix(g)
     assert "_gram" not in vars(g)
     assert not any(len(c) > MAX_GRAM_VERTICES for c in tits._FORMS.keys())
     assert calls["_symmetric_ldl"] == 0
@@ -247,7 +250,7 @@ def test_no_form_is_built_past_the_vertex_cap(calls):
 
 def test_tits_imports_neither_roots_nor_classify():
     # the modules that keep memos in a form import tits, not the other way
-    tree = ast.parse(open(tits.__file__, encoding="utf-8").read())
+    tree = ast.parse(Path(tits.__file__).read_text(encoding="utf-8"))
     imported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -257,6 +260,25 @@ def test_tits_imports_neither_roots_nor_classify():
             imported.update(alias.name for alias in node.names)
     assert imported, "no import found"
     assert not imported & {"roots", "classify"}
+
+
+def test_no_module_memoizes_with_cached_property():
+    # `model._kept` is the one memo rule: no module of the package may keep
+    # a memo any other way, so none may name functools.cached_property
+    found = []
+    for path in sorted(Path(model.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.alias):
+                name = node.name
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.Name):
+                name = node.id
+            else:
+                continue
+            if name.rsplit(".", 1)[-1] == "cached_property":
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
 
 
 def test_a_pickled_form_carries_its_fields_alone():
@@ -271,7 +293,8 @@ def test_a_pickled_form_carries_its_fields_alone():
             assert back == form and back is not form
             assert definiteness(back) is want[1]
             assert radical_vector(back) == want[2]
-            assert back._kept("label", lambda: classify.diagram_shape(g)) == want[0].diagram
+            label = model._kept(back, "label", lambda form: classify.diagram_shape(g))
+            assert label == want[0].diagram
         assert_memos_are_cold_answers(form, g)
 
 
@@ -291,7 +314,7 @@ def test_radical_vector_is_checked_against_delta(monkeypatch):
 def dynkin_sub_form(form):
     """The form without the first vertex e of delta_e = 1, its row and column
     deleted."""
-    e = form._delta.index(1)
+    e = tits._delta(form).index(1)
     rest = [i for i in range(form.t) if i != e]
     return TitsGram(form.t - 1, tuple(tuple(form.c[i][j] for j in rest) for i in rest))
 
@@ -301,7 +324,7 @@ def assert_memos_are_cold_answers(form, g):
     of the same C computes, the kept Dynkin sub-form's own memos included;
     a memo not named here fails."""
     fresh = TitsGram(form.t, form.c)
-    cold = {"ldl": lambda: fresh.ldl, "_delta": lambda: fresh._delta,
+    cold = {"ldl": lambda: fresh.ldl, "_delta": lambda: tits._delta(fresh),
             "label": lambda: classify.diagram_shape(g),
             "positive_roots": lambda: tuple(roots._close_simple_roots(fresh)),
             "dynkin": lambda: dynkin_sub_form(fresh)}
@@ -406,8 +429,8 @@ def test_a_malformed_gram_is_refused_on_every_call(gram, message, calls):
 
 
 def test_threads_filling_one_memo_agree():
-    # cached_property fills each memo without a lock from Python 3.12 on, so
-    # threads racing on fresh objects may each compute it; every one must
+    # `model._kept` takes no lock, so threads racing on fresh objects may each
+    # compute a memo; the first result stored is kept, and every thread must
     # still read the answers a cold object gives
     shapes = [path_biquiver(5, dashed=(2,)), cycle_biquiver(5, dashed=(1, 3)),
               biq(3, "a:1>2", "b:2>3", "c:3>1", "d:1~3")]

@@ -4,7 +4,7 @@ import re
 import pytest
 
 from biquiver import (Arrow, ArrowKind, Biquiver, DashEliminationObstruction,
-                      DashEliminationPlan, FormatError, connected_components,
+                      DashEliminationPlan, FormatError, PreconditionError, connected_components,
                       dash_elimination_plan, induced_subbiquiver, is_connected,
                       parse_biquiver, serialize_biquiver)
 from conftest import biq, cycle_biquiver, path_biquiver
@@ -96,6 +96,23 @@ def test_components_and_induced():
     assert comps == [[1, 2], [3], [4]]
     sub = induced_subbiquiver(g, [3])
     assert sub.t == 1 and sub.arrows[0].is_loop
+
+
+@pytest.mark.parametrize("vertices,message", [
+    ([1, 1], r"^vertices must be distinct, got \[1, 1\]$"),
+    ([2, 1, 2], r"^vertices must be distinct, got \[2, 1, 2\]$"),
+    ([5], "^vertex 5 outside 1..2$"),
+    ([0], "^vertex 0 outside 1..2$"),
+    ([True], "^vertex must be an int, got True$"),
+    ([1.0], "^vertex must be an int, got 1.0$"),
+], ids=["repeated", "repeated-later", "past-t", "zero", "bool", "float"])
+def test_induced_refuses_a_vertex_it_cannot_renumber(vertices, message):
+    # each of these once gave a biquiver: [1, 1] two vertices and no arrows,
+    # [5] and [True] one vertex each
+    g = biq(2, "a:1>2")
+    with pytest.raises(PreconditionError, match=message):
+        induced_subbiquiver(g, vertices)
+    assert induced_subbiquiver(g, [2, 1]) == biq(2, "a:2>1")
 
 
 def full_a(source, target):

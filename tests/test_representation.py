@@ -7,8 +7,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from biquiver import (CMatrix, FormatError, GaussianRational, MatrixRepresentation,
-                      PreconditionError, apply_base_change, direct_sum, direct_sum_list,
-                      matrix_to_obj,
+                      PreconditionError, apply_base_change, are_isomorphic, decompose,
+                      direct_sum, direct_sum_list, krull_schmidt_compare, matrix_to_obj,
                       parse_representation, random_representation,
                       serialize_representation, zero_representation)
 from conftest import (biq, gmat, mat, oracle_matrix_to_obj, path_biquiver,
@@ -37,6 +37,24 @@ def test_a_bad_dimension_vector_is_refused_before_any_matrix(dims, message):
     with pytest.raises(FormatError, match=message):
         MatrixRepresentation(g, dims, {"e1": CMatrix.zero(1, 1)})
     assert zero_representation(g, [2, 0]).dims == (2, 0)
+
+
+def test_dims_given_as_a_list_are_stored_as_a_tuple():
+    # a list once stayed a list: equal representations then compared unequal,
+    # are_isomorphic certified No, and decompose failed its own certificate
+    g = path_biquiver(2)
+    m = {"e1": CMatrix.identity(1)}
+    a, b = MatrixRepresentation(g, [1, 1], m), MatrixRepresentation(g, (1, 1), m)
+    assert a.dims == (1, 1) and type(a.dims) is tuple and a == b
+    assert are_isomorphic(a, b)
+    assert decompose(a).summands == (b,)
+    assert krull_schmidt_compare([a], [b]) is not None
+
+
+@pytest.mark.parametrize("matrix", [[[1]], "1", 1], ids=["list", "str", "int"])
+def test_a_matrix_that_is_not_a_cmatrix_is_refused(matrix):
+    with pytest.raises(FormatError, match="^arrow 'e1' needs a CMatrix, got "):
+        MatrixRepresentation(path_biquiver(2), (1, 1), {"e1": matrix})
 
 
 def test_shape_validation():
