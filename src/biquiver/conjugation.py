@@ -126,12 +126,20 @@ def _tree_path(parent: list[int], u: int, v: int) -> list[int]:
 
 def apply_conjugations(g: Biquiver, vertices) -> Biquiver:
     """Conjugate at each vertex of a set (order is immaterial)."""
-    for u in sorted(vertices):
+    for u in _sorted_vertices(vertices, g.t):
         g = conjugate_biquiver(g, u)
     return g
 
 
 def apply_conjugations_representation(a: MatrixRepresentation, vertices) -> MatrixRepresentation:
-    for u in sorted(vertices):
+    for u in _sorted_vertices(vertices, a.biquiver.t):
         a = conjugate_representation(a, u)
     return a
+
+
+def _sorted_vertices(vertices, t: int) -> list[int]:
+    """The vertices ascending, a repeat kept, each checked by `_check_vertex` before the sort."""
+    vertices = list(vertices)
+    for u in vertices:
+        _check_vertex(u, t)
+    return sorted(vertices)

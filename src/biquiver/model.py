@@ -197,8 +197,10 @@ def connected_components(g: Biquiver) -> list[list[int]]:
 
 
 def induced_subbiquiver(g: Biquiver, vertices: list[int]) -> Biquiver:
-    """Restriction to a vertex subset, renumbering vertices to 1..k in the
-    order given; refuses a vertex that `_check_vertex` refuses, or one given twice."""
+    """Restriction to a vertex subset, renumbering vertices to 1..k in the order
+    given; refuses an empty list, a vertex that `_check_vertex` refuses, or one given twice."""
+    if not vertices:
+        raise PreconditionError(f"vertices must name at least one vertex, got {echo(vertices)}")
     for v in vertices:
         _check_vertex(v, g.t)
     index = {v: i + 1 for i, v in enumerate(vertices)}

@@ -8,7 +8,7 @@ homogeneous rational linear system whose exact nullspace we compute.
 `MorphismBasis` keeps its canonical kernel vectors, integers over one
 denominator each, and samples, killers, powers and the trace form are
 integer arithmetic on them: CMatrix matrices are built only for a sample
-to invert, for the primary parts of a split, and on reading `tuples`. All
+to invert, for the primary parts of a split, and on each `tuples` read. All
 certified answers (isomorphism certificates, decompositions) are verified
 by exact rational arithmetic before being returned. A negative isomorphism
 answer is certified when the dimension vectors differ, when the rank
@@ -32,7 +32,7 @@ from operator import matmul, mul
 from .errors import PreconditionError, SingularMatrixError, check_int
 from .elimination import _first_dependence, _primitive, _symmetric_ldl, fraction_nullspace
 from .linalg import CMatrix, _product, hstack, reduced_row_echelon, submatrix, transpose, vstack
-from .model import Biquiver, DimensionVector, _fields, _forest, _kept
+from .model import Biquiver, DimensionVector, _forest
 from .polynomials import poly_factor, primary_cofactors
 from .representation import MatrixRepresentation, _transform, direct_sum_list
 
@@ -71,7 +71,8 @@ class MorphismBasis:
     Each vector is (den, nums), the morphism nums / den in the layout of
     `hom_basis`'s unknowns, with gcd(den, *nums) == 1, so den is also the
     lcm of the per-vertex denominators. `tuples`, the basis as tuples of
-    per-vertex CMatrix, is built on first read and kept outside the fields.
+    per-vertex CMatrix, is built anew on each read, as nothing in the
+    package reads it twice: the CLI's `hom` command reads it once.
     """
     biquiver: Biquiver
     source_dims: DimensionVector
@@ -84,10 +85,7 @@ class MorphismBasis:
 
     @property
     def tuples(self) -> tuple[MorphismTuple, ...]:
-        return _kept(self, "tuples", lambda basis: tuple(
-            _matrices(basis.target_dims, basis.source_dims, *v) for v in basis.vectors))
-
-    __getstate__ = _fields
+        return tuple(_matrices(self.target_dims, self.source_dims, *v) for v in self.vectors)
 
 
 class Verdict(Enum):

@@ -96,6 +96,8 @@ def apply_base_change(a: MatrixRepresentation, s: list[CMatrix]) -> MatrixRepres
         raise PreconditionError(f"need {g.t} transition matrices, got {len(s)}")
     inv = []
     for v, m in enumerate(s, start=1):
+        if not isinstance(m, CMatrix):
+            raise FormatError(f"transition matrix at vertex {v} needs a CMatrix, got {echo(m)}")
         if (m.rows, m.cols) != (a.dim(v), a.dim(v)):
             raise PreconditionError(
                 f"transition matrix at vertex {v} must be {a.dim(v)}x{a.dim(v)}")

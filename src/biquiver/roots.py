@@ -18,22 +18,22 @@ and on the value:
   value 1 the answer is the positive real roots: alpha + k delta for
   k >= 0 and -alpha + k delta for k >= 1, where alpha runs over the
   positive roots of the Dynkin form left by deleting a vertex e with
-  delta_e = 1, found by the closure once per form and kept with it (Kac,
+  delta_e = 1, found by the closure on every call and kept nowhere (Kac,
   Infinite dimensional Lie algebras, Prop. 6.3; `_real_roots`).
 - Indefinite: a box search over 0..bound per coordinate (`_enumerate_box`).
   Its last coordinate is solved exactly, leaving at most two candidates
   (all of 0..bound where that coordinate's equation vanishes
   identically).
 
-Both kept results live in the shared form, through `model._kept`, under
-the keys "positive_roots" and "dynkin"; a refusal is not kept. `evaluate`
-checks every returned root, kept or not, on every call. A call refuses
-when its box, of (bound + 1)^t vectors for an indefinite form on t
-vertices or the bound + 1 multiples of delta for a semidefinite one, holds
-more than MAX_BOX_CANDIDATES, and when it has more than MAX_ROOTS roots:
-the box search as soon as it finds them, the root system before it builds
-any, by counting them, and kept roots on every read. No floating-point
-arithmetic is used anywhere.
+The one kept result, the positive roots of a definite form, lives in the
+shared form through `model._kept` under the key "positive_roots"; a
+refusal is not kept. `evaluate` checks every returned root, kept or not,
+on every call. A call refuses when its box, of (bound + 1)^t vectors for
+an indefinite form on t vertices or the bound + 1 multiples of delta for
+a semidefinite one, holds more than MAX_BOX_CANDIDATES, and when it has
+more than MAX_ROOTS roots: the box search as soon as it finds them, a
+closure height by height, the real roots before any is built, and kept
+roots on every read. No floating-point arithmetic is used anywhere.
 """
 from __future__ import annotations
 
@@ -206,18 +206,17 @@ def _real_roots(gram: TitsGram, bound: int) -> list[DimensionVector]:
     alpha + k delta and -alpha + k delta fit the bound for the k of one
     interval each. Refused where `_null_roots` refuses, and when the
     intervals, counted before any vector is built, hold more than MAX_ROOTS.
-    The closure itself is never refused: the form without e has at most
+    The closure of the form without e runs on every call, on a fresh
+    TitsGram that nothing keeps, so no root of it outlives the call. It is
+    refused only under a lowered MAX_ROOTS: that form has at most
     MAX_GRAM_VERTICES - 1 = 255 vertices, and D255, with the most positive
-    roots, has 64,770. It runs once per form, on the Dynkin form kept as
-    "dynkin", whose roots are refused like a closure's under a cap lowered
-    after they were kept.
+    roots, has 64,770.
     """
     delta = _delta(gram)
     _check_box(bound, 1, "the form is semidefinite; a search of its kernel directions")
     e = delta.index(1)
-    alphas = _positive_roots(_kept(gram, "dynkin", lambda gram: TitsGram(
-        gram.t - 1, tuple(row[:e] + row[e + 1:] for row in gram.c[:e] + gram.c[e + 1:]))))
-    _check_roots(len(alphas))
+    alphas = _close_simple_roots(TitsGram(
+        gram.t - 1, tuple(row[:e] + row[e + 1:] for row in gram.c[:e] + gram.c[e + 1:])))
     runs = []
     for alpha in alphas:
         alpha = alpha[:e] + (0,) + alpha[e:]

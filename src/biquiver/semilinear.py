@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .errors import FormatError, SingularMatrixError
+from .errors import FormatError, SingularMatrixError, echo
 from .gadgets import gadget_cycle
 from .linalg import CMatrix
 from .model import Arrow, ArrowKind, Biquiver
@@ -24,8 +24,15 @@ class MapKind(Enum):
     SEMILINEAR = "semilinear"
 
 
+def _check_kind(kind) -> None:
+    """Refuse a kind that is not a MapKind, which each map below would read as linear."""
+    if not isinstance(kind, MapKind):
+        raise FormatError(f"map kind must be a MapKind, got {echo(kind)}")
+
+
 def apply_map(kind: MapKind, m: CMatrix, x: CMatrix) -> CMatrix:
     """Apply the map with matrix m to a column vector x."""
+    _check_kind(kind)
     if x.cols != 1 or m.cols != x.rows:
         raise FormatError(
             f"cannot apply {m.rows}x{m.cols} matrix to {x.rows}x{x.cols} vector")
@@ -40,6 +47,8 @@ def compose(kind_b: MapKind, b: CMatrix, kind_a: MapKind, a: CMatrix
     The result is semilinear iff exactly one input is; the outer matrix is
     conjugated exactly when the inner map is semilinear.
     """
+    _check_kind(kind_b)
+    _check_kind(kind_a)
     if b.cols != a.rows:
         raise FormatError(
             f"inner dimensions differ: {b.rows}x{b.cols} after {a.rows}x{a.cols}")
@@ -56,6 +65,7 @@ def change_of_basis(kind: MapKind, m: CMatrix, s_target: CMatrix,
     The transitions are square, s_target of size m.rows and s_source of size
     m.cols (FormatError otherwise), and invertible (SingularMatrixError).
     """
+    _check_kind(kind)
     if not (s_source.is_square and s_target.is_square
             and s_source.rows == m.cols and s_target.rows == m.rows):
         raise FormatError("transition matrices do not match the map's shape")

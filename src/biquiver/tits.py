@@ -15,13 +15,13 @@ once: the checked LDL^T of C (`ldl`) and, for a semidefinite C, its
 radical vector delta, solved back from that LDL^T by `_null_root`
 (`_delta`); and, under keys of their own, what other modules derive from
 the form alone: `classify` the Dynkin or extended Dynkin label, and
-`roots` the positive roots of a definite form and the Dynkin sub-form of
-a semidefinite one. On every biquiver sharing the form, `definiteness`
-reads the inertia of that one LDL^T. `radical_vector` shares the verdict
-but still solves ker C with `fraction_nullspace`, the call the
-benchmark's tests count for it, and raises AssertionError unless what it
-finds is delta. The elimination is cubic in the number of vertices, so
-forms past MAX_GRAM_VERTICES vertices are neither built nor eliminated.
+`roots` the positive roots of a definite form. On every biquiver sharing
+the form, `definiteness` reads the inertia of that one LDL^T.
+`radical_vector` shares the verdict but still solves ker C with
+`fraction_nullspace`, the call the benchmark's tests count for it, and
+raises AssertionError unless what it finds is delta. The elimination is
+cubic in the number of vertices, so forms past MAX_GRAM_VERTICES vertices
+are neither built nor eliminated.
 """
 from __future__ import annotations
 

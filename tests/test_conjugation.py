@@ -81,6 +81,31 @@ def test_a_vertex_that_is_not_an_int_is_refused(u):
             ask()
 
 
+@pytest.mark.parametrize("vertices,message", [
+    ([1, "a"], "^vertex must be an int, got 'a'$"),
+    ([1, None], "^vertex must be an int, got None$"),
+    ([2, 1.0], "^vertex must be an int, got 1.0$"),
+    ([3, 1], "^vertex 3 outside 1..2$"),
+], ids=["str", "none", "float", "past-t"])
+def test_a_conjugation_list_is_checked_before_it_is_sorted(vertices, message):
+    # "a" and None once ended in a TypeError from sorting them among ints
+    a = MatrixRepresentation(biq(2, "a:1~2"), (1, 1), {"a": gmat([(0, 1)])})
+    for ask in (lambda: apply_conjugations(a.biquiver, vertices),
+                lambda: apply_conjugations_representation(a, vertices)):
+        with pytest.raises(PreconditionError, match=message):
+            ask()
+
+
+def test_a_vertex_listed_twice_conjugates_twice():
+    a = MatrixRepresentation(biq(2, "a:1~2"), (1, 1), {"a": gmat([(0, 1)])})
+    once = conjugate_representation(a, 1)
+    assert apply_conjugations_representation(a, [1, 1]) == a
+    assert apply_conjugations_representation(a, iter([1, 2, 1])) == \
+        conjugate_representation(a, 2)
+    assert apply_conjugations_representation(a, {1}) == once
+    assert apply_conjugations(a.biquiver, [1, 1, 1]) == once.biquiver
+
+
 def test_conjugations_commute():
     rng = random.Random(3)
     for _ in range(30):

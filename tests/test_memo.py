@@ -3,9 +3,10 @@ are memos kept in the instance, and connectivity is read off the forest on
 every call. Each form is analysed once: it is shared by every live
 Biquiver on the same numbered graph, whatever the kinds and directions of
 its arrows, and keeps its checked LDL and, when semidefinite, its radical
-vector delta, the Dynkin label (`classify`), its positive roots and the
-Dynkin sub-form its real roots are read from (`roots`). Each Biquiver also
-keeps its dash-elimination plan, or the obstruction to one
+vector delta, the Dynkin label (`classify`) and, when definite, its
+positive roots (`roots`); the Dynkin sub-form that a semidefinite form's
+real roots are read from is closed on every call and kept nowhere. Each
+Biquiver also keeps its dash-elimination plan, or the obstruction to one
 (`conjugation`), read off its own forest. Every one of these memos is kept
 by `model._kept`, the package's one memo rule, and no module uses
 `functools.cached_property`.
@@ -28,6 +29,7 @@ import pickle
 import random
 import sys
 import threading
+import tracemalloc
 import weakref
 from collections import Counter
 from pathlib import Path
@@ -63,8 +65,8 @@ def tits_op(g):
 
 def memo_op(g):
     """`tits_op(g)`, then, on a semidefinite form, the value-1 roots up to 2,
-    which read the kept Dynkin sub-form: so every memo of g and its form is
-    read."""
+    which close its Dynkin sub-form: so every memo of g and its form is
+    read, and every root search runs."""
     op = tits_op(g)
     if op[1] is Definiteness.POSITIVE_SEMIDEFINITE:
         return op + (roots_with_value(g, 1, 2),)
@@ -161,10 +163,11 @@ def test_delta_is_solved_once_per_form(memo_calls, closures):
         assert roots_with_value(g, 0, 4) == [delta, tuple(2 * x for x in delta)]
         assert len(roots_with_value(g, 1, 2)) == 44
     assert memo_calls["_null_root"] == 1
-    assert closures == [5]  # the D5 left by deleting a vertex with delta_e = 1
+    # the D5 left by deleting a vertex with delta_e = 1, closed on every call
+    assert closures == [5] * 4
 
 
-def test_the_dynkin_sub_form_is_closed_once_per_form(closures):
+def test_the_dynkin_sub_form_is_closed_on_every_call(closures):
     # ~E8, numbered so that nothing else builds its form
     g = biq(9, "a:5>8", "b:3~5", "c:3>9", "d:1>5", "e:1~7", "f:2>7", "g:2>6", "h:4~6")
     other = biq(9, "a:8~5", "b:5>3", "c:9~3", "d:5~1", "e:7>1", "f:7~2", "g:6~2", "h:6>4")
@@ -173,14 +176,13 @@ def test_the_dynkin_sub_form_is_closed_once_per_form(closures):
     for _ in range(19):
         assert roots_with_value(g, 1, 2) == want
     assert roots_with_value(other, 1, 2) == want
-    assert closures == [8]
-    # the kept sub-form is E8, closed from the form without a vertex of delta 1
+    # the sub-form is E8, closed from the form without a vertex of delta 1
+    assert closures == [8] * 21
     assert representation_type(g).diagram == "~E8"
-    sub = vars(gram_matrix(g))["dynkin"]
-    assert sub.t == 8 and len(vars(sub)["positive_roots"]) == 120
+    assert set(vars(gram_matrix(g))) == {"t", "c", "ldl", "_delta", "label"}
 
 
-def test_a_lowered_root_cap_refuses_the_kept_dynkin_roots_alike(monkeypatch, closures):
+def test_a_lowered_root_cap_refuses_the_dynkin_roots_on_every_call(monkeypatch, closures):
     # ~E6, numbered so that nothing else builds its form: its Dynkin sub-form
     # is E6, with 36 positive roots, though none fits the bound 0
     g = biq(7, "a:2>5", "b:5~7", "c:2~4", "d:4>1", "e:2>6", "f:6~3")
@@ -190,10 +192,38 @@ def test_a_lowered_root_cap_refuses_the_kept_dynkin_roots_alike(monkeypatch, clo
     assert closures == [6]
     monkeypatch.setattr(roots, "MAX_ROOTS", 36)
     assert roots_with_value(g, 1, 0) == []
-    monkeypatch.setattr(roots, "MAX_ROOTS", 35)
-    with pytest.raises(PreconditionError, match="more than the cap of 35 roots"):
-        roots_with_value(g, 1, 0)
     assert closures == [6, 6]
+    monkeypatch.setattr(roots, "MAX_ROOTS", 35)
+    for k in (3, 4):
+        with pytest.raises(PreconditionError, match="more than the cap of 35 roots"):
+            roots_with_value(g, 1, 0)
+        assert closures == [6] * k
+
+
+def test_no_dynkin_sub_form_or_closure_outlives_a_value_1_call():
+    # ~D48 on 49 vertices, numbered so that nothing else builds its form:
+    # two-leaf forks at both ends of the path 1 .. 45. Its Dynkin sub-form
+    # D48 has 2,256 positive roots, about 1 MB of tuples
+    specs = [f"p{i}:{i + 1}>{i}" for i in range(1, 45)]
+    g = biq(49, *specs, "l1:46~1", "l2:1>47", "l3:45~48", "l4:49>45")
+    assert representation_type(g).diagram == "~D48"
+    assert roots_with_value(g, 0, 2) == [radical_vector(gram_matrix(g))]  # fills every memo
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        found = roots_with_value(g, 1, 1)
+        # a 0/1 vector z on a tree has q(z) = the number of components of its
+        # support: the roots are the subtrees, 4 leaves alone and, for each
+        # path segment, 4 choices of leaves at each end that reaches a fork
+        assert len(found) == 4 + 43 * 44 // 2 + 2 * 44 * 4 + 16
+        del found
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 100_000, held
+    assert set(vars(gram_matrix(g))) == {"t", "c", "ldl", "_delta", "label"}
 
 
 def test_the_label_is_read_once_per_form(memo_calls):
@@ -311,28 +341,16 @@ def test_radical_vector_is_checked_against_delta(monkeypatch):
             radical_vector(fresh)
 
 
-def dynkin_sub_form(form):
-    """The form without the first vertex e of delta_e = 1, its row and column
-    deleted."""
-    e = tits._delta(form).index(1)
-    rest = [i for i in range(form.t) if i != e]
-    return TitsGram(form.t - 1, tuple(tuple(form.c[i][j] for j in rest) for i in rest))
-
-
 def assert_memos_are_cold_answers(form, g):
     """Every memo that `form` keeps equals what a fresh, uninterned TitsGram
-    of the same C computes, the kept Dynkin sub-form's own memos included;
-    a memo not named here fails."""
+    of the same C computes; a memo not named here fails."""
     fresh = TitsGram(form.t, form.c)
     cold = {"ldl": lambda: fresh.ldl, "_delta": lambda: tits._delta(fresh),
             "label": lambda: classify.diagram_shape(g),
-            "positive_roots": lambda: tuple(roots._close_simple_roots(fresh)),
-            "dynkin": lambda: dynkin_sub_form(fresh)}
+            "positive_roots": lambda: tuple(roots._close_simple_roots(fresh))}
     for name, kept in vars(form).items():
         if name not in ("t", "c"):
             assert cold[name]() == kept, name
-            if name == "dynkin":
-                assert_memos_are_cold_answers(kept, None)
 
 
 def test_a_returned_root_list_is_the_callers():

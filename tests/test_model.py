@@ -115,6 +115,13 @@ def test_induced_refuses_a_vertex_it_cannot_renumber(vertices, message):
     assert induced_subbiquiver(g, [2, 1]) == biq(2, "a:2>1")
 
 
+def test_induced_refuses_an_empty_vertex_list():
+    # as every other refusal of a vertex list, not the FormatError of Biquiver(0, ())
+    with pytest.raises(PreconditionError,
+                       match=r"^vertices must name at least one vertex, got \[\]$"):
+        induced_subbiquiver(biq(2, "a:1>2"), [])
+
+
 def full_a(source, target):
     return (Arrow("a", source, target, ArrowKind.FULL),)
 

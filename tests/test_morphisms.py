@@ -262,7 +262,7 @@ def test_reading_tuples_changes_no_equality_hash_or_pickle():
     for a, b in _hom_differential_pairs()[:10]:
         cold, warm = hom_basis(a, b), hom_basis(a, b)
         before = pickle.dumps(warm)
-        assert warm.tuples is warm.tuples
+        assert warm.tuples == warm.tuples
         assert warm == cold and hash(warm) == hash(cold) and repr(warm) == repr(cold)
         assert pickle.dumps(warm) == before == pickle.dumps(cold)
         for back in (pickle.loads(before), copy.deepcopy(warm)):

@@ -149,6 +149,18 @@ def test_base_change_rejects_singular_or_missized():
         apply_base_change(a, [CMatrix.identity(1)])
 
 
+@pytest.mark.parametrize("s,message", [
+    ([1, 1], "^transition matrix at vertex 1 needs a CMatrix, got 1$"),
+    ([CMatrix.identity(1), [[1]]],
+     r"^transition matrix at vertex 2 needs a CMatrix, got \[\[1\]\]$"),
+], ids=["ints", "list"])
+def test_base_change_refuses_a_transition_that_is_not_a_cmatrix(s, message):
+    # [1, 1] once ended in an AttributeError on reading m.rows
+    a = MatrixRepresentation(path_biquiver(2), (1, 1), {"e1": mat([1])})
+    with pytest.raises(FormatError, match=message):
+        apply_base_change(a, s)
+
+
 def test_random_representation_deterministic():
     g = biq(3, "a:1>2", "b:2~3", "c:3>1")
     one = random_representation(g, (2, 1, 2), entry_bound=3, seed=42)

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -124,3 +125,20 @@ def test_shape_errors():
         compose(MapKind.LINEAR, mat([1, 2]), MapKind.LINEAR, mat([1, 2]))
     with pytest.raises(FormatError):
         are_consimilar(mat([1, 2]), mat([1, 2]))
+
+
+@pytest.mark.parametrize("kind", ["semilinear", "linear", None, 1])
+def test_a_kind_that_is_not_a_map_kind_is_refused(kind):
+    # each map once read any kind but MapKind.SEMILINEAR as linear: with
+    # m = [i] and x = [1], "semilinear" gave i, -1 and 1 below
+    i, one = gmat([(0, 1)]), mat([1])
+    assert apply_map(MapKind.SEMILINEAR, i, one) == gmat([(0, -1)])
+    assert compose(MapKind.SEMILINEAR, i, MapKind.SEMILINEAR, i) == (MapKind.LINEAR, one)
+    assert change_of_basis(MapKind.SEMILINEAR, i, i, one) == mat([-1])
+    message = f"^map kind must be a MapKind, got {re.escape(repr(kind))}$"
+    for call in (lambda: apply_map(kind, i, one),
+                 lambda: compose(kind, i, MapKind.SEMILINEAR, i),
+                 lambda: compose(MapKind.SEMILINEAR, i, kind, i),
+                 lambda: change_of_basis(kind, i, i, one)):
+        with pytest.raises(FormatError, match=message):
+            call()
