@@ -10,12 +10,11 @@ with a leading tilde, e.g. "~A2" for the 3-vertex cycle.
 
 The shape is read off the graph layer's one traversal,
 `model.connected_forest`, which refuses disconnected input; its neighbour
-lists give the degrees and the branch lengths. The label, like the Tits
-form, forgets kinds and directions, so `representation_type` keeps it
-once per form, with `model._kept` under the key "label" of the form
-shared by every biquiver on the same numbered multigraph, after checking
-connectivity on every call. Past MAX_GRAM_VERTICES vertices no form is
-built, and the label is computed on every call.
+lists give the degrees and the branch lengths. As the type theorems read
+the type off the underlying graph alone, no Tits form is built:
+`representation_type` keeps the label in the Biquiver whose forest it is
+read from, with `model._kept` under the key "label". A refusal is not
+kept, so disconnected input raises on every call.
 """
 from __future__ import annotations
 
@@ -23,7 +22,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .model import Biquiver, _kept, connected_forest
-from .tits import MAX_GRAM_VERTICES, _form
 
 
 class RepKind(Enum):
@@ -106,12 +104,11 @@ def diagram_shape(g: Biquiver) -> str | None:
 def representation_type(g: Biquiver) -> RepType:
     """Finite / tame-infinite / wild verdict for a connected biquiver.
 
-    Raises PreconditionError on disconnected input, on every call.
+    The label is `diagram_shape(g)`, computed on the first call and kept
+    in g as "label". Raises PreconditionError on disconnected input, on
+    every call.
     """
-    connected_forest(g)
-    # past the cap no form is built, where gram_matrix would refuse
-    label = (diagram_shape(g) if g.t > MAX_GRAM_VERTICES
-             else _kept(_form(g), "label", lambda form: diagram_shape(g)))
+    label = _kept(g, "label", diagram_shape)
     if label is None:
         return RepType(RepKind.WILD, None)
     if label.startswith("~"):

@@ -5,7 +5,7 @@ non-loop arrow incident to u; loops at u keep their kind. On a
 representation it conjugates, entrywise, the matrix of every arrow that
 starts at u (loops included). Conjugation preserves isomorphism classes,
 and conjugations at distinct vertices commute, so a sequence of
-conjugations is just a vertex set.
+conjugations is just a vertex set, conjugated at in one pass.
 
 Whether some set of conjugations removes every dashed arrow is a parity
 question over GF(2): c(u) + c(v) must equal the dashed flag of each
@@ -20,38 +20,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .model import Arrow, ArrowKind, Biquiver, _check_vertex, _kept, connected_forest
+from .errors import PreconditionError, echo
+from .model import (Arrow, ArrowKind, Biquiver, _check_sized, _check_vertex, _kept,
+                    connected_forest)
 
 # The graph layer loads neither `linalg` nor `representation`: CMatrix and
 # MatrixRepresentation name types in annotations, which run only under a type
-# checker, and `conjugate_representation` imports MatrixRepresentation to
-# build one.
+# checker, and `apply_conjugations_representation` imports
+# MatrixRepresentation to build one.
 if TYPE_CHECKING:
     from .linalg import CMatrix
     from .representation import MatrixRepresentation
 
 
 def conjugate_biquiver(g: Biquiver, u: int) -> Biquiver:
-    _check_vertex(u, g.t)
-    arrows = []
-    for a in g.arrows:
-        if not a.is_loop and u in (a.source, a.target):
-            kind = ArrowKind.DASHED if a.kind is ArrowKind.FULL else ArrowKind.FULL
-            arrows.append(Arrow(a.id, a.source, a.target, kind))
-        else:
-            arrows.append(a)
-    return Biquiver(g.t, tuple(arrows))
+    return apply_conjugations(g, (u,))
 
 
 def conjugate_representation(a: MatrixRepresentation, u: int) -> MatrixRepresentation:
     """Representation of the conjugated biquiver, per the conjugation functor."""
-    from .representation import MatrixRepresentation
-    g = conjugate_biquiver(a.biquiver, u)
-    mats = {}
-    for arrow in a.biquiver.arrows:
-        m = a.matrices[arrow.id]
-        mats[arrow.id] = m.conj() if arrow.source == u else m
-    return MatrixRepresentation(g, a.dims, mats)
+    return apply_conjugations_representation(a, (u,))
 
 
 def transport_isomorphism(s: list[CMatrix], u: int) -> list[CMatrix]:
@@ -60,6 +48,7 @@ def transport_isomorphism(s: list[CMatrix], u: int) -> list[CMatrix]:
     If S_1..S_t witnesses A = B up to base change, then the same list with
     S_u conjugated witnesses the conjugated pair. u must be a vertex of s.
     """
+    _check_sized(s, "transition matrices")
     _check_vertex(u, len(s))
     return [m.conj() if v == u else m for v, m in enumerate(s, start=1)]
 
@@ -125,21 +114,36 @@ def _tree_path(parent: list[int], u: int, v: int) -> list[int]:
 
 
 def apply_conjugations(g: Biquiver, vertices) -> Biquiver:
-    """Conjugate at each vertex of a set (order is immaterial)."""
-    for u in _sorted_vertices(vertices, g.t):
-        g = conjugate_biquiver(g, u)
-    return g
+    """Conjugate at each vertex listed (order is immaterial): a non-loop arrow
+    toggles its kind when exactly one of its ends is listed an odd number of times."""
+    odd = _odd_vertices(vertices, g.t)
+    return Biquiver(g.t, tuple(
+        Arrow(a.id, a.source, a.target,
+              ArrowKind.DASHED if a.kind is ArrowKind.FULL else ArrowKind.FULL)
+        if not a.is_loop and (a.source in odd) != (a.target in odd) else a
+        for a in g.arrows))
 
 
 def apply_conjugations_representation(a: MatrixRepresentation, vertices) -> MatrixRepresentation:
-    for u in _sorted_vertices(vertices, a.biquiver.t):
-        a = conjugate_representation(a, u)
-    return a
+    """Conjugate at each vertex listed: the matrix of every arrow, loops included,
+    whose source is listed an odd number of times is conjugated entrywise."""
+    from .representation import MatrixRepresentation
+    odd = _odd_vertices(vertices, a.biquiver.t)
+    mats = {arrow.id: a.matrices[arrow.id].conj() if arrow.source in odd
+            else a.matrices[arrow.id] for arrow in a.biquiver.arrows}
+    return MatrixRepresentation(apply_conjugations(a.biquiver, odd), a.dims, mats)
 
 
-def _sorted_vertices(vertices, t: int) -> list[int]:
-    """The vertices ascending, a repeat kept, each checked by `_check_vertex` before the sort."""
-    vertices = list(vertices)
-    for u in vertices:
+def _odd_vertices(vertices, t: int) -> set[int]:
+    """The vertices listed an odd number of times, each checked by `_check_vertex`,
+    as conjugations at one vertex cancel in pairs; PreconditionError unless iterable."""
+    try:
+        listed = iter(vertices)
+    except TypeError:
+        raise PreconditionError(
+            f"vertices must be an iterable of ints, got {echo(vertices)}") from None
+    odd: set[int] = set()
+    for u in listed:
         _check_vertex(u, t)
-    return sorted(vertices)
+        odd ^= {u}
+    return odd

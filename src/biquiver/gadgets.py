@@ -11,7 +11,7 @@ tests treat them as part of the interface.
 from __future__ import annotations
 
 from .errors import FormatError, PreconditionError
-from .linalg import CMatrix, block_diag, from_blocks
+from .linalg import CMatrix, _check_matrix, block_diag, from_blocks
 from .model import Arrow, ArrowKind, Biquiver
 from .representation import MatrixRepresentation, zero_representation
 
@@ -24,6 +24,7 @@ def gadget_cycle(g: Biquiver, cycle_arrow_ids: list[str], m: CMatrix) -> MatrixR
     and receives m. Every vertex on the cycle gets dimension n, every
     other vertex dimension 0.
     """
+    _check_matrix(m, "matrix m")
     if not m.is_square:
         raise PreconditionError("the cycle gadget needs a square matrix")
     if not cycle_arrow_ids:
@@ -99,6 +100,8 @@ def gadget_biquiver(name: str) -> Biquiver:
 
 
 def _check_pair(p: CMatrix, q: CMatrix) -> int:
+    _check_matrix(p, "block p")
+    _check_matrix(q, "block q")
     if not p.is_square or not q.is_square or p.rows != q.rows:
         raise PreconditionError("gadget blocks must be square matrices of equal size")
     return p.rows

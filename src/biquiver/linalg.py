@@ -32,7 +32,7 @@ from operator import mul, neg
 
 from .elimination import (_echelon, _integer_parts, _nullspace, _primitive,  # noqa: F401
                           fraction_nullspace, fraction_solve)
-from .errors import FormatError, SingularMatrixError, check_int
+from .errors import FormatError, SingularMatrixError, check_int, echo
 from .scalars import GaussianRational, as_gaussian
 
 
@@ -212,6 +212,12 @@ class CMatrix:
 
 
 _set = object.__setattr__
+
+
+def _check_matrix(m, what: str) -> None:
+    """Refuse with FormatError("<what> needs a CMatrix, ...") an m that is not a CMatrix."""
+    if not isinstance(m, CMatrix):
+        raise FormatError(f"{what} needs a CMatrix, got {echo(m)}")
 
 
 def _init(m: CMatrix, rows: int, cols: int, den: int, re: tuple, im: tuple) -> None:

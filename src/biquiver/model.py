@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import sys
-from collections.abc import Sequence
+from collections.abc import Sequence, Sized
 from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
@@ -55,14 +55,15 @@ class Biquiver:
     """A biquiver on the vertices 1..t.
 
     Each instance is analysed once: `_kept` keeps its spanning forest (this
-    module), Tits form (`tits`) and dash-elimination plan (`conjugation`)
-    outside the fields, so ==, hash, repr and pickling see only t and the
-    arrows. The forest, whose dashed parities read the kinds, and the plan
-    read off it stay per object, frozen, so every caller shares the one
-    kept; `connected_forest` reads connectivity off the forest on every
-    call. The form forgets kinds and directions, so it is shared with every
-    live Biquiver on the same numbered multigraph, and freed with the last
-    of them. The constructor refuses (FormatError) a t that is not a
+    module), Dynkin label (`classify`), Tits form (`tits`) and
+    dash-elimination plan (`conjugation`) outside the fields, so ==, hash,
+    repr and pickling see only t and the arrows. The forest, whose dashed
+    parities read the kinds, and the label and plan read off it stay per
+    object, frozen, so every caller shares the one kept;
+    `connected_forest` reads connectivity off the forest on every call.
+    The form forgets kinds and directions, so it is shared with every live
+    Biquiver on the same numbered multigraph, and freed with the last of
+    them. The constructor refuses (FormatError) a t that is not a
     positive int, and arrows that are not a tuple of Arrows with unique str
     ids, ArrowKind kinds and int endpoints in 1..t.
     """
@@ -198,7 +199,9 @@ def connected_components(g: Biquiver) -> list[list[int]]:
 
 def induced_subbiquiver(g: Biquiver, vertices: list[int]) -> Biquiver:
     """Restriction to a vertex subset, renumbering vertices to 1..k in the order
-    given; refuses an empty list, a vertex that `_check_vertex` refuses, or one given twice."""
+    given; refuses a list that `_check_sized` refuses, an empty one, a vertex that
+    `_check_vertex` refuses, or one given twice."""
+    _check_sized(vertices, "vertices")
     if not vertices:
         raise PreconditionError(f"vertices must name at least one vertex, got {echo(vertices)}")
     for v in vertices:
@@ -215,6 +218,12 @@ def _check_vertex(u, t: int) -> None:
     check_int(u, "vertex", None, PreconditionError)
     if not 1 <= u <= t:
         raise PreconditionError(f"vertex {echo(u)} outside 1..{t}")
+
+
+def _check_sized(value, what: str) -> None:
+    """Refuse with PreconditionError a list of `what` that has no len, as an int has not."""
+    if not isinstance(value, Sized):
+        raise PreconditionError(f"{what} must be a list, got {echo(value)}")
 
 
 def check_dims(dims, t: int, error: type[ValueError]) -> None:

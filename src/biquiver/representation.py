@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from math import gcd, lcm
 
 from .errors import FormatError, PreconditionError, check_int, echo
-from .linalg import CMatrix, block_diag
-from .model import (Biquiver, DimensionVector, biquiver_to_obj, check_dims,
+from .linalg import CMatrix, _check_matrix, block_diag
+from .model import (Biquiver, DimensionVector, _check_sized, biquiver_to_obj, check_dims,
                     parse_biquiver_obj, parse_json)
 from .scalars import _rational_parts
 
@@ -42,8 +42,7 @@ class MatrixRepresentation:
             m = self.matrices.get(a.id)
             if m is None:
                 raise FormatError(f"missing matrix for arrow {echo(a.id)}")
-            if not isinstance(m, CMatrix):
-                raise FormatError(f"arrow {echo(a.id)} needs a CMatrix, got {echo(m)}")
+            _check_matrix(m, f"arrow {echo(a.id)}")
             want = (self.dims[a.target - 1], self.dims[a.source - 1])
             if (m.rows, m.cols) != want:
                 raise FormatError(
@@ -91,13 +90,13 @@ def direct_sum_list(g: Biquiver, summands: list[MatrixRepresentation]) -> Matrix
 
 def apply_base_change(a: MatrixRepresentation, s: list[CMatrix]) -> MatrixRepresentation:
     """Transform by invertible S_1..S_t; the result is isomorphic to the input."""
+    _check_sized(s, "transition matrices")
     g = a.biquiver
     if len(s) != g.t:
         raise PreconditionError(f"need {g.t} transition matrices, got {len(s)}")
     inv = []
     for v, m in enumerate(s, start=1):
-        if not isinstance(m, CMatrix):
-            raise FormatError(f"transition matrix at vertex {v} needs a CMatrix, got {echo(m)}")
+        _check_matrix(m, f"transition matrix at vertex {v}")
         if (m.rows, m.cols) != (a.dim(v), a.dim(v)):
             raise PreconditionError(
                 f"transition matrix at vertex {v} must be {a.dim(v)}x{a.dim(v)}")

@@ -14,7 +14,7 @@ from enum import Enum
 
 from .errors import FormatError, SingularMatrixError, echo
 from .gadgets import gadget_cycle
-from .linalg import CMatrix
+from .linalg import CMatrix, _check_matrix
 from .model import Arrow, ArrowKind, Biquiver
 from .morphisms import DEFAULT_COEFF_BOUND, DEFAULT_TRIALS, IsoResult, are_isomorphic
 
@@ -33,6 +33,8 @@ def _check_kind(kind) -> None:
 def apply_map(kind: MapKind, m: CMatrix, x: CMatrix) -> CMatrix:
     """Apply the map with matrix m to a column vector x."""
     _check_kind(kind)
+    _check_matrix(m, "matrix m")
+    _check_matrix(x, "vector x")
     if x.cols != 1 or m.cols != x.rows:
         raise FormatError(
             f"cannot apply {m.rows}x{m.cols} matrix to {x.rows}x{x.cols} vector")
@@ -49,6 +51,8 @@ def compose(kind_b: MapKind, b: CMatrix, kind_a: MapKind, a: CMatrix
     """
     _check_kind(kind_b)
     _check_kind(kind_a)
+    _check_matrix(b, "matrix b")
+    _check_matrix(a, "matrix a")
     if b.cols != a.rows:
         raise FormatError(
             f"inner dimensions differ: {b.rows}x{b.cols} after {a.rows}x{a.cols}")
@@ -66,6 +70,9 @@ def change_of_basis(kind: MapKind, m: CMatrix, s_target: CMatrix,
     m.cols (FormatError otherwise), and invertible (SingularMatrixError).
     """
     _check_kind(kind)
+    _check_matrix(m, "matrix m")
+    _check_matrix(s_target, "transition s_target")
+    _check_matrix(s_source, "transition s_source")
     if not (s_source.is_square and s_target.is_square
             and s_source.rows == m.cols and s_target.rows == m.rows):
         raise FormatError("transition matrices do not match the map's shape")
@@ -87,6 +94,8 @@ def are_consimilar(a: CMatrix, b: CMatrix, trials: int = DEFAULT_TRIALS,
     gadgets of a and b on the one-dashed-loop biquiver, where isomorphism
     of representations is precisely consimilarity.
     """
+    _check_matrix(a, "matrix a")
+    _check_matrix(b, "matrix b")
     if not a.is_square or not b.is_square or a.rows != b.rows:
         raise FormatError("consimilarity needs square matrices of equal size")
     loop = Biquiver(1, (Arrow("a", 1, 1, ArrowKind.DASHED),))

@@ -13,10 +13,10 @@ keeps it while some Biquiver holds it as "_gram", and frees it with the
 last one. `model._kept` keeps in the form what this module derives from C
 once: the checked LDL^T of C (`ldl`) and, for a semidefinite C, its
 radical vector delta, solved back from that LDL^T by `_null_root`
-(`_delta`); and, under keys of their own, what other modules derive from
-the form alone: `classify` the Dynkin or extended Dynkin label, and
-`roots` the positive roots of a definite form. On every biquiver sharing
-the form, `definiteness` reads the inertia of that one LDL^T.
+(`_delta`); and, under a key of its own, what `roots` derives from the
+form alone: the positive roots of a definite form. `classify` reads no
+form. On every biquiver sharing the form, `definiteness` reads the
+inertia of that one LDL^T.
 `radical_vector` shares the verdict but still solves ker C with
 `fraction_nullspace`, the call the benchmark's tests count for it, and
 raises AssertionError unless what it finds is delta. The elimination is
@@ -117,11 +117,6 @@ def gram_matrix(g: Biquiver) -> TitsGram:
     """C = 2Q, g's one TitsGram, built on the first call and returned by every
     later one; each call raises PreconditionError when g has more than
     MAX_GRAM_VERTICES vertices."""
-    return _kept(g, "_gram", _tits_gram)
-
-
-def _form(g: Biquiver) -> TitsGram:
-    """`gram_matrix(g)` for `classify`, outside the calls the benchmark's tests count."""
     return _kept(g, "_gram", _tits_gram)
 
 

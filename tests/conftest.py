@@ -10,7 +10,8 @@ from biquiver import (Arrow, ArrowKind, Biquiver, CMatrix, FormatError, Gaussian
                       MatrixRepresentation, apply_base_change, gaussian)
 from biquiver.errors import echo
 from biquiver.elimination import _echelon, _integer_parts, _primitive
-from biquiver.linalg import _real_rows, _reduced, reduced_row_echelon, submatrix, vstack
+from biquiver.linalg import (_real_rows, _reduced, reduced_row_echelon, submatrix, transpose,
+                             vstack)
 from biquiver.scalars import _rational_parts, as_gaussian, format_rational
 
 
@@ -95,6 +96,23 @@ def _diagrams(max_t: int):
         specs = [f"p{i}:{i}>{i + 1}" for i in range(1, k)]
         specs += [f"l1:1>{k + 1}", f"l2:1~{k + 2}", f"l3:{k}>{k + 3}", f"l4:{k + 4}>{k}"]
         yield f"~D{k + 3}", biq(k + 4, *specs)
+
+
+def opposite(g: Biquiver) -> Biquiver:
+    """g with every arrow reversed, its id, kind and place in the list kept."""
+    return Biquiver(g.t, tuple(Arrow(a.id, a.target, a.source, a.kind) for a in g.arrows))
+
+
+def dual(x: MatrixRepresentation) -> MatrixRepresentation:
+    """The dual DX, a representation of `opposite(x.biquiver)`: the dual space at
+    each vertex, in the dual basis, so that a full arrow's matrix A becomes its
+    transpose and a dashed arrow's its conjugate transpose. D(DX) = X, and
+    S -> S^T (vertexwise) carries Hom(X, Y) onto Hom(DY, DX)."""
+    mats = {}
+    for a in x.biquiver.arrows:
+        m = transpose(x.matrices[a.id])
+        mats[a.id] = m.conj() if a.is_dashed else m
+    return MatrixRepresentation(opposite(x.biquiver), x.dims, mats)
 
 
 def mat(*rows) -> CMatrix:

@@ -11,8 +11,57 @@ from biquiver import (Arrow, ArrowKind, Biquiver, DashEliminationObstruction,
                       conjugate_representation, dash_elimination_plan,
                       gram_matrix, random_representation, representation_type,
                       transport_isomorphism)
+from biquiver.model import _check_vertex
 from conftest import (biq, cycle_biquiver, gmat, mat, path_biquiver,
                       random_biquiver, random_invertible)
+
+
+# The conjugation functor as it was written before it became one pass over
+# the vertices listed an odd number of times: one conjugation per vertex,
+# folded over the list in ascending order. It stays here as the oracle.
+
+def oracle_conjugate_biquiver(g: Biquiver, u: int) -> Biquiver:
+    _check_vertex(u, g.t)
+    arrows = []
+    for a in g.arrows:
+        if not a.is_loop and u in (a.source, a.target):
+            kind = ArrowKind.DASHED if a.kind is ArrowKind.FULL else ArrowKind.FULL
+            arrows.append(Arrow(a.id, a.source, a.target, kind))
+        else:
+            arrows.append(a)
+    return Biquiver(g.t, tuple(arrows))
+
+
+def oracle_conjugate_representation(a: MatrixRepresentation, u: int) -> MatrixRepresentation:
+    """Representation of the conjugated biquiver, per the conjugation functor."""
+    g = oracle_conjugate_biquiver(a.biquiver, u)
+    mats = {}
+    for arrow in a.biquiver.arrows:
+        m = a.matrices[arrow.id]
+        mats[arrow.id] = m.conj() if arrow.source == u else m
+    return MatrixRepresentation(g, a.dims, mats)
+
+
+def oracle_apply_conjugations(g: Biquiver, vertices) -> Biquiver:
+    """Conjugate at each vertex of a set (order is immaterial)."""
+    for u in oracle_sorted_vertices(vertices, g.t):
+        g = oracle_conjugate_biquiver(g, u)
+    return g
+
+
+def oracle_apply_conjugations_representation(a: MatrixRepresentation, vertices
+                                             ) -> MatrixRepresentation:
+    for u in oracle_sorted_vertices(vertices, a.biquiver.t):
+        a = oracle_conjugate_representation(a, u)
+    return a
+
+
+def oracle_sorted_vertices(vertices, t: int) -> list[int]:
+    """The vertices ascending, a repeat kept, each checked by `_check_vertex` before the sort."""
+    vertices = list(vertices)
+    for u in vertices:
+        _check_vertex(u, t)
+    return sorted(vertices)
 
 
 def test_conjugate_toggles_incident_nonloop_arrows():
@@ -86,14 +135,24 @@ def test_a_vertex_that_is_not_an_int_is_refused(u):
     ([1, None], "^vertex must be an int, got None$"),
     ([2, 1.0], "^vertex must be an int, got 1.0$"),
     ([3, 1], "^vertex 3 outside 1..2$"),
-], ids=["str", "none", "float", "past-t"])
+    (1, "^vertices must be an iterable of ints, got 1$"),
+    (None, "^vertices must be an iterable of ints, got None$"),
+], ids=["str", "none", "float", "past-t", "int-list", "none-list"])
 def test_a_conjugation_list_is_checked_before_it_is_sorted(vertices, message):
-    # "a" and None once ended in a TypeError from sorting them among ints
+    # "a" and None once ended in a TypeError from sorting them among ints,
+    # and the lists 1 and None in one from iterating them
     a = MatrixRepresentation(biq(2, "a:1~2"), (1, 1), {"a": gmat([(0, 1)])})
     for ask in (lambda: apply_conjugations(a.biquiver, vertices),
                 lambda: apply_conjugations_representation(a, vertices)):
         with pytest.raises(PreconditionError, match=message):
             ask()
+
+
+@pytest.mark.parametrize("s", [5, None], ids=["int", "none"])
+def test_a_certificate_that_is_not_a_list_is_refused(s):
+    # these once ended in a TypeError from taking their length
+    with pytest.raises(PreconditionError, match=f"^transition matrices must be a list, got {s}$"):
+        transport_isomorphism(s, 1)
 
 
 def test_a_vertex_listed_twice_conjugates_twice():
@@ -266,3 +325,47 @@ def test_plan_on_representation_removes_dashes():
     moved = apply_conjugations_representation(a, plan.vertices)
     assert all(not arr.is_dashed for arr in moved.biquiver.arrows)
     assert moved.dims == a.dims
+
+
+@st.composite
+def conjugation_inputs(draw):
+    """(a, vertices): a random representation a of a biquiver on 1-4 vertices
+    with full and dashed arrows, loops and parallel arrows allowed, and a
+    list of vertices to conjugate at, repeats allowed and, now and then, an
+    entry that no vertex check accepts; or a frozenset of vertices, as a
+    dash-elimination plan holds."""
+    t = draw(st.integers(1, 4))
+    ends = st.tuples(st.integers(1, t), st.integers(1, t), st.booleans())
+    g = Biquiver(t, tuple(Arrow(f"a{k}", u, v, ArrowKind.DASHED if d else ArrowKind.FULL)
+                          for k, (u, v, d) in enumerate(draw(st.lists(ends, max_size=5)))))
+    dims = tuple(draw(st.lists(st.integers(0, 2), min_size=t, max_size=t)))
+    a = random_representation(g, dims, 2, draw(st.integers(0, 10 ** 6)))
+    vertex = st.integers(1, t)
+    if draw(st.booleans()):
+        return a, draw(st.frozensets(vertex))
+    wrong = st.sampled_from([0, t + 1, -1, True, 1.0, "1", None])
+    return a, draw(st.lists(st.one_of(vertex, vertex, vertex, wrong), max_size=6))
+
+
+def outcome(ask, *args):
+    """What ask(*args) returns, or the class and message of the FormatError or
+    PreconditionError it raises."""
+    try:
+        return ask(*args)
+    except ValueError as e:
+        return type(e), str(e)
+
+
+@settings(deadline=None, max_examples=300)
+@given(conjugation_inputs())
+def test_one_pass_conjugation_matches_the_per_vertex_fold(inputs):
+    a, vertices = inputs
+    g = a.biquiver
+    assert outcome(apply_conjugations, g, vertices) == \
+        outcome(oracle_apply_conjugations, g, vertices)
+    assert outcome(apply_conjugations_representation, a, vertices) == \
+        outcome(oracle_apply_conjugations_representation, a, vertices)
+    for u in vertices:
+        assert outcome(conjugate_biquiver, g, u) == outcome(oracle_conjugate_biquiver, g, u)
+        assert outcome(conjugate_representation, a, u) == \
+            outcome(oracle_conjugate_representation, a, u)

@@ -1,8 +1,9 @@
 import random
+import re
 
 import pytest
 
-from biquiver import (ArrowKind, CMatrix, PreconditionError, Verdict,
+from biquiver import (ArrowKind, CMatrix, FormatError, PreconditionError, Verdict,
                       apply_base_change, are_isomorphic, block_diag,
                       gadget_biquiver, gadget_cycle, gadget_g1, gadget_g2,
                       gadget_g3, gadget_g4)
@@ -152,3 +153,19 @@ def test_g3_planted_positive():
     a, b = gadget_g3(p, q), gadget_g3(p2, q2)
     assert apply_base_change(a, [block_diag(s, s)]) == b
     assert are_isomorphic(a, b, seed=6).verdict is Verdict.YES
+
+
+@pytest.mark.parametrize("gadget", [gadget_cycle, gadget_g1, gadget_g2, gadget_g3, gadget_g4],
+                         ids=["cycle", "g1", "g2", "g3", "g4"])
+@pytest.mark.parametrize("wrong", [[[1]], 1], ids=["list", "int"])
+def test_a_block_that_is_not_a_cmatrix_is_refused(gadget, wrong):
+    # each of these once ended in an AttributeError on reading .is_square
+    message = f"needs a CMatrix, got {re.escape(repr(wrong))}$"
+    if gadget is gadget_cycle:
+        with pytest.raises(FormatError, match="^matrix m " + message):
+            gadget(biq(1, "a:1>1"), ["a"], wrong)
+        return
+    with pytest.raises(FormatError, match="^block p " + message):
+        gadget(wrong, mat([1]))
+    with pytest.raises(FormatError, match="^block q " + message):
+        gadget(mat([1]), wrong)

@@ -3,13 +3,13 @@ are memos kept in the instance, and connectivity is read off the forest on
 every call. Each form is analysed once: it is shared by every live
 Biquiver on the same numbered graph, whatever the kinds and directions of
 its arrows, and keeps its checked LDL and, when semidefinite, its radical
-vector delta, the Dynkin label (`classify`) and, when definite, its
-positive roots (`roots`); the Dynkin sub-form that a semidefinite form's
-real roots are read from is closed on every call and kept nowhere. Each
-Biquiver also keeps its dash-elimination plan, or the obstruction to one
-(`conjugation`), read off its own forest. Every one of these memos is kept
-by `model._kept`, the package's one memo rule, and no module uses
-`functools.cached_property`.
+vector delta and, when definite, its positive roots (`roots`); the Dynkin
+sub-form that a semidefinite form's real roots are read from is closed on
+every call and kept nowhere. Each Biquiver also keeps its Dynkin label
+(`classify`), which builds no form, and its dash-elimination plan, or the
+obstruction to one (`conjugation`), both read off its own forest. Every
+one of these memos is kept by `model._kept`, the package's one memo rule,
+and no module uses `functools.cached_property`.
 
 The counting tests wrap `model._spanning_forest`, `tits._symmetric_ldl`,
 `tits._null_root`, `classify.diagram_shape` and `roots._close_simple_roots`,
@@ -179,7 +179,8 @@ def test_the_dynkin_sub_form_is_closed_on_every_call(closures):
     # the sub-form is E8, closed from the form without a vertex of delta 1
     assert closures == [8] * 21
     assert representation_type(g).diagram == "~E8"
-    assert set(vars(gram_matrix(g))) == {"t", "c", "ldl", "_delta", "label"}
+    assert set(vars(gram_matrix(g))) == {"t", "c", "ldl", "_delta"}
+    assert "label" in vars(g)
 
 
 def test_a_lowered_root_cap_refuses_the_dynkin_roots_on_every_call(monkeypatch, closures):
@@ -223,17 +224,25 @@ def test_no_dynkin_sub_form_or_closure_outlives_a_value_1_call():
     finally:
         tracemalloc.stop()
     assert held < 100_000, held
-    assert set(vars(gram_matrix(g))) == {"t", "c", "ldl", "_delta", "label"}
+    assert set(vars(gram_matrix(g))) == {"t", "c", "ldl", "_delta"}
+    assert "label" in vars(g)
 
 
-def test_the_label_is_read_once_per_form(memo_calls):
+def test_the_label_is_read_once_per_biquiver(memo_calls):
     # ~E6, numbered so that nothing else builds its form
     first = biq(7, "a:6>3", "b:3~1", "c:6~7", "d:7>4", "e:6>2", "f:2~5")
     second = biq(7, "a:3~6", "b:1>3", "c:7>6", "d:4~7", "e:2~6", "f:5>2")
     for g in (first, second, first, second):
         assert representation_type(g).diagram == "~E6"
         assert representation_type(g).kind is RepKind.TAME_INFINITE
-    assert memo_calls["diagram_shape"] == 1
+    assert memo_calls["diagram_shape"] == 2
+    assert [vars(g)["label"] for g in (first, second)] == ["~E6", "~E6"]
+
+
+def test_classifying_builds_no_form():
+    g = biq(7, "a:4>7", "b:7~2", "c:2>6", "d:6~1", "e:1>3", "f:2>5")
+    assert representation_type(g) == RepType(RepKind.FINITE, "E7")
+    assert "_gram" not in vars(g) and vars(g)["label"] == "E7"
 
 
 def test_connectivity_is_read_off_the_forest_on_every_call(memo_calls):
@@ -244,7 +253,8 @@ def test_connectivity_is_read_off_the_forest_on_every_call(memo_calls):
     assert memo_calls["_spanning_forest"] == 1
     assert memo_op(Biquiver(g.t, g.arrows)) == first
     assert memo_calls["_spanning_forest"] == 2
-    assert memo_calls["diagram_shape"] == 1
+    # the fresh biquiver computes its own label
+    assert memo_calls["diagram_shape"] == 2
     # a refusal is not kept: each call reads the forest's tree arrows again,
     # here three of the four a connected graph on 5 vertices has, as the
     # loop at 5 passes the arrow count
@@ -256,14 +266,16 @@ def test_connectivity_is_read_off_the_forest_on_every_call(memo_calls):
                 ask(apart)
         assert not is_connected(apart)
     assert memo_calls["_spanning_forest"] == 3
-    assert memo_calls["diagram_shape"] == 1
+    # each refused call reads the label again, and keeps none
+    assert memo_calls["diagram_shape"] == 5
+    assert "label" not in vars(apart)
 
 
 def test_a_path_past_the_vertex_cap_is_classified_without_a_form(memo_calls):
     g = path_biquiver(300)
-    for k in (1, 2):
+    for _ in range(2):
         assert representation_type(g) == RepType(RepKind.FINITE, "A300")
-        assert memo_calls["diagram_shape"] == k
+        assert memo_calls["diagram_shape"] == 1
     assert "_gram" not in vars(g)
     assert memo_calls["_spanning_forest"] == 1
 
@@ -278,9 +290,9 @@ def test_no_form_is_built_past_the_vertex_cap(calls):
     assert calls["_symmetric_ldl"] == 0
 
 
-def test_tits_imports_neither_roots_nor_classify():
-    # the modules that keep memos in a form import tits, not the other way
-    tree = ast.parse(Path(tits.__file__).read_text(encoding="utf-8"))
+def imported_names(module) -> set[str]:
+    """The modules a module's source imports, and the names it imports from them."""
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
     imported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -289,7 +301,17 @@ def test_tits_imports_neither_roots_nor_classify():
             imported.add((node.module or "").rsplit(".", 1)[-1])
             imported.update(alias.name for alias in node.names)
     assert imported, "no import found"
-    assert not imported & {"roots", "classify"}
+    return imported
+
+
+def test_tits_imports_neither_roots_nor_classify():
+    # the modules that keep memos in a form import tits, not the other way
+    assert not imported_names(tits) & {"roots", "classify"}
+
+
+def test_classify_imports_nothing_from_tits():
+    # the label is read off the graph, so classify needs no Tits form
+    assert "tits" not in imported_names(classify)
 
 
 def test_no_module_memoizes_with_cached_property():
@@ -313,19 +335,20 @@ def test_no_module_memoizes_with_cached_property():
 
 def test_a_pickled_form_carries_its_fields_alone():
     # A2 keeps its positive roots; ~A3, numbered so that nothing else builds
-    # its form, its label, delta and Dynkin sub-form
+    # its form, its delta
     for g in (path_biquiver(2), biq(4, "a:3>1", "b:1~4", "c:4>2", "d:2~3")):
         want = memo_op(g)
         form = gram_matrix(g)
-        assert set(vars(form)) > {"t", "c", "ldl", "label"}
+        assert set(vars(form)) > {"t", "c", "ldl"}
         for back in (pickle.loads(pickle.dumps(form)), copy.deepcopy(form)):
             assert vars(back) == {"t": form.t, "c": form.c}
             assert back == form and back is not form
             assert definiteness(back) is want[1]
             assert radical_vector(back) == want[2]
-            label = model._kept(back, "label", lambda form: classify.diagram_shape(g))
-            assert label == want[0].diagram
-        assert_memos_are_cold_answers(form, g)
+        # the label is kept in the biquiver, and a copy of it reads its own
+        assert "label" in vars(g)
+        assert representation_type(pickle.loads(pickle.dumps(g))) == want[0]
+        assert_memos_are_cold_answers(form)
 
 
 def test_radical_vector_is_checked_against_delta(monkeypatch):
@@ -341,12 +364,11 @@ def test_radical_vector_is_checked_against_delta(monkeypatch):
             radical_vector(fresh)
 
 
-def assert_memos_are_cold_answers(form, g):
+def assert_memos_are_cold_answers(form):
     """Every memo that `form` keeps equals what a fresh, uninterned TitsGram
-    of the same C computes; a memo not named here fails."""
+    of the same C computes; a memo not named here fails, as a label would."""
     fresh = TitsGram(form.t, form.c)
     cold = {"ldl": lambda: fresh.ldl, "_delta": lambda: tits._delta(fresh),
-            "label": lambda: classify.diagram_shape(g),
             "positive_roots": lambda: tuple(roots._close_simple_roots(fresh))}
     for name, kept in vars(form).items():
         if name not in ("t", "c"):
@@ -506,7 +528,7 @@ def test_threads_sharing_one_form_agree_with_cold_answers():
     forms = {id(gram_matrix(g)) for gs in fresh for g in gs}
     assert len(forms) == len(shapes)
     for g in fresh[0][::12]:
-        assert_memos_are_cold_answers(gram_matrix(g), g)
+        assert_memos_are_cold_answers(gram_matrix(g))
 
 
 @pytest.fixture
@@ -628,5 +650,5 @@ def test_a_warm_memo_changes_no_answer_and_no_value(g):
         assert answers(back) == warm
     # the shared form: each kept memo is a cold answer, and none is pickled
     form = gram_matrix(g)
-    assert_memos_are_cold_answers(form, g)
+    assert_memos_are_cold_answers(form)
     assert vars(pickle.loads(pickle.dumps(form))) == {"t": form.t, "c": form.c}

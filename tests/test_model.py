@@ -105,10 +105,11 @@ def test_components_and_induced():
     ([0], "^vertex 0 outside 1..2$"),
     ([True], "^vertex must be an int, got True$"),
     ([1.0], "^vertex must be an int, got 1.0$"),
-], ids=["repeated", "repeated-later", "past-t", "zero", "bool", "float"])
+    (5, "^vertices must be a list, got 5$"),
+], ids=["repeated", "repeated-later", "past-t", "zero", "bool", "float", "int-list"])
 def test_induced_refuses_a_vertex_it_cannot_renumber(vertices, message):
     # each of these once gave a biquiver: [1, 1] two vertices and no arrows,
-    # [5] and [True] one vertex each
+    # [5] and [True] one vertex each; the list 5 ended in a TypeError
     g = biq(2, "a:1>2")
     with pytest.raises(PreconditionError, match=message):
         induced_subbiquiver(g, vertices)

@@ -161,6 +161,15 @@ def test_base_change_refuses_a_transition_that_is_not_a_cmatrix(s, message):
         apply_base_change(a, s)
 
 
+@pytest.mark.parametrize("s", [5, None], ids=["int", "none"])
+def test_base_change_refuses_transitions_that_are_not_a_list(s):
+    # these once ended in a TypeError from taking their length
+    a = MatrixRepresentation(path_biquiver(2), (1, 1), {"e1": mat([1])})
+    with pytest.raises(PreconditionError, match=f"^transition matrices must be a list, got {s}$"):
+        apply_base_change(a, s)
+    assert apply_base_change(a, (mat([2]), mat([1]))) == apply_base_change(a, [mat([2]), mat([1])])
+
+
 def test_random_representation_deterministic():
     g = biq(3, "a:1>2", "b:2~3", "c:3>1")
     one = random_representation(g, (2, 1, 2), entry_bound=3, seed=42)

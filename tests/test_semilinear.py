@@ -142,3 +142,27 @@ def test_a_kind_that_is_not_a_map_kind_is_refused(kind):
                  lambda: change_of_basis(kind, i, i, one)):
         with pytest.raises(FormatError, match=message):
             call()
+
+
+I, ONE = gmat([(0, 1)]), mat([1])
+
+
+@pytest.mark.parametrize("call,what", [
+    (lambda w: apply_map(MapKind.LINEAR, w, ONE), "matrix m"),
+    (lambda w: apply_map(MapKind.LINEAR, I, w), "vector x"),
+    (lambda w: compose(MapKind.LINEAR, w, MapKind.LINEAR, I), "matrix b"),
+    (lambda w: compose(MapKind.LINEAR, I, MapKind.LINEAR, w), "matrix a"),
+    (lambda w: change_of_basis(MapKind.LINEAR, w, I, ONE), "matrix m"),
+    (lambda w: change_of_basis(MapKind.LINEAR, I, w, ONE), "transition s_target"),
+    (lambda w: change_of_basis(MapKind.LINEAR, I, I, w), "transition s_source"),
+    (lambda w: are_consimilar(w, I), "matrix a"),
+    (lambda w: are_consimilar(I, w), "matrix b"),
+], ids=["apply_map-m", "apply_map-x", "compose-b", "compose-a", "change_of_basis-m",
+        "change_of_basis-s_target", "change_of_basis-s_source", "are_consimilar-a",
+        "are_consimilar-b"])
+@pytest.mark.parametrize("wrong", [[[1]], 1, None], ids=["list", "int", "none"])
+def test_a_matrix_that_is_not_a_cmatrix_is_refused(call, what, wrong):
+    # each of these once ended in an AttributeError on reading .cols,
+    # .rows or .is_square
+    with pytest.raises(FormatError, match=f"^{what} needs a CMatrix, got {re.escape(repr(wrong))}$"):
+        call(wrong)
