@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+from .errors import check_instance
 from .model import Biquiver, _kept, connected_forest
 
 
@@ -106,8 +107,9 @@ def representation_type(g: Biquiver) -> RepType:
 
     The label is `diagram_shape(g)`, computed on the first call and kept
     in g as "label". Raises PreconditionError on disconnected input, on
-    every call.
+    every call, and FormatError when g is not a Biquiver.
     """
+    check_instance(g, Biquiver, "classification")
     label = _kept(g, "label", diagram_shape)
     if label is None:
         return RepType(RepKind.WILD, None)

@@ -252,15 +252,14 @@ def _cmd_gadget_pair(args) -> dict:
 
 
 def _add_sampling(p) -> None:
-    # no default for --trials or --bound: `_sampling` leaves the API's own
+    # no default for --trials: `_sampling` leaves the API's own
     p.add_argument("--trials", type=int)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--bound", type=int, help="bound on random rational coefficients")
 
 
 def _sampling(args) -> dict:
-    """The sampling keywords of --seed, and of --trials and --bound where given."""
-    given = {"trials": args.trials, "seed": args.seed, "coeff_bound": args.bound}
+    """The sampling keywords of --seed, and of --trials where given."""
+    given = {"trials": args.trials, "seed": args.seed}
     return {key: value for key, value in given.items() if value is not None}
 
 

@@ -91,23 +91,19 @@ def _echelon(rows: list[list[int]]) -> list[int]:
     return pivots
 
 
-def _symmetric_ldl(rows: list[list[int]]) -> tuple:
-    """(inertia, steps, free) of a symmetric int matrix W.
+def _symmetric_ldl(rows: list[list[int]]) -> tuple[int, int, int]:
+    """The inertia (n+, n-, n0) of a symmetric int matrix W.
 
     W is reduced by Bareiss (1968) steps on the first nonzero diagonal
     entry d of the active block: w_ij becomes (d w_ij - w_ip w_pj) / prev,
     prev the pivot before (1 at first), exactly, as active entries are
     minors of W bordered by the pivots. If the active diagonal is zero but
     some w_ij is not, the congruence e_i <- e_i + e_j puts 2 w_ij on it.
-    Neither changes the inertia (n+, n-, n0) of W, counted from the signs
-    of d / prev. Step (p, prev, d, lin), lin mapping each other active j to
-    w_pj != 0, is the LDL^T term (d x_p + lin . x)^2 / (prev d); when
-    n- == 0 (no congruence) these terms sum to x^T W x, and W vanishes on
-    the unpivoted `free`.
+    Neither changes the inertia, counted from the signs of d / prev; the
+    indices never pivoted, whose block is zero, count n0.
     """
     w = [list(row) for row in rows]
     active = list(range(len(w)))
-    steps = []
     positive = 0
     prev = 1
     while active:
@@ -123,7 +119,6 @@ def _symmetric_ldl(rows: list[list[int]]) -> tuple:
                 w[k][p] += w[k][j]
         d, row = w[p][p], w[p]
         positive += (d > 0) == (prev > 0)
-        steps.append((p, prev, d, {j: row[j] for j in active if j != p and row[j]}))
         active.remove(p)
         for i in active:
             wi = w[i]
@@ -131,7 +126,7 @@ def _symmetric_ldl(rows: list[list[int]]) -> tuple:
             for j in active:
                 wi[j] = (d * wi[j] - f * row[j]) // prev
         prev = d
-    return (positive, len(steps) - positive, len(active)), steps, active
+    return positive, len(w) - len(active) - positive, len(active)
 
 def _integer_parts(values: list) -> tuple[int, list[int]]:
     """(den, nums) with values[k] == nums[k] / den, den the lcm of the denominators.

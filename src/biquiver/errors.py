@@ -4,7 +4,8 @@ FormatError covers malformed input documents and values; PreconditionError
 covers structurally valid inputs that an operation cannot accept (the CLI
 maps them to distinct exit codes). `echo` quotes an input value in an
 error message. `is_int` and `check_int` hold the package's one int rule:
-an int that is not a bool.
+an int that is not a bool, and `check_instance` its one type rule for the
+package's own classes, which it takes from the caller.
 """
 
 # The most characters of an input value's repr that an error message quotes.
@@ -42,3 +43,9 @@ def check_int(value, what: str, least: int | None, error: type[ValueError]) -> N
     if not is_int(value) or (least is not None and value < least):
         want = {None: "an int", 0: "a nonnegative int", 1: "a positive int"}[least]
         raise error(f"{what} must be {want}, got {echo(value)}")
+
+
+def check_instance(value, cls: type, what: str) -> None:
+    """Raise FormatError("<what> needs a <cls>, got <value>") unless value is a cls."""
+    if not isinstance(value, cls):
+        raise FormatError(f"{what} needs a {cls.__name__}, got {echo(value)}")

@@ -32,7 +32,7 @@ from operator import mul, neg
 
 from .elimination import (_echelon, _integer_parts, _nullspace, _primitive,  # noqa: F401
                           fraction_nullspace, fraction_solve)
-from .errors import FormatError, SingularMatrixError, check_int, echo
+from .errors import FormatError, SingularMatrixError, check_instance, check_int
 from .scalars import GaussianRational, as_gaussian
 
 
@@ -58,7 +58,7 @@ class CMatrix:
 
     def __init__(self, rows: int, cols: int, entries) -> None:
         _check_dims(rows, cols)
-        entries = tuple(map(as_gaussian, entries))
+        entries = tuple(map(_entry, entries))
         if len(entries) != rows * cols:
             raise FormatError(
                 f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}")
@@ -214,10 +214,13 @@ class CMatrix:
 _set = object.__setattr__
 
 
-def _check_matrix(m, what: str) -> None:
-    """Refuse with FormatError("<what> needs a CMatrix, ...") an m that is not a CMatrix."""
-    if not isinstance(m, CMatrix):
-        raise FormatError(f"{what} needs a CMatrix, got {echo(m)}")
+def _entry(x) -> GaussianRational:
+    """`as_gaussian(x)`; an entry that it cannot read is refused with FormatError."""
+    try:
+        return as_gaussian(x)
+    except TypeError:
+        check_instance(x, GaussianRational, "matrix entry")  # x is not one: this raises
+        raise
 
 
 def _init(m: CMatrix, rows: int, cols: int, den: int, re: tuple, im: tuple) -> None:

@@ -22,14 +22,14 @@ killing a random vector, all at once.
 from __future__ import annotations
 
 import random
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate, combinations, islice
 from math import lcm
 from operator import matmul, mul
 
-from .errors import PreconditionError, SingularMatrixError, check_int
+from .errors import PreconditionError, SingularMatrixError, check_instance, check_int
 from .elimination import _first_dependence, _primitive, _symmetric_ldl, fraction_nullspace
 from .linalg import CMatrix, _product, hstack, reduced_row_echelon, submatrix, transpose, vstack
 from .model import Biquiver, DimensionVector, _forest
@@ -37,7 +37,7 @@ from .polynomials import poly_factor, primary_cofactors
 from .representation import MatrixRepresentation, _transform, direct_sum_list
 
 DEFAULT_TRIALS = 8
-DEFAULT_COEFF_BOUND = 10 ** 4
+COEFF_BOUND = 10 ** 4
 # The rank profile composes along paths of 2 to PROFILE_PATH_LENGTH arrows
 # and stops after MAX_PROFILE_RANKS entries, so loops, cycles and parallel
 # arrows cannot blow it up. The cap is ample: oriented E6 and E7 trees give
@@ -123,13 +123,14 @@ class Decomposition:
 # -- Hom spaces ---------------------------------------------------------------
 
 def _check_same_biquiver(a: MatrixRepresentation, b: MatrixRepresentation) -> None:
+    check_instance(a, MatrixRepresentation, "representation a")
+    check_instance(b, MatrixRepresentation, "representation b")
     if a.biquiver != b.biquiver:
         raise PreconditionError("representations live over different biquivers")
 
 
-def _check_sampling(trials: int, coeff_bound: int) -> None:
+def _check_sampling(trials: int) -> None:
     check_int(trials, "trials", 0, PreconditionError)
-    check_int(coeff_bound, "coefficient bound", 1, PreconditionError)
 
 
 def _hom_system_size(g: Biquiver, da: DimensionVector, db: DimensionVector) -> tuple[int, int]:
@@ -223,9 +224,9 @@ def _combine(basis: MorphismBasis, coeffs: list[int]) -> _Vector:
                                                                    basis.source_dims)))
 
 
-def _sample(basis: MorphismBasis, rng: random.Random, coeff_bound: int) -> _Vector:
-    """A random integer combination of the basis, coefficients in [-coeff_bound, coeff_bound]."""
-    return _combine(basis, [rng.randint(-coeff_bound, coeff_bound) for _ in basis.vectors])
+def _sample(basis: MorphismBasis, rng: random.Random) -> _Vector:
+    """A random integer combination of the basis, coefficients in [-COEFF_BOUND, COEFF_BOUND]."""
+    return _combine(basis, [rng.randint(-COEFF_BOUND, COEFF_BOUND) for _ in basis.vectors])
 
 
 def _identity_tuple(dims: DimensionVector) -> MorphismTuple:
@@ -313,8 +314,7 @@ def _profile_difference(a: MatrixRepresentation, b: MatrixRepresentation) -> str
 
 
 def are_isomorphic(a: MatrixRepresentation, b: MatrixRepresentation,
-                   trials: int = DEFAULT_TRIALS, seed: int = 0,
-                   coeff_bound: int = DEFAULT_COEFF_BOUND) -> IsoResult:
+                   trials: int = DEFAULT_TRIALS, seed: int = 0) -> IsoResult:
     """Randomized isomorphism test with exact certificates.
 
     Yes certificates S_1..S_t are verified exactly before being returned.
@@ -324,14 +324,16 @@ def are_isomorphic(a: MatrixRepresentation, b: MatrixRepresentation,
     Hom(a, b) is not zero; dim End(a) = dim End(b) = dim Hom(a, b), as for
     isomorphic a and b (the reason names both dimensions), which solves two
     more systems and so runs only after sampling fails. The samples are
-    random integer combinations of the Hom basis; invertible tuples form
-    the complement of a determinant hypersurface, so when an isomorphism
-    exists a random point misses it with high probability, and ProbablyNo
-    is Monte Carlo evidence only. A sampled Yes reports in `trials` the
-    samples drawn, up to and including the one that succeeded.
+    random integer combinations of the Hom basis (`_sample`); invertible
+    tuples form the complement of a determinant hypersurface, so when an
+    isomorphism exists a random point misses it with high probability, and
+    ProbablyNo is Monte Carlo evidence only, which its `trials` and `seed`
+    reproduce. A sampled Yes reports in `trials` the samples drawn, up to
+    and including the one that succeeded. Refuses trials that are not a
+    nonnegative int, and an a or b that is not a MatrixRepresentation.
     """
     _check_same_biquiver(a, b)
-    _check_sampling(trials, coeff_bound)
+    _check_sampling(trials)
     if a.dims != b.dims:
         return IsoResult(Verdict.NO, reason="dimension vectors differ")
     if a == b:
@@ -344,7 +346,7 @@ def are_isomorphic(a: MatrixRepresentation, b: MatrixRepresentation,
         return IsoResult(Verdict.NO, reason="Hom(a, b) = 0 with nonzero dimensions")
     rng = random.Random(seed)
     for used in range(1, trials + 1):
-        sample = _matrices(basis.target_dims, basis.source_dims, *_sample(basis, rng, coeff_bound))
+        sample = _matrices(basis.target_dims, basis.source_dims, *_sample(basis, rng))
         try:
             s = tuple(m.inverse() for m in sample)
         except SingularMatrixError:
@@ -460,7 +462,7 @@ def _vertex_killers(basis: MorphismBasis, vertex: int, vec: CMatrix) -> list[lis
 
 
 def _split_candidates(basis: MorphismBasis, dims: DimensionVector, trials: int,
-                      rng: random.Random, coeff_bound: int) -> Iterator[_Vector]:
+                      rng: random.Random) -> Iterator[_Vector]:
     """Endomorphisms to try for a Fitting split, drawn from rng only as they are asked for.
 
     Each of `trials` rounds yields a random element of End, then, at each
@@ -468,7 +470,7 @@ def _split_candidates(basis: MorphismBasis, dims: DimensionVector, trials: int,
     nonzero Gaussian-integer vector there.
     """
     for _ in range(trials):
-        yield _sample(basis, rng, coeff_bound)
+        yield _sample(basis, rng)
         vertices = [w for w, d in enumerate(dims) if d > 0]
         rng.shuffle(vertices)
         for w in vertices:
@@ -528,7 +530,7 @@ def _certify_local(basis: MorphismBasis) -> bool:
     for k, row in enumerate(_trace_rows(basis), 1):
         lower.append(row)
         if k == n or (k >= 2 and not k & (k - 1)):
-            (positive, _, _), *_ = _symmetric_ldl(_symmetrized(lower))
+            positive, _, _ = _symmetric_ldl(_symmetrized(lower))
             if positive >= 2 or k == n:
                 return positive == 1
     return False  # End = 0
@@ -619,8 +621,8 @@ def _echelon_change(rep: MatrixRepresentation
     return s, _transform(rep, s, inv, placed)
 
 
-def decompose(a: MatrixRepresentation, trials: int = DEFAULT_TRIALS, seed: int = 0,
-              coeff_bound: int = DEFAULT_COEFF_BOUND) -> Decomposition:
+def decompose(a: MatrixRepresentation, trials: int = DEFAULT_TRIALS, seed: int = 0
+              ) -> Decomposition:
     """Decompose into indecomposables by recursive primary splitting.
 
     A representation whose End is not local tries the endomorphisms phi
@@ -642,9 +644,11 @@ def decompose(a: MatrixRepresentation, trials: int = DEFAULT_TRIALS, seed: int =
     CertifiedIndecomposable when End is local (End/rad is R, C or the
     quaternions H), read exactly from the trace form, and otherwise
     ProbablyIndecomposable. The base change applied to `a` is the direct sum
-    of the summands, exactly.
+    of the summands, exactly, and its `trials` and `seed` reproduce the
+    samples. Refuses as `are_isomorphic` refuses.
     """
-    _check_sampling(trials, coeff_bound)
+    check_instance(a, MatrixRepresentation, "representation a")
+    _check_sampling(trials)
     rng = random.Random(seed)
 
     def rec(rep: MatrixRepresentation):
@@ -659,7 +663,7 @@ def decompose(a: MatrixRepresentation, trials: int = DEFAULT_TRIALS, seed: int =
         basis = hom_basis(rep, rep)
         status = IndecomposabilityStatus.CERTIFIED
         if not _certify_local(basis):
-            for phi in _split_candidates(basis, rep.dims, trials, rng, coeff_bound):
+            for phi in _split_candidates(basis, rep.dims, trials, rng):
                 powers: list[_Vector] = []
                 parts = _splitting_idempotent(_minimal_polynomial(basis, phi, powers), powers,
                                               rep.dims)
@@ -686,15 +690,19 @@ def decompose(a: MatrixRepresentation, trials: int = DEFAULT_TRIALS, seed: int =
 
 
 def krull_schmidt_compare(x: list[MatrixRepresentation], y: list[MatrixRepresentation],
-                          trials: int = DEFAULT_TRIALS, seed: int = 0,
-                          coeff_bound: int = DEFAULT_COEFF_BOUND
+                          trials: int = DEFAULT_TRIALS, seed: int = 0
                           ) -> list[tuple[int, int, tuple[CMatrix, ...]]] | None:
     """Match two summand lists up to isomorphism; None when no bijection exists.
 
     Greedy matching by dimension vector followed by pairwise isomorphism
-    tests, returning (index_in_x, index_in_y, certificate) triples.
+    tests, returning (index_in_x, index_in_y, certificate) triples. Refuses
+    as `are_isomorphic` refuses, and x or y that is not a sequence.
     """
-    _check_sampling(trials, coeff_bound)
+    for name, summands in (("x", x), ("y", y)):
+        check_instance(summands, Sequence, f"summand list {name}")
+        for k, s in enumerate(summands):
+            check_instance(s, MatrixRepresentation, f"summand {k} of {name}")
+    _check_sampling(trials)
     if len(x) != len(y):
         return None
     unmatched = list(range(len(y)))
@@ -702,7 +710,7 @@ def krull_schmidt_compare(x: list[MatrixRepresentation], y: list[MatrixRepresent
     for i, xi in enumerate(x):
         for j in unmatched:
             if y[j].dims == xi.dims and (res := are_isomorphic(
-                    xi, y[j], trials, seed + 7919 * (i + 1) + j, coeff_bound)):
+                    xi, y[j], trials, seed + 7919 * (i + 1) + j)):
                 unmatched.remove(j)
                 matching.append((i, j, res.certificate))
                 break

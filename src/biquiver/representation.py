@@ -18,8 +18,8 @@ import random
 from dataclasses import dataclass
 from math import gcd, lcm
 
-from .errors import FormatError, PreconditionError, check_int, echo
-from .linalg import CMatrix, _check_matrix, block_diag
+from .errors import FormatError, PreconditionError, check_instance, check_int, echo
+from .linalg import CMatrix, block_diag
 from .model import (Biquiver, DimensionVector, _check_sized, biquiver_to_obj, check_dims,
                     parse_biquiver_obj, parse_json)
 from .scalars import _rational_parts
@@ -33,6 +33,7 @@ class MatrixRepresentation:
 
     def __post_init__(self):
         g = self.biquiver
+        check_instance(g, Biquiver, "representation")
         _check_dims(g, self.dims)
         ids = {a.id for a in g.arrows}
         extra = set(self.matrices) - ids
@@ -42,7 +43,7 @@ class MatrixRepresentation:
             m = self.matrices.get(a.id)
             if m is None:
                 raise FormatError(f"missing matrix for arrow {echo(a.id)}")
-            _check_matrix(m, f"arrow {echo(a.id)}")
+            check_instance(m, CMatrix, f"arrow {echo(a.id)}")
             want = (self.dims[a.target - 1], self.dims[a.source - 1])
             if (m.rows, m.cols) != want:
                 raise FormatError(
@@ -75,12 +76,15 @@ def zero_representation(g: Biquiver, dims: DimensionVector | None = None) -> Mat
 
 
 def direct_sum(a: MatrixRepresentation, b: MatrixRepresentation) -> MatrixRepresentation:
+    check_instance(a, MatrixRepresentation, "summand 0")
     return direct_sum_list(a.biquiver, [a, b])
 
 
 def direct_sum_list(g: Biquiver, summands: list[MatrixRepresentation]) -> MatrixRepresentation:
     """The direct sum of representations of g: at each arrow, one `block_diag` of the
     summands' matrices, in order. No summands give the zero-dimensional representation."""
+    for k, s in enumerate(summands):
+        check_instance(s, MatrixRepresentation, f"summand {k}")
     if any(s.biquiver != g for s in summands):
         raise PreconditionError("direct sum needs representations of the same biquiver")
     dims = tuple(sum(s.dims[v] for s in summands) for v in range(g.t))
@@ -96,7 +100,7 @@ def apply_base_change(a: MatrixRepresentation, s: list[CMatrix]) -> MatrixRepres
         raise PreconditionError(f"need {g.t} transition matrices, got {len(s)}")
     inv = []
     for v, m in enumerate(s, start=1):
-        _check_matrix(m, f"transition matrix at vertex {v}")
+        check_instance(m, CMatrix, f"transition matrix at vertex {v}")
         if (m.rows, m.cols) != (a.dim(v), a.dim(v)):
             raise PreconditionError(
                 f"transition matrix at vertex {v} must be {a.dim(v)}x{a.dim(v)}")

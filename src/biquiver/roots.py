@@ -12,14 +12,14 @@ and on the value:
   The closure runs once per form, which keeps its roots (`_positive_roots`)
   for every biquiver sharing it. At value 0 there is nothing to find.
 - Positive semidefinite: the form is extended Dynkin, and ker C = Z delta
-  with delta > 0, read off the shared LDL^T once per form
-  (`tits._delta`). At value 0, q(z) = 0 exactly when C z = 0, and the
-  answer is k delta for k = 1..bound // max(delta) (`_null_roots`). At
-  value 1 the answer is the positive real roots: alpha + k delta for
-  k >= 0 and -alpha + k delta for k >= 1, where alpha runs over the
-  positive roots of the Dynkin form left by deleting a vertex e with
-  delta_e = 1, found by the closure on every call and kept nowhere (Kac,
-  Infinite dimensional Lie algebras, Prop. 6.3; `_real_roots`).
+  with delta > 0, solved and certified once per form (`tits._delta`). At
+  value 0, q(z) = 0 exactly when C z = 0, and the answer is k delta for
+  k = 1..bound // max(delta) (`_null_roots`). At value 1 the answer is
+  the positive real roots: alpha + k delta for k >= 0 and -alpha + k delta
+  for k >= 1, where alpha runs over the positive roots of the Dynkin form
+  left by deleting a vertex e with delta_e = 1, found by the closure on
+  every call and kept nowhere (Kac, Infinite dimensional Lie algebras,
+  Prop. 6.3; `_real_roots`).
 - Indefinite: a box search over 0..bound per coordinate (`_enumerate_box`).
   Its last coordinate is solved exactly, leaving at most two candidates
   (all of 0..bound where that coordinate's equation vanishes

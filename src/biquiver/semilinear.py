@@ -12,11 +12,11 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .errors import FormatError, SingularMatrixError, echo
+from .errors import FormatError, SingularMatrixError, check_instance, echo
 from .gadgets import gadget_cycle
-from .linalg import CMatrix, _check_matrix
+from .linalg import CMatrix
 from .model import Arrow, ArrowKind, Biquiver
-from .morphisms import DEFAULT_COEFF_BOUND, DEFAULT_TRIALS, IsoResult, are_isomorphic
+from .morphisms import DEFAULT_TRIALS, IsoResult, are_isomorphic
 
 
 class MapKind(Enum):
@@ -33,8 +33,8 @@ def _check_kind(kind) -> None:
 def apply_map(kind: MapKind, m: CMatrix, x: CMatrix) -> CMatrix:
     """Apply the map with matrix m to a column vector x."""
     _check_kind(kind)
-    _check_matrix(m, "matrix m")
-    _check_matrix(x, "vector x")
+    check_instance(m, CMatrix, "matrix m")
+    check_instance(x, CMatrix, "vector x")
     if x.cols != 1 or m.cols != x.rows:
         raise FormatError(
             f"cannot apply {m.rows}x{m.cols} matrix to {x.rows}x{x.cols} vector")
@@ -51,8 +51,8 @@ def compose(kind_b: MapKind, b: CMatrix, kind_a: MapKind, a: CMatrix
     """
     _check_kind(kind_b)
     _check_kind(kind_a)
-    _check_matrix(b, "matrix b")
-    _check_matrix(a, "matrix a")
+    check_instance(b, CMatrix, "matrix b")
+    check_instance(a, CMatrix, "matrix a")
     if b.cols != a.rows:
         raise FormatError(
             f"inner dimensions differ: {b.rows}x{b.cols} after {a.rows}x{a.cols}")
@@ -70,9 +70,9 @@ def change_of_basis(kind: MapKind, m: CMatrix, s_target: CMatrix,
     m.cols (FormatError otherwise), and invertible (SingularMatrixError).
     """
     _check_kind(kind)
-    _check_matrix(m, "matrix m")
-    _check_matrix(s_target, "transition s_target")
-    _check_matrix(s_source, "transition s_source")
+    check_instance(m, CMatrix, "matrix m")
+    check_instance(s_target, CMatrix, "transition s_target")
+    check_instance(s_source, CMatrix, "transition s_source")
     if not (s_source.is_square and s_target.is_square
             and s_source.rows == m.cols and s_target.rows == m.rows):
         raise FormatError("transition matrices do not match the map's shape")
@@ -83,21 +83,22 @@ def change_of_basis(kind: MapKind, m: CMatrix, s_target: CMatrix,
 
 
 def are_consimilar(a: CMatrix, b: CMatrix, trials: int = DEFAULT_TRIALS,
-                   seed: int = 0, coeff_bound: int = DEFAULT_COEFF_BOUND) -> IsoResult:
+                   seed: int = 0) -> IsoResult:
     """Decide whether conj(S)^{-1} a S = b has an invertible solution S.
 
     Yes results carry an exactly verified S (the certificate's single
     matrix). No is certified by the rank profile of the loop, whose paths
     give the consimilarity invariants rank a, rank a conj(a),
     rank a conj(a) a and rank (a conj(a))^2 (Hong & Horn 1988), or by the
-    morphism space; ProbablyNo is Monte Carlo. Delegates to the cycle
-    gadgets of a and b on the one-dashed-loop biquiver, where isomorphism
-    of representations is precisely consimilarity.
+    morphism space; ProbablyNo is Monte Carlo, which its `trials` and
+    `seed` reproduce. Delegates to the cycle gadgets of a and b on the
+    one-dashed-loop biquiver, where isomorphism of representations is
+    precisely consimilarity.
     """
-    _check_matrix(a, "matrix a")
-    _check_matrix(b, "matrix b")
+    check_instance(a, CMatrix, "matrix a")
+    check_instance(b, CMatrix, "matrix b")
     if not a.is_square or not b.is_square or a.rows != b.rows:
         raise FormatError("consimilarity needs square matrices of equal size")
     loop = Biquiver(1, (Arrow("a", 1, 1, ArrowKind.DASHED),))
     return are_isomorphic(gadget_cycle(loop, ["a"], a), gadget_cycle(loop, ["a"], b),
-                          trials=trials, seed=seed, coeff_bound=coeff_bound)
+                          trials=trials, seed=seed)

@@ -4,24 +4,25 @@ q_G(x) = sum x_i^2 - sum_{arrows u->v} x_u x_v, summed over all arrows of
 either kind. Twice its Gram matrix Q is the integer generalized Cartan
 matrix C = 2Q of the underlying multigraph, stored with Q as its view.
 Definiteness is read exactly from the inertia of C, that of Q, counted by
-the integer elimination `elimination._symmetric_ldl`.
+the integer elimination `elimination._symmetric_ldl`, and the radical
+vector delta is read off ker C, solved by `fraction_nullspace`.
 
 Each form is analysed once. C forgets the kinds and directions of the
 arrows, so every biquiver on the same numbered multigraph has the same
 form, and `_tits_gram` returns one TitsGram per C: a weak intern table
 keeps it while some Biquiver holds it as "_gram", and frees it with the
 last one. `model._kept` keeps in the form what this module derives from C
-once: the checked LDL^T of C (`ldl`) and, for a semidefinite C, its
-radical vector delta, solved back from that LDL^T by `_null_root`
-(`_delta`); and, under a key of its own, what `roots` derives from the
-form alone: the positive roots of a definite form. `classify` reads no
-form. On every biquiver sharing the form, `definiteness` reads the
-inertia of that one LDL^T.
-`radical_vector` shares the verdict but still solves ker C with
-`fraction_nullspace`, the call the benchmark's tests count for it, and
-raises AssertionError unless what it finds is delta. The elimination is
-cubic in the number of vertices, so forms past MAX_GRAM_VERTICES vertices
-are neither built nor eliminated.
+once: the inertia of C, counted by one checked elimination (`inertia`),
+and, for a semidefinite C, its radical vector delta, certified before it
+is kept (`_delta`); and, under a key of its own, what `roots` derives
+from the form alone: the positive roots of a definite form. `classify`
+reads no form. On every biquiver sharing the form, `definiteness` reads
+that one inertia. `radical_vector` shares the verdict but solves ker C on
+every call, the call the benchmark's tests count for it: the first delta
+it finds is the one kept, and a later call raises AssertionError unless
+it finds that delta again. The elimination is cubic in the number of
+vertices, so forms past MAX_GRAM_VERTICES vertices are neither built nor
+eliminated.
 """
 from __future__ import annotations
 
@@ -31,8 +32,9 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
-from .errors import FormatError, PreconditionError, check_int, is_int
+from .errors import FormatError, PreconditionError, check_instance, check_int, is_int
 from .elimination import _symmetric_ldl, fraction_nullspace
 from .model import Biquiver, DimensionVector, _fields, _kept, check_dims
 
@@ -73,15 +75,15 @@ class TitsGram:
                      for row in self.c)
 
     @property
-    def ldl(self) -> tuple:
-        """`_checked_ldl(self)`, computed once and shared."""
-        return _kept(self, "ldl", _checked_ldl)
+    def inertia(self) -> tuple[int, int, int]:
+        """`_checked_inertia(self)`, computed once and shared."""
+        return _kept(self, "inertia", _checked_inertia)
 
     __getstate__ = _fields
 
 
-def _checked_ldl(gram: TitsGram) -> tuple:
-    """`_symmetric_ldl(c)` of gram's checked c.
+def _checked_inertia(gram: TitsGram) -> tuple[int, int, int]:
+    """The inertia (n+, n-, n0) of gram's checked c, by `_symmetric_ldl`.
 
     Raises FormatError unless c is a symmetric t x t matrix of ints, t and
     each entry an int and not a bool (`errors.is_int`), and
@@ -103,8 +105,36 @@ def _checked_ldl(gram: TitsGram) -> tuple:
 
 
 def _delta(gram: TitsGram) -> DimensionVector:
-    """`_null_root(gram)`, solved once per semidefinite form."""
-    return _kept(gram, "_delta", _null_root)
+    """The radical vector delta of a connected semidefinite form, kept by
+    `radical_vector` or else solved and certified here, once per form."""
+    return _kept(gram, "_delta", lambda gram: _certified(gram, _kernel(gram)))
+
+
+def _kernel(gram: TitsGram) -> list[tuple[int, list[int]]]:
+    """The canonical basis of ker C, by `fraction_nullspace` on C's rows."""
+    return fraction_nullspace([list(row) for row in gram.c], gram.t)
+
+
+def _certified(gram: TitsGram, basis: list[tuple[int, list[int]]]) -> DimensionVector:
+    """delta, the one vector of `basis`, the solved ker C, once it is certified.
+
+    For the singular positive semidefinite form of a connected biquiver, an
+    extended Dynkin form, ker C = Z delta with delta > 0 primitive. The
+    certificate does not trust the solve: C has one kernel direction by its
+    inertia, and delta is strictly positive, primitive and C delta = 0, so
+    delta is that generator. A failed check raises AssertionError, by a
+    raise that python -O keeps.
+    """
+    nullity = gram.inertia[2]
+    if len(basis) != 1 or nullity != 1:
+        raise AssertionError(f"the kernel has {len(basis)} free directions by its solve "
+                             f"and {nullity} by the inertia, not 1")
+    delta = tuple(basis[0][1])
+    if min(delta) <= 0:
+        raise AssertionError(f"the kernel vector {delta} is not strictly positive")
+    if gcd(*delta) != 1 or any(sum(map(mul, row, delta)) for row in gram.c):
+        raise AssertionError(f"{delta} is not a primitive vector of ker C")
+    return delta
 
 
 def _check_vertex_cap(t: int) -> None:
@@ -116,7 +146,8 @@ def _check_vertex_cap(t: int) -> None:
 def gram_matrix(g: Biquiver) -> TitsGram:
     """C = 2Q, g's one TitsGram, built on the first call and returned by every
     later one; each call raises PreconditionError when g has more than
-    MAX_GRAM_VERTICES vertices."""
+    MAX_GRAM_VERTICES vertices, and FormatError when g is not a Biquiver."""
+    check_instance(g, Biquiver, "Tits form")
     return _kept(g, "_gram", _tits_gram)
 
 
@@ -168,11 +199,13 @@ def definiteness(gram: TitsGram) -> Definiteness:
 
     Read off the inertia (n+, n-, n0) of C, which is that of Q: positive
     definite when n+ = t, positive semidefinite (and singular) when n- = 0.
-    Only reads `gram.ldl`, which checks and eliminates C once per TitsGram:
+    Only reads `gram.inertia`, which checks and eliminates C once per TitsGram:
     it raises FormatError unless C is a symmetric t x t matrix of ints, and
     PreconditionError, before eliminating, when t > MAX_GRAM_VERTICES.
+    Raises FormatError when gram is not a TitsGram.
     """
-    (positive, negative, _), *_ = gram.ldl
+    check_instance(gram, TitsGram, "definiteness")
+    positive, negative, _ = gram.inertia
     if positive == gram.t:
         return Definiteness.POSITIVE_DEFINITE
     if negative == 0:
@@ -186,53 +219,19 @@ def radical_vector(gram: TitsGram) -> DimensionVector | None:
     Present exactly when Q is positive semidefinite singular with a
     one-dimensional kernel spanned by a strictly positive vector (the case
     of a connected tame biquiver). Solved with `fraction_nullspace` on
-    every call, and checked against the form's kept `_delta`, solved back
-    from its LDL^T: raises AssertionError when the two differ.
+    every call. The first delta found is certified (`_certified`) and kept
+    as the form's `_delta`, which `roots` reads; a later call raises
+    AssertionError unless it finds the kept delta.
     """
     if definiteness(gram) is not Definiteness.POSITIVE_SEMIDEFINITE:
         return None
-    basis = fraction_nullspace([list(row) for row in gram.c], gram.t)
-    if len(basis) != 1:
-        return None
+    basis = _kernel(gram)
     # nums is primitive, as nums[free] == den, and positive at the free column
-    _, nums = basis[0]
-    if any(x <= 0 for x in nums):
+    if len(basis) != 1 or any(x <= 0 for x in basis[0][1]):
         return None
-    delta = tuple(nums)
-    if delta != _delta(gram):
+    delta = tuple(basis[0][1])
+    kept = _kept(gram, "_delta", lambda gram: _certified(gram, basis))
+    if delta != kept:
         raise AssertionError(f"the kernel vector {delta} is not the radical vector "
-                             f"{_delta(gram)} read off the LDL^T")
-    return delta
-
-
-def _null_root(gram: TitsGram) -> DimensionVector:
-    """The primitive generator delta > 0 of ker C, read off `gram.ldl`.
-
-    For the singular positive semidefinite form of a connected biquiver,
-    an extended Dynkin form, ker C = Z delta with delta > 0, and `ldl` has
-    one `free` index. Every LDL^T term vanishes on ker C, so each step's
-    d z_p + lin . z = 0 gives z_p from the indices pivoted after p; from
-    z_free = 1 the steps, solved last to first in integers, scale z up by
-    what d does not divide. Read for a semidefinite form only, through its
-    memo `_delta`; raises AssertionError unless `free` has length 1 and
-    delta > 0.
-    """
-    _, steps, free = gram.ldl
-    if len(free) != 1:
-        raise AssertionError(f"the kernel has {len(free)} free directions, not 1")
-    z = [0] * gram.t
-    z[free[0]] = 1
-    for p, _, d, lin in reversed(steps):
-        s = 0
-        for j, x in lin.items():
-            s += x * z[j]
-        scale = d // gcd(s, d)  # d > 0, as n- == 0
-        if scale > 1:
-            z = [scale * v for v in z]
-            s *= scale
-        z[p] = -s // d
-    common = gcd(*z)
-    delta = tuple(v // common for v in z)
-    if min(delta) <= 0:
-        raise AssertionError(f"the kernel vector {delta} is not strictly positive")
+                             f"{kept} kept in the form")
     return delta

@@ -1,12 +1,20 @@
 """Each input rule is written once, so that no two copies can drift apart.
 
 `errors.is_int` and `errors.check_int` hold the int rule, an int that is not
-a bool; the Biquiver and MatrixRepresentation constructors hold the biquiver
-and dimension-vector rules, and the JSON parsers only decode. Both checks
-read the package's source.
+a bool; `errors.check_instance` holds the type rule for the package's own
+classes; the Biquiver and MatrixRepresentation constructors hold the
+biquiver and dimension-vector rules, and the JSON parsers only decode. The
+int checks read the package's source; the type checks call each public
+function that takes one of the package's classes with a foreign object.
 """
 import ast
+import re
 from pathlib import Path
+
+import pytest
+
+import biquiver as bq
+from biquiver import FormatError
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "biquiver"
 
@@ -68,3 +76,34 @@ def test_the_parsers_leave_every_int_to_the_constructors():
                     if isinstance(node, ast.FunctionDef) and node.name == name)
         used = set().union(*(_names(stmt) for stmt in func.body))
         assert not used & {"int", "bool", "is_int", "check_int"}, (name, used)
+
+
+def _loop_rep():
+    g = bq.Biquiver(1, (bq.Arrow("a", 1, 1, bq.ArrowKind.FULL),))
+    return bq.MatrixRepresentation(g, (1,), {"a": bq.CMatrix.identity(1)})
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda a: bq.hom_basis(5, a), "representation a needs a MatrixRepresentation, got 5"),
+    (lambda a: bq.are_isomorphic(a, 5), "representation b needs a MatrixRepresentation, got 5"),
+    (lambda a: bq.direct_sum(5, a), "summand 0 needs a MatrixRepresentation, got 5"),
+    (lambda a: bq.direct_sum(a, 5), "summand 1 needs a MatrixRepresentation, got 5"),
+    (lambda a: bq.decompose(5), "representation a needs a MatrixRepresentation, got 5"),
+    (lambda a: bq.krull_schmidt_compare([5], [a]),
+     "summand 0 of x needs a MatrixRepresentation, got 5"),
+    (lambda a: bq.krull_schmidt_compare(5, [a]), "summand list x needs a Sequence, got 5"),
+    (lambda a: bq.krull_schmidt_compare([a], [a, None]),
+     "summand 1 of y needs a MatrixRepresentation, got None"),
+    (lambda a: bq.MatrixRepresentation(5, (1,), {}), "representation needs a Biquiver, got 5"),
+    (lambda a: bq.gram_matrix(5), "Tits form needs a Biquiver, got 5"),
+    (lambda a: bq.representation_type(5), "classification needs a Biquiver, got 5"),
+    (lambda a: bq.definiteness(5), "definiteness needs a TitsGram, got 5"),
+    (lambda a: bq.radical_vector(a.biquiver), "definiteness needs a TitsGram, got Biquiver("),
+    (lambda a: bq.CMatrix(1, 1, ["x"]), "matrix entry needs a GaussianRational, got 'x'"),
+], ids=["hom_basis", "are_isomorphic", "direct_sum-a", "direct_sum-b", "decompose",
+        "krull_schmidt_compare-entry", "krull_schmidt_compare-list",
+        "krull_schmidt_compare-y", "MatrixRepresentation", "gram_matrix",
+        "representation_type", "definiteness", "radical_vector", "CMatrix"])
+def test_a_foreign_object_is_refused_with_a_format_error(call, message):
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}"):
+        call(_loop_rep())

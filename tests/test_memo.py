@@ -2,8 +2,8 @@
 are memos kept in the instance, and connectivity is read off the forest on
 every call. Each form is analysed once: it is shared by every live
 Biquiver on the same numbered graph, whatever the kinds and directions of
-its arrows, and keeps its checked LDL and, when semidefinite, its radical
-vector delta and, when definite, its positive roots (`roots`); the Dynkin
+its arrows, and keeps its checked inertia and, when semidefinite, its
+radical vector delta and, when definite, its positive roots (`roots`); the Dynkin
 sub-form that a semidefinite form's real roots are read from is closed on
 every call and kept nowhere. Each Biquiver also keeps its Dynkin label
 (`classify`), which builds no form, and its dash-elimination plan, or the
@@ -12,9 +12,9 @@ one of these memos is kept by `model._kept`, the package's one memo rule,
 and no module uses `functools.cached_property`.
 
 The counting tests wrap `model._spanning_forest`, `tits._symmetric_ldl`,
-`tits._null_root`, `classify.diagram_shape` and `roots._close_simple_roots`,
-the names the memos call, so they see every traversal, elimination,
-back-substitution, label and closure. A test that counts the work on a
+`tits.fraction_nullspace`, `tits._certified`, `classify.diagram_shape` and
+`roots._close_simple_roots`, the names the memos call, so they see every
+traversal, elimination, kernel solve, certified delta, label and closure. A test that counts the work on a
 shared form builds one that no other test builds, so it counts the same
 alone and after other tests have left forms alive. The refusal tests check
 that each check still runs on every call, not only on the first, and the
@@ -25,9 +25,12 @@ computes.
 import ast
 import copy
 import gc
+import os
 import pickle
 import random
+import subprocess
 import sys
+import textwrap
 import threading
 import tracemalloc
 import weakref
@@ -92,9 +95,10 @@ def calls(monkeypatch):
 
 @pytest.fixture
 def memo_calls(monkeypatch):
-    """Counts of the traversals, back-substitutions and labels run from here on."""
-    return counting(monkeypatch, (model, "_spanning_forest"), (tits, "_null_root"),
-                    (classify, "diagram_shape"))
+    """Counts of the traversals, kernel solves, certified deltas and labels run
+    from here on."""
+    return counting(monkeypatch, (model, "_spanning_forest"), (tits, "fraction_nullspace"),
+                    (tits, "_certified"), (classify, "diagram_shape"))
 
 
 @pytest.fixture
@@ -162,7 +166,8 @@ def test_delta_is_solved_once_per_form(memo_calls, closures):
         assert radical_vector(gram_matrix(g)) == delta
         assert roots_with_value(g, 0, 4) == [delta, tuple(2 * x for x in delta)]
         assert len(roots_with_value(g, 1, 2)) == 44
-    assert memo_calls["_null_root"] == 1
+    # radical_vector solves ker C on every call; delta is certified once
+    assert memo_calls["fraction_nullspace"] == 4 and memo_calls["_certified"] == 1
     # the D5 left by deleting a vertex with delta_e = 1, closed on every call
     assert closures == [5] * 4
 
@@ -179,7 +184,7 @@ def test_the_dynkin_sub_form_is_closed_on_every_call(closures):
     # the sub-form is E8, closed from the form without a vertex of delta 1
     assert closures == [8] * 21
     assert representation_type(g).diagram == "~E8"
-    assert set(vars(gram_matrix(g))) == {"t", "c", "ldl", "_delta"}
+    assert set(vars(gram_matrix(g))) == {"t", "c", "inertia", "_delta"}
     assert "label" in vars(g)
 
 
@@ -224,7 +229,7 @@ def test_no_dynkin_sub_form_or_closure_outlives_a_value_1_call():
     finally:
         tracemalloc.stop()
     assert held < 100_000, held
-    assert set(vars(gram_matrix(g))) == {"t", "c", "ldl", "_delta"}
+    assert set(vars(gram_matrix(g))) == {"t", "c", "inertia", "_delta"}
     assert "label" in vars(g)
 
 
@@ -339,7 +344,7 @@ def test_a_pickled_form_carries_its_fields_alone():
     for g in (path_biquiver(2), biq(4, "a:3>1", "b:1~4", "c:4>2", "d:2~3")):
         want = memo_op(g)
         form = gram_matrix(g)
-        assert set(vars(form)) > {"t", "c", "ldl"}
+        assert set(vars(form)) > {"t", "c", "inertia"}
         for back in (pickle.loads(pickle.dumps(form)), copy.deepcopy(form)):
             assert vars(back) == {"t": form.t, "c": form.c}
             assert back == form and back is not form
@@ -351,24 +356,71 @@ def test_a_pickled_form_carries_its_fields_alone():
         assert_memos_are_cold_answers(form)
 
 
-def test_radical_vector_is_checked_against_delta(monkeypatch):
+def test_radical_vector_is_checked_against_delta():
     gram = TitsGram(3, ((2, -1, -1), (-1, 2, -1), (-1, -1, 2)))  # ~A2, delta = (1, 1, 1)
-    assert radical_vector(gram) == (1, 1, 1)
-    real = tits.fraction_nullspace
-
-    def scaled(rows, width):
-        return [(den, [2 * x for x in nums]) for den, nums in real(rows, width)]
-    monkeypatch.setattr(tits, "fraction_nullspace", scaled)
-    for fresh in (gram, TitsGram(gram.t, gram.c)):
-        with pytest.raises(AssertionError, match=r"\(2, 2, 2\) is not the radical vector"):
+    assert radical_vector(gram) == (1, 1, 1) == vars(gram)["_delta"]
+    # a wrong delta seeded in a fresh form: every call finds (1, 1, 1) and refuses
+    fresh = TitsGram(gram.t, gram.c)
+    vars(fresh)["_delta"] = (2, 2, 2)
+    for _ in range(2):
+        with pytest.raises(AssertionError, match=r"\(1, 1, 1\) is not the radical vector "
+                                                 r"\(2, 2, 2\) kept in the form"):
             radical_vector(fresh)
+    assert radical_vector(gram) == (1, 1, 1)
+
+
+def test_delta_is_certified_before_it_is_kept(monkeypatch):
+    # ~A3, numbered so that nothing else builds its form: ker C = Z (1, 1, 1, 1).
+    # A kernel solve that returns the positive vector (1, 2, 1, 1), which C
+    # does not annihilate, is refused by the root search and by
+    # radical_vector alike, and no delta is kept
+    g = biq(4, "a:4>2", "b:2~1", "c:1>3", "d:3~4")
+    monkeypatch.setattr(tits, "fraction_nullspace", lambda rows, width: [(1, [1, 2, 1, 1])])
+    for ask in (lambda: roots_with_value(g, 0, 2), lambda: radical_vector(gram_matrix(g))):
+        with pytest.raises(AssertionError, match=r"\(1, 2, 1, 1\) is not a primitive vector"):
+            ask()
+    assert "_delta" not in vars(gram_matrix(g))
+    monkeypatch.undo()
+    assert roots_with_value(g, 0, 2) == [(1, 1, 1, 1), (2, 2, 2, 2)]
+
+
+def test_the_delta_certificate_survives_the_optimize_flag():
+    # python -O strips assert statements; a delta off ker C must still raise
+    code = textwrap.dedent("""
+        from biquiver import Arrow, ArrowKind, Biquiver, roots_with_value, tits
+        tits.fraction_nullspace = lambda rows, width: [(1, [1, 2, 1, 1])]
+        g = Biquiver(4, tuple(Arrow(f"a{k}", k, k % 4 + 1, ArrowKind.FULL)
+                              for k in range(1, 5)))
+        try:
+            roots_with_value(g, 0, 2)
+        except AssertionError as e:
+            print("raised:", e)
+        else:
+            print("returned")
+    """)
+    env = {**os.environ, "PYTHONPATH": str(Path(model.__file__).resolve().parent.parent)}
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                          text=True, env=env, check=True)
+    assert proc.stdout.startswith("raised:"), proc.stdout
+
+
+def test_roots_fill_the_delta_that_radical_vector_then_checks(memo_calls):
+    # ~A5, numbered so that nothing else builds its form: the root search
+    # solves ker C once and keeps delta, and each radical_vector call solves
+    # it again and finds the kept delta
+    g = biq(6, "a:5>2", "b:2~6", "c:6>1", "d:1~4", "e:4>3", "f:3~5")
+    assert roots_with_value(g, 0, 1) == [(1,) * 6]
+    for _ in range(2):
+        assert radical_vector(gram_matrix(g)) == (1,) * 6
+    assert memo_calls["fraction_nullspace"] == 3 and memo_calls["_certified"] == 1
+    assert vars(gram_matrix(g))["_delta"] == (1,) * 6
 
 
 def assert_memos_are_cold_answers(form):
     """Every memo that `form` keeps equals what a fresh, uninterned TitsGram
     of the same C computes; a memo not named here fails, as a label would."""
     fresh = TitsGram(form.t, form.c)
-    cold = {"ldl": lambda: fresh.ldl, "_delta": lambda: tits._delta(fresh),
+    cold = {"inertia": lambda: fresh.inertia, "_delta": lambda: tits._delta(fresh),
             "positive_roots": lambda: tuple(roots._close_simple_roots(fresh))}
     for name, kept in vars(form).items():
         if name not in ("t", "c"):

@@ -20,10 +20,10 @@ from biquiver.elimination import _symmetric_ldl
 from biquiver.model import DimensionVector
 from biquiver.roots import (MAX_BOX_CANDIDATES, MAX_ROOTS, _check_box, _close_simple_roots,
                             _enumerate_box, _keep, _null_roots)
-from biquiver.tits import _null_root
+from biquiver.tits import _delta
 from conftest import (biq, cycle_biquiver, dynkin_and_extended, path_biquiver,
                       star_biquiver)
-from test_tits import oracle_symmetric_ldl
+from test_tits import oracle_ldl, oracle_null_root, oracle_symmetric_ldl
 
 
 def brute_force_roots(g, value, bound):
@@ -217,7 +217,7 @@ def _enumerate_sos(gram: TitsGram, value: int, bound: int | None):
     looped over; at most two of its values fit, and they are emitted in
     ascending order, so that order is kept.
     """
-    _, steps, free = gram.ldl
+    _, steps, free = oracle_ldl(gram.c)
     # Step k contributes (d z_p + c)^2 / (prev d), and every prev d > 0 as
     # n- == 0 here; scaled by m = lcm(prev d) the squares sum to
     # m * 2q with the integer weights m / (prev d).
@@ -328,7 +328,7 @@ def oracle_enumerate_sos(gram, value, bound):
 
 def oracle_search_sos(gram, value, bound):
     """The integer `_enumerate_sos` that searched its last LDL step, verbatim."""
-    _, steps, free = gram.ldl
+    _, steps, free = oracle_ldl(gram.c)
     # Step k contributes (d z_p + c)^2 / (prev d), and every prev d > 0 as
     # n- == 0 here; scaled by m = lcm(prev d) the squares sum to
     # m * 2q with the integer weights m / (prev d).
@@ -461,7 +461,7 @@ def test_a_shared_form_answers_as_a_fresh_one(g, data):
     assert gram_matrix(other) is gram
     fresh = TitsGram(g.t, gram.c)
     assert fresh is not gram and fresh == gram
-    (positive, negative, _), *_ = _symmetric_ldl([list(row) for row in fresh.c])
+    positive, negative, _ = _symmetric_ldl([list(row) for row in fresh.c])
     verdict = (Definiteness.POSITIVE_DEFINITE if positive == g.t
                else Definiteness.POSITIVE_SEMIDEFINITE if negative == 0
                else Definiteness.INDEFINITE)
@@ -473,7 +473,7 @@ def test_a_shared_form_answers_as_a_fresh_one(g, data):
                 roots_with_value(h, 1)
         else:
             assert roots_with_value(h, 1) == want
-    assert "ldl" not in vars(fresh) and "_positive_roots" not in vars(fresh)
+    assert "inertia" not in vars(fresh) and "_positive_roots" not in vars(fresh)
 
 
 def test_solved_searches_match_oracles_on_degenerate_forms():
@@ -541,7 +541,7 @@ def test_root_system_matches_the_searches_on_random_biquivers(g):
     assert_root_system_matches_searches(g, range(7))
     gram = gram_matrix(g)
     if definiteness(gram) is Definiteness.POSITIVE_SEMIDEFINITE:
-        assert _null_root(gram) == radical_vector(gram)
+        assert oracle_null_root(gram) == radical_vector(gram) == _delta(gram)
 
 
 def test_weyl_counts_of_large_a_and_d():
@@ -560,18 +560,19 @@ def test_weyl_counts_of_large_a_and_d():
 def test_null_roots_are_the_multiples_of_the_radical_vector(label, g):
     gram = gram_matrix(g)
     delta = radical_vector(gram)
-    assert _null_root(gram) == delta
+    assert oracle_null_root(gram) == delta == _delta(gram)
     for bound in (0, max(delta) - 1, max(delta), 7, 3 * max(delta) + 1):
         want = [tuple(k * x for x in delta) for k in range(1, bound // max(delta) + 1)]
         assert roots_with_value(g, 0, bound=bound) == want
 
 
 def test_null_root_refuses_a_kernel_it_cannot_read():
-    with pytest.raises(AssertionError, match="2 free directions"):
-        _null_root(TitsGram(2, ((0, 0), (0, 0))))
-    for c in (((2, 2), (2, 2)), ((2, 0), (0, 0))):  # kernels (-1, 1) and (0, 1)
-        with pytest.raises(AssertionError, match="not strictly positive"):
-            _null_root(TitsGram(2, c))
+    for read in (_delta, oracle_null_root):
+        with pytest.raises(AssertionError, match="2 free directions"):
+            read(TitsGram(2, ((0, 0), (0, 0))))
+        for c in (((2, 2), (2, 2)), ((2, 0), (0, 0))):  # kernels (-1, 1) and (0, 1)
+            with pytest.raises(AssertionError, match="not strictly positive"):
+                read(TitsGram(2, c))
 
 
 def test_null_roots_refuse_where_the_kernel_search_refuses():
@@ -645,7 +646,7 @@ def test_enumeration_builds_no_fractions(monkeypatch):
              roots_with_value(wild, 1, bound=4), roots_with_value(e8_tilde, 1, bound=2)]
     tilde_gram = gram_matrix(e8_tilde)
     closed, nulls = _close_simple_roots(gram), _null_roots(tilde_gram, 12)
-    delta = _null_root(tilde_gram)
+    delta = _delta(tilde_gram)
     monkeypatch.undo()
     assert verdict is Definiteness.POSITIVE_DEFINITE
     assert len([z for z in roots if any(z)]) == 120

@@ -2,7 +2,7 @@ import json
 import random
 import re
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, strategies as st
@@ -162,6 +162,83 @@ def oracle_symmetric_ldl(rows) -> tuple:
     return (positive, len(steps) - positive, len(active)), scale, steps, active
 
 
+def oracle_ldl(rows: list[list[int]]) -> tuple:
+    """(inertia, steps, free) of a symmetric int matrix W: the kernel
+    `_symmetric_ldl` as it was while it recorded its steps, verbatim.
+
+    W is reduced by Bareiss (1968) steps on the first nonzero diagonal
+    entry d of the active block: w_ij becomes (d w_ij - w_ip w_pj) / prev,
+    prev the pivot before (1 at first), exactly, as active entries are
+    minors of W bordered by the pivots. If the active diagonal is zero but
+    some w_ij is not, the congruence e_i <- e_i + e_j puts 2 w_ij on it.
+    Neither changes the inertia (n+, n-, n0) of W, counted from the signs
+    of d / prev. Step (p, prev, d, lin), lin mapping each other active j to
+    w_pj != 0, is the LDL^T term (d x_p + lin . x)^2 / (prev d); when
+    n- == 0 (no congruence) these terms sum to x^T W x, and W vanishes on
+    the unpivoted `free`.
+    """
+    w = [list(row) for row in rows]
+    active = list(range(len(w)))
+    steps = []
+    positive = 0
+    prev = 1
+    while active:
+        p = next((i for i in active if w[i][i]), None)
+        if p is None:
+            pair = next(((i, j) for i in active for j in active if w[i][j]), None)
+            if pair is None:
+                break
+            p, j = pair
+            for k in active:
+                w[p][k] += w[j][k]
+            for k in active:
+                w[k][p] += w[k][j]
+        d, row = w[p][p], w[p]
+        positive += (d > 0) == (prev > 0)
+        steps.append((p, prev, d, {j: row[j] for j in active if j != p and row[j]}))
+        active.remove(p)
+        for i in active:
+            wi = w[i]
+            f = wi[p]
+            for j in active:
+                wi[j] = (d * wi[j] - f * row[j]) // prev
+        prev = d
+    return (positive, len(steps) - positive, len(active)), steps, active
+
+
+def oracle_null_root(gram: TitsGram):
+    """The primitive generator delta > 0 of ker C, read off `oracle_ldl(gram.c)`:
+    the back-substitution `tits` used before it solved ker C, verbatim.
+
+    For the singular positive semidefinite form of a connected biquiver,
+    an extended Dynkin form, ker C = Z delta with delta > 0, and the LDL^T
+    has one `free` index. Every LDL^T term vanishes on ker C, so each step's
+    d z_p + lin . z = 0 gives z_p from the indices pivoted after p; from
+    z_free = 1 the steps, solved last to first in integers, scale z up by
+    what d does not divide. Raises AssertionError unless `free` has length
+    1 and delta > 0.
+    """
+    _, steps, free = oracle_ldl(gram.c)
+    if len(free) != 1:
+        raise AssertionError(f"the kernel has {len(free)} free directions, not 1")
+    z = [0] * gram.t
+    z[free[0]] = 1
+    for p, _, d, lin in reversed(steps):
+        s = 0
+        for j, x in lin.items():
+            s += x * z[j]
+        scale = d // gcd(s, d)  # d > 0, as n- == 0
+        if scale > 1:
+            z = [scale * v for v in z]
+            s *= scale
+        z[p] = -s // d
+    common = gcd(*z)
+    delta = tuple(v // common for v in z)
+    if min(delta) <= 0:
+        raise AssertionError(f"the kernel vector {delta} is not strictly positive")
+    return delta
+
+
 def oracle_gram_q(g: Biquiver):
     """Q as `gram_matrix` built it before it stored C = 2Q, verbatim."""
     c = [[0] * g.t for _ in range(g.t)]
@@ -178,10 +255,12 @@ def oracle_gram_q(g: Biquiver):
 
 
 def assert_ldl_matches_oracle(gram: TitsGram) -> None:
-    """The kernel's steps on C = 2Q are the oracle's on Q, with d doubled:
-    its step (p, prev, d, lin) is the oracle's (p, d / prev, lin / d).
-    Inertia and free indices agree with the old kernel's on Q."""
-    inertia, steps, free = _symmetric_ldl(gram.c)
+    """The kernel counts the inertia of the recorded LDL^T on C = 2Q, whose
+    steps are the Fraction oracle's on Q, with d doubled: its step
+    (p, prev, d, lin) is the oracle's (p, d / prev, lin / d). Inertia and
+    free indices agree with the old kernel's on Q."""
+    inertia, steps, free = oracle_ldl(gram.c)
+    assert _symmetric_ldl(gram.c) == inertia
     old_inertia, _, _, old_free = oracle_symmetric_ldl(gram.q)
     assert (inertia, free) == (old_inertia, old_free)
     oracle = oracle_pivoted_ldl(gram)
@@ -280,7 +359,7 @@ def test_inertia_matches_descartes_oracle(case):
     for i in range(n):
         if zeroed[i]:
             q[i][i] = F(0)
-    assert _symmetric_ldl(integral(q))[0] == descartes_inertia(q)
+    assert _symmetric_ldl(integral(q)) == descartes_inertia(q)
 
 
 @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
@@ -294,21 +373,25 @@ def test_integer_kernel_matches_old_kernel(case):
     for i in range(n):
         if zeroed[i]:
             q[i][i] = F(0)
-    inertia, _, free = _symmetric_ldl(integral(q))
+    inertia, _, free = oracle_ldl(integral(q))
     old_inertia, _, _, old_free = oracle_symmetric_ldl(q)
     assert (inertia, free) == (old_inertia, old_free)
+    assert _symmetric_ldl(integral(q)) == inertia
 
 
 @pytest.mark.parametrize("q, inertia", [
     ([], (0, 0, 0)),
+    ([[2]], (1, 0, 0)),
+    ([[2, -2], [-2, 2]], (1, 0, 1)),
     ([[0, 1], [1, 0]], (1, 1, 0)),
     ([[0, 0], [0, 0]], (0, 0, 2)),
     ([[0, 1, 1], [1, 0, 1], [1, 1, 0]], (1, 2, 0)),
     ([[Fraction(1, 2), 0], [0, Fraction(-1, 3)]], (1, 1, 0)),
-], ids=["empty", "hyperbolic-plane", "zero", "triangle", "rational-diagonal"])
+], ids=["empty", "one-by-one", "a1-tilde", "hyperbolic-plane", "zero", "triangle",
+        "rational-diagonal"])
 def test_inertia_examples(q, inertia):
     assert descartes_inertia(q) == inertia
-    assert _symmetric_ldl(integral(q))[0] == inertia
+    assert _symmetric_ldl(integral(q)) == inertia
 
 
 def test_zero_diagonal_with_coupling_is_indefinite():
@@ -474,7 +557,49 @@ def test_radical_vector_is_the_delta_read_off_the_ldl(label, g):
     gram = gram_matrix(g)
     delta = radical_vector(gram)
     assert delta is not None and min(delta) > 0
-    assert delta == gram._delta == tits._null_root(TitsGram(gram.t, gram.c))
+    fresh = TitsGram(gram.t, gram.c)
+    assert delta == vars(gram)["_delta"] == tits._delta(fresh) == oracle_null_root(fresh)
+
+
+def random_biquivers(seed, count, t_max, arrows_max):
+    """`count` random biquivers on 1..t_max vertices, with loops, parallel
+    arrows and both kinds, drawn from random.Random(seed)."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        t = rng.randint(1, t_max)
+        yield Biquiver(t, tuple(
+            Arrow(f"a{k}", rng.randint(1, t), rng.randint(1, t),
+                  rng.choice((ArrowKind.FULL, ArrowKind.DASHED)))
+            for k in range(rng.randint(0, arrows_max))))
+
+
+def test_delta_is_the_ldl_back_substitution_on_every_form():
+    # the forms these tests build: every (extended) Dynkin diagram, cycles,
+    # random trees and random multigraphs, and two forms built directly.
+    # Where radical_vector finds delta, a fresh form solves and certifies
+    # the same one, and the back-substitution it replaced reads it off the
+    # LDL^T; on a semidefinite form without one, both refuse
+    rng = random.Random(9)
+    trees = [Biquiver(t, tuple(Arrow(f"e{v}", rng.randint(1, v), v + 1, ArrowKind.FULL)
+                               for v in range(1, t)))
+             for t in (rng.randint(1, 10) for _ in range(300))]
+    graphs = [g for _, g in dynkin_and_extended()] + [cycle_biquiver(r) for r in (3, 4, 5, 6)]
+    graphs += trees + list(random_biquivers(11, 200, 6, 8)) + list(random_biquivers(8, 40, 5, 5))
+    grams = [gram_matrix(g) for g in graphs]
+    grams += [TitsGram(2, ((1, -1), (-1, 1))), TitsGram(3, ((2, -1, -1), (-1, 2, -1), (-1, -1, 2)))]
+    found = refused = 0
+    for gram in grams:
+        radical = radical_vector(gram)
+        fresh = TitsGram(gram.t, gram.c)
+        if radical is not None:
+            assert tits._delta(fresh) == radical == oracle_null_root(fresh)
+            found += 1
+        elif definiteness(gram) is Definiteness.POSITIVE_SEMIDEFINITE:
+            for read in (oracle_null_root, tits._delta):
+                with pytest.raises(AssertionError):
+                    read(TitsGram(gram.t, gram.c))
+            refused += 1
+    assert found > 30 and refused > 10, (found, refused)
 
 
 def test_psd_values_nonnegative_when_psd():
