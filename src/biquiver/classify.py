@@ -54,6 +54,7 @@ def diagram_shape(g: Biquiver) -> str | None:
     spanning-forest traversal. Raises PreconditionError on disconnected
     input, whatever loops, parallel arrows or arrow count it has.
     """
+    check_instance(g, Biquiver, "diagram shape")
     adj = connected_forest(g)[4]
 
     t, m = g.t, len(g.arrows)

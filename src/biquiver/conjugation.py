@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import PreconditionError, echo
+from .errors import PreconditionError, check_instance, echo
 from .model import (Arrow, ArrowKind, Biquiver, _check_sized, _check_vertex, _kept,
                     connected_forest)
 
@@ -72,6 +72,7 @@ def dash_elimination_plan(g: Biquiver) -> DashEliminationPlan | DashEliminationO
     otherwise a disconnected g raises PreconditionError on every call, as a
     refusal is not kept.
     """
+    check_instance(g, Biquiver, "dash elimination")
     return _kept(g, "_plan", _dash_elimination_plan)
 
 
@@ -116,6 +117,7 @@ def _tree_path(parent: list[int], u: int, v: int) -> list[int]:
 def apply_conjugations(g: Biquiver, vertices) -> Biquiver:
     """Conjugate at each vertex listed (order is immaterial): a non-loop arrow
     toggles its kind when exactly one of its ends is listed an odd number of times."""
+    check_instance(g, Biquiver, "conjugation")
     odd = _odd_vertices(vertices, g.t)
     return Biquiver(g.t, tuple(
         Arrow(a.id, a.source, a.target,

@@ -24,6 +24,7 @@ def gadget_cycle(g: Biquiver, cycle_arrow_ids: list[str], m: CMatrix) -> MatrixR
     and receives m. Every vertex on the cycle gets dimension n, every
     other vertex dimension 0.
     """
+    check_instance(g, Biquiver, "cycle gadget")
     check_instance(m, CMatrix, "matrix m")
     if not m.is_square:
         raise PreconditionError("the cycle gadget needs a square matrix")

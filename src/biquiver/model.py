@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
 
-from .errors import FormatError, PreconditionError, check_int, echo
+from .errors import FormatError, PreconditionError, check_instance, check_int, echo
 
 DimensionVector = tuple[int, ...]
 
@@ -181,6 +181,7 @@ def connected_forest(g: Biquiver):
 
 
 def is_connected(g: Biquiver) -> bool:
+    check_instance(g, Biquiver, "connectivity")
     try:
         connected_forest(g)
     except PreconditionError:
@@ -190,6 +191,7 @@ def is_connected(g: Biquiver) -> bool:
 
 def connected_components(g: Biquiver) -> list[list[int]]:
     """Vertex sets of the connected components, each sorted ascending."""
+    check_instance(g, Biquiver, "connected components")
     root = _kept(g, "_forest", _spanning_forest)[0]
     comps: dict[int, list[int]] = {}
     for v in g.vertices():
@@ -201,6 +203,7 @@ def induced_subbiquiver(g: Biquiver, vertices: list[int]) -> Biquiver:
     """Restriction to a vertex subset, renumbering vertices to 1..k in the order
     given; refuses a list that `_check_sized` refuses, an empty one, a vertex that
     `_check_vertex` refuses, or one given twice."""
+    check_instance(g, Biquiver, "subbiquiver")
     _check_sized(vertices, "vertices")
     if not vertices:
         raise PreconditionError(f"vertices must name at least one vertex, got {echo(vertices)}")
@@ -286,6 +289,7 @@ def parse_biquiver(text: str) -> Biquiver:
 
 
 def biquiver_to_obj(g: Biquiver) -> dict:
+    check_instance(g, Biquiver, "biquiver document")
     return {
         "vertices": g.t,
         "arrows": [

@@ -68,6 +68,7 @@ def _check_dims(g: Biquiver, dims: DimensionVector) -> None:
 def zero_representation(g: Biquiver, dims: DimensionVector | None = None) -> MatrixRepresentation:
     """All-zero matrices; by default the zero-dimensional representation.
     A dims that MatrixRepresentation refuses is refused before any matrix."""
+    check_instance(g, Biquiver, "representation")
     if dims is None:
         dims = (0,) * g.t
     _check_dims(g, dims)
@@ -83,6 +84,7 @@ def direct_sum(a: MatrixRepresentation, b: MatrixRepresentation) -> MatrixRepres
 def direct_sum_list(g: Biquiver, summands: list[MatrixRepresentation]) -> MatrixRepresentation:
     """The direct sum of representations of g: at each arrow, one `block_diag` of the
     summands' matrices, in order. No summands give the zero-dimensional representation."""
+    check_instance(g, Biquiver, "direct sum")
     for k, s in enumerate(summands):
         check_instance(s, MatrixRepresentation, f"summand {k}")
     if any(s.biquiver != g for s in summands):
@@ -94,6 +96,7 @@ def direct_sum_list(g: Biquiver, summands: list[MatrixRepresentation]) -> Matrix
 
 def apply_base_change(a: MatrixRepresentation, s: list[CMatrix]) -> MatrixRepresentation:
     """Transform by invertible S_1..S_t; the result is isomorphic to the input."""
+    check_instance(a, MatrixRepresentation, "base change")
     _check_sized(s, "transition matrices")
     g = a.biquiver
     if len(s) != g.t:
@@ -140,6 +143,7 @@ def random_representation(g: Biquiver, dims: DimensionVector, entry_bound: int,
     MAX_RANDOM_ENTRIES entries, and dims as `_check_dims` does, types before
     the cap and signs after, but with PreconditionError where `check_dims` refuses.
     """
+    check_instance(g, Biquiver, "representation")
     check_int(entry_bound, "entry_bound", 1, PreconditionError)
     check_dims(dims, g.t, PreconditionError)
     for d in dims:
@@ -207,6 +211,7 @@ def parse_matrix_obj(obj, rows: int | None = None, cols: int | None = None) -> C
 
 
 def representation_to_obj(a: MatrixRepresentation, embed_biquiver: bool = True) -> dict:
+    check_instance(a, MatrixRepresentation, "representation document")
     obj = {
         "dims": list(a.dims),
         "matrices": {aid: matrix_to_obj(m) for aid, m in sorted(a.matrices.items())},

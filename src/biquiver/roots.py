@@ -10,7 +10,8 @@ and on the value:
   and every positive root z that is not simple has 2 = sum z_i (C z)_i,
   so (C z)_i = 1 for some i with z_i > 0, and z - e_i is a positive root.
   The closure runs once per form, which keeps its roots (`_positive_roots`)
-  for every biquiver sharing it. At value 0 there is nothing to find.
+  for every biquiver sharing it, when there are at most MAX_KEPT_ROOTS of
+  them. At value 0 there is nothing to find.
 - Positive semidefinite: the form is extended Dynkin, and ker C = Z delta
   with delta > 0, solved and certified once per form (`tits._delta`). At
   value 0, q(z) = 0 exactly when C z = 0, and the answer is k delta for
@@ -27,8 +28,10 @@ and on the value:
 
 The one kept result, the positive roots of a definite form, lives in the
 shared form through `model._kept` under the key "positive_roots"; a
-refusal is not kept. `evaluate` checks every returned root, kept or not,
-on every call. A call refuses when its box, of (bound + 1)^t vectors for
+refusal is not kept. `evaluate` checks every returned root: kept roots
+once, when they are closed and before they are kept, and roots built by
+the call (closed above the cap, null, real or found in the box) on every
+call. A call refuses when its box, of (bound + 1)^t vectors for
 an indefinite form on t vertices or the bound + 1 multiples of delta for
 a semidefinite one, holds more than MAX_BOX_CANDIDATES, and when it has
 more than MAX_ROOTS roots: the box search as soon as it finds them, a
@@ -39,7 +42,7 @@ from __future__ import annotations
 
 from math import isqrt
 
-from .errors import PreconditionError, check_int, echo, is_int
+from .errors import PreconditionError, check_instance, check_int, echo, is_int
 from .classify import RepKind, representation_type
 from .model import Biquiver, DimensionVector, _kept, connected_forest
 from .tits import Definiteness, TitsGram, _delta, definiteness, gram_matrix
@@ -54,6 +57,10 @@ MAX_BOX_CANDIDATES = 10 ** 7
 # The most solutions a search may record, the zero vector included: the
 # output, unlike the box, grows with the bound even in one kernel direction.
 MAX_ROOTS = 10 ** 5
+# The most positive roots a definite form keeps: 120, those of E8, the largest
+# closure that a benchmark workload makes. A kept closure holds at most about
+# 20 kB (A15's 120 roots); a larger one is closed on every call.
+MAX_KEPT_ROOTS = 120
 
 
 def roots_with_value(g: Biquiver, value: int, bound: int | None = None) -> list[DimensionVector]:
@@ -66,8 +73,9 @@ def roots_with_value(g: Biquiver, value: int, bound: int | None = None) -> list[
     negative, and a call past MAX_BOX_CANDIDATES: (bound + 1)^t candidates
     for an indefinite form on t vertices, bound + 1 multiples of the one
     kernel direction of a semidefinite form. So is one with more than
-    MAX_ROOTS roots.
+    MAX_ROOTS roots, and a `g` that is not a Biquiver (FormatError).
     """
+    check_instance(g, Biquiver, "root search")
     if not is_int(value) or value not in (0, 1):
         raise PreconditionError(f"value must be 0 or 1, got {echo(value)}")
     if bound is not None:
@@ -76,11 +84,12 @@ def roots_with_value(g: Biquiver, value: int, bound: int | None = None) -> list[
     gram = gram_matrix(g)
     verdict = definiteness(gram)
     if verdict is Definiteness.POSITIVE_DEFINITE:
-        out = list(_positive_roots(gram)) if value else []
+        out = list(_positive_roots(g, gram)) if value else []
         # the closure refuses exactly when the roots pass MAX_ROOTS, so kept
         # roots are refused alike under a cap lowered after they were kept
         _check_roots(len(out))
-    elif verdict is Definiteness.POSITIVE_SEMIDEFINITE:
+        return out
+    if verdict is Definiteness.POSITIVE_SEMIDEFINITE:
         if bound is None:
             raise PreconditionError(
                 "the root set is infinite for a semidefinite form; pass an explicit bound")
@@ -91,10 +100,7 @@ def roots_with_value(g: Biquiver, value: int, bound: int | None = None) -> list[
                 "the form is indefinite; root search requires an explicit bound")
         _check_box(bound, g.t, "the form is indefinite; a box search")
         out = sorted(z for z in _enumerate_box(gram, value, bound) if any(z))
-    for z in out:
-        if evaluate(g, z) != value:
-            raise AssertionError(f"enumerated vector {z} does not have q = {value}")
-    return out
+    return _checked(g, out, value)
 
 
 def positive_root_count(g: Biquiver) -> int:
@@ -125,6 +131,15 @@ def _check_roots(found: int) -> None:
     if found > MAX_ROOTS:
         raise PreconditionError(
             f"the root search found more than the cap of {MAX_ROOTS} roots; lower the bound")
+
+
+def _checked(g: Biquiver, found, value: int):
+    """found, once `evaluate` gives q_g(z) = value for each z in it; a raise,
+    which python -O keeps, refuses it otherwise."""
+    for z in found:
+        if evaluate(g, z) != value:
+            raise AssertionError(f"enumerated vector {z} does not have q = {value}")
+    return found
 
 
 def _keep(results: list[DimensionVector], z: list[int]) -> None:
@@ -175,10 +190,25 @@ def _close_simple_roots(gram: TitsGram) -> list[DimensionVector]:
     return found
 
 
-def _positive_roots(gram: TitsGram) -> tuple[DimensionVector, ...]:
-    """`_close_simple_roots(gram)`, closed once per definite form and kept in
-    it: about 66 MB for A256 (32,896 roots), 131 MB for D256 (65,280)."""
-    return _kept(gram, "positive_roots", lambda gram: tuple(_close_simple_roots(gram)))
+def _positive_roots(g: Biquiver, gram: TitsGram) -> tuple[DimensionVector, ...]:
+    """`_close_simple_roots(gram)`, gram the definite form of g, each root
+    checked by `evaluate` to have q = 1.
+
+    A closure of at most MAX_KEPT_ROOTS roots is checked once, when it is
+    closed, and kept in the form, so every later call, from any biquiver
+    sharing the form, reads it unchecked: they all have the same
+    q = 1/2 z^T C z. A failed check keeps nothing, so every later call
+    closes the roots and raises again. A larger closure is closed and
+    checked on every call and kept nowhere.
+    """
+    # the cap is read off the closure, so the memo is read before `_kept` runs
+    kept = vars(gram).get("positive_roots")
+    if kept is not None:
+        return kept
+    found = tuple(_checked(g, _close_simple_roots(gram), 1))
+    if len(found) > MAX_KEPT_ROOTS:
+        return found
+    return _kept(gram, "positive_roots", lambda _: found)
 
 
 def _null_roots(gram: TitsGram, bound: int) -> list[DimensionVector]:

@@ -177,6 +177,7 @@ def _tits_gram(g: Biquiver) -> TitsGram:
 
 def evaluate(g: Biquiver, z: DimensionVector) -> int:
     """q_G(z) of a sequence z of g.t ints, refused otherwise."""
+    check_instance(g, Biquiver, "Tits form")
     check_dims(z, g.t, PreconditionError)
     for zi in z:
         check_int(zi, "dimension vector entry", None, PreconditionError)

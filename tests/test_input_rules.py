@@ -100,10 +100,35 @@ def _loop_rep():
     (lambda a: bq.definiteness(5), "definiteness needs a TitsGram, got 5"),
     (lambda a: bq.radical_vector(a.biquiver), "definiteness needs a TitsGram, got Biquiver("),
     (lambda a: bq.CMatrix(1, 1, ["x"]), "matrix entry needs a GaussianRational, got 'x'"),
+    (lambda a: bq.roots_with_value(5, 1), "root search needs a Biquiver, got 5"),
+    (lambda a: bq.evaluate(5, (1,)), "Tits form needs a Biquiver, got 5"),
+    (lambda a: bq.dash_elimination_plan(5), "dash elimination needs a Biquiver, got 5"),
+    (lambda a: bq.connected_components(5), "connected components needs a Biquiver, got 5"),
+    (lambda a: bq.is_connected(5), "connectivity needs a Biquiver, got 5"),
+    (lambda a: bq.diagram_shape(5), "diagram shape needs a Biquiver, got 5"),
+    (lambda a: bq.induced_subbiquiver(5, [1]), "subbiquiver needs a Biquiver, got 5"),
+    (lambda a: bq.apply_conjugations(5, [1]), "conjugation needs a Biquiver, got 5"),
+    (lambda a: bq.conjugate_biquiver(5, 1), "conjugation needs a Biquiver, got 5"),
+    (lambda a: bq.biquiver_to_obj(5), "biquiver document needs a Biquiver, got 5"),
+    (lambda a: bq.zero_representation(5), "representation needs a Biquiver, got 5"),
+    (lambda a: bq.random_representation(5, (1,), 1, 0),
+     "representation needs a Biquiver, got 5"),
+    (lambda a: bq.direct_sum_list(5, []), "direct sum needs a Biquiver, got 5"),
+    (lambda a: bq.apply_base_change(5, []),
+     "base change needs a MatrixRepresentation, got 5"),
+    (lambda a: bq.representation_to_obj(5),
+     "representation document needs a MatrixRepresentation, got 5"),
+    (lambda a: bq.gadget_cycle(5, ["a"], bq.CMatrix.identity(1)),
+     "cycle gadget needs a Biquiver, got 5"),
 ], ids=["hom_basis", "are_isomorphic", "direct_sum-a", "direct_sum-b", "decompose",
         "krull_schmidt_compare-entry", "krull_schmidt_compare-list",
         "krull_schmidt_compare-y", "MatrixRepresentation", "gram_matrix",
-        "representation_type", "definiteness", "radical_vector", "CMatrix"])
+        "representation_type", "definiteness", "radical_vector", "CMatrix",
+        "roots_with_value", "evaluate", "dash_elimination_plan", "connected_components",
+        "is_connected", "diagram_shape", "induced_subbiquiver", "apply_conjugations",
+        "conjugate_biquiver", "biquiver_to_obj", "zero_representation",
+        "random_representation", "direct_sum_list", "apply_base_change",
+        "representation_to_obj", "gadget_cycle"])
 def test_a_foreign_object_is_refused_with_a_format_error(call, message):
     with pytest.raises(FormatError, match=f"^{re.escape(message)}"):
         call(_loop_rep())

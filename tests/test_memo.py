@@ -3,24 +3,27 @@ are memos kept in the instance, and connectivity is read off the forest on
 every call. Each form is analysed once: it is shared by every live
 Biquiver on the same numbered graph, whatever the kinds and directions of
 its arrows, and keeps its checked inertia and, when semidefinite, its
-radical vector delta and, when definite, its positive roots (`roots`); the Dynkin
-sub-form that a semidefinite form's real roots are read from is closed on
-every call and kept nowhere. Each Biquiver also keeps its Dynkin label
-(`classify`), which builds no form, and its dash-elimination plan, or the
-obstruction to one (`conjugation`), both read off its own forest. Every
-one of these memos is kept by `model._kept`, the package's one memo rule,
-and no module uses `functools.cached_property`.
+radical vector delta and, when definite, its positive roots (`roots`),
+checked to have q = 1 before they are kept, when there are at most
+`roots.MAX_KEPT_ROOTS` of them; the Dynkin sub-form that a semidefinite
+form's real roots are read from is closed on every call and kept nowhere.
+Each Biquiver also keeps its Dynkin label (`classify`), which builds no
+form, and its dash-elimination plan, or the obstruction to one
+(`conjugation`), both read off its own forest. Every one of these memos is
+kept by `model._kept`, the package's one memo rule, and no module uses
+`functools.cached_property`.
 
 The counting tests wrap `model._spanning_forest`, `tits._symmetric_ldl`,
 `tits.fraction_nullspace`, `tits._certified`, `classify.diagram_shape` and
 `roots._close_simple_roots`, the names the memos call, so they see every
-traversal, elimination, kernel solve, certified delta, label and closure. A test that counts the work on a
-shared form builds one that no other test builds, so it counts the same
-alone and after other tests have left forms alive. The refusal tests check
-that each check still runs on every call, not only on the first, and the
-properties check that a warm memo changes no answer and nothing of the
-Biquiver's value, and that every memo a form keeps is what a fresh form
-computes.
+traversal, elimination, kernel solve, certified delta, label and closure,
+and one wraps `roots.evaluate`, so it sees every root check. A test that
+counts the work on a shared form builds one that no other test builds, so
+it counts the same alone and after other tests have left forms alive.
+The refusal tests check that each check still runs on every call, not only
+on the first, and the properties check that a warm memo changes no answer
+and nothing of the Biquiver's value, and that every memo a form keeps is
+what a fresh form computes.
 """
 import ast
 import copy
@@ -462,6 +465,77 @@ def test_a_lowered_root_cap_refuses_on_every_call_and_keeps_nothing(monkeypatch,
         with pytest.raises(PreconditionError, match="more than the cap of 35 roots"):
             roots_with_value(h, 1)
     assert closures == [6, 6, 6, 6]
+
+
+def test_kept_roots_are_checked_once_per_form(monkeypatch):
+    # E6, numbered so that nothing else builds its form: the first call
+    # checks its 36 roots before they are kept, and a call from a second
+    # biquiver on the form reads them unchecked
+    g = biq(6, "a:6>3", "b:3~1", "c:1>5", "d:2>3", "e:4~2")
+    other = biq(6, "a:3~6", "b:1>3", "c:5~1", "d:3~2", "e:2>4")
+    assert gram_matrix(g) is gram_matrix(other)
+    assert "positive_roots" not in vars(gram_matrix(g))
+    checks = counting(monkeypatch, (roots, "evaluate"))
+    first = roots_with_value(g, 1)
+    assert len(first) == 36 and checks["evaluate"] == 36
+    assert roots_with_value(other, 1) == first
+    assert checks["evaluate"] == 36
+
+
+def test_a_failed_root_check_raises_on_every_call_and_keeps_nothing(monkeypatch, closures):
+    # D5, numbered so that nothing else builds its form: 20 positive roots
+    g = biq(5, "a:2>5", "b:5~1", "c:1>3", "d:4~1")
+    other = biq(5, "a:5~2", "b:1>5", "c:3~1", "d:1>4")
+    gram = gram_matrix(g)
+    assert "positive_roots" not in vars(gram)
+    monkeypatch.setattr(roots, "evaluate", lambda g, z: 7)
+    for h in (g, g, other):
+        with pytest.raises(AssertionError, match="does not have q = 1"):
+            roots_with_value(h, 1)
+        assert "positive_roots" not in vars(gram)
+    assert closures == [5, 5, 5]
+    monkeypatch.setattr(roots, "evaluate", tits._evaluate)
+    assert len(roots_with_value(other, 1)) == 20
+    assert len(vars(gram)["positive_roots"]) == 20
+    assert closures == [5] * 4
+
+
+def test_roots_past_the_kept_cap_are_closed_on_every_call_and_kept_nowhere(
+        monkeypatch, closures):
+    # E8's 120 roots, the largest closure a benchmark workload makes, are kept
+    assert roots.MAX_KEPT_ROOTS >= 120
+    # D40, numbered so that nothing else builds its form: the path 1 .. 38
+    # with two leaves at vertex 1, 1,560 positive roots, about 0.6 MB of tuples
+    specs = [f"p{i}:{i + 1}>{i}" for i in range(1, 38)]
+    g = biq(40, *specs, "l1:39~1", "l2:1>40")
+    gram = gram_matrix(g)
+    assert definiteness(gram) is Definiteness.POSITIVE_DEFINITE
+    assert "positive_roots" not in vars(gram)
+    assert len(roots_with_value(g, 1)) == 40 * 39  # fills every other memo
+
+    def held_by_one_call():
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            found = roots_with_value(g, 1)
+            assert len(found) == 40 * 39
+            del found
+            gc.collect()
+            return tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+
+    held = held_by_one_call()
+    assert held < 100_000, held
+    assert "positive_roots" not in vars(gram)
+    assert closures == [40, 40]
+    # the same call under a cap that the closure fits keeps its roots
+    monkeypatch.setattr(roots, "MAX_KEPT_ROOTS", 40 * 39)
+    held = held_by_one_call()
+    assert held > 500_000, held
+    assert len(roots_with_value(g, 1)) == 40 * 39
+    assert closures == [40, 40, 40]
 
 
 def test_a_form_is_freed_with_its_last_biquiver():
