@@ -26,8 +26,8 @@ from .model import (Arrow, ArrowKind, Biquiver, _check_sized, _check_vertex, _ke
 
 # The graph layer loads neither `linalg` nor `representation`: CMatrix and
 # MatrixRepresentation name types in annotations, which run only under a type
-# checker, and `apply_conjugations_representation` imports
-# MatrixRepresentation to build one.
+# checker, `apply_conjugations_representation` imports MatrixRepresentation
+# to check and build one, and `transport_isomorphism` CMatrix to check each.
 if TYPE_CHECKING:
     from .linalg import CMatrix
     from .representation import MatrixRepresentation
@@ -48,8 +48,11 @@ def transport_isomorphism(s: list[CMatrix], u: int) -> list[CMatrix]:
     If S_1..S_t witnesses A = B up to base change, then the same list with
     S_u conjugated witnesses the conjugated pair. u must be a vertex of s.
     """
+    from .linalg import CMatrix
     _check_sized(s, "transition matrices")
     _check_vertex(u, len(s))
+    for v, m in enumerate(s, start=1):
+        check_instance(m, CMatrix, f"transition matrix at vertex {v}")
     return [m.conj() if v == u else m for v, m in enumerate(s, start=1)]
 
 
@@ -130,6 +133,7 @@ def apply_conjugations_representation(a: MatrixRepresentation, vertices) -> Matr
     """Conjugate at each vertex listed: the matrix of every arrow, loops included,
     whose source is listed an odd number of times is conjugated entrywise."""
     from .representation import MatrixRepresentation
+    check_instance(a, MatrixRepresentation, "conjugation")
     odd = _odd_vertices(vertices, a.biquiver.t)
     mats = {arrow.id: a.matrices[arrow.id].conj() if arrow.source in odd
             else a.matrices[arrow.id] for arrow in a.biquiver.arrows}

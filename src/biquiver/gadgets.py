@@ -10,6 +10,8 @@ tests treat them as part of the interface.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 from .errors import FormatError, PreconditionError, check_instance
 from .linalg import CMatrix, block_diag, from_blocks
 from .model import Arrow, ArrowKind, Biquiver
@@ -26,6 +28,7 @@ def gadget_cycle(g: Biquiver, cycle_arrow_ids: list[str], m: CMatrix) -> MatrixR
     """
     check_instance(g, Biquiver, "cycle gadget")
     check_instance(m, CMatrix, "matrix m")
+    check_instance(cycle_arrow_ids, Sequence, "cycle arrow ids")
     if not m.is_square:
         raise PreconditionError("the cycle gadget needs a square matrix")
     if not cycle_arrow_ids:

@@ -26,6 +26,7 @@ is invertible.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul, neg
@@ -58,6 +59,7 @@ class CMatrix:
 
     def __init__(self, rows: int, cols: int, entries) -> None:
         _check_dims(rows, cols)
+        check_instance(entries, Sequence, "matrix entries")
         entries = tuple(map(_entry, entries))
         if len(entries) != rows * cols:
             raise FormatError(
@@ -290,10 +292,15 @@ def _assemble(rows: int, cols: int, placed) -> CMatrix:
 
 def from_blocks(grid: list[list[CMatrix]]) -> CMatrix:
     """The matrix whose horizontal strips are the rows of `grid`, each its blocks side by
-    side. Raises FormatError unless the blocks of a strip have equal row counts and the
-    strips equal widths. An empty grid or strip is 0x0."""
+    side. Raises FormatError unless the grid and each strip are sequences, each block a
+    CMatrix, the blocks of a strip have equal row counts and the strips equal widths. An
+    empty grid or strip is 0x0."""
+    check_instance(grid, Sequence, "block grid")
     placed, top, width = [], 0, None
     for strip in grid:
+        check_instance(strip, Sequence, "block strip")
+        for b in strip:
+            check_instance(b, CMatrix, "block")
         height, left = strip[0].rows if strip else 0, 0
         for b in strip:
             if b.rows != height:
@@ -320,6 +327,7 @@ def block_diag(*blocks: CMatrix) -> CMatrix:
     """The blocks down the diagonal, zeros elsewhere. No blocks give 0x0."""
     placed, rows, cols = [], 0, 0
     for b in blocks:
+        check_instance(b, CMatrix, "block")
         placed.append((rows, cols, b))
         rows, cols = rows + b.rows, cols + b.cols
     return _assemble(rows, cols, placed)

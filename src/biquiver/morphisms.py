@@ -549,8 +549,9 @@ def _primary_split(rep: MatrixRepresentation, parts: list[MorphismTuple]
     identity, that is A X_{j,u} = X_{j,v} B_j with B_j = (R_{j,v} A)
     restricted to the columns P_{j,u}, the block j of T_v^-1 A T_u. A dashed
     arrow, with A M_{j,u} = conj(M_{j,v}) A, takes conj(R_{j,v}) and
-    conj(X_{j,v}). No inverse is taken: each block is checked by that
-    equation, exactly. AssertionError when a part's image is zero, when the
+    conj(X_{j,v}). No inverse is taken: each block is checked by those
+    equations, exactly, which say that X_j is a morphism from it to rep
+    (`_is_morphism`). AssertionError when a part's image is zero, when the
     ranks at some vertex do not sum to d_v, or when a check fails.
     """
     reduced = [[reduced_row_echelon(m) for m in part] for part in parts]
@@ -563,16 +564,13 @@ def _primary_split(rep: MatrixRepresentation, parts: list[MorphismTuple]
     for readout, image, dims in zip(reduced, images, sizes):
         mats = {}
         for arrow in rep.biquiver.arrows:
-            u, v = arrow.source - 1, arrow.target - 1
-            a = rep.matrices[arrow.id]
-            x, r = image[v], readout[v][1]
-            if arrow.is_dashed:
-                x, r = x.conj(), r.conj()
-            block = r @ submatrix(a, range(a.rows), readout[u][0])
-            if a @ image[u] != x @ block:
-                raise AssertionError("base change did not block-diagonalize")
-            mats[arrow.id] = block
-        blocks.append(MatrixRepresentation(rep.biquiver, dims, mats))
+            a, r = rep.matrices[arrow.id], readout[arrow.target - 1][1]
+            mats[arrow.id] = ((r.conj() if arrow.is_dashed else r)
+                              @ submatrix(a, range(a.rows), readout[arrow.source - 1][0]))
+        block = MatrixRepresentation(rep.biquiver, dims, mats)
+        if not _is_morphism(block, rep, image):
+            raise AssertionError("base change did not block-diagonalize")
+        blocks.append(block)
     return images, blocks
 
 

@@ -9,12 +9,15 @@ vertices are fully supported (empty matrices count as invertible).
 The constructor checks every representation: dims by `_check_dims`, which
 the builders that size matrices from dims run first, and one d_v x d_u
 CMatrix per arrow u -> v. It keeps dims as a tuple, so that equal vectors
-compare equal. The JSON parser otherwise only decodes.
+compare equal, and the matrices as a dict of its own, so that a later edit
+to the caller's mapping leaves the checked representation as it was. The
+JSON parser otherwise only decodes.
 """
 from __future__ import annotations
 
 import json
 import random
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from math import gcd, lcm
 
@@ -35,12 +38,14 @@ class MatrixRepresentation:
         g = self.biquiver
         check_instance(g, Biquiver, "representation")
         _check_dims(g, self.dims)
+        check_instance(self.matrices, Mapping, "representation matrices")
+        matrices = dict(self.matrices)
         ids = {a.id for a in g.arrows}
-        extra = set(self.matrices) - ids
+        extra = set(matrices) - ids
         if extra:
             raise FormatError(f"matrices given for unknown arrows: {echo(sorted(extra))}")
         for a in g.arrows:
-            m = self.matrices.get(a.id)
+            m = matrices.get(a.id)
             if m is None:
                 raise FormatError(f"missing matrix for arrow {echo(a.id)}")
             check_instance(m, CMatrix, f"arrow {echo(a.id)}")
@@ -50,6 +55,7 @@ class MatrixRepresentation:
                     f"arrow {echo(a.id)} needs a {want[0]}x{want[1]} matrix, "
                     f"got {m.rows}x{m.cols}")
         object.__setattr__(self, "dims", tuple(self.dims))
+        object.__setattr__(self, "matrices", matrices)
 
     def dim(self, v: int) -> int:
         return self.dims[v - 1]
@@ -85,6 +91,7 @@ def direct_sum_list(g: Biquiver, summands: list[MatrixRepresentation]) -> Matrix
     """The direct sum of representations of g: at each arrow, one `block_diag` of the
     summands' matrices, in order. No summands give the zero-dimensional representation."""
     check_instance(g, Biquiver, "direct sum")
+    check_instance(summands, Sequence, "summand list")
     for k, s in enumerate(summands):
         check_instance(s, MatrixRepresentation, f"summand {k}")
     if any(s.biquiver != g for s in summands):
@@ -177,6 +184,7 @@ def _from_parts(rows: int, cols: int, parts: list[tuple[int, int]]) -> CMatrix:
 def matrix_to_obj(m: CMatrix) -> list:
     """Rows of [re, im] pairs of canonical rational strings, "p" or "p/q" as
     `scalars.format_rational` prints them, each part x / m.den reduced by one gcd."""
+    check_instance(m, CMatrix, "matrix document")
     den, c = m.den, m.cols
 
     def part(x: int) -> str:
@@ -231,6 +239,7 @@ def parse_representation_obj(obj, biquiver: Biquiver | None = None) -> MatrixRep
             raise FormatError(
                 "no biquiver supplied and none embedded in the representation document")
         biquiver = parse_biquiver_obj(obj["biquiver"])
+    check_instance(biquiver, Biquiver, "representation document")
     dims = obj.get("dims")
     _check_dims(biquiver, dims)
     raw = obj.get("matrices")

@@ -7,22 +7,22 @@ Definiteness is read exactly from the inertia of C, that of Q, counted by
 the integer elimination `elimination._symmetric_ldl`, and the radical
 vector delta is read off ker C, solved by `fraction_nullspace`.
 
-Each form is analysed once. C forgets the kinds and directions of the
-arrows, so every biquiver on the same numbered multigraph has the same
-form, and `_tits_gram` returns one TitsGram per C: a weak intern table
-keeps it while some Biquiver holds it as "_gram", and frees it with the
-last one. `model._kept` keeps in the form what this module derives from C
-once: the inertia of C, counted by one checked elimination (`inertia`),
-and, for a semidefinite C, its radical vector delta, certified before it
-is kept (`_delta`); and, under a key of its own, what `roots` derives
-from the form alone: the positive roots of a definite form. `classify`
-reads no form. On every biquiver sharing the form, `definiteness` reads
-that one inertia. `radical_vector` shares the verdict but solves ker C on
-every call, the call the benchmark's tests count for it: the first delta
-it finds is the one kept, and a later call raises AssertionError unless
-it finds that delta again. The elimination is cubic in the number of
-vertices, so forms past MAX_GRAM_VERTICES vertices are neither built nor
-eliminated.
+Each form is checked once, when it is built, and analysed once. C
+forgets the kinds and directions of the arrows, so every biquiver on the
+same numbered multigraph has the same form, and `_tits_gram` returns one
+TitsGram per C: a weak intern table keeps it while some Biquiver holds it
+as "_gram", and frees it with the last one. `model._kept` keeps in the
+form what this module derives from C once: the inertia of C, counted by
+one elimination (`inertia`), and, for a semidefinite C, its radical
+vector delta, certified before it is kept (`_delta`); and, under a key of
+its own, what `roots` derives from the form alone: the positive roots of
+a definite form. `classify` reads no form. On every biquiver sharing the
+form, `definiteness` reads that one inertia. `radical_vector` shares the
+verdict but solves ker C on every call, the call the benchmark's tests
+count for it: the first delta it finds is the one kept, and a later call
+raises AssertionError unless it finds that delta again. The elimination
+is cubic in the number of vertices, so forms past MAX_GRAM_VERTICES
+vertices are neither built nor eliminated.
 """
 from __future__ import annotations
 
@@ -36,7 +36,7 @@ from operator import mul
 
 from .errors import FormatError, PreconditionError, check_instance, check_int, is_int
 from .elimination import _symmetric_ldl, fraction_nullspace
-from .model import Biquiver, DimensionVector, _fields, _kept, check_dims
+from .model import Biquiver, DimensionVector, _kept, check_dims
 
 # The most vertices of a Tits form that `gram_matrix` builds and
 # `definiteness` eliminates: the dense t x t elimination takes about 0.3 s
@@ -59,14 +59,37 @@ class Definiteness(Enum):
 class TitsGram:
     """The symmetric int matrix C = 2Q with x^T C x = 2 q_G(x).
 
+    The constructor checks every form: it raises FormatError unless t is
+    an int >= 0 and C a symmetric t x t matrix of ints, t and each entry
+    not a bool (`errors.is_int`), and PreconditionError when t >
+    MAX_GRAM_VERTICES. It keeps c as a tuple of tuples, so a form built
+    from lists equals, and hashes like, the same form built from tuples.
     `gram_matrix` hands out one TitsGram per C, shared by every biquiver on
     that numbered multigraph, so each memo kept in it is computed once per
     form. A TitsGram built directly is a fresh form, with memos of its own.
-    `model._kept` keeps them outside the fields, so ==, hash, repr and
-    pickling see only t and c.
+    `model._kept` keeps them outside the fields, so ==, hash and repr see
+    only t and c, and a pickle or copy carries them alone and is rebuilt
+    through the constructor.
     """
     t: int
     c: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        t, c = self.t, self.c
+        if not (is_int(t) and t >= 0 and isinstance(c, (tuple, list)) and len(c) == t
+                and all(isinstance(row, (tuple, list)) and len(row) == t for row in c)):
+            raise FormatError(f"Gram matrix must be {t} x {t}")
+        _check_vertex_cap(t)
+        # an exact int is what `is_int` accepts; testing its type first spares
+        # the call on every entry `_tits_gram` builds
+        if not all(type(x) is int or is_int(x) for row in c for x in row):
+            raise FormatError("Gram matrix entries must be ints")
+        if any(c[i][j] != c[j][i] for i in range(t) for j in range(i)):
+            raise FormatError("Gram matrix must be symmetric")
+        object.__setattr__(self, "c", tuple(map(tuple, c)))
+
+    def __reduce__(self):
+        return TitsGram, (self.t, self.c)
 
     @property
     def q(self) -> tuple[tuple[int | Fraction, ...], ...]:
@@ -76,32 +99,8 @@ class TitsGram:
 
     @property
     def inertia(self) -> tuple[int, int, int]:
-        """`_checked_inertia(self)`, computed once and shared."""
-        return _kept(self, "inertia", _checked_inertia)
-
-    __getstate__ = _fields
-
-
-def _checked_inertia(gram: TitsGram) -> tuple[int, int, int]:
-    """The inertia (n+, n-, n0) of gram's checked c, by `_symmetric_ldl`.
-
-    Raises FormatError unless c is a symmetric t x t matrix of ints, t and
-    each entry an int and not a bool (`errors.is_int`), and
-    PreconditionError, before eliminating, when t > MAX_GRAM_VERTICES. A
-    refusal is not memoized, so a malformed TitsGram raises on every read.
-    """
-    t, c = gram.t, gram.c
-    if not (is_int(t) and t >= 0 and isinstance(c, (tuple, list)) and len(c) == t
-            and all(isinstance(row, (tuple, list)) and len(row) == t for row in c)):
-        raise FormatError(f"Gram matrix must be {t} x {t}")
-    _check_vertex_cap(t)
-    # an exact int is what `is_int` accepts; testing its type first spares
-    # the call on every entry `_tits_gram` builds, in each form's first query
-    if not all(type(x) is int or is_int(x) for row in c for x in row):
-        raise FormatError("Gram matrix entries must be ints")
-    if any(c[i][j] != c[j][i] for i in range(t) for j in range(i)):
-        raise FormatError("Gram matrix must be symmetric")
-    return _symmetric_ldl(c)
+        """The inertia (n+, n-, n0) of C, by `_symmetric_ldl`, computed once and shared."""
+        return _kept(self, "inertia", lambda gram: _symmetric_ldl(gram.c))
 
 
 def _delta(gram: TitsGram) -> DimensionVector:
@@ -200,9 +199,7 @@ def definiteness(gram: TitsGram) -> Definiteness:
 
     Read off the inertia (n+, n-, n0) of C, which is that of Q: positive
     definite when n+ = t, positive semidefinite (and singular) when n- = 0.
-    Only reads `gram.inertia`, which checks and eliminates C once per TitsGram:
-    it raises FormatError unless C is a symmetric t x t matrix of ints, and
-    PreconditionError, before eliminating, when t > MAX_GRAM_VERTICES.
+    Only reads `gram.inertia`, which eliminates C once per TitsGram.
     Raises FormatError when gram is not a TitsGram.
     """
     check_instance(gram, TitsGram, "definiteness")

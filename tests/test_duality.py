@@ -4,16 +4,20 @@
 representation of the opposite biquiver: transposes on full arrows,
 conjugate transposes on dashed ones. D is an exact contravariant
 equivalence, so it fixes every answer that does not see direction:
-D(DX) = X, dim Hom(X, Y) = dim Hom(DY, DX), and the summands of X and DX
-have the same dimension vectors.
+D(DX) = X, dim Hom(X, Y) = dim Hom(DY, DX), the summands of X and DX
+have the same dimension vectors, X and Y are isomorphic exactly when DY and
+DX are, and the transpose of an isomorphism X -> Y is one DY -> DX. The
+direct-sum properties check Hom's additivity in each argument.
 """
 import random
 from collections import Counter
 
 from hypothesis import given, settings, strategies as st
 
-from biquiver import (Arrow, ArrowKind, Biquiver, IndecomposabilityStatus, decompose,
+from biquiver import (Arrow, ArrowKind, Biquiver, IndecomposabilityStatus, Verdict,
+                      apply_base_change, are_isomorphic, decompose, direct_sum,
                       direct_sum_list, hom_basis, random_representation)
+from biquiver.linalg import transpose
 from conftest import dual, random_base_change
 
 
@@ -29,22 +33,23 @@ def biquivers(draw):
 
 
 @st.composite
-def scrambled_sums(draw, g):
+def scrambled_sums(draw, g, wide=False):
     """A base change of a direct sum of 1-3 random representations of g, each
-    at most 1-dimensional at each vertex."""
+    at most 1-dimensional at each vertex; when wide, of 2-3 of them, each
+    1-dimensional at every vertex, so that the base change is not scalar."""
     rng = random.Random(draw(st.integers(0, 2 ** 32)))
-    dims = st.lists(st.integers(0, 1), min_size=g.t, max_size=g.t)
+    dims = st.lists(st.integers(int(wide), 1), min_size=g.t, max_size=g.t)
     summands = [random_representation(g, tuple(draw(dims)), 2, rng.randrange(10 ** 6))
-                for _ in range(draw(st.integers(1, 3)))]
+                for _ in range(draw(st.integers(1 + wide, 3)))]
     return random_base_change(rng, direct_sum_list(g, summands), bound=2)
 
 
 @st.composite
-def pairs(draw):
+def pairs(draw, wide=False):
     """(X, Y): two representations of one biquiver, Y either drawn apart from
-    X or a base change of it."""
+    X or a base change of it; X is wide as in `scrambled_sums`."""
     g = draw(biquivers())
-    x = draw(scrambled_sums(g))
+    x = draw(scrambled_sums(g, wide))
     if draw(st.booleans()):
         return x, random_base_change(random.Random(draw(st.integers(0, 2 ** 32))), x, bound=2)
     return x, draw(scrambled_sums(g))
@@ -71,3 +76,35 @@ def test_certified_summands_of_the_dual_have_the_same_dimensions(x, seed):
     if all(s is IndecomposabilityStatus.CERTIFIED for d in found for s in d.statuses):
         left, right = (Counter(s.dims for s in d.summands) for d in found)
         assert left == right
+
+
+CERTIFIED = (Verdict.YES, Verdict.NO)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.booleans().flatmap(pairs))
+def test_isomorphism_has_the_verdict_of_its_dual(pair):
+    x, y = pair
+    found, dual_found = are_isomorphic(x, y), are_isomorphic(dual(y), dual(x))
+    if found.verdict in CERTIFIED and dual_found.verdict in CERTIFIED:
+        assert found.verdict is dual_found.verdict
+    if found:
+        # S_v^-1 A S_u = B, so S_u^T A^T S_v^-T = B^T, and conjugate transposes alike
+        s = [transpose(m) for m in found.certificate]
+        assert apply_base_change(dual(y), s) == dual(x)
+
+
+@st.composite
+def triples(draw):
+    """(X, Y, Z): three representations of one biquiver."""
+    g = draw(biquivers())
+    return tuple(draw(scrambled_sums(g)) for _ in range(3))
+
+
+@settings(deadline=None, max_examples=100)
+@given(triples())
+def test_hom_is_additive_in_each_argument(triple):
+    x, y, z = triple
+    s = direct_sum(x, y)
+    assert hom_basis(s, z).dimension == hom_basis(x, z).dimension + hom_basis(y, z).dimension
+    assert hom_basis(z, s).dimension == hom_basis(z, x).dimension + hom_basis(z, y).dimension

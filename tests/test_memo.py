@@ -2,11 +2,12 @@
 are memos kept in the instance, and connectivity is read off the forest on
 every call. Each form is analysed once: it is shared by every live
 Biquiver on the same numbered graph, whatever the kinds and directions of
-its arrows, and keeps its checked inertia and, when semidefinite, its
-radical vector delta and, when definite, its positive roots (`roots`),
-checked to have q = 1 before they are kept, when there are at most
-`roots.MAX_KEPT_ROOTS` of them; the Dynkin sub-form that a semidefinite
-form's real roots are read from is closed on every call and kept nowhere.
+its arrows, is checked when it is built, and keeps its inertia and, when
+semidefinite, its radical vector delta and, when definite, its positive
+roots (`roots`), checked to have q = 1 before they are kept, when there
+are at most `roots.MAX_KEPT_ROOTS` of them; the Dynkin sub-form that a
+semidefinite form's real roots are read from is closed on every call and
+kept nowhere.
 Each Biquiver also keeps its Dynkin label (`classify`), which builds no
 form, and its dash-elimination plan, or the obstruction to one
 (`conjugation`), both read off its own forest. Every one of these memos is
@@ -21,9 +22,9 @@ and one wraps `roots.evaluate`, so it sees every root check. A test that
 counts the work on a shared form builds one that no other test builds, so
 it counts the same alone and after other tests have left forms alive.
 The refusal tests check that each check still runs on every call, not only
-on the first, and the properties check that a warm memo changes no answer
-and nothing of the Biquiver's value, and that every memo a form keeps is
-what a fresh form computes.
+on the first, and a form's on every construction, and the properties check
+that a warm memo changes no answer and nothing of the Biquiver's value, and
+that every memo a form keeps is what a fresh form computes.
 """
 import ast
 import copy
@@ -341,14 +342,19 @@ def test_no_module_memoizes_with_cached_property():
     assert found == []
 
 
-def test_a_pickled_form_carries_its_fields_alone():
+def test_a_pickled_form_carries_its_fields_alone(monkeypatch):
     # A2 keeps its positive roots; ~A3, numbered so that nothing else builds
     # its form, its delta
+    built = counting(monkeypatch, (TitsGram, "__post_init__"))
     for g in (path_biquiver(2), biq(4, "a:3>1", "b:1~4", "c:4>2", "d:2~3")):
         want = memo_op(g)
         form = gram_matrix(g)
         assert set(vars(form)) > {"t", "c", "inertia"}
-        for back in (pickle.loads(pickle.dumps(form)), copy.deepcopy(form)):
+        before = built["__post_init__"]
+        copies = (pickle.loads(pickle.dumps(form)), copy.deepcopy(form))
+        # each copy is rebuilt, and so checked, by the constructor
+        assert built["__post_init__"] == before + 2
+        for back in copies:
             assert vars(back) == {"t": form.t, "c": form.c}
             assert back == form and back is not form
             assert definiteness(back) is want[1]
@@ -581,16 +587,15 @@ def test_the_vertex_cap_is_refused_on_every_call(calls):
     assert calls["_symmetric_ldl"] == 0
 
 
-@pytest.mark.parametrize("gram,message", [
-    (TitsGram(2, ((2, -1),)), "^Gram matrix must be 2 x 2$"),
-    (TitsGram(2, ((2, -0.5), (-0.5, 2))), "^Gram matrix entries must be ints$"),
-    (TitsGram(2, ((2, -1), (0, 2))), "^Gram matrix must be symmetric$"),
+@pytest.mark.parametrize("t, c, message", [
+    (2, ((2, -1),), "^Gram matrix must be 2 x 2$"),
+    (2, ((2, -0.5), (-0.5, 2)), "^Gram matrix entries must be ints$"),
+    (2, ((2, -1), (0, 2)), "^Gram matrix must be symmetric$"),
 ], ids=["non-square", "non-int", "non-symmetric"])
-def test_a_malformed_gram_is_refused_on_every_call(gram, message, calls):
+def test_a_malformed_gram_is_refused_on_every_call(t, c, message, calls):
     for _ in range(2):
-        for ask in (definiteness, radical_vector):
-            with pytest.raises(FormatError, match=message):
-                ask(gram)
+        with pytest.raises(FormatError, match=message):
+            TitsGram(t, c)
     assert calls["_symmetric_ldl"] == 0
 
 

@@ -1717,6 +1717,15 @@ def test_primary_split_matches_the_inverting_oracle(x, seed, scrambled):
             assert (base_change(images), blocks) == oracle_primary_split(rep, parts)
 
 
+def test_primary_split_refuses_parts_that_are_not_endomorphisms():
+    # the projections onto e1 and e2 split the dimensions of a nilpotent loop,
+    # but e2's line is not invariant, so its block fails the morphism check
+    rep = MatrixRepresentation(biq(1, "a:1>1"), (2,), {"a": mat([0, 1], [0, 0])})
+    parts = [(mat([1, 0], [0, 0]),), (mat([0, 0], [0, 1]),)]
+    with pytest.raises(AssertionError, match="^base change did not block-diagonalize$"):
+        _primary_split(rep, parts)
+
+
 def test_primary_change_eliminates_once_per_part_and_vertex(monkeypatch):
     # the parts of phi = (diag(1, 2), [1], the 0 x 0 matrix), whose minimal
     # polynomial is (x - 1)(x - 2): M_1 = x - 2 and M_2 = x - 1; phi is an

@@ -51,6 +51,24 @@ def test_dims_given_as_a_list_are_stored_as_a_tuple():
     assert krull_schmidt_compare([a], [b]) is not None
 
 
+def test_a_representation_keeps_its_own_matrices():
+    # the caller's dict was once kept: an edit to it after the checks made a
+    # representation that its own document and decompose refused
+    g = path_biquiver(2)
+    m = {"e1": CMatrix.identity(1)}
+    r = MatrixRepresentation(g, (1, 1), m)
+    m["e1"] = CMatrix.zero(3, 3)
+    assert r.matrices == {"e1": CMatrix.identity(1)}
+    assert parse_representation(serialize_representation(r)) == r
+    assert decompose(r).summands == (r,)
+
+
+@pytest.mark.parametrize("matrices", [5, None, [["e1", 1]]], ids=["int", "none", "list"])
+def test_matrices_that_are_not_a_mapping_are_refused(matrices):
+    with pytest.raises(FormatError, match="^representation matrices needs a Mapping, got "):
+        MatrixRepresentation(path_biquiver(2), (1, 1), matrices)
+
+
 @pytest.mark.parametrize("matrix", [[[1]], "1", 1], ids=["list", "str", "int"])
 def test_a_matrix_that_is_not_a_cmatrix_is_refused(matrix):
     with pytest.raises(FormatError, match="^arrow 'e1' needs a CMatrix, got "):

@@ -477,26 +477,34 @@ def test_definiteness_examples():
     assert definiteness(neg) is Definiteness.INDEFINITE
 
 
+def test_a_form_built_from_lists_is_the_form_built_from_tuples():
+    a2 = gram_matrix(path_biquiver(2))
+    listed = TitsGram(2, [[2, -1], [-1, 2]])
+    assert listed == a2 and hash(listed) == hash(a2)
+    assert listed.c == ((2, -1), (-1, 2)) and type(listed.c[0]) is tuple
+    assert definiteness(listed) is Definiteness.POSITIVE_DEFINITE
+
+
 def test_definiteness_requires_symmetry():
     with pytest.raises(FormatError):
         definiteness(TitsGram(2, ((1, 0), (1, 1))))
 
 
-@pytest.mark.parametrize("gram", [
-    TitsGram(3, ((1, 0), (0, 1))),                  # too few rows
-    TitsGram(2, ((1, 0), (0, 1), (0, 0))),          # too many rows
-    TitsGram(2, ((1, 0), (0,))),                    # ragged
-    TitsGram(2, ((1.0, 0), (0, 1))),                # a float entry
-    TitsGram(2, ((Fraction(1, 2), 0), (0, 1))),     # a Fraction entry: C is integral
-    TitsGram(-1, ()),
-    TitsGram(True, ((2,),)),                        # a bool vertex count
-    TitsGram(2, ((2, False), (False, True))),       # bool entries
+@pytest.mark.parametrize("t, c", [
+    (3, ((1, 0), (0, 1))),                  # too few rows
+    (2, ((1, 0), (0, 1), (0, 0))),          # too many rows
+    (2, ((1, 0), (0,))),                    # ragged
+    (2, ((1.0, 0), (0, 1))),                # a float entry
+    (2, ((Fraction(1, 2), 0), (0, 1))),     # a Fraction entry: C is integral
+    (-1, ()),
+    (True, ((2,),)),                        # a bool vertex count
+    (2, ((2, False), (False, True))),       # bool entries
 ], ids=["short", "long", "ragged", "float", "fraction", "negative-t", "bool-t", "bool-entries"])
-def test_malformed_gram_is_rejected(gram):
+def test_malformed_gram_is_rejected(t, c, monkeypatch):
+    # refused when it is built, so no malformed form reaches an elimination
+    monkeypatch.setattr(tits, "_symmetric_ldl", None)
     with pytest.raises(FormatError):
-        definiteness(gram)
-    with pytest.raises(FormatError):
-        radical_vector(gram)
+        TitsGram(t, c)
 
 
 def test_form_past_the_vertex_cap_is_refused_before_eliminating(monkeypatch):
@@ -512,9 +520,7 @@ def test_form_past_the_vertex_cap_is_refused_before_eliminating(monkeypatch):
     # the path's form, bordered by one isolated vertex
     c = tuple(row + (0,) for row in at_cap.c) + ((0,) * MAX_GRAM_VERTICES + (2,),)
     monkeypatch.setattr(tits, "_symmetric_ldl", eliminate)
-    for refused in (lambda: gram_matrix(big),
-                    lambda: definiteness(TitsGram(MAX_GRAM_VERTICES + 1, c)),
-                    lambda: radical_vector(TitsGram(MAX_GRAM_VERTICES + 1, c)),
+    for refused in (lambda: gram_matrix(big), lambda: TitsGram(MAX_GRAM_VERTICES + 1, c),
                     lambda: roots_with_value(big, 1)):
         with pytest.raises(PreconditionError, match="257 vertices, past the cap of 256"):
             refused()
