@@ -8,14 +8,14 @@ consimilarity with verified certificates, and produces Krull-Schmidt
 decompositions.
 
 `import biquiver` loads the graph layer alone: the names of `classify`,
-`conjugation`, `errors`, `model`, `roots` and `tits` are bound here. The
-names of `linalg`, `scalars`, `representation`, `morphisms`, `gadgets` and
-`semilinear` are resolved by the module `__getattr__`, which imports their
-module on first use and reads the name from it on every access, from
-`sys.modules` once the module is loaded. They are never copied into this
-namespace, so a name that is replaced in its home module, as by a tracer or
-a test's patch, reads here as replaced, and reads as the original once it
-is put back.
+`conjugation`, `errors`, `model`, `roots` and `tits` are bound here. `_LAZY`
+is the one place that decides what loads later: it maps each name of
+`linalg`, `scalars`, `representation`, `morphisms`, `gadgets` and
+`semilinear` to its home module, which the module `__getattr__` imports on
+first use; it reads the name from it on every access, from `sys.modules`
+once loaded, and never copies it here, so a name replaced in its home
+module, as by a tracer or a test's patch (or read by the CLI as
+`bq.<name>`), reads as replaced, and as the original once put back.
 """
 
 import sys as _sys
@@ -24,10 +24,7 @@ from types import ModuleType as _ModuleType
 
 from .classify import RepKind, RepType, diagram_shape, representation_type
 from .conjugation import (DashEliminationObstruction, DashEliminationPlan,
-                          apply_conjugations,
-                          apply_conjugations_representation,
-                          conjugate_biquiver, conjugate_representation,
-                          dash_elimination_plan, transport_isomorphism)
+                          apply_conjugations, conjugate_biquiver, dash_elimination_plan)
 from .errors import FormatError, PreconditionError, SingularMatrixError
 from .model import (Arrow, ArrowKind, Biquiver, DimensionVector,
                     biquiver_to_obj, connected_components,
@@ -47,11 +44,13 @@ _LAZY = {name: f"{__name__}.{module}" for module, names in (
     ("morphisms", ("Decomposition", "IndecomposabilityStatus", "IsoResult",
                    "MorphismBasis", "Verdict", "are_isomorphic", "decompose",
                    "hom_basis", "krull_schmidt_compare")),
-    ("representation", ("MatrixRepresentation", "apply_base_change", "direct_sum",
-                        "direct_sum_list", "matrix_to_obj", "parse_matrix_obj",
+    ("representation", ("MatrixRepresentation", "apply_base_change",
+                        "apply_conjugations_representation", "conjugate_representation",
+                        "direct_sum", "direct_sum_list", "matrix_to_obj", "parse_matrix_obj",
                         "parse_representation", "parse_representation_obj",
                         "random_representation", "representation_to_obj",
-                        "serialize_representation", "zero_representation")),
+                        "serialize_representation", "transport_isomorphism",
+                        "zero_representation")),
     ("scalars", ("GaussianRational", "gaussian")),
     ("semilinear", ("MapKind", "apply_map", "are_consimilar", "change_of_basis", "compose")),
 ) for name in names}

@@ -11,11 +11,11 @@ unexpected error (reported on one line, without a traceback), 141 when
 stdout is closed before the document is written, as after `| head`
 (128 + SIGPIPE, quietly, as a program that SIGPIPE kills would end).
 
-The graph commands (`classify`, `tits`, `roots`, `eliminate`, and
-`conjugate` without --representation) load only the graph layer and
-`scalars`. A handler that works on representations or gadgets imports what
-it uses from `representation`, `morphisms` and `gadgets` when it runs, on
-every call, so a patched name in one of those modules is the one it calls.
+What loads when is decided in one place, the package's lazy table
+(`biquiver._LAZY`): the graph commands (`classify`, `tits`, `roots`,
+`eliminate`, and `conjugate` without --representation) load the graph layer
+and `scalars`, imported here, and a handler reads every other name as
+`bq.<name>`, from its home module, so a name patched there is the one it calls.
 """
 from __future__ import annotations
 
@@ -24,20 +24,17 @@ import functools
 import json
 import os
 import sys
-from typing import TYPE_CHECKING
+
+import biquiver as bq
 
 from .classify import RepKind, representation_type
-from .conjugation import (DashEliminationPlan, apply_conjugations,
-                          apply_conjugations_representation, dash_elimination_plan)
+from .conjugation import DashEliminationPlan, apply_conjugations, dash_elimination_plan
 from .errors import FormatError, PreconditionError, echo, is_int
 from .model import (Biquiver, biquiver_to_obj, connected_components,
                     induced_subbiquiver, parse_biquiver, parse_json)
 from .roots import roots_with_value
 from .scalars import format_rational
 from .tits import Definiteness, definiteness, evaluate, gram_matrix, radical_vector
-
-if TYPE_CHECKING:
-    from .representation import MatrixRepresentation
 
 USAGE_ERROR, FORMAT_ERROR, PRECONDITION_ERROR, INTERNAL_ERROR = 1, 2, 3, 4
 CLOSED_STDOUT = 141  # 128 + SIGPIPE
@@ -70,15 +67,13 @@ def _load_biquiver(path: str) -> Biquiver:
     return parse_biquiver(_read(path))
 
 
-def _load_representation(path: str, biquiver_path: str | None) -> MatrixRepresentation:
-    from .representation import parse_representation
+def _load_representation(path: str, biquiver_path: str | None) -> bq.MatrixRepresentation:
     g = _load_biquiver(biquiver_path) if biquiver_path else None
-    return parse_representation(_read(path), g)
+    return bq.parse_representation(_read(path), g)
 
 
 def _load_matrix(path: str):
-    from .representation import parse_matrix_obj
-    return parse_matrix_obj(parse_json(_read(path)))
+    return bq.parse_matrix_obj(parse_json(_read(path)))
 
 
 def _emit(obj, pretty: bool) -> None:
@@ -106,11 +101,9 @@ def _classify_obj(g: Biquiver) -> dict:
 
 
 def _iso_result_obj(res) -> dict:
-    from .morphisms import Verdict
-    from .representation import matrix_to_obj
     obj: dict = {"verdict": res.verdict.value}
-    if res.verdict is Verdict.YES:
-        obj["certificate"] = {"S": [matrix_to_obj(m) for m in res.certificate]}
+    if res.verdict is bq.Verdict.YES:
+        obj["certificate"] = {"S": [bq.matrix_to_obj(m) for m in res.certificate]}
     if res.reason is not None:
         obj["reason"] = res.reason
     if res.seed is not None:  # a sampled Yes and every ProbablyNo, --trials 0 included
@@ -159,9 +152,8 @@ def _cmd_conjugate(args) -> dict:
     g = _load_biquiver(args.biquiver)
     vertices = _parse_int_list(args.vertex, "--vertex")
     if args.representation:
-        from .representation import parse_representation, representation_to_obj
-        rep = parse_representation(_read(args.representation), g)
-        return representation_to_obj(apply_conjugations_representation(rep, vertices))
+        rep = bq.parse_representation(_read(args.representation), g)
+        return bq.representation_to_obj(bq.apply_conjugations_representation(rep, vertices))
     return biquiver_to_obj(apply_conjugations(g, vertices))
 
 
@@ -184,48 +176,41 @@ def _cmd_rep_validate(args) -> dict:
 
 
 def _cmd_rep_sum(args) -> dict:
-    from .representation import direct_sum, representation_to_obj
     a = _load_representation(args.a, args.biquiver)
     b = _load_representation(args.b, args.biquiver)
-    return representation_to_obj(direct_sum(a, b))
+    return bq.representation_to_obj(bq.direct_sum(a, b))
 
 
 def _cmd_rep_random(args) -> dict:
-    from .representation import random_representation, representation_to_obj
     g = _load_biquiver(args.biquiver)
     dims = _parse_int_list(args.dims, "--dims")
-    return representation_to_obj(
-        random_representation(g, tuple(dims), args.entry_bound, args.seed))
+    return bq.representation_to_obj(
+        bq.random_representation(g, tuple(dims), args.entry_bound, args.seed))
 
 
 def _cmd_rep_hom(args) -> dict:
-    from .morphisms import hom_basis
-    from .representation import matrix_to_obj
     a = _load_representation(args.a, args.biquiver)
     b = _load_representation(args.b, args.biquiver)
-    basis = hom_basis(a, b)
+    basis = bq.hom_basis(a, b)
     return {
         "dimension": basis.dimension,
-        "basis": [[matrix_to_obj(m) for m in tup] for tup in basis.tuples],
+        "basis": [[bq.matrix_to_obj(m) for m in tup] for tup in basis.tuples],
     }
 
 
 def _cmd_rep_iso(args) -> dict:
-    from .morphisms import are_isomorphic
     a = _load_representation(args.a, args.biquiver)
     b = _load_representation(args.b, args.biquiver)
-    res = are_isomorphic(a, b, **_sampling(args))
+    res = bq.are_isomorphic(a, b, **_sampling(args))
     return _iso_result_obj(res)
 
 
 def _cmd_rep_decompose(args) -> dict:
-    from .morphisms import decompose
-    from .representation import matrix_to_obj, representation_to_obj
     a = _load_representation(args.representation, args.biquiver)
-    dec = decompose(a, **_sampling(args))
+    dec = bq.decompose(a, **_sampling(args))
     return {
-        "summands": [representation_to_obj(s, embed_biquiver=False) for s in dec.summands],
-        "certificate": {"S": [matrix_to_obj(m) for m in dec.base_change]},
+        "summands": [bq.representation_to_obj(s, embed_biquiver=False) for s in dec.summands],
+        "certificate": {"S": [bq.matrix_to_obj(m) for m in dec.base_change]},
         "statuses": [st.value for st in dec.statuses],
         "trials": dec.trials,
         "seed": dec.seed,
@@ -233,22 +218,17 @@ def _cmd_rep_decompose(args) -> dict:
 
 
 def _cmd_gadget_cycle(args) -> dict:
-    from .gadgets import gadget_cycle
-    from .representation import representation_to_obj
     g = _load_biquiver(args.biquiver)
     m = _load_matrix(args.matrix)
     arrows = [part for part in args.arrows.split(",") if part]
-    return representation_to_obj(gadget_cycle(g, arrows, m))
+    return bq.representation_to_obj(bq.gadget_cycle(g, arrows, m))
 
 
 def _cmd_gadget_pair(args) -> dict:
-    from .gadgets import gadget_g1, gadget_g2, gadget_g3, gadget_g4
-    from .representation import representation_to_obj
     p = _load_matrix(args.p)
     q = _load_matrix(args.q)
-    builder = {"g1": gadget_g1, "g2": gadget_g2, "g3": gadget_g3,
-               "g4": gadget_g4}[args.gadget_command]
-    return representation_to_obj(builder(p, q))
+    builder = getattr(bq, f"gadget_{args.gadget_command}")
+    return bq.representation_to_obj(builder(p, q))
 
 
 def _add_sampling(p) -> None:

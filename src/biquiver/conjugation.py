@@ -1,11 +1,11 @@
-"""Conjugation at a vertex and dash-elimination planning.
+"""Conjugation of a biquiver at a vertex, and dash-elimination planning.
 
 Conjugating a biquiver at a vertex u toggles full <-> dashed on every
-non-loop arrow incident to u; loops at u keep their kind. On a
-representation it conjugates, entrywise, the matrix of every arrow that
-starts at u (loops included). Conjugation preserves isomorphism classes,
-and conjugations at distinct vertices commute, so a sequence of
-conjugations is just a vertex set, conjugated at in one pass.
+non-loop arrow incident to u; loops at u keep their kind. Conjugations at
+distinct vertices commute, so a sequence of conjugations is just a vertex
+set, conjugated at in one pass. As part of the graph layer this module
+loads no representation module (`biquiver._LAZY` decides what loads when);
+`representation` conjugates representations and certificates.
 
 Whether some set of conjugations removes every dashed arrow is a parity
 question over GF(2): c(u) + c(v) must equal the dashed flag of each
@@ -18,42 +18,13 @@ to one, once computed, as "_plan" (`model._kept`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .errors import PreconditionError, check_instance, echo
-from .model import (Arrow, ArrowKind, Biquiver, _check_sized, _check_vertex, _kept,
-                    connected_forest)
-
-# The graph layer loads neither `linalg` nor `representation`: CMatrix and
-# MatrixRepresentation name types in annotations, which run only under a type
-# checker, `apply_conjugations_representation` imports MatrixRepresentation
-# to check and build one, and `transport_isomorphism` CMatrix to check each.
-if TYPE_CHECKING:
-    from .linalg import CMatrix
-    from .representation import MatrixRepresentation
+from .model import Arrow, ArrowKind, Biquiver, _check_vertex, _kept, connected_forest
 
 
 def conjugate_biquiver(g: Biquiver, u: int) -> Biquiver:
     return apply_conjugations(g, (u,))
-
-
-def conjugate_representation(a: MatrixRepresentation, u: int) -> MatrixRepresentation:
-    """Representation of the conjugated biquiver, per the conjugation functor."""
-    return apply_conjugations_representation(a, (u,))
-
-
-def transport_isomorphism(s: list[CMatrix], u: int) -> list[CMatrix]:
-    """Carry an isomorphism certificate through conjugation at u.
-
-    If S_1..S_t witnesses A = B up to base change, then the same list with
-    S_u conjugated witnesses the conjugated pair. u must be a vertex of s.
-    """
-    from .linalg import CMatrix
-    _check_sized(s, "transition matrices")
-    _check_vertex(u, len(s))
-    for v, m in enumerate(s, start=1):
-        check_instance(m, CMatrix, f"transition matrix at vertex {v}")
-    return [m.conj() if v == u else m for v, m in enumerate(s, start=1)]
 
 
 @dataclass(frozen=True)
@@ -127,17 +98,6 @@ def apply_conjugations(g: Biquiver, vertices) -> Biquiver:
               ArrowKind.DASHED if a.kind is ArrowKind.FULL else ArrowKind.FULL)
         if not a.is_loop and (a.source in odd) != (a.target in odd) else a
         for a in g.arrows))
-
-
-def apply_conjugations_representation(a: MatrixRepresentation, vertices) -> MatrixRepresentation:
-    """Conjugate at each vertex listed: the matrix of every arrow, loops included,
-    whose source is listed an odd number of times is conjugated entrywise."""
-    from .representation import MatrixRepresentation
-    check_instance(a, MatrixRepresentation, "conjugation")
-    odd = _odd_vertices(vertices, a.biquiver.t)
-    mats = {arrow.id: a.matrices[arrow.id].conj() if arrow.source in odd
-            else a.matrices[arrow.id] for arrow in a.biquiver.arrows}
-    return MatrixRepresentation(apply_conjugations(a.biquiver, odd), a.dims, mats)
 
 
 def _odd_vertices(vertices, t: int) -> set[int]:

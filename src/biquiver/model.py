@@ -29,11 +29,6 @@ class ArrowKind(Enum):
     DASHED = "dashed"
 
 
-def _fields(obj) -> dict:
-    """obj's dataclass fields: pickles and copies carry them, not the memos."""
-    return {name: getattr(obj, name) for name in obj.__dataclass_fields__}
-
-
 @dataclass(frozen=True)
 class Arrow:
     id: str
@@ -56,8 +51,9 @@ class Biquiver:
 
     Each instance is analysed once: `_kept` keeps its spanning forest (this
     module), Dynkin label (`classify`), Tits form (`tits`) and
-    dash-elimination plan (`conjugation`) outside the fields, so ==, hash,
-    repr and pickling see only t and the arrows. The forest, whose dashed
+    dash-elimination plan (`conjugation`) outside the fields, so ==, hash
+    and repr see only t and the arrows, and a pickle or copy carries them
+    alone and is rebuilt through the constructor. The forest, whose dashed
     parities read the kinds, and the label and plan read off it stay per
     object, frozen, so every caller shares the one kept;
     `connected_forest` reads connectivity off the forest on every call.
@@ -100,7 +96,8 @@ class Biquiver:
     def vertices(self) -> range:
         return range(1, self.t + 1)
 
-    __getstate__ = _fields
+    def __reduce__(self):
+        return Biquiver, (self.t, self.arrows)
 
 
 def _kept(obj, key: str, compute):

@@ -129,8 +129,11 @@ def _check_same_biquiver(a: MatrixRepresentation, b: MatrixRepresentation) -> No
         raise PreconditionError("representations live over different biquivers")
 
 
-def _check_sampling(trials: int) -> None:
+def _check_sampling(trials: int, seed: int) -> None:
+    """Refuse trials that are not a nonnegative int, and a seed that is not an int:
+    None would seed from OS entropy, which no reported seed reproduces."""
     check_int(trials, "trials", 0, PreconditionError)
+    check_int(seed, "seed", None, PreconditionError)
 
 
 def _hom_system_size(g: Biquiver, da: DimensionVector, db: DimensionVector) -> tuple[int, int]:
@@ -330,10 +333,11 @@ def are_isomorphic(a: MatrixRepresentation, b: MatrixRepresentation,
     ProbablyNo is Monte Carlo evidence only, which its `trials` and `seed`
     reproduce. A sampled Yes reports in `trials` the samples drawn, up to
     and including the one that succeeded. Refuses trials that are not a
-    nonnegative int, and an a or b that is not a MatrixRepresentation.
+    nonnegative int, a seed that is not an int, and an a or b that is not a
+    MatrixRepresentation.
     """
     _check_same_biquiver(a, b)
-    _check_sampling(trials)
+    _check_sampling(trials, seed)
     if a.dims != b.dims:
         return IsoResult(Verdict.NO, reason="dimension vectors differ")
     if a == b:
@@ -646,7 +650,7 @@ def decompose(a: MatrixRepresentation, trials: int = DEFAULT_TRIALS, seed: int =
     samples. Refuses as `are_isomorphic` refuses.
     """
     check_instance(a, MatrixRepresentation, "representation a")
-    _check_sampling(trials)
+    _check_sampling(trials, seed)
     rng = random.Random(seed)
 
     def rec(rep: MatrixRepresentation):
@@ -700,7 +704,7 @@ def krull_schmidt_compare(x: list[MatrixRepresentation], y: list[MatrixRepresent
         check_instance(summands, Sequence, f"summand list {name}")
         for k, s in enumerate(summands):
             check_instance(s, MatrixRepresentation, f"summand {k} of {name}")
-    _check_sampling(trials)
+    _check_sampling(trials, seed)
     if len(x) != len(y):
         return None
     unmatched = list(range(len(y)))

@@ -6,12 +6,19 @@ by invertible matrices S_1..S_t acts as S_v^{-1} A S_u on full arrows and
 as conj(S_v)^{-1} A S_u on dashed ones; two representations are isomorphic
 exactly when a base change carries one onto the other. Zero-dimensional
 vertices are fully supported (empty matrices count as invertible).
+The package's lazy table, `biquiver._LAZY`, loads this module on the first
+use of one of its names, among them the conjugation of a representation
+(entrywise, on every arrow that starts at a listed vertex, loops included)
+and of a certificate, which take a MatrixRepresentation or a CMatrix.
 The constructor checks every representation: dims by `_check_dims`, which
 the builders that size matrices from dims run first, and one d_v x d_u
 CMatrix per arrow u -> v. It keeps dims as a tuple, so that equal vectors
-compare equal, and the matrices as a dict of its own, so that a later edit
-to the caller's mapping leaves the checked representation as it was. The
-JSON parser otherwise only decodes.
+compare equal, and the matrices as a dict of its own behind a read-only
+`MappingProxyType`, so that no later edit, to the caller's mapping or to
+`matrices`, changes the checked representation. A representation is a
+value: it hashes by its biquiver, dims and matrix items, and a pickle or
+copy is rebuilt, and so checked, by the constructor. The JSON parser
+otherwise only decodes.
 """
 from __future__ import annotations
 
@@ -20,11 +27,13 @@ import random
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from math import gcd, lcm
+from types import MappingProxyType
 
+from .conjugation import _odd_vertices, apply_conjugations
 from .errors import FormatError, PreconditionError, check_instance, check_int, echo
 from .linalg import CMatrix, block_diag
-from .model import (Biquiver, DimensionVector, _check_sized, biquiver_to_obj, check_dims,
-                    parse_biquiver_obj, parse_json)
+from .model import (Biquiver, DimensionVector, _check_sized, _check_vertex, biquiver_to_obj,
+                    check_dims, parse_biquiver_obj, parse_json)
 from .scalars import _rational_parts
 
 
@@ -32,7 +41,7 @@ from .scalars import _rational_parts
 class MatrixRepresentation:
     biquiver: Biquiver
     dims: DimensionVector
-    matrices: dict[str, CMatrix]
+    matrices: Mapping[str, CMatrix]
 
     def __post_init__(self):
         g = self.biquiver
@@ -55,7 +64,13 @@ class MatrixRepresentation:
                     f"arrow {echo(a.id)} needs a {want[0]}x{want[1]} matrix, "
                     f"got {m.rows}x{m.cols}")
         object.__setattr__(self, "dims", tuple(self.dims))
-        object.__setattr__(self, "matrices", matrices)
+        object.__setattr__(self, "matrices", MappingProxyType(matrices))
+
+    def __hash__(self) -> int:
+        return hash((self.biquiver, self.dims, frozenset(self.matrices.items())))
+
+    def __reduce__(self):
+        return MatrixRepresentation, (self.biquiver, self.dims, dict(self.matrices))
 
     def dim(self, v: int) -> int:
         return self.dims[v - 1]
@@ -132,6 +147,34 @@ def _transform(a: MatrixRepresentation, s: list[CMatrix], inv: list[CMatrix],
         left = inv[arr.target - 1].conj() if arr.is_dashed else inv[arr.target - 1]
         mats[arr.id] = left @ a.matrices[arr.id] @ s[arr.source - 1]
     return MatrixRepresentation(a.biquiver, a.dims, mats)
+
+
+def conjugate_representation(a: MatrixRepresentation, u: int) -> MatrixRepresentation:
+    """Representation of the conjugated biquiver, per the conjugation functor."""
+    return apply_conjugations_representation(a, (u,))
+
+
+def apply_conjugations_representation(a: MatrixRepresentation, vertices) -> MatrixRepresentation:
+    """Conjugate at each vertex listed: the matrix of every arrow, loops included,
+    whose source is listed an odd number of times is conjugated entrywise."""
+    check_instance(a, MatrixRepresentation, "conjugation")
+    odd = _odd_vertices(vertices, a.biquiver.t)
+    mats = {arrow.id: a.matrices[arrow.id].conj() if arrow.source in odd
+            else a.matrices[arrow.id] for arrow in a.biquiver.arrows}
+    return MatrixRepresentation(apply_conjugations(a.biquiver, odd), a.dims, mats)
+
+
+def transport_isomorphism(s: list[CMatrix], u: int) -> list[CMatrix]:
+    """Carry an isomorphism certificate through conjugation at u.
+
+    If S_1..S_t witnesses A = B up to base change, then the same list with
+    S_u conjugated witnesses the conjugated pair. u must be a vertex of s.
+    """
+    _check_sized(s, "transition matrices")
+    _check_vertex(u, len(s))
+    for v, m in enumerate(s, start=1):
+        check_instance(m, CMatrix, f"transition matrix at vertex {v}")
+    return [m.conj() if v == u else m for v, m in enumerate(s, start=1)]
 
 
 # The most matrix entries random_representation may draw: the sum over arrows

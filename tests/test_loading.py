@@ -74,6 +74,42 @@ def test_model_imports_no_package_module_but_errors():
     assert package == {"errors"}, package
 
 
+def test_the_lazy_table_is_the_one_place_that_defers_an_import():
+    # a module imported inside a function or under TYPE_CHECKING is a second
+    # rule of what loads when; the one exception is the sparse Hom kernel,
+    # which elimination imports with the first Hom system
+    deferred = []
+    for path in sorted(Path(biquiver.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        top = set(map(id, tree.body))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top:
+                names = [node.module] if isinstance(node, ast.ImportFrom) and node.module \
+                    else [a.name for a in node.names]
+                deferred += [f"{path.stem} -> {name}" for name in names]
+    assert deferred == ["elimination -> sparse"], deferred
+
+
+def test_the_representation_side_of_conjugation_resolves_through_the_lazy_table():
+    moved = ("apply_conjugations_representation", "conjugate_representation",
+             "transport_isomorphism")
+    code = f"""
+import json, sys
+import biquiver
+from biquiver import conjugation
+names = {moved!r}
+before = [name in vars(biquiver) or hasattr(conjugation, name) for name in names]
+unloaded = "biquiver.representation" not in sys.modules
+objects = [getattr(biquiver, name) for name in names]
+from biquiver import representation
+homes = [obj is getattr(representation, name) for obj, name in zip(objects, names)]
+print(json.dumps([before, unloaded, homes, [name in vars(biquiver) for name in names]]))
+"""
+    before, unloaded, homes, after = json.loads(fresh(code))
+    assert before == [False] * 3 and unloaded
+    assert homes == [True] * 3 and after == [False] * 3
+
+
 def test_the_graph_api_loads_no_representation_module():
     code = """
 import biquiver as bq

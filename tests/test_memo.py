@@ -718,6 +718,25 @@ def test_a_pickled_biquiver_carries_its_fields_alone_and_plans_alike():
             assert vars(back)["_plan"] == want
 
 
+def test_a_pickled_biquiver_is_rebuilt_by_the_constructor_and_holds_no_memo(monkeypatch):
+    # a biquiver pickles as a TitsGram does, through its constructor, with the
+    # fields as the constructor's arguments: no memo key is in the pickle
+    g = cycle_biquiver(3, dashed=(2,))
+    dash_elimination_plan(g)
+    representation_type(g)
+    gram_matrix(g)
+    memos = set(vars(g)) - {"t", "arrows"}
+    assert memos >= {"_forest", "_plan", "label", "_gram"}
+    built = counting(monkeypatch, (Biquiver, "__post_init__"))
+    data = pickle.dumps(g)
+    assert not any(key.encode() in data for key in memos)
+    assert g.__reduce__() == (Biquiver, (g.t, g.arrows))
+    copies = (pickle.loads(data), copy.deepcopy(g), copy.copy(g))
+    assert built["__post_init__"] == 3
+    for back in copies:
+        assert vars(back) == {"t": g.t, "arrows": g.arrows} and back == g
+
+
 def test_threads_filling_one_plan_agree():
     # threads race on shared fresh biquivers: each may compute the plan, and
     # every one must read, and leave kept, the plan a cold object gives

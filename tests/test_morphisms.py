@@ -442,7 +442,7 @@ def oracle_are_isomorphic(a, b, trials=morphisms.DEFAULT_TRIALS, seed=0,
     dimensions added, and its samples drawn inline with the coefficient
     bound it took then."""
     _check_same_biquiver(a, b)
-    _check_sampling(trials)
+    _check_sampling(trials, seed)
     if a.dims != b.dims:
         return IsoResult(Verdict.NO, reason="dimension vectors differ")
     if a == b:
@@ -1370,7 +1370,7 @@ def oracle_decompose(a, trials=morphisms.DEFAULT_TRIALS, seed=0,
     """`decompose` splitting one factor power off at a time, with the
     vertex-killer search nested inside its trial loop, before
     `_split_candidates` drew the same candidates lazily."""
-    _check_sampling(trials)
+    _check_sampling(trials, seed)
     rng = random.Random(seed)
 
     def rec(rep: MatrixRepresentation):
@@ -1574,7 +1574,11 @@ def test_sampling_parameters_rejected(trials, seed):
 
 @pytest.mark.parametrize("trials, seed, message", [
     ("2", 10, "trials must be a nonnegative int"), (2.0, 10, "trials must be a nonnegative int"),
-    (True, 10, "trials must be a nonnegative int"), (None, 10, "trials must be a nonnegative int")])
+    (True, 10, "trials must be a nonnegative int"), (None, 10, "trials must be a nonnegative int"),
+    # a seed was once taken unchecked: "x" came back as the reported seed, and
+    # None seeded from OS entropy, which no reported seed reproduces
+    (2, None, "seed must be an int, got None"), (2, "x", "seed must be an int, got 'x'"),
+    (2, 1.5, "seed must be an int, got 1.5"), (2, True, "seed must be an int, got True")])
 def test_sampling_parameters_of_another_type_rejected(trials, seed, message):
     a = full_loop(mat([1, 0], [0, 2]))
     b = full_loop(mat([2, 0], [0, 1]))

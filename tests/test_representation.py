@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 import random
 from fractions import Fraction
 from functools import reduce
@@ -61,6 +63,46 @@ def test_a_representation_keeps_its_own_matrices():
     assert r.matrices == {"e1": CMatrix.identity(1)}
     assert parse_representation(serialize_representation(r)) == r
     assert decompose(r).summands == (r,)
+
+
+def test_a_representation_is_a_hashable_value():
+    # hash once raised TypeError on the matrices dict, so a representation
+    # could be neither a set member nor a dict key
+    g = path_biquiver(2)
+    a = MatrixRepresentation(g, (1, 1), {"e1": mat([2])})
+    b = MatrixRepresentation(g, [1, 1], {"e1": mat([2])})
+    c = MatrixRepresentation(g, (1, 1), {"e1": mat([3])})
+    assert a == b and hash(a) == hash(b)
+    assert {a, b, c} == {a, c} and len({a, b, c}) == 2
+    assert {a: "first"}[b] == "first"
+
+
+def test_the_matrices_of_a_representation_are_read_only():
+    # an assignment once succeeded, and a later decompose then failed with a
+    # FormatError about a matrix of the wrong shape
+    g = path_biquiver(2)
+    r = MatrixRepresentation(g, (1, 1), {"e1": CMatrix.identity(1)})
+    with pytest.raises(TypeError):
+        r.matrices["e1"] = CMatrix.zero(3, 3)
+    with pytest.raises(TypeError):
+        del r.matrices["e1"]
+    assert r.matrices == {"e1": CMatrix.identity(1)}
+    assert decompose(r).summands == (r,)
+
+
+def test_a_pickled_or_copied_representation_is_rebuilt_by_the_constructor(monkeypatch):
+    g = biq(2, "a:1>2", "b:2~2")
+    r = random_representation(g, (2, 1), 3, 4)
+    built = []
+    check = MatrixRepresentation.__post_init__
+    monkeypatch.setattr(MatrixRepresentation, "__post_init__",
+                        lambda self: built.append(check(self)))
+    copies = [pickle.loads(pickle.dumps(r)), copy.deepcopy(r), copy.copy(r)]
+    assert len(built) == 3
+    for back in copies:
+        assert back == r and hash(back) == hash(r) and back is not r
+        with pytest.raises(TypeError):
+            back.matrices["a"] = CMatrix.zero(1, 2)
 
 
 @pytest.mark.parametrize("matrices", [5, None, [["e1", 1]]], ids=["int", "none", "list"])
