@@ -33,7 +33,7 @@ from operator import mul, neg
 
 from .elimination import (_echelon, _integer_parts, _nullspace, _primitive,  # noqa: F401
                           fraction_nullspace, fraction_solve)
-from .errors import FormatError, SingularMatrixError, check_instance, check_int
+from .errors import FormatError, SingularMatrixError, check_instance, check_int, echo
 from .scalars import GaussianRational, as_gaussian
 
 
@@ -221,8 +221,7 @@ def _entry(x) -> GaussianRational:
     try:
         return as_gaussian(x)
     except TypeError:
-        check_instance(x, GaussianRational, "matrix entry")  # x is not one: this raises
-        raise
+        raise FormatError(f"matrix entry needs a GaussianRational, got {echo(x)}")
 
 
 def _init(m: CMatrix, rows: int, cols: int, den: int, re: tuple, im: tuple) -> None:

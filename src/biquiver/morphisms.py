@@ -8,9 +8,9 @@ homogeneous rational linear system whose exact nullspace we compute.
 `MorphismBasis` keeps its canonical kernel vectors, integers over one
 denominator each, and samples, killers, powers and the trace form are
 integer arithmetic on them: CMatrix matrices are built only for a sample
-to invert, for the primary parts of a split, and on each `tuples` read. All
-certified answers (isomorphism certificates, decompositions) are verified
-by exact rational arithmetic before being returned. A negative isomorphism
+to invert, for the primary parts of a split, and on each `tuples` read. Every
+base change that `are_isomorphic` samples or `decompose` builds passes one
+exact rule, `_carries`: S is invertible and carries A to B. A negative isomorphism
 answer is certified when the dimension vectors differ, when the rank
 profiles differ (ranks of maps the graph defines, which no base change
 moves), when Hom itself is zero, or, once sampling has failed, when dim
@@ -320,7 +320,7 @@ def are_isomorphic(a: MatrixRepresentation, b: MatrixRepresentation,
                    trials: int = DEFAULT_TRIALS, seed: int = 0) -> IsoResult:
     """Randomized isomorphism test with exact certificates.
 
-    Yes certificates S_1..S_t are verified exactly before being returned.
+    A sampled Yes certificate S_1..S_t is returned once `_carries(S, a, b)` holds.
     No is certified, with trials = 0, by the first of four checks that
     fails: the dimension vectors agree; the rank profiles agree (the
     reason names the first invariant that differs and both ranks);
@@ -355,7 +355,7 @@ def are_isomorphic(a: MatrixRepresentation, b: MatrixRepresentation,
             s = tuple(m.inverse() for m in sample)
         except SingularMatrixError:
             continue
-        if _inverts_to(a, b, s, sample):
+        if _carries(s, a, b):
             return IsoResult(Verdict.YES, certificate=s, trials=used, seed=seed)
     for name, rep in (("a", a), ("b", b)):
         end = hom_basis(rep, rep).dimension
@@ -367,12 +367,13 @@ def are_isomorphic(a: MatrixRepresentation, b: MatrixRepresentation,
                      trials=trials, seed=seed)
 
 
-def _inverts_to(a: MatrixRepresentation, b: MatrixRepresentation, s: MorphismTuple,
-                f: MorphismTuple) -> bool:
-    """Whether apply_base_change(a, s) == b, with no inverse taken: exactly when
-    s_v f_v = 1 at every vertex, so f_v = s_v^-1, and f: a -> b is a morphism."""
-    return (all(sv @ fv == CMatrix.identity(sv.rows) for sv, fv in zip(s, f))
-            and _is_morphism(a, b, f))
+def _carries(s: MorphismTuple, a: MatrixRepresentation, b: MatrixRepresentation) -> bool:
+    """Whether apply_base_change(a, s) == b, with no inverse taken: exactly when each
+    s_v is an invertible d_v x d_v matrix and s: b -> a is a morphism, as
+    S_v^-1 A S_u == B says A S_u == S_v B (conj(S_v) B on a dashed arrow)."""
+    return (a.dims == b.dims and len(s) == len(a.dims)
+            and all(m.rows == d and m.is_invertible() for m, d in zip(s, a.dims))
+            and _is_morphism(b, a, s))
 
 
 def _is_morphism(a: MatrixRepresentation, b: MatrixRepresentation, f: MorphismTuple) -> bool:
@@ -645,9 +646,9 @@ def decompose(a: MatrixRepresentation, trials: int = DEFAULT_TRIALS, seed: int =
     inverted on the way. A leaf is
     CertifiedIndecomposable when End is local (End/rad is R, C or the
     quaternions H), read exactly from the trace form, and otherwise
-    ProbablyIndecomposable. The base change applied to `a` is the direct sum
-    of the summands, exactly, and its `trials` and `seed` reproduce the
-    samples. Refuses as `are_isomorphic` refuses.
+    ProbablyIndecomposable. `_carries` checks that the base change carries
+    `a` to the direct sum of the summands, and `trials` and `seed` reproduce
+    the samples. Refuses as `are_isomorphic` refuses.
     """
     check_instance(a, MatrixRepresentation, "representation a")
     _check_sampling(trials, seed)
@@ -681,12 +682,7 @@ def decompose(a: MatrixRepresentation, trials: int = DEFAULT_TRIALS, seed: int =
 
     summands, change, statuses = rec(a) if a.total_dim() else ([], _identity_tuple(a.dims), [])
     result = Decomposition(tuple(summands), tuple(change), tuple(statuses), trials, seed)
-    # apply_base_change(a, S) == recombined, with no inverse taken: every S_v
-    # is invertible and S: recombined -> a is a morphism
-    recombined = direct_sum_list(a.biquiver, list(result.summands))
-    if not (recombined.dims == a.dims
-            and all(m.rows == d and m.is_invertible() for m, d in zip(result.base_change, a.dims))
-            and _is_morphism(recombined, a, result.base_change)):
+    if not _carries(result.base_change, a, direct_sum_list(a.biquiver, list(result.summands))):
         raise AssertionError("decomposition certificate does not verify")
     return result
 

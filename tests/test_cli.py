@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -534,6 +535,27 @@ def test_long_input_values_are_cut_in_errors(run, tmp_path, doc, argv, want):
     assert err.startswith("error:") and err.count("\n") == 1
     assert len(err.encode()) < 300, err
     assert "characters)" in err
+
+
+# (document, argv with "F" standing for the document's path, the refusal):
+# a field of the wrong JSON type, read by the API and by the CLI alike
+WRONG_FIELD_TYPES = [
+    pytest.param('{"vertices":1,"arrows":{}}', ["classify", "F"], "'arrows' must be a list",
+                 id="arrows-classify"),
+    pytest.param('{"dims":[1],"matrices":{},"biquiver":{"vertices":1,"arrows":"a"}}',
+                 ["rep", "validate", "F"], "'arrows' must be a list", id="arrows-rep-validate"),
+    pytest.param('{"dims":[1],"matrices":[],"biquiver":' + A_LOOP + '}', ["rep", "validate", "F"],
+                 "'matrices' must be an object keyed by arrow id", id="matrices-rep-validate"),
+]
+
+
+@pytest.mark.parametrize("doc, argv, message", WRONG_FIELD_TYPES)
+def test_wrong_field_type_exit_2(run, tmp_path, doc, argv, message):
+    parse = biquiver.parse_biquiver if argv[0] == "classify" else biquiver.parse_representation
+    with pytest.raises(biquiver.FormatError, match=f"^{re.escape(message)}$"):
+        parse(doc)
+    path = _write(tmp_path, "doc.json", doc)
+    assert run(*[path if a == "F" else a for a in argv]) == (2, "", f"error: {message}\n")
 
 
 def test_short_input_values_keep_their_text(run, tmp_path):

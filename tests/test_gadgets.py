@@ -6,7 +6,8 @@ import pytest
 from biquiver import (ArrowKind, CMatrix, FormatError, PreconditionError, Verdict,
                       apply_base_change, are_isomorphic, block_diag,
                       gadget_biquiver, gadget_cycle, gadget_g1, gadget_g2,
-                      gadget_g3, gadget_g4)
+                      gadget_g3, gadget_g4, serialize_biquiver)
+from biquiver.cli import main
 from conftest import biq, cycle_biquiver, gmat, mat, random_invertible
 
 
@@ -83,6 +84,53 @@ def test_cycle_gadget_validation():
         gadget_cycle(g, ["e1"], mat([1]))  # not a loop
     with pytest.raises(PreconditionError):
         gadget_cycle(g, ["e1", "e2", "e3"], mat([1, 2]))  # not square
+
+
+# (vertex count and arrows of the graph, designated cycle, message): every
+# refusal of the cycle check, "do not close into a cycle" by each of its three tests
+CYCLE_REFUSALS = [
+    pytest.param((3, "e1:1>2", "e2:2>3", "e3:3>1"), "e1",
+                 "a single designated arrow must be a loop", id="single-not-loop"),
+    pytest.param((3, "e1:1>2", "e2:2>3", "e3:3>1"), "e1,e2,e1",
+                 "repeated arrow in designated cycle", id="repeated"),
+    pytest.param((2, "e1:1>2", "e2:2>1", "x:1~1"), "e1,x",
+                 "loops cannot appear in a cycle of length > 1", id="loop-in-cycle"),
+    pytest.param((3, "e1:1>2", "e2:2>3", "e3:3>1"), "e1,e2",
+                 "two designated arrows must be parallel", id="two-not-parallel"),
+    pytest.param((4, "e1:1>2", "e2:2>3", "e3:3>4", "e4:4>1"), "e1,e2,e3",
+                 "designated arrows do not close into a cycle", id="ends-apart"),
+    pytest.param((4, "e1:1>2", "e2:2>3", "e3:3>4", "e4:4>1"), "e1,e3,e4",
+                 "designated arrows do not form a consecutive walk", id="broken-walk"),
+    pytest.param((4, "a:1>2", "b:2>3", "c:1>4"), "a,b,c",
+                 "designated arrows do not close into a cycle", id="open-walk"),
+    pytest.param((5, "a:1>2", "b:2>3", "c:3>1", "d:1>4", "e:4>5", "f:5>1"), "a,b,c,d,e,f",
+                 "designated arrows do not close into a cycle", id="vertex-repeated"),
+]
+
+
+@pytest.mark.parametrize("graph, arrows, message", CYCLE_REFUSALS)
+def test_cycle_check_refusals(graph, arrows, message):
+    with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
+        gadget_cycle(biq(*graph), arrows.split(","), mat([1]))
+
+
+@pytest.mark.parametrize("graph, arrows, message", CYCLE_REFUSALS + [
+    pytest.param((2, "e1:1>2", "e2:2>1"), ",", "no cycle designated", id="none"),
+    pytest.param((1, "e1:1>1"), "e1", "the cycle gadget needs a square matrix", id="not-square"),
+])
+def test_cycle_check_refusals_exit_3(tmp_path, capsys, graph, arrows, message):
+    g = tmp_path / "g.json"
+    g.write_text(serialize_biquiver(biq(*graph)))
+    m = tmp_path / "m.json"
+    m.write_text('[[["1","0"]]]' if message != "the cycle gadget needs a square matrix"
+                 else '[[["1","0"],["2","0"]]]')
+    code = main(["gadget", "cycle", str(g), "--arrows", arrows, "--matrix", str(m)])
+    assert (code, capsys.readouterr()) == (3, ("", f"error: {message}\n"))
+
+
+def test_unknown_gadget_biquiver_is_refused():
+    with pytest.raises(FormatError, match="^unknown gadget biquiver 'g5'$"):
+        gadget_biquiver("g5")
 
 
 def test_full_cycle_gadget_faithful_for_similarity():

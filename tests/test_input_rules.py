@@ -105,6 +105,9 @@ def _loop_rep():
     (lambda a: bq.definiteness(5), "definiteness needs a TitsGram, got 5"),
     (lambda a: bq.radical_vector(a.biquiver), "definiteness needs a TitsGram, got Biquiver("),
     (lambda a: bq.CMatrix(1, 1, ["x"]), "matrix entry needs a GaussianRational, got 'x'"),
+    (lambda a: bq.CMatrix(1, 2, [1, 0.5]), "matrix entry needs a GaussianRational, got 0.5"),
+    (lambda a: bq.CMatrix.column(["x" * 100]),
+     "matrix entry needs a GaussianRational, got '" + "x" * 59 + "... (102 characters)"),
     (lambda a: bq.roots_with_value(5, 1), "root search needs a Biquiver, got 5"),
     (lambda a: bq.evaluate(5, (1,)), "Tits form needs a Biquiver, got 5"),
     (lambda a: bq.dash_elimination_plan(5), "dash elimination needs a Biquiver, got 5"),
@@ -151,7 +154,7 @@ def _loop_rep():
         "krull_schmidt_compare-entry", "krull_schmidt_compare-list",
         "krull_schmidt_compare-y", "MatrixRepresentation", "gram_matrix",
         "representation_type", "definiteness", "radical_vector", "CMatrix",
-        "roots_with_value", "evaluate", "dash_elimination_plan", "connected_components",
+        "CMatrix-float-entry", "CMatrix-long-entry", "roots_with_value", "evaluate", "dash_elimination_plan", "connected_components",
         "is_connected", "diagram_shape", "induced_subbiquiver", "apply_conjugations",
         "conjugate_biquiver", "biquiver_to_obj", "zero_representation",
         "random_representation", "direct_sum_list", "apply_base_change",

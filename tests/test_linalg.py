@@ -714,6 +714,21 @@ def test_fraction_solve():
     assert fraction_solve([[], []], []) == [Fraction(0), Fraction(0)]
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: CMatrix.from_rows([[1, 2], [3]]), FormatError, "ragged rows in matrix literal"),
+    (lambda: mat([1, 2]) @ mat([1, 2]), FormatError, "cannot multiply 1x2 by 1x2"),
+    (lambda: mat([1, 2]) + mat([1], [2]), FormatError, "shape mismatch: 1x2 vs 2x1"),
+    (lambda: mat([1, 2]) - CMatrix.zero(1, 3), FormatError, "shape mismatch: 1x2 vs 1x3"),
+    (lambda: CMatrix.zero(2, 3).inverse(), SingularMatrixError,
+     "only square matrices invert, got 2x3"),
+    (lambda: fraction_nullspace([], -1), FormatError, "every equation needs -1 coefficients"),
+], ids=["ragged", "matmul", "add", "sub", "inverse", "nullspace-columns"])
+def test_shape_refusals(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message
+
+
 def test_fraction_nullspace_rejects_malformed_rows():
     with pytest.raises(FormatError):
         fraction_nullspace([[1, 2], [3]], 2)

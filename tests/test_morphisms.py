@@ -2,6 +2,7 @@ import copy
 import os
 import pickle
 import random
+import re
 import subprocess
 import sys
 import textwrap
@@ -494,27 +495,46 @@ def test_iso_matches_the_reinverting_oracle(monkeypatch):
     assert yes >= 40
 
 
-def test_inverts_to_is_the_base_change_check():
-    # for invertible s: _inverts_to(a, b, s, f) exactly when f is the inverse
-    # of s and s carries a to b; f is either the inverse or a perturbed one
+def test_carries_is_the_base_change_check():
+    # for invertible s: _carries(s, a, b) exactly when apply_base_change(a, s) == b;
+    # s is the one that moved a, a multiple of it (2 s carries a as s does, i s
+    # negates the dashed arrows), or a perturbed one
     rng = random.Random(8)
     g = biq(2, "a:1~2", "b:2>1", "c:2~2")
     seen = set()
     for k in range(60):
         a = random_representation(g, (2, 2), 2, k)
-        s = tuple(random_invertible(rng, 2) for _ in range(2))
-        moved = apply_base_change(a, list(s))
-        other = random_base_change(rng, a)
-        b = rng.choice([moved, moved, other])
-        f = [m.inverse() for m in s]
+        s = [random_invertible(rng, 2) for _ in range(2)]
+        moved = apply_base_change(a, s)
+        b = rng.choice([moved, moved, random_base_change(rng, a)])
+        scale = rng.choice([1, 2, gaussian(0, 1)])
+        s = [oracle_scale(m, scale) for m in s]
         if rng.random() < 0.3:
             v = rng.randrange(2)
-            f[v] = f[v] + gmat([(0, 0), (rng.choice([1, -1]), 0)], [(0, 0), (0, 0)])
-        expected = (all(oracle_is_identity(sv @ fv) for sv, fv in zip(s, f))
-                    and apply_base_change(a, list(s)) == b)
-        assert morphisms._inverts_to(a, b, s, tuple(f)) == expected
-        seen.add(expected)
+            s[v] = s[v] + gmat([(0, 0), (rng.choice([1, -1]), 0)], [(0, 0), (0, 0)])
+        if s[0].is_invertible() and s[1].is_invertible():
+            expected = apply_base_change(a, s) == b
+            assert morphisms._carries(tuple(s), a, b) == expected
+            seen.add(expected)
     assert seen == {True, False}
+
+
+@pytest.mark.parametrize("s, error, message", [
+    ((CMatrix.zero(2, 2), CMatrix.identity(2)), SingularMatrixError, "singular 2x2 matrix"),
+    ((mat([1, 2], [2, 4]), CMatrix.identity(2)), SingularMatrixError, "singular 2x2 matrix"),
+    ((CMatrix.identity(3), CMatrix.identity(2)), PreconditionError,
+     "transition matrix at vertex 1 must be 2x2"),
+    ((CMatrix.identity(2), CMatrix.zero(2, 3)), PreconditionError,
+     "transition matrix at vertex 2 must be 2x2"),
+    ((CMatrix.identity(2),), PreconditionError, "need 2 transition matrices, got 1"),
+], ids=["zero", "singular", "too-large", "not-square", "too-few"])
+def test_carries_refuses_what_apply_base_change_refuses(s, error, message):
+    # the zero change is a morphism from any b to a, and is still refused
+    a = random_representation(biq(2, "a:1~2", "b:2>1", "c:2~2"), (2, 2), 2, 4)
+    for b in (a, random_base_change(random.Random(5), a)):
+        assert not morphisms._carries(s, a, b)
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        apply_base_change(a, list(s))
 
 
 # -- rank profile ---------------------------------------------------------------
@@ -665,7 +685,8 @@ def test_rank_profile_stays_within_its_cap(monkeypatch, t, specs, last):
     start = time.perf_counter()
     res = are_isomorphic(a, b, seed=1)
     assert time.perf_counter() - start < 1
-    assert res.verdict is Verdict.YES and len(calls) == 2 * MAX_PROFILE_RANKS
+    # the two profiles, capped, then one rank per vertex as _carries checks the Yes
+    assert res.verdict is Verdict.YES and len(calls) == 2 * MAX_PROFILE_RANKS + t
 
 
 # -- endomorphism algebras ------------------------------------------------------
@@ -1864,6 +1885,52 @@ def test_wrong_inverse_is_refused_under_optimize_flag():
     proc = subprocess.run([sys.executable, "-O", "-c", WRONG_INVERSE],
                           capture_output=True, text=True, env=env, check=True)
     assert proc.stdout == "Yes\nProbablyNo None 8\n", proc.stdout
+
+
+# CMatrix.inverse patched to cycle through four maps, one per call: the inverse,
+# twice it (a wrong inverse, but a base change that carries a to b all the
+# same), i times it (which negates the dashed loop) and the inverse plus E11.
+# The certificates are checked with the true inverse once the patch is undone
+WRONG_INVERSE_MAP = textwrap.dedent("""
+    from biquiver import (Arrow, ArrowKind, Biquiver, CMatrix, GaussianRational, Verdict,
+                          apply_base_change, are_isomorphic, random_representation)
+    g = Biquiver(1, (Arrow("a", 1, 1, ArrowKind.FULL), Arrow("c", 1, 1, ArrowKind.DASHED)))
+    pairs = []
+    for k in range(8):
+        a = random_representation(g, (2,), 2, k)
+        s = CMatrix.from_rows([[1, k], [0, 1]]) @ CMatrix.from_rows([[2, 0], [1, 1]])
+        pairs.append((a, apply_base_change(a, [s])))
+    real_inverse, calls = CMatrix.inverse, [0]
+
+    def wrong(m):
+        inv, mode = real_inverse(m), calls[0] % 4
+        calls[0] += 1
+        n = inv.rows
+        if mode == 3:
+            return inv + CMatrix.from_integers(n, n, 1, [int(k == 0) for k in range(n * n)],
+                                               [0] * (n * n))
+        scale = [1, 2, GaussianRational(0, 1)][mode]
+        return inv @ CMatrix(n, n, [scale if i == j else 0 for i in range(n) for j in range(n)])
+
+    CMatrix.inverse = wrong
+    results = [are_isomorphic(a, b, seed=k) for k, (a, b) in enumerate(pairs)]
+    CMatrix.inverse = real_inverse
+    print([r.verdict.value for r in results], [r.trials for r in results])
+    print("wrong certificates:", sum(
+        r.verdict is Verdict.YES and apply_base_change(a, list(r.certificate)) != b
+        for r, (a, b) in zip(results, pairs)))
+""")
+
+
+def test_every_yes_under_a_wrong_inverse_carries_a_to_b_under_optimize_flag():
+    # the samples at trials 1 take the inverse or twice it, and each trials 3
+    # follows a refused i-times and a refused plus-E11 inverse
+    src = str(Path(biquiver.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-O", "-c", WRONG_INVERSE_MAP],
+                          capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout == ("['Yes', 'Yes', 'Yes', 'Yes', 'Yes', 'Yes', 'Yes', 'Yes'] "
+                           "[1, 1, 3, 1, 3, 1, 3, 1]\nwrong certificates: 0\n"), proc.stdout
 
 
 @settings(deadline=None, max_examples=60)

@@ -83,3 +83,13 @@ def test_rational_string_too_long_is_a_format_error(text):
         parse_rational(text)
     assert str(len(text)) in str(info.value)
     assert len(str(info.value)) < 100
+
+
+@pytest.mark.parametrize("z, text", [
+    (GaussianRational(0, 2), "2i"), (GaussianRational(0, Fraction(-1, 3)), "-1/3i"),
+    (GaussianRational(1, -2), "1-2i"),
+    (GaussianRational(Fraction(1, 2), Fraction(3, 4)), "1/2+3/4i"),
+    (GaussianRational(Fraction(-5, 2)), "-5/2"),
+], ids=["imaginary", "imaginary-negative", "both-minus", "both-plus", "real"])
+def test_repr(z, text):
+    assert repr(z) == text
